@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -111,18 +110,19 @@ def _check_param(experiment: str, name: str, kind: str, value):
 
 @dataclass
 class RunPlan:
-    """Validated config: base experiment, parameters, swept name (or None)."""
+    """Validated config: base experiment, parameters, swept name (or None);
+    seed is the config's own, None where it sets none."""
 
     experiment: str
     base: str
     parameters: dict
     swept: str | None
-    seed: int
+    seed: int | None
     output: str | None
     format: str
 
 
-def validate_config(raw, *, allow_sweep: bool, default_seed: int) -> RunPlan:
+def validate_config(raw) -> RunPlan:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     allowed_top = {"experiment", "parameters", "seed", "output", "format", "base"}
@@ -174,16 +174,13 @@ def validate_config(raw, *, allow_sweep: bool, default_seed: int) -> RunPlan:
             _check_param(base, name, kind, value)
             cleaned[name] = value
 
-    wants_sweep = experiment == "sweep" or swept is not None
-    if wants_sweep and not allow_sweep:
-        raise ConfigError("this config sweeps a parameter; use the 'sweep' verb")
     if experiment == "sweep" and swept is None:
         raise ConfigError("sweep config has no list-valued parameter")
 
     if "seed" in raw and (not isinstance(raw["seed"], int)
                           or isinstance(raw["seed"], bool)):
         raise ConfigError("seed must be an integer")
-    seed = raw.get("seed", default_seed)
+    seed = raw.get("seed")
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError("output must be a path string")
@@ -206,14 +203,12 @@ def _versions() -> dict:
 
 @dataclass
 class RunRecord:
-    """Everything one invocation produced (timestamp stays out of the
-    serialized outputs so reruns are byte identical)."""
+    """Everything one invocation produced."""
 
     config: dict
     results: dict
     oracle_deltas: dict
     versions: dict
-    timestamp: float
 
 
 def _fmt_float(x: float) -> str:
@@ -261,7 +256,6 @@ def _single_record(plan: RunPlan, outcome: ExperimentOutcome) -> RunRecord:
         results=results,
         oracle_deltas=dict(outcome.oracle_deltas),
         versions=_versions(),
-        timestamp=time.time(),
     )
 
 
@@ -305,6 +299,7 @@ def run_sweep(plan: RunPlan, jobs: int) -> tuple[RunRecord, list[str],
     tasks = [
         (plan.base, {**plan.parameters, plan.swept: value}) for value in values
     ]
+    jobs = min(jobs, len(tasks))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             points = list(pool.map(_sweep_point, tasks))
@@ -331,7 +326,6 @@ def run_sweep(plan: RunPlan, jobs: int) -> tuple[RunRecord, list[str],
             f"max_{k}": max(p[1][k] for p in points) for k in delta_keys
         },
         versions=_versions(),
-        timestamp=time.time(),
     )
     return record, header, rows
 
@@ -349,33 +343,15 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
-def _resolve_seed(args, raw_config) -> int:
-    if args.seed is not None:
-        return args.seed
-    if isinstance(raw_config, dict) and "seed" in raw_config:
-        seed = raw_config["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError("seed must be an integer")
-        return seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
-    return 0
-
-
-def _output_path(plan: RunPlan, args) -> str:
-    if args.out:
-        return args.out
-    if plan.output:
-        return plan.output
-    return f"pancha-{plan.experiment}.{plan.format}"
+def _env_seed() -> int:
+    try:
+        return int(os.environ.get(SEED_ENV_VAR, "0"))
+    except ValueError as exc:
+        raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
 
 
 def _emit(plan: RunPlan, args, record: RunRecord, header, rows) -> str:
-    path = _output_path(plan, args)
+    path = args.out or plan.output or f"pancha-{plan.experiment}.{plan.format}"
     if plan.format == "json":
         _write_json(path, record)
     else:
@@ -383,17 +359,27 @@ def _emit(plan: RunPlan, args, record: RunRecord, header, rows) -> str:
     return path
 
 
-def _cmd_run(args) -> int:
+def _plan(args) -> RunPlan:
+    """Load, seed and validate the config, then apply the command-line
+    overrides shared by ``run`` and ``sweep``."""
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     raw = _load_config(args.config)
-    seed = _resolve_seed(args, raw)
-    plan = validate_config(raw, allow_sweep=True, default_seed=seed)
-    plan.seed = seed
+    plan = validate_config(raw)
+    if args.seed is not None:
+        plan.seed = args.seed
+    elif plan.seed is None:
+        plan.seed = _env_seed()
     if args.format:
         plan.format = args.format
     if (plan.base == "precession" and args.subdivisions
             and "subdivisions" not in plan.parameters):
         plan.parameters["subdivisions"] = args.subdivisions
+    return plan
 
+
+def _cmd_run(args) -> int:
+    plan = _plan(args)
     if plan.swept is not None or plan.experiment == "sweep":
         record, header, rows = run_sweep(plan, jobs=args.jobs)
     else:
@@ -408,17 +394,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    raw = _load_config(args.config)
-    seed = _resolve_seed(args, raw)
-    plan = validate_config(raw, allow_sweep=True, default_seed=seed)
-    plan.seed = seed
-    if args.format:
-        plan.format = args.format
+    plan = _plan(args)
     if plan.swept is None:
         raise ConfigError("sweep needs exactly one list-valued parameter")
-    if (plan.base == "precession" and args.subdivisions
-            and "subdivisions" not in plan.parameters):
-        plan.parameters["subdivisions"] = args.subdivisions
     record, header, rows = run_sweep(plan, jobs=args.jobs)
     path = _emit(plan, args, record, header, rows)
     print(f"wrote {len(rows)}-point sweep of '{plan.swept}' to {path}")
@@ -426,13 +404,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get(SEED_ENV_VAR, "0")
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
+    seed = args.seed if args.seed is not None else _env_seed()
     results = run_suites(args.suite, seed=seed, tol_scale=args.tol_scale)
     failures = sum(0 if result.passed else 1 for result in results)
     for result in results:
@@ -459,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--subdivisions", type=int,
                         help="path subdivisions for simulated evolutions")
     common.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for sweep points")
+                        help="worker processes for sweep points (at least 1; "
+                             "never more than the points)")
 
     run_p = sub.add_parser("run", parents=[common],
                            help="execute one experiment config")

@@ -29,7 +29,6 @@ KET_PLUS_Z = np.array([1.0, 0.0], dtype=complex)
 KET_MINUS_Z = np.array([0.0, 1.0], dtype=complex)
 
 ATOL_NORM = 1e-12
-ATOL_UNITARY = 1e-10
 
 
 def wrap_angle(angle):
@@ -58,15 +57,6 @@ def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return complex(np.vdot(a, b))
-
-
-def normalize(vec: np.ndarray) -> np.ndarray:
-    """Return vec scaled to unit norm."""
-    vec = np.asarray(vec, dtype=complex)
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return vec / norm
 
 
 class BlochPoint(NamedTuple):
@@ -189,42 +179,3 @@ def qubit_density(r: float, axis=(0.0, 0.0, 1.0)) -> np.ndarray:
     n = n / np.linalg.norm(n)
     n_dot_sigma = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
     return 0.5 * (IDENTITY_2 + r * n_dot_sigma)
-
-
-def density_from_ensemble(weights, states) -> np.ndarray:
-    """Density operator sum_k w_k |psi_k><psi_k|."""
-    weights = np.asarray(weights, dtype=float)
-    rho = sum(
-        w * np.outer(s, np.conj(s)) for w, s in zip(weights, states, strict=True)
-    )
-    return np.asarray(rho, dtype=complex)
-
-
-def check_state(state: np.ndarray, atol: float = ATOL_NORM) -> np.ndarray:
-    """Validate unit norm; returns the state for chaining."""
-    state = np.asarray(state, dtype=complex)
-    if abs(np.linalg.norm(state) - 1.0) > atol:
-        raise ValueError(f"state is not normalized: |norm - 1| = "
-                         f"{abs(np.linalg.norm(state) - 1.0):.3e}")
-    return state
-
-
-def check_density(rho: np.ndarray, atol: float = ATOL_NORM) -> np.ndarray:
-    """Validate hermiticity, unit trace, and positivity of a density operator."""
-    rho = np.asarray(rho, dtype=complex)
-    if np.abs(rho - rho.conj().T).max() > atol:
-        raise ValueError("density operator is not hermitian")
-    if abs(np.trace(rho).real - 1.0) > atol or abs(np.trace(rho).imag) > atol:
-        raise ValueError("density operator trace is not 1")
-    if np.linalg.eigvalsh(rho).min() < -atol:
-        raise ValueError("density operator has a negative eigenvalue")
-    return rho
-
-
-def check_unitary(u: np.ndarray, atol: float = ATOL_UNITARY) -> np.ndarray:
-    """Validate U^dag U = 1 in Frobenius norm."""
-    u = np.asarray(u, dtype=complex)
-    defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if defect > atol:
-        raise ValueError(f"operator is not unitary: defect {defect:.3e}")
-    return u

@@ -7,6 +7,9 @@ beams see a transverse field (different strengths), and a spin analyser
 behind each beam reads the relative phase of the two spatial states
 |A+> and |A->, whose roles mirror the initial and precessed spin states
 under the substitution (precession angle) <-> (field-angle difference).
+Both closed forms evaluate the one tilted-overlap law of ``pancha.phase``;
+their independent routes (explicitly built states, the end-to-end
+analyser fringe) are compared against them in ``pancha.checks``.
 """
 
 from __future__ import annotations
@@ -15,15 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import matrix_exponential_su2, principal_angle, tensor, wrap_angle
+from .core import matrix_exponential_su2, tensor
 from .errors import OrthogonalStatesError
 from .phase import (
     EPS_ORTH,
     InterferenceProfile,
     PhaseResult,
     extract_fringe,
-    pancharatnam_phase,
     pure_interference_profile,
+    tilted_overlap,
 )
 
 _X_AXIS = (1.0, 0.0, 0.0)
@@ -50,28 +53,19 @@ def spin_pancharatnam(spec: SpinArmSpec) -> PhaseResult:
     """Relative phase and visibility of the precessed spin state.
 
     Closed forms: phase -arctan(cos(theta) tan(varphi/2)) on the
-    overlap-tracking branch, visibility
-    sqrt(1 - sin^2(theta) sin^2(varphi/2)).  Every call cross-checks the
-    closed forms against the overlap of the explicitly constructed
-    states.
+    overlap-tracking branch, visibility |cos(varphi/2) - i cos(theta)
+    sin(varphi/2)|, the modulus of the same tilted overlap.  The overlap
+    of the explicitly constructed states (``spin_arm_states``) is the
+    independent route ``check_duality_identity`` compares against.
 
     Raises:
         OrthogonalStatesError: where the visibility vanishes
             (theta = pi/2 with varphi = pi).
     """
-    half = spec.varphi / 2.0
-    overlap = complex(np.cos(half) - 1j * np.cos(spec.theta) * np.sin(half))
+    overlap = tilted_overlap(spec.varphi / 2.0, np.cos(spec.theta))
     if abs(overlap) < EPS_ORTH:
         raise OrthogonalStatesError("initial and precessed spin states orthogonal")
-    result = PhaseResult(
-        principal_angle(overlap),
-        float(np.sqrt(1.0 - (np.sin(spec.theta) * np.sin(half)) ** 2)),
-    )
-    direct = pancharatnam_phase(*spin_arm_states(spec))
-    if (abs(wrap_angle(direct.phase - result.phase)) > 1e-10
-            or abs(direct.visibility - result.visibility) > 1e-10):
-        raise AssertionError("closed form disagrees with direct state overlap")
-    return result
+    return PhaseResult.from_overlap(overlap)
 
 
 def spin_interference_profile(spec: SpinArmSpec, chis) -> InterferenceProfile:
@@ -160,27 +154,18 @@ def predicted_final_state(spec: DualSetupSpec) -> np.ndarray:
 def dual_phase_closed_form(spec: DualSetupSpec) -> PhaseResult:
     """Dual relative phase arg<A-|A+> and visibility |<A-|A+>|.
 
-    Same functional form as the spin-arm result with the precession angle
-    replaced by the field-angle difference.  Cross-checked against the
-    direct two-dimensional inner product on every call.
+    The spin-arm law with the precession angle replaced by the
+    field-angle difference.  The direct two-dimensional inner product of
+    ``spatial_vectors`` is the independent route
+    ``check_duality_identity`` compares against.
 
     Raises:
         OrthogonalStatesError: at theta = pi/2 with delta_phi = pi.
     """
-    half = spec.delta_phi / 2.0
-    overlap = complex(np.cos(half) - 1j * np.cos(spec.theta) * np.sin(half))
+    overlap = tilted_overlap(spec.delta_phi / 2.0, np.cos(spec.theta))
     if abs(overlap) < EPS_ORTH:
         raise OrthogonalStatesError("beam-pair states orthogonal")
-    result = PhaseResult(
-        principal_angle(overlap),
-        float(np.sqrt(1.0 - (np.sin(spec.theta) * np.sin(half)) ** 2)),
-    )
-    a_plus, a_minus = spatial_vectors(spec)
-    direct = pancharatnam_phase(a_minus, a_plus)
-    if (abs(wrap_angle(direct.phase - result.phase)) > 1e-10
-            or abs(direct.visibility - result.visibility) > 1e-10):
-        raise AssertionError("closed form disagrees with direct beam overlap")
-    return result
+    return PhaseResult.from_overlap(overlap)
 
 
 def dual_coincidence_profile(theta: float, delta_phi: float, chis,

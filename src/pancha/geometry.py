@@ -4,9 +4,13 @@ weighted generalisation.
 
 The three-state invariant arg(<A|C><C|B><B|A>) and the signed solid angle
 of the corresponding spherical triangle are computed by two fully
-independent routes (complex arithmetic on states versus spherical excess
-on unit vectors), because the relation between them, invariant = -Omega/2,
-is exactly the claim the test batteries verify.
+independent routes (complex overlaps of states versus Girard's spherical
+excess from the tangent-vector corner angles of unit vectors, the one
+kernel ``girard_signed_area`` that also sums path areas in
+``pancha.transport``), because the relation between them, invariant =
+-Omega/2, is exactly the claim the test batteries verify.  The
+Van Oosterom-Strackee form is the overlap product in Bloch vectors, so
+it is not used: it would make that check nearly a tautology.
 
 Sign convention, used consistently everywhere: a triangle whose vertices
 run counter-clockwise when viewed from outside the sphere has positive
@@ -36,7 +40,7 @@ from .errors import (
     DegenerateTriangleError,
     OrthogonalStatesError,
 )
-from .phase import EPS_ORTH
+from .phase import EPS_ORTH, tilted_overlap
 
 #: below this |p x q| a rotation axis (or closing geodesic) is undefined
 EPS_GEO = 1e-8
@@ -110,29 +114,28 @@ def multi_vertex_invariant(states) -> float:
     return principal_angle(product)
 
 
-def _corner_angle(apex: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
-    """Interior angle at apex between the great-circle arcs to p and q."""
-    tp = p - np.dot(p, apex) * apex
-    tq = q - np.dot(q, apex) * apex
-    cosine = np.dot(tp, tq)
-    sine = np.linalg.norm(np.cross(tp, tq))
-    return float(np.arctan2(sine, cosine))
+def _rowdot(a, b) -> np.ndarray:
+    """Dot products along the last axis."""
+    return np.einsum("...i,...i->...", a, b)
 
 
-def girard_signed_area(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
-    """Signed spherical excess of the triangle (u, v, w) of unit vectors.
+def girard_signed_area(u, v, w) -> np.ndarray:
+    """Signed spherical excess of the triangles (u, v, w) of unit vectors.
 
-    No degeneracy guarding; callers must keep vertex pairs away from
-    coincidence and antipodes.
+    Rowwise over (..., 3) inputs, which broadcast against each other.
+    Each interior angle is taken between the tangent vectors at its
+    vertex; the sign is that of det[u, v, w].  No degeneracy guarding;
+    callers must keep vertex pairs away from coincidence and antipodes.
     """
-    excess = (
-        _corner_angle(u, v, w)
-        + _corner_angle(v, w, u)
-        + _corner_angle(w, u, v)
-        - np.pi
-    )
-    orientation = 1.0 if np.dot(u, np.cross(v, w)) >= 0.0 else -1.0
-    return orientation * excess
+    u, v, w = (np.asarray(x, dtype=float) for x in (u, v, w))
+    angles = []
+    for apex, p, q in ((u, v, w), (v, w, u), (w, u, v)):
+        tp = p - _rowdot(p, apex)[..., None] * apex
+        tq = q - _rowdot(q, apex)[..., None] * apex
+        angles.append(np.arctan2(np.linalg.norm(np.cross(tp, tq), axis=-1),
+                                 _rowdot(tp, tq)))
+    excess = sum(angles) - np.pi
+    return np.where(_rowdot(u, np.cross(v, w)) >= 0.0, excess, -excess)
 
 
 def solid_angle(t: SphericalTriangle) -> float:
@@ -146,13 +149,14 @@ def solid_angle(t: SphericalTriangle) -> float:
         DegenerateTriangleError: for coincident or antipodal vertex pairs.
     """
     vecs = t.unit_vectors()
-    pairs = (("a", "b", 0, 1), ("b", "c", 1, 2), ("c", "a", 2, 0))
-    for n1, n2, i, j in pairs:
-        cross = np.linalg.norm(np.cross(vecs[i], vecs[j]))
-        if cross < EPS_GEO:
-            kind = "coincident" if np.dot(vecs[i], vecs[j]) > 0.0 else "antipodal"
-            raise DegenerateTriangleError(f"vertices {n1}, {n2} are {kind}")
-    return girard_signed_area(vecs[0], vecs[1], vecs[2])
+    following = np.roll(vecs, -1, axis=0)
+    degenerate = np.linalg.norm(np.cross(vecs, following), axis=1) < EPS_GEO
+    if degenerate.any():
+        i = int(np.argmax(degenerate))
+        kind = "coincident" if np.dot(vecs[i], following[i]) > 0.0 else "antipodal"
+        names = "abca"[i:i + 2]
+        raise DegenerateTriangleError(f"vertices {names[0]}, {names[1]} are {kind}")
+    return float(girard_signed_area(vecs[0], vecs[1], vecs[2]))
 
 
 def geodesic_unitary(p: BlochPoint, q: BlochPoint) -> np.ndarray:
@@ -312,5 +316,4 @@ def mixed_solid_angle_phase(r: float, omega: float) -> float:
         raise ValueError("Bloch radius must lie in [-1, 1]")
     if abs(omega) >= 2.0 * np.pi:
         raise BranchAmbiguityError("|omega| >= 2*pi is outside the single-turn branch")
-    half = omega / 2.0
-    return float(np.arctan2(-r * np.sin(half), np.cos(half)))
+    return principal_angle(tilted_overlap(omega / 2.0, r))

@@ -8,7 +8,8 @@ shift arg<A|B> observed when one beam gets a variable U(1) shift chi:
 and it generalizes to a unitarily evolved mixed state as arg Tr(U rho)
 with fringe contrast |Tr(U rho)|.  Interference profiles here are always
 computed by direct state arithmetic, so the closed forms above stay
-testable claims rather than baked-in assumptions.
+testable claims rather than baked-in assumptions; the comparisons live
+in ``pancha.checks``.
 """
 
 from __future__ import annotations
@@ -53,6 +54,20 @@ class InterferenceProfile:
     chis: np.ndarray
     intensities: np.ndarray
     extracted: PhaseResult = field(repr=False)
+
+
+def tilted_overlap(half: float, k: float) -> complex:
+    """The overlap cos(half) - i k sin(half) behind every arctan-shaped law.
+
+    Its argument is -arctan(k tan(half)) on the branch that is continuous
+    at half = 0 and tracks the overlap through the tangent poles; its
+    modulus is the visibility.  The mixed solid-angle, precession,
+    entangled-pair, spin-arm and dual closed forms pick k (Bloch radius,
+    cos(tilt), 2 lam - 1) and guard their own domains.
+    """
+    # 0.0 - x rather than -x keeps a zero imaginary part at +0.0, so a
+    # zero phase is reported as 0.0, never -0.0
+    return complex(np.cos(half), 0.0 - k * np.sin(half))
 
 
 def pancharatnam_phase(a: np.ndarray, b: np.ndarray) -> PhaseResult:
@@ -113,14 +128,12 @@ def mixed_phase(rho: np.ndarray, u: np.ndarray) -> PhaseResult:
 
 
 def mixed_interference_profile(rho, u, chis) -> InterferenceProfile:
-    """Mixed-state profile, computed by two independent routes.
+    """Mixed-state profile as an eigen-ensemble of pure-state profiles.
 
-    Route one eigendecomposes rho and adds the weighted pure-state
-    profiles of each eigenvector against its image under U; route two is
-    the closed form 2 + 2 Re(e^{i chi} conj(Tr(U rho))).  The two must
-    agree pointwise within 1e-9 or the call fails, so every invocation
-    doubles as an oracle check.  The returned samples are the simulated
-    (eigen-route) ones.
+    Eigendecomposes rho and adds the weighted pure-state profiles of each
+    eigenvector against its image under U.  The trace closed form
+    2 + 2 Re(e^{i chi} conj(Tr(U rho))) is the independent route it is
+    checked against (``check_mixed_profile_routes``, ``run_mixed``).
     """
     rho = np.asarray(rho, dtype=complex)
     u = np.asarray(u, dtype=complex)
@@ -137,14 +150,6 @@ def mixed_interference_profile(rho, u, chis) -> InterferenceProfile:
         simulated += weights[k] * np.einsum(
             "ij,ij->i", superposed.conj(), superposed
         ).real
-
-    t = complex(np.trace(u @ rho))
-    closed = 2.0 + 2.0 * np.real(phases * np.conj(t))
-    mismatch = np.abs(simulated - closed).max()
-    if mismatch > 1e-9:
-        raise AssertionError(
-            f"eigen-route and trace-route profiles disagree by {mismatch:.3e}"
-        )
     return InterferenceProfile(chis, simulated, extract_fringe(chis, simulated))
 
 

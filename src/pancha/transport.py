@@ -33,7 +33,7 @@ from .errors import (
     VanishingEndpointOverlapError,
 )
 from .geometry import SphericalTriangle, girard_signed_area, mixed_solid_angle_phase
-from .phase import EPS_ORTH
+from .phase import EPS_ORTH, tilted_overlap
 
 _NORTH = np.array([0.0, 0.0, 1.0])
 
@@ -150,10 +150,7 @@ def dynamical_phase(path: DiscretePath) -> float:
         energies = np.einsum("ij,ijk,ik->i", path.states.conj(), gen,
                              path.states).real
         return float(-np.trapezoid(energies, path.times))
-    links = np.einsum("ij,ij->i", path.states[:-1].conj(), path.states[1:])
-    if (np.abs(links) < EPS_ORTH).any():
-        raise OrthogonalStatesError("adjacent overlap vanishes")
-    return float(np.angle(links).sum())
+    return float(-np.angle(_adjacent_overlaps(path)).sum())
 
 
 def pancharatnam_vs_auxiliary(path: DiscretePath) -> float:
@@ -164,7 +161,6 @@ def pancharatnam_vs_auxiliary(path: DiscretePath) -> float:
     endpoints, arg<A_0|A_t> - gamma(t), reproduces the chain phase up to
     discretization error.
     """
-    path.validate()
     gamma = dynamical_phase(path)
     return wrap_angle(principal_angle(_endpoint_overlap(path)) - gamma)
 
@@ -251,16 +247,7 @@ def precession_phase_closed_form(spec: PrecessionSpec) -> float:
         raise BranchAmbiguityError("|phi| >= 2*pi is outside the single-turn branch")
     half = spec.phi / 2.0
     cos_t = np.cos(spec.theta)
-    arc = np.arctan2(-cos_t * np.sin(half), np.cos(half))
-    return wrap_angle(arc + half * cos_t)
-
-
-def _unsigned_angles(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """Rowwise angle between tangent vectors (scale invariant, so the
-    tangents need not be normalized)."""
-    sines = np.linalg.norm(np.cross(t1, t2), axis=1)
-    cosines = np.einsum("ij,ij->i", t1, t2)
-    return np.arctan2(sines, cosines)
+    return wrap_angle(principal_angle(tilted_overlap(half, cos_t)) + half * cos_t)
 
 
 def _segment_areas(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -272,12 +259,8 @@ def _segment_areas(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     by orientation.  Segments with an endpoint at the north pole run
     along meridians and sweep nothing.
     """
-    dots = np.einsum("ij,ij->i", u, v)
-    crosses = np.cross(u, v)
-    cross_norms = np.linalg.norm(crosses, axis=1)
-
-    collapsed = cross_norms < 1e-13
-    if (collapsed & (dots < 0.0)).any():
+    collapsed = np.linalg.norm(np.cross(u, v), axis=1) < 1e-13
+    if (collapsed & (np.einsum("ij,ij->i", u, v) < 0.0)).any():
         raise DegenerateTriangleError("adjacent path points are antipodal")
     u_on_axis = np.hypot(u[:, 0], u[:, 1]) < 1e-13
     v_on_axis = np.hypot(v[:, 0], v[:, 1]) < 1e-13
@@ -285,16 +268,8 @@ def _segment_areas(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise DegenerateTriangleError(
             "path touches the south pole, where the azimuth chart is singular"
         )
-    at_pole = u_on_axis | v_on_axis
-
-    north = np.broadcast_to(_NORTH, u.shape)
-    angle_n = _unsigned_angles(u - u[:, 2:3] * north, v - v[:, 2:3] * north)
-    angle_u = _unsigned_angles(v - dots[:, None] * u, north - u[:, 2:3] * u)
-    angle_v = _unsigned_angles(north - v[:, 2:3] * v, u - dots[:, None] * v)
-    excess = angle_n + angle_u + angle_v - np.pi
-    orientation = np.where(crosses[:, 2] >= 0.0, 1.0, -1.0)
-    areas = orientation * excess
-    areas[collapsed | at_pole] = 0.0
+    areas = girard_signed_area(_NORTH, u, v)
+    areas[collapsed | u_on_axis | v_on_axis] = 0.0
     return areas
 
 

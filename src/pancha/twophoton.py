@@ -35,6 +35,7 @@ from .phase import (
     PhaseResult,
     pancharatnam_phase,
     pure_interference_profile,
+    tilted_overlap,
 )
 
 
@@ -94,10 +95,10 @@ def entangled_phase_closed_form(lam: float, omega: float,
                                 omega_prime: float) -> PhaseResult:
     """Closed-form pair phase and visibility after the two loops.
 
-    The overlap is cos(S/2) + i (1-2 lam) sin(S/2) with S = omega +
-    omega', so the phase is arctan[(1-2 lam) tan(S/2)] continued through
-    the tangent poles (the branch that tracks the overlap argument), and
-    the visibility is sqrt(cos^2(S/2) + (1-2 lam)^2 sin^2(S/2)).  At
+    The overlap is the tilted overlap cos(S/2) + i (1-2 lam) sin(S/2)
+    with S = omega + omega', so the phase is arctan[(1-2 lam) tan(S/2)]
+    continued through the tangent poles (the branch that tracks the
+    overlap argument), and the visibility is the overlap's modulus.  At
     lam = 1/2 the phase is pinned to 0 or pi.
 
     Raises:
@@ -106,11 +107,10 @@ def entangled_phase_closed_form(lam: float, omega: float,
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
-    half = (omega + omega_prime) / 2.0
-    overlap = np.cos(half) + 1j * (1.0 - 2.0 * lam) * np.sin(half)
+    overlap = tilted_overlap((omega + omega_prime) / 2.0, 2.0 * lam - 1.0)
     if abs(overlap) < EPS_ORTH:
         raise OrthogonalStatesError("pair states are orthogonal after the loops")
-    return PhaseResult.from_overlap(complex(overlap))
+    return PhaseResult.from_overlap(overlap)
 
 
 def schmidt_state_for_loops(lam: float, loops: LoopPair) -> SchmidtState:
@@ -166,7 +166,7 @@ def nonlinearity_ratio(lam: float, omega: float, omega_prime: float) -> float:
     """
     half = (omega + omega_prime) / 2.0
     cosine, sine = np.cos(half), np.sin(half)
-    if np.hypot(cosine, (1.0 - 2.0 * lam) * sine) < EPS_ORTH:
+    if abs(tilted_overlap(half, 2.0 * lam - 1.0)) < EPS_ORTH:
         raise UndefinedRatioError("entangled phase undefined (vanishing visibility)")
     if abs(cosine) < 1e-300:
         raise UndefinedRatioError("tangents undefined at the half-turn pole")

@@ -1,0 +1,48 @@
+import pytest
+
+from pancha import checks
+from pancha.errors import UndefinedRatioError
+
+
+def stub_raising_once(monkeypatch, exc):
+    """Replace nonlinearity_ratio in the battery by one whose first call raises."""
+    real = checks.nonlinearity_ratio
+    calls = []
+
+    def stub(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise exc
+        return real(*args)
+
+    monkeypatch.setattr(checks, "nonlinearity_ratio", stub)
+    return calls
+
+
+class TestNonlinearityLaw:
+    def test_unexpected_error_propagates(self, monkeypatch):
+        stub_raising_once(monkeypatch, TypeError("bug in the ratio"))
+        with pytest.raises(TypeError):
+            checks.check_nonlinearity_law(0, n=5)
+
+    def test_undefined_ratio_is_skipped(self, monkeypatch):
+        calls = stub_raising_once(monkeypatch, UndefinedRatioError("pole"))
+        assert checks.check_nonlinearity_law(0, n=5).passed
+        assert len(calls) == 6
+
+
+class TestTolScale:
+    @pytest.mark.parametrize("check", [checks.check_mixed_nonadditivity,
+                                       checks.check_chain_convergence])
+    @pytest.mark.parametrize("scale, passed", [(0.0, False), (1.0, True)])
+    def test_min_mode_checks_are_scaled(self, check, scale, passed):
+        result = check(0, tol_scale=scale)
+        assert result.mode == "min"
+        assert result.passed is passed
+        assert (result.stat >= result.threshold) is passed
+
+
+def test_duality_identity_compares_independent_routes():
+    result = checks.check_duality_identity(0)
+    assert result.passed
+    assert 0.0 < result.stat <= 1e-10

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from pancha import cli
 from pancha.cli import main
 
 OCTANT_VERTICES = [[0.0, 0.0], [np.pi / 2, 0.0], [np.pi / 2, np.pi / 2]]
@@ -56,6 +57,18 @@ class TestRunVerb:
         assert row["delta_chain_vs_closed"] < 1e-3
         assert row["delta_half_area_vs_closed"] < 1e-4
         assert row["delta_mixed_vs_trace"] < 1e-8
+
+    def test_near_orthogonal_dual_config(self, tmp_path):
+        cfg = write_config(tmp_path, "near.json", {
+            "experiment": "dual",
+            "parameters": {"theta": np.pi / 2, "delta_phi": np.pi - 2e-8},
+        })
+        out = tmp_path / "near.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert row["visibility"] == pytest.approx(1e-8, rel=1e-6)
+        assert row["delta_fit_vs_closed_visibility"] < 1e-12
 
     def test_pair_profile_csv(self, tmp_path):
         cfg = write_config(tmp_path, "pair.json", {
@@ -116,6 +129,16 @@ class TestValidation:
 
     def test_missing_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, verb, jobs):
+        cfg = write_config(tmp_path, "jobs.json", {
+            "experiment": "triangle",
+            "parameters": {"vertices": OCTANT_VERTICES, "r": [0.2, 0.5]},
+        })
+        assert main([verb, "--config", cfg, "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_domain_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "orth.json", {
@@ -197,6 +220,33 @@ class TestSweepVerb:
                      "--jobs", "1"]) == 0
         _, rows = read_csv(out)
         assert len(rows) == 2
+
+    def test_pool_never_exceeds_the_points(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Records the pool size and runs the points here."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        cfg = write_config(tmp_path, "clamp.json", {
+            "experiment": "triangle",
+            "parameters": {"vertices": OCTANT_VERTICES, "r": [0.2, 0.5, 0.8]},
+        })
+        assert main(["sweep", "--config", cfg, "--out",
+                     str(tmp_path / "clamp.csv"), "--jobs", "8"]) == 0
+        assert sizes == [3]
 
     def test_parallel_matches_serial(self, tmp_path):
         cfg = write_config(tmp_path, "par.json", {

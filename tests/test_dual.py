@@ -37,6 +37,13 @@ class TestSpinPancharatnam:
         assert res.phase == pytest.approx(wrap_angle(-varphi / 2.0), abs=1e-12)
         assert res.visibility == pytest.approx(1.0, abs=1e-12)
 
+    def test_near_orthogonal_visibility_keeps_its_digits(self):
+        # |<a|b>| is about 1e-8 here, below the resolution of
+        # sqrt(1 - sin^2(theta) sin^2(varphi/2))
+        spec = SpinArmSpec(np.pi / 2, np.pi - 2e-8)
+        direct = abs(np.vdot(*spin_arm_states(spec)))
+        assert abs(spin_pancharatnam(spec).visibility - direct) <= 1e-15
+
     def test_worked_value(self):
         res = spin_pancharatnam(SpinArmSpec(np.pi / 3, np.pi / 2))
         assert res.phase == pytest.approx(-0.46365, abs=5e-6)
@@ -135,6 +142,13 @@ class TestDualClosedForm:
                                                    -np.pi / 4))
         assert res.phase == pytest.approx(-0.46365, abs=5e-6)
         assert res.visibility == pytest.approx(np.sqrt(0.625), abs=1e-12)
+
+    def test_near_orthogonal_visibility_keeps_its_digits(self):
+        half = (np.pi - 2e-8) / 2.0
+        spec = DualSetupSpec(np.pi / 2, half, -half)
+        a_plus, a_minus = spatial_vectors(spec)
+        direct = abs(np.vdot(a_minus, a_plus))
+        assert abs(dual_phase_closed_form(spec).visibility - direct) <= 1e-15
 
     def test_orthogonal_point_rejected(self):
         with pytest.raises(OrthogonalStatesError):
