@@ -18,6 +18,7 @@ from .core import (
     bloch_to_state,
     haar_state,
     inner_product,
+    matrix_exponential_su2,
     orthogonal_complement,
     principal_angle,
     qubit_density,
@@ -161,7 +162,7 @@ def random_smooth_path(rng, n=256, duration=1.0, dim=2) -> DiscretePath:
     times = np.linspace(0.0, duration, n + 1)
     phases = np.exp(-1j * np.outer(times, evals))
     states = (evecs * phases[:, None, :]) @ (evecs.conj().T @ psi0)
-    generators = np.broadcast_to(h, (n + 1, dim, dim)).copy()
+    generators = np.broadcast_to(h, (n + 1, dim, dim))
     return DiscretePath(times, states, generators)
 
 
@@ -418,17 +419,31 @@ def check_nonlinearity_law(seed, tol_scale=1.0, n=500):
 
 
 def check_ancilla_reduction(seed, tol_scale=1.0, n=500):
-    """Single-loop pair phase equals the mixed phase at r = 2 lam - 1."""
+    """Pair phase with photon 2 idle equals the ancilla-reduction and mixed
+    arctan laws at r = 2 lam - 1.
+
+    The pair sqrt(lam)|00> + sqrt(1 - lam)|11>, held as (k, 2, 2)
+    amplitudes, is simulated with photon 1 taken round a loop of solid
+    angle omega at the pole; the phase is arg<pair|moved>.
+    """
     rng = np.random.default_rng([seed, 14])
-    dev = 0.0
+    lams, omegas = [], []
     for _ in range(n):
         lam = rng.uniform(0.0, 1.0)
         if abs(lam - 0.5) < 1e-3:
             continue
-        omega = rng.uniform(-2.0 * np.pi + 0.1, 2.0 * np.pi - 0.1)
-        got = ancilla_reduction_phase(lam, omega)
-        want = mixed_solid_angle_phase(2.0 * lam - 1.0, omega)
-        dev = max(dev, abs(wrap_angle(got - want)))
+        lams.append(lam)
+        omegas.append(rng.uniform(-2.0 * np.pi + 0.1, 2.0 * np.pi - 0.1))
+    lams, omegas = np.array(lams), np.array(omegas)
+    pair = np.zeros((lams.size, 2, 2), dtype=complex)
+    pair[:, 0, 0], pair[:, 1, 1] = np.sqrt(lams), np.sqrt(1.0 - lams)
+    moved = matrix_exponential_su2((0.0, 0.0, 1.0), omegas) @ pair
+    simulated = np.angle(np.einsum("kij,kij->k", pair.conj(), moved))
+    dev = 0.0
+    for lam, omega, sim in zip(lams, omegas, simulated):
+        for law in (ancilla_reduction_phase(lam, omega),
+                    mixed_solid_angle_phase(2.0 * lam - 1.0, omega)):
+            dev = max(dev, abs(wrap_angle(law - sim)))
     return _result("ancilla reduction matches mixed arctan law", "two-photon",
                    dev, 1e-10, tol_scale=tol_scale)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -83,27 +84,38 @@ class MultipleSweptParametersError(ConfigError):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: no bool, NaN, infinity or int past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _check_param(experiment: str, name: str, kind: str, value):
     where = f"{experiment}.{name}"
     if kind == "number":
         if not _is_number(value):
-            raise ConfigError(f"{where} must be a number (radians), got {value!r}")
+            raise ConfigError(
+                f"{where} must be a finite number (radians), got {value!r}")
     elif kind == "int":
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{where} must be an integer, got {value!r}")
     elif kind == "axis":
         if (not isinstance(value, (list, tuple)) or len(value) != 3
                 or not all(_is_number(v) for v in value)):
-            raise ConfigError(f"{where} must be a 3-vector of numbers")
+            raise ConfigError(f"{where} must be a 3-vector of finite numbers")
+        # the rotation divides by sqrt(v . v), which must neither underflow
+        # to zero nor overflow
+        if not 0.0 < sum(float(v) * float(v) for v in value) < math.inf:
+            raise ConfigError(f"{where} must be nonzero with a finite length")
     elif kind == "vertices":
         ok = (isinstance(value, (list, tuple)) and len(value) == 3
               and all(isinstance(v, (list, tuple)) and len(v) == 2
                       and all(_is_number(x) for x in v) for v in value))
         if not ok:
-            raise ConfigError(f"{where} must be three [theta, phi] pairs")
+            raise ConfigError(f"{where} must be three finite [theta, phi] pairs")
     else:  # pragma: no cover - schema table typo guard
         raise AssertionError(f"unknown parameter kind {kind}")
 

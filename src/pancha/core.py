@@ -22,8 +22,6 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
-PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-
 #: basis kets used all over the tests
 KET_PLUS_Z = np.array([1.0, 0.0], dtype=complex)
 KET_MINUS_Z = np.array([0.0, 1.0], dtype=complex)
@@ -114,9 +112,13 @@ def state_to_bloch(state: np.ndarray) -> BlochPoint:
 
 
 def bloch_vector(state: np.ndarray) -> np.ndarray:
-    """Cartesian Bloch vector (<sx>, <sy>, <sz>) of a qubit pure state."""
+    """Cartesian Bloch vectors (<sx>, <sy>, <sz>), rowwise over (..., 2):
+    2 Re(a0* a1), 2 Im(a0* a1) and |a0|^2 - |a1|^2."""
     state = np.asarray(state, dtype=complex)
-    return np.array([np.real(np.vdot(state, sigma @ state)) for sigma in PAULI])
+    a0, a1 = state[..., 0], state[..., 1]
+    cross = a0.conj() * a1
+    return np.stack([2.0 * cross.real, 2.0 * cross.imag,
+                     np.abs(a0) ** 2 - np.abs(a1) ** 2], axis=-1)
 
 
 def orthogonal_complement(state: np.ndarray) -> np.ndarray:
@@ -151,31 +153,33 @@ def random_state(seed: int, dim: int = 2) -> np.ndarray:
     return haar_state(np.random.Generator(np.random.PCG64(seed)), dim)
 
 
-def matrix_exponential_su2(axis, angle: float) -> np.ndarray:
+def _n_dot_sigma(axis) -> np.ndarray:
+    """n . sigma for the unit vector n along ``axis``; ValueError if zero."""
+    axis = np.asarray(axis, dtype=float)
+    norm = np.linalg.norm(axis)
+    if norm == 0.0:
+        raise ValueError("axis must be nonzero")
+    n = axis / norm
+    return n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
+
+
+def matrix_exponential_su2(axis, angle) -> np.ndarray:
     """SU(2) rotation exp(-i * angle * (axis . sigma) / 2).
 
     Equals cos(angle/2) * 1 - i sin(angle/2) * (axis . sigma); axis is
     normalized first. Rotates Bloch vectors by ``angle`` about ``axis``
-    (right-hand rule) and has determinant one.
+    (right-hand rule) and has determinant one.  An array of angles gives
+    angle.shape + (2, 2) rotations; a scalar angle gives one 2x2 matrix.
 
     Raises:
         ValueError: for a zero axis.
     """
-    axis = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(axis)
-    if norm == 0.0:
-        raise ValueError("rotation axis must be nonzero")
-    n = axis / norm
-    half = angle / 2.0
-    n_dot_sigma = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
-    return np.cos(half) * IDENTITY_2 - 1j * np.sin(half) * n_dot_sigma
+    half = np.asarray(angle, dtype=float)[..., None, None] / 2.0
+    return np.cos(half) * IDENTITY_2 - 1j * np.sin(half) * _n_dot_sigma(axis)
 
 
 def qubit_density(r: float, axis=(0.0, 0.0, 1.0)) -> np.ndarray:
-    """Qubit density operator with Bloch radius r about the given axis."""
+    """Qubit density operator with Bloch radius r about the (nonzero) axis."""
     if not -1.0 <= r <= 1.0:
         raise ValueError("Bloch radius must lie in [-1, 1]")
-    n = np.asarray(axis, dtype=float)
-    n = n / np.linalg.norm(n)
-    n_dot_sigma = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
-    return 0.5 * (IDENTITY_2 + r * n_dot_sigma)
+    return 0.5 * (IDENTITY_2 + r * _n_dot_sigma(axis))

@@ -110,17 +110,16 @@ def apply_arm_fields(psi: np.ndarray, spec: DualSetupSpec) -> np.ndarray:
     """Apply the per-beam x-axis spin rotations to a (beam x spin) state.
 
     The operator is |0><0| x exp(-i varphi0 sx/2) + |1><1| x
-    exp(-i varphi1 sx/2); unitary, so norms are preserved.
+    exp(-i varphi1 sx/2); unitary, so norms are preserved.  Field angles
+    may be arrays of one shape, giving one final state per angle pair
+    (shape angles.shape + (4,)).
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (4,):
         raise ValueError("expected a 4-component (beam x spin) state")
     u0 = matrix_exponential_su2(_X_AXIS, spec.varphi0)
     u1 = matrix_exponential_su2(_X_AXIS, spec.varphi1)
-    out = psi.copy()
-    out[:2] = u0 @ psi[:2]
-    out[2:] = u1 @ psi[2:]
-    return out
+    return np.concatenate([u0 @ psi[:2], u1 @ psi[2:]], axis=-1)
 
 
 def spatial_vectors(spec: DualSetupSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -172,20 +171,18 @@ def dual_coincidence_profile(theta: float, delta_phi: float, chis,
                              channel: int = +1) -> InterferenceProfile:
     """Summed analyser fringe in one spin channel, swept in chi.
 
-    For each chi the full final state is built end to end with the field
-    angles chi +- delta_phi/2, both beams are projected onto the chosen
-    spin channel (+1 or -1), and the two analyser intensities are summed.
-    The raw sum is rescaled by 4 so the result follows the common
+    The final states for every chi are built at once, end to end, with
+    the field angles chi +- delta_phi/2; both beams are projected onto the
+    chosen spin channel (+1 or -1), and the two analyser intensities are
+    summed.  The raw sum is rescaled by 4 so the result follows the common
     2 + 2 V cos(chi - phase) convention of the other profiles.
     """
     if channel not in (+1, -1):
         raise ValueError("channel must be +1 or -1")
     chis = np.asarray(chis, dtype=float)
     spin_slot = 0 if channel == +1 else 1
-    intensities = np.empty_like(chis)
-    for i, chi in enumerate(chis):
-        spec = DualSetupSpec(theta, chi + delta_phi / 2.0, chi - delta_phi / 2.0)
-        psi = apply_arm_fields(prepare_beam_state(spec), spec)
-        intensities[i] = 4.0 * (abs(psi[spin_slot]) ** 2
-                                + abs(psi[2 + spin_slot]) ** 2)
+    spec = DualSetupSpec(theta, chis + delta_phi / 2.0, chis - delta_phi / 2.0)
+    psi = apply_arm_fields(prepare_beam_state(spec), spec)
+    intensities = 4.0 * (np.abs(psi[..., spin_slot]) ** 2
+                         + np.abs(psi[..., 2 + spin_slot]) ** 2)
     return InterferenceProfile(chis, intensities, extract_fringe(chis, intensities))

@@ -25,6 +25,8 @@ from .dual import (
     SpinArmSpec,
     dual_coincidence_profile,
     dual_phase_closed_form,
+    spatial_vectors,
+    spin_arm_states,
     spin_pancharatnam,
 )
 from .geometry import (
@@ -245,7 +247,11 @@ def run_dual(params: dict) -> ExperimentOutcome:
     profile = dual_coincidence_profile(theta, delta_phi, chis)
     down = dual_coincidence_profile(theta, delta_phi, chis, channel=-1)
     fitted = profile.extracted
-    spin = spin_pancharatnam(SpinArmSpec(theta, delta_phi))
+    spin_spec = SpinArmSpec(theta, delta_phi)
+    spin = spin_pancharatnam(spin_spec)
+    a_plus, a_minus = spatial_vectors(spec)
+    directs = (pancharatnam_phase(a_minus, a_plus),
+               pancharatnam_phase(*spin_arm_states(spin_spec)))
     return ExperimentOutcome(
         results={
             "phase": closed.phase,
@@ -258,8 +264,10 @@ def run_dual(params: dict) -> ExperimentOutcome:
         oracle_deltas={
             "fit_vs_closed_phase": abs(wrap_angle(fitted.phase - closed.phase)),
             "fit_vs_closed_visibility": abs(fitted.visibility - closed.visibility),
-            "duality_phase": abs(wrap_angle(closed.phase - spin.phase)),
-            "duality_visibility": abs(closed.visibility - spin.visibility),
+            "duality_phase": max(abs(wrap_angle(closed.phase - d.phase))
+                                 for d in directs),
+            "duality_visibility": max(abs(closed.visibility - d.visibility)
+                                      for d in directs),
             "channel_sum_max_dev": float(
                 np.abs(profile.intensities + down.intensities - 4.0).max()),
         },

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    IDENTITY_2,
     BlochPoint,
     bloch_to_state,
     inner_product,
@@ -159,12 +160,12 @@ def solid_angle(t: SphericalTriangle) -> float:
     return float(girard_signed_area(vecs[0], vecs[1], vecs[2]))
 
 
-def geodesic_unitary(p: BlochPoint, q: BlochPoint) -> np.ndarray:
-    """SU(2) rotation carrying p to q along the connecting great circle.
+def geodesic_unitary(p: BlochPoint, q: BlochPoint, fraction=1.0) -> np.ndarray:
+    """SU(2) rotation by ``fraction`` of the great-circle arc from p to q.
 
-    Rotates about (p x q)/|p x q| by the arc angle, so it maps the state
-    at p to the state at q up to a global phase; p = q gives the
-    identity.
+    Rotates about (p x q)/|p x q|; the whole arc maps the state at p to
+    the state at q up to a global phase.  An array of fractions gives
+    fraction.shape + (2, 2) rotations; p = q gives identities.
 
     Raises:
         AntipodalPointsError: if p and q are antipodal within EPS_GEO.
@@ -177,8 +178,8 @@ def geodesic_unitary(p: BlochPoint, q: BlochPoint) -> np.ndarray:
     if sine < EPS_GEO:
         if cosine < 0.0:
             raise AntipodalPointsError("rotation axis undefined for antipodal points")
-        return np.eye(2, dtype=complex)
-    return matrix_exponential_su2(cross / sine, np.arctan2(sine, cosine))
+        return np.tile(IDENTITY_2, np.shape(fraction) + (1, 1))
+    return matrix_exponential_su2(cross / sine, np.arctan2(sine, cosine) * fraction)
 
 
 def loop_holonomy(t: SphericalTriangle) -> np.ndarray:

@@ -95,6 +95,12 @@ def extract_fringe(chis, intensities) -> PhaseResult:
         return PhaseResult(float("nan"), 0.0, defined=False)
 
 
+def _two_beam_intensities(a, b, chis) -> np.ndarray:
+    """|e^{i chi} a + b|^2 for every chi, by direct state arithmetic."""
+    superposed = np.exp(1j * chis)[:, None] * a[None, :] + b[None, :]
+    return np.einsum("ij,ij->i", superposed.conj(), superposed).real
+
+
 def pure_interference_profile(a, b, chis) -> InterferenceProfile:
     """Two-beam profile |e^{i chi} a + b|^2 sampled by direct arithmetic.
 
@@ -104,8 +110,7 @@ def pure_interference_profile(a, b, chis) -> InterferenceProfile:
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     chis = np.asarray(chis, dtype=float)
-    superposed = np.exp(1j * chis)[:, None] * a[None, :] + b[None, :]
-    intensities = np.einsum("ij,ij->i", superposed.conj(), superposed).real
+    intensities = _two_beam_intensities(a, b, chis)
     return InterferenceProfile(chis, intensities, extract_fringe(chis, intensities))
 
 
@@ -142,14 +147,10 @@ def mixed_interference_profile(rho, u, chis) -> InterferenceProfile:
     weights, basis = np.linalg.eigh(rho)
     if not np.isfinite(basis).all():
         raise np.linalg.LinAlgError("eigendecomposition of rho failed")
-    phases = np.exp(1j * chis)
     simulated = np.zeros_like(chis)
     for k in range(rho.shape[0]):
         vec = basis[:, k]
-        superposed = phases[:, None] * vec[None, :] + (u @ vec)[None, :]
-        simulated += weights[k] * np.einsum(
-            "ij,ij->i", superposed.conj(), superposed
-        ).real
+        simulated += weights[k] * _two_beam_intensities(vec, u @ vec, chis)
     return InterferenceProfile(chis, simulated, extract_fringe(chis, simulated))
 
 

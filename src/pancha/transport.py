@@ -21,6 +21,7 @@ from .core import (
     SIGMA_X,
     SIGMA_Z,
     bloch_to_state,
+    bloch_vector,
     matrix_exponential_su2,
     principal_angle,
     wrap_angle,
@@ -32,7 +33,12 @@ from .errors import (
     OrthogonalStatesError,
     VanishingEndpointOverlapError,
 )
-from .geometry import SphericalTriangle, girard_signed_area, mixed_solid_angle_phase
+from .geometry import (
+    SphericalTriangle,
+    geodesic_unitary,
+    girard_signed_area,
+    mixed_solid_angle_phase,
+)
 from .phase import EPS_ORTH, tilted_overlap
 
 _NORTH = np.array([0.0, 0.0, 1.0])
@@ -113,14 +119,14 @@ def chain_phase(path: DiscretePath) -> float:
 def is_parallel_lift(path: DiscretePath, tol: float) -> bool:
     """True iff every adjacent overlap is real positive within ``tol``."""
     path.validate()
-    links = np.einsum("ij,ij->i", path.states[1:].conj(), path.states[:-1])
-    if (np.abs(links) < EPS_ORTH).any():
+    try:
+        return bool(np.abs(np.angle(_adjacent_overlaps(path))).max() <= tol)
+    except OrthogonalStatesError:
         return False
-    return bool(np.abs(np.angle(links)).max() <= tol)
 
 
 def make_parallel_lift(path: DiscretePath) -> DiscretePath:
-    """Rephase each state in sequence so all adjacent overlaps are real positive.
+    """Rephase the states so all adjacent overlaps are real positive.
 
     Preserves the projector path exactly, and the resulting endpoint
     phase arg<A_0|A_t> equals the chain phase of the input.  Generators
@@ -128,11 +134,7 @@ def make_parallel_lift(path: DiscretePath) -> DiscretePath:
     """
     path.validate()
     states = path.states.copy()
-    for j in range(1, path.n_samples):
-        overlap = np.vdot(states[j - 1], states[j])
-        if abs(overlap) < EPS_ORTH:
-            raise OrthogonalStatesError(f"adjacent overlap vanishes at link {j - 1}")
-        states[j] = states[j] * np.exp(-1j * np.angle(overlap))
+    states[1:] *= np.exp(1j * np.cumsum(np.angle(_adjacent_overlaps(path))))[:, None]
     return DiscretePath(path.times, states)
 
 
@@ -204,9 +206,7 @@ def precession_path(spec: PrecessionSpec, n: int = 4096) -> DiscretePath:
         np.cos(half) - 1j * np.sin(half) * np.cos(spec.theta),
         -1j * np.sin(half) * np.sin(spec.theta),
     ])
-    generators = np.broadcast_to(
-        precession_hamiltonian(spec.theta), (n + 1, 2, 2)
-    ).copy()
+    generators = np.broadcast_to(precession_hamiltonian(spec.theta), (n + 1, 2, 2))
     return DiscretePath(times, states, generators)
 
 
@@ -289,9 +289,7 @@ def geodesic_closure_solid_angle(path: DiscretePath) -> float:
     path.validate()
     if path.states.shape[1] != 2:
         raise ValueError("solid angles require qubit paths")
-    cross_term = path.states.conj()[:, 0] * path.states[:, 1]
-    zs = np.abs(path.states[:, 0]) ** 2 - np.abs(path.states[:, 1]) ** 2
-    vecs = np.column_stack([2.0 * cross_term.real, 2.0 * cross_term.imag, zs])
+    vecs = bloch_vector(path.states)
     vecs /= np.linalg.norm(vecs, axis=1)[:, None]
 
     first, last = vecs[0], vecs[-1]
@@ -325,22 +323,15 @@ def sample_triangle_path(triangle: SphericalTriangle, n: int = 4096) -> Discrete
 
     States are transported by fractional geodesic rotations, so the final
     state is the loop holonomy applied to the first.
+
+    Raises:
+        AntipodalPointsError: if a side joins antipodal vertices.
     """
     per_side = max(1, n // 3)
-    points = [triangle.a, triangle.b, triangle.c, triangle.a]
-    states = [bloch_to_state(triangle.a)]
-    for p, q in zip(points[:-1], points[1:]):
-        u, v = p.unit_vector(), q.unit_vector()
-        cross = np.cross(u, v)
-        sine = np.linalg.norm(cross)
-        if sine < 1e-13:
-            states.extend([states[-1]] * per_side)
-            continue
-        axis = cross / sine
-        angle = np.arctan2(sine, float(np.dot(u, v)))
-        segment_start = states[-1]
-        for s in range(1, per_side + 1):
-            rot = matrix_exponential_su2(axis, angle * s / per_side)
-            states.append(rot @ segment_start)
-    times = np.linspace(0.0, 1.0, len(states))
-    return DiscretePath(times, np.array(states))
+    fractions = np.arange(1, per_side + 1) / per_side
+    corners = [triangle.a, triangle.b, triangle.c, triangle.a]
+    states = [bloch_to_state(triangle.a)[None, :]]
+    for p, q in zip(corners[:-1], corners[1:]):
+        states.append(geodesic_unitary(p, q, fractions) @ states[-1][-1])
+    return DiscretePath(np.linspace(0.0, 1.0, 3 * per_side + 1),
+                        np.concatenate(states))

@@ -124,6 +124,15 @@ def schmidt_state_for_loops(lam: float, loops: LoopPair) -> SchmidtState:
     )
 
 
+def _pair_transport(s: SchmidtState, loops: LoopPair):
+    """Validated pair vector and its image under one holonomy per photon."""
+    s.validate()
+    u_pair = np.kron(loop_holonomy(loops.triangle_a),
+                     loop_holonomy(loops.triangle_a_prime))
+    initial = s.vector()
+    return initial, u_pair @ initial
+
+
 def simulate_loop_pair(s: SchmidtState, loops: LoopPair) -> PhaseResult:
     """Pair phase from direct 4-dim state evolution under the loop holonomies.
 
@@ -137,7 +146,7 @@ def simulate_loop_pair(s: SchmidtState, loops: LoopPair) -> PhaseResult:
             the first vertex of its loop.
         OrthogonalStatesError: if the final pair overlap vanishes.
     """
-    s.validate()
+    initial, final = _pair_transport(s, loops)
     for basis, triangle, name in (
         (s.basis_a, loops.triangle_a, "basis_a"),
         (s.basis_a_prime, loops.triangle_a_prime, "basis_a_prime"),
@@ -148,10 +157,7 @@ def simulate_loop_pair(s: SchmidtState, loops: LoopPair) -> PhaseResult:
             raise BasisMisalignedError(
                 f"{name} is not at its loop's start vertex (|overlap| = {overlap:.6f})"
             )
-    u_pair = np.kron(loop_holonomy(loops.triangle_a),
-                     loop_holonomy(loops.triangle_a_prime))
-    initial = s.vector()
-    return pancharatnam_phase(initial, u_pair @ initial)
+    return pancharatnam_phase(initial, final)
 
 
 def nonlinearity_ratio(lam: float, omega: float, omega_prime: float) -> float:
@@ -203,8 +209,4 @@ def franson_coincidence_profile(s: SchmidtState, loops: LoopPair,
     (loop-evolved state).  Sampled by direct 4-dim arithmetic; the fitted
     phase and visibility recover the closed forms.
     """
-    s.validate()
-    u_pair = np.kron(loop_holonomy(loops.triangle_a),
-                     loop_holonomy(loops.triangle_a_prime))
-    initial = s.vector()
-    return pure_interference_profile(initial, u_pair @ initial, chis)
+    return pure_interference_profile(*_pair_transport(s, loops), chis)

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
-from pancha import checks
+from pancha import checks, geometry, twophoton
 from pancha.errors import UndefinedRatioError
+from pancha.phase import tilted_overlap
 
 
 def stub_raising_once(monkeypatch, exc):
@@ -46,3 +48,23 @@ def test_duality_identity_compares_independent_routes():
     result = checks.check_duality_identity(0)
     assert result.passed
     assert 0.0 < result.stat <= 1e-10
+
+
+class TestAncillaReduction:
+    def test_simulated_route_is_independent(self):
+        result = checks.check_ancilla_reduction(0)
+        assert result.passed
+        assert 0.0 < result.stat <= 1e-10
+
+    def test_conjugated_law_fails(self, monkeypatch):
+        def conjugate(half, k):
+            return tilted_overlap(half, k).conjugate()
+
+        for module in (geometry, twophoton):
+            monkeypatch.setattr(module, "tilted_overlap", conjugate)
+        assert not checks.check_ancilla_reduction(0).passed
+
+
+def test_smooth_path_generators_are_not_copied():
+    path = checks.random_smooth_path(np.random.default_rng(3), n=100)
+    assert path.generators.strides[0] == 0

@@ -130,6 +130,23 @@ class TestValidation:
     def test_missing_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
+    def test_nan_number_rejected(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"experiment": "pair", "parameters": {"theta_a": NaN, '
+                        '"phi_a": 0.0, "theta_b": 1.0, "phi_b": 0.0}}')
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "pair.theta_a" in capsys.readouterr().err
+
+    def test_zero_axis_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "axis.json", {
+            "experiment": "mixed",
+            "parameters": {"r": 0.5, "angle": 1.0, "axis": [0.0, 0.0, 0.0]},
+        })
+        assert main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "mixed.axis" in capsys.readouterr().err
+
     @pytest.mark.parametrize("verb", ["run", "sweep"])
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, verb, jobs):

@@ -14,6 +14,7 @@ from pancha.core import (
     matrix_exponential_su2,
     orthogonal_complement,
     principal_angle,
+    qubit_density,
     random_state,
     state_to_bloch,
     tensor,
@@ -104,6 +105,17 @@ class TestBlochChart:
                                    BlochPoint(1.0, 2.0).unit_vector(),
                                    atol=1e-12)
 
+    def test_rowwise_bloch_vectors_match_chart(self):
+        rng = np.random.default_rng(7)
+        states = np.array([haar_state(rng) for _ in range(50)])
+        rows = bloch_vector(states)
+        assert rows.shape == (50, 3)
+        for state, row in zip(states, rows):
+            np.testing.assert_allclose(row, bloch_vector(state), rtol=0.0,
+                                       atol=1e-15)
+            np.testing.assert_allclose(row, state_to_bloch(state).unit_vector(),
+                                       atol=1e-12)
+
 
 class TestTensor:
     def test_basis_products(self):
@@ -163,6 +175,19 @@ class TestSu2Exponential:
     def test_zero_axis_rejected(self):
         with pytest.raises(ValueError):
             matrix_exponential_su2((0.0, 0.0, 0.0), 1.0)
+
+    def test_zero_axis_density_rejected(self):
+        with pytest.raises(ValueError):
+            qubit_density(0.5, (0.0, 0.0, 0.0))
+
+    def test_batched_angles_match_scalar_calls(self):
+        axis = (0.3, -0.4, 0.5)
+        angles = np.random.default_rng(8).uniform(-7.0, 7.0, (4, 25))
+        batch = matrix_exponential_su2(axis, angles)
+        assert batch.shape == (4, 25, 2, 2)
+        for index in np.ndindex(angles.shape):
+            np.testing.assert_array_equal(
+                batch[index], matrix_exponential_su2(axis, angles[index]))
 
     @given(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0))
     @settings(max_examples=50)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pancha import dual
 from pancha.core import haar_state, tensor, wrap_angle
 from pancha.dual import (
     DualSetupSpec,
@@ -16,6 +17,8 @@ from pancha.dual import (
     spin_pancharatnam,
 )
 from pancha.errors import OrthogonalStatesError
+from pancha.experiments import run_dual
+from pancha.phase import tilted_overlap
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 CHI_GRID = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
@@ -130,6 +133,16 @@ class TestArmFields:
         with pytest.raises(ValueError):
             apply_arm_fields(np.array([1.0, 0.0]), DualSetupSpec(1.0, 0.0, 0.0))
 
+    def test_array_field_angles_match_scalar_calls(self):
+        rng = np.random.default_rng(9)
+        psi = haar_state(rng, 4)
+        varphi0, varphi1 = rng.uniform(-4.0, 4.0, (2, 30))
+        batch = apply_arm_fields(psi, DualSetupSpec(0.9, varphi0, varphi1))
+        assert batch.shape == (30, 4)
+        for row, v0, v1 in zip(batch, varphi0, varphi1):
+            np.testing.assert_array_equal(
+                row, apply_arm_fields(psi, DualSetupSpec(0.9, v0, v1)))
+
 
 class TestDualClosedForm:
     def test_no_difference(self):
@@ -201,6 +214,18 @@ class TestDualProfile:
         assert profile.extracted.visibility == pytest.approx(spin.visibility,
                                                              abs=1e-8)
 
+    @pytest.mark.parametrize("channel", [+1, -1])
+    def test_matches_per_chi_loop(self, channel):
+        theta, dphi = 0.7, 1.3
+        slot = 0 if channel == +1 else 1
+        want = []
+        for chi in CHI_GRID:
+            spec = DualSetupSpec(theta, chi + dphi / 2.0, chi - dphi / 2.0)
+            psi = apply_arm_fields(prepare_beam_state(spec), spec)
+            want.append(4.0 * (abs(psi[slot]) ** 2 + abs(psi[2 + slot]) ** 2))
+        got = dual_coincidence_profile(theta, dphi, CHI_GRID, channel=channel)
+        np.testing.assert_allclose(got.intensities, want, rtol=0.0, atol=1e-15)
+
     def test_invalid_channel_rejected(self):
         with pytest.raises(ValueError):
             dual_coincidence_profile(1.0, 1.0, CHI_GRID, channel=0)
@@ -211,3 +236,18 @@ class TestSpinArmStates:
         initial, final = spin_arm_states(SpinArmSpec(0.8, 2.1))
         assert np.linalg.norm(initial) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(final) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestRunDualDeltas:
+    PARAMS = {"theta": 0.7, "delta_phi": 1.3, "samples": 64}
+
+    def test_closed_form_agrees_with_direct_overlaps(self):
+        deltas = run_dual(self.PARAMS).oracle_deltas
+        assert deltas["duality_phase"] <= 1e-15
+        assert deltas["duality_visibility"] <= 1e-15
+
+    def test_conjugated_law_is_caught(self, monkeypatch):
+        # conjugation keeps the visibility, so only the phase delta moves
+        monkeypatch.setattr(dual, "tilted_overlap",
+                            lambda half, k: tilted_overlap(half, k).conjugate())
+        assert run_dual(self.PARAMS).oracle_deltas["duality_phase"] > 0.5

@@ -144,6 +144,22 @@ class TestGeodesicUnitary:
         with pytest.raises(AntipodalPointsError):
             geodesic_unitary(NORTH, BlochPoint(np.pi, 0.0))
 
+    def test_one_fraction_array_matches_whole_arc(self):
+        p, q = BlochPoint(0.4, 1.0), BlochPoint(2.0, 3.0)
+        np.testing.assert_array_equal(geodesic_unitary(p, q, np.array([1.0]))[0],
+                                      geodesic_unitary(p, q))
+
+    def test_fractions_split_the_arc(self):
+        p, q = BlochPoint(0.4, 1.0), BlochPoint(2.0, 3.0)
+        quarter, half = geodesic_unitary(p, q, np.array([0.25, 0.5]))
+        np.testing.assert_allclose(quarter @ quarter, half, atol=1e-14)
+        np.testing.assert_allclose(half @ half, geodesic_unitary(p, q),
+                                   atol=1e-14)
+
+    def test_coincident_points_give_identities(self):
+        got = geodesic_unitary(EQUATOR_X, EQUATOR_X, np.linspace(0.1, 1.0, 5))
+        np.testing.assert_array_equal(got, np.tile(np.eye(2), (5, 1, 1)))
+
 
 class TestLoopHolonomy:
     def test_degenerate_loop_is_identity(self):

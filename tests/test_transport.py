@@ -5,17 +5,19 @@ from pancha.core import (
     BlochPoint,
     KET_PLUS_Z,
     SIGMA_Z,
+    bloch_to_state,
     random_state,
     wrap_angle,
 )
 from pancha.errors import (
     AntipodalEndpointsError,
+    AntipodalPointsError,
     BranchAmbiguityError,
     DegenerateSpectrumError,
     OrthogonalStatesError,
     VanishingEndpointOverlapError,
 )
-from pancha.geometry import SphericalTriangle
+from pancha.geometry import SphericalTriangle, geodesic_unitary, loop_holonomy
 from pancha.phase import mixed_phase
 from pancha.transport import (
     DiscretePath,
@@ -54,6 +56,27 @@ def pure_gauge_path(alphas):
     phases = np.exp(1j * np.asarray(alphas))
     return DiscretePath(np.linspace(0.0, 1.0, len(alphas)),
                         phases[:, None] * state[None, :])
+
+
+def stepwise_parallel_lift(path):
+    """Reference lift: rephase one state at a time against its rephased
+    predecessor."""
+    states = path.states.copy()
+    for j in range(1, path.n_samples):
+        states[j] *= np.exp(-1j * np.angle(np.vdot(states[j - 1], states[j])))
+    return states
+
+
+def stepwise_triangle_states(triangle, n):
+    """Reference triangle path: one fractional geodesic rotation per step."""
+    per_side = max(1, n // 3)
+    corners = [triangle.a, triangle.b, triangle.c, triangle.a]
+    states = [bloch_to_state(triangle.a)]
+    for p, q in zip(corners[:-1], corners[1:]):
+        start = states[-1]
+        for step in range(1, per_side + 1):
+            states.append(geodesic_unitary(p, q, step / per_side) @ start)
+    return np.array(states)
 
 
 class TestChainPhase:
@@ -121,6 +144,22 @@ class TestParallelLift:
         endpoint = np.angle(np.vdot(lifted.states[0], lifted.states[-1]))
         assert abs(wrap_angle(endpoint - chain_phase(path))) < 1e-10
         assert endpoint == pytest.approx(WORKED_VALUE, abs=1e-3)
+
+    def test_matches_stepwise_lift(self):
+        rng = np.random.default_rng(12)
+        states = np.cumsum(0.05 * (rng.standard_normal((1000, 2))
+                                   + 1j * rng.standard_normal((1000, 2))),
+                           axis=0) + np.array([1.0, 0.5])
+        states /= np.linalg.norm(states, axis=1)[:, None]
+        path = DiscretePath(np.linspace(0.0, 1.0, 1000), states)
+        np.testing.assert_allclose(make_parallel_lift(path).states,
+                                   stepwise_parallel_lift(path), atol=1e-12)
+
+    def test_orthogonal_link(self):
+        path = DiscretePath([0.0, 1.0], np.eye(2, dtype=complex))
+        assert not is_parallel_lift(path, 1e-10)
+        with pytest.raises(OrthogonalStatesError):
+            make_parallel_lift(path)
 
 
 class TestDynamicalPhase:
@@ -216,6 +255,23 @@ class TestAuxiliaryHamiltonian:
                                    atol=1e-12)
 
 
+class TestTrianglePath:
+    def test_matches_stepwise_rotations(self):
+        tri = SphericalTriangle(BlochPoint(0.3, 0.1), BlochPoint(2.0, 1.0),
+                                BlochPoint(1.2, 4.0))
+        path = sample_triangle_path(tri, 300)
+        np.testing.assert_allclose(path.states, stepwise_triangle_states(tri, 300),
+                                   atol=1e-13)
+        np.testing.assert_allclose(path.states[-1],
+                                   loop_holonomy(tri) @ path.states[0], atol=1e-12)
+
+    def test_antipodal_side_rejected(self):
+        tri = SphericalTriangle(BlochPoint(0.0, 0.0), BlochPoint(np.pi, 0.0),
+                                BlochPoint(np.pi / 2, 0.3))
+        with pytest.raises(AntipodalPointsError):
+            sample_triangle_path(tri, 30)
+
+
 class TestGeodesicClosure:
     def test_octant_loop(self):
         path = sample_triangle_path(OCTANT, 3)
@@ -276,6 +332,11 @@ class TestMixedNoncyclic:
             want = mixed_phase(qubit_density(r),
                                precession_comparison_unitary(spec)).phase
             assert abs(wrap_angle(mixed_noncyclic_phase(spec) - want)) < 1e-8
+
+
+def test_precession_generators_are_not_copied():
+    # one generator matrix viewed n + 1 times, not n + 1 copies of it
+    assert precession_path(WORKED_EXAMPLE, 1000).generators.strides[0] == 0
 
 
 class TestPathValidation:
