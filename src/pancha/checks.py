@@ -37,7 +37,7 @@ from .dual import (
     spin_arm_states,
     spin_pancharatnam,
 )
-from .errors import OrthogonalStatesError, UndefinedRatioError
+from .errors import UndefinedRatioError
 from .geometry import (
     SphericalTriangle,
     bargmann_invariant,
@@ -109,6 +109,13 @@ class CheckResult:
                 f"(threshold {self.threshold:.3e}) {verdict}")
 
 
+def _worst(*deviations) -> float:
+    """Largest deviation over all rows (0 for none); NaN if any row is
+    NaN, so an undefined instance fails its check."""
+    return float(np.max(np.concatenate([np.ravel(d) for d in deviations]),
+                        initial=0.0))
+
+
 def _result(name, suite, stat, threshold, mode="max",
             tol_scale=1.0) -> CheckResult:
     """Verdict: stat <= threshold * tol_scale in max mode, stat * tol_scale
@@ -125,26 +132,53 @@ def _result(name, suite, stat, threshold, mode="max",
 # ---------------------------------------------------------------------------
 # random input generators
 
-def random_qubit_tuple(rng, count, min_overlap=0.05):
-    """Haar states whose cyclic-neighbour and closing overlaps stay away
-    from zero."""
-    while True:
-        states = [haar_state(rng) for _ in range(count)]
-        pairs = [(i, (i + 1) % count) for i in range(count)]
-        pairs.append((0, 2))  # splitting diagonal used by additivity
-        if all(abs(inner_product(states[i], states[j])) > min_overlap
-               for i, j in pairs):
-            return states
+def _first_kept(n, draw):
+    """The first n rows that ``draw`` keeps, in draw order.
+
+    draw(k) makes k attempts and returns a tuple of arrays holding the
+    rows it kept.  Asking each time only for the rows still missing never
+    draws past the n-th kept row, so the generator is consumed exactly as
+    by one attempt at a time.
+    """
+    parts = [draw(n)]
+    kept = len(parts[0][0])
+    while kept < n:
+        parts.append(draw(n - kept))
+        kept += len(parts[-1][0])
+    return tuple(np.concatenate(rows) for rows in zip(*parts))
 
 
-def random_triangle(rng, min_overlap=0.05, max_area=2.0 * np.pi - 0.1):
-    """Random vertex triple with its signed solid angle."""
-    while True:
-        a, b, c = random_qubit_tuple(rng, 3, min_overlap)
-        tri = SphericalTriangle.from_states(a, b, c)
-        omega = solid_angle(tri)
-        if abs(omega) < max_area:
-            return tri, omega
+def random_qubit_tuple(rng, n, count, min_overlap=0.05):
+    """n tuples of ``count`` Haar states, shape (n, count, 2), whose
+    cyclic-neighbour and closing overlaps stay away from zero.
+
+    Tuples are drawn in blocks and accepted in draw order, so the result
+    is what drawing one tuple at a time would accept.
+    """
+    pairs = [(i, (i + 1) % count) for i in range(count)]
+    pairs.append((0, 2))  # splitting diagonal used by additivity
+    first, second = np.array(pairs).T
+
+    def draw(k):
+        states = haar_state(rng, shape=(k, count))
+        overlaps = inner_product(states[:, first], states[:, second])
+        return (states[(np.abs(overlaps) > min_overlap).all(axis=1)],)
+
+    return _first_kept(n, draw)[0]
+
+
+def random_triangle(rng, n, min_overlap=0.05, max_area=2.0 * np.pi - 0.1):
+    """n random vertex triples as one batched triangle, with their signed
+    solid angles, all below max_area in magnitude; accepted in draw
+    order, like random_qubit_tuple."""
+    def draw(k):
+        states = random_qubit_tuple(rng, k, 3, min_overlap)
+        omega = solid_angle(SphericalTriangle.from_states(*states.swapaxes(0, 1)))
+        keep = np.abs(omega) < max_area
+        return states[keep], omega[keep]
+
+    states, omega = _first_kept(n, draw)
+    return SphericalTriangle.from_states(*states.swapaxes(0, 1)), omega
 
 
 def random_unitary(rng, dim):
@@ -172,57 +206,47 @@ def random_smooth_path(rng, n=256, duration=1.0, dim=2) -> DiscretePath:
 def check_solid_angle_law(seed, tol_scale=1.0, n=1000):
     """Overlap-product invariant equals -Omega/2 from spherical excess."""
     rng = np.random.default_rng([seed, 1])
-    dev = 0.0
-    for _ in range(n):
-        a, b, c = random_qubit_tuple(rng, 3)
-        tri = SphericalTriangle.from_states(a, b, c)
-        dev = max(dev, abs(wrap_angle(
-            bargmann_invariant(a, b, c) + solid_angle(tri) / 2.0)))
-    return _result("invariant equals -solid_angle/2", "geometry", dev, 1e-9,
-                   tol_scale=tol_scale)
+    a, b, c = random_qubit_tuple(rng, n, 3).swapaxes(0, 1)
+    omega = solid_angle(SphericalTriangle.from_states(a, b, c))
+    dev = np.abs(wrap_angle(bargmann_invariant(a, b, c) + omega / 2.0))
+    return _result("invariant equals -solid_angle/2", "geometry", _worst(dev),
+                   1e-9, tol_scale=tol_scale)
 
 
 def check_additivity(seed, tol_scale=1.0, n=1000):
     """Four-vertex invariant splits along the diagonal."""
     rng = np.random.default_rng([seed, 2])
-    dev = 0.0
-    for _ in range(n):
-        a, b, c, d = random_qubit_tuple(rng, 4)
-        total = multi_vertex_invariant([a, b, c, d])
-        split = bargmann_invariant(a, b, c) + bargmann_invariant(a, c, d)
-        dev = max(dev, abs(wrap_angle(total - split)))
-    return _result("four-vertex additivity", "geometry", dev, 1e-9,
+    a, b, c, d = random_qubit_tuple(rng, n, 4).swapaxes(0, 1)
+    total = multi_vertex_invariant([a, b, c, d])
+    split = bargmann_invariant(a, b, c) + bargmann_invariant(a, c, d)
+    return _result("four-vertex additivity", "geometry",
+                   _worst(np.abs(wrap_angle(total - split))), 1e-9,
                    tol_scale=tol_scale)
 
 
 def check_orientation(seed, tol_scale=1.0, n=1000):
     """Swapping the last two vertices negates the invariant exactly."""
     rng = np.random.default_rng([seed, 3])
-    dev = 0.0
-    for _ in range(n):
-        a, b, c = random_qubit_tuple(rng, 3)
-        dev = max(dev, abs(wrap_angle(
-            bargmann_invariant(a, c, b) + bargmann_invariant(a, b, c))))
-    return _result("orientation antisymmetry (exact)", "geometry", dev, 0.0,
-                   tol_scale=tol_scale)
+    a, b, c = random_qubit_tuple(rng, n, 3).swapaxes(0, 1)
+    dev = np.abs(wrap_angle(bargmann_invariant(a, c, b) + bargmann_invariant(a, b, c)))
+    return _result("orientation antisymmetry (exact)", "geometry", _worst(dev),
+                   0.0, tol_scale=tol_scale)
 
 
 def check_holonomy_spectrum(seed, tol_scale=1.0, n=300):
     """Loop holonomy phases the vertex state by -Omega/2, its complement
     by +Omega/2."""
     rng = np.random.default_rng([seed, 4])
-    dev = 0.0
-    for _ in range(n):
-        tri, omega = random_triangle(rng, max_area=4.0 * np.pi)
-        u = loop_holonomy(tri)
-        vertex = bloch_to_state(tri.a)
-        partner = orthogonal_complement(vertex)
-        for state, sign in ((vertex, +1.0), (partner, -1.0)):
-            val = inner_product(state, u @ state)
-            dev = max(dev, abs(abs(val) - 1.0),
-                      abs(wrap_angle(principal_angle(val) + sign * omega / 2.0)))
+    tri, omega = random_triangle(rng, n, max_area=4.0 * np.pi)
+    u = loop_holonomy(tri)
+    vertex = bloch_to_state(tri.a)
+    devs = []
+    for state, sign in ((vertex, +1.0), (orthogonal_complement(vertex), -1.0)):
+        val = inner_product(state, (u @ state[..., None])[..., 0])
+        devs += [np.abs(np.abs(val) - 1.0),
+                 np.abs(wrap_angle(principal_angle(val) + sign * omega / 2.0))]
     return _result("holonomy eigenphases are -/+ solid_angle/2", "geometry",
-                   dev, 1e-8, tol_scale=tol_scale)
+                   _worst(*devs), 1e-8, tol_scale=tol_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +273,12 @@ def check_mixed_profile_routes(seed, tol_scale=1.0, n=200, n_chi=64):
 def check_mixed_solid_angle_law(seed, tol_scale=1.0, n=200):
     """Weighted invariant along composed geodesics equals the closed form."""
     rng = np.random.default_rng([seed, 6])
-    dev = 0.0
-    for _ in range(n):
-        tri, omega = random_triangle(rng)
-        for r in BLOCH_RADII:
-            got = mixed_bargmann(qubit_mixed_triple(tri, r))
-            want = mixed_solid_angle_phase(r, omega)
-            dev = max(dev, abs(wrap_angle(got - want)))
-    return _result("weighted invariant matches arctan law", "mixed", dev, 1e-8,
-                   tol_scale=tol_scale)
+    tri, omega = random_triangle(rng, n)
+    devs = [np.abs(wrap_angle(mixed_bargmann(qubit_mixed_triple(tri, r))
+                              - mixed_solid_angle_phase(r, omega)))
+            for r in BLOCH_RADII]
+    return _result("weighted invariant matches arctan law", "mixed",
+                   _worst(*devs), 1e-8, tol_scale=tol_scale)
 
 
 def check_trace_basis_independence(seed, tol_scale=1.0, n=200):
@@ -293,7 +314,7 @@ def check_mixed_nonadditivity(seed, tol_scale=1.0):
     rng = np.random.default_rng([2026, 8])
     r = 0.5
     weights = np.array([(1.0 + r) / 2.0, (1.0 - r) / 2.0])
-    states = random_qubit_tuple(rng, 4)
+    states = random_qubit_tuple(rng, 1, 4)[0]
     bases = [np.column_stack([s, orthogonal_complement(s)]) for s in states]
     points = [state_to_bloch(s) for s in states]
     legs = [geodesic_unitary(points[i], points[i + 1]) for i in range(3)]
@@ -313,50 +334,45 @@ def check_mixed_nonadditivity(seed, tol_scale=1.0):
 # ---------------------------------------------------------------------------
 # two-photon suite
 
-def _random_loop_pair(rng):
-    tri_a, omega_a = random_triangle(rng)
-    tri_ap, omega_ap = random_triangle(rng)
-    return LoopPair(tri_a, tri_ap), omega_a, omega_ap
+def _random_loop_pairs(rng, n):
+    """n loop pairs, pair i from the random triangles 2i and 2i + 1 of
+    one batch (as drawn pair by pair), with their solid angles."""
+    tri, omega = random_triangle(rng, 2 * n)
+    return LoopPair(tri[0::2], tri[1::2]), omega[0::2], omega[1::2]
 
 
 def check_pair_oracle(seed, tol_scale=1.0, n=500):
     """Simulated 4-dim pair phase/visibility equal the closed forms."""
     rng = np.random.default_rng([seed, 9])
-    dev = 0.0
-    done = 0
-    while done < n:
-        loops, omega_a, omega_ap = _random_loop_pair(rng)
-        lam = rng.uniform(0.0, 1.0)
+
+    def draw(k):
+        loops, omega_a, omega_ap = _random_loop_pairs(rng, k)
+        lam = rng.uniform(0.0, 1.0, k)
         closed = entangled_phase_closed_form(lam, omega_a, omega_ap)
-        if closed.visibility < 1e-6:
-            continue
-        done += 1
-        sim = simulate_loop_pair(schmidt_state_for_loops(lam, loops), loops)
-        dev = max(dev, abs(wrap_angle(sim.phase - closed.phase)),
-                  abs(sim.visibility - closed.visibility))
-    return _result("pair simulation matches closed forms", "two-photon", dev,
-                   1e-8, tol_scale=tol_scale)
+        keep = closed.visibility >= 1e-6
+        sim = simulate_loop_pair(schmidt_state_for_loops(lam[keep], loops[keep]),
+                                 loops[keep])
+        return (np.abs(wrap_angle(sim.phase - closed.phase[keep])),
+                np.abs(sim.visibility - closed.visibility[keep]))
+
+    return _result("pair simulation matches closed forms", "two-photon",
+                   _worst(*_first_kept(n, draw)), 1e-8, tol_scale=tol_scale)
 
 
 def check_maximal_entanglement_quantisation(seed, tol_scale=1.0, n=300):
     """At lam = 1/2 every defined pair phase is 0 or pi."""
     rng = np.random.default_rng([seed, 10])
-    dev = 0.0
-    done = 0
-    while done < n:
-        loops, _, _ = _random_loop_pair(rng)
-        state = schmidt_state_for_loops(0.5, loops)
-        try:
-            sim = simulate_loop_pair(state, loops)
-        except OrthogonalStatesError:
-            continue
-        if sim.visibility <= 1e-6:
-            continue
-        done += 1
-        dev = max(dev, min(abs(wrap_angle(sim.phase)),
-                           abs(wrap_angle(sim.phase - np.pi))))
+
+    def draw(k):
+        loops, _, _ = _random_loop_pairs(rng, k)
+        sim = simulate_loop_pair(schmidt_state_for_loops(0.5, loops), loops)
+        phase = sim.phase[sim.visibility > 1e-6]
+        return (np.minimum(np.abs(wrap_angle(phase)),
+                           np.abs(wrap_angle(phase - np.pi))),)
+
     return _result("maximally entangled phases pinned to {0, pi}",
-                   "two-photon", dev, 1e-8, tol_scale=tol_scale)
+                   "two-photon", _worst(*_first_kept(n, draw)), 1e-8,
+                   tol_scale=tol_scale)
 
 
 def check_visibility_bound(seed, tol_scale=1.0, n=500):
@@ -375,28 +391,28 @@ def check_visibility_bound(seed, tol_scale=1.0, n=500):
 def check_franson_fringe(seed, tol_scale=1.0, n=100, n_chi=64):
     """Coincidence-fringe fit recovers the closed forms; swing is 4V."""
     rng = np.random.default_rng([seed, 12])
-    dev = 0.0
-    done = 0
-    while done < n:
-        loops, omega_a, omega_ap = _random_loop_pair(rng)
-        lam = rng.uniform(0.0, 1.0)
+    grid = np.linspace(0.0, 2.0 * np.pi, n_chi, endpoint=False)
+
+    def draw(k):
+        loops, omega_a, omega_ap = _random_loop_pairs(rng, k)
+        lam = rng.uniform(0.0, 1.0, k)
         closed = entangled_phase_closed_form(lam, omega_a, omega_ap)
-        if closed.visibility < 1e-6:
-            continue
-        done += 1
-        state = schmidt_state_for_loops(lam, loops)
-        chis = np.concatenate([
-            np.linspace(0.0, 2.0 * np.pi, n_chi, endpoint=False),
-            [closed.phase, closed.phase + np.pi],  # fringe extrema
-        ])
-        profile = franson_coincidence_profile(state, loops, chis)
-        swing = profile.intensities.max() - profile.intensities.min()
-        dev = max(dev,
-                  abs(wrap_angle(profile.extracted.phase - closed.phase)),
-                  abs(profile.extracted.visibility - closed.visibility),
-                  abs(swing - 4.0 * closed.visibility))
+        keep = closed.visibility >= 1e-6
+        phase, vis = closed.phase[keep], closed.visibility[keep]
+        chis = np.concatenate([  # each row's grid plus its fringe extrema
+            np.broadcast_to(grid, (phase.size, n_chi)),
+            np.stack([phase, phase + np.pi], axis=-1),
+        ], axis=-1)
+        profile = franson_coincidence_profile(
+            schmidt_state_for_loops(lam[keep], loops[keep]), loops[keep], chis)
+        swing = profile.intensities.max(axis=-1) - profile.intensities.min(axis=-1)
+        return (np.abs(wrap_angle(profile.extracted.phase - phase)),
+                np.abs(profile.extracted.visibility - vis),
+                np.abs(swing - 4.0 * vis))
+
     return _result("coincidence fringe recovers phase and visibility",
-                   "two-photon", dev, 1e-8, tol_scale=tol_scale)
+                   "two-photon", _worst(*_first_kept(n, draw)), 1e-8,
+                   tol_scale=tol_scale)
 
 
 def check_nonlinearity_law(seed, tol_scale=1.0, n=500):
@@ -439,13 +455,11 @@ def check_ancilla_reduction(seed, tol_scale=1.0, n=500):
     pair[:, 0, 0], pair[:, 1, 1] = np.sqrt(lams), np.sqrt(1.0 - lams)
     moved = matrix_exponential_su2((0.0, 0.0, 1.0), omegas) @ pair
     simulated = np.angle(np.einsum("kij,kij->k", pair.conj(), moved))
-    dev = 0.0
-    for lam, omega, sim in zip(lams, omegas, simulated):
-        for law in (ancilla_reduction_phase(lam, omega),
-                    mixed_solid_angle_phase(2.0 * lam - 1.0, omega)):
-            dev = max(dev, abs(wrap_angle(law - sim)))
+    devs = [np.abs(wrap_angle(law - simulated))
+            for law in (ancilla_reduction_phase(lams, omegas),
+                        mixed_solid_angle_phase(2.0 * lams - 1.0, omegas))]
     return _result("ancilla reduction matches mixed arctan law", "two-photon",
-                   dev, 1e-10, tol_scale=tol_scale)
+                   _worst(*devs), 1e-10, tol_scale=tol_scale)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ error, 3 domain error (undefined phase, degenerate geometry, ...).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -34,43 +35,53 @@ SEED_ENV_VAR = "PANCHA_SEED"
 EXPERIMENTS = tuple(RUNNERS) + ("sweep",)
 FORMATS = ("csv", "json")
 
-#: scalar parameter kinds may be swept; structured kinds may not
+#: caps that keep one run's memory and output bounded: a profile writes up
+#: to about 250 B of CSV per chi sample (25 MB at the cap), and a
+#: precession path holds about 300 B per step (near 600 MiB at the cap)
+MAX_SAMPLES = 100_000
+MAX_SUBDIVISIONS = 2_000_000
+
+#: (kind, default, inclusive bounds or None) per parameter; scalar kinds
+#: may be swept, structured kinds may not, and bounds hold for every
+#: element of a sweep list.  The fringe fit needs three samples.
 _REQUIRED = object()
+_SAMPLES = ("int", 64, (3, MAX_SAMPLES))
+_RADIUS = (-1.0, 1.0)
 PARAM_SCHEMAS = {
     "pair": {
-        "theta_a": ("number", _REQUIRED),
-        "phi_a": ("number", _REQUIRED),
-        "theta_b": ("number", _REQUIRED),
-        "phi_b": ("number", _REQUIRED),
-        "alpha": ("number", 0.0),
-        "samples": ("int", 64),
+        "theta_a": ("number", _REQUIRED, None),
+        "phi_a": ("number", _REQUIRED, None),
+        "theta_b": ("number", _REQUIRED, None),
+        "phi_b": ("number", _REQUIRED, None),
+        "alpha": ("number", 0.0, None),
+        "samples": _SAMPLES,
     },
     "mixed": {
-        "r": ("number", _REQUIRED),
-        "angle": ("number", _REQUIRED),
-        "axis": ("axis", (0.0, 0.0, 1.0)),
-        "samples": ("int", 64),
+        "r": ("number", _REQUIRED, _RADIUS),
+        "angle": ("number", _REQUIRED, None),
+        "axis": ("axis", (0.0, 0.0, 1.0), None),
+        "samples": _SAMPLES,
     },
     "triangle": {
-        "vertices": ("vertices", _REQUIRED),
-        "r": ("number", 0.5),
+        "vertices": ("vertices", _REQUIRED, None),
+        "r": ("number", 0.5, _RADIUS),
     },
     "two-photon": {
-        "lam": ("number", _REQUIRED),
-        "triangle_a": ("vertices", _REQUIRED),
-        "triangle_a_prime": ("vertices", _REQUIRED),
-        "samples": ("int", 64),
+        "lam": ("number", _REQUIRED, (0.0, 1.0)),
+        "triangle_a": ("vertices", _REQUIRED, None),
+        "triangle_a_prime": ("vertices", _REQUIRED, None),
+        "samples": _SAMPLES,
     },
     "precession": {
-        "theta": ("number", _REQUIRED),
-        "phi": ("number", _REQUIRED),
-        "r": ("number", 0.5),
-        "subdivisions": ("int", 4096),
+        "theta": ("number", _REQUIRED, None),
+        "phi": ("number", _REQUIRED, None),
+        "r": ("number", 0.5, _RADIUS),
+        "subdivisions": ("int", 4096, (1, MAX_SUBDIVISIONS)),
     },
     "dual": {
-        "theta": ("number", _REQUIRED),
-        "delta_phi": ("number", _REQUIRED),
-        "samples": ("int", 64),
+        "theta": ("number", _REQUIRED, None),
+        "delta_phi": ("number", _REQUIRED, None),
+        "samples": _SAMPLES,
     },
 }
 
@@ -83,6 +94,10 @@ class MultipleSweptParametersError(ConfigError):
     """More than one parameter was given as a sweep list."""
 
 
+class OutputError(ConfigError):
+    """The output file cannot be written (exit code 2)."""
+
+
 def _is_number(value) -> bool:
     """A finite JSON number: no bool, NaN, infinity or int past the float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -93,7 +108,8 @@ def _is_number(value) -> bool:
         return False
 
 
-def _check_param(experiment: str, name: str, kind: str, value):
+def _check_param(experiment: str, name: str, value):
+    kind, _, bounds = PARAM_SCHEMAS[experiment][name]
     where = f"{experiment}.{name}"
     if kind == "number":
         if not _is_number(value):
@@ -118,6 +134,9 @@ def _check_param(experiment: str, name: str, kind: str, value):
             raise ConfigError(f"{where} must be three finite [theta, phi] pairs")
     else:  # pragma: no cover - schema table typo guard
         raise AssertionError(f"unknown parameter kind {kind}")
+    if bounds is not None and not bounds[0] <= value <= bounds[1]:
+        raise ConfigError(
+            f"{where} must lie in [{bounds[0]}, {bounds[1]}], got {value!r}")
 
 
 @dataclass
@@ -163,12 +182,12 @@ def validate_config(raw) -> RunPlan:
     unknown = set(params) - set(schema)
     if unknown:
         raise ConfigError(f"unknown parameters for {base}: {sorted(unknown)}")
-    for name, (_, default) in schema.items():
+    for name, (_, default, _) in schema.items():
         if name not in params and default is _REQUIRED:
             raise ConfigError(f"missing required parameter {base}.{name}")
 
     swept = None
-    cleaned = {name: default for name, (_, default) in schema.items()
+    cleaned = {name: default for name, (_, default, _) in schema.items()
                if default is not _REQUIRED}
     for name, value in params.items():
         kind = schema[name][0]
@@ -176,14 +195,14 @@ def validate_config(raw) -> RunPlan:
             if not value:
                 raise ConfigError(f"sweep list for {base}.{name} is empty")
             for v in value:
-                _check_param(base, name, kind, v)
+                _check_param(base, name, v)
             if swept is not None:
                 raise MultipleSweptParametersError(
                     f"both {swept!r} and {name!r} are sweep lists; sweep exactly one")
             swept = name
             cleaned[name] = list(value)
         else:
-            _check_param(base, name, kind, value)
+            _check_param(base, name, value)
             cleaned[name] = value
 
     if experiment == "sweep" and swept is None:
@@ -237,6 +256,28 @@ def _json_safe(value):
     return value
 
 
+def _write_whole(path: str, write):
+    """Write through ``write(fh)`` to a temporary file beside ``path`` and
+    rename it over ``path``, so the output is complete or absent.
+
+    Raises:
+        OutputError: naming ``path`` when it cannot be written.
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                write(fh)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_json(path: str, record: RunRecord):
     payload = _json_safe({
         "config": record.config,
@@ -244,16 +285,21 @@ def _write_json(path: str, record: RunRecord):
         "oracle_deltas": record.oracle_deltas,
         "versions": record.versions,
     })
-    with open(path, "w", encoding="utf-8") as fh:
+
+    def write(fh):
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
+    _write_whole(path, write)
+
 
 def _write_csv(path: str, header: list[str], rows: list[list[float]]):
-    with open(path, "w", encoding="utf-8") as fh:
+    def write(fh):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt_float(x) for x in row) + "\n")
+
+    _write_whole(path, write)
 
 
 def _single_record(plan: RunPlan, outcome: ExperimentOutcome) -> RunRecord:
@@ -384,9 +430,10 @@ def _plan(args) -> RunPlan:
         plan.seed = _env_seed()
     if args.format:
         plan.format = args.format
-    if (plan.base == "precession" and args.subdivisions
-            and "subdivisions" not in plan.parameters):
-        plan.parameters["subdivisions"] = args.subdivisions
+    if plan.base == "precession" and args.subdivisions is not None:
+        _check_param(plan.base, "subdivisions", args.subdivisions)
+        if "subdivisions" not in raw["parameters"]:  # the config's own wins
+            plan.parameters["subdivisions"] = args.subdivisions
     return plan
 
 

@@ -3,7 +3,10 @@ tensor products, SU(2) rotations, and reproducible random states.
 
 Conventions used throughout the package:
 
-* State vectors and operators are plain numpy complex arrays.
+* State vectors and operators are plain numpy complex arrays.  Kernels
+  work row by row over leading batch axes, a single call being a batch
+  of one; where a single call raises a domain error, a batch marks the
+  row NaN instead (``mark_undefined``).
 * ``bloch_to_state`` fixes the global-phase gauge to a real, non-negative
   first amplitude: ``(cos(theta/2), exp(i*phi) sin(theta/2))``.
 * All phases are reported on the principal branch ``(-pi, pi]``.
@@ -38,23 +41,51 @@ def wrap_angle(angle):
     return wrapped
 
 
-def principal_angle(z: complex) -> float:
-    """arg(z) in (-pi, pi]; maps the -pi branch edge (Im = -0.0) to +pi."""
-    a = float(np.angle(z))
-    return np.pi if a <= -np.pi else a
+def principal_angle(z):
+    """arg(z) in (-pi, pi], rowwise; maps the -pi branch edge (Im = -0.0)
+    to +pi.  A complex scalar gives a float."""
+    a = np.angle(z)
+    if a.ndim == 0:
+        return np.pi if a <= -np.pi else float(a)
+    return np.where(a <= -np.pi, np.pi, a)
 
 
-def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hermitian inner product <a|b> = sum conj(a_i) b_i.
+def from_parts(re, im):
+    """The complex re + i im, bit for bit (numpy's re + 1j * im can flip
+    the sign of a zero imaginary part); scalars give a complex."""
+    if not isinstance(re, np.ndarray) and not isinstance(im, np.ndarray):
+        return complex(re, im)
+    re, im = np.broadcast_arrays(re, im)
+    z = np.empty(re.shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def mark_undefined(values, undefined):
+    """``values`` with the rows flagged ``undefined`` set to NaN, the way
+    a batched kernel reports rows where a single call would raise; one
+    row gives a float."""
+    values = np.where(undefined, np.nan, values)
+    return float(values) if values.ndim == 0 else values
+
+
+def inner_product(a, b):
+    """Hermitian inner product <a|b> = sum conj(a_i) b_i over the last
+    axis, rowwise over broadcast leading axes; 1-d inputs give a complex.
+
+    Rows go through a stacked matmul, which takes np.vdot's BLAS path:
+    every row equals np.vdot of that row bit for bit.
 
     Raises:
         ValueError: if the vectors have different dimensions.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
+    if a.shape[-1:] != b.shape[-1:]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
+    if a.ndim == b.ndim == 1:
+        return complex(np.vdot(a, b))
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 class BlochPoint(NamedTuple):
@@ -64,11 +95,12 @@ class BlochPoint(NamedTuple):
     phi: float
 
     def unit_vector(self) -> np.ndarray:
-        """Cartesian unit vector on the Bloch sphere."""
+        """Cartesian unit vector on the Bloch sphere; array angles give
+        one row per point, shape (..., 3)."""
         st = np.sin(self.theta)
-        return np.array(
-            [st * np.cos(self.phi), st * np.sin(self.phi), np.cos(self.theta)]
-        )
+        return np.stack(
+            [st * np.cos(self.phi), st * np.sin(self.phi), np.cos(self.theta)],
+            axis=-1)
 
     @classmethod
     def from_vector(cls, v: np.ndarray) -> "BlochPoint":
@@ -86,11 +118,12 @@ def bloch_to_state(point) -> np.ndarray:
 
     The global phase is gauge-fixed: the first amplitude is real and
     non-negative, and the north pole (theta = 0) maps to (1, 0) exactly.
+    Array angles give one state per point, shape (..., 2).
     """
     theta, phi = point
-    return np.array(
-        [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], dtype=complex
-    )
+    half = np.asarray(theta, dtype=float) / 2.0
+    return np.stack([np.cos(half), np.exp(1j * np.asarray(phi)) * np.sin(half)],
+                    axis=-1)
 
 
 def state_to_bloch(state: np.ndarray) -> BlochPoint:
@@ -98,17 +131,21 @@ def state_to_bloch(state: np.ndarray) -> BlochPoint:
 
     theta = 2*arccos(|a0|), evaluated in the equivalent atan2 form that
     stays accurate at the poles; phi = arg(a1) - arg(a0) mod 2*pi, set to
-    0 at the poles where the azimuth is a chart artifact.
+    0 at the poles where the azimuth is a chart artifact.  Rowwise over
+    (..., 2) states: a batch gives a BlochPoint of angle arrays, one
+    state a BlochPoint of floats.
     """
     state = np.asarray(state, dtype=complex)
-    if state.shape != (2,):
-        raise ValueError("state_to_bloch expects a single qubit state")
-    a0, a1 = state
-    theta = 2.0 * np.arctan2(abs(a1), abs(a0))
-    if abs(a0) < ATOL_NORM or abs(a1) < ATOL_NORM:
-        return BlochPoint(0.0 if abs(a1) < abs(a0) else np.pi, 0.0)
-    phi = (np.angle(a1) - np.angle(a0)) % (2.0 * np.pi)
-    return BlochPoint(float(theta), float(phi))
+    if state.shape[-1:] != (2,):
+        raise ValueError("state_to_bloch expects qubit states")
+    a0, a1 = state[..., 0], state[..., 1]
+    m0, m1 = np.hypot(a0.real, a0.imag), np.hypot(a1.real, a1.imag)
+    pole = (m0 < ATOL_NORM) | (m1 < ATOL_NORM)
+    theta = np.where(pole, np.where(m1 < m0, 0.0, np.pi), 2.0 * np.arctan2(m1, m0))
+    phi = np.where(pole, 0.0, (np.angle(a1) - np.angle(a0)) % (2.0 * np.pi))
+    if theta.ndim == 0:
+        return BlochPoint(float(theta), float(phi))
+    return BlochPoint(theta, phi)
 
 
 def bloch_vector(state: np.ndarray) -> np.ndarray:
@@ -122,24 +159,43 @@ def bloch_vector(state: np.ndarray) -> np.ndarray:
 
 
 def orthogonal_complement(state: np.ndarray) -> np.ndarray:
-    """The unique (up to phase) qubit state orthogonal to ``state``."""
-    a0, a1 = np.asarray(state, dtype=complex)
-    return np.array([-np.conj(a1), np.conj(a0)])
+    """The unique (up to phase) qubit state orthogonal to ``state``,
+    rowwise over (..., 2)."""
+    state = np.asarray(state, dtype=complex)
+    return np.stack([-state[..., 1].conj(), state[..., 0].conj()], axis=-1)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product in (system x ancilla) index order.
+    """Kronecker product of vectors in (system x ancilla) index order,
+    rowwise over broadcast leading axes.
 
     Component (i, j) of the pair lands at flat index i * dim(b) + j, i.e.
     the first factor varies slowest.
     """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    pair = a[..., :, None] * b[..., None, :]
+    return pair.reshape(pair.shape[:-2] + (a.shape[-1] * b.shape[-1],))
 
 
-def haar_state(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """Haar-random unit vector drawn from an existing generator."""
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
+def _dot(a, b):
+    """Dot products over the last axis, rowwise; a stacked matmul takes
+    np.dot's BLAS path, so each row equals np.dot bit for bit."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def haar_state(rng: np.random.Generator, dim: int = 2, shape=()) -> np.ndarray:
+    """Haar-random unit vectors drawn from an existing generator, shape
+    ``shape + (dim,)``.
+
+    One standard_normal(shape + (2, dim)) call gives each vector its dim
+    real parts, then its dim imaginary parts, so a block consumes the
+    generator exactly as drawing its vectors one at a time does, and
+    gives the same vectors.
+    """
+    z = rng.standard_normal(tuple(shape) + (2, dim))
+    re, im = z[..., 0, :], z[..., 1, :]
+    return (re + 1j * im) / np.sqrt(_dot(re, re) + _dot(im, im))[..., None]
 
 
 def random_state(seed: int, dim: int = 2) -> np.ndarray:
@@ -154,13 +210,15 @@ def random_state(seed: int, dim: int = 2) -> np.ndarray:
 
 
 def _n_dot_sigma(axis) -> np.ndarray:
-    """n . sigma for the unit vector n along ``axis``; ValueError if zero."""
+    """n . sigma for the unit vectors n along the rows of ``axis``
+    (..., 3); ValueError if any row is zero."""
     axis = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(axis)
-    if norm == 0.0:
+    norm = np.sqrt(_dot(axis, axis))
+    if (norm == 0.0).any():
         raise ValueError("axis must be nonzero")
-    n = axis / norm
-    return n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
+    n = axis / norm[..., None]
+    return (n[..., 0, None, None] * SIGMA_X + n[..., 1, None, None] * SIGMA_Y
+            + n[..., 2, None, None] * SIGMA_Z)
 
 
 def matrix_exponential_su2(axis, angle) -> np.ndarray:
@@ -168,8 +226,10 @@ def matrix_exponential_su2(axis, angle) -> np.ndarray:
 
     Equals cos(angle/2) * 1 - i sin(angle/2) * (axis . sigma); axis is
     normalized first. Rotates Bloch vectors by ``angle`` about ``axis``
-    (right-hand rule) and has determinant one.  An array of angles gives
-    angle.shape + (2, 2) rotations; a scalar angle gives one 2x2 matrix.
+    (right-hand rule) and has determinant one.  Rowwise over (..., 3)
+    axes and array angles, which broadcast: the result has shape
+    broadcast(angle.shape, axis.shape[:-1]) + (2, 2), so one axis and an
+    array of angles give angle.shape + (2, 2) rotations.
 
     Raises:
         ValueError: for a zero axis.

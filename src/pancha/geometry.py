@@ -25,10 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    IDENTITY_2,
     BlochPoint,
+    _dot,
     bloch_to_state,
+    from_parts,
     inner_product,
+    mark_undefined,
     matrix_exponential_su2,
     orthogonal_complement,
     principal_angle,
@@ -49,7 +51,11 @@ EPS_GEO = 1e-8
 
 @dataclass(frozen=True)
 class SphericalTriangle:
-    """Ordered, oriented vertex triple on the Bloch sphere."""
+    """Ordered, oriented vertex triple on the Bloch sphere.
+
+    Vertices whose angles are arrays make a batch of triangles, one per
+    row; every kernel below takes a batch as well as a single triangle.
+    """
 
     a: BlochPoint
     b: BlochPoint
@@ -60,8 +66,9 @@ class SphericalTriangle:
         return cls(state_to_bloch(sa), state_to_bloch(sb), state_to_bloch(sc))
 
     def unit_vectors(self) -> np.ndarray:
-        """3x3 array whose rows are the vertex unit vectors."""
-        return np.array([p.unit_vector() for p in (self.a, self.b, self.c)])
+        """(..., 3, 3) array whose rows are the vertex unit vectors."""
+        return np.stack([p.unit_vector() for p in (self.a, self.b, self.c)],
+                        axis=-2)
 
     def states(self):
         return tuple(bloch_to_state(p) for p in (self.a, self.b, self.c))
@@ -70,49 +77,90 @@ class SphericalTriangle:
         """Same vertices, opposite orientation."""
         return SphericalTriangle(self.a, self.c, self.b)
 
+    def __getitem__(self, rows) -> "SphericalTriangle":
+        """The triangles at ``rows`` of a batch."""
+        return SphericalTriangle(*(BlochPoint(p.theta[rows], p.phi[rows])
+                                   for p in (self.a, self.b, self.c)))
 
-def bargmann_invariant(a, b, c) -> float:
+
+def _guard(overlaps):
+    """Rows where any of the named overlaps vanishes.  For a single row
+    the first vanishing one, in the given order, raises instead."""
+    undefined = False
+    for name, z in overlaps:
+        modulus = np.hypot(np.real(z), np.imag(z))
+        if modulus.ndim == 0 and modulus < EPS_ORTH:
+            raise OrthogonalStatesError(f"{name} vanishes ({modulus:.3e})")
+        undefined = undefined | (modulus < EPS_ORTH)
+    return undefined
+
+
+def _exact_overlap(x, y):
+    """<x|y> rowwise from real and imaginary parts, Re = sum(xr yr + xi yi)
+    and Im = sum(xr yi - xi yr), so that <y|x> is its conjugate bit for
+    bit in IEEE arithmetic, whatever path a BLAS or a vectorised complex
+    product would take."""
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    return from_parts((xr * yr + xi * yi).sum(axis=-1),
+                      (xr * yi - xi * yr).sum(axis=-1))
+
+
+def _product(factors):
+    """Product of complex factors (or rows of them), left to right, from
+    real and imaginary parts: conjugating every factor then conjugates
+    the product bit for bit."""
+    re, im = np.real(factors[0]), np.imag(factors[0])
+    for z in factors[1:]:
+        zr, zi = np.real(z), np.imag(z)
+        re, im = re * zr - im * zi, re * zi + im * zr
+    return from_parts(re, im)
+
+
+def bargmann_invariant(a, b, c):
     """Cyclic three-state phase arg(<a|c><c|b><b|a>), principal branch.
 
     Invariant under independent rephasing of each state; conjugation-odd
-    under swapping the last two arguments.
+    under swapping the last two arguments, exactly in floating point: the
+    overlaps and their product (<a|c><b|a>)<c|b> are formed from real and
+    imaginary parts, so reversing (b, c) conjugates every factor and the
+    product bit for bit.  Rowwise over (..., d) states; a batch gives NaN
+    in the rows with a vanishing overlap.
 
     Raises:
-        OrthogonalStatesError: naming the first vanishing overlap.
+        OrthogonalStatesError: naming the first vanishing overlap of a
+            single triple.
     """
-    f_ac = inner_product(a, c)
-    f_cb = inner_product(c, b)
-    f_ba = inner_product(b, a)
-    for name, val in (("<a|c>", f_ac), ("<c|b>", f_cb), ("<b|a>", f_ba)):
-        if abs(val) < EPS_ORTH:
-            raise OrthogonalStatesError(f"overlap {name} vanishes ({abs(val):.3e})")
-    # outer factors first: reversing (b, c) then conjugates the product
-    # bit-for-bit, keeping the antisymmetry exact in floating point
-    return principal_angle((f_ac * f_ba) * f_cb)
+    f_ac, f_cb, f_ba = (_exact_overlap(a, c), _exact_overlap(c, b),
+                        _exact_overlap(b, a))
+    undefined = _guard([("overlap <a|c>", f_ac), ("overlap <c|b>", f_cb),
+                        ("overlap <b|a>", f_ba)])
+    return mark_undefined(principal_angle(_product([f_ac, f_ba, f_cb])), undefined)
 
 
-def multi_vertex_invariant(states) -> float:
+def multi_vertex_invariant(states):
     """Cyclic overlap phase generalized to n >= 2 states.
 
     Returns arg(<s0|s_{n-1}><s_{n-1}|s_{n-2}> ... <s1|s0>); for three
     states this is bargmann_invariant and the quantity is additive under
-    splitting a polygon along a diagonal.
+    splitting a polygon along a diagonal.  Rowwise over (..., d) states,
+    with NaN where a batch row has a vanishing link.
 
     Raises:
-        OrthogonalStatesError: naming the first vanishing link.
+        OrthogonalStatesError: naming the first vanishing link of a
+            single chain.
     """
     states = list(states)
     if len(states) < 2:
         raise ValueError("need at least two states")
-    product = inner_product(states[0], states[-1])
-    if abs(product) < EPS_ORTH:
-        raise OrthogonalStatesError(f"closing overlap <s0|s{len(states) - 1}> vanishes")
-    for k in range(len(states) - 1, 0, -1):
-        link = inner_product(states[k], states[k - 1])
-        if abs(link) < EPS_ORTH:
-            raise OrthogonalStatesError(f"overlap <s{k}|s{k - 1}> vanishes")
-        product *= link
-    return principal_angle(product)
+    last = len(states) - 1
+    links = [(f"closing overlap <s0|s{last}>", inner_product(states[0], states[-1]))]
+    links += [(f"overlap <s{k}|s{k - 1}>", inner_product(states[k], states[k - 1]))
+              for k in range(last, 0, -1)]
+    undefined = _guard(links)
+    return mark_undefined(principal_angle(_product([z for _, z in links])),
+                          undefined)
 
 
 def _rowdot(a, b) -> np.ndarray:
@@ -139,47 +187,60 @@ def girard_signed_area(u, v, w) -> np.ndarray:
     return np.where(_rowdot(u, np.cross(v, w)) >= 0.0, excess, -excess)
 
 
-def solid_angle(t: SphericalTriangle) -> float:
+def solid_angle(t: SphericalTriangle):
     """Signed solid angle of the geodesic triangle, in steradians.
 
     Computed from the spherical excess of the interior angles, with the
     sign of det[a, b, c]; this route never touches quantum states, so it
-    can cross-check the overlap-product invariant independently.
+    can cross-check the overlap-product invariant independently.  A batch
+    of triangles gives one angle per row, NaN where a row is degenerate.
 
     Raises:
-        DegenerateTriangleError: for coincident or antipodal vertex pairs.
+        DegenerateTriangleError: for coincident or antipodal vertex pairs
+            of a single triangle.
     """
     vecs = t.unit_vectors()
-    following = np.roll(vecs, -1, axis=0)
-    degenerate = np.linalg.norm(np.cross(vecs, following), axis=1) < EPS_GEO
-    if degenerate.any():
+    following = np.roll(vecs, -1, axis=-2)
+    degenerate = np.linalg.norm(np.cross(vecs, following), axis=-1) < EPS_GEO
+    if degenerate.ndim == 1 and degenerate.any():
         i = int(np.argmax(degenerate))
         kind = "coincident" if np.dot(vecs[i], following[i]) > 0.0 else "antipodal"
         names = "abca"[i:i + 2]
         raise DegenerateTriangleError(f"vertices {names[0]}, {names[1]} are {kind}")
-    return float(girard_signed_area(vecs[0], vecs[1], vecs[2]))
+    omega = girard_signed_area(vecs[..., 0, :], vecs[..., 1, :], vecs[..., 2, :])
+    return mark_undefined(omega, degenerate.any(axis=-1))
 
 
 def geodesic_unitary(p: BlochPoint, q: BlochPoint, fraction=1.0) -> np.ndarray:
     """SU(2) rotation by ``fraction`` of the great-circle arc from p to q.
 
     Rotates about (p x q)/|p x q|; the whole arc maps the state at p to
-    the state at q up to a global phase.  An array of fractions gives
-    fraction.shape + (2, 2) rotations; p = q gives identities.
+    the state at q up to a global phase.  Rowwise over points with array
+    angles, broadcast against an array of fractions: the result has shape
+    broadcast(p.theta, q.theta, fraction) + (2, 2).  p = q gives
+    identities; antipodal rows of a batch are NaN.
 
     Raises:
-        AntipodalPointsError: if p and q are antipodal within EPS_GEO.
+        AntipodalPointsError: if p and q are single antipodal points
+            (within EPS_GEO).
     """
     u = p.unit_vector()
     v = q.unit_vector()
     cross = np.cross(u, v)
-    sine = np.linalg.norm(cross)
-    cosine = float(np.dot(u, v))
-    if sine < EPS_GEO:
-        if cosine < 0.0:
-            raise AntipodalPointsError("rotation axis undefined for antipodal points")
-        return np.tile(IDENTITY_2, np.shape(fraction) + (1, 1))
-    return matrix_exponential_su2(cross / sine, np.arctan2(sine, cosine) * fraction)
+    sine = np.sqrt(_dot(cross, cross))
+    cosine = _dot(u, v)
+    degenerate = sine < EPS_GEO
+    antipodal = degenerate & (cosine < 0.0)
+    if antipodal.ndim == 0 and antipodal:
+        raise AntipodalPointsError("rotation axis undefined for antipodal points")
+    # a degenerate row turns by zero about any axis: the identity
+    axis = np.where(degenerate[..., None], (0.0, 0.0, 1.0),
+                    cross / np.where(degenerate, 1.0, sine)[..., None])
+    angle = np.where(degenerate, 0.0, np.arctan2(sine, cosine))
+    rotation = matrix_exponential_su2(axis, angle * np.asarray(fraction, dtype=float))
+    if antipodal.any():
+        rotation = np.where(antipodal[..., None, None], np.nan, rotation)
+    return rotation
 
 
 def loop_holonomy(t: SphericalTriangle) -> np.ndarray:
@@ -187,12 +248,19 @@ def loop_holonomy(t: SphericalTriangle) -> np.ndarray:
 
     The state at vertex a is an eigenvector with eigenvalue
     exp(-i Omega / 2); its orthogonal complement picks up the opposite
-    phase (the determinant is one).
+    phase (the determinant is one).  A batch gives (..., 2, 2).
     """
     u_ab = geodesic_unitary(t.a, t.b)
     u_bc = geodesic_unitary(t.b, t.c)
     u_ca = geodesic_unitary(t.c, t.a)
     return u_ca @ u_bc @ u_ab
+
+
+def _coinciding(weights):
+    """Rowwise mask over the weight pairs (i < j, in row order) that
+    coincide within 1e-12, and the pair indices."""
+    i, j = np.triu_indices(weights.shape[-1], 1)
+    return np.abs(weights[..., i] - weights[..., j]) < 1e-12, i, j
 
 
 @dataclass(frozen=True)
@@ -202,7 +270,8 @@ class MixedTriple:
     ``weights`` are the shared eigenvalues; ``basis_a/b/c`` hold the
     eigenvectors (as matrix columns, column k belonging to weights[k]) at
     the three stations; ``u`` is the unitary that carries the first
-    station to the third via the second.
+    station to the third via the second.  Leading axes on every field
+    make a batch of triples.
     """
 
     weights: np.ndarray
@@ -212,22 +281,26 @@ class MixedTriple:
     u: np.ndarray
 
     def validate(self) -> "MixedTriple":
+        """ValueError for weights off the simplex or non-orthonormal bases;
+        DegenerateSpectrumError for coinciding weights shared by every row
+        (per-row coincidences are left to mixed_bargmann)."""
         w = np.asarray(self.weights, dtype=float)
-        if abs(w.sum() - 1.0) > 1e-12 or (w < -1e-12).any() or (w > 1 + 1e-12).any():
+        if ((np.abs(w.sum(axis=-1) - 1.0) > 1e-12).any() or (w < -1e-12).any()
+                or (w > 1 + 1e-12).any()):
             raise ValueError("weights must lie in [0, 1] and sum to 1")
-        for i in range(len(w)):
-            for j in range(i + 1, len(w)):
-                if abs(w[i] - w[j]) < 1e-12:
-                    raise DegenerateSpectrumError(
-                        f"weights {i} and {j} coincide; eigenbases not unique"
-                    )
-        dim = len(w)
+        close, i, j = _coinciding(w)
+        if w.ndim == 1 and close.any():
+            k = int(np.argmax(close))
+            raise DegenerateSpectrumError(
+                f"weights {i[k]} and {j[k]} coincide; eigenbases not unique")
+        dim = w.shape[-1]
         for name, basis in (("a", self.basis_a), ("b", self.basis_b),
                             ("c", self.basis_c)):
             basis = np.asarray(basis, dtype=complex)
-            if basis.shape != (dim, dim):
+            if basis.shape[-2:] != (dim, dim):
                 raise ValueError(f"basis {name} must be {dim}x{dim}")
-            defect = np.abs(basis.conj().T @ basis - np.eye(dim)).max()
+            defect = np.abs(np.swapaxes(basis.conj(), -1, -2) @ basis
+                            - np.eye(dim)).max(initial=0.0)
             if defect > 1e-10:
                 raise ValueError(f"basis {name} not orthonormal (defect {defect:.3e})")
         return self
@@ -235,86 +308,109 @@ class MixedTriple:
     def reversed(self) -> "MixedTriple":
         """Opposite orientation: stations b and c swapped, transport inverted."""
         return MixedTriple(self.weights, self.basis_a, self.basis_c, self.basis_b,
-                           np.asarray(self.u, dtype=complex).conj().T)
+                           np.swapaxes(np.asarray(self.u, dtype=complex).conj(),
+                                       -1, -2))
 
 
-def mixed_chain_invariant(weights, bases, u) -> float:
+def mixed_chain_invariant(weights, bases, u):
     """Weighted cyclic invariant arg(sum_k w_k |<A_k|U|A_k>| e^{i d_k}).
 
     ``bases`` is a sequence of station eigenbases (columns = eigenvectors)
     and d_k is the pure multi-vertex invariant of the k-th eigenvector
     chain.  Nonlinear in the pure invariants, hence not additive under
-    polygon splitting, unlike its pure counterpart.
+    polygon splitting, unlike its pure counterpart.  Rowwise over leading
+    axes, NaN where a batch row has a vanishing overlap or sum.
+
+    Raises:
+        OrthogonalStatesError: for a single chain with a vanishing
+            diagonal transport overlap, link or weighted sum.
     """
     weights = np.asarray(weights, dtype=float)
     bases = [np.asarray(b, dtype=complex) for b in bases]
     u = np.asarray(u, dtype=complex)
     total = 0.0j
-    for k, w in enumerate(weights):
-        start = bases[0][:, k]
-        modulus = abs(inner_product(start, u @ start))
-        if modulus < EPS_ORTH:
-            raise OrthogonalStatesError(f"|<A_{k}|U|A_{k}>| vanishes")
-        delta = multi_vertex_invariant([basis[:, k] for basis in bases])
-        total += w * modulus * np.exp(1j * delta)
-    if abs(total) < EPS_ORTH:
-        raise OrthogonalStatesError("weighted invariant sum vanishes")
-    return principal_angle(total)
+    undefined = False
+    for k in range(weights.shape[-1]):
+        start = bases[0][..., :, k]
+        overlap = inner_product(start, (u @ start[..., None])[..., 0])
+        undefined = undefined | _guard([(f"|<A_{k}|U|A_{k}>|", overlap)])
+        delta = multi_vertex_invariant([basis[..., :, k] for basis in bases])
+        total = total + (weights[..., k] * np.hypot(overlap.real, overlap.imag)
+                         * np.exp(1j * delta))
+    undefined = undefined | _guard([("weighted invariant sum", total)])
+    return mark_undefined(principal_angle(total), undefined)
 
 
-def mixed_bargmann(mt: MixedTriple) -> float:
+def mixed_bargmann(mt: MixedTriple):
     """Three-station weighted invariant of a nondegenerate mixed state.
 
     Reduces to bargmann_invariant for a single unit weight and is
     orientation-odd: reversing the station order while inverting the
-    transport negates it.
+    transport negates it.  A batch gives NaN in its degenerate or
+    vanishing rows.
 
     Raises:
         DegenerateSpectrumError: for coinciding weights.
         OrthogonalStatesError: if any diagonal transport overlap vanishes.
     """
     mt.validate()
-    return mixed_chain_invariant(
+    phase = mixed_chain_invariant(
         mt.weights, [mt.basis_a, mt.basis_b, mt.basis_c], mt.u
     )
+    close, _, _ = _coinciding(np.asarray(mt.weights, dtype=float))
+    return mark_undefined(phase, close.any(axis=-1))
 
 
-def qubit_mixed_triple(t: SphericalTriangle, r: float) -> MixedTriple:
+def _eigenbasis(state) -> np.ndarray:
+    """Columns: the qubit state and its orthogonal complement."""
+    return np.stack([state, orthogonal_complement(state)], axis=-1)
+
+
+def qubit_mixed_triple(t: SphericalTriangle, r) -> MixedTriple:
     """Mixed triple of a qubit with Bloch radius r transported around ``t``.
 
     Weights are ((1+r)/2, (1-r)/2); the eigenbases sit at the three
     vertices (vertex state plus orthogonal complement) and the transport
     is the composition of the two leading geodesic-segment unitaries,
-    a -> b followed by b -> c.
+    a -> b followed by b -> c.  A batch of triangles gives a batch of
+    triples; r may be one radius or one per row.
     """
     sa, sb, sc = t.states()
     u = geodesic_unitary(t.b, t.c) @ geodesic_unitary(t.a, t.b)
+    r = np.asarray(r, dtype=float)
     return MixedTriple(
-        weights=np.array([(1.0 + r) / 2.0, (1.0 - r) / 2.0]),
-        basis_a=np.column_stack([sa, orthogonal_complement(sa)]),
-        basis_b=np.column_stack([sb, orthogonal_complement(sb)]),
-        basis_c=np.column_stack([sc, orthogonal_complement(sc)]),
+        weights=np.stack([(1.0 + r) / 2.0, (1.0 - r) / 2.0], axis=-1),
+        basis_a=_eigenbasis(sa),
+        basis_b=_eigenbasis(sb),
+        basis_c=_eigenbasis(sc),
         u=u,
     )
 
 
-def mixed_solid_angle_phase(r: float, omega: float) -> float:
+def mixed_solid_angle_phase(r, omega):
     """Closed-form mixed-state phase for a qubit triangle of solid angle omega.
 
     Returns arg(cos(omega/2) - i r sin(omega/2)), the branch of
     -arctan(r tan(omega/2)) that is continuous in omega at 0 and follows
     the weighted eigenphase sum through the tangent poles.  For |r| = 1
-    this is the pure-state -omega/2 (wrapped).
+    this is the pure-state -omega/2 (wrapped).  Arrays broadcast, with NaN
+    in the rows a single call would reject as degenerate or multi-turn.
 
     Raises:
         DegenerateSpectrumError: for r = 0 (degenerate spectrum).
+        ValueError: for any |r| > 1.
         BranchAmbiguityError: for |omega| >= 2*pi, outside the supported
             single-turn branch.
     """
-    if abs(r) < 1e-12:
+    r, omega = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                   np.asarray(omega, dtype=float))
+    degenerate = np.abs(r) < 1e-12
+    multiturn = np.abs(omega) >= 2.0 * np.pi
+    if r.ndim == 0 and degenerate:
         raise DegenerateSpectrumError("r = 0 leaves the eigenbasis undefined")
-    if not -1.0 <= r <= 1.0:
+    if not (np.abs(r) <= 1.0).all():
         raise ValueError("Bloch radius must lie in [-1, 1]")
-    if abs(omega) >= 2.0 * np.pi:
+    if r.ndim == 0 and multiturn:
         raise BranchAmbiguityError("|omega| >= 2*pi is outside the single-turn branch")
-    return principal_angle(tilted_overlap(omega / 2.0, r))
+    return mark_undefined(principal_angle(tilted_overlap(omega / 2.0, r)),
+                          degenerate | multiturn)

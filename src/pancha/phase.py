@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import inner_product, principal_angle
+from .core import from_parts, inner_product, principal_angle
 from .errors import IllConditionedError, OrthogonalStatesError, VanishingTraceError
 
 #: visibility below which a phase is declared undefined (arg of a
@@ -32,7 +32,8 @@ class PhaseResult:
 
     ``phase`` is on the principal branch (-pi, pi].  When ``defined`` is
     False the visibility fell below EPS_ORTH and ``phase`` is NaN; it
-    must not be consumed.
+    must not be consumed.  A batch holds one array per field, row by
+    row.
     """
 
     phase: float
@@ -40,11 +41,17 @@ class PhaseResult:
     defined: bool = True
 
     @classmethod
-    def from_overlap(cls, z: complex) -> "PhaseResult":
-        vis = abs(z)
-        if vis < EPS_ORTH:
-            return cls(phase=float("nan"), visibility=vis, defined=False)
-        return cls(phase=principal_angle(z), visibility=vis)
+    def from_overlap(cls, z) -> "PhaseResult":
+        """Phase and visibility of an overlap, or of an array of them,
+        with the rows whose visibility is below EPS_ORTH undefined."""
+        if isinstance(z, complex):
+            vis = abs(z)
+            if vis < EPS_ORTH:
+                return cls(phase=float("nan"), visibility=vis, defined=False)
+            return cls(phase=principal_angle(z), visibility=vis)
+        vis = np.hypot(z.real, z.imag)  # bit for bit the scalar abs; np.abs is not
+        defined = vis >= EPS_ORTH
+        return cls(np.where(defined, principal_angle(z), np.nan), vis, defined)
 
 
 @dataclass(frozen=True)
@@ -56,30 +63,33 @@ class InterferenceProfile:
     extracted: PhaseResult = field(repr=False)
 
 
-def tilted_overlap(half: float, k: float) -> complex:
+def tilted_overlap(half, k):
     """The overlap cos(half) - i k sin(half) behind every arctan-shaped law.
 
     Its argument is -arctan(k tan(half)) on the branch that is continuous
     at half = 0 and tracks the overlap through the tangent poles; its
     modulus is the visibility.  The mixed solid-angle, precession,
     entangled-pair, spin-arm and dual closed forms pick k (Bloch radius,
-    cos(tilt), 2 lam - 1) and guard their own domains.
+    cos(tilt), 2 lam - 1) and guard their own domains.  Arrays broadcast;
+    scalars give a complex.
     """
     # 0.0 - x rather than -x keeps a zero imaginary part at +0.0, so a
     # zero phase is reported as 0.0, never -0.0
-    return complex(np.cos(half), 0.0 - k * np.sin(half))
+    return from_parts(np.cos(half), 0.0 - k * np.sin(half))
 
 
 def pancharatnam_phase(a: np.ndarray, b: np.ndarray) -> PhaseResult:
     """Relative phase arg<a|b> and visibility |<a|b>|.
 
-    Reduces to alpha for b = e^{i alpha} a.
+    Reduces to alpha for b = e^{i alpha} a.  Rowwise over (..., d)
+    states; a batch marks its orthogonal rows undefined.
 
     Raises:
-        OrthogonalStatesError: if |<a|b>| < EPS_ORTH (phase undefined).
+        OrthogonalStatesError: if |<a|b>| < EPS_ORTH (phase undefined)
+            for a single pair of states.
     """
     overlap = inner_product(a, b)
-    if abs(overlap) < EPS_ORTH:
+    if isinstance(overlap, complex) and abs(overlap) < EPS_ORTH:
         raise OrthogonalStatesError(
             f"overlap modulus {abs(overlap):.3e} below {EPS_ORTH:.0e}"
         )
@@ -88,7 +98,14 @@ def pancharatnam_phase(a: np.ndarray, b: np.ndarray) -> PhaseResult:
 
 def extract_fringe(chis, intensities) -> PhaseResult:
     """fit_fringe, degrading to an undefined result when the sample grid
-    cannot support the three-parameter fit."""
+    cannot support the three-parameter fit.  Rows of (..., n) grids are
+    fitted one by one into a batched result."""
+    if np.ndim(intensities) > 1:
+        chis = np.broadcast_to(chis, np.shape(intensities))
+        fits = [extract_fringe(c, i) for c, i in zip(chis, intensities)]
+        return PhaseResult(np.array([f.phase for f in fits], dtype=float),
+                           np.array([f.visibility for f in fits], dtype=float),
+                           np.array([f.defined for f in fits], dtype=bool))
     try:
         return fit_fringe(chis, intensities)
     except IllConditionedError:
@@ -96,16 +113,19 @@ def extract_fringe(chis, intensities) -> PhaseResult:
 
 
 def _two_beam_intensities(a, b, chis) -> np.ndarray:
-    """|e^{i chi} a + b|^2 for every chi, by direct state arithmetic."""
-    superposed = np.exp(1j * chis)[:, None] * a[None, :] + b[None, :]
-    return np.einsum("ij,ij->i", superposed.conj(), superposed).real
+    """|e^{i chi} a + b|^2 for every chi, by direct state arithmetic;
+    rowwise for (..., d) states with (..., n) grids."""
+    superposed = (np.exp(1j * chis)[..., :, None] * a[..., None, :]
+                  + b[..., None, :])
+    return np.einsum("...ij,...ij->...i", superposed.conj(), superposed).real
 
 
 def pure_interference_profile(a, b, chis) -> InterferenceProfile:
     """Two-beam profile |e^{i chi} a + b|^2 sampled by direct arithmetic.
 
     Orthogonal states are allowed: the profile is flat and the extracted
-    result is marked undefined.
+    result is marked undefined.  Rowwise over (..., d) states, each with
+    its own row of a (..., n) grid.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)

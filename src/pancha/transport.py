@@ -202,10 +202,14 @@ def precession_path(spec: PrecessionSpec, n: int = 4096) -> DiscretePath:
         raise ValueError("need at least one subdivision")
     times = np.linspace(0.0, spec.phi, n + 1)
     half = times / 2.0
-    states = np.column_stack([
-        np.cos(half) - 1j * np.sin(half) * np.cos(spec.theta),
-        -1j * np.sin(half) * np.sin(spec.theta),
-    ])
+    sine = np.sin(half)
+    # (cos(t/2) - i sin(t/2) cos(theta), -i sin(t/2) sin(theta)), written
+    # part by part into one array: no full-length complex temporaries
+    states = np.empty((n + 1, 2), dtype=complex)
+    states[:, 0].real = np.cos(half)
+    states[:, 0].imag = 0.0 - sine * np.cos(spec.theta)
+    states[:, 1].real = 0.0
+    states[:, 1].imag = 0.0 - sine * np.sin(spec.theta)
     generators = np.broadcast_to(precession_hamiltonian(spec.theta), (n + 1, 2, 2))
     return DiscretePath(times, states, generators)
 

@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     bloch_to_state,
     inner_product,
+    mark_undefined,
     orthogonal_complement,
     tensor,
     wrap_angle,
@@ -47,7 +48,8 @@ class SchmidtState:
     the local orthonormal pairs (|A>, |A_perp>) and (|A'>, |A'_perp>);
     the state itself is sqrt(lam)|AA'> + sqrt(1-lam)|A_perp A'_perp>.
     Storing (lam, bases) instead of the raw 4-vector keeps the degree of
-    entanglement exact.
+    entanglement exact.  An array of lam with (..., 2, 2) bases makes a
+    batch of pairs.
     """
 
     lam: float
@@ -55,30 +57,38 @@ class SchmidtState:
     basis_a_prime: np.ndarray
 
     def validate(self) -> "SchmidtState":
-        if not 0.0 <= self.lam <= 1.0:
+        lam = np.asarray(self.lam)
+        if not ((0.0 <= lam) & (lam <= 1.0)).all():
             raise ValueError("lam must lie in [0, 1]")
         for name, basis in (("basis_a", self.basis_a),
                             ("basis_a_prime", self.basis_a_prime)):
             basis = np.asarray(basis, dtype=complex)
-            defect = np.abs(basis.conj().T @ basis - np.eye(2)).max()
+            defect = np.abs(np.swapaxes(basis.conj(), -1, -2) @ basis
+                            - np.eye(2)).max(initial=0.0)
             if defect > 1e-10:
                 raise ValueError(f"{name} not orthonormal (defect {defect:.3e})")
         return self
 
     def vector(self) -> np.ndarray:
-        """The 4-dim amplitude vector, photon 1 slot varying slowest."""
+        """The 4-dim amplitude vectors, photon 1 slot varying slowest."""
         a = np.asarray(self.basis_a, dtype=complex)
         ap = np.asarray(self.basis_a_prime, dtype=complex)
-        return (np.sqrt(self.lam) * tensor(a[:, 0], ap[:, 0])
-                + np.sqrt(1.0 - self.lam) * tensor(a[:, 1], ap[:, 1]))
+        lam = np.asarray(self.lam, dtype=float)[..., None]
+        return (np.sqrt(lam) * tensor(a[..., :, 0], ap[..., :, 0])
+                + np.sqrt(1.0 - lam) * tensor(a[..., :, 1], ap[..., :, 1]))
 
 
 @dataclass(frozen=True)
 class LoopPair:
-    """One oriented spherical-triangle loop per photon."""
+    """One oriented spherical-triangle loop per photon; batched triangles
+    make a batch of loop pairs."""
 
     triangle_a: SphericalTriangle
     triangle_a_prime: SphericalTriangle
+
+    def __getitem__(self, rows) -> "LoopPair":
+        """The loop pairs at ``rows`` of a batch."""
+        return LoopPair(self.triangle_a[rows], self.triangle_a_prime[rows])
 
 
 def degree_of_entanglement(s: SchmidtState) -> float:
@@ -91,46 +101,51 @@ def product_loop_phase(omega: float, omega_prime: float) -> float:
     return wrap_angle(-(omega + omega_prime) / 2.0)
 
 
-def entangled_phase_closed_form(lam: float, omega: float,
-                                omega_prime: float) -> PhaseResult:
+def entangled_phase_closed_form(lam, omega, omega_prime) -> PhaseResult:
     """Closed-form pair phase and visibility after the two loops.
 
     The overlap is the tilted overlap cos(S/2) + i (1-2 lam) sin(S/2)
     with S = omega + omega', so the phase is arctan[(1-2 lam) tan(S/2)]
     continued through the tangent poles (the branch that tracks the
     overlap argument), and the visibility is the overlap's modulus.  At
-    lam = 1/2 the phase is pinned to 0 or pi.
+    lam = 1/2 the phase is pinned to 0 or pi.  Arrays broadcast into a
+    batched result whose vanishing rows are undefined.
 
     Raises:
-        OrthogonalStatesError: where the visibility vanishes
-            (lam = 1/2 with cos(S/2) = 0).
+        OrthogonalStatesError: where the visibility of a single pair
+            vanishes (lam = 1/2 with cos(S/2) = 0).
     """
-    if not 0.0 <= lam <= 1.0:
+    lam = np.asarray(lam, dtype=float)
+    if not ((0.0 <= lam) & (lam <= 1.0)).all():
         raise ValueError("lam must lie in [0, 1]")
     overlap = tilted_overlap((omega + omega_prime) / 2.0, 2.0 * lam - 1.0)
-    if abs(overlap) < EPS_ORTH:
+    if isinstance(overlap, complex) and abs(overlap) < EPS_ORTH:
         raise OrthogonalStatesError("pair states are orthogonal after the loops")
     return PhaseResult.from_overlap(overlap)
 
 
-def schmidt_state_for_loops(lam: float, loops: LoopPair) -> SchmidtState:
-    """Schmidt state whose local bases sit at the loops' start vertices."""
+def schmidt_state_for_loops(lam, loops: LoopPair) -> SchmidtState:
+    """Schmidt state whose local bases sit at the loops' start vertices;
+    batched loops (and lam) give a batch of states."""
     a = bloch_to_state(loops.triangle_a.a)
     ap = bloch_to_state(loops.triangle_a_prime.a)
     return SchmidtState(
         lam,
-        np.column_stack([a, orthogonal_complement(a)]),
-        np.column_stack([ap, orthogonal_complement(ap)]),
+        np.stack([a, orthogonal_complement(a)], axis=-1),
+        np.stack([ap, orthogonal_complement(ap)], axis=-1),
     )
 
 
 def _pair_transport(s: SchmidtState, loops: LoopPair):
-    """Validated pair vector and its image under one holonomy per photon."""
+    """Validated pair vectors and their images under one holonomy per
+    photon, the Kronecker product U_a x U_a' built rowwise, (..., 4)."""
     s.validate()
-    u_pair = np.kron(loop_holonomy(loops.triangle_a),
-                     loop_holonomy(loops.triangle_a_prime))
+    u_a = loop_holonomy(loops.triangle_a)
+    u_ap = loop_holonomy(loops.triangle_a_prime)
     initial = s.vector()
-    return initial, u_pair @ initial
+    u_pair = (u_a[..., :, None, :, None] * u_ap[..., None, :, None, :]).reshape(
+        initial.shape[:-1] + (4, 4))
+    return initial, (u_pair @ initial[..., None])[..., 0]
 
 
 def simulate_loop_pair(s: SchmidtState, loops: LoopPair) -> PhaseResult:
@@ -139,12 +154,14 @@ def simulate_loop_pair(s: SchmidtState, loops: LoopPair) -> PhaseResult:
     One SU(2) holonomy per photon phases the vertex state by -Omega/2 and
     automatically phases the orthogonal partner by +Omega/2 (unit
     determinant), which realises the opposite-orientation, equal-area
-    transport of the perpendicular components.
+    transport of the perpendicular components.  Batched states and loops
+    give a batched result whose vanishing rows are undefined.
 
     Raises:
         BasisMisalignedError: if a Schmidt basis state does not sit at
             the first vertex of its loop.
-        OrthogonalStatesError: if the final pair overlap vanishes.
+        OrthogonalStatesError: if the final overlap of a single pair
+            vanishes.
     """
     initial, final = _pair_transport(s, loops)
     for basis, triangle, name in (
@@ -152,10 +169,11 @@ def simulate_loop_pair(s: SchmidtState, loops: LoopPair) -> PhaseResult:
         (s.basis_a_prime, loops.triangle_a_prime, "basis_a_prime"),
     ):
         vertex = bloch_to_state(triangle.a)
-        overlap = abs(inner_product(np.asarray(basis)[:, 0], vertex))
-        if abs(overlap - 1.0) > 1e-8:
+        overlap = np.abs(inner_product(np.asarray(basis)[..., :, 0], vertex))
+        if (np.abs(overlap - 1.0) > 1e-8).any():
+            worst = overlap.flat[np.argmax(np.abs(overlap - 1.0))]
             raise BasisMisalignedError(
-                f"{name} is not at its loop's start vertex (|overlap| = {overlap:.6f})"
+                f"{name} is not at its loop's start vertex (|overlap| = {worst:.6f})"
             )
     return pancharatnam_phase(initial, final)
 
@@ -183,21 +201,24 @@ def nonlinearity_ratio(lam: float, omega: float, omega_prime: float) -> float:
     return abs(tan_entangled / tan_product)
 
 
-def ancilla_reduction_phase(lam: float, omega: float) -> float:
+def ancilla_reduction_phase(lam, omega):
     """Pair phase when the second loop shrinks to a point.
 
     Returns arctan[(1-2 lam) tan(omega/2)] on the overlap-tracking
     branch.  Writing lam = (1+r)/2 this is exactly the mixed-state
     solid-angle phase at Bloch radius r, which is how attaching an
-    ancilla purifies the mixed qubit phase.
+    ancilla purifies the mixed qubit phase.  Arrays broadcast, with NaN
+    in the rows a single call would reject.
 
     Raises:
         BranchAmbiguityError: for |omega| >= 2*pi.
         OrthogonalStatesError: where the visibility vanishes.
     """
-    if abs(omega) >= 2.0 * np.pi:
+    multiturn = np.abs(omega) >= 2.0 * np.pi
+    if np.ndim(multiturn) == 0 and multiturn:
         raise BranchAmbiguityError("|omega| >= 2*pi is outside the single-turn branch")
-    return entangled_phase_closed_form(lam, omega, 0.0).phase
+    return mark_undefined(entangled_phase_closed_form(lam, omega, 0.0).phase,
+                          multiturn)
 
 
 def franson_coincidence_profile(s: SchmidtState, loops: LoopPair,
@@ -207,6 +228,7 @@ def franson_coincidence_profile(s: SchmidtState, loops: LoopPair,
     Models simultaneous arrivals in a two-arm delay interferometer: both
     photons short (initial state, carrying the U(1) shift) or both long
     (loop-evolved state).  Sampled by direct 4-dim arithmetic; the fitted
-    phase and visibility recover the closed forms.
+    phase and visibility recover the closed forms.  Batched states and
+    loops take one row of a (..., n) grid each.
     """
     return pure_interference_profile(*_pair_transport(s, loops), chis)

@@ -1,0 +1,120 @@
+"""Out-of-range parameters and unwritable outputs exit 2, naming the
+parameter or the path, and leave no partial file behind."""
+
+import json
+
+import numpy as np
+import pytest
+
+from pancha.cli import MAX_SAMPLES, MAX_SUBDIVISIONS, main
+
+OCTANT = [[0.0, 0.0], [np.pi / 2, 0.0], [np.pi / 2, np.pi / 2]]
+BASE = {
+    "pair": {"theta_a": 0.3, "phi_a": 0.0, "theta_b": 1.1, "phi_b": 0.4},
+    "mixed": {"r": 0.5, "angle": 1.0},
+    "triangle": {"vertices": OCTANT},
+    "two-photon": {"lam": 0.25, "triangle_a": OCTANT, "triangle_a_prime": OCTANT},
+    "precession": {"theta": 0.5, "phi": 1.0, "subdivisions": 64},
+    "dual": {"theta": 0.7, "delta_phi": 0.4},
+}
+
+
+def run(tmp_path, experiment, verb="run", extra=(), **params):
+    cfg = tmp_path / "cfg.json"
+    body = {"experiment": experiment, "parameters": {**BASE[experiment], **params}}
+    cfg.write_text(json.dumps(body))
+    out = tmp_path / "out.csv"
+    return main([verb, "--config", str(cfg), "--out", str(out), "--jobs", "1",
+                 *extra]), out
+
+
+@pytest.mark.parametrize("experiment, name, value", [
+    ("pair", "samples", 2),
+    ("pair", "samples", 0),
+    ("dual", "samples", -1),
+    ("mixed", "samples", MAX_SAMPLES + 1),
+    ("two-photon", "samples", 10**11),
+    ("precession", "subdivisions", 0),
+    ("precession", "subdivisions", MAX_SUBDIVISIONS + 1),
+    ("mixed", "r", 2.0),
+    ("triangle", "r", -1.5),
+    ("precession", "r", 1.01),
+    ("two-photon", "lam", 2.0),
+    ("two-photon", "lam", -0.1),
+])
+def test_out_of_range_parameter_exits_2(tmp_path, capsys, experiment, name, value):
+    code, out = run(tmp_path, experiment, **{name: value})
+    assert code == 2
+    assert f"{experiment}.{name}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_sweep_element_is_bounded(tmp_path, capsys):
+    code, out = run(tmp_path, "two-photon", verb="sweep", lam=[0.2, 0.5, 1.5])
+    assert code == 2
+    assert "two-photon.lam" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [3, MAX_SAMPLES])
+def test_bounds_are_inclusive(tmp_path, value):
+    code, out = run(tmp_path, "pair", samples=value)
+    assert code == 0
+    assert len(out.read_text().splitlines()) == value + 1
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_lam_edges_are_accepted(tmp_path, lam):
+    assert run(tmp_path, "two-photon", lam=lam)[0] == 0
+
+
+def test_subdivisions_flag_is_bounded_and_applied(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "precession",
+                               "parameters": {"theta": 0.5, "phi": 1.0}}))
+    outputs = []
+    for flag in ([], ["--subdivisions", "16"]):
+        out = tmp_path / f"out{len(outputs)}.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out), *flag]) == 0
+        outputs.append(out.read_text())
+    assert outputs[0] != outputs[1]
+    bad = tmp_path / "bad.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(bad),
+                 "--subdivisions", "0"]) == 2
+    assert "precession.subdivisions" in capsys.readouterr().err
+    assert not bad.exists()
+
+
+@pytest.mark.parametrize("verb, fmt", [("run", "csv"), ("run", "json"),
+                                       ("sweep", "csv")])
+def test_missing_output_directory_exits_2(tmp_path, capsys, verb, fmt):
+    cfg = tmp_path / "cfg.json"
+    params = {**BASE["triangle"], "r": [0.2, 0.5]} if verb == "sweep" else BASE["triangle"]
+    cfg.write_text(json.dumps({"experiment": "triangle", "parameters": params}))
+    target = tmp_path / "missing" / f"o.{fmt}"
+    assert main([verb, "--config", str(cfg), "--out", str(target),
+                 "--format", fmt, "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "OutputError" in err and str(target) in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_output_is_replaced_whole(tmp_path):
+    out = tmp_path / "out.csv"
+    out.write_text("stale\n")
+    code, _ = run(tmp_path, "triangle")
+    assert code == 0
+    assert out.read_text().startswith("invariant,")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out.csv"]
+
+
+def test_unwritable_target_leaves_no_temporary_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "triangle",
+                               "parameters": BASE["triangle"]}))
+    target = tmp_path / "a-directory"
+    target.mkdir()
+    assert main(["run", "--config", str(cfg), "--out", str(target)]) == 2
+    assert str(target) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory", "cfg.json"]
+    assert not any(target.iterdir())
