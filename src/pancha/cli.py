@@ -41,12 +41,15 @@ FORMATS = ("csv", "json")
 MAX_SAMPLES = 100_000
 MAX_SUBDIVISIONS = 2_000_000
 
-#: (kind, default, inclusive bounds or None) per parameter; scalar kinds
-#: may be swept, structured kinds may not, and bounds hold for every
-#: element of a sweep list.  The fringe fit needs three samples.
+#: (kind, default, bounds or None) per parameter; scalar kinds may be
+#: swept, structured kinds may not, and bounds hold for every element of
+#: a sweep list.  Bounds are inclusive (low, high) pairs; a third entry
+#: True leaves the low end open.  The fringe fit needs three samples, and
+#: a precession path needs a positive angle to run forward in time.
 _REQUIRED = object()
 _SAMPLES = ("int", 64, (3, MAX_SAMPLES))
 _RADIUS = (-1.0, 1.0)
+_POSITIVE = (0.0, math.inf, True)
 PARAM_SCHEMAS = {
     "pair": {
         "theta_a": ("number", _REQUIRED, None),
@@ -74,7 +77,7 @@ PARAM_SCHEMAS = {
     },
     "precession": {
         "theta": ("number", _REQUIRED, None),
-        "phi": ("number", _REQUIRED, None),
+        "phi": ("number", _REQUIRED, _POSITIVE),
         "r": ("number", 0.5, _RADIUS),
         "subdivisions": ("int", 4096, (1, MAX_SUBDIVISIONS)),
     },
@@ -134,9 +137,14 @@ def _check_param(experiment: str, name: str, value):
             raise ConfigError(f"{where} must be three finite [theta, phi] pairs")
     else:  # pragma: no cover - schema table typo guard
         raise AssertionError(f"unknown parameter kind {kind}")
-    if bounds is not None and not bounds[0] <= value <= bounds[1]:
+    if bounds is None:
+        return
+    low, high = bounds[:2]
+    open_low = bounds[2:] == (True,)
+    if not ((low < value) if open_low else (low <= value)) or value > high:
+        left = "(" if open_low else "["
         raise ConfigError(
-            f"{where} must lie in [{bounds[0]}, {bounds[1]}], got {value!r}")
+            f"{where} must lie in {left}{low}, {high}], got {value!r}")
 
 
 @dataclass

@@ -8,9 +8,13 @@ independent routes (complex overlaps of states versus Girard's spherical
 excess from the tangent-vector corner angles of unit vectors, the one
 kernel ``girard_signed_area`` that also sums path areas in
 ``pancha.transport``), because the relation between them, invariant =
--Omega/2, is exactly the claim the test batteries verify.  The
-Van Oosterom-Strackee form is the overlap product in Bloch vectors, so
-it is not used: it would make that check nearly a tautology.
+-Omega/2, is exactly the claim the test batteries verify.  The kernel
+works on edge differences, so the thin triangles a long path sweeps
+against the pole keep their relative accuracy.  The Van Oosterom-Strackee
+form is the overlap product in Bloch vectors, so it is not used: it would
+make that check nearly a tautology, and summed over pole triangles it
+telescopes into the overlap chain, which would make the geodesic-closure
+area a copy of the chain phase it is compared with.
 
 Sign convention, used consistently everywhere: a triangle whose vertices
 run counter-clockwise when viewed from outside the sphere has positive
@@ -163,9 +167,19 @@ def multi_vertex_invariant(states):
                           undefined)
 
 
-def _rowdot(a, b) -> np.ndarray:
-    """Dot products along the last axis."""
-    return np.einsum("...i,...i->...", a, b)
+def _dot3(p, q):
+    """Dot product of two component triples."""
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def _edge(p, q):
+    """The edge q - s p of the unit vectors p and q, by components, and
+    its sign s: +1 where p.q >= 0, else -1, so the edge is a short
+    difference for a near pair and a short sum for a near-antipodal one.
+    At p its tangent part is that of q - p; the edge from q towards p is
+    -s times it."""
+    sign = np.where(_dot3(p, q) >= 0.0, 1.0, -1.0)
+    return [b - sign * a for a, b in zip(p, q)], sign
 
 
 def girard_signed_area(u, v, w) -> np.ndarray:
@@ -173,18 +187,36 @@ def girard_signed_area(u, v, w) -> np.ndarray:
 
     Rowwise over (..., 3) inputs, which broadcast against each other.
     Each interior angle is taken between the tangent vectors at its
-    vertex; the sign is that of det[u, v, w].  No degeneracy guarding;
+    vertex, in edge-difference form on components: at apex a with
+    neighbours p and q the tangent dot product is
+    (p-a).(q-a) - ((p-a).a)((q-a).a), and the three corners share one
+    sine, |det(u, v-u, w-u)| = |det[u, v, w]|.  An edge to a vertex
+    nearer the antipode of a is taken as p + a instead (see _edge), which
+    leaves both products unchanged.  The excess, the sum of the three
+    angles minus pi, is signed by det[u, v, w]; pi minus the angle at v
+    is taken as arctan2(sine, -cos_v), so no rounded pi enters (np.pi
+    falls 1.2e-16 short, a bias a sum of 10^6 pole triangles would carry
+    to 1.2e-10).  Every factor is formed from short edges, never from
+    differences of nearly equal or nearly opposite unit vectors, so a
+    thin triangle keeps its relative accuracy; the form is best
+    conditioned when u-v is the shortest side.  No degeneracy guarding;
     callers must keep vertex pairs away from coincidence and antipodes.
     """
-    u, v, w = (np.asarray(x, dtype=float) for x in (u, v, w))
-    angles = []
-    for apex, p, q in ((u, v, w), (v, w, u), (w, u, v)):
-        tp = p - _rowdot(p, apex)[..., None] * apex
-        tq = q - _rowdot(q, apex)[..., None] * apex
-        angles.append(np.arctan2(np.linalg.norm(np.cross(tp, tq), axis=-1),
-                                 _rowdot(tp, tq)))
-    excess = sum(angles) - np.pi
-    return np.where(_rowdot(u, np.cross(v, w)) >= 0.0, excess, -excess)
+    u, v, w = (tuple(np.moveaxis(np.asarray(x, dtype=float), -1, 0))
+               for x in (u, v, w))
+    (uv, s_uv), (uw, s_uw), (vw, s_vw) = _edge(u, v), _edge(u, w), _edge(v, w)
+    det = (u[0] * (uv[1] * uw[2] - uv[2] * uw[1])
+           + u[1] * (uv[2] * uw[0] - uv[0] * uw[2])
+           + u[2] * (uv[0] * uw[1] - uv[1] * uw[0]))
+    sine = np.abs(det)
+    # apex u sees the edges uv and uw, apex v the edges vw and -s_uv uv,
+    # apex w the edges -s_uw uw and -s_vw vw
+    cos_u = _dot3(uv, uw) - _dot3(uv, u) * _dot3(uw, u)
+    cos_v = s_uv * (_dot3(vw, v) * _dot3(uv, v) - _dot3(vw, uv))
+    cos_w = s_uw * s_vw * (_dot3(uw, vw) - _dot3(uw, w) * _dot3(vw, w))
+    excess = (np.arctan2(sine, cos_u) - np.arctan2(sine, -cos_v)
+              + np.arctan2(sine, cos_w))
+    return np.where(det >= 0.0, excess, -excess)
 
 
 def solid_angle(t: SphericalTriangle):

@@ -9,6 +9,9 @@ phase.  This module provides the chain, parallel lifts that zero the
 local piece, an auxiliary-evolution construction that cancels it without
 touching the lift, the spin-1/2 precession worked example, and the
 signed solid angle swept by a path closed with the shortest geodesic.
+That angle is geometry only: a sum of the Girard excesses of the thin
+triangles each segment spans with the north pole, walked in cache-sized
+blocks, never the overlap chain it is compared with.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .errors import (
 )
 from .geometry import (
     SphericalTriangle,
+    _dot3,
     geodesic_unitary,
     girard_signed_area,
     mixed_solid_angle_phase,
@@ -42,6 +46,12 @@ from .geometry import (
 from .phase import EPS_ORTH, tilted_overlap
 
 _NORTH = np.array([0.0, 0.0, 1.0])
+
+#: segments per block of the geodesic-closure sum: the two dozen
+#: block-length float arrays a block keeps live (about 1.5 MiB) stay in a
+#: 2 MiB L2 cache; blocks of 4096 to 16384 time alike, 1024 about twice
+#: as slow at 10^6 steps
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -72,8 +82,13 @@ class DiscretePath:
             raise ValueError("need one state per time and at least two samples")
         if (np.diff(self.times) <= 0.0).any():
             raise ValueError("times must be strictly increasing")
-        norms = np.linalg.norm(self.states, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-9:
+        # squared moduli column by column from the real and imaginary
+        # parts: no complex temporaries, and any strides will do
+        squared = 0.0
+        for column in self.states.T:
+            squared = squared + column.real * column.real + column.imag * column.imag
+        # sqrt is monotonic: the extreme moduli hold the largest defect
+        if np.abs(np.sqrt([np.min(squared), np.max(squared)]) - 1.0).max() > 1e-9:
             raise ValueError("path states must be unit vectors")
         if self.generators is not None:
             gen = np.asarray(self.generators, dtype=complex)
@@ -254,27 +269,38 @@ def precession_phase_closed_form(spec: PrecessionSpec) -> float:
     return wrap_angle(principal_angle(tilted_overlap(half, cos_t)) + half * cos_t)
 
 
-def _segment_areas(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Signed area each arc u[j] -> v[j] sweeps against the north pole.
+def _unit_bloch(states) -> np.ndarray:
+    """Unit Bloch vectors of qubit rows as a (3, rows) array, one
+    contiguous component per row."""
+    points = np.ascontiguousarray(bloch_vector(states).T)
+    points /= np.sqrt(_dot3(points, points))
+    return points
 
-    This is the exact per-segment value of the line integral whose
-    integrand is the azimuth differential weighted by (1 - cos(polar
-    angle)): the spherical excess of the triangle (north, u, v), signed
-    by orientation.  Segments with an endpoint at the north pole run
-    along meridians and sweep nothing.
+
+def _swept_area(points: np.ndarray) -> float:
+    """Signed area swept against the north pole by the arcs joining
+    consecutive columns of ``points`` (unit vectors from _unit_bloch).
+
+    Each arc u -> v contributes the exact value of the line integral
+    whose integrand is the azimuth differential weighted by (1 - cos(polar
+    angle)): the spherical excess of the triangle (u, v, north), signed
+    by orientation, with the short side u-v first.  Collapsed arcs, and
+    arcs with an endpoint at the north pole, which run along meridians,
+    sweep nothing.
     """
-    collapsed = np.linalg.norm(np.cross(u, v), axis=1) < 1e-13
-    if (collapsed & (np.einsum("ij,ij->i", u, v) < 0.0)).any():
+    u, v = points[:, :-1], points[:, 1:]
+    cross = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+             u[0] * v[1] - u[1] * v[0])
+    collapsed = np.sqrt(_dot3(cross, cross)) < 1e-13
+    if (collapsed & (_dot3(u, v) < 0.0)).any():
         raise DegenerateTriangleError("adjacent path points are antipodal")
-    u_on_axis = np.hypot(u[:, 0], u[:, 1]) < 1e-13
-    v_on_axis = np.hypot(v[:, 0], v[:, 1]) < 1e-13
-    if ((u_on_axis & (u[:, 2] < 0.0)) | (v_on_axis & (v[:, 2] < 0.0))).any():
+    on_axis = np.hypot(points[0], points[1]) < 1e-13
+    if (on_axis & (points[2] < 0.0)).any():
         raise DegenerateTriangleError(
             "path touches the south pole, where the azimuth chart is singular"
         )
-    areas = girard_signed_area(_NORTH, u, v)
-    areas[collapsed | u_on_axis | v_on_axis] = 0.0
-    return areas
+    areas = girard_signed_area(u.T, v.T, _NORTH)
+    return float(np.where(collapsed | on_axis[:-1] | on_axis[1:], 0.0, areas).sum())
 
 
 def geodesic_closure_solid_angle(path: DiscretePath) -> float:
@@ -283,27 +309,33 @@ def geodesic_closure_solid_angle(path: DiscretePath) -> float:
     The Bloch-sphere trace of the path is closed with the shortest
     geodesic between its endpoints; the enclosed area is accumulated as a
     line integral, segment by segment, each segment contributing the
-    exact signed area it sweeps relative to the north pole.  The chain
-    phase of the path converges to minus half this angle.
+    exact signed area it sweeps relative to the north pole.  The closed
+    ring of Bloch vectors is walked in blocks of _BLOCK segments, the
+    last block ending with the closing segment, so no full-length
+    array of Bloch vectors is made.  The chain phase of the path
+    converges to minus half this angle.
 
     Raises:
         AntipodalEndpointsError: if the endpoints are antipodal, leaving
             the shortest closing geodesic ambiguous.
+        DegenerateTriangleError: if adjacent points are antipodal, or the
+            path touches the south pole.
     """
     path.validate()
     if path.states.shape[1] != 2:
         raise ValueError("solid angles require qubit paths")
-    vecs = bloch_vector(path.states)
-    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-
-    first, last = vecs[0], vecs[-1]
+    first, last = _unit_bloch(path.states[[0, -1]]).T
     if (np.linalg.norm(np.cross(first, last)) < 1e-8
             and np.dot(first, last) < 0.0):
         raise AntipodalEndpointsError("closing geodesic undefined for antipodal ends")
 
-    starts = np.vstack([vecs[:-1], last[None, :]])
-    ends = np.vstack([vecs[1:], first[None, :]])
-    return float(_segment_areas(starts, ends).sum())
+    total = 0.0
+    for lo in range(0, path.n_samples, _BLOCK):
+        points = _unit_bloch(path.states[lo:lo + _BLOCK + 1])
+        if lo + _BLOCK >= path.n_samples:  # the last block closes the ring
+            points = np.concatenate([points, first[:, None]], axis=1)
+        total += _swept_area(points)
+    return total
 
 
 def mixed_noncyclic_phase(spec: PrecessionSpec) -> float:

@@ -118,3 +118,26 @@ def test_unwritable_target_leaves_no_temporary_file(tmp_path, capsys):
     assert str(target) in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory", "cfg.json"]
     assert not any(target.iterdir())
+
+
+@pytest.mark.parametrize("phi", [0.0, -1.0, -2.0 * np.pi])
+def test_nonpositive_precession_angle_exits_2(tmp_path, capsys, phi):
+    code, out = run(tmp_path, "precession", phi=phi)
+    assert code == 2
+    assert "precession.phi" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_precession_sweep_angle_is_positive(tmp_path, capsys):
+    code, out = run(tmp_path, "precession", verb="sweep", phi=[0.5, 0.0, 1.0])
+    assert code == 2
+    assert "precession.phi" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, phi", [("run", 2.0 * np.pi), ("run", 7.0),
+                                       ("sweep", [1.0, 7.0])])
+def test_multiturn_precession_angle_exits_3(tmp_path, verb, phi):
+    code, out = run(tmp_path, "precession", verb=verb, phi=phi)
+    assert code == 3
+    assert not out.exists()
