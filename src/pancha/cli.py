@@ -21,31 +21,32 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .checks import SUITES, run_suites
 from .errors import PhaseDomainError
 from .experiments import RUNNERS, ExperimentOutcome
 
 SEED_ENV_VAR = "PANCHA_SEED"
 EXPERIMENTS = tuple(RUNNERS) + ("sweep",)
 FORMATS = ("csv", "json")
+#: sorted(checks.SUITES), spelled out: only ``verify`` imports the batteries
+SUITE_NAMES = ("dual", "geometric-phase", "geometry", "mixed", "two-photon")
 
 #: caps that keep one run's memory and output bounded: a profile writes up
 #: to about 250 B of CSV per chi sample (25 MB at the cap), and a
-#: precession path holds about 300 B per step (near 600 MiB at the cap)
+#: precession run peaks near 70 B per step (168 MiB in all at the cap)
 MAX_SAMPLES = 100_000
 MAX_SUBDIVISIONS = 2_000_000
 
 #: (kind, default, bounds or None) per parameter; scalar kinds may be
 #: swept, structured kinds may not, and bounds hold for every element of
 #: a sweep list.  Bounds are inclusive (low, high) pairs; a third entry
-#: True leaves the low end open.  The fringe fit needs three samples, and
-#: a precession path needs a positive angle to run forward in time.
+#: True leaves the low end open.  The fringe fit needs three samples and a
+#: precession a positive angle; spin-1/2 field angles have period 4 pi, and
+#: the dual profile adds chi to +-delta_phi/2, so a larger one drowns chi.
 _REQUIRED = object()
 _SAMPLES = ("int", 64, (3, MAX_SAMPLES))
 _RADIUS = (-1.0, 1.0)
@@ -83,7 +84,7 @@ PARAM_SCHEMAS = {
     },
     "dual": {
         "theta": ("number", _REQUIRED, None),
-        "delta_phi": ("number", _REQUIRED, None),
+        "delta_phi": ("number", _REQUIRED, (-4.0 * math.pi, 4.0 * math.pi)),
         "samples": _SAMPLES,
     },
 }
@@ -359,6 +360,15 @@ def _sweep_point(args) -> tuple[dict, dict, tuple]:
     return outcome.results, outcome.oracle_deltas, outcome.phase_keys
 
 
+class ProcessPoolExecutor:
+    """The concurrent.futures pool, imported only when a sweep makes one."""
+
+    def __new__(cls, max_workers):
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def run_sweep(plan: RunPlan, jobs: int) -> tuple[RunRecord, list[str],
                                                  list[list[float]]]:
     values = plan.parameters[plan.swept]
@@ -471,6 +481,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .checks import run_suites
+
     seed = args.seed if args.seed is not None else _env_seed()
     results = run_suites(args.suite, seed=seed, tol_scale=args.tol_scale)
     failures = sum(0 if result.passed else 1 for result in results)
@@ -510,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.set_defaults(fn=_cmd_sweep)
 
     verify_p = sub.add_parser("verify", help="run the invariant batteries")
-    verify_p.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    verify_p.add_argument("suite", choices=SUITE_NAMES + ("all",))
     verify_p.add_argument("--seed", type=int, default=None)
     verify_p.add_argument("--tol-scale", type=float, default=1.0,
                           help="tolerance multiplier (harness self-test knob)")

@@ -11,7 +11,10 @@ touching the lift, the spin-1/2 precession worked example, and the
 signed solid angle swept by a path closed with the shortest geodesic.
 That angle is geometry only: a sum of the Girard excesses of the thin
 triangles each segment spans with the north pole, walked in cache-sized
-blocks, never the overlap chain it is compared with.
+blocks, never the overlap chain it is compared with.  Paths are
+validated values, and leading axes of their states make a batch: each
+kernel but the closure gives one value per path, NaN where a single
+path would raise.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .core import (
     SIGMA_Z,
     bloch_to_state,
     bloch_vector,
+    inner_product,
+    mark_undefined,
     matrix_exponential_su2,
     principal_angle,
     wrap_angle,
@@ -47,7 +52,8 @@ from .phase import EPS_ORTH, tilted_overlap
 
 _NORTH = np.array([0.0, 0.0, 1.0])
 
-#: segments per block of the geodesic-closure sum: the two dozen
+#: segments per block of the geodesic-closure sum (and links per block
+#: of the overlap chain): the two dozen
 #: block-length float arrays a block keeps live (about 1.5 MiB) stay in a
 #: 2 MiB L2 cache; blocks of 4096 to 16384 time alike, 1024 about twice
 #: as slow at 10^6 steps
@@ -56,65 +62,98 @@ _BLOCK = 8192
 
 @dataclass(frozen=True)
 class DiscretePath:
-    """Time-sampled lift of a state-space path.
+    """Time-sampled lift of a state-space path, validated once when made.
 
-    ``states`` holds one unit vector per sample time.  ``generators``
-    optionally holds the hermitian generator at each sample (in radians
-    per unit time), for paths produced by Schroedinger evolution.
+    ``states`` holds one unit vector per sample time, (n+1, d), or a
+    batch (..., n+1, d) sharing ``times``; NaN states, which batched
+    kernels leave in undefined rows, go unchecked.  ``hamiltonian`` optionally
+    holds the fixed hermitian generator (in radians per unit time) of a
+    Schroedinger evolution, (d, d) or one per path, (..., d, d).
     """
 
     times: np.ndarray
     states: np.ndarray
-    generators: np.ndarray | None = None
+    hamiltonian: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         object.__setattr__(self, "states", np.asarray(self.states, dtype=complex))
+        if self.hamiltonian is not None:
+            object.__setattr__(self, "hamiltonian",
+                               np.asarray(self.hamiltonian, dtype=complex))
+        self.validate()
 
     @property
     def n_samples(self) -> int:
-        return self.states.shape[0]
+        return self.states.shape[-2]
+
+    @property
+    def generators(self) -> np.ndarray | None:
+        """The hamiltonian at every sample: a read-only view, no copy."""
+        if self.hamiltonian is None:
+            return None
+        h = self.hamiltonian[..., None, :, :]
+        return np.broadcast_to(h, self.states.shape[:-1] + h.shape[-2:])
 
     def validate(self) -> "DiscretePath":
-        if self.times.ndim != 1 or self.states.ndim != 2:
-            raise ValueError("times must be 1-d and states 2-d")
-        if self.times.size != self.states.shape[0] or self.times.size < 2:
+        if self.times.ndim != 1 or self.states.ndim < 2:
+            raise ValueError("times must be 1-d and states 2-d (after any batch axes)")
+        if self.times.size != self.n_samples or self.times.size < 2:
             raise ValueError("need one state per time and at least two samples")
         if (np.diff(self.times) <= 0.0).any():
             raise ValueError("times must be strictly increasing")
         # squared moduli column by column from the real and imaginary
-        # parts: no complex temporaries, and any strides will do
-        squared = 0.0
-        for column in self.states.T:
-            squared = squared + column.real * column.real + column.imag * column.imag
-        # sqrt is monotonic: the extreme moduli hold the largest defect
-        if np.abs(np.sqrt([np.min(squared), np.max(squared)]) - 1.0).max() > 1e-9:
+        # parts, summed in place: one temporary, and any strides will do
+        squared = np.zeros(self.states.shape[:-1])
+        for column in np.moveaxis(self.states, -1, 0):
+            squared += np.square(column.real)
+            squared += np.square(column.imag)
+        # sqrt is monotonic: the extreme moduli hold the largest defect;
+        # fmin and fmax pass over NaN rows
+        extremes = [f.reduce(squared, None, initial=1.0) for f in (np.fmin, np.fmax)]
+        if np.abs(np.sqrt(extremes) - 1.0).max() > 1e-9:
             raise ValueError("path states must be unit vectors")
-        if self.generators is not None:
-            gen = np.asarray(self.generators, dtype=complex)
-            if gen.shape != (self.n_samples, *self.states.shape[1:],
-                             self.states.shape[1]):
-                raise ValueError("need one generator matrix per sample")
+        if self.hamiltonian is not None:
+            d = self.states.shape[-1]
+            if self.hamiltonian.shape not in ((d, d), self.states.shape[:-2] + (d, d)):
+                raise ValueError(f"hamiltonian must have shape ({d}, {d}) or "
+                                 f"one such per path, got {self.hamiltonian.shape}")
         return self
 
 
-def _adjacent_overlaps(path: DiscretePath) -> np.ndarray:
-    """<A_{j+1}|A_j> for every link, failing on a vanishing one."""
-    links = np.einsum("ij,ij->i", path.states[1:].conj(), path.states[:-1])
-    small = np.abs(links) < EPS_ORTH
-    if small.any():
-        j = int(np.argmax(small))
-        raise OrthogonalStatesError(f"adjacent overlap vanishes at link {j}")
-    return links
+def _link_phases(path: DiscretePath):
+    """arg<A_{j+1}|A_j> for every link of each path, and the paths where
+    a link vanishes; a single path raises instead, naming the first.  The
+    overlaps are formed about _BLOCK links at a time over all paths, so
+    the only full-length array made is the phases."""
+    states = path.states
+    phases = np.empty(states.shape[:-2] + (path.n_samples - 1,))
+    broken = np.zeros(states.shape[:-2], dtype=bool)
+    step = max(1, _BLOCK // max(1, broken.size))
+    for lo in range(0, path.n_samples - 1, step):
+        block = states[..., lo:lo + step + 1, :]
+        links = np.einsum("...ij,...ij->...i", block[..., 1:, :].conj(),
+                          block[..., :-1, :])
+        small = np.abs(links) < EPS_ORTH
+        if states.ndim == 2 and small.any():
+            raise OrthogonalStatesError(
+                f"adjacent overlap vanishes at link {lo + int(np.argmax(small))}")
+        broken |= small.any(axis=-1)
+        phases[..., lo:lo + step] = np.angle(links)
+    return phases, broken
 
-def _endpoint_overlap(path: DiscretePath) -> complex:
-    overlap = complex(np.vdot(path.states[0], path.states[-1]))
-    if abs(overlap) < EPS_ORTH:
+
+def _endpoint_overlap(path: DiscretePath):
+    """<A_0|A_t> of each path, and the paths where it vanishes; a single
+    path raises instead."""
+    overlap = inner_product(path.states[..., 0, :], path.states[..., -1, :])
+    vanishing = np.abs(overlap) < EPS_ORTH
+    if path.states.ndim == 2 and vanishing:
         raise VanishingEndpointOverlapError("endpoint states are orthogonal")
-    return overlap
+    return overlap, vanishing
 
 
-def chain_phase(path: DiscretePath) -> float:
+def chain_phase(path: DiscretePath):
     """Geometric phase of the path from the ordered overlap chain.
 
     Returns arg(<A_0|A_t> <A_t|A_{t-dt}> ... <A_dt|A_0>) wrapped to the
@@ -125,61 +164,92 @@ def chain_phase(path: DiscretePath) -> float:
         OrthogonalStatesError: naming the first vanishing link.
         VanishingEndpointOverlapError: if the endpoints are orthogonal.
     """
-    path.validate()
-    links = _adjacent_overlaps(path)
-    total = principal_angle(_endpoint_overlap(path)) + np.angle(links).sum()
-    return wrap_angle(total)
+    phases, broken = _link_phases(path)
+    overlap, vanishing = _endpoint_overlap(path)
+    total = principal_angle(overlap) + phases.sum(axis=-1)
+    return mark_undefined(wrap_angle(total), broken | vanishing)
 
 
-def is_parallel_lift(path: DiscretePath, tol: float) -> bool:
-    """True iff every adjacent overlap is real positive within ``tol``."""
-    path.validate()
+def is_parallel_lift(path: DiscretePath, tol: float):
+    """True iff every adjacent overlap is real positive within ``tol``;
+    one bool per path of a batch.  A vanishing link is not parallel."""
     try:
-        return bool(np.abs(np.angle(_adjacent_overlaps(path))).max() <= tol)
+        phases, broken = _link_phases(path)
     except OrthogonalStatesError:
         return False
+    parallel = (np.abs(phases) <= tol).all(axis=-1) & ~broken
+    return bool(parallel) if parallel.ndim == 0 else parallel
 
 
 def make_parallel_lift(path: DiscretePath) -> DiscretePath:
     """Rephase the states so all adjacent overlaps are real positive.
 
     Preserves the projector path exactly, and the resulting endpoint
-    phase arg<A_0|A_t> equals the chain phase of the input.  Generators
-    are dropped: they generate the input lift, not the rephased one.
+    phase arg<A_0|A_t> equals the chain phase of the input.  The
+    hamiltonian is dropped: it generates the input lift, not the
+    rephased one.  An undefined path of a batch comes back as NaN states.
+
+    Raises:
+        OrthogonalStatesError: naming the first vanishing link.
     """
-    path.validate()
+    phases, broken = _link_phases(path)
     states = path.states.copy()
-    states[1:] *= np.exp(1j * np.cumsum(np.angle(_adjacent_overlaps(path))))[:, None]
+    states[..., 1:, :] *= np.exp(1j * np.cumsum(phases, axis=-1))[..., None]
+    if broken.any():
+        states[broken] = np.nan
     return DiscretePath(path.times, states)
 
 
-def dynamical_phase(path: DiscretePath) -> float:
+def _energies(states: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """<psi|H|psi> at every sample from the real and imaginary parts of
+    the states: h_kk |psi_k|^2 per diagonal entry of the hermitian H and
+    2 Re(h_kl conj(psi_k) psi_l) per entry above it."""
+    re, im = states.real, states.imag
+    energies = 0.0
+    for k in range(states.shape[-1]):
+        rk, ik = re[..., k], im[..., k]
+        energies = energies + h[..., k, k, None].real * (rk * rk + ik * ik)
+        for m in range(k + 1, states.shape[-1]):
+            hkm = 2.0 * h[..., k, m, None]
+            energies = (energies + hkm.real * (rk * re[..., m] + ik * im[..., m])
+                        - hkm.imag * (rk * im[..., m] - ik * re[..., m]))
+    return energies
+
+
+def dynamical_phase(path: DiscretePath):
     """Accumulated local phase along the lift.
 
-    With generators present this is -integral(<A_t|H(t)|A_t>) dt by the
+    With a hamiltonian this is -integral(<A_t|H|A_t>) dt by the
     trapezoidal rule; otherwise it is the per-link sum of
     arg<A_j|A_{j+1}>, which has the same continuum limit.  Unlike the
     chain phase it does depend on the lift: a parallel lift gives zero.
+
+    Raises:
+        OrthogonalStatesError: without a hamiltonian, naming the first
+            vanishing link.
     """
-    path.validate()
-    if path.generators is not None:
-        gen = np.asarray(path.generators, dtype=complex)
-        energies = np.einsum("ij,ijk,ik->i", path.states.conj(), gen,
-                             path.states).real
-        return float(-np.trapezoid(energies, path.times))
-    return float(-np.angle(_adjacent_overlaps(path)).sum())
+    if path.hamiltonian is not None:
+        phase = -np.trapezoid(_energies(path.states, path.hamiltonian), path.times)
+        return float(phase) if np.ndim(phase) == 0 else phase
+    phases, broken = _link_phases(path)
+    return mark_undefined(-phases.sum(axis=-1), broken)
 
 
-def pancharatnam_vs_auxiliary(path: DiscretePath) -> float:
+def pancharatnam_vs_auxiliary(path: DiscretePath):
     """Endpoint phase against an auxiliary evolution that cancels the local phase.
 
     The auxiliary path multiplies the start state by e^{i gamma(t)} with
     gamma the running dynamical phase, so the relative phase of the two
     endpoints, arg<A_0|A_t> - gamma(t), reproduces the chain phase up to
     discretization error.
+
+    Raises:
+        OrthogonalStatesError: as dynamical_phase does.
+        VanishingEndpointOverlapError: if the endpoints are orthogonal.
     """
     gamma = dynamical_phase(path)
-    return wrap_angle(principal_angle(_endpoint_overlap(path)) - gamma)
+    overlap, vanishing = _endpoint_overlap(path)
+    return mark_undefined(wrap_angle(principal_angle(overlap) - gamma), vanishing)
 
 
 @dataclass(frozen=True)
@@ -212,7 +282,8 @@ def auxiliary_hamiltonian(spec: PrecessionSpec) -> np.ndarray:
 
 
 def precession_path(spec: PrecessionSpec, n: int = 4096) -> DiscretePath:
-    """Precession lift e^{-iHt}|+z> sampled at n equal steps (n+1 states)."""
+    """Precession lift e^{-iHt}|+z> sampled at n equal steps (n+1 states);
+    a negative angle gives the same states at times |t| under -H."""
     if n < 1:
         raise ValueError("need at least one subdivision")
     times = np.linspace(0.0, spec.phi, n + 1)
@@ -225,8 +296,10 @@ def precession_path(spec: PrecessionSpec, n: int = 4096) -> DiscretePath:
     states[:, 0].imag = 0.0 - sine * np.cos(spec.theta)
     states[:, 1].real = 0.0
     states[:, 1].imag = 0.0 - sine * np.sin(spec.theta)
-    generators = np.broadcast_to(precession_hamiltonian(spec.theta), (n + 1, 2, 2))
-    return DiscretePath(times, states, generators)
+    hamiltonian = precession_hamiltonian(spec.theta)
+    if spec.phi < 0.0:
+        times, hamiltonian = np.abs(times), -hamiltonian
+    return DiscretePath(times, states, hamiltonian)
 
 
 def precession_comparison_unitary(spec: PrecessionSpec) -> np.ndarray:
@@ -316,14 +389,14 @@ def geodesic_closure_solid_angle(path: DiscretePath) -> float:
     converges to minus half this angle.
 
     Raises:
+        ValueError: for a batch, or a path that is not a qubit path.
         AntipodalEndpointsError: if the endpoints are antipodal, leaving
             the shortest closing geodesic ambiguous.
         DegenerateTriangleError: if adjacent points are antipodal, or the
             path touches the south pole.
     """
-    path.validate()
-    if path.states.shape[1] != 2:
-        raise ValueError("solid angles require qubit paths")
+    if path.states.ndim != 2 or path.states.shape[1] != 2:
+        raise ValueError("solid angles require qubit paths, one at a time")
     first, last = _unit_bloch(path.states[[0, -1]]).T
     if (np.linalg.norm(np.cross(first, last)) < 1e-8
             and np.dot(first, last) < 0.0):

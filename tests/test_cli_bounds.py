@@ -41,6 +41,9 @@ def run(tmp_path, experiment, verb="run", extra=(), **params):
     ("precession", "r", 1.01),
     ("two-photon", "lam", 2.0),
     ("two-photon", "lam", -0.1),
+    ("dual", "delta_phi", 1e16),
+    ("dual", "delta_phi", 4.0 * np.pi + 1e-9),
+    ("dual", "delta_phi", -4.0 * np.pi - 1e-9),
 ])
 def test_out_of_range_parameter_exits_2(tmp_path, capsys, experiment, name, value):
     code, out = run(tmp_path, experiment, **{name: value})
@@ -61,6 +64,18 @@ def test_bounds_are_inclusive(tmp_path, value):
     code, out = run(tmp_path, "pair", samples=value)
     assert code == 0
     assert len(out.read_text().splitlines()) == value + 1
+
+
+@pytest.mark.parametrize("delta_phi", [-4.0 * np.pi, 4.0 * np.pi])
+def test_dual_field_angle_edges_are_accepted(tmp_path, delta_phi):
+    assert run(tmp_path, "dual", delta_phi=delta_phi)[0] == 0
+
+
+def test_every_dual_sweep_field_angle_is_bounded(tmp_path, capsys):
+    code, out = run(tmp_path, "dual", verb="sweep", delta_phi=[0.4, 1e16])
+    assert code == 2
+    assert "dual.delta_phi" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])

@@ -140,7 +140,7 @@ def test_reversed_triangle_negates(a, b, c, steps):
 def test_strided_states_are_validated():
     states = np.tile(bloch_to_state(BlochPoint(0.4, 1.0)), (6, 1))
     states[3] *= 1.0 + 1e-8
-    path = DiscretePath(np.linspace(0.0, 1.0, 6), states[::-1])
     with pytest.raises(ValueError, match="unit vectors"):
+        path = DiscretePath(np.linspace(0.0, 1.0, 6), states[::-1])
         path.validate()
     DiscretePath(np.linspace(0.0, 1.0, 3), states[::2]).validate()
