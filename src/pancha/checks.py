@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _dot,
     bloch_to_state,
     haar_state,
     inner_product,
@@ -55,6 +56,7 @@ from .phase import (
     mixed_phase,
     pancharatnam_phase,
     tilted_overlap,
+    trace_overlap,
 )
 from .transport import (
     DiscretePath,
@@ -181,15 +183,21 @@ def random_triangle(rng, n, min_overlap=0.05, max_area=2.0 * np.pi - 0.1):
     return SphericalTriangle.from_states(*states.swapaxes(0, 1)), omega
 
 
-def random_unitary(rng, dim):
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def _complex_normal(rng, dim):
+    """A (dim, dim) complex Gaussian matrix, real parts drawn first."""
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def _haar_unitary(m):
+    """Haar unitaries from (..., d, d) complex Gaussians by one stacked QR."""
     q, r = np.linalg.qr(m)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diagonal / np.abs(diagonal))[..., None, :]
 
 
 def _random_generator(rng, dim=2):
     """A random hermitian generator and a Haar start state."""
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m = _complex_normal(rng, dim)
     return (m + m.conj().T) / 2.0, haar_state(rng, dim)
 
 
@@ -275,17 +283,16 @@ def check_mixed_profile_routes(seed, tol_scale=1.0, n=200, n_chi=64):
     """Eigen-ensemble profile equals the trace closed form pointwise."""
     rng = np.random.default_rng([seed, 5])
     chis = np.linspace(0.0, 2.0 * np.pi, n_chi, endpoint=False)
-    dev = 0.0
-    for k in range(n):
-        r = 0.0 if k == 0 else rng.uniform(0.0, 1.0)  # include degenerate rho
-        axis = rng.standard_normal(3)
-        rho = qubit_density(r, axis / np.linalg.norm(axis))
-        u = random_unitary(rng, 2)
-        profile = mixed_interference_profile(rho, u, chis)
-        t = complex(np.trace(u @ rho))
-        closed = 2.0 + 2.0 * np.real(np.exp(1j * chis) * np.conj(t))
-        dev = max(dev, np.abs(profile.intensities - closed).max())
-    return _result("ensemble profile equals trace profile", "mixed", dev, 1e-9,
+    draws = [(0.0 if k == 0 else rng.uniform(0.0, 1.0),  # include degenerate rho
+              rng.standard_normal(3), _complex_normal(rng, 2)) for k in range(n)]
+    r, axes, m = map(np.array, zip(*draws))
+    rho = qubit_density(r, axes / np.sqrt(_dot(axes, axes))[..., None])
+    u = _haar_unitary(m)
+    profile = mixed_interference_profile(rho, u, chis)
+    closed = 2.0 + 2.0 * np.real(np.exp(1j * chis)
+                                 * np.conj(trace_overlap(rho, u))[..., None])
+    return _result("ensemble profile equals trace profile", "mixed",
+                   _worst(np.abs(profile.intensities - closed)), 1e-9,
                    tol_scale=tol_scale)
 
 
@@ -303,23 +310,26 @@ def check_mixed_solid_angle_law(seed, tol_scale=1.0, n=200):
 def check_trace_basis_independence(seed, tol_scale=1.0, n=200):
     """arg Tr(U rho) agrees with the weighted eigenvector overlap sum."""
     rng = np.random.default_rng([seed, 7])
-    dev = 0.0
+    by_dim = {}
     for _ in range(n):
         dim = int(rng.integers(2, 5))
-        weights = rng.dirichlet(np.ones(dim))
-        basis = random_unitary(rng, dim)
-        rho = (basis * weights) @ basis.conj().T
-        u = random_unitary(rng, dim)
-        total = sum(
-            w * inner_product(basis[:, k], u @ basis[:, k])
-            for k, w in enumerate(weights)
-        )
-        if abs(total) < 1e-6:
-            continue
-        got = mixed_phase(rho, u).phase
-        dev = max(dev, abs(wrap_angle(got - principal_angle(total))))
-    return _result("trace phase is basis independent", "mixed", dev, 1e-10,
-                   tol_scale=tol_scale)
+        by_dim.setdefault(dim, []).append((rng.dirichlet(np.ones(dim)),
+                                           _complex_normal(rng, dim),
+                                           _complex_normal(rng, dim)))
+    devs = []
+    for draws in by_dim.values():
+        weights, m_basis, m_u = map(np.array, zip(*draws))
+        basis, u = _haar_unitary(m_basis), _haar_unitary(m_u)
+        rho = (basis * weights[..., None, :]) @ basis.conj().swapaxes(-1, -2)
+        vectors = basis.swapaxes(-1, -2)  # one eigenvector per row
+        overlaps = inner_product(vectors,
+                                 (u[..., None, :, :] @ vectors[..., None])[..., 0])
+        total = sum(w * overlap for w, overlap in zip(weights.T, overlaps.T))
+        kept = np.abs(total) >= 1e-6
+        got = mixed_phase(rho[kept], u[kept]).phase
+        devs.append(np.abs(wrap_angle(got - principal_angle(total[kept]))))
+    return _result("trace phase is basis independent", "mixed", _worst(*devs),
+                   1e-10, tol_scale=tol_scale)
 
 
 def check_mixed_nonadditivity(seed, tol_scale=1.0):
@@ -397,12 +407,9 @@ def check_maximal_entanglement_quantisation(seed, tol_scale=1.0, n=300):
 def check_visibility_bound(seed, tol_scale=1.0, n=500):
     """Pair visibility never exceeds one."""
     rng = np.random.default_rng([seed, 11])
-    worst = -np.inf
-    for _ in range(n):
-        half = rng.uniform(-2.0 * np.pi, 2.0 * np.pi)
-        lam = rng.uniform(0.0, 1.0)
-        vis = abs(tilted_overlap(half, 2.0 * lam - 1.0))
-        worst = max(worst, vis - 1.0)
+    half, lam = rng.uniform((-2.0 * np.pi, 0.0), (2.0 * np.pi, 1.0), (n, 2)).T
+    overlap = tilted_overlap(half, 2.0 * lam - 1.0)
+    worst = np.max(np.hypot(overlap.real, overlap.imag) - 1.0, initial=-np.inf)
     return _result("pair visibility bounded by one", "two-photon", worst,
                    1e-12, tol_scale=tol_scale)
 
@@ -462,14 +469,10 @@ def check_ancilla_reduction(seed, tol_scale=1.0, n=500):
     angle omega at the pole; the phase is arg<pair|moved>.
     """
     rng = np.random.default_rng([seed, 14])
-    lams, omegas = [], []
-    for _ in range(n):
-        lam = rng.uniform(0.0, 1.0)
-        if abs(lam - 0.5) < 1e-3:
-            continue
-        lams.append(lam)
-        omegas.append(rng.uniform(-2.0 * np.pi + 0.1, 2.0 * np.pi - 0.1))
-    lams, omegas = np.array(lams), np.array(omegas)
+    lam_draws = (rng.uniform(0.0, 1.0) for _ in range(n))
+    lams, omegas = np.array([  # each kept lam's omega is drawn right after it
+        (lam, rng.uniform(-2.0 * np.pi + 0.1, 2.0 * np.pi - 0.1))
+        for lam in lam_draws if abs(lam - 0.5) >= 1e-3]).reshape(-1, 2).T
     pair = np.zeros((lams.size, 2, 2), dtype=complex)
     pair[:, 0, 0], pair[:, 1, 1] = np.sqrt(lams), np.sqrt(1.0 - lams)
     moved = matrix_exponential_su2((0.0, 0.0, 1.0), omegas) @ pair
@@ -565,107 +568,92 @@ def check_chain_convergence(seed, tol_scale=1.0, n_coarse=1000):
 
 def check_mixed_noncyclic(seed, tol_scale=1.0):
     """Mixed noncyclic closed form equals the direct trace phase."""
-    dev = 0.0
-    for theta, phi in PRECESSION_GRID:
-        for r in BLOCH_RADII:
-            spec = PrecessionSpec(theta, phi, r=r)
-            want = mixed_phase(qubit_density(r),
-                               precession_comparison_unitary(spec)).phase
-            got = mixed_noncyclic_phase(spec)
-            dev = max(dev, abs(wrap_angle(got - want)))
+    devs = []
+    for theta, phi in PRECESSION_GRID:  # all radii at once
+        spec = PrecessionSpec(theta, phi, r=np.array(BLOCH_RADII))
+        want = mixed_phase(qubit_density(spec.r), precession_comparison_unitary(spec))
+        devs.append(np.abs(wrap_angle(mixed_noncyclic_phase(spec) - want.phase)))
     return _result("mixed noncyclic phase matches trace oracle",
-                   "geometric-phase", dev, 1e-8, tol_scale=tol_scale)
+                   "geometric-phase", _worst(*devs), 1e-8, tol_scale=tol_scale)
 
 
 # ---------------------------------------------------------------------------
 # dual suite
 
 def _dual_grid(n=20):
+    """The (theta, delta_phi) grid as one batch of n * n rows, theta slowest."""
     thetas = np.linspace(0.05, np.pi - 0.05, n)
     dphis = np.linspace(-np.pi + 0.1, np.pi - 0.1, n)
-    return thetas, dphis
+    return tuple(axis.ravel() for axis in np.meshgrid(thetas, dphis, indexing="ij"))
+
+
+#: lower ends and widths of the random arm setups' (tilt, varphi0, varphi1)
+#: ranges; low + width * rng.random() is bit for bit rng.uniform(low, high)
+_ARM_LOW, _ARM_WIDTH = np.array([[0.0, -2.0 * np.pi, -2.0 * np.pi],
+                                 [np.pi, 4.0 * np.pi, 4.0 * np.pi]])
 
 
 def check_dual_fringe(seed, tol_scale=1.0, n_chi=64):
     """End-to-end summed-analyser fringe recovers the closed forms."""
-    thetas, dphis = _dual_grid()
+    theta, dphi = _dual_grid()
     chis = np.linspace(0.0, 2.0 * np.pi, n_chi, endpoint=False)
-    dev = 0.0
-    for theta in thetas:
-        for dphi in dphis:
-            closed = dual_phase_closed_form(DualSetupSpec(theta, dphi / 2.0,
-                                                          -dphi / 2.0))
-            profile = dual_coincidence_profile(theta, dphi, chis)
-            dev = max(dev,
-                      abs(wrap_angle(profile.extracted.phase - closed.phase)),
-                      abs(profile.extracted.visibility - closed.visibility))
-    return _result("dual fringe recovers phase and visibility", "dual", dev,
+    closed = dual_phase_closed_form(DualSetupSpec(theta, dphi / 2.0, -dphi / 2.0))
+    fitted = dual_coincidence_profile(theta, dphi, chis).extracted
+    return _result("dual fringe recovers phase and visibility", "dual",
+                   _worst(np.abs(wrap_angle(fitted.phase - closed.phase)),
+                          np.abs(fitted.visibility - closed.visibility)),
                    1e-8, tol_scale=tol_scale)
 
 
 def check_duality_identity(seed, tol_scale=1.0):
     """Beam-pair and spin-arm closed forms, one law at swapped angles, each
     equal the overlap of their own explicitly built states."""
-    thetas, dphis = _dual_grid()
-    dev = 0.0
-    for theta in thetas:
-        for dphi in dphis:
-            dual_spec = DualSetupSpec(theta, dphi / 2.0, -dphi / 2.0)
-            a_plus, a_minus = spatial_vectors(dual_spec)
-            spin_spec = SpinArmSpec(theta, dphi)
-            for closed, direct in (
-                (dual_phase_closed_form(dual_spec),
-                 pancharatnam_phase(a_minus, a_plus)),
-                (spin_pancharatnam(spin_spec),
-                 pancharatnam_phase(*spin_arm_states(spin_spec))),
-            ):
-                dev = max(dev, abs(wrap_angle(closed.phase - direct.phase)),
-                          abs(closed.visibility - direct.visibility))
-    return _result("duality with the spin-arm law", "dual", dev, 1e-10,
+    theta, dphi = _dual_grid()
+    dual_spec = DualSetupSpec(theta, dphi / 2.0, -dphi / 2.0)
+    a_plus, a_minus = spatial_vectors(dual_spec)
+    spin_spec = SpinArmSpec(theta, dphi)
+    devs = []
+    for closed, direct in (
+        (dual_phase_closed_form(dual_spec), pancharatnam_phase(a_minus, a_plus)),
+        (spin_pancharatnam(spin_spec),
+         pancharatnam_phase(*spin_arm_states(spin_spec))),
+    ):
+        devs += [np.abs(wrap_angle(closed.phase - direct.phase)),
+                 np.abs(closed.visibility - direct.visibility)]
+    return _result("duality with the spin-arm law", "dual", _worst(*devs), 1e-10,
                    tol_scale=tol_scale)
 
 
 def check_channel_sum(seed, tol_scale=1.0, n_chi=64):
     """Spin-up plus spin-down analyser profiles are flat (probability
     conservation)."""
+    theta, dphi = _dual_grid(7)
     chis = np.linspace(0.0, 2.0 * np.pi, n_chi, endpoint=False)
-    dev = 0.0
-    for theta in np.linspace(0.05, np.pi - 0.05, 7):
-        for dphi in np.linspace(-np.pi + 0.1, np.pi - 0.1, 7):
-            up = dual_coincidence_profile(theta, dphi, chis, channel=+1)
-            down = dual_coincidence_profile(theta, dphi, chis, channel=-1)
-            total = up.intensities + down.intensities
-            dev = max(dev, np.abs(total - 4.0).max())
-    return _result("analyser channels sum to a constant", "dual", dev, 1e-10,
-                   tol_scale=tol_scale)
+    up, down = (dual_coincidence_profile(theta, dphi, chis, channel).intensities
+                for channel in (+1, -1))
+    return _result("analyser channels sum to a constant", "dual",
+                   _worst(np.abs(up + down - 4.0)), 1e-10, tol_scale=tol_scale)
 
 
 def check_arm_unitarity(seed, tol_scale=1.0, n=500):
     """Arm fields preserve the norm of arbitrary beam-spin states."""
     rng = np.random.default_rng([seed, 18])
-    dev = 0.0
-    for _ in range(n):
-        psi = haar_state(rng, 4)
-        spec = DualSetupSpec(rng.uniform(0.0, np.pi),
-                             rng.uniform(-2 * np.pi, 2 * np.pi),
-                             rng.uniform(-2 * np.pi, 2 * np.pi))
-        dev = max(dev, abs(np.linalg.norm(apply_arm_fields(psi, spec)) - 1.0))
-    return _result("arm fields are unitary", "dual", dev, 1e-12,
-                   tol_scale=tol_scale)
+    psi, unit = map(np.array, zip(*[(haar_state(rng, 4), rng.random(3))
+                                    for _ in range(n)]))
+    final = apply_arm_fields(psi, DualSetupSpec(*(_ARM_LOW + _ARM_WIDTH * unit).T))
+    norm = np.sqrt(_dot(final.real, final.real) + _dot(final.imag, final.imag))
+    return _result("arm fields are unitary", "dual", _worst(np.abs(norm - 1.0)),
+                   1e-12, tol_scale=tol_scale)
 
 
 def check_final_state_expansion(seed, tol_scale=1.0, n=200):
     """Beam-pair expansion of the final state matches direct application."""
     rng = np.random.default_rng([seed, 19])
-    dev = 0.0
-    for _ in range(n):
-        spec = DualSetupSpec(rng.uniform(0.0, np.pi),
-                             rng.uniform(-2 * np.pi, 2 * np.pi),
-                             rng.uniform(-2 * np.pi, 2 * np.pi))
-        direct = apply_arm_fields(prepare_beam_state(spec), spec)
-        dev = max(dev, np.abs(direct - predicted_final_state(spec)).max())
-    return _result("beam-pair expansion of the final state", "dual", dev,
-                   1e-10, tol_scale=tol_scale)
+    spec = DualSetupSpec(*(_ARM_LOW + _ARM_WIDTH * rng.random((n, 3))).T)
+    direct = apply_arm_fields(prepare_beam_state(spec), spec)
+    return _result("beam-pair expansion of the final state", "dual",
+                   _worst(np.abs(direct - predicted_final_state(spec))), 1e-10,
+                   tol_scale=tol_scale)
 
 
 # ---------------------------------------------------------------------------

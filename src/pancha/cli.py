@@ -255,14 +255,17 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json_safe(value):
-    if isinstance(value, float) and not np.isfinite(value):
-        return None
+def _require_finite(value, field: str):
+    """Refuse (exit 3) the first NaN or infinity under ``field``, by path."""
     if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
+        for key, item in value.items():
+            _require_finite(item, f"{field}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            _require_finite(item, f"{field}[{index}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise PhaseDomainError(f"{field} is {value}; an undefined result "
+                               "is not written")
 
 
 def _write_whole(path: str, write):
@@ -288,12 +291,12 @@ def _write_whole(path: str, write):
 
 
 def _write_json(path: str, record: RunRecord):
-    payload = _json_safe({
+    payload = {
         "config": record.config,
         "results": record.results,
         "oracle_deltas": record.oracle_deltas,
         "versions": record.versions,
-    })
+    }
 
     def write(fh):
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -427,6 +430,8 @@ def _env_seed() -> int:
 
 
 def _emit(plan: RunPlan, args, record: RunRecord, header, rows) -> str:
+    _require_finite(record.results, "results")  # the csv rows hold the same numbers
+    _require_finite(record.oracle_deltas, "oracle_deltas")
     path = args.out or plan.output or f"pancha-{plan.experiment}.{plan.format}"
     if plan.format == "json":
         _write_json(path, record)
@@ -452,6 +457,12 @@ def _plan(args) -> RunPlan:
         _check_param(plan.base, "subdivisions", args.subdivisions)
         if "subdivisions" not in raw["parameters"]:  # the config's own wins
             plan.parameters["subdivisions"] = args.subdivisions
+    if plan.base == "precession":  # a subnormal phi repeats the path's times
+        for phi in np.ravel(plan.parameters["phi"]):
+            for n in np.ravel(plan.parameters["subdivisions"]):
+                if not (np.diff(np.linspace(0.0, phi, n + 1)) > 0.0).all():
+                    raise ConfigError(f"precession.phi must give strictly increasing "
+                                      f"times at {n} subdivisions, got {float(phi)!r}")
     return plan
 
 

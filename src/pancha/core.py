@@ -36,9 +36,7 @@ def wrap_angle(angle):
     """Reduce an angle (or array of angles) to the principal branch (-pi, pi]."""
     wrapped = np.mod(np.asarray(angle) + np.pi, 2.0 * np.pi) - np.pi
     wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
-    if np.isscalar(angle) or np.ndim(angle) == 0:
-        return float(wrapped)
-    return wrapped
+    return float(wrapped) if wrapped.ndim == 0 else wrapped
 
 
 def principal_angle(z):
@@ -238,8 +236,10 @@ def matrix_exponential_su2(axis, angle) -> np.ndarray:
     return np.cos(half) * IDENTITY_2 - 1j * np.sin(half) * _n_dot_sigma(axis)
 
 
-def qubit_density(r: float, axis=(0.0, 0.0, 1.0)) -> np.ndarray:
-    """Qubit density operator with Bloch radius r about the (nonzero) axis."""
-    if not -1.0 <= r <= 1.0:
+def qubit_density(r, axis=(0.0, 0.0, 1.0)) -> np.ndarray:
+    """Qubit density operator with Bloch radius r about the (nonzero) axis,
+    rowwise over radii and (..., 3) axes, which broadcast."""
+    r = np.asarray(r, dtype=float)
+    if not ((-1.0 <= r) & (r <= 1.0)).all():
         raise ValueError("Bloch radius must lie in [-1, 1]")
-    return 0.5 * (IDENTITY_2 + r * _n_dot_sigma(axis))
+    return 0.5 * (IDENTITY_2 + r[..., None, None] * _n_dot_sigma(axis))

@@ -10,6 +10,8 @@ under the substitution (precession angle) <-> (field-angle difference).
 Both closed forms evaluate the one tilted-overlap law of ``pancha.phase``;
 their independent routes (explicitly built states, the end-to-end
 analyser fringe) are compared against them in ``pancha.checks``.
+Every kernel is rowwise: spec angles may be arrays, which broadcast, and
+a batch marks undefined rows NaN where a single spec raises.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import matrix_exponential_su2, tensor
+from .core import KET_MINUS_Z, KET_PLUS_Z, matrix_exponential_su2, tensor
 from .errors import OrthogonalStatesError
 from .phase import (
-    EPS_ORTH,
     InterferenceProfile,
     PhaseResult,
-    extract_fringe,
+    fit_fringe,
     pure_interference_profile,
     tilted_overlap,
 )
@@ -43,9 +44,9 @@ class SpinArmSpec:
 def spin_arm_states(spec: SpinArmSpec) -> tuple[np.ndarray, np.ndarray]:
     """Initial and precessed spin states of the single-arm experiment."""
     c, s = np.cos(spec.theta / 2.0), np.sin(spec.theta / 2.0)
-    initial = np.array([c, s], dtype=complex)
-    final = np.array([np.exp(-1j * spec.varphi / 2.0) * c,
-                      np.exp(1j * spec.varphi / 2.0) * s])
+    initial = np.stack([c, s], axis=-1).astype(complex)
+    final = np.stack([np.exp(-1j * spec.varphi / 2.0) * c,
+                      np.exp(1j * spec.varphi / 2.0) * s], axis=-1)
     return initial, final
 
 
@@ -62,10 +63,8 @@ def spin_pancharatnam(spec: SpinArmSpec) -> PhaseResult:
         OrthogonalStatesError: where the visibility vanishes
             (theta = pi/2 with varphi = pi).
     """
-    overlap = tilted_overlap(spec.varphi / 2.0, np.cos(spec.theta))
-    if abs(overlap) < EPS_ORTH:
-        raise OrthogonalStatesError("initial and precessed spin states orthogonal")
-    return PhaseResult.from_overlap(overlap)
+    return PhaseResult.from_overlap(
+        tilted_overlap(spec.varphi / 2.0, np.cos(spec.theta)), OrthogonalStatesError)
 
 
 def spin_interference_profile(spec: SpinArmSpec, chis) -> InterferenceProfile:
@@ -101,25 +100,24 @@ def prepare_beam_state(spec: DualSetupSpec) -> np.ndarray:
     Four components in (beam x spin) order: the beam index varies
     slowest.
     """
-    beam = np.array([np.cos(spec.theta / 2.0), np.sin(spec.theta / 2.0)],
-                    dtype=complex)
-    return tensor(beam, np.array([1.0, 0.0], dtype=complex))
+    half = np.asarray(spec.theta) / 2.0
+    return tensor(np.stack([np.cos(half), np.sin(half)], axis=-1), KET_PLUS_Z)
 
 
 def apply_arm_fields(psi: np.ndarray, spec: DualSetupSpec) -> np.ndarray:
     """Apply the per-beam x-axis spin rotations to a (beam x spin) state.
 
     The operator is |0><0| x exp(-i varphi0 sx/2) + |1><1| x
-    exp(-i varphi1 sx/2); unitary, so norms are preserved.  Field angles
-    may be arrays of one shape, giving one final state per angle pair
-    (shape angles.shape + (4,)).
+    exp(-i varphi1 sx/2); unitary, so norms are preserved.  States
+    (..., 4) broadcast against the field angles.
     """
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (4,):
+    if psi.shape[-1:] != (4,):
         raise ValueError("expected a 4-component (beam x spin) state")
-    u0 = matrix_exponential_su2(_X_AXIS, spec.varphi0)
-    u1 = matrix_exponential_su2(_X_AXIS, spec.varphi1)
-    return np.concatenate([u0 @ psi[:2], u1 @ psi[2:]], axis=-1)
+    beams = [matrix_exponential_su2(_X_AXIS, varphi) @ half[..., None]
+             for varphi, half in ((spec.varphi0, psi[..., :2]),
+                                  (spec.varphi1, psi[..., 2:]))]
+    return np.concatenate(np.broadcast_arrays(*beams), axis=-2)[..., 0]
 
 
 def spatial_vectors(spec: DualSetupSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -130,8 +128,8 @@ def spatial_vectors(spec: DualSetupSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     quarter = spec.delta_phi / 4.0
     c, s = np.cos(spec.theta / 2.0), np.sin(spec.theta / 2.0)
-    a_plus = np.array([np.exp(-1j * quarter) * c, np.exp(1j * quarter) * s])
-    a_minus = np.array([np.exp(1j * quarter) * c, np.exp(-1j * quarter) * s])
+    a_plus = np.stack([np.exp(-1j * quarter) * c, np.exp(1j * quarter) * s], axis=-1)
+    a_minus = np.stack([np.exp(1j * quarter) * c, np.exp(-1j * quarter) * s], axis=-1)
     return a_plus, a_minus
 
 
@@ -143,11 +141,11 @@ def predicted_final_state(spec: DualSetupSpec) -> np.ndarray:
     apply_arm_fields on the prepared state to floating precision.
     """
     a_plus, a_minus = spatial_vectors(spec)
-    early = np.exp(-1j * spec.chi / 2.0) * a_plus
-    late = np.exp(1j * spec.chi / 2.0) * a_minus
-    plus_z = tensor(0.5 * (early + late), np.array([1.0, 0.0], dtype=complex))
-    minus_z = tensor(0.5 * (early - late), np.array([0.0, 1.0], dtype=complex))
-    return plus_z + minus_z
+    half_chi = np.asarray(spec.chi)[..., None] / 2.0
+    early = np.exp(-1j * half_chi) * a_plus
+    late = np.exp(1j * half_chi) * a_minus
+    return (tensor(0.5 * (early + late), KET_PLUS_Z)
+            + tensor(0.5 * (early - late), KET_MINUS_Z))
 
 
 def dual_phase_closed_form(spec: DualSetupSpec) -> PhaseResult:
@@ -161,13 +159,11 @@ def dual_phase_closed_form(spec: DualSetupSpec) -> PhaseResult:
     Raises:
         OrthogonalStatesError: at theta = pi/2 with delta_phi = pi.
     """
-    overlap = tilted_overlap(spec.delta_phi / 2.0, np.cos(spec.theta))
-    if abs(overlap) < EPS_ORTH:
-        raise OrthogonalStatesError("beam-pair states orthogonal")
-    return PhaseResult.from_overlap(overlap)
+    return PhaseResult.from_overlap(
+        tilted_overlap(spec.delta_phi / 2.0, np.cos(spec.theta)), OrthogonalStatesError)
 
 
-def dual_coincidence_profile(theta: float, delta_phi: float, chis,
+def dual_coincidence_profile(theta, delta_phi, chis,
                              channel: int = +1) -> InterferenceProfile:
     """Summed analyser fringe in one spin channel, swept in chi.
 
@@ -175,14 +171,17 @@ def dual_coincidence_profile(theta: float, delta_phi: float, chis,
     the field angles chi +- delta_phi/2; both beams are projected onto the
     chosen spin channel (+1 or -1), and the two analyser intensities are
     summed.  The raw sum is rescaled by 4 so the result follows the common
-    2 + 2 V cos(chi - phase) convention of the other profiles.
+    2 + 2 V cos(chi - phase) convention of the other profiles.  Array
+    theta and delta_phi give one profile per row on the shared grid.
     """
     if channel not in (+1, -1):
         raise ValueError("channel must be +1 or -1")
     chis = np.asarray(chis, dtype=float)
+    theta = np.asarray(theta, dtype=float)[..., None]
+    half_dphi = np.asarray(delta_phi, dtype=float)[..., None] / 2.0
     spin_slot = 0 if channel == +1 else 1
-    spec = DualSetupSpec(theta, chis + delta_phi / 2.0, chis - delta_phi / 2.0)
+    spec = DualSetupSpec(theta, chis + half_dphi, chis - half_dphi)
     psi = apply_arm_fields(prepare_beam_state(spec), spec)
     intensities = 4.0 * (np.abs(psi[..., spin_slot]) ** 2
                          + np.abs(psi[..., 2 + spin_slot]) ** 2)
-    return InterferenceProfile(chis, intensities, extract_fringe(chis, intensities))
+    return InterferenceProfile(chis, intensities, fit_fringe(chis, intensities))

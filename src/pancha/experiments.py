@@ -44,6 +44,7 @@ from .phase import (
     mixed_phase,
     pancharatnam_phase,
     pure_interference_profile,
+    trace_overlap,
 )
 from .transport import (
     PrecessionSpec,
@@ -118,7 +119,7 @@ def run_mixed(params: dict) -> ExperimentOutcome:
     direct = mixed_phase(rho, u)
     profile = mixed_interference_profile(rho, u, _chi_grid(params.get("samples", 64)))
     fitted = profile.extracted
-    t = complex(np.trace(u @ rho))
+    t = trace_overlap(rho, u)
     closed = 2.0 + 2.0 * np.real(np.exp(1j * profile.chis) * np.conj(t))
     return ExperimentOutcome(
         results={

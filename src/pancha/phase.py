@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import from_parts, inner_product, principal_angle
+from .core import from_parts, inner_product, mark_undefined, principal_angle
 from .errors import IllConditionedError, OrthogonalStatesError, VanishingTraceError
 
 #: visibility below which a phase is declared undefined (arg of a
@@ -41,13 +41,14 @@ class PhaseResult:
     defined: bool = True
 
     @classmethod
-    def from_overlap(cls, z) -> "PhaseResult":
-        """Phase and visibility of an overlap, or of an array of them,
-        with the rows whose visibility is below EPS_ORTH undefined."""
+    def from_overlap(cls, z, error) -> "PhaseResult":
+        """Phase and visibility of an overlap, or of an array of them with
+        the rows whose visibility is below EPS_ORTH undefined; a single
+        overlap that small raises the domain error ``error`` instead."""
         if isinstance(z, complex):
             vis = abs(z)
             if vis < EPS_ORTH:
-                return cls(phase=float("nan"), visibility=vis, defined=False)
+                raise error(f"overlap modulus {vis:.3e} below {EPS_ORTH:.0e}")
             return cls(phase=principal_angle(z), visibility=vis)
         vis = np.hypot(z.real, z.imag)  # bit for bit the scalar abs; np.abs is not
         defined = vis >= EPS_ORTH
@@ -88,28 +89,7 @@ def pancharatnam_phase(a: np.ndarray, b: np.ndarray) -> PhaseResult:
         OrthogonalStatesError: if |<a|b>| < EPS_ORTH (phase undefined)
             for a single pair of states.
     """
-    overlap = inner_product(a, b)
-    if isinstance(overlap, complex) and abs(overlap) < EPS_ORTH:
-        raise OrthogonalStatesError(
-            f"overlap modulus {abs(overlap):.3e} below {EPS_ORTH:.0e}"
-        )
-    return PhaseResult.from_overlap(overlap)
-
-
-def extract_fringe(chis, intensities) -> PhaseResult:
-    """fit_fringe, degrading to an undefined result when the sample grid
-    cannot support the three-parameter fit.  Rows of (..., n) grids are
-    fitted one by one into a batched result."""
-    if np.ndim(intensities) > 1:
-        chis = np.broadcast_to(chis, np.shape(intensities))
-        fits = [extract_fringe(c, i) for c, i in zip(chis, intensities)]
-        return PhaseResult(np.array([f.phase for f in fits], dtype=float),
-                           np.array([f.visibility for f in fits], dtype=float),
-                           np.array([f.defined for f in fits], dtype=bool))
-    try:
-        return fit_fringe(chis, intensities)
-    except IllConditionedError:
-        return PhaseResult(float("nan"), 0.0, defined=False)
+    return PhaseResult.from_overlap(inner_product(a, b), OrthogonalStatesError)
 
 
 def _two_beam_intensities(a, b, chis) -> np.ndarray:
@@ -124,32 +104,39 @@ def pure_interference_profile(a, b, chis) -> InterferenceProfile:
     """Two-beam profile |e^{i chi} a + b|^2 sampled by direct arithmetic.
 
     Orthogonal states are allowed: the profile is flat and the extracted
-    result is marked undefined.  Rowwise over (..., d) states, each with
-    its own row of a (..., n) grid.
+    result is marked undefined.  Rowwise over (..., d) states, against a
+    shared (n,) grid or one row of a (..., n) grid each.
+
+    Raises:
+        IllConditionedError: from ``fit_fringe``, for a single profile on
+            a grid that cannot carry the fit.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     chis = np.asarray(chis, dtype=float)
     intensities = _two_beam_intensities(a, b, chis)
-    return InterferenceProfile(chis, intensities, extract_fringe(chis, intensities))
+    return InterferenceProfile(chis, intensities, fit_fringe(chis, intensities))
+
+
+def trace_overlap(rho, u):
+    """Tr(U rho) over the last two axes, rowwise; one pair gives a complex.
+    Operators of different dimensions raise ValueError (from the product)."""
+    t = np.trace(np.asarray(u, dtype=complex) @ np.asarray(rho, dtype=complex),
+                 axis1=-2, axis2=-1)
+    return complex(t) if t.ndim == 0 else t
 
 
 def mixed_phase(rho: np.ndarray, u: np.ndarray) -> PhaseResult:
     """Mixed-state relative phase arg Tr(U rho), visibility |Tr(U rho)|.
 
     For rank-1 rho = |A><A| this agrees with pancharatnam_phase(|A>, U|A>).
+    Rowwise over (..., d, d) stacks; a batch marks its vanishing-trace
+    rows undefined.
 
     Raises:
-        VanishingTraceError: if |Tr(U rho)| < EPS_ORTH.
+        VanishingTraceError: if |Tr(U rho)| < EPS_ORTH for a single pair.
     """
-    rho = np.asarray(rho, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    if rho.shape != u.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {u.shape}")
-    t = complex(np.trace(u @ rho))
-    if abs(t) < EPS_ORTH:
-        raise VanishingTraceError(f"|Tr(U rho)| = {abs(t):.3e} below {EPS_ORTH:.0e}")
-    return PhaseResult.from_overlap(t)
+    return PhaseResult.from_overlap(trace_overlap(rho, u), VanishingTraceError)
 
 
 def mixed_interference_profile(rho, u, chis) -> InterferenceProfile:
@@ -159,19 +146,19 @@ def mixed_interference_profile(rho, u, chis) -> InterferenceProfile:
     eigenvector against its image under U.  The trace closed form
     2 + 2 Re(e^{i chi} conj(Tr(U rho))) is the independent route it is
     checked against (``check_mixed_profile_routes``, ``run_mixed``).
+    Rowwise over (..., d, d) stacks, with one ``eigh`` over the stack.
     """
     rho = np.asarray(rho, dtype=complex)
     u = np.asarray(u, dtype=complex)
     chis = np.asarray(chis, dtype=float)
-
     weights, basis = np.linalg.eigh(rho)
     if not np.isfinite(basis).all():
         raise np.linalg.LinAlgError("eigendecomposition of rho failed")
-    simulated = np.zeros_like(chis)
-    for k in range(rho.shape[0]):
-        vec = basis[:, k]
-        simulated += weights[k] * _two_beam_intensities(vec, u @ vec, chis)
-    return InterferenceProfile(chis, simulated, extract_fringe(chis, simulated))
+    vectors = basis.swapaxes(-1, -2)  # one eigenvector per row
+    images = (u[..., None, :, :] @ vectors[..., :, None])[..., 0]
+    profiles = _two_beam_intensities(vectors, images, chis[..., None, :])
+    simulated = (weights[..., None] * profiles).sum(axis=-2)
+    return InterferenceProfile(chis, simulated, fit_fringe(chis, simulated))
 
 
 def fit_fringe(chis, intensities) -> PhaseResult:
@@ -180,25 +167,39 @@ def fit_fringe(chis, intensities) -> PhaseResult:
     The extracted phase atan2(c2, c1) is the fringe-maximum location and
     the visibility is sqrt(c1^2 + c2^2) / c0, emulating an experimental
     fringe readout.  Needs at least three samples with distinct chi
-    spanning at least pi.
+    spanning at least pi.  Rowwise over (..., n) intensities against a
+    shared (n,) grid or one grid per row: each grid's [1, cos chi, sin chi]
+    design has one SVD, whose rank counts the singular values above
+    lstsq's default cutoff and whose pseudo-inverse gives the coefficients.
 
     Raises:
-        IllConditionedError: if the design matrix is rank deficient.
+        IllConditionedError: for a single row with fewer than three
+            distinct chi or a rank-deficient design; a batch marks such
+            rows NaN (``defined`` False).
+        ValueError: if chis is neither an (n,) grid nor one per row.
     """
     chis = np.asarray(chis, dtype=float)
     intensities = np.asarray(intensities, dtype=float)
-    if chis.shape != intensities.shape or chis.ndim != 1:
-        raise ValueError("chis and intensities must be 1-d arrays of equal length")
-    if np.unique(chis).size < 3:
+    single = intensities.ndim == 1
+    if intensities.ndim == 0 or chis.shape not in (intensities.shape[-1:],
+                                                   intensities.shape):
+        raise ValueError("chis must be an (n,) grid or one grid per row")
+    distinct = 1 + np.count_nonzero(np.diff(np.sort(chis)), axis=-1)
+    u, s, vt = np.linalg.svd(np.stack([np.ones_like(chis), np.cos(chis), np.sin(chis)],
+                                      axis=-1), full_matrices=False)
+    kept = s > s[..., :1] * (np.finfo(float).eps * max(chis.shape[-1], 3))
+    rank = np.count_nonzero(kept, axis=-1)
+    if single and distinct < 3:
         raise IllConditionedError("need at least 3 distinct chi samples")
-
-    design = np.column_stack([np.ones_like(chis), np.cos(chis), np.sin(chis)])
-    coeffs, _, rank, _ = np.linalg.lstsq(design, intensities, rcond=None)
-    if rank < 3:
+    if single and rank < 3:
         raise IllConditionedError(f"design matrix rank {rank} < 3")
-    c0, c1, c2 = coeffs
-    amplitude = np.hypot(c1, c2)
-    if c0 <= EPS_ORTH or amplitude / c0 < EPS_ORTH:
-        return PhaseResult(float("nan"), 0.0 if c0 <= EPS_ORTH else amplitude / c0,
-                           defined=False)
-    return PhaseResult(float(np.arctan2(c2, c1)), float(amplitude / c0))
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+    pinv = (vt.swapaxes(-1, -2) * s_inv[..., None, :]) @ u.swapaxes(-1, -2)
+    c0, c1, c2 = np.moveaxis((pinv @ intensities[..., None])[..., 0], -1, 0)
+    fitted = (distinct >= 3) & (rank == 3)
+    visibility = np.divide(np.hypot(c1, c2), c0, out=np.zeros_like(c0),
+                           where=c0 > EPS_ORTH)
+    defined = fitted & (visibility >= EPS_ORTH)
+    return PhaseResult(mark_undefined(np.arctan2(c2, c1), ~defined),
+                       mark_undefined(visibility, ~fitted),
+                       bool(defined) if single else defined)

@@ -48,7 +48,7 @@ from .geometry import (
     girard_signed_area,
     mixed_solid_angle_phase,
 )
-from .phase import EPS_ORTH, tilted_overlap
+from .phase import EPS_ORTH, PhaseResult, tilted_overlap
 
 _NORTH = np.array([0.0, 0.0, 1.0])
 
@@ -317,9 +317,7 @@ def precession_phase_simulated(spec: PrecessionSpec) -> float:
     """Relative phase of the precessed +z state against the auxiliary path,
     from the matrix element of the net evolution."""
     overlap = complex(precession_comparison_unitary(spec)[0, 0])
-    if abs(overlap) < EPS_ORTH:
-        raise OrthogonalStatesError("comparison overlap vanishes")
-    return principal_angle(overlap)
+    return PhaseResult.from_overlap(overlap, OrthogonalStatesError).phase
 
 
 def precession_phase_closed_form(spec: PrecessionSpec) -> float:

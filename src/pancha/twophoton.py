@@ -118,10 +118,9 @@ def entangled_phase_closed_form(lam, omega, omega_prime) -> PhaseResult:
     lam = np.asarray(lam, dtype=float)
     if not ((0.0 <= lam) & (lam <= 1.0)).all():
         raise ValueError("lam must lie in [0, 1]")
-    overlap = tilted_overlap((omega + omega_prime) / 2.0, 2.0 * lam - 1.0)
-    if isinstance(overlap, complex) and abs(overlap) < EPS_ORTH:
-        raise OrthogonalStatesError("pair states are orthogonal after the loops")
-    return PhaseResult.from_overlap(overlap)
+    return PhaseResult.from_overlap(
+        tilted_overlap((omega + omega_prime) / 2.0, 2.0 * lam - 1.0),
+        OrthogonalStatesError)
 
 
 def schmidt_state_for_loops(lam, loops: LoopPair) -> SchmidtState:

@@ -156,3 +156,65 @@ def test_multiturn_precession_angle_exits_3(tmp_path, verb, phi):
     code, out = run(tmp_path, "precession", verb=verb, phi=phi)
     assert code == 3
     assert not out.exists()
+
+
+#: the smallest positive (subnormal) double
+TINY = 5e-324
+
+
+@pytest.mark.parametrize("verb, phi, subdivisions", [
+    ("run", 1e-320, 4096),
+    ("run", 4095 * TINY, 4096),
+    ("sweep", [1.0, 1e-320], 4096),
+    ("sweep", 3000 * TINY, [64, 4096]),
+])
+def test_precession_angle_too_small_for_its_times_exits_2(tmp_path, capsys, verb,
+                                                          phi, subdivisions):
+    code, out = run(tmp_path, "precession", verb=verb, phi=phi,
+                    subdivisions=subdivisions)
+    assert code == 2
+    assert "precession.phi" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_subdivisions_flag_checks_the_sample_times(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "precession",
+                               "parameters": {"theta": 0.5, "phi": 4096 * TINY}}))
+    out = tmp_path / "out.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    out.unlink()
+    assert main(["run", "--config", str(cfg), "--out", str(out),
+                 "--subdivisions", "4097"]) == 2
+    assert "precession.phi" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subdivisions", [1, 64, 4096])
+def test_smallest_angle_with_increasing_times_is_accepted(tmp_path, subdivisions):
+    # n subnormal steps are the least that linspace(0, phi, n + 1) separates
+    times = np.linspace(0.0, subdivisions * TINY, subdivisions + 1)
+    assert (np.diff(times) > 0.0).all()
+    code, out = run(tmp_path, "precession", phi=subdivisions * TINY,
+                    subdivisions=subdivisions)
+    assert code == 0
+    assert out.exists()
+
+
+#: triangle_a with its last two vertices swapped: the loop areas cancel,
+#: so the product-phase tangent and the nonlinearity ratio are undefined
+CANCELLING = {"triangle_a": OCTANT,
+              "triangle_a_prime": [OCTANT[0], OCTANT[2], OCTANT[1]]}
+
+
+@pytest.mark.parametrize("verb, fmt", [("run", "csv"), ("run", "json"),
+                                       ("sweep", "csv")])
+def test_undefined_result_exits_3_and_writes_nothing(tmp_path, capsys, verb, fmt):
+    params = {**CANCELLING, "lam": [0.2, 0.3] if verb == "sweep" else 0.3}
+    code, out = run(tmp_path, "two-photon", verb=verb, extra=("--format", fmt),
+                    **params)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "nonlinearity_ratio" in err and "nan" in err
+    assert len(err.strip().splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

@@ -65,13 +65,13 @@ class TestPancharatnamPhase:
 class TestPureProfile:
     def test_constructive_and_destructive(self):
         a = random_state(5)
-        profile = pure_interference_profile(a, a, [0.0, np.pi])
+        profile = pure_interference_profile(a, a, [0.0, np.pi, np.pi / 2])
         assert profile.intensities[0] == pytest.approx(4.0, abs=1e-12)
         assert profile.intensities[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_equator_sample(self):
         b = bloch_to_state(BlochPoint(np.pi / 2, 0.0))
-        profile = pure_interference_profile(KET_PLUS_Z, b, [0.0])
+        profile = pure_interference_profile(KET_PLUS_Z, b, CHI_GRID)
         assert profile.intensities[0] == pytest.approx(2.0 + np.sqrt(2.0),
                                                        abs=1e-12)
 

@@ -1,0 +1,267 @@
+"""The fringe-fitting, dual and mixed checks run as array code over one
+batch, on the same draws as one instance at a time, and each still fails
+under a planted fault."""
+
+import numpy as np
+import pytest
+
+from pancha import checks, dual, phase
+from pancha.core import haar_state, qubit_density
+from pancha.dual import DualSetupSpec
+from pancha.phase import PhaseResult
+
+SEEDS = (0, 20260809)
+
+#: check -> (default n or None, threshold, mode)
+PINNED = {
+    checks.check_mixed_profile_routes: (200, 1e-9, "max"),
+    checks.check_trace_basis_independence: (200, 1e-10, "max"),
+    checks.check_dual_fringe: (None, 1e-8, "max"),
+    checks.check_duality_identity: (None, 1e-10, "max"),
+    checks.check_channel_sum: (None, 1e-10, "max"),
+    checks.check_arm_unitarity: (500, 1e-12, "max"),
+    checks.check_final_state_expansion: (200, 1e-10, "max"),
+}
+
+
+@pytest.mark.parametrize("check", list(PINNED), ids=lambda c: c.__name__)
+def test_n_threshold_and_mode_are_pinned(check):
+    import inspect
+
+    n, threshold, mode = PINNED[check]
+    params = inspect.signature(check).parameters
+    assert (params["n"].default if "n" in params else None) == n
+    if "n_chi" in params:
+        assert params["n_chi"].default == 64
+    for seed in SEEDS:
+        result = check(seed)
+        assert (result.threshold, result.mode, result.passed) == (threshold, mode, True)
+
+
+# ---------------------------------------------------------------------------
+# planted faults
+
+def _fit_negated(monkeypatch):
+    real = phase.fit_fringe
+
+    def negated(chis, intensities):
+        res = real(chis, intensities)
+        return PhaseResult(-res.phase, res.visibility, res.defined)
+
+    for module in (phase, dual):
+        monkeypatch.setattr(module, "fit_fringe", negated)
+
+
+def _dual_closed_form_conjugated(monkeypatch):
+    real = dual.tilted_overlap
+    monkeypatch.setattr(dual, "tilted_overlap", lambda h, k: np.conj(real(h, k)))
+
+
+def _channels_swapped(monkeypatch):
+    real = dual.dual_coincidence_profile
+    monkeypatch.setattr(checks, "dual_coincidence_profile",
+                        lambda theta, dphi, chis, channel=+1:
+                        real(theta, dphi, chis, -channel))
+
+
+def _arm_angle_sign_flipped(monkeypatch):
+    real = dual.apply_arm_fields
+
+    def flipped(psi, spec):
+        return real(psi, DualSetupSpec(spec.theta, spec.varphi0, -spec.varphi1))
+
+    for module in (dual, checks):
+        monkeypatch.setattr(module, "apply_arm_fields", flipped)
+
+
+def _lossy_arm_fields(monkeypatch):
+    # a field rotation that loses 0.1 % of the amplitude is not unitary
+    real = dual.matrix_exponential_su2
+    monkeypatch.setattr(dual, "matrix_exponential_su2",
+                        lambda axis, angle: 0.999 * real(axis, angle))
+
+
+def _trace_conjugated(monkeypatch):
+    real = phase.trace_overlap
+    for module in (phase, checks):
+        monkeypatch.setattr(module, "trace_overlap",
+                            lambda rho, u: np.conj(real(rho, u)))
+
+
+#: each planted fault and the checks it must make FAIL
+CAUGHT_BY = {
+    _fit_negated: (checks.check_dual_fringe, checks.check_franson_fringe),
+    _dual_closed_form_conjugated: (checks.check_dual_fringe,
+                                   checks.check_duality_identity),
+    _channels_swapped: (checks.check_dual_fringe,),
+    # the analysers see |+z> rotated about x, whose channel weights are
+    # even in the field angle: only the expansion check sees the sign
+    _arm_angle_sign_flipped: (checks.check_final_state_expansion,),
+    _lossy_arm_fields: (checks.check_arm_unitarity, checks.check_channel_sum,
+                        checks.check_final_state_expansion),
+    _trace_conjugated: (checks.check_mixed_profile_routes,
+                        checks.check_trace_basis_independence),
+}
+
+
+@pytest.mark.parametrize("fault, check", [
+    (fault, check) for fault, caught in CAUGHT_BY.items() for check in caught],
+    ids=lambda x: x.__name__.strip("_"))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_planted_fault_fails_the_check(monkeypatch, seed, fault, check):
+    fault(monkeypatch)
+    assert not check(seed).passed
+
+
+def test_every_rewritten_check_catches_a_fault():
+    caught = {check for checks_ in CAUGHT_BY.values() for check in checks_}
+    assert set(PINNED) <= caught
+
+
+# ---------------------------------------------------------------------------
+# the draws of one instance at a time
+
+def _haar_unitary_one(rng, dim):
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(m)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def sequential_mixed_profile_inputs(seed, n=200):
+    rng = np.random.default_rng([seed, 5])
+    rhos, us = [], []
+    for k in range(n):
+        r = 0.0 if k == 0 else rng.uniform(0.0, 1.0)
+        axis = rng.standard_normal(3)
+        rhos.append(qubit_density(r, axis / np.linalg.norm(axis)))
+        us.append(_haar_unitary_one(rng, 2))
+    return [(np.array(rhos), np.array(us))]
+
+
+def sequential_trace_basis_inputs(seed, n=200):
+    rng = np.random.default_rng([seed, 7])
+    by_dim = {}
+    for _ in range(n):
+        dim = int(rng.integers(2, 5))
+        weights = rng.dirichlet(np.ones(dim))
+        basis = _haar_unitary_one(rng, dim)
+        rho = (basis * weights) @ basis.conj().T
+        u = _haar_unitary_one(rng, dim)
+        total = sum(w * np.vdot(basis[:, k], u @ basis[:, k])
+                    for k, w in enumerate(weights))
+        if abs(total) >= 1e-6:
+            by_dim.setdefault(dim, []).append((rho, u))
+    return [tuple(map(np.array, zip(*pairs))) for pairs in by_dim.values()]
+
+
+def sequential_arm_inputs(seed, n=500):
+    rng = np.random.default_rng([seed, 18])
+    draws = [(haar_state(rng, 4), rng.uniform(0.0, np.pi),
+              rng.uniform(-2 * np.pi, 2 * np.pi), rng.uniform(-2 * np.pi, 2 * np.pi))
+             for _ in range(n)]
+    psi, *angles = map(np.array, zip(*draws))
+    return [(psi, *angles)]
+
+
+def sequential_expansion_inputs(seed, n=200):
+    rng = np.random.default_rng([seed, 19])
+    draws = [(rng.uniform(0.0, np.pi), rng.uniform(-2 * np.pi, 2 * np.pi),
+              rng.uniform(-2 * np.pi, 2 * np.pi)) for _ in range(n)]
+    psi = [dual.prepare_beam_state(DualSetupSpec(*d)) for d in draws]
+    return [(np.array(psi), *map(np.array, zip(*draws)))]
+
+
+def _record(monkeypatch, module, name, unpack):
+    real = getattr(module, name)
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append(unpack(*args))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorder)
+    return calls
+
+
+def _spec_args(psi, spec):
+    return (psi, spec.theta, spec.varphi0, spec.varphi1)
+
+
+@pytest.mark.parametrize("check, kernel, unpack, reference", [
+    (checks.check_mixed_profile_routes, "mixed_interference_profile",
+     lambda rho, u, chis: (rho, u), sequential_mixed_profile_inputs),
+    (checks.check_trace_basis_independence, "mixed_phase",
+     lambda rho, u: (rho, u), sequential_trace_basis_inputs),
+    (checks.check_arm_unitarity, "apply_arm_fields", _spec_args,
+     sequential_arm_inputs),
+    (checks.check_final_state_expansion, "apply_arm_fields", _spec_args,
+     sequential_expansion_inputs),
+], ids=lambda x: getattr(x, "__name__", ""))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_checks_see_the_sequential_draws(monkeypatch, seed, check, kernel, unpack,
+                                         reference):
+    calls = _record(monkeypatch, checks, kernel, unpack)
+    assert check(seed).passed
+    want = reference(seed)
+    assert len(calls) == len(want)
+    for got_args, want_args in zip(calls, want):
+        for got, expected in zip(got_args, want_args):
+            np.testing.assert_array_equal(got, expected)
+
+
+def test_dual_grid_is_the_nested_loop_order():
+    thetas = np.linspace(0.05, np.pi - 0.05, 20)
+    dphis = np.linspace(-np.pi + 0.1, np.pi - 0.1, 20)
+    theta, dphi = checks._dual_grid()
+    np.testing.assert_array_equal(theta, [t for t in thetas for _ in dphis])
+    np.testing.assert_array_equal(dphi, [d for _ in thetas for d in dphis])
+
+
+# ---------------------------------------------------------------------------
+# no per-instance kernel loops
+
+def test_fit_fringe_runs_once_per_profile():
+    calls = []
+    real = phase.fit_fringe
+
+    def counted(chis, intensities):
+        calls.append(np.shape(intensities))
+        return real(chis, intensities)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (phase, dual):
+            mp.setattr(module, "fit_fringe", counted)
+        per_check = {}
+        for fns in checks.SUITES.values():
+            for fn in fns:
+                calls.clear()
+                fn(0)
+                if calls:
+                    per_check[fn.__name__] = len(calls)
+        calls.clear()
+        checks.run_suites("all", seed=0)
+    # check_channel_sum reads two profiles, one per analyser channel
+    assert per_check == {"check_mixed_profile_routes": 1,
+                         "check_franson_fringe": 1,
+                         "check_dual_fringe": 1,
+                         "check_channel_sum": 2}
+    assert len(calls) == sum(per_check.values())
+
+
+@pytest.mark.parametrize("check", list(PINNED), ids=lambda c: c.__name__)
+def test_kernels_run_on_whole_batches(monkeypatch, check):
+    counts = {}
+    for name in ("apply_arm_fields", "prepare_beam_state", "predicted_final_state",
+                 "spatial_vectors", "spin_arm_states", "dual_coincidence_profile",
+                 "dual_phase_closed_form", "spin_pancharatnam", "pancharatnam_phase",
+                 "mixed_phase", "mixed_interference_profile", "trace_overlap",
+                 "qubit_density", "inner_product"):
+        real = getattr(checks, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(checks, name, counted)
+    check(0)
+    assert counts and max(counts.values()) <= 3  # at most one call per dimension

@@ -234,7 +234,7 @@ class TestFransonProfile:
     def test_identity_loops_constructive(self):
         loops = LoopPair(point_triangle(), point_triangle())
         state = schmidt_state_for_loops(0.3, loops)
-        profile = franson_coincidence_profile(state, loops, [0.0])
+        profile = franson_coincidence_profile(state, loops, CHI_GRID)
         assert profile.intensities[0] == pytest.approx(4.0, abs=1e-12)
 
     def test_flat_profile_at_orthogonality(self):
