@@ -241,16 +241,6 @@ def _versions() -> dict:
     }
 
 
-@dataclass
-class RunRecord:
-    """Everything one invocation produced."""
-
-    config: dict
-    results: dict
-    oracle_deltas: dict
-    versions: dict
-
-
 def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -290,16 +280,15 @@ def _write_whole(path: str, write):
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _write_json(path: str, record: RunRecord):
-    payload = {
-        "config": record.config,
-        "results": record.results,
-        "oracle_deltas": record.oracle_deltas,
-        "versions": record.versions,
-    }
+def _record(plan: RunPlan, results: dict, oracle_deltas: dict) -> dict:
+    """Everything one invocation produced, as the JSON output holds it."""
+    return {"config": _config_echo(plan), "results": results,
+            "oracle_deltas": oracle_deltas, "versions": _versions()}
 
+
+def _write_json(path: str, record: dict):
     def write(fh):
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
     _write_whole(path, write)
@@ -314,19 +303,14 @@ def _write_csv(path: str, header: list[str], rows: list[list[float]]):
     _write_whole(path, write)
 
 
-def _single_record(plan: RunPlan, outcome: ExperimentOutcome) -> RunRecord:
+def _single_record(plan: RunPlan, outcome: ExperimentOutcome) -> dict:
     results = dict(outcome.results)
     if outcome.profile is not None:
         results["profile"] = {
             "chi": outcome.profile.chis.tolist(),
             "intensity": outcome.profile.intensities.tolist(),
         }
-    return RunRecord(
-        config=_config_echo(plan),
-        results=results,
-        oracle_deltas=dict(outcome.oracle_deltas),
-        versions=_versions(),
-    )
+    return _record(plan, results, dict(outcome.oracle_deltas))
 
 
 def _config_echo(plan: RunPlan) -> dict:
@@ -372,8 +356,7 @@ class ProcessPoolExecutor:
         return ProcessPoolExecutor(max_workers=max_workers)
 
 
-def run_sweep(plan: RunPlan, jobs: int) -> tuple[RunRecord, list[str],
-                                                 list[list[float]]]:
+def run_sweep(plan: RunPlan, jobs: int) -> tuple[dict, list[str], list[list[float]]]:
     values = plan.parameters[plan.swept]
     tasks = [
         (plan.base, {**plan.parameters, plan.swept: value}) for value in values
@@ -398,14 +381,8 @@ def run_sweep(plan: RunPlan, jobs: int) -> tuple[RunRecord, list[str],
 
     header = list(columns)
     rows = [[columns[col][i] for col in header] for i in range(len(values))]
-    record = RunRecord(
-        config=_config_echo(plan),
-        results={"swept": plan.swept, "rows": columns},
-        oracle_deltas={
-            f"max_{k}": max(p[1][k] for p in points) for k in delta_keys
-        },
-        versions=_versions(),
-    )
+    record = _record(plan, {"swept": plan.swept, "rows": columns},
+                     {f"max_{k}": max(p[1][k] for p in points) for k in delta_keys})
     return record, header, rows
 
 
@@ -429,9 +406,9 @@ def _env_seed() -> int:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
 
 
-def _emit(plan: RunPlan, args, record: RunRecord, header, rows) -> str:
-    _require_finite(record.results, "results")  # the csv rows hold the same numbers
-    _require_finite(record.oracle_deltas, "oracle_deltas")
+def _emit(plan: RunPlan, args, record: dict, header, rows) -> str:
+    _require_finite(record["results"], "results")  # the csv rows hold the same numbers
+    _require_finite(record["oracle_deltas"], "oracle_deltas")
     path = args.out or plan.output or f"pancha-{plan.experiment}.{plan.format}"
     if plan.format == "json":
         _write_json(path, record)
@@ -475,7 +452,7 @@ def _cmd_run(args) -> int:
         record = _single_record(plan, outcome)
         header, rows = _single_csv(outcome)
     path = _emit(plan, args, record, header, rows)
-    for key, value in record.oracle_deltas.items():
+    for key, value in record["oracle_deltas"].items():
         print(f"{key}: {_fmt_float(value)}", file=sys.stderr)
     print(f"wrote {plan.experiment} results to {path}")
     return 0

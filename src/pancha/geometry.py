@@ -31,6 +31,7 @@ import numpy as np
 from .core import (
     BlochPoint,
     _dot,
+    _require_orthonormal,
     bloch_to_state,
     from_parts,
     inner_product,
@@ -328,13 +329,9 @@ class MixedTriple:
         dim = w.shape[-1]
         for name, basis in (("a", self.basis_a), ("b", self.basis_b),
                             ("c", self.basis_c)):
-            basis = np.asarray(basis, dtype=complex)
-            if basis.shape[-2:] != (dim, dim):
+            if np.shape(basis)[-2:] != (dim, dim):
                 raise ValueError(f"basis {name} must be {dim}x{dim}")
-            defect = np.abs(np.swapaxes(basis.conj(), -1, -2) @ basis
-                            - np.eye(dim)).max(initial=0.0)
-            if defect > 1e-10:
-                raise ValueError(f"basis {name} not orthonormal (defect {defect:.3e})")
+            _require_orthonormal(basis, f"basis {name}")
         return self
 
     def reversed(self) -> "MixedTriple":

@@ -146,13 +146,15 @@ def mixed_interference_profile(rho, u, chis) -> InterferenceProfile:
     eigenvector against its image under U.  The trace closed form
     2 + 2 Re(e^{i chi} conj(Tr(U rho))) is the independent route it is
     checked against (``check_mixed_profile_routes``, ``run_mixed``).
-    Rowwise over (..., d, d) stacks, with one ``eigh`` over the stack.
+    Rowwise over (..., d, d) stacks, with one ``eigh`` over the stack: a
+    row whose eigenvectors are not finite gives a NaN profile, where a
+    single rho raises LinAlgError.
     """
     rho = np.asarray(rho, dtype=complex)
     u = np.asarray(u, dtype=complex)
     chis = np.asarray(chis, dtype=float)
     weights, basis = np.linalg.eigh(rho)
-    if not np.isfinite(basis).all():
+    if rho.ndim == 2 and not np.isfinite(basis).all():
         raise np.linalg.LinAlgError("eigendecomposition of rho failed")
     vectors = basis.swapaxes(-1, -2)  # one eigenvector per row
     images = (u[..., None, :, :] @ vectors[..., :, None])[..., 0]
@@ -197,8 +199,8 @@ def fit_fringe(chis, intensities) -> PhaseResult:
     pinv = (vt.swapaxes(-1, -2) * s_inv[..., None, :]) @ u.swapaxes(-1, -2)
     c0, c1, c2 = np.moveaxis((pinv @ intensities[..., None])[..., 0], -1, 0)
     fitted = (distinct >= 3) & (rank == 3)
-    visibility = np.divide(np.hypot(c1, c2), c0, out=np.zeros_like(c0),
-                           where=c0 > EPS_ORTH)
+    visibility = np.divide(np.hypot(c1, c2), c0, where=c0 > EPS_ORTH,
+                           out=np.where(np.isnan(c0), np.nan, 0.0))
     defined = fitted & (visibility >= EPS_ORTH)
     return PhaseResult(mark_undefined(np.arctan2(c2, c1), ~defined),
                        mark_undefined(visibility, ~fitted),

@@ -13,8 +13,9 @@ That angle is geometry only: a sum of the Girard excesses of the thin
 triangles each segment spans with the north pole, walked in cache-sized
 blocks, never the overlap chain it is compared with.  Paths are
 validated values, and leading axes of their states make a batch: each
-kernel but the closure gives one value per path, NaN where a single
-path would raise.
+kernel gives one value per path, NaN where a single path would raise,
+and so do the precession kernels on array angles; a batch of paths
+shares one ``times``, so the path builders make one path per call.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .phase import EPS_ORTH, PhaseResult, tilted_overlap
 _NORTH = np.array([0.0, 0.0, 1.0])
 
 #: segments per block of the geodesic-closure sum (and links per block
-#: of the overlap chain): the two dozen
+#: of the overlap chain), shared by all the paths of a batch: the two dozen
 #: block-length float arrays a block keeps live (about 1.5 MiB) stay in a
 #: 2 MiB L2 cache; blocks of 4096 to 16384 time alike, 1024 about twice
 #: as slow at 10^6 steps
@@ -258,7 +259,8 @@ class PrecessionSpec:
 
     The generator has unit level splitting, so the precession angle phi
     doubles as the duration.  ``r`` is the Bloch radius used by the
-    mixed-state variant.
+    mixed-state variant.  Array angles (and radii), which broadcast, make
+    a batch of precessions for every kernel but ``precession_path``.
     """
 
     theta: float
@@ -303,54 +305,61 @@ def precession_path(spec: PrecessionSpec, n: int = 4096) -> DiscretePath:
 
 
 def precession_comparison_unitary(spec: PrecessionSpec) -> np.ndarray:
-    """Net relative evolution: inverse auxiliary then precession."""
-    undo_aux = matrix_exponential_su2(
-        (0.0, 0.0, 1.0), -spec.phi * np.cos(spec.theta)
-    )
+    """Net relative evolution: inverse auxiliary then precession, (..., 2, 2)."""
+    cos_t = np.cos(spec.theta)
+    undo_aux = matrix_exponential_su2((0.0, 0.0, 1.0), -spec.phi * cos_t)
     precess = matrix_exponential_su2(
-        (np.sin(spec.theta), 0.0, np.cos(spec.theta)), spec.phi
-    )
+        np.stack(np.broadcast_arrays(np.sin(spec.theta), 0.0, cos_t), axis=-1),
+        spec.phi)
     return undo_aux @ precess
 
 
-def precession_phase_simulated(spec: PrecessionSpec) -> float:
+def precession_phase_simulated(spec: PrecessionSpec):
     """Relative phase of the precessed +z state against the auxiliary path,
-    from the matrix element of the net evolution."""
-    overlap = complex(precession_comparison_unitary(spec)[0, 0])
+    from the net evolution's matrix element; a batch marks a vanishing one NaN."""
+    overlap = precession_comparison_unitary(spec)[..., 0, 0]
+    overlap = complex(overlap) if overlap.ndim == 0 else overlap
     return PhaseResult.from_overlap(overlap, OrthogonalStatesError).phase
 
 
-def precession_phase_closed_form(spec: PrecessionSpec) -> float:
+def precession_phase_closed_form(spec: PrecessionSpec):
     """Closed-form noncyclic geometric phase of the precession.
 
     Returns -arctan(cos(theta) tan(phi/2)) + (phi/2) cos(theta), wrapped
     to the principal branch, with the arctan taken on the branch that is
     continuous in phi at 0 and follows the overlap argument through the
     tangent poles.  Equals minus half the solid angle enclosed by the
-    precession arc and its closing geodesic.
+    precession arc and its closing geodesic.  A batch gives NaN in its
+    multi-turn rows.
 
     Raises:
         BranchAmbiguityError: for |phi| >= 2*pi, outside the single-turn
             branch.
     """
-    if abs(spec.phi) >= 2.0 * np.pi:
+    theta, phi = np.broadcast_arrays(spec.theta, spec.phi)
+    multiturn = np.abs(phi) >= 2.0 * np.pi
+    if multiturn.ndim == 0 and multiturn:
         raise BranchAmbiguityError("|phi| >= 2*pi is outside the single-turn branch")
-    half = spec.phi / 2.0
-    cos_t = np.cos(spec.theta)
-    return wrap_angle(principal_angle(tilted_overlap(half, cos_t)) + half * cos_t)
+    half = phi / 2.0
+    cos_t = np.cos(theta)
+    return mark_undefined(
+        wrap_angle(principal_angle(tilted_overlap(half, cos_t)) + half * cos_t),
+        multiturn)
 
 
 def _unit_bloch(states) -> np.ndarray:
-    """Unit Bloch vectors of qubit rows as a (3, rows) array, one
-    contiguous component per row."""
-    points = np.ascontiguousarray(bloch_vector(states).T)
+    """Unit Bloch vectors of qubit rows (..., rows, 2) as a (3, ..., rows)
+    array, one contiguous component per row."""
+    points = np.ascontiguousarray(np.moveaxis(bloch_vector(states), -1, 0))
     points /= np.sqrt(_dot3(points, points))
     return points
 
 
-def _swept_area(points: np.ndarray) -> float:
+def _swept_area(points: np.ndarray):
     """Signed area swept against the north pole by the arcs joining
-    consecutive columns of ``points`` (unit vectors from _unit_bloch).
+    consecutive points along the last axis of ``points`` (unit vectors
+    from _unit_bloch), and the paths whose arcs are undefined; a single
+    path raises instead.
 
     Each arc u -> v contributes the exact value of the line integral
     whose integrand is the azimuth differential weighted by (1 - cos(polar
@@ -359,63 +368,73 @@ def _swept_area(points: np.ndarray) -> float:
     arcs with an endpoint at the north pole, which run along meridians,
     sweep nothing.
     """
-    u, v = points[:, :-1], points[:, 1:]
+    u, v = points[..., :-1], points[..., 1:]
     cross = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
              u[0] * v[1] - u[1] * v[0])
     collapsed = np.sqrt(_dot3(cross, cross)) < 1e-13
-    if (collapsed & (_dot3(u, v) < 0.0)).any():
-        raise DegenerateTriangleError("adjacent path points are antipodal")
+    antipodal = (collapsed & (_dot3(u, v) < 0.0)).any(axis=-1)
     on_axis = np.hypot(points[0], points[1]) < 1e-13
-    if (on_axis & (points[2] < 0.0)).any():
+    south = (on_axis & (points[2] < 0.0)).any(axis=-1)
+    if points.ndim == 2 and antipodal:
+        raise DegenerateTriangleError("adjacent path points are antipodal")
+    if points.ndim == 2 and south:
         raise DegenerateTriangleError(
             "path touches the south pole, where the azimuth chart is singular"
         )
-    areas = girard_signed_area(u.T, v.T, _NORTH)
-    return float(np.where(collapsed | on_axis[:-1] | on_axis[1:], 0.0, areas).sum())
+    areas = girard_signed_area(np.moveaxis(u, 0, -1), np.moveaxis(v, 0, -1), _NORTH)
+    swept = np.where(collapsed | on_axis[..., :-1] | on_axis[..., 1:], 0.0, areas)
+    return swept.sum(axis=-1), antipodal | south
 
 
-def geodesic_closure_solid_angle(path: DiscretePath) -> float:
+def geodesic_closure_solid_angle(path: DiscretePath):
     """Signed solid angle enclosed by a qubit path plus its closing geodesic.
 
     The Bloch-sphere trace of the path is closed with the shortest
     geodesic between its endpoints; the enclosed area is accumulated as a
     line integral, segment by segment, each segment contributing the
     exact signed area it sweeps relative to the north pole.  The closed
-    ring of Bloch vectors is walked in blocks of _BLOCK segments, the
-    last block ending with the closing segment, so no full-length
-    array of Bloch vectors is made.  The chain phase of the path
-    converges to minus half this angle.
+    rings of Bloch vectors are walked in blocks of _BLOCK segments over all
+    paths, as the overlap chain's links are, the last block ending with the
+    closing segment, so no full-length array of Bloch vectors is made.
+    The chain phase of the path converges to minus half this angle.  A
+    batch gives one angle per path, NaN where a single path would raise.
 
     Raises:
-        ValueError: for a batch, or a path that is not a qubit path.
+        ValueError: for a path that is not a qubit path.
         AntipodalEndpointsError: if the endpoints are antipodal, leaving
             the shortest closing geodesic ambiguous.
         DegenerateTriangleError: if adjacent points are antipodal, or the
             path touches the south pole.
     """
-    if path.states.ndim != 2 or path.states.shape[1] != 2:
-        raise ValueError("solid angles require qubit paths, one at a time")
-    first, last = _unit_bloch(path.states[[0, -1]]).T
-    if (np.linalg.norm(np.cross(first, last)) < 1e-8
-            and np.dot(first, last) < 0.0):
+    if path.states.shape[-1] != 2:
+        raise ValueError("solid angles require qubit paths")
+    ends = _unit_bloch(path.states[..., [0, -1], :])
+    first, last = ends[..., 0], ends[..., 1]
+    cross = np.cross(first, last, axis=0)
+    undefined = (np.sqrt(_dot3(cross, cross)) < 1e-8) & (_dot3(first, last) < 0.0)
+    if path.states.ndim == 2 and undefined:
         raise AntipodalEndpointsError("closing geodesic undefined for antipodal ends")
 
     total = 0.0
-    for lo in range(0, path.n_samples, _BLOCK):
-        points = _unit_bloch(path.states[lo:lo + _BLOCK + 1])
-        if lo + _BLOCK >= path.n_samples:  # the last block closes the ring
-            points = np.concatenate([points, first[:, None]], axis=1)
-        total += _swept_area(points)
-    return total
+    step = max(1, _BLOCK // max(1, undefined.size))  # as in _link_phases
+    for lo in range(0, path.n_samples, step):
+        points = _unit_bloch(path.states[..., lo:lo + step + 1, :])
+        if lo + step >= path.n_samples:  # the last block closes the ring
+            points = np.concatenate([points, first[..., None]], axis=-1)
+        area, broken = _swept_area(points)
+        total, undefined = total + area, undefined | broken
+    return mark_undefined(total, undefined)
 
 
-def mixed_noncyclic_phase(spec: PrecessionSpec) -> float:
+def mixed_noncyclic_phase(spec: PrecessionSpec):
     """Mixed-state noncyclic phase of the precession at Bloch radius r.
 
     The +z and -z eigenstates acquire opposite halves of the geodesically
     closed solid angle, so the weighted overlap sum collapses to the
     qubit closed form evaluated at that angle.  Agrees with
     arg Tr[(auxiliary-relative evolution) rho] for rho of radius r about z.
+    Angles and radii broadcast: (k, 1) angles against (m,) radii give
+    (k, m) phases, NaN where a single spec would raise.
 
     Raises:
         DegenerateSpectrumError: for r = 0.

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _require_orthonormal,
     bloch_to_state,
     inner_product,
     mark_undefined,
@@ -60,13 +61,8 @@ class SchmidtState:
         lam = np.asarray(self.lam)
         if not ((0.0 <= lam) & (lam <= 1.0)).all():
             raise ValueError("lam must lie in [0, 1]")
-        for name, basis in (("basis_a", self.basis_a),
-                            ("basis_a_prime", self.basis_a_prime)):
-            basis = np.asarray(basis, dtype=complex)
-            defect = np.abs(np.swapaxes(basis.conj(), -1, -2) @ basis
-                            - np.eye(2)).max(initial=0.0)
-            if defect > 1e-10:
-                raise ValueError(f"{name} not orthonormal (defect {defect:.3e})")
+        for name in ("basis_a", "basis_a_prime"):
+            _require_orthonormal(getattr(self, name), name)
         return self
 
     def vector(self) -> np.ndarray:
@@ -177,27 +173,32 @@ def simulate_loop_pair(s: SchmidtState, loops: LoopPair) -> PhaseResult:
     return pancharatnam_phase(initial, final)
 
 
-def nonlinearity_ratio(lam: float, omega: float, omega_prime: float) -> float:
+def nonlinearity_ratio(lam, omega, omega_prime):
     """|tan(entangled phase) / tan(product phase)|, the entanglement degree.
 
     The tangents are formed directly from the two closed forms (avoiding
     an arctan/tan round trip that would lose precision near the poles).
+    Arrays broadcast, with NaN in the rows a single call would reject.
 
     Raises:
         UndefinedRatioError: if the product-phase tangent vanishes or
             either phase is undefined.
     """
-    half = (omega + omega_prime) / 2.0
+    lam, half = np.broadcast_arrays(lam, (omega + omega_prime) / 2.0)
     cosine, sine = np.cos(half), np.sin(half)
-    if abs(tilted_overlap(half, 2.0 * lam - 1.0)) < EPS_ORTH:
-        raise UndefinedRatioError("entangled phase undefined (vanishing visibility)")
-    if abs(cosine) < 1e-300:
-        raise UndefinedRatioError("tangents undefined at the half-turn pole")
-    tan_product = -sine / cosine
-    if abs(tan_product) < 1e-12:
-        raise UndefinedRatioError("product-phase tangent vanishes")
-    tan_entangled = (1.0 - 2.0 * lam) * (sine / cosine)
-    return abs(tan_entangled / tan_product)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tangent = sine / cosine  # minus the product-phase tangent
+        ratio = np.abs((1.0 - 2.0 * lam) * tangent / tangent)
+    undefined = False
+    for flagged, reason in (
+            (np.abs(tilted_overlap(half, 2.0 * lam - 1.0)) < EPS_ORTH,
+             "entangled phase undefined (vanishing visibility)"),
+            (np.abs(cosine) < 1e-300, "tangents undefined at the half-turn pole"),
+            (np.abs(tangent) < 1e-12, "product-phase tangent vanishes")):
+        if lam.ndim == 0 and flagged:
+            raise UndefinedRatioError(reason)
+        undefined = undefined | flagged
+    return mark_undefined(ratio, undefined)
 
 
 def ancilla_reduction_phase(lam, omega):

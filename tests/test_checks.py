@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pancha import checks, geometry, twophoton
-from pancha.errors import UndefinedRatioError
 from pancha.phase import tilted_overlap
 
 
@@ -27,10 +26,20 @@ class TestNonlinearityLaw:
         with pytest.raises(TypeError):
             checks.check_nonlinearity_law(0, n=5)
 
-    def test_undefined_ratio_is_skipped(self, monkeypatch):
-        calls = stub_raising_once(monkeypatch, UndefinedRatioError("pole"))
+    def test_undefined_ratio_rows_are_redrawn(self, monkeypatch):
+        real = checks.nonlinearity_ratio
+        calls = []
+
+        def first_row_undefined(lam, omega, omega_prime):
+            calls.append(len(lam))
+            ratio = real(lam, omega, omega_prime)
+            if len(calls) == 1:
+                ratio[0] = np.nan
+            return ratio
+
+        monkeypatch.setattr(checks, "nonlinearity_ratio", first_row_undefined)
         assert checks.check_nonlinearity_law(0, n=5).passed
-        assert len(calls) == 6
+        assert calls == [5, 1]
 
 
 class TestTolScale:

@@ -210,10 +210,11 @@ class TestUndefinedRows:
             with pytest.raises(OrthogonalStatesError, match="link 0"):
                 kernel(single)
 
-    def test_closure_takes_one_path(self):
-        _, batch = smooth_batch(5, 2)
-        with pytest.raises(ValueError, match="one at a time"):
-            geodesic_closure_solid_angle(batch)
+    def test_closure_takes_a_batch(self):
+        singles, batch = smooth_batch(5, 2)
+        np.testing.assert_allclose(geodesic_closure_solid_angle(batch),
+                                   [geodesic_closure_solid_angle(p) for p in singles],
+                                   rtol=0.0, atol=1e-12)
 
 
 def test_empty_batches_give_empty_rows():
