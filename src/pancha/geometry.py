@@ -5,16 +5,19 @@ weighted generalisation.
 The three-state invariant arg(<A|C><C|B><B|A>) and the signed solid angle
 of the corresponding spherical triangle are computed by two fully
 independent routes (complex overlaps of states versus Girard's spherical
-excess from the tangent-vector corner angles of unit vectors, the one
-kernel ``girard_signed_area`` that also sums path areas in
-``pancha.transport``), because the relation between them, invariant =
+excess from the tangent-vector corner angles of unit vectors, the kernel
+``girard_signed_area``), because the relation between them, invariant =
 -Omega/2, is exactly the claim the test batteries verify.  The kernel
-works on edge differences, so the thin triangles a long path sweeps
-against the pole keep their relative accuracy.  The Van Oosterom-Strackee
-form is the overlap product in Bloch vectors, so it is not used: it would
-make that check nearly a tautology, and summed over pole triangles it
-telescopes into the overlap chain, which would make the geodesic-closure
-area a copy of the chain phase it is compared with.
+works on edge differences, so thin triangles keep their relative
+accuracy.  The geodesic closure in ``pancha.transport`` sums the thin
+triangles a long path sweeps against the north pole with the pole case of
+the same corner-angle excess, written out for w = N and fused with its
+guards; the tests hold it to this kernel row by row.  Both must stay sums
+of corner angles.  The Van Oosterom-Strackee form is the overlap product
+in Bloch vectors, so it is not used: it would make the triangle check
+nearly a tautology, and summed over pole triangles it telescopes into the
+overlap chain, which would make the geodesic-closure area a copy of the
+chain phase it is compared with.
 
 Sign convention, used consistently everywhere: a triangle whose vertices
 run counter-clockwise when viewed from outside the sphere has positive

@@ -10,8 +10,9 @@ local piece, an auxiliary-evolution construction that cancels it without
 touching the lift, the spin-1/2 precession worked example, and the
 signed solid angle swept by a path closed with the shortest geodesic.
 That angle is geometry only: a sum of the Girard excesses of the thin
-triangles each segment spans with the north pole, walked in cache-sized
-blocks, never the overlap chain it is compared with.  Paths are
+triangles each segment spans with the north pole, each the pole case of
+the corner-angle kernel fused with the guards in one pass over a
+cache-sized block, never the overlap chain it is compared with.  Paths are
 validated values, and leading axes of their states make a batch: each
 kernel gives one value per path, NaN where a single path would raise,
 and so do the precession kernels on array angles; a batch of paths
@@ -28,7 +29,6 @@ from .core import (
     SIGMA_X,
     SIGMA_Z,
     bloch_to_state,
-    bloch_vector,
     inner_product,
     mark_undefined,
     matrix_exponential_su2,
@@ -45,19 +45,18 @@ from .errors import (
 from .geometry import (
     SphericalTriangle,
     _dot3,
+    _edge,
     geodesic_unitary,
-    girard_signed_area,
     mixed_solid_angle_phase,
 )
 from .phase import EPS_ORTH, PhaseResult, tilted_overlap
 
-_NORTH = np.array([0.0, 0.0, 1.0])
-
 #: segments per block of the geodesic-closure sum (and links per block
-#: of the overlap chain), shared by all the paths of a batch: the two dozen
-#: block-length float arrays a block keeps live (about 1.5 MiB) stay in a
-#: 2 MiB L2 cache; blocks of 4096 to 16384 time alike, 1024 about twice
-#: as slow at 10^6 steps
+#: of the overlap chain and samples per block of the energies), shared by
+#: all the paths of a batch: the dozen or so block-length float arrays a
+#: closure block keeps live (about 1 MiB) stay in a 2 MiB L2 cache; at 10^6
+#: steps blocks of 8192 to 32768 time alike, 4096 a quarter slower and
+#: 2048 half as slow again
 _BLOCK = 8192
 
 
@@ -230,7 +229,15 @@ def dynamical_phase(path: DiscretePath):
             vanishing link.
     """
     if path.hamiltonian is not None:
-        phase = -np.trapezoid(_energies(path.states, path.hamiltonian), path.times)
+        # blocks of samples keep _energies' temporaries cache-sized; the
+        # arithmetic is elementwise, so the energies are those of one call
+        states = path.states
+        energies = np.empty(states.shape[:-1])
+        step = max(1, _BLOCK // max(1, energies[..., 0].size))  # as in _link_phases
+        for lo in range(0, path.n_samples, step):
+            energies[..., lo:lo + step] = _energies(states[..., lo:lo + step, :],
+                                                   path.hamiltonian)
+        phase = -np.trapezoid(energies, path.times)
         return float(phase) if np.ndim(phase) == 0 else phase
     phases, broken = _link_phases(path)
     return mark_undefined(-phases.sum(axis=-1), broken)
@@ -347,42 +354,63 @@ def precession_phase_closed_form(spec: PrecessionSpec):
         multiturn)
 
 
-def _unit_bloch(states) -> np.ndarray:
-    """Unit Bloch vectors of qubit rows (..., rows, 2) as a (3, ..., rows)
-    array, one contiguous component per row."""
-    points = np.ascontiguousarray(np.moveaxis(bloch_vector(states), -1, 0))
-    points /= np.sqrt(_dot3(points, points))
-    return points
+def _unit_bloch(states):
+    """Unit Bloch components (x, y, z) of qubit rows (..., rows, 2), each
+    (..., rows), from the real and imaginary parts of the amplitudes a
+    and b: 2 Re(a* b), 2 Im(a* b) and |a|^2 - |b|^2, each over the
+    length |a|^2 + |b|^2 of the Bloch vector."""
+    a, b = states[..., 0], states[..., 1]
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    pa, pb = ar * ar + ai * ai, br * br + bi * bi
+    scale = 2.0 / (pa + pb)
+    return ((ar * br + ai * bi) * scale, (ar * bi - ai * br) * scale,
+            (pa - pb) * (0.5 * scale))
 
 
-def _swept_area(points: np.ndarray):
-    """Signed area swept against the north pole by the arcs joining
-    consecutive points along the last axis of ``points`` (unit vectors
-    from _unit_bloch), and the paths whose arcs are undefined; a single
+def _swept_area(x, y, z):
+    """Signed area swept against the north pole N by the arcs joining
+    consecutive points along the last axis of the unit Bloch components
+    (from _unit_bloch), and the paths whose arcs are undefined; a single
     path raises instead.
 
     Each arc u -> v contributes the exact value of the line integral
     whose integrand is the azimuth differential weighted by (1 - cos(polar
-    angle)): the spherical excess of the triangle (u, v, north), signed
-    by orientation, with the short side u-v first.  Collapsed arcs, and
-    arcs with an endpoint at the north pole, which run along meridians,
-    sweep nothing.
+    angle)): the spherical excess of the triangle (u, v, N), signed by
+    orientation.  It is the pole case of girard_signed_area(u, v, N), the
+    same sum of tangent-vector corner angles (the geometry module says why
+    it must stay one), on the short edge e = v - s u of _edge.  The three
+    corners share the sine |det[u, v, N]| = |u0 e1 - u1 e0|, and det itself
+    signs the sum (arctan2 is odd in its first argument).  At N the tangent
+    parts of u and v are (u0, u1, 0) and (v0, v1, 0); at a vertex p that of
+    N is (-p2 p0, -p2 p1, p0^2 + p1^2), its last entry 1 - p2^2 written so
+    that it keeps its relative accuracy near either pole.  The angles alpha
+    at u and beta at v enter as one arctan2 of alpha - (pi - beta), its
+    sine carrying -cos_v - cos_u in products of the edge: no rounded pi,
+    and no two nearly equal angles or cosines cancel.  Collapsed arcs
+    (|e| = |u x v| below 1e-13), and arcs with an endpoint on the polar
+    axis, which run along meridians, sweep nothing.
     """
-    u, v = points[..., :-1], points[..., 1:]
-    cross = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-             u[0] * v[1] - u[1] * v[0])
-    collapsed = np.sqrt(_dot3(cross, cross)) < 1e-13
-    antipodal = (collapsed & (_dot3(u, v) < 0.0)).any(axis=-1)
-    on_axis = np.hypot(points[0], points[1]) < 1e-13
-    south = (on_axis & (points[2] < 0.0)).any(axis=-1)
-    if points.ndim == 2 and antipodal:
+    rho2 = x * x + y * y
+    u0, u1, u2 = x[..., :-1], y[..., :-1], z[..., :-1]
+    v0, v1, v2 = x[..., 1:], y[..., 1:], z[..., 1:]
+    e, sign = _edge((u0, u1, u2), (v0, v1, v2))
+    det = u0 * e[1] - u1 * e[0]
+    u_e, e_flat = u0 * e[0] + u1 * e[1], e[0] * e[0] + e[1] * e[1]
+    cos_u = e[2] * rho2[..., :-1] - u2 * u_e
+    gap = e[2] * u_e - u2 * e_flat + (sign - 1.0) * cos_u  # -cos_v - cos_u
+    excess = (np.arctan2(det * gap, cos_u * (cos_u + gap) + det * det)
+              + np.arctan2(det, u0 * v0 + u1 * v1))
+    collapsed = e_flat + e[2] * e[2] < 1e-26
+    antipodal = (collapsed & (sign < 0.0)).any(axis=-1)
+    on_axis = rho2 < 1e-26
+    south = (on_axis & (z < 0.0)).any(axis=-1)
+    if x.ndim == 1 and antipodal:
         raise DegenerateTriangleError("adjacent path points are antipodal")
-    if points.ndim == 2 and south:
+    if x.ndim == 1 and south:
         raise DegenerateTriangleError(
             "path touches the south pole, where the azimuth chart is singular"
         )
-    areas = girard_signed_area(np.moveaxis(u, 0, -1), np.moveaxis(v, 0, -1), _NORTH)
-    swept = np.where(collapsed | on_axis[..., :-1] | on_axis[..., 1:], 0.0, areas)
+    swept = np.where(collapsed | on_axis[..., :-1] | on_axis[..., 1:], 0.0, excess)
     return swept.sum(axis=-1), antipodal | south
 
 
@@ -393,9 +421,11 @@ def geodesic_closure_solid_angle(path: DiscretePath):
     geodesic between its endpoints; the enclosed area is accumulated as a
     line integral, segment by segment, each segment contributing the
     exact signed area it sweeps relative to the north pole.  The closed
-    rings of Bloch vectors are walked in blocks of _BLOCK segments over all
-    paths, as the overlap chain's links are, the last block ending with the
-    closing segment, so no full-length array of Bloch vectors is made.
+    rings are walked in blocks of _BLOCK segments over all paths, as the
+    overlap chain's links are, the last block ending with the closing
+    segment; each block's Bloch components are formed from the states'
+    real and imaginary parts and its arcs summed in one pass, so no
+    full-length array of Bloch vectors is made.
     The chain phase of the path converges to minus half this angle.  A
     batch gives one angle per path, NaN where a single path would raise.
 
@@ -408,20 +438,21 @@ def geodesic_closure_solid_angle(path: DiscretePath):
     """
     if path.states.shape[-1] != 2:
         raise ValueError("solid angles require qubit paths")
-    ends = _unit_bloch(path.states[..., [0, -1], :])
+    states = path.states
+    ends = np.stack(_unit_bloch(states[..., [0, -1], :]))
     first, last = ends[..., 0], ends[..., 1]
     cross = np.cross(first, last, axis=0)
     undefined = (np.sqrt(_dot3(cross, cross)) < 1e-8) & (_dot3(first, last) < 0.0)
-    if path.states.ndim == 2 and undefined:
+    if states.ndim == 2 and undefined:
         raise AntipodalEndpointsError("closing geodesic undefined for antipodal ends")
 
     total = 0.0
     step = max(1, _BLOCK // max(1, undefined.size))  # as in _link_phases
     for lo in range(0, path.n_samples, step):
-        points = _unit_bloch(path.states[..., lo:lo + step + 1, :])
+        block = states[..., lo:lo + step + 1, :]
         if lo + step >= path.n_samples:  # the last block closes the ring
-            points = np.concatenate([points, first[..., None]], axis=-1)
-        area, broken = _swept_area(points)
+            block = np.concatenate([block, states[..., :1, :]], axis=-2)
+        area, broken = _swept_area(*_unit_bloch(block))
         total, undefined = total + area, undefined | broken
     return mark_undefined(total, undefined)
 

@@ -182,18 +182,17 @@ def nonlinearity_ratio(lam, omega, omega_prime):
 
     Raises:
         UndefinedRatioError: if the product-phase tangent vanishes or
-            either phase is undefined.
+            either phase is undefined, as at a non-finite angle.
     """
     lam, half = np.broadcast_arrays(lam, (omega + omega_prime) / 2.0)
-    cosine, sine = np.cos(half), np.sin(half)
     with np.errstate(divide="ignore", invalid="ignore"):
-        tangent = sine / cosine  # minus the product-phase tangent
+        tangent = np.sin(half) / np.cos(half)  # minus the product-phase tangent
         ratio = np.abs((1.0 - 2.0 * lam) * tangent / tangent)
+        visibility = np.abs(tilted_overlap(half, 2.0 * lam - 1.0))
     undefined = False
     for flagged, reason in (
-            (np.abs(tilted_overlap(half, 2.0 * lam - 1.0)) < EPS_ORTH,
-             "entangled phase undefined (vanishing visibility)"),
-            (np.abs(cosine) < 1e-300, "tangents undefined at the half-turn pole"),
+            (visibility < EPS_ORTH, "entangled phase undefined (vanishing visibility)"),
+            (~np.isfinite(tangent), "tangents undefined (non-finite angle)"),
             (np.abs(tangent) < 1e-12, "product-phase tangent vanishes")):
         if lam.ndim == 0 and flagged:
             raise UndefinedRatioError(reason)

@@ -1,6 +1,10 @@
 """The edge-difference Girard kernel and the blocked geodesic-closure sum:
-accuracy against the closed form and a high-precision reference, blocking
-that does not change the sum, and the guards at every block."""
+the closure's pole term against the general kernel arc by arc, accuracy
+against the closed form and 40-digit references, blocking that does not
+change the sum, and the guards at every block.
+
+The stored references take minutes to recompute in mpmath; running this
+file as a script (with ``pancha`` importable) prints them again."""
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 
 from pancha import transport
 from pancha.checks import PRECESSION_GRID
-from pancha.core import BlochPoint, bloch_to_state, orthogonal_complement
+from pancha.core import BlochPoint, bloch_to_state, bloch_vector, orthogonal_complement
 from pancha.errors import AntipodalEndpointsError, DegenerateTriangleError
 from pancha.geometry import SphericalTriangle, girard_signed_area
 from pancha.transport import (
@@ -22,6 +26,7 @@ from pancha.transport import (
 )
 
 B = transport._BLOCK
+NORTH = np.array([0.0, 0.0, 1.0])
 
 
 def reference_girard(mp, u, v, w):
@@ -65,6 +70,96 @@ def test_thin_triangles_match_high_precision_reference():
         want = np.array([float(reference_girard(mpmath.mp, *row))
                          for row in zip(u, v, w)])
     assert np.abs(got - want).max() <= 1e-6 * np.abs(want).min()
+
+
+def random_arcs(seed, count):
+    """Seeded unit arcs u -> v of 1e-7 to 2.5 rad in random directions:
+    every third starts within 0.1 rad of the south pole, and the arcs
+    longer than pi/2 have u.v < 0."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((count, 3))
+    polar, azimuth = rng.uniform((np.pi - 0.1, 0.0), (np.pi, 2.0 * np.pi), (count, 2)).T
+    u[::3] = np.stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
+                       np.cos(polar)], axis=-1)[::3]
+    u /= np.linalg.norm(u, axis=-1)[:, None]
+    tangent = np.cross(u, rng.standard_normal((count, 3)))
+    tangent /= np.linalg.norm(tangent, axis=-1)[:, None]
+    length = 10.0 ** rng.uniform(-7.0, np.log10(2.5), (count, 1))
+    v = np.cos(length) * u + np.sin(length) * tangent
+    return u, v / np.linalg.norm(v, axis=-1)[:, None]
+
+
+def test_pole_term_matches_the_general_kernel_arc_by_arc():
+    u, v = random_arcs(9, 12_000)
+    assert (np.einsum("ij,ij->i", u, v) < 0.0).sum() > 250
+    assert (u[:, 2] < np.cos(np.pi - 0.1)).sum() >= 4000
+    # each arc as a two-point ring of a batch: its swept area is its one term
+    got, undefined = transport._swept_area(*np.moveaxis(np.stack([u, v], axis=1), -1, 0))
+    assert not undefined.any()
+    assert np.abs(got - girard_signed_area(u, v, NORTH)).max() <= 4e-15
+
+
+def reference_closure(mp, path):
+    """The sum of reference_girard(p, q, N) over the arcs of the path's
+    closed ring of Bloch vectors (from core.bloch_vector, normalised at the
+    working precision of ``mp``).  An arc from a point on the polar axis
+    spans a triangle with two equal vertices, of no area, and is left out."""
+    points = bloch_vector(path.states)
+    ring = np.concatenate([points, points[:1]])
+    total = mp.mpf(0)
+    for p, q in zip(ring[:-1], ring[1:]):
+        if not (p[0] == p[1] == 0.0 or q[0] == q[1] == 0.0):
+            total += reference_girard(mp, p, q, NORTH)
+    return total
+
+
+def _pinned_triangle_path():
+    return sample_triangle_path(SphericalTriangle(
+        BlochPoint(0.3, 0.2), BlochPoint(1.2, 1.9), BlochPoint(2.0, 4.0)), 20_000)
+
+
+#: reference_closure at 40 digits, to 30
+CLOSURE_REFERENCES = {
+    "precession(1.1, 2.2), 10^4 steps": (
+        lambda: precession_path(PrecessionSpec(1.1, 2.2), 10_000),
+        "0.457960522896977326841495860221"),
+    "precession(0.4, -5.0), 3*10^4 steps": (
+        lambda: precession_path(PrecessionSpec(0.4, -5.0), 30_000),
+        "-0.472554678032725903629048515261"),
+    "triangle path, 2*10^4 steps": (_pinned_triangle_path,
+                                    "2.76782155400730134556704718578"),
+    # within 0.084 rad of the north pole
+    "precession(3.1, 6.0), 3000 steps": (
+        lambda: precession_path(PrecessionSpec(3.1, 6.0), 3000),
+        "-0.00543075148363213573930421041989"),
+    # within 0.082 rad of the south pole
+    "precession(1.53, 6.0), 3000 steps": (
+        lambda: precession_path(PrecessionSpec(1.53, 6.0), 3000),
+        "6.02684776457234205476458706212"),
+    "precession(0.7, 4.0), 10^5 steps": (
+        lambda: precession_path(PrecessionSpec(0.7, 4.0), 100_000),
+        "1.16066207101213676099313190992"),
+    "precession(0.9, 2.0), 3 steps": (
+        lambda: precession_path(PrecessionSpec(0.9, 2.0), 3),
+        "0.266379649003083086227614904015"),
+}
+
+
+@pytest.mark.parametrize("name", CLOSURE_REFERENCES)
+def test_closure_matches_the_40_digit_reference(name):
+    make, want = CLOSURE_REFERENCES[name]
+    gap = geodesic_closure_solid_angle(make()) - float(want)
+    assert abs((gap + np.pi) % (2.0 * np.pi) - np.pi) <= 3e-14
+
+
+@pytest.mark.parametrize("name", ["precession(3.1, 6.0), 3000 steps",
+                                  "precession(1.53, 6.0), 3000 steps",
+                                  "precession(0.9, 2.0), 3 steps"])
+def test_stored_references_are_the_sums(name):
+    mpmath = pytest.importorskip("mpmath")
+    make, want = CLOSURE_REFERENCES[name]
+    with mpmath.workdps(40):
+        assert abs(reference_closure(mpmath.mp, make()) - mpmath.mpf(want)) <= 1e-29
 
 
 @pytest.mark.parametrize("theta, phi", [p for p in PRECESSION_GRID
@@ -144,3 +239,11 @@ def test_strided_states_are_validated():
         path = DiscretePath(np.linspace(0.0, 1.0, 6), states[::-1])
         path.validate()
     DiscretePath(np.linspace(0.0, 1.0, 3), states[::2]).validate()
+
+
+if __name__ == "__main__":
+    import mpmath
+
+    with mpmath.workdps(40):
+        for name, (make, _) in CLOSURE_REFERENCES.items():
+            print(name, mpmath.nstr(reference_closure(mpmath.mp, make()), 30))

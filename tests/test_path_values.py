@@ -234,6 +234,15 @@ def test_energy_terms_match_the_general_contraction(dim):
         assert abs(dynamical_phase(path) - einsum_energy_phase(path)) <= 1e-14
 
 
+@pytest.mark.parametrize("steps", [10_000, transport._BLOCK + 1])
+def test_blocked_energies_equal_the_whole_array_formula(steps):
+    singles, batch = smooth_batch(6, 5, n=steps)
+    for path in (precession_path(PrecessionSpec(0.7, 4.0), steps), singles[0], batch):
+        whole = -np.trapezoid(transport._energies(path.states, path.hamiltonian),
+                              path.times)
+        assert np.asarray(dynamical_phase(path)).tobytes() == whole.tobytes()
+
+
 def test_random_smooth_path_draws_and_evolves_as_before():
     for dim in (2, 3, 4):
         rng, ref = np.random.default_rng(dim), np.random.default_rng(dim)

@@ -6,6 +6,7 @@ kernels make one call per route, on the draws of one instance at a time,
 and still fail under a planted fault."""
 
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -145,12 +146,12 @@ class TestGeodesicClosure:
 
     @pytest.mark.parametrize("path, want", [
         (lambda: precession_path(PrecessionSpec(1.1, 2.2), 10_000),
-         "0x1.d4f39a72ce692p-2"),
+         "0x1.d4f39a72ce6a2p-2"),
         (lambda: precession_path(PrecessionSpec(0.4, -5.0), 30_000),
-         "-0x1.e3e55f9ee39cbp-2"),
+         "-0x1.e3e55f9ee3b44p-2"),
         (lambda: sample_triangle_path(SphericalTriangle(
             BlochPoint(0.3, 0.2), BlochPoint(1.2, 1.9), BlochPoint(2.0, 4.0)), 20_000),
-         "0x1.6247fa07d0080p+1"),
+         "0x1.6247fa07d0086p+1"),
     ])
     def test_single_path_keeps_its_value_bit_for_bit(self, path, want):
         # the values of the one-path kernel with 8,192-segment blocks
@@ -215,6 +216,17 @@ class TestNonlinearityRatio:
     def test_single_call_raises(self, triple, reason):
         with pytest.raises(UndefinedRatioError, match=reason):
             nonlinearity_ratio(*triple)
+
+    @pytest.mark.parametrize("omega", [np.inf, -np.inf, np.nan])
+    def test_non_finite_angle_raises_alone_and_is_nan_in_a_batch(self, omega):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UndefinedRatioError, match="non-finite"):
+                nonlinearity_ratio(0.3, omega, 0.1)
+            got = nonlinearity_ratio(0.3, np.array([0.5, omega, 1.0]), 0.1)
+        assert np.isnan(got).tolist() == [False, True, False]
+        assert got[[0, 2]].tolist() == [nonlinearity_ratio(0.3, 0.5, 0.1),
+                                        nonlinearity_ratio(0.3, 1.0, 0.1)]
 
     def test_arguments_broadcast(self):
         lam = np.array([0.1, 0.5, 0.9])
