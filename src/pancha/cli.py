@@ -437,7 +437,9 @@ def _plan(args) -> RunPlan:
     if plan.base == "precession":  # a subnormal phi repeats the path's times
         for phi in np.ravel(plan.parameters["phi"]):
             for n in np.ravel(plan.parameters["subdivisions"]):
-                if not (np.diff(np.linspace(0.0, phi, n + 1)) > 0.0).all():
+                with np.errstate(over="ignore"):  # linspace's own scaling, near 1e308
+                    times = np.linspace(0.0, phi, n + 1)
+                if not (np.diff(times) > 0.0).all():
                     raise ConfigError(f"precession.phi must give strictly increasing "
                                       f"times at {n} subdivisions, got {float(phi)!r}")
     return plan

@@ -146,16 +146,21 @@ def mixed_interference_profile(rho, u, chis) -> InterferenceProfile:
     eigenvector against its image under U.  The trace closed form
     2 + 2 Re(e^{i chi} conj(Tr(U rho))) is the independent route it is
     checked against (``check_mixed_profile_routes``, ``run_mixed``).
-    Rowwise over (..., d, d) stacks, with one ``eigh`` over the stack: a
-    row whose eigenvectors are not finite gives a NaN profile, where a
-    single rho raises LinAlgError.
+    Rowwise over (..., d, d) stacks, with one ``eigh`` over the stack,
+    which reads one triangle: a rho with a non-finite entry, one further
+    than 1e-12 from its conjugate transpose, or one whose eigenvectors are
+    not finite gives a NaN profile, where a single rho raises LinAlgError.
     """
     rho = np.asarray(rho, dtype=complex)
     u = np.asarray(u, dtype=complex)
     chis = np.asarray(chis, dtype=float)
-    weights, basis = np.linalg.eigh(rho)
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite rho
+        defect = np.abs(rho - rho.conj().swapaxes(-1, -2))
+    hermitian = (defect <= 1e-12).all(axis=(-2, -1))  # False where NaN
+    weights, basis = np.linalg.eigh(np.where(hermitian[..., None, None], rho, np.nan))
     if rho.ndim == 2 and not np.isfinite(basis).all():
-        raise np.linalg.LinAlgError("eigendecomposition of rho failed")
+        raise np.linalg.LinAlgError("rho must be finite and hermitian, "
+                                    "with a finite eigendecomposition")
     vectors = basis.swapaxes(-1, -2)  # one eigenvector per row
     images = (u[..., None, :, :] @ vectors[..., :, None])[..., 0]
     profiles = _two_beam_intensities(vectors, images, chis[..., None, :])

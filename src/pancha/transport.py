@@ -11,12 +11,14 @@ touching the lift, the spin-1/2 precession worked example, and the
 signed solid angle swept by a path closed with the shortest geodesic.
 That angle is geometry only: a sum of the Girard excesses of the thin
 triangles each segment spans with the north pole, each the pole case of
-the corner-angle kernel fused with the guards in one pass over a
-cache-sized block, never the overlap chain it is compared with.  Paths are
-validated values, and leading axes of their states make a batch: each
-kernel gives one value per path, NaN where a single path would raise,
-and so do the precession kernels on array angles; a batch of paths
-shares one ``times``, so the path builders make one path per call.
+the corner-angle kernel, never the overlap chain it is compared with.
+Every pass over a path (building, validating, the chain's links, the
+energies, the closure's arcs) walks the cache-sized blocks of _blocks,
+so no full-length temporaries are made.  Paths are validated values,
+and leading axes of their states make a batch: each kernel gives one
+value per path, NaN where a single path would raise, and so do the
+precession kernels on array angles; a batch of paths shares one
+``times``, so the path builders make one path per call.
 """
 
 from __future__ import annotations
@@ -51,13 +53,21 @@ from .geometry import (
 )
 from .phase import EPS_ORTH, PhaseResult, tilted_overlap
 
-#: segments per block of the geodesic-closure sum (and links per block
-#: of the overlap chain and samples per block of the energies), shared by
-#: all the paths of a batch: the dozen or so block-length float arrays a
-#: closure block keeps live (about 1 MiB) stay in a 2 MiB L2 cache; at 10^6
-#: steps blocks of 8192 to 32768 time alike, 4096 a quarter slower and
-#: 2048 half as slow again
+#: samples per block of every pass over a path (_blocks), shared by all
+#: the paths of a batch: building, validating, the overlap chain's links,
+#: the energies and the geodesic closure's arcs.  The dozen or so
+#: block-length float arrays a closure block keeps live (about 1 MiB) stay
+#: in a 2 MiB L2 cache; at 10^6 steps blocks of 8192 to 32768 time alike,
+#: 4096 a quarter slower and 2048 half as slow again
 _BLOCK = 8192
+
+
+def _blocks(n: int, rows: int):
+    """The blocks [lo, hi) that cover range(n) for a batch of ``rows``
+    paths, about _BLOCK elements each over the batch."""
+    step = max(1, _BLOCK // max(1, rows))
+    for lo in range(0, n, step):
+        yield lo, min(lo + step, n)
 
 
 @dataclass(frozen=True)
@@ -100,18 +110,23 @@ class DiscretePath:
             raise ValueError("times must be 1-d and states 2-d (after any batch axes)")
         if self.times.size != self.n_samples or self.times.size < 2:
             raise ValueError("need one state per time and at least two samples")
-        if (np.diff(self.times) <= 0.0).any():
-            raise ValueError("times must be strictly increasing")
-        # squared moduli column by column from the real and imaginary
-        # parts, summed in place: one temporary, and any strides will do
-        squared = np.zeros(self.states.shape[:-1])
-        for column in np.moveaxis(self.states, -1, 0):
-            squared += np.square(column.real)
-            squared += np.square(column.imag)
-        # sqrt is monotonic: the extreme moduli hold the largest defect;
-        # fmin and fmax pass over NaN rows
-        extremes = [f.reduce(squared, None, initial=1.0) for f in (np.fmin, np.fmax)]
-        if np.abs(np.sqrt(extremes) - 1.0).max() > 1e-9:
+        # one pass, the blocks' times overlapping by a sample; the squared
+        # moduli are summed in place from the real and imaginary parts (any
+        # strides will do), and sqrt is monotonic, so the running extremes
+        # hold the largest defect (fmin and fmax pass over NaN rows)
+        low = high = 1.0
+        for lo, hi in _blocks(self.n_samples, self.states[..., 0, 0].size):
+            span = self.times[lo:hi + 1]
+            if (span[1:] - span[:-1] <= 0.0).any():
+                raise ValueError("times must be strictly increasing")
+            block = self.states[..., lo:hi, :]
+            squared = np.zeros(block.shape[:-1])
+            for k in range(block.shape[-1]):
+                squared += np.square(block[..., k].real)
+                squared += np.square(block[..., k].imag)
+            low = np.fmin.reduce(squared, None, initial=low)
+            high = np.fmax.reduce(squared, None, initial=high)
+        if np.abs(np.sqrt([low, high]) - 1.0).max() > 1e-9:
             raise ValueError("path states must be unit vectors")
         if self.hamiltonian is not None:
             d = self.states.shape[-1]
@@ -129,9 +144,8 @@ def _link_phases(path: DiscretePath):
     states = path.states
     phases = np.empty(states.shape[:-2] + (path.n_samples - 1,))
     broken = np.zeros(states.shape[:-2], dtype=bool)
-    step = max(1, _BLOCK // max(1, broken.size))
-    for lo in range(0, path.n_samples - 1, step):
-        block = states[..., lo:lo + step + 1, :]
+    for lo, hi in _blocks(path.n_samples - 1, broken.size):
+        block = states[..., lo:hi + 1, :]
         links = np.einsum("...ij,...ij->...i", block[..., 1:, :].conj(),
                           block[..., :-1, :])
         small = np.abs(links) < EPS_ORTH
@@ -139,7 +153,7 @@ def _link_phases(path: DiscretePath):
             raise OrthogonalStatesError(
                 f"adjacent overlap vanishes at link {lo + int(np.argmax(small))}")
         broken |= small.any(axis=-1)
-        phases[..., lo:lo + step] = np.angle(links)
+        phases[..., lo:hi] = np.angle(links)
     return phases, broken
 
 
@@ -229,15 +243,15 @@ def dynamical_phase(path: DiscretePath):
             vanishing link.
     """
     if path.hamiltonian is not None:
-        # blocks of samples keep _energies' temporaries cache-sized; the
-        # arithmetic is elementwise, so the energies are those of one call
-        states = path.states
-        energies = np.empty(states.shape[:-1])
-        step = max(1, _BLOCK // max(1, energies[..., 0].size))  # as in _link_phases
-        for lo in range(0, path.n_samples, step):
-            energies[..., lo:lo + step] = _energies(states[..., lo:lo + step, :],
-                                                   path.hamiltonian)
-        phase = -np.trapezoid(energies, path.times)
+        # np.trapezoid's own terms, formed a block of links at a time from
+        # elementwise arithmetic, and its own reduction: the same value
+        states, times = path.states, path.times
+        terms = np.empty(states.shape[:-2] + (path.n_samples - 1,))
+        for lo, hi in _blocks(path.n_samples - 1, terms[..., 0].size):
+            energies = _energies(states[..., lo:hi + 1, :], path.hamiltonian)
+            terms[..., lo:hi] = ((times[lo + 1:hi + 1] - times[lo:hi])
+                                 * (energies[..., 1:] + energies[..., :-1]) / 2.0)
+        phase = -np.add.reduce(terms, axis=-1)
         return float(phase) if np.ndim(phase) == 0 else phase
     phases, broken = _link_phases(path)
     return mark_undefined(-phases.sum(axis=-1), broken)
@@ -296,18 +310,19 @@ def precession_path(spec: PrecessionSpec, n: int = 4096) -> DiscretePath:
     if n < 1:
         raise ValueError("need at least one subdivision")
     times = np.linspace(0.0, spec.phi, n + 1)
-    half = times / 2.0
-    sine = np.sin(half)
+    cos_t, sin_t = np.cos(spec.theta), np.sin(spec.theta)
     # (cos(t/2) - i sin(t/2) cos(theta), -i sin(t/2) sin(theta)), written
-    # part by part into one array: no full-length complex temporaries
-    states = np.empty((n + 1, 2), dtype=complex)
-    states[:, 0].real = np.cos(half)
-    states[:, 0].imag = 0.0 - sine * np.cos(spec.theta)
-    states[:, 1].real = 0.0
-    states[:, 1].imag = 0.0 - sine * np.sin(spec.theta)
+    # part by part, a block at a time, into the one full-length array
+    states = np.zeros((n + 1, 2), dtype=complex)
+    for lo, hi in _blocks(n + 1, 1):
+        half = times[lo:hi] / 2.0
+        sine, block = np.sin(half), states[lo:hi]
+        block[:, 0].real = np.cos(half)
+        block[:, 0].imag = 0.0 - sine * cos_t
+        block[:, 1].imag = 0.0 - sine * sin_t
     hamiltonian = precession_hamiltonian(spec.theta)
     if spec.phi < 0.0:
-        times, hamiltonian = np.abs(times), -hamiltonian
+        times, hamiltonian = np.abs(times, out=times), -hamiltonian
     return DiscretePath(times, states, hamiltonian)
 
 
@@ -447,10 +462,9 @@ def geodesic_closure_solid_angle(path: DiscretePath):
         raise AntipodalEndpointsError("closing geodesic undefined for antipodal ends")
 
     total = 0.0
-    step = max(1, _BLOCK // max(1, undefined.size))  # as in _link_phases
-    for lo in range(0, path.n_samples, step):
-        block = states[..., lo:lo + step + 1, :]
-        if lo + step >= path.n_samples:  # the last block closes the ring
+    for lo, hi in _blocks(path.n_samples, undefined.size):
+        block = states[..., lo:hi + 1, :]
+        if hi == path.n_samples:  # the last block closes the ring
             block = np.concatenate([block, states[..., :1, :]], axis=-2)
         area, broken = _swept_area(*_unit_bloch(block))
         total, undefined = total + area, undefined | broken

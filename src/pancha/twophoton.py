@@ -182,7 +182,7 @@ def nonlinearity_ratio(lam, omega, omega_prime):
 
     Raises:
         UndefinedRatioError: if the product-phase tangent vanishes or
-            either phase is undefined, as at a non-finite angle.
+            either phase is undefined, as at a non-finite angle or lam.
     """
     lam, half = np.broadcast_arrays(lam, (omega + omega_prime) / 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -193,6 +193,7 @@ def nonlinearity_ratio(lam, omega, omega_prime):
     for flagged, reason in (
             (visibility < EPS_ORTH, "entangled phase undefined (vanishing visibility)"),
             (~np.isfinite(tangent), "tangents undefined (non-finite angle)"),
+            (~np.isfinite(lam), "entangled phase undefined (non-finite lam)"),
             (np.abs(tangent) < 1e-12, "product-phase tangent vanishes")):
         if lam.ndim == 0 and flagged:
             raise UndefinedRatioError(reason)
