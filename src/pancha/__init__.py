@@ -11,13 +11,11 @@ verification suites (``pancha verify all``).
 from .core import (
     BlochPoint,
     bloch_to_state,
-    bloch_vector,
     inner_product,
     matrix_exponential_su2,
     orthogonal_complement,
     principal_angle,
     qubit_density,
-    random_state,
     state_to_bloch,
     tensor,
     wrap_angle,
@@ -29,7 +27,6 @@ from .dual import (
     dual_coincidence_profile,
     dual_phase_closed_form,
     prepare_beam_state,
-    spin_interference_profile,
     spin_pancharatnam,
 )
 from .errors import (
@@ -70,7 +67,6 @@ from .phase import (
 from .transport import (
     DiscretePath,
     PrecessionSpec,
-    auxiliary_hamiltonian,
     chain_phase,
     dynamical_phase,
     geodesic_closure_solid_angle,
@@ -87,11 +83,9 @@ from .twophoton import (
     LoopPair,
     SchmidtState,
     ancilla_reduction_phase,
-    degree_of_entanglement,
     entangled_phase_closed_form,
     franson_coincidence_profile,
     nonlinearity_ratio,
-    product_loop_phase,
     schmidt_state_for_loops,
     simulate_loop_pair,
 )

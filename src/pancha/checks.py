@@ -40,6 +40,7 @@ from .dual import (
 )
 from .geometry import (
     SphericalTriangle,
+    _eigenbasis,
     bargmann_invariant,
     geodesic_unitary,
     loop_holonomy,
@@ -60,6 +61,7 @@ from .phase import (
 from .transport import (
     DiscretePath,
     PrecessionSpec,
+    _precession_states,
     chain_phase,
     dynamical_phase,
     geodesic_closure_solid_angle,
@@ -68,7 +70,6 @@ from .transport import (
     mixed_noncyclic_phase,
     pancharatnam_vs_auxiliary,
     precession_comparison_unitary,
-    precession_path,
     precession_phase_closed_form,
     precession_phase_simulated,
 )
@@ -200,30 +201,26 @@ def _random_generator(rng, dim=2):
     return (m + m.conj().T) / 2.0, haar_state(rng, dim)
 
 
-def _evolved_path(h, psi0, n, duration=1.0) -> DiscretePath:
+def _evolved_path(h, psi0, n) -> DiscretePath:
     """Schroedinger evolution of psi0 under the fixed generator h at n
-    equal steps, one path per row of stacked (h, psi0)."""
+    equal steps over unit time, one path per row of stacked (h, psi0)."""
     evals, evecs = np.linalg.eigh(h)
-    times = np.linspace(0.0, duration, n + 1)
+    times = np.linspace(0.0, 1.0, n + 1)
     phases = np.exp(-1j * (times[:, None] * evals[..., None, :]))
     coeffs = evecs.conj().swapaxes(-1, -2) @ psi0[..., None]
     states = (evecs[..., None, :, :] * phases[..., None, :]) @ coeffs[..., None, :, :]
     return DiscretePath(times, states[..., 0], h)
 
 
-def random_smooth_path(rng, n=256, duration=1.0, dim=2) -> DiscretePath:
-    """Schroedinger evolution under a random fixed generator."""
-    return _evolved_path(*_random_generator(rng, dim), n, duration)
-
-
 def _precession_batch(spec, n):
     """The n-step precession paths of a batched ``spec`` as one batch,
-    made one path at a time and timed by the fraction of each duration:
-    the kernels it serves read no times."""
-    states = np.empty((len(spec.theta), n + 1, 2), dtype=complex)
-    for row, theta, phi in zip(states, spec.theta, spec.phi):
-        row[...] = precession_path(PrecessionSpec(theta, phi), n).states
-    return DiscretePath(np.linspace(0.0, 1.0, n + 1), states)
+    timed by the fraction of each duration: the kernels it serves read no
+    times.  Each row's states are those of precession_path: the times of
+    linspace(0, phi, n + 1) are those of one linspace over all the rows
+    when no phi is zero."""
+    times = np.linspace(0.0, spec.phi, n + 1, axis=-1)
+    return DiscretePath(np.linspace(0.0, 1.0, n + 1),
+                        _precession_states(spec.theta, times))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +340,7 @@ def check_mixed_nonadditivity(seed, tol_scale=1.0):
     r = 0.5
     weights = np.array([(1.0 + r) / 2.0, (1.0 - r) / 2.0])
     states = random_qubit_tuple(rng, 1, 4)[0]
-    bases = [np.column_stack([s, orthogonal_complement(s)]) for s in states]
+    bases = [_eigenbasis(s) for s in states]
     points = [state_to_bloch(s) for s in states]
     legs = [geodesic_unitary(points[i], points[i + 1]) for i in range(3)]
 

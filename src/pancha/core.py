@@ -1,12 +1,12 @@
 """Complex linear-algebra substrate: qubit states, Bloch-sphere charts,
-tensor products, SU(2) rotations, and reproducible random states.
+tensor products, SU(2) rotations, and Haar-random states.
 
 Conventions used throughout the package:
 
 * State vectors and operators are plain numpy complex arrays.  Kernels
   work row by row over leading batch axes, a single call being a batch
   of one; where a single call raises a domain error, a batch marks the
-  row NaN instead (``mark_undefined``).
+  row NaN instead (``undefined_rows``, then ``mark_undefined``).
 * ``bloch_to_state`` fixes the global-phase gauge to a real, non-negative
   first amplitude: ``(cos(theta/2), exp(i*phi) sin(theta/2))``.
 * All phases are reported on the principal branch ``(-pi, pi]``.
@@ -59,6 +59,17 @@ def from_parts(re, im):
     return z
 
 
+def undefined_rows(flags, error, message):
+    """The rows ``flags`` marks undefined, as a bool array with one entry
+    per row of a batch; a single call, whose flag is 0-d, raises
+    ``error(message)`` instead when it is set.  ``message`` may be a
+    callable, called only to raise, so a batch formats none of its data."""
+    flags = np.asarray(flags)
+    if flags.ndim == 0 and flags:
+        raise error(message() if callable(message) else message)
+    return flags
+
+
 def mark_undefined(values, undefined):
     """``values`` with the rows flagged ``undefined`` set to NaN, the way
     a batched kernel reports rows where a single call would raise; one
@@ -100,16 +111,6 @@ class BlochPoint(NamedTuple):
             [st * np.cos(self.phi), st * np.sin(self.phi), np.cos(self.theta)],
             axis=-1)
 
-    @classmethod
-    def from_vector(cls, v: np.ndarray) -> "BlochPoint":
-        """Inverse of unit_vector; phi = 0 at the poles by convention."""
-        v = np.asarray(v, dtype=float)
-        theta = np.arctan2(np.hypot(v[0], v[1]), v[2])
-        phi = np.arctan2(v[1], v[0]) % (2.0 * np.pi)
-        if theta == 0.0 or theta == np.pi:
-            phi = 0.0
-        return cls(float(theta), float(phi))
-
 
 def bloch_to_state(point) -> np.ndarray:
     """Map Bloch angles to the qubit state (cos(theta/2), e^{i phi} sin(theta/2)).
@@ -144,16 +145,6 @@ def state_to_bloch(state: np.ndarray) -> BlochPoint:
     if theta.ndim == 0:
         return BlochPoint(float(theta), float(phi))
     return BlochPoint(theta, phi)
-
-
-def bloch_vector(state: np.ndarray) -> np.ndarray:
-    """Cartesian Bloch vectors (<sx>, <sy>, <sz>), rowwise over (..., 2):
-    2 Re(a0* a1), 2 Im(a0* a1) and |a0|^2 - |a1|^2."""
-    state = np.asarray(state, dtype=complex)
-    a0, a1 = state[..., 0], state[..., 1]
-    cross = a0.conj() * a1
-    return np.stack([2.0 * cross.real, 2.0 * cross.imag,
-                     np.abs(a0) ** 2 - np.abs(a1) ** 2], axis=-1)
 
 
 def orthogonal_complement(state: np.ndarray) -> np.ndarray:
@@ -192,6 +183,16 @@ def _require_orthonormal(basis, name: str):
         raise ValueError(f"{name} not orthonormal (defect {defect:.3e})")
 
 
+def hermitian_rows(m) -> np.ndarray:
+    """Rows of the (..., d, d) matrices ``m`` that are finite and within
+    1e-12 of their conjugate transpose, entry by entry: a non-finite entry
+    leaves a NaN or infinite defect, which fails the test."""
+    m = np.asarray(m, dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge entries
+        defect = np.abs(m - m.conj().swapaxes(-1, -2))
+    return (defect <= 1e-12).all(axis=(-2, -1))
+
+
 def haar_state(rng: np.random.Generator, dim: int = 2, shape=()) -> np.ndarray:
     """Haar-random unit vectors drawn from an existing generator, shape
     ``shape + (dim,)``.
@@ -204,17 +205,6 @@ def haar_state(rng: np.random.Generator, dim: int = 2, shape=()) -> np.ndarray:
     z = rng.standard_normal(tuple(shape) + (2, dim))
     re, im = z[..., 0, :], z[..., 1, :]
     return (re + 1j * im) / np.sqrt(_dot(re, re) + _dot(im, im))[..., None]
-
-
-def random_state(seed: int, dim: int = 2) -> np.ndarray:
-    """Deterministic Haar-random unit vector.
-
-    Draws dim complex standard normals (real parts first, imaginary
-    second) from PCG64 seeded with ``seed`` and normalizes.
-    """
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
-    return haar_state(np.random.Generator(np.random.PCG64(seed)), dim)
 
 
 def _n_dot_sigma(axis) -> np.ndarray:

@@ -26,7 +26,6 @@ from .phase import (
     InterferenceProfile,
     PhaseResult,
     fit_fringe,
-    pure_interference_profile,
     tilted_overlap,
 )
 
@@ -65,12 +64,6 @@ def spin_pancharatnam(spec: SpinArmSpec) -> PhaseResult:
     """
     return PhaseResult.from_overlap(
         tilted_overlap(spec.varphi / 2.0, np.cos(spec.theta)), OrthogonalStatesError)
-
-
-def spin_interference_profile(spec: SpinArmSpec, chis) -> InterferenceProfile:
-    """Two-beam fringe |e^{i chi} initial + precessed|^2 by direct arithmetic."""
-    initial, final = spin_arm_states(spec)
-    return pure_interference_profile(initial, final, chis)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ from .core import (
     orthogonal_complement,
     principal_angle,
     state_to_bloch,
+    undefined_rows,
 )
 from .errors import (
     AntipodalPointsError,
@@ -81,10 +82,6 @@ class SphericalTriangle:
     def states(self):
         return tuple(bloch_to_state(p) for p in (self.a, self.b, self.c))
 
-    def reversed(self) -> "SphericalTriangle":
-        """Same vertices, opposite orientation."""
-        return SphericalTriangle(self.a, self.c, self.b)
-
     def __getitem__(self, rows) -> "SphericalTriangle":
         """The triangles at ``rows`` of a batch."""
         return SphericalTriangle(*(BlochPoint(p.theta[rows], p.phi[rows])
@@ -97,9 +94,9 @@ def _guard(overlaps):
     undefined = False
     for name, z in overlaps:
         modulus = np.hypot(np.real(z), np.imag(z))
-        if modulus.ndim == 0 and modulus < EPS_ORTH:
-            raise OrthogonalStatesError(f"{name} vanishes ({modulus:.3e})")
-        undefined = undefined | (modulus < EPS_ORTH)
+        undefined = undefined | undefined_rows(
+            modulus < EPS_ORTH, OrthogonalStatesError,
+            lambda: f"{name} vanishes ({modulus:.3e})")
     return undefined
 
 
@@ -238,13 +235,17 @@ def solid_angle(t: SphericalTriangle):
     vecs = t.unit_vectors()
     following = np.roll(vecs, -1, axis=-2)
     degenerate = np.linalg.norm(np.cross(vecs, following), axis=-1) < EPS_GEO
-    if degenerate.ndim == 1 and degenerate.any():
+
+    def message():
         i = int(np.argmax(degenerate))
         kind = "coincident" if np.dot(vecs[i], following[i]) > 0.0 else "antipodal"
         names = "abca"[i:i + 2]
-        raise DegenerateTriangleError(f"vertices {names[0]}, {names[1]} are {kind}")
+        return f"vertices {names[0]}, {names[1]} are {kind}"
+
+    undefined = undefined_rows(degenerate.any(axis=-1), DegenerateTriangleError,
+                               message)
     omega = girard_signed_area(vecs[..., 0, :], vecs[..., 1, :], vecs[..., 2, :])
-    return mark_undefined(omega, degenerate.any(axis=-1))
+    return mark_undefined(omega, undefined)
 
 
 def geodesic_unitary(p: BlochPoint, q: BlochPoint, fraction=1.0) -> np.ndarray:
@@ -266,9 +267,8 @@ def geodesic_unitary(p: BlochPoint, q: BlochPoint, fraction=1.0) -> np.ndarray:
     sine = np.sqrt(_dot(cross, cross))
     cosine = _dot(u, v)
     degenerate = sine < EPS_GEO
-    antipodal = degenerate & (cosine < 0.0)
-    if antipodal.ndim == 0 and antipodal:
-        raise AntipodalPointsError("rotation axis undefined for antipodal points")
+    antipodal = undefined_rows(degenerate & (cosine < 0.0), AntipodalPointsError,
+                               "rotation axis undefined for antipodal points")
     # a degenerate row turns by zero about any axis: the identity
     axis = np.where(degenerate[..., None], (0.0, 0.0, 1.0),
                     cross / np.where(degenerate, 1.0, sine)[..., None])
@@ -325,10 +325,9 @@ class MixedTriple:
                 or (w > 1 + 1e-12).any()):
             raise ValueError("weights must lie in [0, 1] and sum to 1")
         close, i, j = _coinciding(w)
-        if w.ndim == 1 and close.any():
-            k = int(np.argmax(close))
-            raise DegenerateSpectrumError(
-                f"weights {i[k]} and {j[k]} coincide; eigenbases not unique")
+        undefined_rows(close.any(axis=-1), DegenerateSpectrumError,
+                       lambda: "weights {} and {} coincide; eigenbases not unique"
+                       .format(i[np.argmax(close)], j[np.argmax(close)]))
         dim = w.shape[-1]
         for name, basis in (("a", self.basis_a), ("b", self.basis_b),
                             ("c", self.basis_c)):
@@ -336,12 +335,6 @@ class MixedTriple:
                 raise ValueError(f"basis {name} must be {dim}x{dim}")
             _require_orthonormal(basis, f"basis {name}")
         return self
-
-    def reversed(self) -> "MixedTriple":
-        """Opposite orientation: stations b and c swapped, transport inverted."""
-        return MixedTriple(self.weights, self.basis_a, self.basis_c, self.basis_b,
-                           np.swapaxes(np.asarray(self.u, dtype=complex).conj(),
-                                       -1, -2))
 
 
 def mixed_chain_invariant(weights, bases, u):
@@ -436,13 +429,11 @@ def mixed_solid_angle_phase(r, omega):
     """
     r, omega = np.broadcast_arrays(np.asarray(r, dtype=float),
                                    np.asarray(omega, dtype=float))
-    degenerate = np.abs(r) < 1e-12
-    multiturn = np.abs(omega) >= 2.0 * np.pi
-    if r.ndim == 0 and degenerate:
-        raise DegenerateSpectrumError("r = 0 leaves the eigenbasis undefined")
+    degenerate = undefined_rows(np.abs(r) < 1e-12, DegenerateSpectrumError,
+                                "r = 0 leaves the eigenbasis undefined")
     if not (np.abs(r) <= 1.0).all():
         raise ValueError("Bloch radius must lie in [-1, 1]")
-    if r.ndim == 0 and multiturn:
-        raise BranchAmbiguityError("|omega| >= 2*pi is outside the single-turn branch")
+    multiturn = undefined_rows(np.abs(omega) >= 2.0 * np.pi, BranchAmbiguityError,
+                               "|omega| >= 2*pi is outside the single-turn branch")
     return mark_undefined(principal_angle(tilted_overlap(omega / 2.0, r)),
                           degenerate | multiturn)

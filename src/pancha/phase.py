@@ -18,7 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import from_parts, inner_product, mark_undefined, principal_angle
+from .core import (
+    from_parts,
+    hermitian_rows,
+    inner_product,
+    mark_undefined,
+    principal_angle,
+    undefined_rows,
+)
 from .errors import IllConditionedError, OrthogonalStatesError, VanishingTraceError
 
 #: visibility below which a phase is declared undefined (arg of a
@@ -45,14 +52,13 @@ class PhaseResult:
         """Phase and visibility of an overlap, or of an array of them with
         the rows whose visibility is below EPS_ORTH undefined; a single
         overlap that small raises the domain error ``error`` instead."""
-        if isinstance(z, complex):
-            vis = abs(z)
-            if vis < EPS_ORTH:
-                raise error(f"overlap modulus {vis:.3e} below {EPS_ORTH:.0e}")
-            return cls(phase=principal_angle(z), visibility=vis)
-        vis = np.hypot(z.real, z.imag)  # bit for bit the scalar abs; np.abs is not
-        defined = vis >= EPS_ORTH
-        return cls(np.where(defined, principal_angle(z), np.nan), vis, defined)
+        vis = np.hypot(np.real(z), np.imag(z))  # bit for bit abs(z); np.abs is not
+        vanishing = undefined_rows(vis < EPS_ORTH, error, lambda: (
+            f"overlap modulus {vis:.3e} below {EPS_ORTH:.0e}"))
+        phase = mark_undefined(principal_angle(z), vanishing)
+        if vanishing.ndim == 0:
+            return cls(phase, float(vis))
+        return cls(phase, vis, vis >= EPS_ORTH)  # False where NaN
 
 
 @dataclass(frozen=True)
@@ -154,13 +160,10 @@ def mixed_interference_profile(rho, u, chis) -> InterferenceProfile:
     rho = np.asarray(rho, dtype=complex)
     u = np.asarray(u, dtype=complex)
     chis = np.asarray(chis, dtype=float)
-    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite rho
-        defect = np.abs(rho - rho.conj().swapaxes(-1, -2))
-    hermitian = (defect <= 1e-12).all(axis=(-2, -1))  # False where NaN
+    hermitian = hermitian_rows(rho)
     weights, basis = np.linalg.eigh(np.where(hermitian[..., None, None], rho, np.nan))
-    if rho.ndim == 2 and not np.isfinite(basis).all():
-        raise np.linalg.LinAlgError("rho must be finite and hermitian, "
-                                    "with a finite eigendecomposition")
+    undefined_rows(~np.isfinite(basis).all(axis=(-2, -1)), np.linalg.LinAlgError,
+                   "rho must be finite and hermitian, with a finite eigendecomposition")
     vectors = basis.swapaxes(-1, -2)  # one eigenvector per row
     images = (u[..., None, :, :] @ vectors[..., :, None])[..., 0]
     profiles = _two_beam_intensities(vectors, images, chis[..., None, :])
@@ -187,26 +190,26 @@ def fit_fringe(chis, intensities) -> PhaseResult:
     """
     chis = np.asarray(chis, dtype=float)
     intensities = np.asarray(intensities, dtype=float)
-    single = intensities.ndim == 1
     if intensities.ndim == 0 or chis.shape not in (intensities.shape[-1:],
                                                    intensities.shape):
         raise ValueError("chis must be an (n,) grid or one grid per row")
+    rows = intensities.shape[:-1]
     distinct = 1 + np.count_nonzero(np.diff(np.sort(chis)), axis=-1)
     u, s, vt = np.linalg.svd(np.stack([np.ones_like(chis), np.cos(chis), np.sin(chis)],
                                       axis=-1), full_matrices=False)
     kept = s > s[..., :1] * (np.finfo(float).eps * max(chis.shape[-1], 3))
     rank = np.count_nonzero(kept, axis=-1)
-    if single and distinct < 3:
-        raise IllConditionedError("need at least 3 distinct chi samples")
-    if single and rank < 3:
-        raise IllConditionedError(f"design matrix rank {rank} < 3")
+    unfitted = undefined_rows(np.broadcast_to(distinct < 3, rows), IllConditionedError,
+                              "need at least 3 distinct chi samples")
+    unfitted = unfitted | undefined_rows(np.broadcast_to(rank < 3, rows),
+                                         IllConditionedError,
+                                         lambda: f"design matrix rank {rank} < 3")
     s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
     pinv = (vt.swapaxes(-1, -2) * s_inv[..., None, :]) @ u.swapaxes(-1, -2)
     c0, c1, c2 = np.moveaxis((pinv @ intensities[..., None])[..., 0], -1, 0)
-    fitted = (distinct >= 3) & (rank == 3)
     visibility = np.divide(np.hypot(c1, c2), c0, where=c0 > EPS_ORTH,
                            out=np.where(np.isnan(c0), np.nan, 0.0))
-    defined = fitted & (visibility >= EPS_ORTH)
+    defined = ~unfitted & (visibility >= EPS_ORTH)
     return PhaseResult(mark_undefined(np.arctan2(c2, c1), ~defined),
-                       mark_undefined(visibility, ~fitted),
-                       bool(defined) if single else defined)
+                       mark_undefined(visibility, unfitted),
+                       bool(defined) if defined.ndim == 0 else defined)

@@ -31,10 +31,12 @@ from .core import (
     SIGMA_X,
     SIGMA_Z,
     bloch_to_state,
+    hermitian_rows,
     inner_product,
     mark_undefined,
     matrix_exponential_su2,
     principal_angle,
+    undefined_rows,
     wrap_angle,
 )
 from .errors import (
@@ -110,14 +112,17 @@ class DiscretePath:
             raise ValueError("times must be 1-d and states 2-d (after any batch axes)")
         if self.times.size != self.n_samples or self.times.size < 2:
             raise ValueError("need one state per time and at least two samples")
-        # one pass, the blocks' times overlapping by a sample; the squared
-        # moduli are summed in place from the real and imaginary parts (any
-        # strides will do), and sqrt is monotonic, so the running extremes
-        # hold the largest defect (fmin and fmax pass over NaN rows)
+        if not np.isfinite(self.times[[0, -1]]).all():
+            raise ValueError("times must be finite")
+        # one pass, the blocks' times overlapping by a sample (increasing
+        # times between finite ends are finite: a NaN step is not > 0); the
+        # squared moduli are summed in place from the real and imaginary
+        # parts (any strides will do), and sqrt is monotonic, so the running
+        # extremes hold the largest defect (fmin and fmax pass over NaN rows)
         low = high = 1.0
         for lo, hi in _blocks(self.n_samples, self.states[..., 0, 0].size):
             span = self.times[lo:hi + 1]
-            if (span[1:] - span[:-1] <= 0.0).any():
+            if not (span[1:] - span[:-1] > 0.0).all():
                 raise ValueError("times must be strictly increasing")
             block = self.states[..., lo:hi, :]
             squared = np.zeros(block.shape[:-1])
@@ -133,6 +138,8 @@ class DiscretePath:
             if self.hamiltonian.shape not in ((d, d), self.states.shape[:-2] + (d, d)):
                 raise ValueError(f"hamiltonian must have shape ({d}, {d}) or "
                                  f"one such per path, got {self.hamiltonian.shape}")
+            if not hermitian_rows(self.hamiltonian).all():
+                raise ValueError("hamiltonian must be finite and hermitian")
         return self
 
 
@@ -149,10 +156,9 @@ def _link_phases(path: DiscretePath):
         links = np.einsum("...ij,...ij->...i", block[..., 1:, :].conj(),
                           block[..., :-1, :])
         small = np.abs(links) < EPS_ORTH
-        if states.ndim == 2 and small.any():
-            raise OrthogonalStatesError(
-                f"adjacent overlap vanishes at link {lo + int(np.argmax(small))}")
-        broken |= small.any(axis=-1)
+        broken |= undefined_rows(
+            small.any(axis=-1), OrthogonalStatesError,
+            lambda: f"adjacent overlap vanishes at link {lo + int(np.argmax(small))}")
         phases[..., lo:hi] = np.angle(links)
     return phases, broken
 
@@ -161,10 +167,9 @@ def _endpoint_overlap(path: DiscretePath):
     """<A_0|A_t> of each path, and the paths where it vanishes; a single
     path raises instead."""
     overlap = inner_product(path.states[..., 0, :], path.states[..., -1, :])
-    vanishing = np.abs(overlap) < EPS_ORTH
-    if path.states.ndim == 2 and vanishing:
-        raise VanishingEndpointOverlapError("endpoint states are orthogonal")
-    return overlap, vanishing
+    return overlap, undefined_rows(np.abs(overlap) < EPS_ORTH,
+                                   VanishingEndpointOverlapError,
+                                   "endpoint states are orthogonal")
 
 
 def chain_phase(path: DiscretePath):
@@ -289,19 +294,38 @@ class PrecessionSpec:
     r: float = 1.0
 
 
-def precession_hamiltonian(theta: float) -> np.ndarray:
-    """Generator (sin(theta) sx + cos(theta) sz) / 2 of the precession."""
-    return 0.5 * (np.sin(theta) * SIGMA_X + np.cos(theta) * SIGMA_Z)
+def _precession_axis(theta) -> np.ndarray:
+    """The precession axis (sin(theta), 0, cos(theta)), (..., 3)."""
+    axis = np.zeros(np.shape(theta) + (3,))
+    axis[..., 0], axis[..., 2] = np.sin(theta), np.cos(theta)
+    return axis
 
 
-def auxiliary_hamiltonian(spec: PrecessionSpec) -> np.ndarray:
-    """Generator (cos(theta)/2) sz of the phase-cancelling auxiliary evolution.
+def precession_hamiltonian(theta) -> np.ndarray:
+    """Generator (sin(theta) sx + cos(theta) sz) / 2 of the precession,
+    (axis . sigma) / 2 for the axis of _precession_axis; (..., 2, 2)."""
+    axis = _precession_axis(theta)
+    return 0.5 * (axis[..., 0, None, None] * SIGMA_X
+                  + axis[..., 2, None, None] * SIGMA_Z)
 
-    Acting on the +z start state it reproduces the running local phase of
-    the precession, which is what makes the relative phase of the two
-    evolutions purely geometric.
-    """
-    return 0.5 * np.cos(spec.theta) * SIGMA_Z
+
+def _precession_states(theta, times) -> np.ndarray:
+    """The lifts e^{-iHt}|+z> of the precessions about the axes of
+    ``theta`` at the sample ``times`` (..., n+1), rowwise over broadcast
+    leading axes: (..., n+1, 2).  The states
+    (cos(t/2) - i sin(t/2) cos(theta), -i sin(t/2) sin(theta)) are written
+    part by part, a block at a time, into the one full-length array."""
+    axis = _precession_axis(theta)[..., None, :]
+    sin_t, cos_t = axis[..., 0], axis[..., 2]
+    rows = np.broadcast_shapes(axis.shape[:-2], times.shape[:-1])
+    states = np.zeros(rows + (times.shape[-1], 2), dtype=complex)
+    for lo, hi in _blocks(times.shape[-1], states[..., 0, 0].size):
+        half = times[..., lo:hi] / 2.0
+        sine, block = np.sin(half), states[..., lo:hi, :]
+        block[..., 0].real = np.cos(half)
+        block[..., 0].imag = 0.0 - sine * cos_t
+        block[..., 1].imag = 0.0 - sine * sin_t
+    return states
 
 
 def precession_path(spec: PrecessionSpec, n: int = 4096) -> DiscretePath:
@@ -309,17 +333,10 @@ def precession_path(spec: PrecessionSpec, n: int = 4096) -> DiscretePath:
     a negative angle gives the same states at times |t| under -H."""
     if n < 1:
         raise ValueError("need at least one subdivision")
+    if not np.isfinite((spec.theta, spec.phi)).all():
+        raise ValueError("precession angles must be finite")
     times = np.linspace(0.0, spec.phi, n + 1)
-    cos_t, sin_t = np.cos(spec.theta), np.sin(spec.theta)
-    # (cos(t/2) - i sin(t/2) cos(theta), -i sin(t/2) sin(theta)), written
-    # part by part, a block at a time, into the one full-length array
-    states = np.zeros((n + 1, 2), dtype=complex)
-    for lo, hi in _blocks(n + 1, 1):
-        half = times[lo:hi] / 2.0
-        sine, block = np.sin(half), states[lo:hi]
-        block[:, 0].real = np.cos(half)
-        block[:, 0].imag = 0.0 - sine * cos_t
-        block[:, 1].imag = 0.0 - sine * sin_t
+    states = _precession_states(spec.theta, times)
     hamiltonian = precession_hamiltonian(spec.theta)
     if spec.phi < 0.0:
         times, hamiltonian = np.abs(times, out=times), -hamiltonian
@@ -327,20 +344,19 @@ def precession_path(spec: PrecessionSpec, n: int = 4096) -> DiscretePath:
 
 
 def precession_comparison_unitary(spec: PrecessionSpec) -> np.ndarray:
-    """Net relative evolution: inverse auxiliary then precession, (..., 2, 2)."""
-    cos_t = np.cos(spec.theta)
-    undo_aux = matrix_exponential_su2((0.0, 0.0, 1.0), -spec.phi * cos_t)
-    precess = matrix_exponential_su2(
-        np.stack(np.broadcast_arrays(np.sin(spec.theta), 0.0, cos_t), axis=-1),
-        spec.phi)
-    return undo_aux @ precess
+    """Net relative evolution, (..., 2, 2): the precession, then the inverse
+    of the auxiliary evolution under (cos(theta)/2) sz, a z-rotation by
+    phi cos(theta) that reproduces the precession's running local phase on
+    the +z start state."""
+    axis = _precession_axis(spec.theta)
+    undo_aux = matrix_exponential_su2((0.0, 0.0, 1.0), -spec.phi * axis[..., 2])
+    return undo_aux @ matrix_exponential_su2(axis, spec.phi)
 
 
 def precession_phase_simulated(spec: PrecessionSpec):
     """Relative phase of the precessed +z state against the auxiliary path,
     from the net evolution's matrix element; a batch marks a vanishing one NaN."""
     overlap = precession_comparison_unitary(spec)[..., 0, 0]
-    overlap = complex(overlap) if overlap.ndim == 0 else overlap
     return PhaseResult.from_overlap(overlap, OrthogonalStatesError).phase
 
 
@@ -359,9 +375,8 @@ def precession_phase_closed_form(spec: PrecessionSpec):
             branch.
     """
     theta, phi = np.broadcast_arrays(spec.theta, spec.phi)
-    multiturn = np.abs(phi) >= 2.0 * np.pi
-    if multiturn.ndim == 0 and multiturn:
-        raise BranchAmbiguityError("|phi| >= 2*pi is outside the single-turn branch")
+    multiturn = undefined_rows(np.abs(phi) >= 2.0 * np.pi, BranchAmbiguityError,
+                               "|phi| >= 2*pi is outside the single-turn branch")
     half = phi / 2.0
     cos_t = np.cos(theta)
     return mark_undefined(
@@ -416,15 +431,13 @@ def _swept_area(x, y, z):
     excess = (np.arctan2(det * gap, cos_u * (cos_u + gap) + det * det)
               + np.arctan2(det, u0 * v0 + u1 * v1))
     collapsed = e_flat + e[2] * e[2] < 1e-26
-    antipodal = (collapsed & (sign < 0.0)).any(axis=-1)
+    antipodal = undefined_rows((collapsed & (sign < 0.0)).any(axis=-1),
+                               DegenerateTriangleError,
+                               "adjacent path points are antipodal")
     on_axis = rho2 < 1e-26
-    south = (on_axis & (z < 0.0)).any(axis=-1)
-    if x.ndim == 1 and antipodal:
-        raise DegenerateTriangleError("adjacent path points are antipodal")
-    if x.ndim == 1 and south:
-        raise DegenerateTriangleError(
-            "path touches the south pole, where the azimuth chart is singular"
-        )
+    south = undefined_rows(
+        (on_axis & (z < 0.0)).any(axis=-1), DegenerateTriangleError,
+        "path touches the south pole, where the azimuth chart is singular")
     swept = np.where(collapsed | on_axis[..., :-1] | on_axis[..., 1:], 0.0, excess)
     return swept.sum(axis=-1), antipodal | south
 
@@ -457,9 +470,9 @@ def geodesic_closure_solid_angle(path: DiscretePath):
     ends = np.stack(_unit_bloch(states[..., [0, -1], :]))
     first, last = ends[..., 0], ends[..., 1]
     cross = np.cross(first, last, axis=0)
-    undefined = (np.sqrt(_dot3(cross, cross)) < 1e-8) & (_dot3(first, last) < 0.0)
-    if states.ndim == 2 and undefined:
-        raise AntipodalEndpointsError("closing geodesic undefined for antipodal ends")
+    undefined = undefined_rows(
+        (np.sqrt(_dot3(cross, cross)) < 1e-8) & (_dot3(first, last) < 0.0),
+        AntipodalEndpointsError, "closing geodesic undefined for antipodal ends")
 
     total = 0.0
     for lo, hi in _blocks(path.n_samples, undefined.size):

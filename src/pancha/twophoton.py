@@ -20,9 +20,8 @@ from .core import (
     bloch_to_state,
     inner_product,
     mark_undefined,
-    orthogonal_complement,
     tensor,
-    wrap_angle,
+    undefined_rows,
 )
 from .errors import (
     BasisMisalignedError,
@@ -30,7 +29,7 @@ from .errors import (
     OrthogonalStatesError,
     UndefinedRatioError,
 )
-from .geometry import SphericalTriangle, loop_holonomy
+from .geometry import SphericalTriangle, _eigenbasis, loop_holonomy
 from .phase import (
     EPS_ORTH,
     InterferenceProfile,
@@ -87,16 +86,6 @@ class LoopPair:
         return LoopPair(self.triangle_a[rows], self.triangle_a_prime[rows])
 
 
-def degree_of_entanglement(s: SchmidtState) -> float:
-    """|1 - 2 lam|: 1 for product states, 0 for maximally entangled ones."""
-    return abs(1.0 - 2.0 * s.lam)
-
-
-def product_loop_phase(omega: float, omega_prime: float) -> float:
-    """Relative phase -(omega + omega')/2 of a product pair, principal branch."""
-    return wrap_angle(-(omega + omega_prime) / 2.0)
-
-
 def entangled_phase_closed_form(lam, omega, omega_prime) -> PhaseResult:
     """Closed-form pair phase and visibility after the two loops.
 
@@ -122,13 +111,8 @@ def entangled_phase_closed_form(lam, omega, omega_prime) -> PhaseResult:
 def schmidt_state_for_loops(lam, loops: LoopPair) -> SchmidtState:
     """Schmidt state whose local bases sit at the loops' start vertices;
     batched loops (and lam) give a batch of states."""
-    a = bloch_to_state(loops.triangle_a.a)
-    ap = bloch_to_state(loops.triangle_a_prime.a)
-    return SchmidtState(
-        lam,
-        np.stack([a, orthogonal_complement(a)], axis=-1),
-        np.stack([ap, orthogonal_complement(ap)], axis=-1),
-    )
+    return SchmidtState(lam, *(_eigenbasis(bloch_to_state(t.a))
+                               for t in (loops.triangle_a, loops.triangle_a_prime)))
 
 
 def _pair_transport(s: SchmidtState, loops: LoopPair):
@@ -195,9 +179,7 @@ def nonlinearity_ratio(lam, omega, omega_prime):
             (~np.isfinite(tangent), "tangents undefined (non-finite angle)"),
             (~np.isfinite(lam), "entangled phase undefined (non-finite lam)"),
             (np.abs(tangent) < 1e-12, "product-phase tangent vanishes")):
-        if lam.ndim == 0 and flagged:
-            raise UndefinedRatioError(reason)
-        undefined = undefined | flagged
+        undefined = undefined | undefined_rows(flagged, UndefinedRatioError, reason)
     return mark_undefined(ratio, undefined)
 
 
@@ -214,9 +196,8 @@ def ancilla_reduction_phase(lam, omega):
         BranchAmbiguityError: for |omega| >= 2*pi.
         OrthogonalStatesError: where the visibility vanishes.
     """
-    multiturn = np.abs(omega) >= 2.0 * np.pi
-    if np.ndim(multiturn) == 0 and multiturn:
-        raise BranchAmbiguityError("|omega| >= 2*pi is outside the single-turn branch")
+    multiturn = undefined_rows(np.abs(omega) >= 2.0 * np.pi, BranchAmbiguityError,
+                               "|omega| >= 2*pi is outside the single-turn branch")
     return mark_undefined(entangled_phase_closed_form(lam, omega, 0.0).phase,
                           multiturn)
 

@@ -105,6 +105,31 @@ class TestValidateAcrossBlocks:
             with pytest.raises(ValueError, match="unit vectors"):
                 DiscretePath(times, bad)
 
+    @pytest.mark.parametrize("where", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_a_nan_time_in_any_block(self, where):
+        times, states = unit_path(_BLOCK + 5)
+        times[where] = np.nan
+        with pytest.raises(ValueError, match="strictly increasing"):
+            DiscretePath(times, states)
+
+    @pytest.mark.parametrize("times, message", [
+        ([0.0, np.nan, 1.0], "strictly increasing"),
+        ([np.nan, np.nan, np.nan], "finite"),
+        ([0.0, 1.0, np.inf], "finite"),
+        ([-np.inf, 0.0, 1.0], "finite"),
+        ([0.0, 1.0, np.nan], "finite"),
+    ])
+    def test_non_finite_times_are_refused(self, times, message):
+        with pytest.raises(ValueError, match=message):
+            DiscretePath(times, np.tile(PLUS, (3, 1)))
+
+    @pytest.mark.parametrize("theta, phi", [(0.3, np.nan), (0.3, np.inf),
+                                            (0.3, -np.inf), (np.nan, 1.0),
+                                            (np.inf, 1.0)])
+    def test_a_non_finite_precession_angle_is_refused(self, theta, phi):
+        with pytest.raises(ValueError, match="finite"):
+            precession_path(PrecessionSpec(theta, phi), 16)
+
     def test_a_nan_row_still_passes(self):
         times, states = unit_path(_BLOCK + 5, (3,))
         states[1] = np.nan

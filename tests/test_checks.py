@@ -4,6 +4,8 @@ import pytest
 from pancha import checks, geometry, twophoton
 from pancha.phase import tilted_overlap
 
+from oracles import random_smooth_path
+
 
 def stub_raising_once(monkeypatch, exc):
     """Replace nonlinearity_ratio in the battery by one whose first call raises."""
@@ -75,5 +77,5 @@ class TestAncillaReduction:
 
 
 def test_smooth_path_generators_are_not_copied():
-    path = checks.random_smooth_path(np.random.default_rng(3), n=100)
+    path = random_smooth_path(np.random.default_rng(3), n=100)
     assert path.generators.strides[0] == 0

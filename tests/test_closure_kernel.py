@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from pancha import transport
 from pancha.checks import PRECESSION_GRID
-from pancha.core import BlochPoint, bloch_to_state, bloch_vector, orthogonal_complement
+from pancha.core import BlochPoint, bloch_to_state, orthogonal_complement
 from pancha.errors import AntipodalEndpointsError, DegenerateTriangleError
 from pancha.geometry import SphericalTriangle, girard_signed_area
 from pancha.transport import (
@@ -24,6 +24,8 @@ from pancha.transport import (
     precession_phase_closed_form,
     sample_triangle_path,
 )
+
+from oracles import bloch_vector
 
 B = transport._BLOCK
 NORTH = np.array([0.0, 0.0, 1.0])
@@ -101,7 +103,7 @@ def test_pole_term_matches_the_general_kernel_arc_by_arc():
 
 def reference_closure(mp, path):
     """The sum of reference_girard(p, q, N) over the arcs of the path's
-    closed ring of Bloch vectors (from core.bloch_vector, normalised at the
+    closed ring of Bloch vectors (from oracles.bloch_vector, normalised at the
     working precision of ``mp``).  An arc from a point on the polar axis
     spans a triangle with two equal vertices, of no area, and is left out."""
     points = bloch_vector(path.states)

@@ -8,18 +8,21 @@ from pancha.core import (
     KET_MINUS_Z,
     KET_PLUS_Z,
     bloch_to_state,
-    bloch_vector,
     haar_state,
     inner_product,
     matrix_exponential_su2,
     orthogonal_complement,
     principal_angle,
     qubit_density,
-    random_state,
     state_to_bloch,
     tensor,
+    undefined_rows,
     wrap_angle,
 )
+from pancha.errors import OrthogonalStatesError
+from pancha.transport import _unit_bloch
+
+from oracles import bloch_vector, point_from_vector, random_state
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -95,20 +98,20 @@ class TestBlochChart:
 
     def test_unit_vector_round_trip(self):
         point = BlochPoint(1.1, 2.2)
-        back = BlochPoint.from_vector(point.unit_vector())
+        back = point_from_vector(point.unit_vector())
         assert back.theta == pytest.approx(1.1)
         assert back.phi == pytest.approx(2.2)
 
     def test_bloch_vector_matches_chart(self):
         state = bloch_to_state(BlochPoint(1.0, 2.0))
-        np.testing.assert_allclose(bloch_vector(state),
+        np.testing.assert_allclose(_unit_bloch(state),
                                    BlochPoint(1.0, 2.0).unit_vector(),
                                    atol=1e-12)
 
     def test_rowwise_bloch_vectors_match_chart(self):
         rng = np.random.default_rng(7)
         states = np.array([haar_state(rng) for _ in range(50)])
-        rows = bloch_vector(states)
+        rows = np.stack(_unit_bloch(states), axis=-1)
         assert rows.shape == (50, 3)
         for state, row in zip(states, rows):
             np.testing.assert_allclose(row, bloch_vector(state), rtol=0.0,
@@ -145,10 +148,6 @@ class TestRandomState:
 
     def test_seeds_differ(self):
         assert not np.allclose(random_state(1), random_state(2))
-
-    def test_dim_validation(self):
-        with pytest.raises(ValueError):
-            random_state(0, dim=1)
 
     def test_haar_uniformity(self):
         # mean Bloch vector of many samples should shrink like 1/sqrt(n)
@@ -219,3 +218,24 @@ class TestAngles:
         state = random_state(9)
         assert inner_product(state, orthogonal_complement(state)) == (
             pytest.approx(0.0, abs=1e-15))
+
+
+class TestUndefinedRows:
+    def test_a_single_call_raises_its_error(self):
+        with pytest.raises(OrthogonalStatesError, match="^link 3$"):
+            undefined_rows(np.bool_(True), OrthogonalStatesError, "link 3")
+        with pytest.raises(OrthogonalStatesError, match="^made on demand$"):
+            undefined_rows(True, OrthogonalStatesError, lambda: "made on demand")
+
+    def test_a_defined_single_call_passes(self):
+        flags = undefined_rows(False, OrthogonalStatesError, "unused")
+        assert flags.shape == () and not flags
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (4,), (2, 3)])
+    def test_a_batch_formats_no_message(self, shape):
+        def message():
+            raise AssertionError("a batch must not build the message")
+
+        flags = np.ones(shape, dtype=bool)
+        got = undefined_rows(flags, OrthogonalStatesError, message)
+        np.testing.assert_array_equal(got, flags)

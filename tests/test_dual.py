@@ -13,12 +13,13 @@ from pancha.dual import (
     prepare_beam_state,
     spatial_vectors,
     spin_arm_states,
-    spin_interference_profile,
     spin_pancharatnam,
 )
 from pancha.errors import OrthogonalStatesError
 from pancha.experiments import run_dual
 from pancha.phase import tilted_overlap
+
+from oracles import spin_interference_profile
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 CHI_GRID = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)

@@ -6,7 +6,6 @@ from pancha.core import (
     bloch_to_state,
     inner_product,
     orthogonal_complement,
-    random_state,
     wrap_angle,
 )
 from pancha.errors import (
@@ -28,6 +27,8 @@ from pancha.geometry import (
     qubit_mixed_triple,
     solid_angle,
 )
+
+from oracles import random_state, reversed_triangle, reversed_triple
 
 NORTH = BlochPoint(0.0, 0.0)
 EQUATOR_X = BlochPoint(np.pi / 2, 0.0)
@@ -91,8 +92,8 @@ class TestSolidAngle:
         assert solid_angle(tri) == pytest.approx(0.0, abs=1e-12)
 
     def test_reversed_orientation(self):
-        assert solid_angle(OCTANT.reversed()) == pytest.approx(-np.pi / 2,
-                                                               abs=1e-12)
+        assert solid_angle(reversed_triangle(OCTANT)) == pytest.approx(
+            -np.pi / 2, abs=1e-12)
 
     def test_azimuth_span_triangle(self):
         # pole triangle with equatorial azimuth span delta has area delta
@@ -174,7 +175,7 @@ class TestLoopHolonomy:
 
     def test_reversed_triangle_gives_inverse(self):
         forward = loop_holonomy(OCTANT)
-        backward = loop_holonomy(OCTANT.reversed())
+        backward = loop_holonomy(reversed_triangle(OCTANT))
         np.testing.assert_allclose(backward @ forward, np.eye(2), atol=1e-12)
 
     def test_complement_gets_opposite_phase(self):
@@ -233,7 +234,7 @@ class TestMixedBargmann:
 
     def test_orientation_reversal_negates(self):
         mt = qubit_mixed_triple(OCTANT, 0.5)
-        assert mixed_bargmann(mt.reversed()) == pytest.approx(
+        assert mixed_bargmann(reversed_triple(mt)) == pytest.approx(
             -mixed_bargmann(mt), abs=1e-12)
 
     def test_degenerate_weights_rejected(self):

@@ -31,6 +31,8 @@ from pancha.transport import (
     precession_path,
 )
 
+from oracles import random_smooth_path
+
 STEPS = np.linspace(0.0, 1.0, 3)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 #: a link through orthogonal states, and endpoints that are orthogonal
@@ -42,7 +44,7 @@ def smooth_batch(seed, count, n=50, dim=2):
     """``count`` random smooth paths drawn one at a time, and the same
     paths as one batch."""
     rng = np.random.default_rng(seed)
-    singles = [checks.random_smooth_path(rng, n=n, dim=dim) for _ in range(count)]
+    singles = [random_smooth_path(rng, n=n, dim=dim) for _ in range(count)]
     batch = DiscretePath(singles[0].times, np.stack([p.states for p in singles]),
                          np.stack([p.hamiltonian for p in singles]))
     return singles, batch
@@ -230,7 +232,7 @@ def test_empty_batches_give_empty_rows():
 def test_energy_terms_match_the_general_contraction(dim):
     rng = np.random.default_rng(dim)
     for _ in range(20):
-        path = checks.random_smooth_path(rng, n=int(rng.integers(1, 300)), dim=dim)
+        path = random_smooth_path(rng, n=int(rng.integers(1, 300)), dim=dim)
         assert abs(dynamical_phase(path) - einsum_energy_phase(path)) <= 1e-14
 
 
@@ -247,7 +249,7 @@ def test_random_smooth_path_draws_and_evolves_as_before():
     for dim in (2, 3, 4):
         rng, ref = np.random.default_rng(dim), np.random.default_rng(dim)
         for _ in range(10):
-            path = checks.random_smooth_path(rng, n=33, dim=dim)
+            path = random_smooth_path(rng, n=33, dim=dim)
             h, states = parent_smooth_path(ref, 33, dim)
             assert path.hamiltonian.tobytes() == h.tobytes()
             assert path.states.tobytes() == states.tobytes()

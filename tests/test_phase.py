@@ -9,7 +9,6 @@ from pancha.core import (
     bloch_to_state,
     matrix_exponential_su2,
     qubit_density,
-    random_state,
     wrap_angle,
 )
 from pancha.errors import (
@@ -24,6 +23,8 @@ from pancha.phase import (
     pancharatnam_phase,
     pure_interference_profile,
 )
+
+from oracles import random_state
 
 CHI_GRID = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 

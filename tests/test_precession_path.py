@@ -5,7 +5,14 @@ and of the states built in one pass over full-length arrays, bit for bit."""
 import numpy as np
 import pytest
 
-from pancha.transport import _BLOCK, PrecessionSpec, precession_path
+from pancha import checks
+from pancha.transport import (
+    _BLOCK,
+    DiscretePath,
+    PrecessionSpec,
+    _precession_states,
+    precession_path,
+)
 
 
 def reference_states(spec, n):
@@ -47,3 +54,30 @@ def test_states_equal_the_one_shot_formula_bit_for_bit(n, phi):
     assert path.times.tobytes() == np.abs(np.linspace(0.0, phi, n + 1)).tobytes()
     # bytes, not values: the signs of zero parts must agree too
     assert path.states.tobytes() == one_shot_states(spec, n).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 681, 682, 683, 10_000])
+def test_batched_states_equal_single_paths_bit_for_bit(n):
+    # a batch of 12 walks 682 samples a block, one path 8192
+    rng = np.random.default_rng(n)
+    theta, phi = rng.uniform(0.0, np.pi, 12), rng.uniform(-6.0, 6.0, 12)
+    batch = checks._precession_batch(PrecessionSpec(theta, phi), n)
+    assert batch.states.shape == (12, n + 1, 2)
+    for row, t, p in zip(batch.states, theta, phi):
+        single = precession_path(PrecessionSpec(t, p), n)
+        assert row.tobytes() == single.states.tobytes()
+    # axes broadcast against one shared set of times
+    times = np.linspace(0.0, phi[2], n + 1)
+    grid = _precession_states(theta.reshape(3, 4), times)
+    assert grid.shape == (3, 4, n + 1, 2)
+    assert grid[1, 2].tobytes() == precession_path(
+        PrecessionSpec(theta[6], phi[2]), n).states.tobytes()
+
+
+def test_the_precession_batch_is_validated_once(monkeypatch):
+    calls = []
+    validate = DiscretePath.validate
+    monkeypatch.setattr(DiscretePath, "validate",
+                        lambda path: calls.append(path) or validate(path))
+    assert checks.check_precession_three_way(0).passed
+    assert len(calls) == 1

@@ -6,7 +6,7 @@ from pancha.core import (
     KET_PLUS_Z,
     SIGMA_Z,
     bloch_to_state,
-    random_state,
+    matrix_exponential_su2,
     wrap_angle,
 )
 from pancha.errors import (
@@ -22,7 +22,6 @@ from pancha.phase import mixed_phase
 from pancha.transport import (
     DiscretePath,
     PrecessionSpec,
-    auxiliary_hamiltonian,
     chain_phase,
     dynamical_phase,
     geodesic_closure_solid_angle,
@@ -37,6 +36,8 @@ from pancha.transport import (
     precession_phase_simulated,
     sample_triangle_path,
 )
+
+from oracles import auxiliary_hamiltonian, evolution, random_state
 
 WORKED_EXAMPLE = PrecessionSpec(theta=np.pi / 3, phi=np.pi / 2)
 WORKED_VALUE = -np.arctan(0.5 * np.tan(np.pi / 4)) + (np.pi / 4) * 0.5
@@ -231,19 +232,30 @@ class TestPrecessionClosedForm:
 
 
 class TestAuxiliaryHamiltonian:
+    """The comparison unitary undoes the auxiliary evolution under
+    (cos(theta)/2) sz after the precession."""
+
     def test_equatorial_axis_vanishes(self):
+        # no auxiliary evolution: the bare precession about x
         np.testing.assert_allclose(
-            auxiliary_hamiltonian(PrecessionSpec(np.pi / 2, 1.0)),
-            np.zeros((2, 2)), atol=1e-15)
+            precession_comparison_unitary(PrecessionSpec(np.pi / 2, 1.0)),
+            matrix_exponential_su2((1.0, 0.0, 0.0), 1.0), atol=1e-15)
 
     def test_polar_axis(self):
+        # the auxiliary evolution is the precession itself
         np.testing.assert_allclose(
-            auxiliary_hamiltonian(PrecessionSpec(0.0, 1.0)), SIGMA_Z / 2.0,
+            precession_comparison_unitary(PrecessionSpec(0.0, 1.0)), np.eye(2),
             atol=1e-15)
 
     def test_worked_example_quarter_sigma_z(self):
+        aux = auxiliary_hamiltonian(WORKED_EXAMPLE)
+        np.testing.assert_allclose(aux, SIGMA_Z / 4.0, atol=1e-12)
+        phi = WORKED_EXAMPLE.phi
         np.testing.assert_allclose(
-            auxiliary_hamiltonian(WORKED_EXAMPLE), SIGMA_Z / 4.0, atol=1e-12)
+            precession_comparison_unitary(WORKED_EXAMPLE),
+            evolution(aux, -phi) @ evolution(
+                precession_hamiltonian(WORKED_EXAMPLE.theta), phi),
+            atol=1e-12)
 
     def test_cancels_local_phase_along_path(self):
         # exp(i*aux*t) applied to |+z> undoes the accumulated local phase
@@ -349,6 +361,26 @@ class TestPathValidation:
         states = np.tile(2.0 * random_state(1), (3, 1))
         with pytest.raises(ValueError):
             DiscretePath([0.0, 0.5, 1.0], states).validate()
+
+    @pytest.mark.parametrize("h", [
+        [[1.0, 1j], [0.0, 1.0]],  # only its upper triangle was read
+        [[1.0, 0.0], [0.0, np.nan]],
+        [[1.0, np.inf], [np.inf, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[1.0, 1e-11], [0.0, 1.0]],
+    ])
+    def test_non_hermitian_or_non_finite_hamiltonian_refused(self, h):
+        states = np.tile(KET_PLUS_Z, (3, 1))
+        with pytest.raises(ValueError, match="hamiltonian"):
+            DiscretePath([0.0, 0.5, 1.0], states, h)
+
+    def test_one_bad_hamiltonian_of_a_batch_refused(self):
+        h = np.stack([precession_hamiltonian(0.3)] * 3)
+        h[1, 0, 1] += 1e-9
+        with pytest.raises(ValueError, match="hamiltonian"):
+            DiscretePath([0.0, 0.5, 1.0], np.tile(KET_PLUS_Z, (3, 3, 1)), h)
+        h[1, 0, 1] -= 1e-9
+        DiscretePath([0.0, 0.5, 1.0], np.tile(KET_PLUS_Z, (3, 3, 1)), h)
 
     def test_lift_independence_of_chain(self):
         path = precession_path(PrecessionSpec(0.9, 1.7), 300)

@@ -18,14 +18,14 @@ from pancha.twophoton import (
     LoopPair,
     SchmidtState,
     ancilla_reduction_phase,
-    degree_of_entanglement,
     entangled_phase_closed_form,
     franson_coincidence_profile,
     nonlinearity_ratio,
-    product_loop_phase,
     schmidt_state_for_loops,
     simulate_loop_pair,
 )
+
+from oracles import product_loop_phase
 
 NORTH = BlochPoint(0.0, 0.0)
 
@@ -46,23 +46,30 @@ CHI_GRID = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 
 
 class TestDegreeOfEntanglement:
+    """The tangent ratio of the entangled to the product phase is the
+    degree of entanglement |1 - 2 lam|."""
+
     @pytest.mark.parametrize("lam,expected", [(1.0, 1.0), (0.5, 0.0),
                                               (0.25, 0.5), (0.0, 1.0)])
     def test_values(self, lam, expected):
         state = schmidt_state_for_loops(lam, QUARTER_PAIR)
-        assert degree_of_entanglement(state) == pytest.approx(expected)
+        assert nonlinearity_ratio(state.lam, np.pi / 4, np.pi / 4) == (
+            pytest.approx(expected))
 
 
 class TestProductLoopPhase:
+    """A product pair (lam = 1) picks up -(omega + omega')/2."""
+
     def test_no_loops(self):
-        assert product_loop_phase(0.0, 0.0) == 0.0
+        assert entangled_phase_closed_form(1.0, 0.0, 0.0).phase == 0.0
 
     def test_octant_pair(self):
-        assert product_loop_phase(np.pi / 2, np.pi / 2) == pytest.approx(
-            -np.pi / 2)
+        assert entangled_phase_closed_form(1.0, np.pi / 2, np.pi / 2).phase == (
+            pytest.approx(-np.pi / 2))
 
     def test_opposite_orientations_cancel(self):
-        assert product_loop_phase(np.pi / 2, -np.pi / 2) == pytest.approx(0.0)
+        assert entangled_phase_closed_form(1.0, np.pi / 2, -np.pi / 2).phase == (
+            pytest.approx(0.0))
 
 
 class TestEntangledClosedForm:
