@@ -6,10 +6,23 @@ brute-force route (state evolution, spherical excess, direct traces) over
 seeded random inputs and reports the worst observed deviation.  The same
 functions back the CLI ``verify`` verb and the test suite, so the two
 never drift apart.
+
+A battery is a generator function ``check_<law>(seed, ...)`` whose
+keyword arguments are its instance counts, decorated with
+``@_battery(suite, name, threshold, mode)``.  It yields its rows: arrays
+of deviations, one entry per instance, or in ``"min"`` mode the one
+statistic that must reach the threshold.  The decorator states the
+verdict once for every battery: the stat is the largest (``"max"``) or
+smallest (``"min"``) yielded entry, NaN if any entry is NaN or none was
+yielded, so an undefined instance fails; ``tol_scale`` scales the
+verdict; the check returns a ``CheckResult`` and is appended to its
+suite in ``SUITES`` in definition order.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +65,12 @@ from .geometry import (
     solid_angle,
 )
 from .phase import (
+    _chi_grid,
+    _trace_profile,
     mixed_interference_profile,
     mixed_phase,
     pancharatnam_phase,
     tilted_overlap,
-    trace_overlap,
 )
 from .transport import (
     DiscretePath,
@@ -111,24 +125,38 @@ class CheckResult:
                 f"(threshold {self.threshold:.3e}) {verdict}")
 
 
-def _worst(*deviations) -> float:
-    """Largest deviation over all rows (0 for none); NaN if any row is
-    NaN, so an undefined instance fails its check."""
-    return float(np.max(np.concatenate([np.ravel(d) for d in deviations]),
-                        initial=0.0))
+#: every battery by suite, in definition order (filled by ``_battery``)
+SUITES: dict[str, tuple] = {}
+
+_TOL_SCALE = inspect.Parameter("tol_scale", inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                               default=1.0)
 
 
-def _result(name, suite, stat, threshold, mode="max",
-            tol_scale=1.0) -> CheckResult:
-    """Verdict: stat <= threshold * tol_scale in max mode, stat * tol_scale
-    >= threshold in min mode; the reported threshold bounds the raw stat."""
-    if mode == "max":
-        threshold = threshold * tol_scale
-        passed = stat <= threshold
-    else:
-        passed = stat * tol_scale >= threshold
-        threshold = threshold / tol_scale if tol_scale > 0 else np.inf
-    return CheckResult(name, suite, float(stat), float(threshold), mode, passed)
+def _battery(suite, name, threshold, mode="max"):
+    """Make a generator of rows a registered check (module docstring); the
+    reported threshold bounds the raw stat under any ``tol_scale``."""
+    extreme = np.max if mode == "max" else np.min
+
+    def register(rows):
+        @functools.wraps(rows)
+        def check(seed, tol_scale=1.0, *sizes, **named_sizes):
+            values = np.concatenate([np.ravel(deviations) for deviations
+                                     in rows(seed, *sizes, **named_sizes)])
+            stat = float(extreme(values)) if values.size else np.nan
+            if mode == "max":
+                bound = threshold * tol_scale
+                passed = stat <= bound
+            else:
+                passed = stat * tol_scale >= threshold
+                bound = threshold / tol_scale if tol_scale > 0 else np.inf
+            return CheckResult(name, suite, stat, float(bound), mode, passed)
+
+        seed, *sizes = inspect.signature(rows).parameters.values()
+        check.__signature__ = inspect.Signature([seed, _TOL_SCALE, *sizes])
+        SUITES[suite] = SUITES.get(suite, ()) + (check,)
+        return check
+
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -223,87 +251,81 @@ def _precession_batch(spec, n):
                         _precession_states(spec.theta, times))
 
 
+
+
 # ---------------------------------------------------------------------------
 # geometry suite
 
-def check_solid_angle_law(seed, tol_scale=1.0, n=1000):
+@_battery("geometry", "invariant equals -solid_angle/2", 1e-9)
+def check_solid_angle_law(seed, n=1000):
     """Overlap-product invariant equals -Omega/2 from spherical excess."""
     rng = np.random.default_rng([seed, 1])
     a, b, c = random_qubit_tuple(rng, n, 3).swapaxes(0, 1)
     omega = solid_angle(SphericalTriangle.from_states(a, b, c))
-    dev = np.abs(wrap_angle(bargmann_invariant(a, b, c) + omega / 2.0))
-    return _result("invariant equals -solid_angle/2", "geometry", _worst(dev),
-                   1e-9, tol_scale=tol_scale)
+    yield np.abs(wrap_angle(bargmann_invariant(a, b, c) + omega / 2.0))
 
 
-def check_additivity(seed, tol_scale=1.0, n=1000):
+@_battery("geometry", "four-vertex additivity", 1e-9)
+def check_additivity(seed, n=1000):
     """Four-vertex invariant splits along the diagonal."""
     rng = np.random.default_rng([seed, 2])
     a, b, c, d = random_qubit_tuple(rng, n, 4).swapaxes(0, 1)
     total = multi_vertex_invariant([a, b, c, d])
     split = bargmann_invariant(a, b, c) + bargmann_invariant(a, c, d)
-    return _result("four-vertex additivity", "geometry",
-                   _worst(np.abs(wrap_angle(total - split))), 1e-9,
-                   tol_scale=tol_scale)
+    yield np.abs(wrap_angle(total - split))
 
 
-def check_orientation(seed, tol_scale=1.0, n=1000):
+@_battery("geometry", "orientation antisymmetry (exact)", 0.0)
+def check_orientation(seed, n=1000):
     """Swapping the last two vertices negates the invariant exactly."""
     rng = np.random.default_rng([seed, 3])
     a, b, c = random_qubit_tuple(rng, n, 3).swapaxes(0, 1)
-    dev = np.abs(wrap_angle(bargmann_invariant(a, c, b) + bargmann_invariant(a, b, c)))
-    return _result("orientation antisymmetry (exact)", "geometry", _worst(dev),
-                   0.0, tol_scale=tol_scale)
+    yield np.abs(wrap_angle(bargmann_invariant(a, c, b) + bargmann_invariant(a, b, c)))
 
 
-def check_holonomy_spectrum(seed, tol_scale=1.0, n=300):
+@_battery("geometry", "holonomy eigenphases are -/+ solid_angle/2", 1e-8)
+def check_holonomy_spectrum(seed, n=300):
     """Loop holonomy phases the vertex state by -Omega/2, its complement
     by +Omega/2."""
     rng = np.random.default_rng([seed, 4])
     tri, omega = random_triangle(rng, n, max_area=4.0 * np.pi)
     u = loop_holonomy(tri)
     vertex = bloch_to_state(tri.a)
-    devs = []
     for state, sign in ((vertex, +1.0), (orthogonal_complement(vertex), -1.0)):
         val = inner_product(state, (u @ state[..., None])[..., 0])
-        devs += [np.abs(np.abs(val) - 1.0),
-                 np.abs(wrap_angle(principal_angle(val) + sign * omega / 2.0))]
-    return _result("holonomy eigenphases are -/+ solid_angle/2", "geometry",
-                   _worst(*devs), 1e-8, tol_scale=tol_scale)
+        yield np.abs(np.abs(val) - 1.0)
+        yield np.abs(wrap_angle(principal_angle(val) + sign * omega / 2.0))
 
 
 # ---------------------------------------------------------------------------
 # mixed suite
 
-def check_mixed_profile_routes(seed, tol_scale=1.0, n=200, n_chi=64):
+@_battery("mixed", "ensemble profile equals trace profile", 1e-9)
+def check_mixed_profile_routes(seed, n=200, n_chi=64):
     """Eigen-ensemble profile equals the trace closed form pointwise."""
     rng = np.random.default_rng([seed, 5])
-    chis = np.linspace(0.0, 2.0 * np.pi, n_chi, endpoint=False)
+    chis = _chi_grid(n_chi)
     draws = [(0.0 if k == 0 else rng.uniform(0.0, 1.0),  # include degenerate rho
               rng.standard_normal(3), _complex_normal(rng, 2)) for k in range(n)]
     r, axes, m = map(np.array, zip(*draws))
     rho = qubit_density(r, axes / np.sqrt(_dot(axes, axes))[..., None])
     u = _haar_unitary(m)
     profile = mixed_interference_profile(rho, u, chis)
-    closed = 2.0 + 2.0 * np.real(np.exp(1j * chis)
-                                 * np.conj(trace_overlap(rho, u))[..., None])
-    return _result("ensemble profile equals trace profile", "mixed",
-                   _worst(np.abs(profile.intensities - closed)), 1e-9,
-                   tol_scale=tol_scale)
+    yield np.abs(profile.intensities - _trace_profile(rho, u, chis))
 
 
-def check_mixed_solid_angle_law(seed, tol_scale=1.0, n=200):
+@_battery("mixed", "weighted invariant matches arctan law", 1e-8)
+def check_mixed_solid_angle_law(seed, n=200):
     """Weighted invariant along composed geodesics equals the closed form."""
     rng = np.random.default_rng([seed, 6])
     tri, omega = random_triangle(rng, n)
-    devs = [np.abs(wrap_angle(mixed_bargmann(qubit_mixed_triple(tri, r))
-                              - mixed_solid_angle_phase(r, omega)))
-            for r in BLOCH_RADII]
-    return _result("weighted invariant matches arctan law", "mixed",
-                   _worst(*devs), 1e-8, tol_scale=tol_scale)
+    for r in BLOCH_RADII:
+        yield np.abs(wrap_angle(mixed_bargmann(qubit_mixed_triple(tri, r))
+                                - mixed_solid_angle_phase(r, omega)))
 
 
-def check_trace_basis_independence(seed, tol_scale=1.0, n=200):
+@_battery("mixed", "trace phase is basis independent", 1e-10)
+def check_trace_basis_independence(seed, n=200):
     """arg Tr(U rho) agrees with the weighted eigenvector overlap sum."""
     rng = np.random.default_rng([seed, 7])
     by_dim = {}
@@ -312,7 +334,6 @@ def check_trace_basis_independence(seed, tol_scale=1.0, n=200):
         by_dim.setdefault(dim, []).append((rng.dirichlet(np.ones(dim)),
                                            _complex_normal(rng, dim),
                                            _complex_normal(rng, dim)))
-    devs = []
     for draws in by_dim.values():
         weights, m_basis, m_u = map(np.array, zip(*draws))
         basis, u = _haar_unitary(m_basis), _haar_unitary(m_u)
@@ -323,12 +344,11 @@ def check_trace_basis_independence(seed, tol_scale=1.0, n=200):
         total = sum(w * overlap for w, overlap in zip(weights.T, overlaps.T))
         kept = np.abs(total) >= 1e-6
         got = mixed_phase(rho[kept], u[kept]).phase
-        devs.append(np.abs(wrap_angle(got - principal_angle(total[kept]))))
-    return _result("trace phase is basis independent", "mixed", _worst(*devs),
-                   1e-10, tol_scale=tol_scale)
+        yield np.abs(wrap_angle(got - principal_angle(total[kept])))
 
 
-def check_mixed_nonadditivity(seed, tol_scale=1.0):
+@_battery("mixed", "weighted invariant is nonadditive (fixture)", 1e-3, mode="min")
+def check_mixed_nonadditivity(seed):
     """Regression fixture: the weighted invariant is NOT additive.
 
     One four-station example must violate the diagonal-splitting identity
@@ -351,9 +371,7 @@ def check_mixed_nonadditivity(seed, tol_scale=1.0):
     split = (mixed_chain_invariant(weights, [bases[0], bases[1], bases[2]], u_abc)
              + mixed_chain_invariant(weights, [bases[0], bases[2], bases[3]],
                                      u_acd))
-    gap = abs(wrap_angle(total - split))
-    return _result("weighted invariant is nonadditive (fixture)", "mixed",
-                   gap, 1e-3, mode="min", tol_scale=tol_scale)
+    yield abs(wrap_angle(total - split))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +384,8 @@ def _random_loop_pairs(rng, n):
     return LoopPair(tri[0::2], tri[1::2]), omega[0::2], omega[1::2]
 
 
-def check_pair_oracle(seed, tol_scale=1.0, n=500):
+@_battery("two-photon", "pair simulation matches closed forms", 1e-8)
+def check_pair_oracle(seed, n=500):
     """Simulated 4-dim pair phase/visibility equal the closed forms."""
     rng = np.random.default_rng([seed, 9])
 
@@ -380,11 +399,11 @@ def check_pair_oracle(seed, tol_scale=1.0, n=500):
         return (np.abs(wrap_angle(sim.phase - closed.phase[keep])),
                 np.abs(sim.visibility - closed.visibility[keep]))
 
-    return _result("pair simulation matches closed forms", "two-photon",
-                   _worst(*_first_kept(n, draw)), 1e-8, tol_scale=tol_scale)
+    yield from _first_kept(n, draw)
 
 
-def check_maximal_entanglement_quantisation(seed, tol_scale=1.0, n=300):
+@_battery("two-photon", "maximally entangled phases pinned to {0, pi}", 1e-8)
+def check_maximal_entanglement_quantisation(seed, n=300):
     """At lam = 1/2 every defined pair phase is 0 or pi."""
     rng = np.random.default_rng([seed, 10])
 
@@ -395,25 +414,23 @@ def check_maximal_entanglement_quantisation(seed, tol_scale=1.0, n=300):
         return (np.minimum(np.abs(wrap_angle(phase)),
                            np.abs(wrap_angle(phase - np.pi))),)
 
-    return _result("maximally entangled phases pinned to {0, pi}",
-                   "two-photon", _worst(*_first_kept(n, draw)), 1e-8,
-                   tol_scale=tol_scale)
+    yield from _first_kept(n, draw)
 
 
-def check_visibility_bound(seed, tol_scale=1.0, n=500):
-    """Pair visibility never exceeds one."""
+@_battery("two-photon", "pair visibility bounded by one", 1e-12)
+def check_visibility_bound(seed, n=500):
+    """Pair visibility never exceeds one: the rows are visibility - 1."""
     rng = np.random.default_rng([seed, 11])
     half, lam = rng.uniform((-2.0 * np.pi, 0.0), (2.0 * np.pi, 1.0), (n, 2)).T
     overlap = tilted_overlap(half, 2.0 * lam - 1.0)
-    worst = np.max(np.hypot(overlap.real, overlap.imag) - 1.0, initial=-np.inf)
-    return _result("pair visibility bounded by one", "two-photon", worst,
-                   1e-12, tol_scale=tol_scale)
+    yield np.hypot(overlap.real, overlap.imag) - 1.0
 
 
-def check_franson_fringe(seed, tol_scale=1.0, n=100, n_chi=64):
+@_battery("two-photon", "coincidence fringe recovers phase and visibility", 1e-8)
+def check_franson_fringe(seed, n=100, n_chi=64):
     """Coincidence-fringe fit recovers the closed forms; swing is 4V."""
     rng = np.random.default_rng([seed, 12])
-    grid = np.linspace(0.0, 2.0 * np.pi, n_chi, endpoint=False)
+    grid = _chi_grid(n_chi)
 
     def draw(k):
         loops, omega_a, omega_ap = _random_loop_pairs(rng, k)
@@ -432,12 +449,11 @@ def check_franson_fringe(seed, tol_scale=1.0, n=100, n_chi=64):
                 np.abs(profile.extracted.visibility - vis),
                 np.abs(swing - 4.0 * vis))
 
-    return _result("coincidence fringe recovers phase and visibility",
-                   "two-photon", _worst(*_first_kept(n, draw)), 1e-8,
-                   tol_scale=tol_scale)
+    yield from _first_kept(n, draw)
 
 
-def check_nonlinearity_law(seed, tol_scale=1.0, n=500):
+@_battery("two-photon", "tangent ratio equals entanglement degree", 1e-10)
+def check_nonlinearity_law(seed, n=500):
     """|tan(entangled)/tan(product)| equals the entanglement degree."""
     rng = np.random.default_rng([seed, 13])
 
@@ -447,11 +463,11 @@ def check_nonlinearity_law(seed, tol_scale=1.0, n=500):
         dev = np.abs(nonlinearity_ratio(lam, omega, omega_p) - np.abs(1.0 - 2.0 * lam))
         return (dev[~np.isnan(dev)],)
 
-    return _result("tangent ratio equals entanglement degree", "two-photon",
-                   _worst(*_first_kept(n, draw)), 1e-10, tol_scale=tol_scale)
+    yield from _first_kept(n, draw)
 
 
-def check_ancilla_reduction(seed, tol_scale=1.0, n=500):
+@_battery("two-photon", "ancilla reduction matches mixed arctan law", 1e-10)
+def check_ancilla_reduction(seed, n=500):
     """Pair phase with photon 2 idle equals the ancilla-reduction and mixed
     arctan laws at r = 2 lam - 1.
 
@@ -468,17 +484,16 @@ def check_ancilla_reduction(seed, tol_scale=1.0, n=500):
     pair[:, 0, 0], pair[:, 1, 1] = np.sqrt(lams), np.sqrt(1.0 - lams)
     moved = matrix_exponential_su2((0.0, 0.0, 1.0), omegas) @ pair
     simulated = np.angle(np.einsum("kij,kij->k", pair.conj(), moved))
-    devs = [np.abs(wrap_angle(law - simulated))
-            for law in (ancilla_reduction_phase(lams, omegas),
-                        mixed_solid_angle_phase(2.0 * lams - 1.0, omegas))]
-    return _result("ancilla reduction matches mixed arctan law", "two-photon",
-                   _worst(*devs), 1e-10, tol_scale=tol_scale)
+    for law in (ancilla_reduction_phase(lams, omegas),
+                mixed_solid_angle_phase(2.0 * lams - 1.0, omegas)):
+        yield np.abs(wrap_angle(law - simulated))
 
 
 # ---------------------------------------------------------------------------
 # geometric-phase suite
 
-def check_lift_independence(seed, tol_scale=1.0, n=100):
+@_battery("geometric-phase", "chain phase is lift independent", 1e-10)
+def check_lift_independence(seed, n=100):
     """Chain phase is untouched by rephasing every state."""
     rng = np.random.default_rng([seed, 15])
     draws = [(*_random_generator(rng), rng.uniform(-np.pi, np.pi, 201))
@@ -486,12 +501,12 @@ def check_lift_independence(seed, tol_scale=1.0, n=100):
     h, psi0, angles = map(np.stack, zip(*draws))
     path = _evolved_path(h, psi0, 200)
     rephased = DiscretePath(path.times, np.exp(1j * angles)[..., None] * path.states)
-    dev = np.abs(wrap_angle(chain_phase(rephased) - chain_phase(path)))
-    return _result("chain phase is lift independent", "geometric-phase",
-                   _worst(dev), 1e-10, tol_scale=tol_scale)
+    yield np.abs(wrap_angle(chain_phase(rephased) - chain_phase(path)))
 
 
-def check_parallel_lift(seed, tol_scale=1.0, n=100):
+@_battery("geometric-phase", "parallel lift is parallel and projector preserving",
+          1e-10)
+def check_parallel_lift(seed, n=100):
     """Parallel lift: real-positive links, unchanged projectors, endpoint
     phase equal to the chain phase."""
     rng = np.random.default_rng([seed, 16])
@@ -502,48 +517,44 @@ def check_parallel_lift(seed, tol_scale=1.0, n=100):
         np.einsum("...ij,...ij->...i", path.states.conj(), lifted.states))
     endpoint = principal_angle(
         inner_product(lifted.states[..., 0, :], lifted.states[..., -1, :]))
-    dev = _worst(np.where(is_parallel_lift(lifted, 1e-10), 0.0, 1.0),
-                 np.abs(overlap_moduli - 1.0),
-                 np.abs(wrap_angle(endpoint - chain_phase(path))),
-                 np.abs(dynamical_phase(lifted)))
-    return _result("parallel lift is parallel and projector preserving",
-                   "geometric-phase", dev, 1e-10, tol_scale=tol_scale)
+    yield np.where(is_parallel_lift(lifted, 1e-10), 0.0, 1.0)
+    yield np.abs(overlap_moduli - 1.0)
+    yield np.abs(wrap_angle(endpoint - chain_phase(path)))
+    yield np.abs(dynamical_phase(lifted))
 
 
-def check_cancellation_identity(seed, tol_scale=1.0, n=60):
+@_battery("geometric-phase", "local-phase cancellation within 5/N", 1.0)
+def check_cancellation_identity(seed, n=60):
     """Auxiliary-evolution phase equals the chain phase within 5/N."""
     rng = np.random.default_rng([seed, 17])
     by_steps = {}
     for _ in range(n):
         steps = int(rng.choice([64, 256, 1024]))
         by_steps.setdefault(steps, []).append(_random_generator(rng))
-    gaps = []
     for steps, draws in by_steps.items():
         path = _evolved_path(*map(np.stack, zip(*draws)), steps)
         gap = np.abs(wrap_angle(pancharatnam_vs_auxiliary(path) - chain_phase(path)))
-        gaps.append(gap * steps / 5.0)  # normalized to the 5/N budget
-    return _result("local-phase cancellation within 5/N", "geometric-phase",
-                   _worst(*gaps), 1.0, tol_scale=tol_scale)
+        yield gap * steps / 5.0  # normalized to the 5/N budget
 
 
-def check_precession_three_way(seed, tol_scale=1.0, n_steps=10_000):
+@_battery("geometric-phase", "precession three-way agreement (budget fractions)", 1.0)
+def check_precession_three_way(seed, n_steps=10_000):
     """Closed form, auxiliary-evolution simulation, chain, and geodesic
-    closure agree on the worked-example grid."""
+    closure agree on the worked-example grid; each deviation is yielded
+    as a fraction of its own budget."""
     spec = PrecessionSpec(*np.array(PRECESSION_GRID).T)
     closed = precession_phase_closed_form(spec)
     simulated = precession_phase_simulated(spec)
     batch = _precession_batch(spec, n_steps)
     chain = chain_phase(batch)
     omega_gc = geodesic_closure_solid_angle(batch)
-    # deviations reported as fractions of their individual budgets
-    stat = max(_worst(np.abs(wrap_angle(simulated - closed))) / 1e-9,
-               _worst(np.abs(wrap_angle(chain - closed))) / 1e-3,
-               _worst(np.abs(wrap_angle(-omega_gc / 2.0 - closed))) / 1e-4)
-    return _result("precession three-way agreement (budget fractions)",
-                   "geometric-phase", stat, 1.0, tol_scale=tol_scale)
+    yield np.abs(wrap_angle(simulated - closed)) / 1e-9
+    yield np.abs(wrap_angle(chain - closed)) / 1e-3
+    yield np.abs(wrap_angle(-omega_gc / 2.0 - closed)) / 1e-4
 
 
-def check_chain_convergence(seed, tol_scale=1.0, n_coarse=1000):
+@_battery("geometric-phase", "chain error ratio under step halving", 1.9, mode="min")
+def check_chain_convergence(seed, n_coarse=1000):
     """Halving the step at least roughly halves the chain-phase error."""
     spec = PrecessionSpec(*np.array(PRECESSION_GRID).T)
     exact = precession_phase_closed_form(spec)
@@ -551,19 +562,16 @@ def check_chain_convergence(seed, tol_scale=1.0, n_coarse=1000):
         np.abs(wrap_angle(chain_phase(_precession_batch(spec, n)) - exact))
         for n in (n_coarse, 2 * n_coarse))
     resolved = err_2n > 1e-13  # skip grid points at the floating noise floor
-    ratio = float(np.mean(err_n[resolved] / err_2n[resolved]))
-    return _result("chain error ratio under step halving", "geometric-phase",
-                   ratio, 1.9, mode="min", tol_scale=tol_scale)
+    yield np.mean(err_n[resolved] / err_2n[resolved])
 
 
-def check_mixed_noncyclic(seed, tol_scale=1.0):
+@_battery("geometric-phase", "mixed noncyclic phase matches trace oracle", 1e-8)
+def check_mixed_noncyclic(seed):
     """Mixed noncyclic closed form equals the direct trace phase."""
     theta, phi = np.array(PRECESSION_GRID).T[..., None]  # (12, 1) against 3 radii
     spec = PrecessionSpec(theta, phi, np.array(BLOCH_RADII))
     want = mixed_phase(qubit_density(spec.r), precession_comparison_unitary(spec))
-    dev = np.abs(wrap_angle(mixed_noncyclic_phase(spec) - want.phase))
-    return _result("mixed noncyclic phase matches trace oracle",
-                   "geometric-phase", _worst(dev), 1e-8, tol_scale=tol_scale)
+    yield np.abs(wrap_angle(mixed_noncyclic_phase(spec) - want.phase))
 
 
 # ---------------------------------------------------------------------------
@@ -582,110 +590,66 @@ _ARM_LOW, _ARM_WIDTH = np.array([[0.0, -2.0 * np.pi, -2.0 * np.pi],
                                  [np.pi, 4.0 * np.pi, 4.0 * np.pi]])
 
 
-def check_dual_fringe(seed, tol_scale=1.0, n_chi=64):
+@_battery("dual", "dual fringe recovers phase and visibility", 1e-8)
+def check_dual_fringe(seed, n_chi=64):
     """End-to-end summed-analyser fringe recovers the closed forms."""
     theta, dphi = _dual_grid()
-    chis = np.linspace(0.0, 2.0 * np.pi, n_chi, endpoint=False)
     closed = dual_phase_closed_form(DualSetupSpec(theta, dphi / 2.0, -dphi / 2.0))
-    fitted = dual_coincidence_profile(theta, dphi, chis).extracted
-    return _result("dual fringe recovers phase and visibility", "dual",
-                   _worst(np.abs(wrap_angle(fitted.phase - closed.phase)),
-                          np.abs(fitted.visibility - closed.visibility)),
-                   1e-8, tol_scale=tol_scale)
+    fitted = dual_coincidence_profile(theta, dphi, _chi_grid(n_chi)).extracted
+    yield np.abs(wrap_angle(fitted.phase - closed.phase))
+    yield np.abs(fitted.visibility - closed.visibility)
 
 
-def check_duality_identity(seed, tol_scale=1.0):
+@_battery("dual", "duality with the spin-arm law", 1e-10)
+def check_duality_identity(seed):
     """Beam-pair and spin-arm closed forms, one law at swapped angles, each
     equal the overlap of their own explicitly built states."""
     theta, dphi = _dual_grid()
     dual_spec = DualSetupSpec(theta, dphi / 2.0, -dphi / 2.0)
     a_plus, a_minus = spatial_vectors(dual_spec)
     spin_spec = SpinArmSpec(theta, dphi)
-    devs = []
     for closed, direct in (
         (dual_phase_closed_form(dual_spec), pancharatnam_phase(a_minus, a_plus)),
         (spin_pancharatnam(spin_spec),
          pancharatnam_phase(*spin_arm_states(spin_spec))),
     ):
-        devs += [np.abs(wrap_angle(closed.phase - direct.phase)),
-                 np.abs(closed.visibility - direct.visibility)]
-    return _result("duality with the spin-arm law", "dual", _worst(*devs), 1e-10,
-                   tol_scale=tol_scale)
+        yield np.abs(wrap_angle(closed.phase - direct.phase))
+        yield np.abs(closed.visibility - direct.visibility)
 
 
-def check_channel_sum(seed, tol_scale=1.0, n_chi=64):
+@_battery("dual", "analyser channels sum to a constant", 1e-10)
+def check_channel_sum(seed, n_chi=64):
     """Spin-up plus spin-down analyser profiles are flat (probability
     conservation)."""
     theta, dphi = _dual_grid(7)
-    chis = np.linspace(0.0, 2.0 * np.pi, n_chi, endpoint=False)
+    chis = _chi_grid(n_chi)
     up, down = (dual_coincidence_profile(theta, dphi, chis, channel).intensities
                 for channel in (+1, -1))
-    return _result("analyser channels sum to a constant", "dual",
-                   _worst(np.abs(up + down - 4.0)), 1e-10, tol_scale=tol_scale)
+    yield np.abs(up + down - 4.0)
 
 
-def check_arm_unitarity(seed, tol_scale=1.0, n=500):
+@_battery("dual", "arm fields are unitary", 1e-12)
+def check_arm_unitarity(seed, n=500):
     """Arm fields preserve the norm of arbitrary beam-spin states."""
     rng = np.random.default_rng([seed, 18])
     psi, unit = map(np.array, zip(*[(haar_state(rng, 4), rng.random(3))
                                     for _ in range(n)]))
     final = apply_arm_fields(psi, DualSetupSpec(*(_ARM_LOW + _ARM_WIDTH * unit).T))
     norm = np.sqrt(_dot(final.real, final.real) + _dot(final.imag, final.imag))
-    return _result("arm fields are unitary", "dual", _worst(np.abs(norm - 1.0)),
-                   1e-12, tol_scale=tol_scale)
+    yield np.abs(norm - 1.0)
 
 
-def check_final_state_expansion(seed, tol_scale=1.0, n=200):
+@_battery("dual", "beam-pair expansion of the final state", 1e-10)
+def check_final_state_expansion(seed, n=200):
     """Beam-pair expansion of the final state matches direct application."""
     rng = np.random.default_rng([seed, 19])
     spec = DualSetupSpec(*(_ARM_LOW + _ARM_WIDTH * rng.random((n, 3))).T)
     direct = apply_arm_fields(prepare_beam_state(spec), spec)
-    return _result("beam-pair expansion of the final state", "dual",
-                   _worst(np.abs(direct - predicted_final_state(spec))), 1e-10,
-                   tol_scale=tol_scale)
+    yield np.abs(direct - predicted_final_state(spec))
 
 
 # ---------------------------------------------------------------------------
-# suite registry
-
-SUITES = {
-    "geometry": (
-        check_solid_angle_law,
-        check_additivity,
-        check_orientation,
-        check_holonomy_spectrum,
-    ),
-    "mixed": (
-        check_mixed_profile_routes,
-        check_mixed_solid_angle_law,
-        check_trace_basis_independence,
-        check_mixed_nonadditivity,
-    ),
-    "two-photon": (
-        check_pair_oracle,
-        check_maximal_entanglement_quantisation,
-        check_visibility_bound,
-        check_franson_fringe,
-        check_nonlinearity_law,
-        check_ancilla_reduction,
-    ),
-    "geometric-phase": (
-        check_lift_independence,
-        check_parallel_lift,
-        check_cancellation_identity,
-        check_precession_three_way,
-        check_chain_convergence,
-        check_mixed_noncyclic,
-    ),
-    "dual": (
-        check_dual_fringe,
-        check_duality_identity,
-        check_channel_sum,
-        check_arm_unitarity,
-        check_final_state_expansion,
-    ),
-}
-
+# running
 
 def run_suites(names, seed=0, tol_scale=1.0):
     """Run the named suites (or 'all'), returning every CheckResult."""

@@ -347,15 +347,6 @@ def _sweep_point(args) -> tuple[dict, dict, tuple]:
     return outcome.results, outcome.oracle_deltas, outcome.phase_keys
 
 
-class ProcessPoolExecutor:
-    """The concurrent.futures pool, imported only when a sweep makes one."""
-
-    def __new__(cls, max_workers):
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor(max_workers=max_workers)
-
-
 def run_sweep(plan: RunPlan, jobs: int) -> tuple[dict, list[str], list[list[float]]]:
     values = plan.parameters[plan.swept]
     tasks = [
@@ -363,6 +354,8 @@ def run_sweep(plan: RunPlan, jobs: int) -> tuple[dict, list[str], list[list[floa
     ]
     jobs = min(jobs, len(tasks))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a sweep needs it
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             points = list(pool.map(_sweep_point, tasks))
     else:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KET_MINUS_Z, KET_PLUS_Z, matrix_exponential_su2, tensor
+from .core import KET_MINUS_Z, KET_PLUS_Z, tensor
 from .errors import OrthogonalStatesError
 from .phase import (
     InterferenceProfile,
@@ -28,8 +28,6 @@ from .phase import (
     fit_fringe,
     tilted_overlap,
 )
-
-_X_AXIS = (1.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -101,16 +99,21 @@ def apply_arm_fields(psi: np.ndarray, spec: DualSetupSpec) -> np.ndarray:
     """Apply the per-beam x-axis spin rotations to a (beam x spin) state.
 
     The operator is |0><0| x exp(-i varphi0 sx/2) + |1><1| x
-    exp(-i varphi1 sx/2); unitary, so norms are preserved.  States
-    (..., 4) broadcast against the field angles.
+    exp(-i varphi1 sx/2); unitary, so norms are preserved.  Each beam's
+    spin (a, b) becomes (c a - i s b, c b - i s a) with c, s = cos, sin
+    of half its angle.  States (..., 4) broadcast against the field
+    angles.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[-1:] != (4,):
         raise ValueError("expected a 4-component (beam x spin) state")
-    beams = [matrix_exponential_su2(_X_AXIS, varphi) @ half[..., None]
-             for varphi, half in ((spec.varphi0, psi[..., :2]),
-                                  (spec.varphi1, psi[..., 2:]))]
-    return np.concatenate(np.broadcast_arrays(*beams), axis=-2)[..., 0]
+    spins = []
+    for varphi, a, b in ((spec.varphi0, psi[..., 0], psi[..., 1]),
+                         (spec.varphi1, psi[..., 2], psi[..., 3])):
+        half = np.asarray(varphi, dtype=float) / 2.0
+        c, s = np.cos(half), np.sin(half)
+        spins += [c * a - 1j * s * b, c * b - 1j * s * a]
+    return np.stack(np.broadcast_arrays(*spins), axis=-1)
 
 
 def spatial_vectors(spec: DualSetupSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -40,11 +40,12 @@ from .geometry import (
 )
 from .phase import (
     InterferenceProfile,
+    _chi_grid,
+    _trace_profile,
     mixed_interference_profile,
     mixed_phase,
     pancharatnam_phase,
     pure_interference_profile,
-    trace_overlap,
 )
 from .transport import (
     PrecessionSpec,
@@ -76,10 +77,6 @@ class ExperimentOutcome:
     profile: InterferenceProfile | None = None
     #: result keys that are phases (get an unwrapped twin in sweeps)
     phase_keys: tuple[str, ...] = field(default=())
-
-
-def _chi_grid(samples: int) -> np.ndarray:
-    return np.linspace(0.0, 2.0 * np.pi, int(samples), endpoint=False)
 
 
 def _triangle(vertices) -> SphericalTriangle:
@@ -119,8 +116,7 @@ def run_mixed(params: dict) -> ExperimentOutcome:
     direct = mixed_phase(rho, u)
     profile = mixed_interference_profile(rho, u, _chi_grid(params.get("samples", 64)))
     fitted = profile.extracted
-    t = trace_overlap(rho, u)
-    closed = 2.0 + 2.0 * np.real(np.exp(1j * profile.chis) * np.conj(t))
+    closed = _trace_profile(rho, u, profile.chis)
     return ExperimentOutcome(
         results={
             "phase": direct.phase,

@@ -50,15 +50,15 @@ class PhaseResult:
     @classmethod
     def from_overlap(cls, z, error) -> "PhaseResult":
         """Phase and visibility of an overlap, or of an array of them with
-        the rows whose visibility is below EPS_ORTH undefined; a single
-        overlap that small raises the domain error ``error`` instead."""
+        the rows whose visibility is NaN or below EPS_ORTH undefined; such
+        a single overlap raises the domain error ``error`` instead."""
         vis = np.hypot(np.real(z), np.imag(z))  # bit for bit abs(z); np.abs is not
-        vanishing = undefined_rows(vis < EPS_ORTH, error, lambda: (
+        vanishing = undefined_rows(~(vis >= EPS_ORTH), error, lambda: (
             f"overlap modulus {vis:.3e} below {EPS_ORTH:.0e}"))
         phase = mark_undefined(principal_angle(z), vanishing)
         if vanishing.ndim == 0:
             return cls(phase, float(vis))
-        return cls(phase, vis, vis >= EPS_ORTH)  # False where NaN
+        return cls(phase, vis, ~vanishing)
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,12 @@ def pancharatnam_phase(a: np.ndarray, b: np.ndarray) -> PhaseResult:
     return PhaseResult.from_overlap(inner_product(a, b), OrthogonalStatesError)
 
 
+def _chi_grid(samples) -> np.ndarray:
+    """``samples`` equally spaced chi on [0, 2 pi), the sweep every fringe
+    is sampled on."""
+    return np.linspace(0.0, 2.0 * np.pi, int(samples), endpoint=False)
+
+
 def _two_beam_intensities(a, b, chis) -> np.ndarray:
     """|e^{i chi} a + b|^2 for every chi, by direct state arithmetic;
     rowwise for (..., d) states with (..., n) grids."""
@@ -130,6 +136,13 @@ def trace_overlap(rho, u):
     t = np.trace(np.asarray(u, dtype=complex) @ np.asarray(rho, dtype=complex),
                  axis1=-2, axis2=-1)
     return complex(t) if t.ndim == 0 else t
+
+
+def _trace_profile(rho, u, chis):
+    """The trace closed form 2 + 2 Re(e^{i chi} conj(Tr(U rho))) of the
+    mixed-state profile, one (n,) row per (rho, u) pair on a shared grid."""
+    conjugate = np.conj(trace_overlap(rho, u))[..., None]
+    return 2.0 + 2.0 * np.real(np.exp(1j * chis) * conjugate)
 
 
 def mixed_phase(rho: np.ndarray, u: np.ndarray) -> PhaseResult:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -6,7 +7,6 @@ import sys
 import numpy as np
 import pytest
 
-from pancha import cli
 from pancha.cli import main
 
 OCTANT_VERTICES = [[0.0, 0.0], [np.pi / 2, 0.0], [np.pi / 2, np.pi / 2]]
@@ -256,7 +256,7 @@ class TestSweepVerb:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = write_config(tmp_path, "clamp.json", {
             "experiment": "triangle",
             "parameters": {"vertices": OCTANT_VERTICES, "r": [0.2, 0.5, 0.8]},

@@ -130,6 +130,18 @@ class TestArmFields:
             assert np.linalg.norm(apply_arm_fields(psi, spec)) == (
                 pytest.approx(1.0, abs=1e-12))
 
+    def test_matches_the_block_diagonal_rotation(self):
+        from pancha.core import matrix_exponential_su2
+
+        rng = np.random.default_rng(8)
+        psi = haar_state(rng, shape=(50,), dim=4)
+        varphi0, varphi1 = rng.uniform(-2 * np.pi, 2 * np.pi, (2, 50))
+        beams = [matrix_exponential_su2((1, 0, 0), varphi) @ half[..., None]
+                 for varphi, half in ((varphi0, psi[:, :2]), (varphi1, psi[:, 2:]))]
+        want = np.concatenate(beams, axis=-2)[..., 0]
+        got = apply_arm_fields(psi, DualSetupSpec(0.0, varphi0, varphi1))
+        np.testing.assert_allclose(got, want, rtol=0, atol=4 * np.finfo(float).eps)
+
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             apply_arm_fields(np.array([1.0, 0.0]), DualSetupSpec(1.0, 0.0, 0.0))

@@ -4,7 +4,8 @@ The library holds no code that only tests call: each public module-level
 function or class of ``src/pancha``, and each public method of such a
 class, must be used by name somewhere in ``src/`` or ``perfbench/``
 outside its own definition.  ``__init__.py`` only re-exports, and an
-import is not a use, so neither counts.
+import is not a use, so neither counts.  A battery decorated with
+``checks._battery`` is used: the decorator registers it in ``SUITES``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,13 @@ def _public_definitions(tree):
                     if (isinstance(item, ast.FunctionDef)
                             and not item.name.startswith("_")):
                         yield f"{node.name}.{item.name}", item
+
+
+def _registered(node):
+    """True for a battery: ``@_battery(...)`` puts it in ``checks.SUITES``,
+    which ``run_suites`` runs."""
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_battery"
+               for d in getattr(node, "decorator_list", ()))
 
 
 def _uses(tree):
@@ -54,6 +62,8 @@ def test_every_public_name_has_a_caller():
         if path.name == "__init__.py":
             continue
         for qualified, node in _public_definitions(sources[path]):
+            if _registered(node):
+                continue
             method = "." in qualified  # reached only as an attribute
             name = qualified.rsplit(".", 1)[-1]
             own = range(node.lineno, node.end_lineno + 1)

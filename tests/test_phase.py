@@ -40,6 +40,16 @@ class TestPancharatnamPhase:
         with pytest.raises(OrthogonalStatesError):
             pancharatnam_phase(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
+    def test_nan_overlap_rejected(self):
+        with pytest.raises(OrthogonalStatesError):
+            pancharatnam_phase(np.array([np.nan, 0.0]), np.array([1.0, 0.0]))
+
+    def test_nan_overlap_row_undefined(self):
+        res = pancharatnam_phase(np.array([[np.nan, 0.0], [1.0, 0.0]]),
+                                 np.array([[1.0, 0.0], [1.0, 0.0]]))
+        assert res.defined.tolist() == [False, True]
+        assert np.isnan(res.phase[0]) and res.phase[1] == 0.0
+
     def test_equator_state(self):
         res = pancharatnam_phase(KET_PLUS_Z,
                                  bloch_to_state(BlochPoint(np.pi / 2, np.pi / 2)))

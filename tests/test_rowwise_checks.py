@@ -76,16 +76,15 @@ def _arm_angle_sign_flipped(monkeypatch):
 
 def _lossy_arm_fields(monkeypatch):
     # a field rotation that loses 0.1 % of the amplitude is not unitary
-    real = dual.matrix_exponential_su2
-    monkeypatch.setattr(dual, "matrix_exponential_su2",
-                        lambda axis, angle: 0.999 * real(axis, angle))
+    real = dual.apply_arm_fields
+    for module in (dual, checks):
+        monkeypatch.setattr(module, "apply_arm_fields",
+                            lambda psi, spec: 0.999 * real(psi, spec))
 
 
 def _trace_conjugated(monkeypatch):
     real = phase.trace_overlap
-    for module in (phase, checks):
-        monkeypatch.setattr(module, "trace_overlap",
-                            lambda rho, u: np.conj(real(rho, u)))
+    monkeypatch.setattr(phase, "trace_overlap", lambda rho, u: np.conj(real(rho, u)))
 
 
 #: each planted fault and the checks it must make FAIL
@@ -254,7 +253,7 @@ def test_kernels_run_on_whole_batches(monkeypatch, check):
     for name in ("apply_arm_fields", "prepare_beam_state", "predicted_final_state",
                  "spatial_vectors", "spin_arm_states", "dual_coincidence_profile",
                  "dual_phase_closed_form", "spin_pancharatnam", "pancharatnam_phase",
-                 "mixed_phase", "mixed_interference_profile", "trace_overlap",
+                 "mixed_phase", "mixed_interference_profile", "_trace_profile",
                  "qubit_density", "inner_product"):
         real = getattr(checks, name)
 
