@@ -430,8 +430,11 @@ def _plan(args) -> RunPlan:
     if plan.base == "precession":  # a subnormal phi repeats the path's times
         for phi in np.ravel(plan.parameters["phi"]):
             for n in np.ravel(plan.parameters["subdivisions"]):
-                with np.errstate(over="ignore"):  # linspace's own scaling, near 1e308
-                    times = np.linspace(0.0, phi, n + 1)
+                # linspace's times are fl(i * step), which rise strictly for
+                # a normal step and n < 2**51: only a subnormal one can repeat
+                if phi / n >= np.finfo(float).tiny:
+                    continue
+                times = np.linspace(0.0, phi, n + 1)
                 if not (np.diff(times) > 0.0).all():
                     raise ConfigError(f"precession.phi must give strictly increasing "
                                       f"times at {n} subdivisions, got {float(phi)!r}")
@@ -475,6 +478,13 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform says."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pancha",
@@ -492,9 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"seed (falls back to config, then ${SEED_ENV_VAR})")
     common.add_argument("--subdivisions", type=int,
                         help="path subdivisions for simulated evolutions")
-    common.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for sweep points (at least 1; "
-                             "never more than the points)")
+    common.add_argument("--jobs", type=int, default=_usable_cpus(),
+                        help="worker processes for sweep points (default: the "
+                             "CPUs this process may run on; at least 1; never "
+                             "more than the points)")
 
     run_p = sub.add_parser("run", parents=[common],
                            help="execute one experiment config")

@@ -4,6 +4,10 @@ Each runner takes a flat parameter dict (already validated), executes one
 scenario end to end, and returns scalar results, oracle deltas (closed
 form versus independently simulated route), and an optional interference
 profile.  Everything is deterministic for a given parameter set.
+
+Every runner uses ``core``, ``phase`` and ``errors``; each imports the
+rest of what it calls in its own body, so a cold ``pancha run`` loads
+only its own experiment's modules.
 """
 
 from __future__ import annotations
@@ -20,24 +24,7 @@ from .core import (
     qubit_density,
     wrap_angle,
 )
-from .dual import (
-    DualSetupSpec,
-    SpinArmSpec,
-    dual_coincidence_profile,
-    dual_phase_closed_form,
-    spatial_vectors,
-    spin_arm_states,
-    spin_pancharatnam,
-)
-from .geometry import (
-    SphericalTriangle,
-    bargmann_invariant,
-    loop_holonomy,
-    mixed_bargmann,
-    mixed_solid_angle_phase,
-    qubit_mixed_triple,
-    solid_angle,
-)
+from .errors import UndefinedRatioError
 from .phase import (
     InterferenceProfile,
     _chi_grid,
@@ -47,25 +34,6 @@ from .phase import (
     pancharatnam_phase,
     pure_interference_profile,
 )
-from .transport import (
-    PrecessionSpec,
-    chain_phase,
-    geodesic_closure_solid_angle,
-    mixed_noncyclic_phase,
-    precession_comparison_unitary,
-    precession_path,
-    precession_phase_closed_form,
-    precession_phase_simulated,
-)
-from .twophoton import (
-    LoopPair,
-    entangled_phase_closed_form,
-    franson_coincidence_profile,
-    nonlinearity_ratio,
-    schmidt_state_for_loops,
-    simulate_loop_pair,
-)
-from .errors import UndefinedRatioError
 
 
 @dataclass
@@ -79,7 +47,9 @@ class ExperimentOutcome:
     phase_keys: tuple[str, ...] = field(default=())
 
 
-def _triangle(vertices) -> SphericalTriangle:
+def _triangle(vertices):
+    from .geometry import SphericalTriangle
+
     points = [BlochPoint(float(t), float(p)) for t, p in vertices]
     return SphericalTriangle(*points)
 
@@ -136,6 +106,10 @@ def run_mixed(params: dict) -> ExperimentOutcome:
 
 def run_triangle(params: dict) -> ExperimentOutcome:
     """Solid-angle law on one triangle, pure and mixed."""
+    from .geometry import (bargmann_invariant, loop_holonomy, mixed_bargmann,
+                           mixed_solid_angle_phase, qubit_mixed_triple,
+                           solid_angle)
+
     tri = _triangle(params["vertices"])
     r = params.get("r", 0.5)
     sa, sb, sc = tri.states()
@@ -163,6 +137,11 @@ def run_triangle(params: dict) -> ExperimentOutcome:
 
 def run_two_photon(params: dict) -> ExperimentOutcome:
     """Entangled pair driven around one loop per photon."""
+    from .geometry import solid_angle
+    from .twophoton import (LoopPair, entangled_phase_closed_form,
+                            franson_coincidence_profile, nonlinearity_ratio,
+                            schmidt_state_for_loops, simulate_loop_pair)
+
     loops = LoopPair(_triangle(params["triangle_a"]),
                      _triangle(params["triangle_a_prime"]))
     lam = float(params["lam"])
@@ -203,6 +182,12 @@ def run_two_photon(params: dict) -> ExperimentOutcome:
 
 def run_precession(params: dict) -> ExperimentOutcome:
     """Spin-1/2 precession: closed form, chain, geodesic closure, mixed."""
+    from .transport import (PrecessionSpec, chain_phase,
+                            geodesic_closure_solid_angle, mixed_noncyclic_phase,
+                            precession_comparison_unitary, precession_path,
+                            precession_phase_closed_form,
+                            precession_phase_simulated)
+
     spec = PrecessionSpec(params["theta"], params["phi"],
                           r=params.get("r", 0.5))
     n = int(params.get("subdivisions", 4096))
@@ -236,6 +221,10 @@ def run_precession(params: dict) -> ExperimentOutcome:
 
 def run_dual(params: dict) -> ExperimentOutcome:
     """Split-beam dual readout with fixed field difference, swept sum."""
+    from .dual import (DualSetupSpec, SpinArmSpec, dual_coincidence_profile,
+                       dual_phase_closed_form, spatial_vectors, spin_arm_states,
+                       spin_pancharatnam)
+
     theta = float(params["theta"])
     delta_phi = float(params["delta_phi"])
     spec = DualSetupSpec(theta, delta_phi / 2.0, -delta_phi / 2.0)

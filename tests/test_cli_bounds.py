@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from pancha.cli import MAX_SAMPLES, MAX_SUBDIVISIONS, main
+from pancha.cli import (MAX_SAMPLES, MAX_SUBDIVISIONS, ConfigError, _plan,
+                        build_parser, main)
 
 OCTANT = [[0.0, 0.0], [np.pi / 2, 0.0], [np.pi / 2, np.pi / 2]]
 BASE = {
@@ -199,6 +200,47 @@ def test_smallest_angle_with_increasing_times_is_accepted(tmp_path, subdivisions
                     subdivisions=subdivisions)
     assert code == 0
     assert out.exists()
+
+
+def _times_increase(phi, subdivisions) -> bool:
+    """The full check: every sample time of the path is above the last."""
+    with np.errstate(over="ignore"):
+        times = np.linspace(0.0, phi, subdivisions + 1)
+    return bool((np.diff(times) > 0.0).all())
+
+
+NORMAL = np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("subdivisions", [1, 64, 4096, MAX_SUBDIVISIONS])
+def test_time_guard_agrees_with_the_full_check(tmp_path, subdivisions):
+    edge = subdivisions * NORMAL  # the step phi / n is normal from here up
+    for phi in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf),
+                TINY, 2.2e-308, 1.0, 1e308):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "precession", "parameters": {
+            "theta": 0.5, "phi": float(phi), "subdivisions": subdivisions}}))
+        args = build_parser().parse_args(["run", "--config", str(cfg)])
+        try:
+            _plan(args)
+            accepted = True
+        except ConfigError as exc:
+            assert "precession.phi" in str(exc)
+            accepted = False
+        assert accepted == _times_increase(phi, subdivisions), phi
+
+
+@pytest.mark.parametrize("affinity, cpu_count, jobs", [
+    ({0}, 8, 1), ({0, 1, 2}, 8, 3), (None, 5, 5), (None, None, 1)])
+def test_jobs_defaults_to_the_usable_cpus(monkeypatch, affinity, cpu_count, jobs):
+    if affinity is None:
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: affinity,
+                            raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: cpu_count)
+    args = build_parser().parse_args(["run", "--config", "cfg.json"])
+    assert args.jobs == jobs
 
 
 #: triangle_a with its last two vertices swapped: the loop areas cancel,
