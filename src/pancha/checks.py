@@ -75,7 +75,6 @@ from .phase import (
 from .transport import (
     DiscretePath,
     PrecessionSpec,
-    _precession_states,
     chain_phase,
     dynamical_phase,
     geodesic_closure_solid_angle,
@@ -84,6 +83,7 @@ from .transport import (
     mixed_noncyclic_phase,
     pancharatnam_vs_auxiliary,
     precession_comparison_unitary,
+    precession_path,
     precession_phase_closed_form,
     precession_phase_simulated,
 )
@@ -238,19 +238,6 @@ def _evolved_path(h, psi0, n) -> DiscretePath:
     coeffs = evecs.conj().swapaxes(-1, -2) @ psi0[..., None]
     states = (evecs[..., None, :, :] * phases[..., None, :]) @ coeffs[..., None, :, :]
     return DiscretePath(times, states[..., 0], h)
-
-
-def _precession_batch(spec, n):
-    """The n-step precession paths of a batched ``spec`` as one batch,
-    timed by the fraction of each duration: the kernels it serves read no
-    times.  Each row's states are those of precession_path: the times of
-    linspace(0, phi, n + 1) are those of one linspace over all the rows
-    when no phi is zero."""
-    times = np.linspace(0.0, spec.phi, n + 1, axis=-1)
-    return DiscretePath(np.linspace(0.0, 1.0, n + 1),
-                        _precession_states(spec.theta, times))
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +532,7 @@ def check_precession_three_way(seed, n_steps=10_000):
     spec = PrecessionSpec(*np.array(PRECESSION_GRID).T)
     closed = precession_phase_closed_form(spec)
     simulated = precession_phase_simulated(spec)
-    batch = _precession_batch(spec, n_steps)
+    batch = precession_path(spec, n_steps)
     chain = chain_phase(batch)
     omega_gc = geodesic_closure_solid_angle(batch)
     yield np.abs(wrap_angle(simulated - closed)) / 1e-9
@@ -559,7 +546,7 @@ def check_chain_convergence(seed, n_coarse=1000):
     spec = PrecessionSpec(*np.array(PRECESSION_GRID).T)
     exact = precession_phase_closed_form(spec)
     err_n, err_2n = (
-        np.abs(wrap_angle(chain_phase(_precession_batch(spec, n)) - exact))
+        np.abs(wrap_angle(chain_phase(precession_path(spec, n)) - exact))
         for n in (n_coarse, 2 * n_coarse))
     resolved = err_2n > 1e-13  # skip grid points at the floating noise floor
     yield np.mean(err_n[resolved] / err_2n[resolved])

@@ -57,10 +57,10 @@ def _triangle(vertices):
 def run_pair(params: dict) -> ExperimentOutcome:
     """Two pure qubit states interfering in a two-beam arrangement."""
     a = bloch_to_state(BlochPoint(params["theta_a"], params["phi_a"]))
-    b = np.exp(1j * params.get("alpha", 0.0)) * bloch_to_state(
+    b = np.exp(1j * params["alpha"]) * bloch_to_state(
         BlochPoint(params["theta_b"], params["phi_b"]))
     direct = pancharatnam_phase(a, b)
-    profile = pure_interference_profile(a, b, _chi_grid(params.get("samples", 64)))
+    profile = pure_interference_profile(a, b, _chi_grid(params["samples"]))
     fitted = profile.extracted
     return ExperimentOutcome(
         results={
@@ -80,11 +80,10 @@ def run_pair(params: dict) -> ExperimentOutcome:
 
 def run_mixed(params: dict) -> ExperimentOutcome:
     """Mixed qubit state (radius r about z) under a unitary rotation."""
-    axis = params.get("axis", (0.0, 0.0, 1.0))
     rho = qubit_density(params["r"])
-    u = matrix_exponential_su2(np.asarray(axis, dtype=float), params["angle"])
+    u = matrix_exponential_su2(np.asarray(params["axis"], dtype=float), params["angle"])
     direct = mixed_phase(rho, u)
-    profile = mixed_interference_profile(rho, u, _chi_grid(params.get("samples", 64)))
+    profile = mixed_interference_profile(rho, u, _chi_grid(params["samples"]))
     fitted = profile.extracted
     closed = _trace_profile(rho, u, profile.chis)
     return ExperimentOutcome(
@@ -111,7 +110,7 @@ def run_triangle(params: dict) -> ExperimentOutcome:
                            solid_angle)
 
     tri = _triangle(params["vertices"])
-    r = params.get("r", 0.5)
+    r = params["r"]
     sa, sb, sc = tri.states()
     invariant = bargmann_invariant(sa, sb, sc)
     omega = solid_angle(tri)
@@ -151,7 +150,7 @@ def run_two_photon(params: dict) -> ExperimentOutcome:
     state = schmidt_state_for_loops(lam, loops)
     sim = simulate_loop_pair(state, loops)
     profile = franson_coincidence_profile(state, loops,
-                                          _chi_grid(params.get("samples", 64)))
+                                          _chi_grid(params["samples"]))
     fitted = profile.extracted
     try:
         ratio = nonlinearity_ratio(lam, omega, omega_prime)
@@ -188,9 +187,8 @@ def run_precession(params: dict) -> ExperimentOutcome:
                             precession_phase_closed_form,
                             precession_phase_simulated)
 
-    spec = PrecessionSpec(params["theta"], params["phi"],
-                          r=params.get("r", 0.5))
-    n = int(params.get("subdivisions", 4096))
+    spec = PrecessionSpec(params["theta"], params["phi"], params["r"])
+    n = int(params["subdivisions"])
     closed = precession_phase_closed_form(spec)
     simulated = precession_phase_simulated(spec)
     path = precession_path(spec, n)
@@ -229,7 +227,7 @@ def run_dual(params: dict) -> ExperimentOutcome:
     delta_phi = float(params["delta_phi"])
     spec = DualSetupSpec(theta, delta_phi / 2.0, -delta_phi / 2.0)
     closed = dual_phase_closed_form(spec)
-    chis = _chi_grid(params.get("samples", 64))
+    chis = _chi_grid(params["samples"])
     profile = dual_coincidence_profile(theta, delta_phi, chis)
     down = dual_coincidence_profile(theta, delta_phi, chis, channel=-1)
     fitted = profile.extracted

@@ -89,13 +89,13 @@ class SphericalTriangle:
 
 
 def _guard(overlaps):
-    """Rows where any of the named overlaps vanishes.  For a single row
-    the first vanishing one, in the given order, raises instead."""
+    """Rows where any of the named overlaps vanishes or is NaN.  For a
+    single row the first such one, in the given order, raises instead."""
     undefined = False
     for name, z in overlaps:
         modulus = np.hypot(np.real(z), np.imag(z))
         undefined = undefined | undefined_rows(
-            modulus < EPS_ORTH, OrthogonalStatesError,
+            ~(modulus >= EPS_ORTH), OrthogonalStatesError,
             lambda: f"{name} vanishes ({modulus:.3e})")
     return undefined
 

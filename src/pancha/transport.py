@@ -17,8 +17,7 @@ energies, the closure's arcs) walks the cache-sized blocks of _blocks,
 so no full-length temporaries are made.  Paths are validated values,
 and leading axes of their states make a batch: each kernel gives one
 value per path, NaN where a single path would raise, and so do the
-precession kernels on array angles; a batch of paths shares one
-``times``, so the path builders make one path per call.
+precession kernels on array angles.
 """
 
 from __future__ import annotations
@@ -77,8 +76,10 @@ class DiscretePath:
     """Time-sampled lift of a state-space path, validated once when made.
 
     ``states`` holds one unit vector per sample time, (n+1, d), or a
-    batch (..., n+1, d) sharing ``times``; NaN states, which batched
-    kernels leave in undefined rows, go unchecked.  ``hamiltonian`` optionally
+    batch (..., n+1, d); ``times`` is (n+1,), shared by the batch, or one
+    row per path, (..., n+1), broadcasting against the states' leading
+    axes.  NaN states, which batched kernels leave in undefined rows, go
+    unchecked.  ``hamiltonian`` optionally
     holds the fixed hermitian generator (in radians per unit time) of a
     Schroedinger evolution, (d, d) or one per path, (..., d, d).
     """
@@ -108,11 +109,14 @@ class DiscretePath:
         return np.broadcast_to(h, self.states.shape[:-1] + h.shape[-2:])
 
     def validate(self) -> "DiscretePath":
-        if self.times.ndim != 1 or self.states.ndim < 2:
-            raise ValueError("times must be 1-d and states 2-d (after any batch axes)")
-        if self.times.size != self.n_samples or self.times.size < 2:
+        rows, batch = self.times.shape[:-1], self.states.shape[:-2]
+        if (self.times.ndim < 1 or self.states.ndim < 2 or len(rows) > len(batch)
+                or any(r not in (1, b) for r, b in zip(rows[::-1], batch[::-1]))):
+            raise ValueError("times must be 1-d and states 2-d (after any batch "
+                             "axes, which the times' leading axes broadcast against)")
+        if self.times.shape[-1] != self.n_samples or self.n_samples < 2:
             raise ValueError("need one state per time and at least two samples")
-        if not np.isfinite(self.times[[0, -1]]).all():
+        if not np.isfinite(self.times[..., [0, -1]]).all():
             raise ValueError("times must be finite")
         # one pass, the blocks' times overlapping by a sample (increasing
         # times between finite ends are finite: a NaN step is not > 0); the
@@ -121,8 +125,8 @@ class DiscretePath:
         # extremes hold the largest defect (fmin and fmax pass over NaN rows)
         low = high = 1.0
         for lo, hi in _blocks(self.n_samples, self.states[..., 0, 0].size):
-            span = self.times[lo:hi + 1]
-            if not (span[1:] - span[:-1] > 0.0).all():
+            span = self.times[..., lo:hi + 1]
+            if not (span[..., 1:] - span[..., :-1] > 0.0).all():
                 raise ValueError("times must be strictly increasing")
             block = self.states[..., lo:hi, :]
             squared = np.zeros(block.shape[:-1])
@@ -155,10 +159,10 @@ def _link_phases(path: DiscretePath):
         block = states[..., lo:hi + 1, :]
         links = np.einsum("...ij,...ij->...i", block[..., 1:, :].conj(),
                           block[..., :-1, :])
-        small = np.abs(links) < EPS_ORTH
+        kept = np.abs(links) >= EPS_ORTH  # a NaN link is not kept
         broken |= undefined_rows(
-            small.any(axis=-1), OrthogonalStatesError,
-            lambda: f"adjacent overlap vanishes at link {lo + int(np.argmax(small))}")
+            ~kept.all(axis=-1), OrthogonalStatesError,
+            lambda: f"adjacent overlap vanishes at link {lo + int(np.argmin(kept))}")
         phases[..., lo:hi] = np.angle(links)
     return phases, broken
 
@@ -167,7 +171,7 @@ def _endpoint_overlap(path: DiscretePath):
     """<A_0|A_t> of each path, and the paths where it vanishes; a single
     path raises instead."""
     overlap = inner_product(path.states[..., 0, :], path.states[..., -1, :])
-    return overlap, undefined_rows(np.abs(overlap) < EPS_ORTH,
+    return overlap, undefined_rows(~(np.abs(overlap) >= EPS_ORTH),
                                    VanishingEndpointOverlapError,
                                    "endpoint states are orthogonal")
 
@@ -254,7 +258,7 @@ def dynamical_phase(path: DiscretePath):
         terms = np.empty(states.shape[:-2] + (path.n_samples - 1,))
         for lo, hi in _blocks(path.n_samples - 1, terms[..., 0].size):
             energies = _energies(states[..., lo:hi + 1, :], path.hamiltonian)
-            terms[..., lo:hi] = ((times[lo + 1:hi + 1] - times[lo:hi])
+            terms[..., lo:hi] = ((times[..., lo + 1:hi + 1] - times[..., lo:hi])
                                  * (energies[..., 1:] + energies[..., :-1]) / 2.0)
         phase = -np.add.reduce(terms, axis=-1)
         return float(phase) if np.ndim(phase) == 0 else phase
@@ -286,7 +290,7 @@ class PrecessionSpec:
     The generator has unit level splitting, so the precession angle phi
     doubles as the duration.  ``r`` is the Bloch radius used by the
     mixed-state variant.  Array angles (and radii), which broadcast, make
-    a batch of precessions for every kernel but ``precession_path``.
+    a batch of precessions for every kernel.
     """
 
     theta: float
@@ -329,17 +333,22 @@ def _precession_states(theta, times) -> np.ndarray:
 
 
 def precession_path(spec: PrecessionSpec, n: int = 4096) -> DiscretePath:
-    """Precession lift e^{-iHt}|+z> sampled at n equal steps (n+1 states);
-    a negative angle gives the same states at times |t| under -H."""
+    """Precession lift e^{-iHt}|+z> sampled at n equal steps (n+1 states),
+    one path per row of the broadcast angles, each with its own times; a
+    negative angle gives the same states at times |t| under -H."""
     if n < 1:
         raise ValueError("need at least one subdivision")
-    if not np.isfinite((spec.theta, spec.phi)).all():
+    theta, phi = np.broadcast_arrays(spec.theta, spec.phi)
+    if not np.isfinite((theta, phi)).all():
         raise ValueError("precession angles must be finite")
-    times = np.linspace(0.0, spec.phi, n + 1)
-    states = _precession_states(spec.theta, times)
-    hamiltonian = precession_hamiltonian(spec.theta)
-    if spec.phi < 0.0:
-        times, hamiltonian = np.abs(times, out=times), -hamiltonian
+    times = np.linspace(0.0, phi, n + 1, axis=-1)
+    states = _precession_states(theta, times)
+    hamiltonian = precession_hamiltonian(theta)
+    backward = phi < 0.0
+    if backward.any():
+        # np.where, not a product with the sign, keeps the zero parts of H
+        times = np.abs(times, out=times)
+        hamiltonian = np.where(backward[..., None, None], -hamiltonian, hamiltonian)
     return DiscretePath(times, states, hamiltonian)
 
 

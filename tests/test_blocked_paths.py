@@ -137,3 +137,37 @@ class TestValidateAcrossBlocks:
         states[1, _BLOCK + 2] = np.nan  # and a NaN sample in the last block
         states[1, :_BLOCK + 2] = PLUS
         DiscretePath(times, states)
+
+
+class TestTimeRows:
+    """Times may be one row per path, broadcasting against the states'
+    leading axes; each row is checked in the same block pass."""
+
+    def test_one_time_row_per_path(self):
+        times, states = unit_path(5000, (3, 4))
+        rows = times * np.arange(1.0, 5.0)[:, None]  # (4, n+1) against (3, 4)
+        assert DiscretePath(rows, states).times.shape == (4, 5000)
+        DiscretePath(np.tile(rows, (3, 1, 1)), states)
+        DiscretePath(times[None, None, :], states)
+        DiscretePath(np.tile(times, (3, 1, 1)), states)  # (3, 1, n+1)
+
+    @pytest.mark.parametrize("where", [1, 681, 682, 4999])
+    def test_one_non_increasing_row_raises(self, where):
+        times, states = unit_path(5000, (12,))
+        rows = np.tile(times, (12, 1))
+        rows[7, where] = rows[7, where - 1]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            DiscretePath(rows, states)
+
+    @pytest.mark.parametrize("shape", [(2,), (4, 1), (1, 3, 4), (5, 3, 4)])
+    def test_rows_that_do_not_broadcast_raise(self, shape):
+        times, states = unit_path(10, (3, 4))
+        with pytest.raises(ValueError, match="^times must be 1-d and states 2-d"):
+            DiscretePath(np.broadcast_to(times, shape + (10,)), states)
+
+    def test_a_non_finite_end_in_one_row(self):
+        times, states = unit_path(10, (2,))
+        rows = np.stack([times, times])
+        rows[1, -1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            DiscretePath(rows, states)

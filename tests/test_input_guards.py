@@ -6,8 +6,20 @@ import pytest
 
 from pancha import checks, experiments
 from pancha.core import matrix_exponential_su2, qubit_density
-from pancha.errors import UndefinedRatioError
+from pancha.errors import (
+    OrthogonalStatesError,
+    UndefinedRatioError,
+    VanishingEndpointOverlapError,
+)
+from pancha.geometry import bargmann_invariant, multi_vertex_invariant
 from pancha.phase import mixed_interference_profile
+from pancha.transport import (
+    DiscretePath,
+    PrecessionSpec,
+    chain_phase,
+    pancharatnam_vs_auxiliary,
+    precession_path,
+)
 from pancha.twophoton import nonlinearity_ratio
 
 CHI_GRID = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
@@ -29,6 +41,61 @@ def test_a_non_finite_lam_row_is_nan():
     assert np.isnan(got[[1, 3, 4]]).all()
     assert got[[0, 2]].tolist() == [nonlinearity_ratio(0.2, 0.3, 0.1),
                                     nonlinearity_ratio(0.7, 0.3, 0.1)]
+
+
+# ---------------------------------------------------------------------------
+# NaN overlaps: a NaN modulus is refused as a vanishing one is
+
+NAN_STATE = np.array([np.nan, 0.0], dtype=complex)
+UP, DIAGONAL = np.array([1.0, 0.0]), np.array([0.7, 0.7])
+
+
+def test_a_nan_state_in_a_triple_raises():
+    with pytest.raises(OrthogonalStatesError, match="overlap <a|c>"):
+        bargmann_invariant(UP, DIAGONAL, NAN_STATE)
+
+
+def test_a_nan_state_in_a_chain_raises():
+    with pytest.raises(OrthogonalStatesError):
+        multi_vertex_invariant([UP, DIAGONAL, NAN_STATE, DIAGONAL])
+
+
+def test_nan_triple_and_chain_rows_are_nan():
+    c = np.stack([DIAGONAL, NAN_STATE, UP])
+    got = bargmann_invariant(UP, DIAGONAL[::-1], c)
+    assert np.isnan(got).tolist() == [False, True, False]
+    assert got[0] == bargmann_invariant(UP, DIAGONAL[::-1], DIAGONAL)
+    got = multi_vertex_invariant([UP, DIAGONAL, c])
+    assert np.isnan(got).tolist() == [False, True, False]
+
+
+def precession_with_nan_at(index, n=20):
+    path = precession_path(PrecessionSpec(0.7, 2.0), n)
+    states = path.states.copy()
+    states[index] = np.nan
+    return DiscretePath(path.times, states)
+
+
+@pytest.mark.parametrize("index", [3, 0, -1])
+def test_a_nan_state_in_a_single_path_raises(index):
+    with pytest.raises(OrthogonalStatesError):
+        chain_phase(precession_with_nan_at(index))
+
+
+def test_a_nan_endpoint_raises_as_a_vanishing_one():
+    path = precession_with_nan_at(-1)
+    with pytest.raises(VanishingEndpointOverlapError):
+        pancharatnam_vs_auxiliary(DiscretePath(path.times, path.states,
+                                               np.zeros((2, 2))))
+
+
+def test_a_nan_state_in_a_batch_row_is_nan():
+    single = precession_path(PrecessionSpec(0.7, 2.0), 20)
+    states = np.stack([single.states] * 3)
+    states[1, 5] = np.nan
+    got = chain_phase(DiscretePath(single.times, states))
+    assert np.isnan(got).tolist() == [False, True, False]
+    assert got[0] == got[2] == chain_phase(single)
 
 
 # ---------------------------------------------------------------------------

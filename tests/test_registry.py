@@ -11,6 +11,7 @@ from pancha.transport import (
     PrecessionSpec,
     chain_phase,
     geodesic_closure_solid_angle,
+    precession_path,
     precession_phase_closed_form,
     precession_phase_simulated,
 )
@@ -126,7 +127,7 @@ class TestVerdict:
 def test_precession_budget_fractions_are_the_quotient_of_the_maxima():
     spec = PrecessionSpec(*np.array(checks.PRECESSION_GRID).T)
     closed = precession_phase_closed_form(spec)
-    batch = checks._precession_batch(spec, 10_000)
+    batch = precession_path(spec, 10_000)
     maxima = [np.max(np.abs(checks.wrap_angle(got - closed))) / budget
               for got, budget in ((precession_phase_simulated(spec), 1e-9),
                                   (chain_phase(batch), 1e-3),

@@ -129,8 +129,8 @@ def _triangle_batch(seed, k, n):
 
 class TestGeodesicClosure:
     def test_batch_rows_within_1e12_of_single_calls(self):
-        batch = checks._precession_batch(GRID, 10_000)
-        singles = [DiscretePath(batch.times, row) for row in batch.states]
+        batch = precession_path(GRID, 10_000)
+        singles = [precession_path(spec, 10_000) for spec in single_specs(GRID)]
         triangles, triangle_batch = _triangle_batch(3, 5, 30_000)
         for paths, together in ((singles, batch), (triangles, triangle_batch)):
             got = geodesic_closure_solid_angle(together)
@@ -138,8 +138,9 @@ class TestGeodesicClosure:
                                              for p in paths], rtol=0.0, atol=1e-12)
 
     def test_two_batch_axes(self):
-        batch = checks._precession_batch(GRID, 1000)
-        grid = DiscretePath(batch.times, batch.states.reshape(3, 4, -1, 2))
+        batch = precession_path(GRID, 1000)
+        grid = precession_path(PrecessionSpec(GRID.theta.reshape(3, 4),
+                                              GRID.phi.reshape(3, 4)), 1000)
         got = geodesic_closure_solid_angle(grid)
         assert got.shape == (3, 4)
         np.testing.assert_array_equal(got.ravel(), geodesic_closure_solid_angle(batch))
