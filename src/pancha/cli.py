@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import json
 import math
 import os
@@ -41,52 +42,41 @@ SUITE_NAMES = ("dual", "geometric-phase", "geometry", "mixed", "two-photon")
 MAX_SAMPLES = 100_000
 MAX_SUBDIVISIONS = 2_000_000
 
-#: (kind, default, bounds or None) per parameter; scalar kinds may be
-#: swept, structured kinds may not, and bounds hold for every element of
-#: a sweep list.  Bounds are inclusive (low, high) pairs; a third entry
-#: True leaves the low end open.  The fringe fit needs three samples and a
-#: precession a positive angle; spin-1/2 field angles have period 4 pi, and
-#: the dual profile adds chi to +-delta_phi/2, so a larger one drowns chi.
-_REQUIRED = object()
-_SAMPLES = ("int", 64, (3, MAX_SAMPLES))
-_RADIUS = (-1.0, 1.0)
-_POSITIVE = (0.0, math.inf, True)
+#: (kind, bounds or None) per parameter name, the same in every experiment;
+#: scalar kinds may be swept, structured kinds may not, and bounds hold for
+#: every element of a sweep list.  Bounds are inclusive (low, high) pairs; a
+#: third entry True leaves the low end open.  The fringe fit needs three
+#: samples and a precession a positive angle; spin-1/2 field angles have
+#: period 4 pi, and the dual profile adds chi to +-delta_phi/2, so a larger
+#: one drowns chi.
+PARAM_DOMAINS = {
+    "theta_a": ("number", None),
+    "phi_a": ("number", None),
+    "theta_b": ("number", None),
+    "phi_b": ("number", None),
+    "alpha": ("number", None),
+    "samples": ("int", (3, MAX_SAMPLES)),
+    "r": ("number", (-1.0, 1.0)),
+    "angle": ("number", None),
+    "axis": ("axis", None),
+    "vertices": ("vertices", None),
+    "lam": ("number", (0.0, 1.0)),
+    "triangle_a": ("vertices", None),
+    "triangle_a_prime": ("vertices", None),
+    "theta": ("number", None),
+    "phi": ("number", (0.0, math.inf, True)),
+    "subdivisions": ("int", (1, MAX_SUBDIVISIONS)),
+    "delta_phi": ("number", (-4.0 * math.pi, 4.0 * math.pi)),
+}
+
+#: (kind, default, bounds) per parameter of each experiment, in its
+#: runner's signature order: the signature states names and defaults
+_REQUIRED = inspect.Parameter.empty
 PARAM_SCHEMAS = {
-    "pair": {
-        "theta_a": ("number", _REQUIRED, None),
-        "phi_a": ("number", _REQUIRED, None),
-        "theta_b": ("number", _REQUIRED, None),
-        "phi_b": ("number", _REQUIRED, None),
-        "alpha": ("number", 0.0, None),
-        "samples": _SAMPLES,
-    },
-    "mixed": {
-        "r": ("number", _REQUIRED, _RADIUS),
-        "angle": ("number", _REQUIRED, None),
-        "axis": ("axis", (0.0, 0.0, 1.0), None),
-        "samples": _SAMPLES,
-    },
-    "triangle": {
-        "vertices": ("vertices", _REQUIRED, None),
-        "r": ("number", 0.5, _RADIUS),
-    },
-    "two-photon": {
-        "lam": ("number", _REQUIRED, (0.0, 1.0)),
-        "triangle_a": ("vertices", _REQUIRED, None),
-        "triangle_a_prime": ("vertices", _REQUIRED, None),
-        "samples": _SAMPLES,
-    },
-    "precession": {
-        "theta": ("number", _REQUIRED, None),
-        "phi": ("number", _REQUIRED, _POSITIVE),
-        "r": ("number", 0.5, _RADIUS),
-        "subdivisions": ("int", 4096, (1, MAX_SUBDIVISIONS)),
-    },
-    "dual": {
-        "theta": ("number", _REQUIRED, None),
-        "delta_phi": ("number", _REQUIRED, (-4.0 * math.pi, 4.0 * math.pi)),
-        "samples": _SAMPLES,
-    },
+    base: {name: (PARAM_DOMAINS[name][0], param.default,
+                  PARAM_DOMAINS[name][1])
+           for name, param in inspect.signature(runner).parameters.items()}
+    for base, runner in RUNNERS.items()
 }
 
 
@@ -113,7 +103,7 @@ def _is_number(value) -> bool:
 
 
 def _check_param(experiment: str, name: str, value):
-    kind, _, bounds = PARAM_SCHEMAS[experiment][name]
+    kind, bounds = PARAM_DOMAINS[name]
     where = f"{experiment}.{name}"
     if kind == "number":
         if not _is_number(value):
@@ -286,23 +276,6 @@ def _record(plan: RunPlan, results: dict, oracle_deltas: dict) -> dict:
             "oracle_deltas": oracle_deltas, "versions": _versions()}
 
 
-def _write_json(path: str, record: dict):
-    def write(fh):
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    _write_whole(path, write)
-
-
-def _write_csv(path: str, header: list[str], rows: list[list[float]]):
-    def write(fh):
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_float(x) for x in row) + "\n")
-
-    _write_whole(path, write)
-
-
 def _single_record(plan: RunPlan, outcome: ExperimentOutcome) -> dict:
     results = dict(outcome.results)
     if outcome.profile is not None:
@@ -325,29 +298,26 @@ def _config_echo(plan: RunPlan) -> dict:
     return echo
 
 
-def _single_csv(outcome: ExperimentOutcome) -> tuple[list[str], list[list[float]]]:
-    scalar_cols = list(outcome.results)
-    delta_cols = [f"delta_{k}" for k in outcome.oracle_deltas]
-    scalars = [outcome.results[k] for k in scalar_cols]
-    deltas = [outcome.oracle_deltas[k] for k in outcome.oracle_deltas]
-    if outcome.profile is None:
-        return scalar_cols + delta_cols, [scalars + deltas]
-    header = ["chi", "intensity"] + scalar_cols + delta_cols
-    rows = [
-        [chi, intensity] + scalars + deltas
-        for chi, intensity in zip(outcome.profile.chis,
-                                  outcome.profile.intensities)
-    ]
-    return header, rows
+def _single_columns(outcome: ExperimentOutcome) -> dict[str, list]:
+    """One run's CSV columns: the profile's chi and intensity, if any, then
+    each scalar result and oracle delta repeated down the rows."""
+    columns, rows = {}, 1
+    if outcome.profile is not None:
+        columns = {"chi": outcome.profile.chis.tolist(),
+                   "intensity": outcome.profile.intensities.tolist()}
+        rows = len(columns["chi"])
+    scalars = {**outcome.results,
+               **{f"delta_{k}": v for k, v in outcome.oracle_deltas.items()}}
+    return columns | {key: [value] * rows for key, value in scalars.items()}
 
 
 def _sweep_point(args) -> tuple[dict, dict, tuple]:
     base, params = args
-    outcome = RUNNERS[base](params)
+    outcome = RUNNERS[base](**params)
     return outcome.results, outcome.oracle_deltas, outcome.phase_keys
 
 
-def run_sweep(plan: RunPlan, jobs: int) -> tuple[dict, list[str], list[list[float]]]:
+def run_sweep(plan: RunPlan, jobs: int) -> tuple[dict, dict[str, list]]:
     values = plan.parameters[plan.swept]
     tasks = [
         (plan.base, {**plan.parameters, plan.swept: value}) for value in values
@@ -371,12 +341,9 @@ def run_sweep(plan: RunPlan, jobs: int) -> tuple[dict, list[str], list[list[floa
         columns[f"{key}_unwrapped"] = np.unwrap(columns[key]).tolist()
     for key in delta_keys:
         columns[f"delta_{key}"] = [p[1][key] for p in points]
-
-    header = list(columns)
-    rows = [[columns[col][i] for col in header] for i in range(len(values))]
     record = _record(plan, {"swept": plan.swept, "rows": columns},
                      {f"max_{k}": max(p[1][k] for p in points) for k in delta_keys})
-    return record, header, rows
+    return record, columns
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +366,22 @@ def _env_seed() -> int:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
 
 
-def _emit(plan: RunPlan, args, record: dict, header, rows) -> str:
-    _require_finite(record["results"], "results")  # the csv rows hold the same numbers
+def _emit(plan: RunPlan, args, record: dict, columns: dict[str, list]) -> str:
+    """Write ``record`` as JSON or ``columns`` as CSV; return the path."""
+    _require_finite(record["results"], "results")  # the columns hold the same numbers
     _require_finite(record["oracle_deltas"], "oracle_deltas")
     path = args.out or plan.output or f"pancha-{plan.experiment}.{plan.format}"
-    if plan.format == "json":
-        _write_json(path, record)
-    else:
-        _write_csv(path, header, rows)
+
+    def write(fh):
+        if plan.format == "json":
+            json.dump(record, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+            return
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*columns.values()):
+            fh.write(",".join(map(_fmt_float, row)) + "\n")
+
+    _write_whole(path, write)
     return path
 
 
@@ -443,13 +418,12 @@ def _plan(args) -> RunPlan:
 
 def _cmd_run(args) -> int:
     plan = _plan(args)
-    if plan.swept is not None or plan.experiment == "sweep":
-        record, header, rows = run_sweep(plan, jobs=args.jobs)
+    if plan.swept is not None:
+        record, columns = run_sweep(plan, jobs=args.jobs)
     else:
-        outcome = RUNNERS[plan.base](plan.parameters)
-        record = _single_record(plan, outcome)
-        header, rows = _single_csv(outcome)
-    path = _emit(plan, args, record, header, rows)
+        outcome = RUNNERS[plan.base](**plan.parameters)
+        record, columns = _single_record(plan, outcome), _single_columns(outcome)
+    path = _emit(plan, args, record, columns)
     for key, value in record["oracle_deltas"].items():
         print(f"{key}: {_fmt_float(value)}", file=sys.stderr)
     print(f"wrote {plan.experiment} results to {path}")
@@ -460,16 +434,24 @@ def _cmd_sweep(args) -> int:
     plan = _plan(args)
     if plan.swept is None:
         raise ConfigError("sweep needs exactly one list-valued parameter")
-    record, header, rows = run_sweep(plan, jobs=args.jobs)
-    path = _emit(plan, args, record, header, rows)
-    print(f"wrote {len(rows)}-point sweep of '{plan.swept}' to {path}")
+    record, columns = run_sweep(plan, jobs=args.jobs)
+    path = _emit(plan, args, record, columns)
+    print(f"wrote {len(columns[plan.swept])}-point sweep of '{plan.swept}' to {path}")
     return 0
 
 
 def _cmd_verify(args) -> int:
+    if args.seed is not None:
+        seed, source = args.seed, "--seed"
+    else:
+        seed, source = _env_seed(), SEED_ENV_VAR
+    if seed < 0:
+        raise ConfigError(f"{source} must be at least 0, got {seed}")
+    if not (math.isfinite(args.tol_scale) and args.tol_scale >= 0.0):
+        raise ConfigError(f"--tol-scale must be finite and at least 0, "
+                          f"got {args.tol_scale}")
     from .checks import run_suites
 
-    seed = args.seed if args.seed is not None else _env_seed()
     results = run_suites(args.suite, seed=seed, tol_scale=args.tol_scale)
     failures = sum(0 if result.passed else 1 for result in results)
     for result in results:
@@ -519,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("suite", choices=SUITE_NAMES + ("all",))
     verify_p.add_argument("--seed", type=int, default=None)
     verify_p.add_argument("--tol-scale", type=float, default=1.0,
-                          help="tolerance multiplier (harness self-test knob)")
+                          help="tolerance multiplier, finite and at least 0 "
+                               "(harness self-test knob)")
     verify_p.set_defaults(fn=_cmd_verify)
     return parser
 

@@ -1,6 +1,8 @@
 """Named desk-scale experiments behind the CLI.
 
-Each runner takes a flat parameter dict (already validated), executes one
+Each runner takes its parameters as keyword arguments (already
+validated; its signature is the one statement of their names, order and
+defaults, from which ``cli.PARAM_SCHEMAS`` is derived), executes one
 scenario end to end, and returns scalar results, oracle deltas (closed
 form versus independently simulated route), and an optional interference
 profile.  Everything is deterministic for a given parameter set.
@@ -54,13 +56,13 @@ def _triangle(vertices):
     return SphericalTriangle(*points)
 
 
-def run_pair(params: dict) -> ExperimentOutcome:
+def run_pair(theta_a, phi_a, theta_b, phi_b, alpha=0.0,
+             samples=64) -> ExperimentOutcome:
     """Two pure qubit states interfering in a two-beam arrangement."""
-    a = bloch_to_state(BlochPoint(params["theta_a"], params["phi_a"]))
-    b = np.exp(1j * params["alpha"]) * bloch_to_state(
-        BlochPoint(params["theta_b"], params["phi_b"]))
+    a = bloch_to_state(BlochPoint(theta_a, phi_a))
+    b = np.exp(1j * alpha) * bloch_to_state(BlochPoint(theta_b, phi_b))
     direct = pancharatnam_phase(a, b)
-    profile = pure_interference_profile(a, b, _chi_grid(params["samples"]))
+    profile = pure_interference_profile(a, b, _chi_grid(samples))
     fitted = profile.extracted
     return ExperimentOutcome(
         results={
@@ -78,12 +80,12 @@ def run_pair(params: dict) -> ExperimentOutcome:
     )
 
 
-def run_mixed(params: dict) -> ExperimentOutcome:
+def run_mixed(r, angle, axis=(0.0, 0.0, 1.0), samples=64) -> ExperimentOutcome:
     """Mixed qubit state (radius r about z) under a unitary rotation."""
-    rho = qubit_density(params["r"])
-    u = matrix_exponential_su2(np.asarray(params["axis"], dtype=float), params["angle"])
+    rho = qubit_density(r)
+    u = matrix_exponential_su2(np.asarray(axis, dtype=float), angle)
     direct = mixed_phase(rho, u)
-    profile = mixed_interference_profile(rho, u, _chi_grid(params["samples"]))
+    profile = mixed_interference_profile(rho, u, _chi_grid(samples))
     fitted = profile.extracted
     closed = _trace_profile(rho, u, profile.chis)
     return ExperimentOutcome(
@@ -103,14 +105,13 @@ def run_mixed(params: dict) -> ExperimentOutcome:
     )
 
 
-def run_triangle(params: dict) -> ExperimentOutcome:
+def run_triangle(vertices, r=0.5) -> ExperimentOutcome:
     """Solid-angle law on one triangle, pure and mixed."""
     from .geometry import (bargmann_invariant, loop_holonomy, mixed_bargmann,
                            mixed_solid_angle_phase, qubit_mixed_triple,
                            solid_angle)
 
-    tri = _triangle(params["vertices"])
-    r = params["r"]
+    tri = _triangle(vertices)
     sa, sb, sc = tri.states()
     invariant = bargmann_invariant(sa, sb, sc)
     omega = solid_angle(tri)
@@ -134,23 +135,22 @@ def run_triangle(params: dict) -> ExperimentOutcome:
     )
 
 
-def run_two_photon(params: dict) -> ExperimentOutcome:
+def run_two_photon(lam, triangle_a, triangle_a_prime,
+                   samples=64) -> ExperimentOutcome:
     """Entangled pair driven around one loop per photon."""
     from .geometry import solid_angle
     from .twophoton import (LoopPair, entangled_phase_closed_form,
                             franson_coincidence_profile, nonlinearity_ratio,
                             schmidt_state_for_loops, simulate_loop_pair)
 
-    loops = LoopPair(_triangle(params["triangle_a"]),
-                     _triangle(params["triangle_a_prime"]))
-    lam = float(params["lam"])
+    loops = LoopPair(_triangle(triangle_a), _triangle(triangle_a_prime))
+    lam = float(lam)
     omega = solid_angle(loops.triangle_a)
     omega_prime = solid_angle(loops.triangle_a_prime)
     closed = entangled_phase_closed_form(lam, omega, omega_prime)
     state = schmidt_state_for_loops(lam, loops)
     sim = simulate_loop_pair(state, loops)
-    profile = franson_coincidence_profile(state, loops,
-                                          _chi_grid(params["samples"]))
+    profile = franson_coincidence_profile(state, loops, _chi_grid(samples))
     fitted = profile.extracted
     try:
         ratio = nonlinearity_ratio(lam, omega, omega_prime)
@@ -179,7 +179,7 @@ def run_two_photon(params: dict) -> ExperimentOutcome:
     )
 
 
-def run_precession(params: dict) -> ExperimentOutcome:
+def run_precession(theta, phi, r=0.5, subdivisions=4096) -> ExperimentOutcome:
     """Spin-1/2 precession: closed form, chain, geodesic closure, mixed."""
     from .transport import (PrecessionSpec, chain_phase,
                             geodesic_closure_solid_angle, mixed_noncyclic_phase,
@@ -187,11 +187,10 @@ def run_precession(params: dict) -> ExperimentOutcome:
                             precession_phase_closed_form,
                             precession_phase_simulated)
 
-    spec = PrecessionSpec(params["theta"], params["phi"], params["r"])
-    n = int(params["subdivisions"])
+    spec = PrecessionSpec(theta, phi, r)
     closed = precession_phase_closed_form(spec)
     simulated = precession_phase_simulated(spec)
-    path = precession_path(spec, n)
+    path = precession_path(spec, int(subdivisions))
     chain = chain_phase(path)
     omega_gc = geodesic_closure_solid_angle(path)
     mixed_closed = mixed_noncyclic_phase(spec)
@@ -217,17 +216,17 @@ def run_precession(params: dict) -> ExperimentOutcome:
     )
 
 
-def run_dual(params: dict) -> ExperimentOutcome:
+def run_dual(theta, delta_phi, samples=64) -> ExperimentOutcome:
     """Split-beam dual readout with fixed field difference, swept sum."""
     from .dual import (DualSetupSpec, SpinArmSpec, dual_coincidence_profile,
                        dual_phase_closed_form, spatial_vectors, spin_arm_states,
                        spin_pancharatnam)
 
-    theta = float(params["theta"])
-    delta_phi = float(params["delta_phi"])
+    theta = float(theta)
+    delta_phi = float(delta_phi)
     spec = DualSetupSpec(theta, delta_phi / 2.0, -delta_phi / 2.0)
     closed = dual_phase_closed_form(spec)
-    chis = _chi_grid(params["samples"])
+    chis = _chi_grid(samples)
     profile = dual_coincidence_profile(theta, delta_phi, chis)
     down = dual_coincidence_profile(theta, delta_phi, chis, channel=-1)
     fitted = profile.extracted

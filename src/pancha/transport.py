@@ -78,10 +78,11 @@ class DiscretePath:
     ``states`` holds one unit vector per sample time, (n+1, d), or a
     batch (..., n+1, d); ``times`` is (n+1,), shared by the batch, or one
     row per path, (..., n+1), broadcasting against the states' leading
-    axes.  NaN states, which batched kernels leave in undefined rows, go
-    unchecked.  ``hamiltonian`` optionally
-    holds the fixed hermitian generator (in radians per unit time) of a
-    Schroedinger evolution, (d, d) or one per path, (..., d, d).
+    axes.  NaN states go unchecked in a batch, whose kernels leave them in
+    undefined rows; a single path with one raises, as one with any other
+    non-unit state does.  ``hamiltonian`` optionally holds the fixed
+    hermitian generator (in radians per unit time) of a Schroedinger
+    evolution, (d, d) or one per path, (..., d, d).
     """
 
     times: np.ndarray
@@ -122,7 +123,10 @@ class DiscretePath:
         # times between finite ends are finite: a NaN step is not > 0); the
         # squared moduli are summed in place from the real and imaginary
         # parts (any strides will do), and sqrt is monotonic, so the running
-        # extremes hold the largest defect (fmin and fmax pass over NaN rows)
+        # extremes hold the largest defect; a batch's fmin and fmax pass over
+        # its NaN rows, a single path's minimum and maximum keep a NaN
+        single = self.states.ndim == 2
+        least, most = (np.minimum, np.maximum) if single else (np.fmin, np.fmax)
         low = high = 1.0
         for lo, hi in _blocks(self.n_samples, self.states[..., 0, 0].size):
             span = self.times[..., lo:hi + 1]
@@ -133,9 +137,9 @@ class DiscretePath:
             for k in range(block.shape[-1]):
                 squared += np.square(block[..., k].real)
                 squared += np.square(block[..., k].imag)
-            low = np.fmin.reduce(squared, None, initial=low)
-            high = np.fmax.reduce(squared, None, initial=high)
-        if np.abs(np.sqrt([low, high]) - 1.0).max() > 1e-9:
+            low = least.reduce(squared, None, initial=low)
+            high = most.reduce(squared, None, initial=high)
+        if not np.abs(np.sqrt([low, high]) - 1.0).max() <= 1e-9:
             raise ValueError("path states must be unit vectors")
         if self.hamiltonian is not None:
             d = self.states.shape[-1]

@@ -1,4 +1,5 @@
 import concurrent.futures
+import inspect
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from pancha.cli import main
+from pancha.cli import PARAM_DOMAINS, PARAM_SCHEMAS, main
+from pancha.experiments import RUNNERS
 
 OCTANT_VERTICES = [[0.0, 0.0], [np.pi / 2, 0.0], [np.pi / 2, np.pi / 2]]
 
@@ -341,3 +343,40 @@ class TestVerifyVerb:
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             main(["verify", "everything"])
+
+    @pytest.mark.parametrize("argv, env, named", [
+        (["--seed", "-5"], {}, "--seed"),
+        (["--seed", "-1"], {"PANCHA_SEED": "3"}, "--seed"),
+        ([], {"PANCHA_SEED": "-1"}, "PANCHA_SEED"),
+    ])
+    def test_negative_seed_exits_2_naming_its_source(self, capsys, monkeypatch,
+                                                     argv, env, named):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        assert main(["verify", "geometry", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ConfigError: {named} must be at least 0")
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "-1", "-1e-300"])
+    def test_non_finite_or_negative_tol_scale_exits_2(self, capsys, scale):
+        assert main(["verify", "geometry", f"--tol-scale={scale}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ConfigError: --tol-scale must be finite")
+
+
+class TestParameterSchemas:
+    @pytest.mark.parametrize("experiment", RUNNERS)
+    def test_schema_is_the_runners_signature(self, experiment):
+        signature = inspect.signature(RUNNERS[experiment]).parameters
+        schema = PARAM_SCHEMAS[experiment]
+        assert list(schema) == list(signature)
+        for name, (kind, default, bounds) in schema.items():
+            assert default is signature[name].default
+            assert (kind, bounds) == PARAM_DOMAINS[name]
+
+    def test_every_domain_names_some_runners_parameter(self):
+        used = {name for runner in RUNNERS.values()
+                for name in inspect.signature(runner).parameters}
+        assert set(PARAM_DOMAINS) == used

@@ -255,7 +255,7 @@ class TestRunDualDeltas:
     PARAMS = {"theta": 0.7, "delta_phi": 1.3, "samples": 64}
 
     def test_closed_form_agrees_with_direct_overlaps(self):
-        deltas = run_dual(self.PARAMS).oracle_deltas
+        deltas = run_dual(**self.PARAMS).oracle_deltas
         assert deltas["duality_phase"] <= 1e-15
         assert deltas["duality_visibility"] <= 1e-15
 
@@ -263,4 +263,4 @@ class TestRunDualDeltas:
         # conjugation keeps the visibility, so only the phase delta moves
         monkeypatch.setattr(dual, "tilted_overlap",
                             lambda half, k: tilted_overlap(half, k).conjugate())
-        assert run_dual(self.PARAMS).oracle_deltas["duality_phase"] > 0.5
+        assert run_dual(**self.PARAMS).oracle_deltas["duality_phase"] > 0.5

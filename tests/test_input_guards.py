@@ -6,17 +6,15 @@ import pytest
 
 from pancha import checks, experiments
 from pancha.core import matrix_exponential_su2, qubit_density
-from pancha.errors import (
-    OrthogonalStatesError,
-    UndefinedRatioError,
-    VanishingEndpointOverlapError,
-)
+from pancha.errors import OrthogonalStatesError, UndefinedRatioError
 from pancha.geometry import bargmann_invariant, multi_vertex_invariant
 from pancha.phase import mixed_interference_profile
 from pancha.transport import (
     DiscretePath,
     PrecessionSpec,
     chain_phase,
+    dynamical_phase,
+    geodesic_closure_solid_angle,
     pancharatnam_vs_auxiliary,
     precession_path,
 )
@@ -69,24 +67,37 @@ def test_nan_triple_and_chain_rows_are_nan():
     assert np.isnan(got).tolist() == [False, True, False]
 
 
-def precession_with_nan_at(index, n=20):
+def states_with_nan_at(index, n=20):
+    """A precession path's times, its states with one set to NaN, and its
+    hamiltonian."""
     path = precession_path(PrecessionSpec(0.7, 2.0), n)
     states = path.states.copy()
     states[index] = np.nan
-    return DiscretePath(path.times, states)
+    return path.times, states, path.hamiltonian
 
 
+# a single path with a NaN state is refused when it is made, so no kernel
+# sees one: neither the chain's links nor the endpoint overlap
 @pytest.mark.parametrize("index", [3, 0, -1])
 def test_a_nan_state_in_a_single_path_raises(index):
-    with pytest.raises(OrthogonalStatesError):
-        chain_phase(precession_with_nan_at(index))
+    times, states, _ = states_with_nan_at(index)
+    with pytest.raises(ValueError, match="unit vectors"):
+        chain_phase(DiscretePath(times, states))
 
 
 def test_a_nan_endpoint_raises_as_a_vanishing_one():
-    path = precession_with_nan_at(-1)
-    with pytest.raises(VanishingEndpointOverlapError):
-        pancharatnam_vs_auxiliary(DiscretePath(path.times, path.states,
-                                               np.zeros((2, 2))))
+    times, states, _ = states_with_nan_at(-1)
+    with pytest.raises(ValueError, match="unit vectors"):
+        pancharatnam_vs_auxiliary(DiscretePath(times, states, np.zeros((2, 2))))
+
+
+@pytest.mark.parametrize("kernel", [dynamical_phase, pancharatnam_vs_auxiliary,
+                                    geodesic_closure_solid_angle])
+@pytest.mark.parametrize("index", [3, 0, -1])
+def test_no_kernel_returns_nan_for_a_single_nan_path(kernel, index):
+    times, states, hamiltonian = states_with_nan_at(index)
+    with pytest.raises(ValueError, match="unit vectors"):
+        kernel(DiscretePath(times, states, hamiltonian))
 
 
 def test_a_nan_state_in_a_batch_row_is_nan():
@@ -179,8 +190,8 @@ def test_every_battery_rho_is_hermitian(profiled_rhos, seed):
 def test_every_run_mixed_rho_is_hermitian(profiled_rhos):
     rng = np.random.default_rng(4)
     for r in [-1.0, -0.3, 0.0, 0.5, 1.0, *rng.uniform(-1.0, 1.0, 20)]:
-        outcome = experiments.run_mixed({
-            "r": r, "angle": rng.uniform(-10.0, 10.0),
-            "axis": tuple(rng.standard_normal(3)), "samples": 16})
+        outcome = experiments.run_mixed(
+            r=r, angle=rng.uniform(-10.0, 10.0),
+            axis=tuple(rng.standard_normal(3)), samples=16)
         assert np.isfinite(outcome.profile.intensities).all()
     assert len(profiled_rhos) == 25 and max(profiled_rhos) <= 1e-12
