@@ -19,9 +19,8 @@ _EXPORTS = {
              "matrix_exponential_su2", "orthogonal_complement",
              "principal_angle", "qubit_density", "state_to_bloch", "tensor",
              "wrap_angle"),
-    "dual": ("DualSetupSpec", "SpinArmSpec", "apply_arm_fields",
-             "dual_coincidence_profile", "dual_phase_closed_form",
-             "prepare_beam_state", "spin_pancharatnam"),
+    "dual": ("DualSetupSpec", "apply_arm_fields", "dual_coincidence_profile",
+             "dual_phase_closed_form", "prepare_beam_state"),
     "errors": ("AntipodalEndpointsError", "AntipodalPointsError",
                "BasisMisalignedError", "BranchAmbiguityError",
                "DegenerateSpectrumError", "DegenerateTriangleError",

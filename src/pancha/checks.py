@@ -41,7 +41,7 @@ from .core import (
 )
 from .dual import (
     DualSetupSpec,
-    SpinArmSpec,
+    analyser_intensities,
     apply_arm_fields,
     dual_coincidence_profile,
     dual_phase_closed_form,
@@ -49,7 +49,6 @@ from .dual import (
     prepare_beam_state,
     spatial_vectors,
     spin_arm_states,
-    spin_pancharatnam,
 )
 from .geometry import (
     SphericalTriangle,
@@ -581,7 +580,7 @@ _ARM_LOW, _ARM_WIDTH = np.array([[0.0, -2.0 * np.pi, -2.0 * np.pi],
 def check_dual_fringe(seed, n_chi=64):
     """End-to-end summed-analyser fringe recovers the closed forms."""
     theta, dphi = _dual_grid()
-    closed = dual_phase_closed_form(DualSetupSpec(theta, dphi / 2.0, -dphi / 2.0))
+    closed = dual_phase_closed_form(theta, dphi)
     fitted = dual_coincidence_profile(theta, dphi, _chi_grid(n_chi)).extracted
     yield np.abs(wrap_angle(fitted.phase - closed.phase))
     yield np.abs(fitted.visibility - closed.visibility)
@@ -589,29 +588,23 @@ def check_dual_fringe(seed, n_chi=64):
 
 @_battery("dual", "duality with the spin-arm law", 1e-10)
 def check_duality_identity(seed):
-    """Beam-pair and spin-arm closed forms, one law at swapped angles, each
-    equal the overlap of their own explicitly built states."""
+    """The one closed form equals the overlaps of both arrangements'
+    explicitly built states: the beam pair's at the field-angle difference
+    and the spin arm's at the same precession angle."""
     theta, dphi = _dual_grid()
-    dual_spec = DualSetupSpec(theta, dphi / 2.0, -dphi / 2.0)
-    a_plus, a_minus = spatial_vectors(dual_spec)
-    spin_spec = SpinArmSpec(theta, dphi)
-    for closed, direct in (
-        (dual_phase_closed_form(dual_spec), pancharatnam_phase(a_minus, a_plus)),
-        (spin_pancharatnam(spin_spec),
-         pancharatnam_phase(*spin_arm_states(spin_spec))),
-    ):
+    closed = dual_phase_closed_form(theta, dphi)
+    a_plus, a_minus = spatial_vectors(theta, dphi)
+    for direct in (pancharatnam_phase(a_minus, a_plus),
+                   pancharatnam_phase(*spin_arm_states(theta, dphi))):
         yield np.abs(wrap_angle(closed.phase - direct.phase))
         yield np.abs(closed.visibility - direct.visibility)
 
 
 @_battery("dual", "analyser channels sum to a constant", 1e-10)
 def check_channel_sum(seed, n_chi=64):
-    """Spin-up plus spin-down analyser profiles are flat (probability
+    """Spin-up plus spin-down analyser intensities are flat (probability
     conservation)."""
-    theta, dphi = _dual_grid(7)
-    chis = _chi_grid(n_chi)
-    up, down = (dual_coincidence_profile(theta, dphi, chis, channel).intensities
-                for channel in (+1, -1))
+    up, down = analyser_intensities(*_dual_grid(7), _chi_grid(n_chi))
     yield np.abs(up + down - 4.0)
 
 

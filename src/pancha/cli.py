@@ -322,7 +322,8 @@ def run_sweep(plan: RunPlan, jobs: int) -> tuple[dict, dict[str, list]]:
     tasks = [
         (plan.base, {**plan.parameters, plan.swept: value}) for value in values
     ]
-    jobs = min(jobs, len(tasks))
+    # a forked pool starts all its workers at once: never more than the CPUs
+    jobs = min(jobs, len(tasks), _usable_cpus())
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a sweep needs it
 
@@ -359,11 +360,26 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
-def _env_seed() -> int:
-    try:
-        return int(os.environ.get(SEED_ENV_VAR, "0"))
-    except ValueError as exc:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
+def _seed(flag: int | None, config: int | None = None) -> int:
+    """The seed of every verb: ``--seed``, else the config's, else
+    $PANCHA_SEED, else 0.
+
+    Raises:
+        ConfigError: naming its source, for a seed below 0.
+    """
+    if flag is not None:
+        seed, source = flag, "--seed"
+    elif config is not None:
+        seed, source = config, "config seed"
+    else:
+        source = SEED_ENV_VAR
+        try:
+            seed = int(os.environ.get(SEED_ENV_VAR, "0"))
+        except ValueError as exc:
+            raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
+    if seed < 0:
+        raise ConfigError(f"{source} must be at least 0, got {seed}")
+    return seed
 
 
 def _emit(plan: RunPlan, args, record: dict, columns: dict[str, list]) -> str:
@@ -392,10 +408,7 @@ def _plan(args) -> RunPlan:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     raw = _load_config(args.config)
     plan = validate_config(raw)
-    if args.seed is not None:
-        plan.seed = args.seed
-    elif plan.seed is None:
-        plan.seed = _env_seed()
+    plan.seed = _seed(args.seed, plan.seed)
     if args.format:
         plan.format = args.format
     if plan.base == "precession" and args.subdivisions is not None:
@@ -441,12 +454,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.seed is not None:
-        seed, source = args.seed, "--seed"
-    else:
-        seed, source = _env_seed(), SEED_ENV_VAR
-    if seed < 0:
-        raise ConfigError(f"{source} must be at least 0, got {seed}")
+    seed = _seed(args.seed)
     if not (math.isfinite(args.tol_scale) and args.tol_scale >= 0.0):
         raise ConfigError(f"--tol-scale must be finite and at least 0, "
                           f"got {args.tol_scale}")
@@ -487,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--jobs", type=int, default=_usable_cpus(),
                         help="worker processes for sweep points (default: the "
                              "CPUs this process may run on; at least 1; never "
-                             "more than the points)")
+                             "more than the points or those CPUs)")
 
     run_p = sub.add_parser("run", parents=[common],
                            help="execute one experiment config")

@@ -1,4 +1,4 @@
-"""Spin-arm interferometry and its spatial split-beam dual.
+"""Spin-arm interferometry and its spatial split-beam dual: one law.
 
 In the usual arrangement a spin precesses in one beam of a two-beam
 interferometer and the fringe shift reads out the spin relative phase.
@@ -7,11 +7,14 @@ beams see a transverse field (different strengths), and a spin analyser
 behind each beam reads the relative phase of the two spatial states
 |A+> and |A->, whose roles mirror the initial and precessed spin states
 under the substitution (precession angle) <-> (field-angle difference).
-Both closed forms evaluate the one tilted-overlap law of ``pancha.phase``;
-their independent routes (explicitly built states, the end-to-end
-analyser fringe) are compared against them in ``pancha.checks``.
-Every kernel is rowwise: spec angles may be arrays, which broadcast, and
-a batch marks undefined rows NaN where a single spec raises.
+So one closed form, ``dual_phase_closed_form(theta, angle)``, states the
+relative-phase law of both arrangements; the overlaps of each one's
+explicitly built states and the end-to-end analyser fringe are the
+independent routes ``pancha.checks`` compares against it.  One analyser
+pass, ``analyser_intensities``, builds the final states once and reads
+both spin channels from them.
+Every kernel is rowwise: angles may be arrays, which broadcast, and a
+batch marks undefined rows NaN where a single call raises.
 """
 
 from __future__ import annotations
@@ -30,38 +33,14 @@ from .phase import (
 )
 
 
-@dataclass(frozen=True)
-class SpinArmSpec:
-    """Spin tilted by theta from +z, precessing about z by varphi."""
-
-    theta: float
-    varphi: float
-
-
-def spin_arm_states(spec: SpinArmSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Initial and precessed spin states of the single-arm experiment."""
-    c, s = np.cos(spec.theta / 2.0), np.sin(spec.theta / 2.0)
+def spin_arm_states(theta, varphi) -> tuple[np.ndarray, np.ndarray]:
+    """Initial and precessed states of the single-arm experiment: a spin
+    tilted by theta from +z, precessing about z by varphi."""
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     initial = np.stack([c, s], axis=-1).astype(complex)
-    final = np.stack([np.exp(-1j * spec.varphi / 2.0) * c,
-                      np.exp(1j * spec.varphi / 2.0) * s], axis=-1)
+    final = np.stack([np.exp(-1j * varphi / 2.0) * c,
+                      np.exp(1j * varphi / 2.0) * s], axis=-1)
     return initial, final
-
-
-def spin_pancharatnam(spec: SpinArmSpec) -> PhaseResult:
-    """Relative phase and visibility of the precessed spin state.
-
-    Closed forms: phase -arctan(cos(theta) tan(varphi/2)) on the
-    overlap-tracking branch, visibility |cos(varphi/2) - i cos(theta)
-    sin(varphi/2)|, the modulus of the same tilted overlap.  The overlap
-    of the explicitly constructed states (``spin_arm_states``) is the
-    independent route ``check_duality_identity`` compares against.
-
-    Raises:
-        OrthogonalStatesError: where the visibility vanishes
-            (theta = pi/2 with varphi = pi).
-    """
-    return PhaseResult.from_overlap(
-        tilted_overlap(spec.varphi / 2.0, np.cos(spec.theta)), OrthogonalStatesError)
 
 
 @dataclass(frozen=True)
@@ -116,14 +95,14 @@ def apply_arm_fields(psi: np.ndarray, spec: DualSetupSpec) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*spins), axis=-1)
 
 
-def spatial_vectors(spec: DualSetupSpec) -> tuple[np.ndarray, np.ndarray]:
+def spatial_vectors(theta, delta_phi) -> tuple[np.ndarray, np.ndarray]:
     """The beam-pair states |A+> and |A-> whose relative phase is measured.
 
     |A+-> = e^{-+ i dphi/4} cos(theta/2)|0> + e^{+- i dphi/4}
     sin(theta/2)|1> with dphi the field-angle difference.
     """
-    quarter = spec.delta_phi / 4.0
-    c, s = np.cos(spec.theta / 2.0), np.sin(spec.theta / 2.0)
+    quarter = delta_phi / 4.0
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     a_plus = np.stack([np.exp(-1j * quarter) * c, np.exp(1j * quarter) * s], axis=-1)
     a_minus = np.stack([np.exp(1j * quarter) * c, np.exp(-1j * quarter) * s], axis=-1)
     return a_plus, a_minus
@@ -136,7 +115,7 @@ def predicted_final_state(spec: DualSetupSpec) -> np.ndarray:
     (1/2)[e^{-i chi/2}|A+> - e^{i chi/2}|A->] x |-z>; agrees with
     apply_arm_fields on the prepared state to floating precision.
     """
-    a_plus, a_minus = spatial_vectors(spec)
+    a_plus, a_minus = spatial_vectors(spec.theta, spec.delta_phi)
     half_chi = np.asarray(spec.chi)[..., None] / 2.0
     early = np.exp(-1j * half_chi) * a_plus
     late = np.exp(1j * half_chi) * a_minus
@@ -144,40 +123,47 @@ def predicted_final_state(spec: DualSetupSpec) -> np.ndarray:
             + tensor(0.5 * (early - late), KET_MINUS_Z))
 
 
-def dual_phase_closed_form(spec: DualSetupSpec) -> PhaseResult:
-    """Dual relative phase arg<A-|A+> and visibility |<A-|A+>|.
+def dual_phase_closed_form(theta, angle) -> PhaseResult:
+    """Relative phase and visibility of both arrangements, one law.
 
-    The spin-arm law with the precession angle replaced by the
-    field-angle difference.  The direct two-dimensional inner product of
-    ``spatial_vectors`` is the independent route
-    ``check_duality_identity`` compares against.
+    For the beam pair, angle is the field-angle difference and the
+    result is arg<A-|A+> and |<A-|A+>|; for the spin arm, angle is the
+    precession angle and the result is that of the precessed against the
+    initial spin.  Closed forms: phase -arctan(cos(theta) tan(angle/2))
+    on the overlap-tracking branch, visibility |cos(angle/2) - i
+    cos(theta) sin(angle/2)|, the modulus of the same tilted overlap.  The
+    overlaps of ``spatial_vectors`` and of ``spin_arm_states`` are the
+    independent routes ``check_duality_identity`` compares against.
 
     Raises:
-        OrthogonalStatesError: at theta = pi/2 with delta_phi = pi.
+        OrthogonalStatesError: where the visibility vanishes (theta =
+            pi/2 with angle = pi).
     """
     return PhaseResult.from_overlap(
-        tilted_overlap(spec.delta_phi / 2.0, np.cos(spec.theta)), OrthogonalStatesError)
+        tilted_overlap(angle / 2.0, np.cos(theta)), OrthogonalStatesError)
 
 
-def dual_coincidence_profile(theta, delta_phi, chis,
-                             channel: int = +1) -> InterferenceProfile:
-    """Summed analyser fringe in one spin channel, swept in chi.
+def analyser_intensities(theta, delta_phi, chis) -> tuple[np.ndarray, np.ndarray]:
+    """Summed analyser intensities (spin up, spin down), swept in chi.
 
-    The final states for every chi are built at once, end to end, with
-    the field angles chi +- delta_phi/2; both beams are projected onto the
-    chosen spin channel (+1 or -1), and the two analyser intensities are
-    summed.  The raw sum is rescaled by 4 so the result follows the common
-    2 + 2 V cos(chi - phase) convention of the other profiles.  Array
-    theta and delta_phi give one profile per row on the shared grid.
+    The final states for every chi are built once, end to end, with the
+    field angles chi +- delta_phi/2; both beams are projected onto each
+    spin channel and the two analyser intensities are summed.  The raw
+    sums are rescaled by 4 so a channel follows the common 2 + 2 V
+    cos(chi - phase) convention of the other profiles.  Array theta and
+    delta_phi give one row per setup on the shared grid.
     """
-    if channel not in (+1, -1):
-        raise ValueError("channel must be +1 or -1")
     chis = np.asarray(chis, dtype=float)
     theta = np.asarray(theta, dtype=float)[..., None]
     half_dphi = np.asarray(delta_phi, dtype=float)[..., None] / 2.0
-    spin_slot = 0 if channel == +1 else 1
     spec = DualSetupSpec(theta, chis + half_dphi, chis - half_dphi)
     psi = apply_arm_fields(prepare_beam_state(spec), spec)
-    intensities = 4.0 * (np.abs(psi[..., spin_slot]) ** 2
-                         + np.abs(psi[..., 2 + spin_slot]) ** 2)
-    return InterferenceProfile(chis, intensities, fit_fringe(chis, intensities))
+    return tuple(4.0 * (np.abs(psi[..., slot]) ** 2 + np.abs(psi[..., 2 + slot]) ** 2)
+                 for slot in (0, 1))
+
+
+def dual_coincidence_profile(theta, delta_phi, chis) -> InterferenceProfile:
+    """Spin-up analyser fringe of ``analyser_intensities`` with its fit."""
+    chis = np.asarray(chis, dtype=float)
+    up, _ = analyser_intensities(theta, delta_phi, chis)
+    return InterferenceProfile(chis, up, fit_fringe(chis, up))

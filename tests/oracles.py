@@ -64,10 +64,10 @@ def product_loop_phase(omega, omega_prime) -> float:
     return wrap_angle(-(omega + omega_prime) / 2.0)
 
 
-def spin_interference_profile(spec, chis):
+def spin_interference_profile(theta, varphi, chis):
     """Two-beam fringe |e^{i chi} initial + precessed|^2 of the spin arm,
     by direct arithmetic."""
-    return pure_interference_profile(*spin_arm_states(spec), chis)
+    return pure_interference_profile(*spin_arm_states(theta, varphi), chis)
 
 
 def auxiliary_hamiltonian(spec) -> np.ndarray:

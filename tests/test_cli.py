@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from pancha import cli
 from pancha.cli import PARAM_DOMAINS, PARAM_SCHEMAS, main
 from pancha.experiments import RUNNERS
 
@@ -240,7 +241,9 @@ class TestSweepVerb:
         _, rows = read_csv(out)
         assert len(rows) == 2
 
-    def test_pool_never_exceeds_the_points(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The size of every pool a sweep asks for; no process is started."""
         sizes = []
 
         class RecordingPool:
@@ -259,13 +262,34 @@ class TestSweepVerb:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_pool_never_exceeds_the_points(self, tmp_path, monkeypatch, pool_sizes):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 16)
         cfg = write_config(tmp_path, "clamp.json", {
             "experiment": "triangle",
             "parameters": {"vertices": OCTANT_VERTICES, "r": [0.2, 0.5, 0.8]},
         })
         assert main(["sweep", "--config", cfg, "--out",
                      str(tmp_path / "clamp.csv"), "--jobs", "8"]) == 0
-        assert sizes == [3]
+        assert pool_sizes == [3]
+
+    @pytest.mark.parametrize("cpus, sizes", [(2, [2]), (1, [])])
+    def test_pool_never_exceeds_the_usable_cpus(self, tmp_path, monkeypatch,
+                                                pool_sizes, cpus, sizes):
+        # a forked pool would start all 5000 workers at its first submit;
+        # one CPU runs the points here, with no pool
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        cfg = write_config(tmp_path, "cpus.json", {
+            "experiment": "triangle",
+            "parameters": {"vertices": OCTANT_VERTICES,
+                           "r": [0.1 * k for k in range(1, 7)]},
+        })
+        out = tmp_path / "cpus.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--jobs", "5000"]) == 0
+        assert pool_sizes == sizes
+        assert len(read_csv(out)[1]) == 6
 
     def test_parallel_matches_serial(self, tmp_path):
         cfg = write_config(tmp_path, "par.json", {
@@ -326,6 +350,32 @@ class TestDeterminism:
         assert main(["run", "--config", cfg, "--out", str(out),
                      "--seed", "9"]) == 0
         assert json.loads(out.read_text())["config"]["seed"] == 9
+
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    @pytest.mark.parametrize("argv, config_seed, env, named", [
+        (["--seed", "-3"], None, {}, "--seed"),
+        (["--seed", "-3"], 5, {}, "--seed"),
+        ([], -7, {}, "config seed"),
+        ([], -7, {"PANCHA_SEED": "3"}, "config seed"),
+        ([], None, {"PANCHA_SEED": "-1"}, "PANCHA_SEED"),
+    ])
+    def test_negative_seed_exits_2_naming_its_source(
+            self, tmp_path, capsys, monkeypatch, verb, argv, config_seed, env, named):
+        # one seed domain across verbs: a recorded seed replays through verify
+        monkeypatch.delenv("PANCHA_SEED", raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        config = {"experiment": "triangle",
+                  "parameters": {"vertices": OCTANT_VERTICES, "r": [0.2, 0.5]}}
+        if config_seed is not None:
+            config["seed"] = config_seed
+        out = tmp_path / "neg.csv"
+        assert main([verb, "--config", write_config(tmp_path, "neg.json", config),
+                     "--out", str(out), "--jobs", "1", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ConfigError: {named} must be at least 0")
+        assert not out.exists()
 
 
 class TestVerifyVerb:

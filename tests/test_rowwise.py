@@ -10,7 +10,7 @@ from pancha import phase
 from pancha.core import haar_state, matrix_exponential_su2, qubit_density
 from pancha.dual import (
     DualSetupSpec,
-    SpinArmSpec,
+    analyser_intensities,
     apply_arm_fields,
     dual_coincidence_profile,
     dual_phase_closed_form,
@@ -18,7 +18,6 @@ from pancha.dual import (
     prepare_beam_state,
     spatial_vectors,
     spin_arm_states,
-    spin_pancharatnam,
 )
 from pancha.errors import (
     IllConditionedError,
@@ -164,8 +163,9 @@ class TestDualKernels:
             [apply_arm_fields(prepare_beam_state(s), s) for s in singles])
         np.testing.assert_array_equal(predicted_final_state(spec),
                                       [predicted_final_state(s) for s in singles])
-        for batch, want in zip(spatial_vectors(spec),
-                               zip(*[spatial_vectors(s) for s in singles])):
+        for batch, want in zip(spatial_vectors(spec.theta, spec.delta_phi),
+                               zip(*[spatial_vectors(s.theta, s.delta_phi)
+                                     for s in singles])):
             np.testing.assert_array_equal(batch, want)
 
     def test_arm_fields_on_a_batch_of_states(self):
@@ -180,40 +180,40 @@ class TestDualKernels:
     def test_spin_arm_rowwise(self):
         rng = np.random.default_rng(10)
         theta, varphi = rng.uniform(0.0, np.pi, 30), rng.uniform(-7.0, 7.0, 30)
-        batch = spin_arm_states(SpinArmSpec(theta, varphi))
-        singles = [spin_arm_states(SpinArmSpec(t, v)) for t, v in zip(theta, varphi)]
+        batch = spin_arm_states(theta, varphi)
+        singles = [spin_arm_states(t, v) for t, v in zip(theta, varphi)]
         for got, want in zip(batch, zip(*singles)):
             np.testing.assert_array_equal(got, want)
-        assert_rows_equal(spin_pancharatnam(SpinArmSpec(theta, varphi)),
-                          [spin_pancharatnam(SpinArmSpec(t, v))
+        assert_rows_equal(dual_phase_closed_form(theta, varphi),
+                          [dual_phase_closed_form(t, v)
                            for t, v in zip(theta, varphi)])
 
     def test_closed_forms_nan_in_a_batch_raise_alone(self):
         theta = np.array([np.pi / 2, 0.7])
         angle = np.array([np.pi, 1.1])
-        dual = dual_phase_closed_form(DualSetupSpec(theta, angle / 2.0, -angle / 2.0))
-        spin = spin_pancharatnam(SpinArmSpec(theta, angle))
-        for res in (dual, spin):
-            assert res.defined.tolist() == [False, True]
-            assert np.isnan(res.phase[0])
-        assert dual.phase[1] == dual_phase_closed_form(
-            DualSetupSpec(0.7, 0.55, -0.55)).phase
+        res = dual_phase_closed_form(theta, angle)
+        assert res.defined.tolist() == [False, True]
+        assert np.isnan(res.phase[0])
+        assert res.phase[1] == dual_phase_closed_form(0.7, 1.1).phase
         with pytest.raises(OrthogonalStatesError):
-            dual_phase_closed_form(DualSetupSpec(np.pi / 2, np.pi / 2, -np.pi / 2))
-        with pytest.raises(OrthogonalStatesError):
-            spin_pancharatnam(SpinArmSpec(np.pi / 2, np.pi))
+            dual_phase_closed_form(np.pi / 2, np.pi)
 
     @pytest.mark.parametrize("channel", [+1, -1])
     def test_profile_rows_equal_single_profiles(self, channel):
         rng = np.random.default_rng(11)
         theta, dphi = rng.uniform(0.1, 3.0, 20), rng.uniform(-3.0, 3.0, 20)
-        batch = dual_coincidence_profile(theta, dphi, CHI_GRID, channel)
-        singles = [dual_coincidence_profile(t, d, CHI_GRID, channel)
-                   for t, d in zip(theta, dphi)]
-        assert batch.intensities.shape == (20, 64)
-        np.testing.assert_array_equal(batch.intensities,
-                                      [s.intensities for s in singles])
-        assert_rows_equal(batch.extracted, [s.extracted for s in singles])
+        slot = 0 if channel == +1 else 1
+        batch = analyser_intensities(theta, dphi, CHI_GRID)[slot]
+        assert batch.shape == (20, 64)
+        np.testing.assert_array_equal(
+            batch, [analyser_intensities(t, d, CHI_GRID)[slot]
+                    for t, d in zip(theta, dphi)])
+        if channel == +1:
+            profile = dual_coincidence_profile(theta, dphi, CHI_GRID)
+            np.testing.assert_array_equal(profile.intensities, batch)
+            assert_rows_equal(profile.extracted,
+                              [dual_coincidence_profile(t, d, CHI_GRID).extracted
+                               for t, d in zip(theta, dphi)])
 
     def test_profile_theta_broadcasts_against_delta_phi(self):
         dphi = np.linspace(-2.0, 2.0, 5)
@@ -227,7 +227,7 @@ class TestDualKernels:
         spec = DualSetupSpec(empty, empty, empty)
         assert apply_arm_fields(prepare_beam_state(spec), spec).shape == (0, 4)
         assert predicted_final_state(spec).shape == (0, 4)
-        assert dual_phase_closed_form(spec).phase.shape == (0,)
+        assert dual_phase_closed_form(empty, empty).phase.shape == (0,)
         profile = dual_coincidence_profile(empty, empty, CHI_GRID)
         assert profile.intensities.shape == (0, 64)
         assert profile.extracted.phase.shape == (0,)

@@ -58,10 +58,10 @@ def _dual_closed_form_conjugated(monkeypatch):
 
 
 def _channels_swapped(monkeypatch):
-    real = dual.dual_coincidence_profile
-    monkeypatch.setattr(checks, "dual_coincidence_profile",
-                        lambda theta, dphi, chis, channel=+1:
-                        real(theta, dphi, chis, -channel))
+    real = dual.analyser_intensities
+    for module in (dual, checks):
+        monkeypatch.setattr(module, "analyser_intensities",
+                            lambda theta, dphi, chis: real(theta, dphi, chis)[::-1])
 
 
 def _arm_angle_sign_flipped(monkeypatch):
@@ -239,11 +239,9 @@ def test_fit_fringe_runs_once_per_profile():
                     per_check[fn.__name__] = len(calls)
         calls.clear()
         checks.run_suites("all", seed=0)
-    # check_channel_sum reads two profiles, one per analyser channel
     assert per_check == {"check_mixed_profile_routes": 1,
                          "check_franson_fringe": 1,
-                         "check_dual_fringe": 1,
-                         "check_channel_sum": 2}
+                         "check_dual_fringe": 1}
     assert len(calls) == sum(per_check.values())
 
 
@@ -252,7 +250,7 @@ def test_kernels_run_on_whole_batches(monkeypatch, check):
     counts = {}
     for name in ("apply_arm_fields", "prepare_beam_state", "predicted_final_state",
                  "spatial_vectors", "spin_arm_states", "dual_coincidence_profile",
-                 "dual_phase_closed_form", "spin_pancharatnam", "pancharatnam_phase",
+                 "analyser_intensities", "dual_phase_closed_form", "pancharatnam_phase",
                  "mixed_phase", "mixed_interference_profile", "_trace_profile",
                  "qubit_density", "inner_product"):
         real = getattr(checks, name)

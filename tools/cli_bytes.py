@@ -14,7 +14,7 @@ leave are compared.  The invocations are
 * perfbench's ``cli_configs`` at seeds 1-3: every run and both sweeps,
   each in csv and json;
 * the acceptance sweep of ``tests/test_acceptance.py``, in csv and json;
-* a dozen rejected configs and flags, which exit 2 or 3.
+* sixteen rejected configs, flags and seeds, which exit 2 or 3.
 
 One line is printed per invocation, with the parent's exit code and what
 differs, then a summary.  The exit code is 1 on any difference, else 0.
@@ -69,6 +69,10 @@ REJECTED = {
                ["--jobs", "0"]),
     "subdivisions flag 0": ({"experiment": "precession", "parameters":
                              {"theta": 0.5, "phi": 1.0}}, ["--subdivisions", "0"]),
+    "negative config seed": ({"experiment": "dual", "parameters":
+                              {"theta": 0.7, "delta_phi": 0.4}, "seed": -7}, []),
+    "seed flag -3": ({"experiment": "dual", "parameters":
+                      {"theta": 0.7, "delta_phi": 0.4}}, ["--seed", "-3"]),
 }
 
 
