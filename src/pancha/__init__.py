@@ -19,11 +19,11 @@ _EXPORTS = {
              "matrix_exponential_su2", "orthogonal_complement",
              "principal_angle", "qubit_density", "state_to_bloch", "tensor",
              "wrap_angle"),
-    "dual": ("DualSetupSpec", "apply_arm_fields", "dual_coincidence_profile",
+    "dual": ("apply_arm_fields", "dual_coincidence_profile",
              "dual_phase_closed_form", "prepare_beam_state"),
     "errors": ("AntipodalEndpointsError", "AntipodalPointsError",
-               "BasisMisalignedError", "BranchAmbiguityError",
-               "DegenerateSpectrumError", "DegenerateTriangleError",
+               "BranchAmbiguityError", "DegenerateSpectrumError",
+               "DegenerateTriangleError",
                "IllConditionedError", "OrthogonalStatesError",
                "PhaseDomainError", "UndefinedRatioError",
                "VanishingEndpointOverlapError", "VanishingTraceError"),
@@ -40,9 +40,8 @@ _EXPORTS = {
                   "mixed_noncyclic_phase", "pancharatnam_vs_auxiliary",
                   "precession_path", "precession_phase_closed_form",
                   "precession_phase_simulated", "sample_triangle_path"),
-    "twophoton": ("LoopPair", "SchmidtState", "ancilla_reduction_phase",
-                  "entangled_phase_closed_form", "franson_coincidence_profile",
-                  "nonlinearity_ratio", "schmidt_state_for_loops",
+    "twophoton": ("ancilla_reduction_phase", "entangled_phase_closed_form",
+                  "franson_coincidence_profile", "nonlinearity_ratio",
                   "simulate_loop_pair"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

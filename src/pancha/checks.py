@@ -40,7 +40,6 @@ from .core import (
     wrap_angle,
 )
 from .dual import (
-    DualSetupSpec,
     analyser_intensities,
     apply_arm_fields,
     dual_coincidence_profile,
@@ -87,12 +86,10 @@ from .transport import (
     precession_phase_simulated,
 )
 from .twophoton import (
-    LoopPair,
     ancilla_reduction_phase,
     entangled_phase_closed_form,
     franson_coincidence_profile,
     nonlinearity_ratio,
-    schmidt_state_for_loops,
     simulate_loop_pair,
 )
 
@@ -365,9 +362,10 @@ def check_mixed_nonadditivity(seed):
 
 def _random_loop_pairs(rng, n):
     """n loop pairs, pair i from the random triangles 2i and 2i + 1 of
-    one batch (as drawn pair by pair), with their solid angles."""
+    one batch (as drawn pair by pair), as (triangles a, triangles a',
+    their solid angles)."""
     tri, omega = random_triangle(rng, 2 * n)
-    return LoopPair(tri[0::2], tri[1::2]), omega[0::2], omega[1::2]
+    return tri[0::2], tri[1::2], omega[0::2], omega[1::2]
 
 
 @_battery("two-photon", "pair simulation matches closed forms", 1e-8)
@@ -376,12 +374,11 @@ def check_pair_oracle(seed, n=500):
     rng = np.random.default_rng([seed, 9])
 
     def draw(k):
-        loops, omega_a, omega_ap = _random_loop_pairs(rng, k)
+        tri_a, tri_ap, omega_a, omega_ap = _random_loop_pairs(rng, k)
         lam = rng.uniform(0.0, 1.0, k)
         closed = entangled_phase_closed_form(lam, omega_a, omega_ap)
         keep = closed.visibility >= 1e-6
-        sim = simulate_loop_pair(schmidt_state_for_loops(lam[keep], loops[keep]),
-                                 loops[keep])
+        sim = simulate_loop_pair(lam[keep], tri_a[keep], tri_ap[keep])
         return (np.abs(wrap_angle(sim.phase - closed.phase[keep])),
                 np.abs(sim.visibility - closed.visibility[keep]))
 
@@ -394,8 +391,8 @@ def check_maximal_entanglement_quantisation(seed, n=300):
     rng = np.random.default_rng([seed, 10])
 
     def draw(k):
-        loops, _, _ = _random_loop_pairs(rng, k)
-        sim = simulate_loop_pair(schmidt_state_for_loops(0.5, loops), loops)
+        tri_a, tri_ap, _, _ = _random_loop_pairs(rng, k)
+        sim = simulate_loop_pair(0.5, tri_a, tri_ap)
         phase = sim.phase[sim.visibility > 1e-6]
         return (np.minimum(np.abs(wrap_angle(phase)),
                            np.abs(wrap_angle(phase - np.pi))),)
@@ -419,7 +416,7 @@ def check_franson_fringe(seed, n=100, n_chi=64):
     grid = _chi_grid(n_chi)
 
     def draw(k):
-        loops, omega_a, omega_ap = _random_loop_pairs(rng, k)
+        tri_a, tri_ap, omega_a, omega_ap = _random_loop_pairs(rng, k)
         lam = rng.uniform(0.0, 1.0, k)
         closed = entangled_phase_closed_form(lam, omega_a, omega_ap)
         keep = closed.visibility >= 1e-6
@@ -428,8 +425,8 @@ def check_franson_fringe(seed, n=100, n_chi=64):
             np.broadcast_to(grid, (phase.size, n_chi)),
             np.stack([phase, phase + np.pi], axis=-1),
         ], axis=-1)
-        profile = franson_coincidence_profile(
-            schmidt_state_for_loops(lam[keep], loops[keep]), loops[keep], chis)
+        profile = franson_coincidence_profile(lam[keep], tri_a[keep],
+                                              tri_ap[keep], chis)
         swing = profile.intensities.max(axis=-1) - profile.intensities.min(axis=-1)
         return (np.abs(wrap_angle(profile.extracted.phase - phase)),
                 np.abs(profile.extracted.visibility - vis),
@@ -610,11 +607,13 @@ def check_channel_sum(seed, n_chi=64):
 
 @_battery("dual", "arm fields are unitary", 1e-12)
 def check_arm_unitarity(seed, n=500):
-    """Arm fields preserve the norm of arbitrary beam-spin states."""
+    """Arm fields preserve the norm of arbitrary beam-spin states (each
+    instance also draws a splitter tilt, which the fields do not use)."""
     rng = np.random.default_rng([seed, 18])
     psi, unit = map(np.array, zip(*[(haar_state(rng, 4), rng.random(3))
                                     for _ in range(n)]))
-    final = apply_arm_fields(psi, DualSetupSpec(*(_ARM_LOW + _ARM_WIDTH * unit).T))
+    _, varphi0, varphi1 = (_ARM_LOW + _ARM_WIDTH * unit).T
+    final = apply_arm_fields(psi, varphi0, varphi1)
     norm = np.sqrt(_dot(final.real, final.real) + _dot(final.imag, final.imag))
     yield np.abs(norm - 1.0)
 
@@ -623,29 +622,20 @@ def check_arm_unitarity(seed, n=500):
 def check_final_state_expansion(seed, n=200):
     """Beam-pair expansion of the final state matches direct application."""
     rng = np.random.default_rng([seed, 19])
-    spec = DualSetupSpec(*(_ARM_LOW + _ARM_WIDTH * rng.random((n, 3))).T)
-    direct = apply_arm_fields(prepare_beam_state(spec), spec)
-    yield np.abs(direct - predicted_final_state(spec))
+    theta, varphi0, varphi1 = (_ARM_LOW + _ARM_WIDTH * rng.random((n, 3))).T
+    direct = apply_arm_fields(prepare_beam_state(theta), varphi0, varphi1)
+    yield np.abs(direct - predicted_final_state(theta, varphi0, varphi1))
 
 
 # ---------------------------------------------------------------------------
 # running
 
-def run_suites(names, seed=0, tol_scale=1.0):
-    """Run the named suites (or 'all'), returning every CheckResult."""
-    if isinstance(names, str):
-        names = [names]
-    selected = []
-    for name in names:
-        if name == "all":
-            selected = list(SUITES)
-            break
-        if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}; choose from "
-                           f"{sorted(SUITES)} or 'all'")
-        selected.append(name)
-    results = []
-    for suite in selected:
-        for fn in SUITES[suite]:
-            results.append(fn(seed, tol_scale=tol_scale))
-    return results
+def run_suites(name, seed=0, tol_scale=1.0):
+    """Run the named suite, or every suite for 'all', returning every
+    CheckResult."""
+    if name != "all" and name not in SUITES:
+        raise KeyError(f"unknown suite {name!r}; choose from "
+                       f"{sorted(SUITES)} or 'all'")
+    return [fn(seed, tol_scale=tol_scale)
+            for suite in (SUITES if name == "all" else [name])
+            for fn in SUITES[suite]]

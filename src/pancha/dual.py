@@ -10,16 +10,20 @@ under the substitution (precession angle) <-> (field-angle difference).
 So one closed form, ``dual_phase_closed_form(theta, angle)``, states the
 relative-phase law of both arrangements; the overlaps of each one's
 explicitly built states and the end-to-end analyser fringe are the
-independent routes ``pancha.checks`` compares against it.  One analyser
-pass, ``analyser_intensities``, builds the final states once and reads
-both spin channels from them.
-Every kernel is rowwise: angles may be arrays, which broadcast, and a
-batch marks undefined rows NaN where a single call raises.
+independent routes ``pancha.checks`` compares against it.  The analyser
+pass builds the final states once: ``analyser_intensities`` reads both
+spin channels from them, ``dual_coincidence_profile`` only the spin-up
+one.
+Every kernel takes the angles it computes on: the splitter tilt theta
+(``prepare_beam_state(theta)``), the two beams' field angles
+(``apply_arm_fields(psi, varphi0, varphi1)``,
+``predicted_final_state(theta, varphi0, varphi1)``) or their
+difference.  Every kernel is rowwise: angles may be arrays, which
+broadcast, and a batch marks undefined rows NaN where a single call
+raises.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,41 +47,22 @@ def spin_arm_states(theta, varphi) -> tuple[np.ndarray, np.ndarray]:
     return initial, final
 
 
-@dataclass(frozen=True)
-class DualSetupSpec:
-    """Split-beam arrangement: beam-splitter tilt plus per-beam field angles.
-
-    The transmission amplitude is cos(theta/2); varphi0 and varphi1 are
-    the x-axis precession angles picked up in beams 0 and 1.
-    """
-
-    theta: float
-    varphi0: float
-    varphi1: float
-
-    @property
-    def delta_phi(self) -> float:
-        return self.varphi0 - self.varphi1
-
-    @property
-    def chi(self) -> float:
-        return (self.varphi0 + self.varphi1) / 2.0
-
-
-def prepare_beam_state(spec: DualSetupSpec) -> np.ndarray:
+def prepare_beam_state(theta) -> np.ndarray:
     """Post-splitter state [cos(theta/2)|0> + sin(theta/2)|1>] x |+z>.
 
-    Four components in (beam x spin) order: the beam index varies
-    slowest.
+    theta is the beam-splitter tilt, so the transmission amplitude is
+    cos(theta/2).  Four components in (beam x spin) order: the beam index
+    varies slowest.
     """
-    half = np.asarray(spec.theta) / 2.0
+    half = np.asarray(theta) / 2.0
     return tensor(np.stack([np.cos(half), np.sin(half)], axis=-1), KET_PLUS_Z)
 
 
-def apply_arm_fields(psi: np.ndarray, spec: DualSetupSpec) -> np.ndarray:
+def apply_arm_fields(psi: np.ndarray, varphi0, varphi1) -> np.ndarray:
     """Apply the per-beam x-axis spin rotations to a (beam x spin) state.
 
-    The operator is |0><0| x exp(-i varphi0 sx/2) + |1><1| x
+    varphi0 and varphi1 are the precession angles picked up in beams 0
+    and 1; the operator is |0><0| x exp(-i varphi0 sx/2) + |1><1| x
     exp(-i varphi1 sx/2); unitary, so norms are preserved.  Each beam's
     spin (a, b) becomes (c a - i s b, c b - i s a) with c, s = cos, sin
     of half its angle.  States (..., 4) broadcast against the field
@@ -87,8 +72,8 @@ def apply_arm_fields(psi: np.ndarray, spec: DualSetupSpec) -> np.ndarray:
     if psi.shape[-1:] != (4,):
         raise ValueError("expected a 4-component (beam x spin) state")
     spins = []
-    for varphi, a, b in ((spec.varphi0, psi[..., 0], psi[..., 1]),
-                         (spec.varphi1, psi[..., 2], psi[..., 3])):
+    for varphi, a, b in ((varphi0, psi[..., 0], psi[..., 1]),
+                         (varphi1, psi[..., 2], psi[..., 3])):
         half = np.asarray(varphi, dtype=float) / 2.0
         c, s = np.cos(half), np.sin(half)
         spins += [c * a - 1j * s * b, c * b - 1j * s * a]
@@ -108,15 +93,16 @@ def spatial_vectors(theta, delta_phi) -> tuple[np.ndarray, np.ndarray]:
     return a_plus, a_minus
 
 
-def predicted_final_state(spec: DualSetupSpec) -> np.ndarray:
+def predicted_final_state(theta, varphi0, varphi1) -> np.ndarray:
     """Final state rewritten in terms of the beam-pair vectors.
 
     (1/2)[e^{-i chi/2}|A+> + e^{i chi/2}|A->] x |+z> +
-    (1/2)[e^{-i chi/2}|A+> - e^{i chi/2}|A->] x |-z>; agrees with
+    (1/2)[e^{-i chi/2}|A+> - e^{i chi/2}|A->] x |-z>, with chi the mean
+    of the field angles and |A+-> at their difference; agrees with
     apply_arm_fields on the prepared state to floating precision.
     """
-    a_plus, a_minus = spatial_vectors(spec.theta, spec.delta_phi)
-    half_chi = np.asarray(spec.chi)[..., None] / 2.0
+    a_plus, a_minus = spatial_vectors(theta, varphi0 - varphi1)
+    half_chi = np.asarray((varphi0 + varphi1) / 2.0)[..., None] / 2.0
     early = np.exp(-1j * half_chi) * a_plus
     late = np.exp(1j * half_chi) * a_minus
     return (tensor(0.5 * (early + late), KET_PLUS_Z)
@@ -143,27 +129,36 @@ def dual_phase_closed_form(theta, angle) -> PhaseResult:
         tilted_overlap(angle / 2.0, np.cos(theta)), OrthogonalStatesError)
 
 
+def _analyser_states(theta, delta_phi, chis) -> np.ndarray:
+    """Final (beam x spin) states for every chi, built end to end with the
+    field angles chi +- delta_phi/2; one row of the grid per setup."""
+    theta = np.asarray(theta, dtype=float)[..., None]
+    half_dphi = np.asarray(delta_phi, dtype=float)[..., None] / 2.0
+    return apply_arm_fields(prepare_beam_state(theta), chis + half_dphi,
+                            chis - half_dphi)
+
+
+def _channel(psi, slot) -> np.ndarray:
+    """Summed analyser intensity of spin channel ``slot`` (0 up, 1 down)
+    over both beams, rescaled by 4 to the 2 + 2 V cos(chi - phase)
+    convention of the other profiles."""
+    return 4.0 * (np.abs(psi[..., slot]) ** 2 + np.abs(psi[..., 2 + slot]) ** 2)
+
+
 def analyser_intensities(theta, delta_phi, chis) -> tuple[np.ndarray, np.ndarray]:
     """Summed analyser intensities (spin up, spin down), swept in chi.
 
-    The final states for every chi are built once, end to end, with the
-    field angles chi +- delta_phi/2; both beams are projected onto each
-    spin channel and the two analyser intensities are summed.  The raw
-    sums are rescaled by 4 so a channel follows the common 2 + 2 V
-    cos(chi - phase) convention of the other profiles.  Array theta and
-    delta_phi give one row per setup on the shared grid.
+    The final states are built once and both beams are projected onto
+    each spin channel.  Array theta and delta_phi give one row per setup
+    on the shared grid.
     """
-    chis = np.asarray(chis, dtype=float)
-    theta = np.asarray(theta, dtype=float)[..., None]
-    half_dphi = np.asarray(delta_phi, dtype=float)[..., None] / 2.0
-    spec = DualSetupSpec(theta, chis + half_dphi, chis - half_dphi)
-    psi = apply_arm_fields(prepare_beam_state(spec), spec)
-    return tuple(4.0 * (np.abs(psi[..., slot]) ** 2 + np.abs(psi[..., 2 + slot]) ** 2)
-                 for slot in (0, 1))
+    psi = _analyser_states(theta, delta_phi, np.asarray(chis, dtype=float))
+    return _channel(psi, 0), _channel(psi, 1)
 
 
 def dual_coincidence_profile(theta, delta_phi, chis) -> InterferenceProfile:
-    """Spin-up analyser fringe of ``analyser_intensities`` with its fit."""
+    """Spin-up analyser fringe of ``analyser_intensities`` with its fit;
+    the spin-down channel is not formed."""
     chis = np.asarray(chis, dtype=float)
-    up, _ = analyser_intensities(theta, delta_phi, chis)
+    up = _channel(_analyser_states(theta, delta_phi, chis), 0)
     return InterferenceProfile(chis, up, fit_fringe(chis, up))

@@ -45,9 +45,5 @@ class VanishingEndpointOverlapError(PhaseDomainError):
     """Path endpoints are orthogonal; open-path phase undefined."""
 
 
-class BasisMisalignedError(PhaseDomainError):
-    """Schmidt basis does not sit at the loop's start vertex."""
-
-
 class UndefinedRatioError(PhaseDomainError):
     """Tangent ratio undefined (vanishing denominator or undefined phase)."""

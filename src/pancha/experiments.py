@@ -140,18 +140,16 @@ def run_two_photon(lam, triangle_a, triangle_a_prime,
                    samples=64) -> ExperimentOutcome:
     """Entangled pair driven around one loop per photon."""
     from .geometry import solid_angle
-    from .twophoton import (LoopPair, entangled_phase_closed_form,
+    from .twophoton import (entangled_phase_closed_form,
                             franson_coincidence_profile, nonlinearity_ratio,
-                            schmidt_state_for_loops, simulate_loop_pair)
+                            simulate_loop_pair)
 
-    loops = LoopPair(_triangle(triangle_a), _triangle(triangle_a_prime))
+    loops = (_triangle(triangle_a), _triangle(triangle_a_prime))
     lam = float(lam)
-    omega = solid_angle(loops.triangle_a)
-    omega_prime = solid_angle(loops.triangle_a_prime)
+    omega, omega_prime = map(solid_angle, loops)
     closed = entangled_phase_closed_form(lam, omega, omega_prime)
-    state = schmidt_state_for_loops(lam, loops)
-    sim = simulate_loop_pair(state, loops)
-    profile = franson_coincidence_profile(state, loops, _chi_grid(samples))
+    sim = simulate_loop_pair(lam, *loops)
+    profile = franson_coincidence_profile(lam, *loops, _chi_grid(samples))
     fitted = profile.extracted
     try:
         ratio = nonlinearity_ratio(lam, omega, omega_prime)

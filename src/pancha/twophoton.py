@@ -4,32 +4,27 @@ A photon pair in Schmidt form sqrt(lam)|AA'> + sqrt(1-lam)|Ap Ap'> is
 driven around one spherical loop per photon.  Each loop holonomy phases
 the vertex state by -Omega/2 and its orthogonal partner by +Omega/2, so
 the pair overlap <initial|final> develops a phase that is nonlinear in
-the loop areas whenever the state is entangled.  Closed forms here are
-always checked against direct four-dimensional simulation in the test
+the loop areas whenever the state is entangled.  Each loop's start
+vertex fixes its photon's Schmidt basis, so a pair is given by lam and
+its two loops: ``simulate_loop_pair(lam, triangle_a, triangle_a_prime)``
+and ``franson_coincidence_profile(lam, triangle_a, triangle_a_prime,
+chis)`` take the weight (a number or an array) and two
+``SphericalTriangle`` (one or a batch).  Closed forms here are always
+checked against direct four-dimensional simulation in the test
 batteries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import (
-    _require_orthonormal,
-    bloch_to_state,
-    inner_product,
-    mark_undefined,
-    tensor,
-    undefined_rows,
-)
+from .core import bloch_to_state, mark_undefined, tensor, undefined_rows
 from .errors import (
-    BasisMisalignedError,
     BranchAmbiguityError,
     OrthogonalStatesError,
     UndefinedRatioError,
 )
-from .geometry import SphericalTriangle, _eigenbasis, loop_holonomy
+from .geometry import _eigenbasis, loop_holonomy
 from .phase import (
     EPS_ORTH,
     InterferenceProfile,
@@ -38,52 +33,6 @@ from .phase import (
     pure_interference_profile,
     tilted_overlap,
 )
-
-
-@dataclass(frozen=True)
-class SchmidtState:
-    """Two-photon polarisation state in Schmidt form.
-
-    ``basis_a`` and ``basis_a_prime`` are 2x2 matrices whose columns are
-    the local orthonormal pairs (|A>, |A_perp>) and (|A'>, |A'_perp>);
-    the state itself is sqrt(lam)|AA'> + sqrt(1-lam)|A_perp A'_perp>.
-    Storing (lam, bases) instead of the raw 4-vector keeps the degree of
-    entanglement exact.  An array of lam with (..., 2, 2) bases makes a
-    batch of pairs.
-    """
-
-    lam: float
-    basis_a: np.ndarray
-    basis_a_prime: np.ndarray
-
-    def validate(self) -> "SchmidtState":
-        lam = np.asarray(self.lam)
-        if not ((0.0 <= lam) & (lam <= 1.0)).all():
-            raise ValueError("lam must lie in [0, 1]")
-        for name in ("basis_a", "basis_a_prime"):
-            _require_orthonormal(getattr(self, name), name)
-        return self
-
-    def vector(self) -> np.ndarray:
-        """The 4-dim amplitude vectors, photon 1 slot varying slowest."""
-        a = np.asarray(self.basis_a, dtype=complex)
-        ap = np.asarray(self.basis_a_prime, dtype=complex)
-        lam = np.asarray(self.lam, dtype=float)[..., None]
-        return (np.sqrt(lam) * tensor(a[..., :, 0], ap[..., :, 0])
-                + np.sqrt(1.0 - lam) * tensor(a[..., :, 1], ap[..., :, 1]))
-
-
-@dataclass(frozen=True)
-class LoopPair:
-    """One oriented spherical-triangle loop per photon; batched triangles
-    make a batch of loop pairs."""
-
-    triangle_a: SphericalTriangle
-    triangle_a_prime: SphericalTriangle
-
-    def __getitem__(self, rows) -> "LoopPair":
-        """The loop pairs at ``rows`` of a batch."""
-        return LoopPair(self.triangle_a[rows], self.triangle_a_prime[rows])
 
 
 def entangled_phase_closed_form(lam, omega, omega_prime) -> PhaseResult:
@@ -108,53 +57,41 @@ def entangled_phase_closed_form(lam, omega, omega_prime) -> PhaseResult:
         OrthogonalStatesError)
 
 
-def schmidt_state_for_loops(lam, loops: LoopPair) -> SchmidtState:
-    """Schmidt state whose local bases sit at the loops' start vertices;
-    batched loops (and lam) give a batch of states."""
-    return SchmidtState(lam, *(_eigenbasis(bloch_to_state(t.a))
-                               for t in (loops.triangle_a, loops.triangle_a_prime)))
-
-
-def _pair_transport(s: SchmidtState, loops: LoopPair):
-    """Validated pair vectors and their images under one holonomy per
-    photon, the Kronecker product U_a x U_a' built rowwise, (..., 4)."""
-    s.validate()
-    u_a = loop_holonomy(loops.triangle_a)
-    u_ap = loop_holonomy(loops.triangle_a_prime)
-    initial = s.vector()
+def _pair_transport(lam, triangle_a, triangle_a_prime):
+    """Pair vectors sqrt(lam)|AA'> + sqrt(1-lam)|A_perp A'_perp>, whose
+    Schmidt bases sit at the loops' start vertices, and their images under
+    one holonomy per photon, the Kronecker product U_a x U_a' built
+    rowwise, (..., 4) with photon 1's slot varying slowest."""
+    lam = np.asarray(lam, dtype=float)
+    if not ((0.0 <= lam) & (lam <= 1.0)).all():
+        raise ValueError("lam must lie in [0, 1]")
+    a, ap = (_eigenbasis(bloch_to_state(t.a)) for t in (triangle_a, triangle_a_prime))
+    initial = (np.sqrt(lam[..., None]) * tensor(a[..., :, 0], ap[..., :, 0])
+               + np.sqrt(1.0 - lam[..., None]) * tensor(a[..., :, 1], ap[..., :, 1]))
+    u_a = loop_holonomy(triangle_a)
+    u_ap = loop_holonomy(triangle_a_prime)
     u_pair = (u_a[..., :, None, :, None] * u_ap[..., None, :, None, :]).reshape(
         initial.shape[:-1] + (4, 4))
     return initial, (u_pair @ initial[..., None])[..., 0]
 
 
-def simulate_loop_pair(s: SchmidtState, loops: LoopPair) -> PhaseResult:
+def simulate_loop_pair(lam, triangle_a, triangle_a_prime) -> PhaseResult:
     """Pair phase from direct 4-dim state evolution under the loop holonomies.
 
-    One SU(2) holonomy per photon phases the vertex state by -Omega/2 and
-    automatically phases the orthogonal partner by +Omega/2 (unit
-    determinant), which realises the opposite-orientation, equal-area
-    transport of the perpendicular components.  Batched states and loops
-    give a batched result whose vanishing rows are undefined.
+    The Schmidt weight lam is that of |AA'>, with |A> and |A'> the loops'
+    start vertices.  One SU(2) holonomy per photon phases the vertex state
+    by -Omega/2 and automatically phases the orthogonal partner by
+    +Omega/2 (unit determinant), which realises the opposite-orientation,
+    equal-area transport of the perpendicular components.  Array lam and
+    batched triangles give a batched result whose vanishing rows are
+    undefined.
 
     Raises:
-        BasisMisalignedError: if a Schmidt basis state does not sit at
-            the first vertex of its loop.
+        ValueError: if lam lies outside [0, 1].
         OrthogonalStatesError: if the final overlap of a single pair
             vanishes.
     """
-    initial, final = _pair_transport(s, loops)
-    for basis, triangle, name in (
-        (s.basis_a, loops.triangle_a, "basis_a"),
-        (s.basis_a_prime, loops.triangle_a_prime, "basis_a_prime"),
-    ):
-        vertex = bloch_to_state(triangle.a)
-        overlap = np.abs(inner_product(np.asarray(basis)[..., :, 0], vertex))
-        if (np.abs(overlap - 1.0) > 1e-8).any():
-            worst = overlap.flat[np.argmax(np.abs(overlap - 1.0))]
-            raise BasisMisalignedError(
-                f"{name} is not at its loop's start vertex (|overlap| = {worst:.6f})"
-            )
-    return pancharatnam_phase(initial, final)
+    return pancharatnam_phase(*_pair_transport(lam, triangle_a, triangle_a_prime))
 
 
 def nonlinearity_ratio(lam, omega, omega_prime):
@@ -202,14 +139,15 @@ def ancilla_reduction_phase(lam, omega):
                           multiturn)
 
 
-def franson_coincidence_profile(s: SchmidtState, loops: LoopPair,
+def franson_coincidence_profile(lam, triangle_a, triangle_a_prime,
                                 chis) -> InterferenceProfile:
     """Coincidence profile |e^{i chi} initial + final|^2 of the photon pair.
 
     Models simultaneous arrivals in a two-arm delay interferometer: both
     photons short (initial state, carrying the U(1) shift) or both long
     (loop-evolved state).  Sampled by direct 4-dim arithmetic; the fitted
-    phase and visibility recover the closed forms.  Batched states and
-    loops take one row of a (..., n) grid each.
+    phase and visibility recover the closed forms.  Array lam and batched
+    triangles take one row of a (..., n) grid each.
     """
-    return pure_interference_profile(*_pair_transport(s, loops), chis)
+    return pure_interference_profile(
+        *_pair_transport(lam, triangle_a, triangle_a_prime), chis)

@@ -32,10 +32,8 @@ from pancha.geometry import (
 )
 from pancha.phase import tilted_overlap
 from pancha.twophoton import (
-    LoopPair,
     ancilla_reduction_phase,
     entangled_phase_closed_form,
-    schmidt_state_for_loops,
     simulate_loop_pair,
 )
 
@@ -153,12 +151,11 @@ class TestBatchedKernelsMatchScalarCalls:
     def test_simulate_loop_pair(self):
         rng = np.random.default_rng(23)
         tri, _ = checks.random_triangle(rng, 400)
-        loops = LoopPair(tri[0::2], tri[1::2])
+        tri_a, tri_ap = tri[0::2], tri[1::2]
         lam = rng.uniform(0.0, 1.0, 200)
-        rows = simulate_loop_pair(schmidt_state_for_loops(lam, loops), loops)
+        rows = simulate_loop_pair(lam, tri_a, tri_ap)
         for k in range(200):
-            pair = LoopPair(row(loops.triangle_a, k), row(loops.triangle_a_prime, k))
-            single = simulate_loop_pair(schmidt_state_for_loops(lam[k], pair), pair)
+            single = simulate_loop_pair(lam[k], row(tri_a, k), row(tri_ap, k))
             assert abs(wrap_angle(rows.phase[k] - single.phase)) <= 1e-14
             assert abs(rows.visibility[k] - single.visibility) <= 1e-14
         assert rows.defined.all()
@@ -216,8 +213,7 @@ class TestUndefinedRows:
         eighth = SphericalTriangle(NORTH, BlochPoint(np.pi / 2, 0.0),
                                    BlochPoint(np.pi / 2, np.pi / 4))
         # areas pi/2 + pi/2 = pi at lam = 1/2 turn the pair orthogonal
-        loops = LoopPair(stack(octant, eighth), stack(octant, octant))
-        sim = simulate_loop_pair(schmidt_state_for_loops(0.5, loops), loops)
+        sim = simulate_loop_pair(0.5, stack(octant, eighth), stack(octant, octant))
         assert not sim.defined[0] and np.isnan(sim.phase[0])
         assert sim.defined[1] and np.isfinite(sim.phase[1])
         closed = entangled_phase_closed_form(np.array([0.5, 0.5]),
@@ -239,10 +235,9 @@ class TestUndefinedRows:
 def test_empty_batches_give_empty_rows():
     tri, _ = checks.random_triangle(np.random.default_rng(28), 2)
     none = np.zeros(2, dtype=bool)
-    loops = LoopPair(tri[none], tri[none])
-    state = schmidt_state_for_loops(np.zeros(0), loops)
-    assert simulate_loop_pair(state, loops).phase.shape == (0,)
-    profile = twophoton.franson_coincidence_profile(state, loops, np.zeros((0, 8)))
+    assert simulate_loop_pair(np.zeros(0), tri[none], tri[none]).phase.shape == (0,)
+    profile = twophoton.franson_coincidence_profile(np.zeros(0), tri[none],
+                                                    tri[none], np.zeros((0, 8)))
     assert profile.extracted.visibility.shape == (0,)
     assert solid_angle(tri[none]).shape == (0,)
     assert mixed_bargmann(qubit_mixed_triple(tri[none], 0.5)).shape == (0,)
@@ -292,9 +287,9 @@ class TestRewrittenChecksStillFail:
         assert not checks.check_orientation(0).passed
 
     def test_quantisation(self, monkeypatch):
-        real = checks.schmidt_state_for_loops
-        monkeypatch.setattr(checks, "schmidt_state_for_loops",
-                            lambda lam, loops: real(0.3, loops))
+        real = checks.simulate_loop_pair
+        monkeypatch.setattr(checks, "simulate_loop_pair",
+                            lambda lam, tri_a, tri_ap: real(0.3, tri_a, tri_ap))
         assert not checks.check_maximal_entanglement_quantisation(0).passed
 
 

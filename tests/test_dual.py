@@ -4,7 +4,6 @@ import pytest
 from pancha import dual
 from pancha.core import haar_state, tensor, wrap_angle
 from pancha.dual import (
-    DualSetupSpec,
     analyser_intensities,
     apply_arm_fields,
     dual_coincidence_profile,
@@ -75,59 +74,58 @@ class TestSpinProfile:
 class TestBeamPreparation:
     def test_full_transmission(self):
         np.testing.assert_allclose(
-            prepare_beam_state(DualSetupSpec(0.0, 1.0, 2.0)),
+            prepare_beam_state(0.0),
             [1, 0, 0, 0], atol=1e-15)
 
     def test_full_reflection(self):
         np.testing.assert_allclose(
-            prepare_beam_state(DualSetupSpec(np.pi, 1.0, 2.0)),
+            prepare_beam_state(np.pi),
             [0, 0, 1, 0], atol=1e-12)
 
     def test_balanced_splitter(self):
         np.testing.assert_allclose(
-            prepare_beam_state(DualSetupSpec(np.pi / 2, 1.0, 2.0)),
+            prepare_beam_state(np.pi / 2),
             [SQRT_HALF, 0, SQRT_HALF, 0], atol=1e-12)
 
 
 class TestArmFields:
     def test_no_fields(self):
-        spec = DualSetupSpec(1.0, 0.0, 0.0)
-        psi = prepare_beam_state(spec)
-        np.testing.assert_allclose(apply_arm_fields(psi, spec), psi,
+        psi = prepare_beam_state(1.0)
+        np.testing.assert_allclose(apply_arm_fields(psi, 0.0, 0.0), psi,
                                    atol=1e-15)
 
     def test_equal_fields_rotate_spin_globally(self):
         from pancha.core import matrix_exponential_su2
 
-        spec = DualSetupSpec(1.1, 0.8, 0.8)
-        got = apply_arm_fields(prepare_beam_state(spec), spec)
+        got = apply_arm_fields(prepare_beam_state(1.1), 0.8, 0.8)
         beam = np.array([np.cos(0.55), np.sin(0.55)], dtype=complex)
         spin = matrix_exponential_su2((1, 0, 0), 0.8) @ np.array([1.0, 0.0])
         np.testing.assert_allclose(got, tensor(beam, spin), atol=1e-12)
 
     def test_matches_beam_pair_expansion(self):
-        spec = DualSetupSpec(np.pi / 3, np.pi / 2, 0.0)
-        direct = apply_arm_fields(prepare_beam_state(spec), spec)
-        np.testing.assert_allclose(direct, predicted_final_state(spec),
+        angles = (np.pi / 3, np.pi / 2, 0.0)
+        direct = apply_arm_fields(prepare_beam_state(angles[0]), *angles[1:])
+        np.testing.assert_allclose(direct, predicted_final_state(*angles),
                                    atol=1e-12)
 
     def test_random_specs_expansion(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
-            spec = DualSetupSpec(rng.uniform(0, np.pi),
-                                 rng.uniform(-2 * np.pi, 2 * np.pi),
-                                 rng.uniform(-2 * np.pi, 2 * np.pi))
-            direct = apply_arm_fields(prepare_beam_state(spec), spec)
-            np.testing.assert_allclose(direct, predicted_final_state(spec),
+            theta, varphi0, varphi1 = (rng.uniform(0, np.pi),
+                                       rng.uniform(-2 * np.pi, 2 * np.pi),
+                                       rng.uniform(-2 * np.pi, 2 * np.pi))
+            direct = apply_arm_fields(prepare_beam_state(theta), varphi0, varphi1)
+            np.testing.assert_allclose(direct,
+                                       predicted_final_state(theta, varphi0, varphi1),
                                        atol=1e-10)
 
     def test_preserves_norm(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             psi = haar_state(rng, 4)
-            spec = DualSetupSpec(rng.uniform(0, np.pi),
-                                 rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0))
-            assert np.linalg.norm(apply_arm_fields(psi, spec)) == (
+            _, varphi0, varphi1 = (rng.uniform(0, np.pi),
+                                   rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0))
+            assert np.linalg.norm(apply_arm_fields(psi, varphi0, varphi1)) == (
                 pytest.approx(1.0, abs=1e-12))
 
     def test_matches_the_block_diagonal_rotation(self):
@@ -139,22 +137,22 @@ class TestArmFields:
         beams = [matrix_exponential_su2((1, 0, 0), varphi) @ half[..., None]
                  for varphi, half in ((varphi0, psi[:, :2]), (varphi1, psi[:, 2:]))]
         want = np.concatenate(beams, axis=-2)[..., 0]
-        got = apply_arm_fields(psi, DualSetupSpec(0.0, varphi0, varphi1))
+        got = apply_arm_fields(psi, varphi0, varphi1)
         np.testing.assert_allclose(got, want, rtol=0, atol=4 * np.finfo(float).eps)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
-            apply_arm_fields(np.array([1.0, 0.0]), DualSetupSpec(1.0, 0.0, 0.0))
+            apply_arm_fields(np.array([1.0, 0.0]), 0.0, 0.0)
 
     def test_array_field_angles_match_scalar_calls(self):
         rng = np.random.default_rng(9)
         psi = haar_state(rng, 4)
         varphi0, varphi1 = rng.uniform(-4.0, 4.0, (2, 30))
-        batch = apply_arm_fields(psi, DualSetupSpec(0.9, varphi0, varphi1))
+        batch = apply_arm_fields(psi, varphi0, varphi1)
         assert batch.shape == (30, 4)
         for row, v0, v1 in zip(batch, varphi0, varphi1):
             np.testing.assert_array_equal(
-                row, apply_arm_fields(psi, DualSetupSpec(0.9, v0, v1)))
+                row, apply_arm_fields(psi, v0, v1))
 
 
 class TestDualClosedForm:
@@ -240,16 +238,44 @@ class TestDualProfile:
         slot = 0 if channel == +1 else 1
         want = []
         for chi in CHI_GRID:
-            spec = DualSetupSpec(theta, chi + dphi / 2.0, chi - dphi / 2.0)
             # np.abs of the state, not abs() of numpy scalars, whose
             # complex modulus may round differently in the last bit
-            weights = np.abs(apply_arm_fields(prepare_beam_state(spec), spec)) ** 2
+            weights = np.abs(apply_arm_fields(prepare_beam_state(theta),
+                                              chi + dphi / 2.0, chi - dphi / 2.0)) ** 2
             want.append(4.0 * (weights[slot] + weights[2 + slot]))
         got = analyser_intensities(theta, dphi, CHI_GRID)[slot]
         np.testing.assert_array_equal(got, want)
         if channel == +1:
             np.testing.assert_array_equal(
                 dual_coincidence_profile(theta, dphi, CHI_GRID).intensities, want)
+
+
+class TestAnalyserPass:
+    """One build of the final states and one projection per channel read."""
+
+    @pytest.mark.parametrize("theta, dphi", [(0.7, 1.3),
+                                             (np.linspace(0.2, 2.9, 5), -0.4)])
+    def test_profile_projects_only_the_spin_up_slot(self, monkeypatch, theta, dphi):
+        builds, slots = [], []
+        real_states, real_channel = dual._analyser_states, dual._channel
+
+        def states(*args):
+            builds.append(args)
+            return real_states(*args)
+
+        def channel(psi, slot):
+            slots.append(slot)
+            return real_channel(psi, slot)
+
+        monkeypatch.setattr(dual, "_analyser_states", states)
+        monkeypatch.setattr(dual, "_channel", channel)
+        profile = dual_coincidence_profile(theta, dphi, CHI_GRID)
+        assert (len(builds), slots) == (1, [0])
+        builds.clear()
+        slots.clear()
+        intensities = analyser_intensities(theta, dphi, CHI_GRID)
+        assert (len(builds), slots) == (1, [0, 1])
+        np.testing.assert_array_equal(profile.intensities, intensities[0])
 
 
 class TestSpinArmStates:

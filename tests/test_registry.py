@@ -54,6 +54,13 @@ def test_zero_tol_scale_fails_all_but_the_two_exact_checks():
                       "pair visibility bounded by one"]
 
 
+def test_one_suite_runs_its_checks_and_an_unknown_name_raises():
+    results = checks.run_suites("mixed", seed=0, tol_scale=0)
+    assert [r.suite for r in results] == ["mixed"] * len(REGISTRY["mixed"])
+    with pytest.raises(KeyError, match=r"unknown suite 'spin'.*'dual'.*or 'all'"):
+        checks.run_suites("spin")
+
+
 @pytest.fixture
 def registry(monkeypatch):
     """A fresh SUITES for batteries defined in a test."""

@@ -9,7 +9,6 @@ import pytest
 from pancha import phase
 from pancha.core import haar_state, matrix_exponential_su2, qubit_density
 from pancha.dual import (
-    DualSetupSpec,
     analyser_intensities,
     apply_arm_fields,
     dual_coincidence_profile,
@@ -142,40 +141,41 @@ class TestFitFringe:
 
 
 def random_setups(rng, k):
-    return DualSetupSpec(rng.uniform(0.0, np.pi, k), rng.uniform(-7.0, 7.0, k),
-                         rng.uniform(-7.0, 7.0, k))
+    """(theta, varphi0, varphi1), k rows each."""
+    return (rng.uniform(0.0, np.pi, k), rng.uniform(-7.0, 7.0, k),
+            rng.uniform(-7.0, 7.0, k))
 
 
-def rows(spec, k):
-    return [DualSetupSpec(*(np.asarray(x)[i] for x in
-                            (spec.theta, spec.varphi0, spec.varphi1)))
-            for i in range(k)]
+def rows(setup, k):
+    """The k setups of a batch, one (theta, varphi0, varphi1) each."""
+    return [tuple(np.asarray(x)[i] for x in setup) for i in range(k)]
 
 
 class TestDualKernels:
     def test_states_rowwise_bit_for_bit(self):
-        spec = random_setups(np.random.default_rng(8), 40)
-        singles = rows(spec, 40)
-        psi = prepare_beam_state(spec)
-        np.testing.assert_array_equal(psi, [prepare_beam_state(s) for s in singles])
+        theta, varphi0, varphi1 = setup = random_setups(np.random.default_rng(8), 40)
+        singles = rows(setup, 40)
+        psi = prepare_beam_state(theta)
+        np.testing.assert_array_equal(psi,
+                                      [prepare_beam_state(s[0]) for s in singles])
         np.testing.assert_array_equal(
-            apply_arm_fields(psi, spec),
-            [apply_arm_fields(prepare_beam_state(s), s) for s in singles])
-        np.testing.assert_array_equal(predicted_final_state(spec),
-                                      [predicted_final_state(s) for s in singles])
-        for batch, want in zip(spatial_vectors(spec.theta, spec.delta_phi),
-                               zip(*[spatial_vectors(s.theta, s.delta_phi)
-                                     for s in singles])):
+            apply_arm_fields(psi, varphi0, varphi1),
+            [apply_arm_fields(prepare_beam_state(t), v0, v1) for t, v0, v1 in singles])
+        np.testing.assert_array_equal(predicted_final_state(*setup),
+                                      [predicted_final_state(*s) for s in singles])
+        for batch, want in zip(spatial_vectors(theta, varphi0 - varphi1),
+                               zip(*[spatial_vectors(t, v0 - v1)
+                                     for t, v0, v1 in singles])):
             np.testing.assert_array_equal(batch, want)
 
     def test_arm_fields_on_a_batch_of_states(self):
         rng = np.random.default_rng(9)
         psi = haar_state(rng, 4, (25,))
-        spec = random_setups(rng, 25)
-        got = apply_arm_fields(psi, spec)
+        setup = random_setups(rng, 25)
+        got = apply_arm_fields(psi, *setup[1:])
         assert got.shape == (25, 4)
-        for row, p, s in zip(got, psi, rows(spec, 25)):
-            np.testing.assert_array_equal(row, apply_arm_fields(p, s))
+        for row, p, (_, v0, v1) in zip(got, psi, rows(setup, 25)):
+            np.testing.assert_array_equal(row, apply_arm_fields(p, v0, v1))
 
     def test_spin_arm_rowwise(self):
         rng = np.random.default_rng(10)
@@ -224,9 +224,8 @@ class TestDualKernels:
 
     def test_empty_batches(self):
         empty = np.zeros(0)
-        spec = DualSetupSpec(empty, empty, empty)
-        assert apply_arm_fields(prepare_beam_state(spec), spec).shape == (0, 4)
-        assert predicted_final_state(spec).shape == (0, 4)
+        assert apply_arm_fields(prepare_beam_state(empty), empty, empty).shape == (0, 4)
+        assert predicted_final_state(empty, empty, empty).shape == (0, 4)
         assert dual_phase_closed_form(empty, empty).phase.shape == (0,)
         profile = dual_coincidence_profile(empty, empty, CHI_GRID)
         assert profile.intensities.shape == (0, 64)
@@ -234,7 +233,8 @@ class TestDualKernels:
 
     def test_wrong_last_axis_rejected(self):
         with pytest.raises(ValueError):
-            apply_arm_fields(np.zeros((3, 2)), random_setups(np.random.default_rng(0), 3))
+            apply_arm_fields(np.zeros((3, 2)),
+                             *random_setups(np.random.default_rng(0), 3)[1:])
 
 
 def random_mixed(rng, k):

@@ -7,7 +7,6 @@ import pytest
 
 from pancha import checks, dual, phase
 from pancha.core import haar_state, qubit_density
-from pancha.dual import DualSetupSpec
 from pancha.phase import PhaseResult
 
 SEEDS = (0, 20260809)
@@ -58,17 +57,15 @@ def _dual_closed_form_conjugated(monkeypatch):
 
 
 def _channels_swapped(monkeypatch):
-    real = dual.analyser_intensities
-    for module in (dual, checks):
-        monkeypatch.setattr(module, "analyser_intensities",
-                            lambda theta, dphi, chis: real(theta, dphi, chis)[::-1])
+    real = dual._channel
+    monkeypatch.setattr(dual, "_channel", lambda psi, slot: real(psi, 1 - slot))
 
 
 def _arm_angle_sign_flipped(monkeypatch):
     real = dual.apply_arm_fields
 
-    def flipped(psi, spec):
-        return real(psi, DualSetupSpec(spec.theta, spec.varphi0, -spec.varphi1))
+    def flipped(psi, varphi0, varphi1):
+        return real(psi, varphi0, -varphi1)
 
     for module in (dual, checks):
         monkeypatch.setattr(module, "apply_arm_fields", flipped)
@@ -79,7 +76,7 @@ def _lossy_arm_fields(monkeypatch):
     real = dual.apply_arm_fields
     for module in (dual, checks):
         monkeypatch.setattr(module, "apply_arm_fields",
-                            lambda psi, spec: 0.999 * real(psi, spec))
+                            lambda psi, v0, v1: 0.999 * real(psi, v0, v1))
 
 
 def _trace_conjugated(monkeypatch):
@@ -158,7 +155,7 @@ def sequential_arm_inputs(seed, n=500):
     draws = [(haar_state(rng, 4), rng.uniform(0.0, np.pi),
               rng.uniform(-2 * np.pi, 2 * np.pi), rng.uniform(-2 * np.pi, 2 * np.pi))
              for _ in range(n)]
-    psi, *angles = map(np.array, zip(*draws))
+    psi, _, *angles = map(np.array, zip(*draws))  # the fields ignore the tilt
     return [(psi, *angles)]
 
 
@@ -166,8 +163,8 @@ def sequential_expansion_inputs(seed, n=200):
     rng = np.random.default_rng([seed, 19])
     draws = [(rng.uniform(0.0, np.pi), rng.uniform(-2 * np.pi, 2 * np.pi),
               rng.uniform(-2 * np.pi, 2 * np.pi)) for _ in range(n)]
-    psi = [dual.prepare_beam_state(DualSetupSpec(*d)) for d in draws]
-    return [(np.array(psi), *map(np.array, zip(*draws)))]
+    psi = [dual.prepare_beam_state(theta) for theta, _, _ in draws]
+    return [(np.array(psi), *map(np.array, list(zip(*draws))[1:]))]
 
 
 def _record(monkeypatch, module, name, unpack):
@@ -182,8 +179,9 @@ def _record(monkeypatch, module, name, unpack):
     return calls
 
 
-def _spec_args(psi, spec):
-    return (psi, spec.theta, spec.varphi0, spec.varphi1)
+def _spec_args(psi, varphi0, varphi1):
+    """The arguments of one ``apply_arm_fields`` call: states and field angles."""
+    return (psi, varphi0, varphi1)
 
 
 @pytest.mark.parametrize("check, kernel, unpack, reference", [

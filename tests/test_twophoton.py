@@ -1,27 +1,19 @@
 import numpy as np
 import pytest
 
-from pancha.core import (
-    BlochPoint,
-    bloch_to_state,
-    orthogonal_complement,
-    wrap_angle,
-)
+from pancha.core import BlochPoint, bloch_to_state, tensor, wrap_angle
 from pancha.errors import (
-    BasisMisalignedError,
     BranchAmbiguityError,
     OrthogonalStatesError,
     UndefinedRatioError,
 )
 from pancha.geometry import SphericalTriangle, mixed_solid_angle_phase, solid_angle
 from pancha.twophoton import (
-    LoopPair,
-    SchmidtState,
+    _pair_transport,
     ancilla_reduction_phase,
     entangled_phase_closed_form,
     franson_coincidence_profile,
     nonlinearity_ratio,
-    schmidt_state_for_loops,
     simulate_loop_pair,
 )
 
@@ -40,8 +32,7 @@ def point_triangle(point=NORTH):
     return SphericalTriangle(point, point, point)
 
 
-QUARTER_PAIR = LoopPair(span_triangle(np.pi / 4),
-                        span_triangle(np.pi / 4, start=1.0))
+QUARTER_PAIR = (span_triangle(np.pi / 4), span_triangle(np.pi / 4, start=1.0))
 CHI_GRID = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 
 
@@ -52,8 +43,7 @@ class TestDegreeOfEntanglement:
     @pytest.mark.parametrize("lam,expected", [(1.0, 1.0), (0.5, 0.0),
                                               (0.25, 0.5), (0.0, 1.0)])
     def test_values(self, lam, expected):
-        state = schmidt_state_for_loops(lam, QUARTER_PAIR)
-        assert nonlinearity_ratio(state.lam, np.pi / 4, np.pi / 4) == (
+        assert nonlinearity_ratio(lam, np.pi / 4, np.pi / 4) == (
             pytest.approx(expected))
 
 
@@ -125,14 +115,13 @@ class TestEntangledClosedForm:
 
 class TestSimulateLoopPair:
     def test_identity_loops(self):
-        loops = LoopPair(point_triangle(), point_triangle(BlochPoint(1.0, 2.0)))
-        res = simulate_loop_pair(schmidt_state_for_loops(0.3, loops), loops)
+        res = simulate_loop_pair(0.3, point_triangle(),
+                                 point_triangle(BlochPoint(1.0, 2.0)))
         assert res.phase == pytest.approx(0.0, abs=1e-12)
         assert res.visibility == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter_entangled_matches_closed_form(self):
-        state = schmidt_state_for_loops(0.25, QUARTER_PAIR)
-        res = simulate_loop_pair(state, QUARTER_PAIR)
+        res = simulate_loop_pair(0.25, *QUARTER_PAIR)
         assert res.phase == pytest.approx(0.46365, abs=1e-5)
         assert res.visibility == pytest.approx(0.79057, abs=1e-5)
         closed = entangled_phase_closed_form(0.25, np.pi / 4, np.pi / 4)
@@ -140,19 +129,10 @@ class TestSimulateLoopPair:
         assert res.visibility == pytest.approx(closed.visibility, abs=1e-8)
 
     def test_single_loop_product_state(self):
-        loops = LoopPair(span_triangle(np.pi / 4), point_triangle())
-        res = simulate_loop_pair(schmidt_state_for_loops(1.0, loops), loops)
+        res = simulate_loop_pair(1.0, span_triangle(np.pi / 4), point_triangle())
         assert res.phase == pytest.approx(-np.pi / 8, abs=1e-10)
         assert res.phase == pytest.approx(product_loop_phase(np.pi / 4, 0.0),
                                           abs=1e-10)
-
-    def test_misaligned_basis_rejected(self):
-        state = schmidt_state_for_loops(0.25, QUARTER_PAIR)
-        moved = SphericalTriangle(BlochPoint(np.pi / 2, 0.3), NORTH,
-                                  BlochPoint(np.pi / 2, 1.4))
-        with pytest.raises(BasisMisalignedError):
-            simulate_loop_pair(state, LoopPair(moved,
-                                               QUARTER_PAIR.triangle_a_prime))
 
     def test_random_loops_match_closed_form(self):
         rng = np.random.default_rng(10)
@@ -169,13 +149,12 @@ class TestSimulateLoopPair:
             if min(overlaps) < 0.1:
                 continue
             count += 1
-            loops = LoopPair(tri_a, tri_ap)
             lam = rng.uniform(0.0, 1.0)
             closed = entangled_phase_closed_form(lam, solid_angle(tri_a),
                                                  solid_angle(tri_ap))
             if closed.visibility < 1e-6:
                 continue
-            sim = simulate_loop_pair(schmidt_state_for_loops(lam, loops), loops)
+            sim = simulate_loop_pair(lam, tri_a, tri_ap)
             assert abs(wrap_angle(sim.phase - closed.phase)) < 1e-8
             assert sim.visibility == pytest.approx(closed.visibility, abs=1e-8)
 
@@ -239,46 +218,43 @@ class TestAncillaReduction:
 
 class TestFransonProfile:
     def test_identity_loops_constructive(self):
-        loops = LoopPair(point_triangle(), point_triangle())
-        state = schmidt_state_for_loops(0.3, loops)
-        profile = franson_coincidence_profile(state, loops, CHI_GRID)
+        profile = franson_coincidence_profile(0.3, point_triangle(),
+                                              point_triangle(), CHI_GRID)
         assert profile.intensities[0] == pytest.approx(4.0, abs=1e-12)
 
     def test_flat_profile_at_orthogonality(self):
-        loops = LoopPair(span_triangle(np.pi / 2),
-                         span_triangle(np.pi / 2, start=2.0))
-        state = schmidt_state_for_loops(0.5, loops)
-        profile = franson_coincidence_profile(state, loops, CHI_GRID)
+        profile = franson_coincidence_profile(
+            0.5, span_triangle(np.pi / 2), span_triangle(np.pi / 2, start=2.0),
+            CHI_GRID)
         np.testing.assert_allclose(profile.intensities, 2.0, atol=1e-12)
         assert not profile.extracted.defined
 
     def test_quarter_entangled_extraction(self):
-        state = schmidt_state_for_loops(0.25, QUARTER_PAIR)
-        profile = franson_coincidence_profile(state, QUARTER_PAIR, CHI_GRID)
+        profile = franson_coincidence_profile(0.25, *QUARTER_PAIR, CHI_GRID)
         assert profile.extracted.phase == pytest.approx(0.46365, abs=1e-5)
         assert profile.extracted.visibility == pytest.approx(0.79057, abs=1e-5)
 
     def test_swing_is_four_visibilities(self):
-        state = schmidt_state_for_loops(0.25, QUARTER_PAIR)
         closed = entangled_phase_closed_form(0.25, np.pi / 4, np.pi / 4)
         chis = np.concatenate([CHI_GRID, [closed.phase, closed.phase + np.pi]])
-        profile = franson_coincidence_profile(state, QUARTER_PAIR, chis)
+        profile = franson_coincidence_profile(0.25, *QUARTER_PAIR, chis)
         swing = profile.intensities.max() - profile.intensities.min()
         assert swing == pytest.approx(4.0 * closed.visibility, abs=1e-8)
 
 
 class TestSchmidtState:
+    """The pair vector sqrt(lam)|AA'> + sqrt(1-lam)|A_perp A'_perp> whose
+    bases sit at the loops' start vertices."""
+
     def test_vector_is_normalized(self):
-        state = schmidt_state_for_loops(0.3, QUARTER_PAIR)
-        assert np.linalg.norm(state.vector()) == pytest.approx(1.0, abs=1e-12)
+        initial, _ = _pair_transport(0.3, *QUARTER_PAIR)
+        assert np.linalg.norm(initial) == pytest.approx(1.0, abs=1e-12)
 
     def test_lambda_range_enforced(self):
         with pytest.raises(ValueError):
-            schmidt_state_for_loops(1.5, QUARTER_PAIR).validate()
+            simulate_loop_pair(1.5, *QUARTER_PAIR)
 
-    def test_non_orthonormal_basis_rejected(self):
-        a = bloch_to_state(NORTH)
-        bad = SchmidtState(0.5, np.column_stack([a, a]),
-                           np.column_stack([a, orthogonal_complement(a)]))
-        with pytest.raises(ValueError):
-            bad.validate()
+    def test_bases_sit_at_the_start_vertices(self):
+        initial, _ = _pair_transport(0.3, *QUARTER_PAIR)
+        vertices = tensor(*(bloch_to_state(t.a) for t in QUARTER_PAIR))
+        assert np.vdot(vertices, initial) == pytest.approx(np.sqrt(0.3), abs=1e-15)

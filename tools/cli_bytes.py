@@ -14,6 +14,9 @@ leave are compared.  The invocations are
 * perfbench's ``cli_configs`` at seeds 1-3: every run and both sweeps,
   each in csv and json;
 * the acceptance sweep of ``tests/test_acceptance.py``, in csv and json;
+* a sweep of each experiment's parameter that those configs do not
+  sweep: ``two-photon`` ``lam``, ``triangle`` ``r``, ``pair`` ``alpha``
+  and ``mixed`` ``angle``, each in csv and json;
 * sixteen rejected configs, flags and seeds, which exit 2 or 3.
 
 One line is printed per invocation, with the parent's exit code and what
@@ -40,6 +43,19 @@ ACCEPTANCE_SWEEP = {"experiment": "precession",
                                    "subdivisions": 512},
                     "seed": 3}
 PAIR = {"theta_a": 0.3, "phi_a": 0.0, "theta_b": 1.1, "phi_b": 0.4}
+#: name -> sweep config of the sweeps beside perfbench's precession and dual
+SWEEPS = {
+    name: {"experiment": "sweep", "base": base, "parameters": parameters}
+    for name, base, parameters in (
+        ("two-photon lam", "two-photon",
+         {"lam": [0.0, 0.1, 0.25, 0.4, 0.75, 1.0], "triangle_a": OCTANT,
+          "triangle_a_prime": [[0.4, 0.2], [1.2, 0.9], [0.8, 2.1]], "samples": 64}),
+        ("triangle r", "triangle", {"vertices": OCTANT, "r": [0.1, 0.2, 0.5, 0.9]}),
+        ("pair alpha", "pair", {**PAIR, "alpha": [-3.0, -0.5, 0.0, 1.5, 3.0]}),
+        ("mixed angle", "mixed",
+         {"r": 0.6, "angle": [0.3, 1.2, 2.8, -1.0], "axis": [0.0, 0.6, 0.8]}),
+    )
+}
 #: name -> (config file text, extra flags) of invocations that must fail
 REJECTED = {
     "not json": ("{", []),
@@ -93,9 +109,10 @@ def invocations():
                     yield (f"seed {seed} {verb} {name} {fmt}", _text(config),
                            [verb, "--format", fmt, "--out", f"out.{fmt}",
                             "--jobs", "2"])
-    for fmt in FORMATS:
-        yield (f"acceptance sweep {fmt}", _text(ACCEPTANCE_SWEEP),
-               ["sweep", "--format", fmt, "--out", f"out.{fmt}", "--jobs", "2"])
+    for name, config in {"acceptance": ACCEPTANCE_SWEEP, **SWEEPS}.items():
+        for fmt in FORMATS:
+            yield (f"{name} sweep {fmt}", _text(config),
+                   ["sweep", "--format", fmt, "--out", f"out.{fmt}", "--jobs", "2"])
     for name, (config, flags) in REJECTED.items():
         yield f"rejected: {name}", _text(config), ["run", "--out", "out.csv", *flags]
 
