@@ -17,6 +17,10 @@ smallest (``"min"``) yielded entry, NaN if any entry is NaN or none was
 yielded, so an undefined instance fails; ``tol_scale`` scales the
 verdict; the check returns a ``CheckResult`` and is appended to its
 suite in ``SUITES`` in definition order.
+
+Each check draws each kind of input once, as an (n, ...) block in the
+order its code states; a normal block equals one-at-a-time draws, so
+``check_parallel_lift`` sees the inputs of per-instance drawing.
 """
 
 from __future__ import annotations
@@ -207,11 +211,6 @@ def random_triangle(rng, n, min_overlap=0.05, max_area=2.0 * np.pi - 0.1):
     return SphericalTriangle.from_states(*states.swapaxes(0, 1)), omega
 
 
-def _complex_normal(rng, dim):
-    """A (dim, dim) complex Gaussian matrix, real parts drawn first."""
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-
-
 def _haar_unitary(m):
     """Haar unitaries from (..., d, d) complex Gaussians by one stacked QR."""
     q, r = np.linalg.qr(m)
@@ -219,21 +218,30 @@ def _haar_unitary(m):
     return q * (diagonal / np.abs(diagonal))[..., None, :]
 
 
-def _random_generator(rng, dim=2):
-    """A random hermitian generator and a Haar start state."""
-    m = _complex_normal(rng, dim)
-    return (m + m.conj().T) / 2.0, haar_state(rng, dim)
+def _random_generators(rng, n, dim=2):
+    """n hermitian generators and Haar start states from one normal block
+    whose rows hold a complex Gaussian's real then imaginary parts, then a
+    state's, as n one-at-a-time draws consume and give them."""
+    z = rng.standard_normal((n, 2 * dim * dim + 2 * dim))
+    re, im = z[:, :2 * dim * dim].reshape(n, 2, dim, dim).swapaxes(0, 1)
+    m = re + 1j * im
+    re, im = z[:, 2 * dim * dim:].reshape(n, 2, dim).swapaxes(0, 1)
+    psi0 = (re + 1j * im) / np.sqrt(_dot(re, re) + _dot(im, im))[..., None]
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0, psi0
 
 
 def _evolved_path(h, psi0, n) -> DiscretePath:
     """Schroedinger evolution of psi0 under the fixed generator h at n
-    equal steps over unit time, one path per row of stacked (h, psi0)."""
+    equal steps over unit time, one path per row of stacked (h, psi0):
+    the sum over eigenvectors v_k of v_k e^{-i lambda_k t} <v_k|psi0>."""
     evals, evecs = np.linalg.eigh(h)
     times = np.linspace(0.0, 1.0, n + 1)
+    coeffs = (evecs.conj().swapaxes(-1, -2) @ psi0[..., None])[..., 0]
     phases = np.exp(-1j * (times[:, None] * evals[..., None, :]))
-    coeffs = evecs.conj().swapaxes(-1, -2) @ psi0[..., None]
-    states = (evecs[..., None, :, :] * phases[..., None, :]) @ coeffs[..., None, :, :]
-    return DiscretePath(times, states[..., 0], h)
+    amplitudes = phases * coeffs[..., None, :]
+    states = sum(evecs[..., None, :, k] * amplitudes[..., k, None]
+                 for k in range(h.shape[-1]))
+    return DiscretePath(times, states, h)
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +296,12 @@ def check_mixed_profile_routes(seed, n=200, n_chi=64):
     """Eigen-ensemble profile equals the trace closed form pointwise."""
     rng = np.random.default_rng([seed, 5])
     chis = _chi_grid(n_chi)
-    draws = [(0.0 if k == 0 else rng.uniform(0.0, 1.0),  # include degenerate rho
-              rng.standard_normal(3), _complex_normal(rng, 2)) for k in range(n)]
-    r, axes, m = map(np.array, zip(*draws))
+    r = rng.uniform(0.0, 1.0, n)
+    r[:1] = 0.0  # include degenerate rho
+    axes = rng.standard_normal((n, 3))
+    m = rng.standard_normal((2, n, 2, 2))
     rho = qubit_density(r, axes / np.sqrt(_dot(axes, axes))[..., None])
-    u = _haar_unitary(m)
+    u = _haar_unitary(m[0] + 1j * m[1])
     profile = mixed_interference_profile(rho, u, chis)
     yield np.abs(profile.intensities - _trace_profile(rho, u, chis))
 
@@ -311,15 +320,11 @@ def check_mixed_solid_angle_law(seed, n=200):
 def check_trace_basis_independence(seed, n=200):
     """arg Tr(U rho) agrees with the weighted eigenvector overlap sum."""
     rng = np.random.default_rng([seed, 7])
-    by_dim = {}
-    for _ in range(n):
-        dim = int(rng.integers(2, 5))
-        by_dim.setdefault(dim, []).append((rng.dirichlet(np.ones(dim)),
-                                           _complex_normal(rng, dim),
-                                           _complex_normal(rng, dim)))
-    for draws in by_dim.values():
-        weights, m_basis, m_u = map(np.array, zip(*draws))
-        basis, u = _haar_unitary(m_basis), _haar_unitary(m_u)
+    counts = np.bincount(rng.integers(2, 5, n), minlength=5)
+    for dim in (2, 3, 4):
+        weights = rng.dirichlet(np.ones(dim), counts[dim])
+        m = rng.standard_normal((4, counts[dim], dim, dim))
+        basis, u = _haar_unitary(m[0] + 1j * m[1]), _haar_unitary(m[2] + 1j * m[3])
         rho = (basis * weights[..., None, :]) @ basis.conj().swapaxes(-1, -2)
         vectors = basis.swapaxes(-1, -2)  # one eigenvector per row
         overlaps = inner_product(vectors,
@@ -459,10 +464,10 @@ def check_ancilla_reduction(seed, n=500):
     angle omega at the pole; the phase is arg<pair|moved>.
     """
     rng = np.random.default_rng([seed, 14])
-    lam_draws = (rng.uniform(0.0, 1.0) for _ in range(n))
-    lams, omegas = np.array([  # each kept lam's omega is drawn right after it
-        (lam, rng.uniform(-2.0 * np.pi + 0.1, 2.0 * np.pi - 0.1))
-        for lam in lam_draws if abs(lam - 0.5) >= 1e-3]).reshape(-1, 2).T
+    lams = rng.uniform(0.0, 1.0, n)
+    omegas = rng.uniform(-2.0 * np.pi + 0.1, 2.0 * np.pi - 0.1, n)
+    kept = np.abs(lams - 0.5) >= 1e-3
+    lams, omegas = lams[kept], omegas[kept]
     pair = np.zeros((lams.size, 2, 2), dtype=complex)
     pair[:, 0, 0], pair[:, 1, 1] = np.sqrt(lams), np.sqrt(1.0 - lams)
     moved = matrix_exponential_su2((0.0, 0.0, 1.0), omegas) @ pair
@@ -479,10 +484,8 @@ def check_ancilla_reduction(seed, n=500):
 def check_lift_independence(seed, n=100):
     """Chain phase is untouched by rephasing every state."""
     rng = np.random.default_rng([seed, 15])
-    draws = [(*_random_generator(rng), rng.uniform(-np.pi, np.pi, 201))
-             for _ in range(n)]
-    h, psi0, angles = map(np.stack, zip(*draws))
-    path = _evolved_path(h, psi0, 200)
+    path = _evolved_path(*_random_generators(rng, n), 200)
+    angles = rng.uniform(-np.pi, np.pi, (n, 201))
     rephased = DiscretePath(path.times, np.exp(1j * angles)[..., None] * path.states)
     yield np.abs(wrap_angle(chain_phase(rephased) - chain_phase(path)))
 
@@ -492,9 +495,7 @@ def check_lift_independence(seed, n=100):
 def check_parallel_lift(seed, n=100):
     """Parallel lift: real-positive links, unchanged projectors, endpoint
     phase equal to the chain phase."""
-    rng = np.random.default_rng([seed, 16])
-    draws = [_random_generator(rng) for _ in range(n)]
-    path = _evolved_path(*map(np.stack, zip(*draws)), 200)
+    path = _evolved_path(*_random_generators(np.random.default_rng([seed, 16]), n), 200)
     lifted = make_parallel_lift(path)
     overlap_moduli = np.abs(
         np.einsum("...ij,...ij->...i", path.states.conj(), lifted.states))
@@ -510,14 +511,13 @@ def check_parallel_lift(seed, n=100):
 def check_cancellation_identity(seed, n=60):
     """Auxiliary-evolution phase equals the chain phase within 5/N."""
     rng = np.random.default_rng([seed, 17])
-    by_steps = {}
-    for _ in range(n):
-        steps = int(rng.choice([64, 256, 1024]))
-        by_steps.setdefault(steps, []).append(_random_generator(rng))
-    for steps, draws in by_steps.items():
-        path = _evolved_path(*map(np.stack, zip(*draws)), steps)
+    steps = rng.choice([64, 256, 1024], n)
+    h, psi0 = _random_generators(rng, n)
+    for n_steps in dict.fromkeys(steps.tolist()):  # in order of first draw
+        rows = steps == n_steps
+        path = _evolved_path(h[rows], psi0[rows], n_steps)
         gap = np.abs(wrap_angle(pancharatnam_vs_auxiliary(path) - chain_phase(path)))
-        yield gap * steps / 5.0  # normalized to the 5/N budget
+        yield gap * n_steps / 5.0  # normalized to the 5/N budget
 
 
 @_battery("geometric-phase", "precession three-way agreement (budget fractions)", 1.0)
@@ -610,9 +610,8 @@ def check_arm_unitarity(seed, n=500):
     """Arm fields preserve the norm of arbitrary beam-spin states (each
     instance also draws a splitter tilt, which the fields do not use)."""
     rng = np.random.default_rng([seed, 18])
-    psi, unit = map(np.array, zip(*[(haar_state(rng, 4), rng.random(3))
-                                    for _ in range(n)]))
-    _, varphi0, varphi1 = (_ARM_LOW + _ARM_WIDTH * unit).T
+    psi = haar_state(rng, 4, (n,))
+    _, varphi0, varphi1 = (_ARM_LOW + _ARM_WIDTH * rng.random((n, 3))).T
     final = apply_arm_fields(psi, varphi0, varphi1)
     norm = np.sqrt(_dot(final.real, final.real) + _dot(final.imag, final.imag))
     yield np.abs(norm - 1.0)

@@ -56,7 +56,8 @@ def reversed_triple(mt: MixedTriple) -> MixedTriple:
 def random_smooth_path(rng, n=256, dim=2):
     """Schroedinger evolution under a random fixed generator, drawn and
     evolved as the geometric-phase battery draws and evolves its paths."""
-    return checks._evolved_path(*checks._random_generator(rng, dim), n)
+    h, psi0 = checks._random_generators(rng, 1, dim)
+    return checks._evolved_path(h[0], psi0[0], n)
 
 
 def product_loop_phase(omega, omega_prime) -> float:

@@ -3,9 +3,9 @@ kernels, and the path checks rewritten over them.
 
 A DiscretePath is checked once, when it is made; the kernels take leading
 batch axes, agree with their single-path calls row by row and mark the
-rows a single call would raise on; the batched path checks draw exactly
-the inputs of one-at-a-time drawing and still fail when a kernel is
-broken.
+rows a single call would raise on; the batched path checks draw their
+inputs in the blocks written out here (one block of generators equals
+one-at-a-time drawing) and still fail when a kernel is broken.
 """
 
 import inspect
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pancha import checks, transport
-from pancha.core import haar_state
+from pancha.core import _dot, haar_state
 from pancha.errors import OrthogonalStatesError, VanishingEndpointOverlapError
 from pancha.transport import (
     DiscretePath,
@@ -50,16 +50,33 @@ def smooth_batch(seed, count, n=50, dim=2):
     return singles, batch
 
 
-def parent_smooth_path(rng, n, dim=2):
-    """The one-at-a-time draw and evolution the path checks used to make:
-    (hamiltonian, states)."""
+def one_generator(rng, dim=2):
+    """One hermitian generator and Haar start state, drawn one instance at
+    a time as the path checks used to draw them."""
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (m + m.conj().T) / 2.0
+    return (m + m.conj().T) / 2.0, haar_state(rng, dim)
+
+
+def block_generators(rng, n, dim=2):
+    """n generators and start states from one (n, 2 dim^2 + 2 dim) normal
+    block: each row a complex Gaussian's real then imaginary parts, then
+    the start state's, normalised as haar_state normalises."""
+    z = rng.standard_normal((n, 2 * dim * dim + 2 * dim))
+    square = dim * dim
+    m = (z[:, :square].reshape(n, dim, dim)
+         + 1j * z[:, square:2 * square].reshape(n, dim, dim))
+    re, im = z[:, 2 * square:2 * square + dim], z[:, 2 * square + dim:]
+    psi0 = (re + 1j * im) / np.sqrt(_dot(re, re) + _dot(im, im))[:, None]
+    return (m + m.conj().transpose(0, 2, 1)) / 2.0, psi0
+
+
+def matmul_evolution(h, psi0, n):
+    """The states of one path evolved by the matrix products the path
+    checks used to form."""
     evals, evecs = np.linalg.eigh(h)
-    psi0 = haar_state(rng, dim)
     times = np.linspace(0.0, 1.0, n + 1)
     phases = np.exp(-1j * np.outer(times, evals))
-    return h, (evecs * phases[:, None, :]) @ (evecs.conj().T @ psi0)
+    return (evecs * phases[:, None, :]) @ (evecs.conj().T @ psi0)
 
 
 def einsum_energy_phase(path):
@@ -246,13 +263,16 @@ def test_blocked_energies_equal_the_whole_array_formula(steps):
 
 
 def test_random_smooth_path_draws_and_evolves_as_before():
+    # the generators bit for bit; the sum over eigenvectors within 1e-15
+    # of the matrix products
     for dim in (2, 3, 4):
         rng, ref = np.random.default_rng(dim), np.random.default_rng(dim)
         for _ in range(10):
             path = random_smooth_path(rng, n=33, dim=dim)
-            h, states = parent_smooth_path(ref, 33, dim)
+            h, psi0 = one_generator(ref, dim)
             assert path.hamiltonian.tobytes() == h.tobytes()
-            assert path.states.tobytes() == states.tobytes()
+            assert np.abs(path.states - matmul_evolution(h, psi0, 33)).max() <= 1e-15
+        assert rng.random() == ref.random()
 
 
 # ---------------------------------------------------------------------------
@@ -287,40 +307,46 @@ def record(monkeypatch, name):
 
 
 class TestPathChecksDrawTheirOldInputs:
+    """The parallel lift keeps its one-at-a-time inputs; lift independence
+    and cancellation draw each input kind once, in the blocks below."""
+
     def test_lift_independence(self, monkeypatch):
         seen = record(monkeypatch, "chain_phase")
         checks.check_lift_independence(7)
         rng = np.random.default_rng([7, 15])
-        paths, rephased = [], []
-        for _ in range(100):
-            _, states = parent_smooth_path(rng, 200)
-            paths.append(states)
-            phases = np.exp(1j * rng.uniform(-np.pi, np.pi, 201))
-            rephased.append(phases[:, None] * states)
-        assert seen[0].states.tobytes() == np.stack(rephased).tobytes()
-        assert seen[1].states.tobytes() == np.stack(paths).tobytes()
+        h, psi0 = block_generators(rng, 100)
+        angles = rng.uniform(-np.pi, np.pi, (100, 201))
+        states = checks._evolved_path(h, psi0, 200).states
+        assert seen[0].states.tobytes() == (np.exp(1j * angles)[..., None]
+                                            * states).tobytes()
+        assert seen[1].hamiltonian.tobytes() == h.tobytes()
+        assert seen[1].states.tobytes() == states.tobytes()
 
     def test_parallel_lift(self, monkeypatch):
         seen = record(monkeypatch, "make_parallel_lift")
         checks.check_parallel_lift(7)
         rng = np.random.default_rng([7, 16])
-        want = [parent_smooth_path(rng, 200) for _ in range(100)]
-        assert seen[0].hamiltonian.tobytes() == np.stack([h for h, _ in want]).tobytes()
-        assert seen[0].states.tobytes() == np.stack([s for _, s in want]).tobytes()
+        want = [one_generator(rng) for _ in range(100)]
+        h, psi0 = map(np.stack, zip(*want))
+        assert seen[0].hamiltonian.tobytes() == h.tobytes()
+        assert (seen[0].states.tobytes()
+                == checks._evolved_path(h, psi0, 200).states.tobytes())
+        old = np.stack([matmul_evolution(*generator, 200) for generator in want])
+        assert np.abs(seen[0].states - old).max() <= 1e-15
 
     def test_cancellation_identity(self, monkeypatch):
         seen = record(monkeypatch, "pancharatnam_vs_auxiliary")
         checks.check_cancellation_identity(7)
         rng = np.random.default_rng([7, 17])
-        groups = {}
-        for _ in range(60):
-            steps = int(rng.choice([64, 256, 1024]))
-            groups.setdefault(steps, []).append(parent_smooth_path(rng, steps))
-        assert [p.n_samples - 1 for p in seen] == list(groups)
-        for path, want in zip(seen, groups.values()):
-            h, states = map(np.stack, zip(*want))
-            assert path.states.tobytes() == states.tobytes()
-            assert path.hamiltonian.tobytes() == h.tobytes()
+        steps = rng.choice([64, 256, 1024], 60)
+        h, psi0 = block_generators(rng, 60)
+        order = list(dict.fromkeys(steps.tolist()))  # groups by first draw
+        assert [p.n_samples - 1 for p in seen] == order
+        for path, n_steps in zip(seen, order):
+            rows = steps == n_steps
+            want = checks._evolved_path(h[rows], psi0[rows], n_steps)
+            assert path.hamiltonian.tobytes() == h[rows].tobytes()
+            assert path.states.tobytes() == want.states.tobytes()
 
     @pytest.mark.parametrize("name, sizes", [
         ("check_precession_three_way", [10_000]),

@@ -1,6 +1,8 @@
 """The fringe-fitting, dual and mixed checks run as array code over one
-batch, on the same draws as one instance at a time, and each still fails
-under a planted fault."""
+batch, on the draws written out here, and each still fails under a
+planted fault; every sized check makes a fixed number of draws."""
+
+import inspect
 
 import numpy as np
 import pytest
@@ -25,8 +27,6 @@ PINNED = {
 
 @pytest.mark.parametrize("check", list(PINNED), ids=lambda c: c.__name__)
 def test_n_threshold_and_mode_are_pinned(check):
-    import inspect
-
     n, threshold, mode = PINNED[check]
     params = inspect.signature(check).parameters
     assert (params["n"].default if "n" in params else None) == n
@@ -115,48 +115,52 @@ def test_every_rewritten_check_catches_a_fault():
 
 
 # ---------------------------------------------------------------------------
-# the draws of one instance at a time
+# the draws each check makes, written out, with each instance's kernel
+# inputs built one at a time from them
 
-def _haar_unitary_one(rng, dim):
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def _haar_unitary_one(m):
     q, r = np.linalg.qr(m)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def sequential_mixed_profile_inputs(seed, n=200):
+def seeded_mixed_profile_inputs(seed, n=200):
     rng = np.random.default_rng([seed, 5])
-    rhos, us = [], []
-    for k in range(n):
-        r = 0.0 if k == 0 else rng.uniform(0.0, 1.0)
-        axis = rng.standard_normal(3)
-        rhos.append(qubit_density(r, axis / np.linalg.norm(axis)))
-        us.append(_haar_unitary_one(rng, 2))
+    radii = rng.uniform(0.0, 1.0, n)
+    radii[0] = 0.0  # the degenerate rho
+    axes = rng.standard_normal((n, 3))
+    re, im = rng.standard_normal((2, n, 2, 2))
+    rhos = [qubit_density(r, axis / np.linalg.norm(axis))
+            for r, axis in zip(radii, axes)]
+    us = [_haar_unitary_one(m) for m in re + 1j * im]
     return [(np.array(rhos), np.array(us))]
 
 
-def sequential_trace_basis_inputs(seed, n=200):
+def seeded_trace_basis_inputs(seed, n=200):
     rng = np.random.default_rng([seed, 7])
-    by_dim = {}
-    for _ in range(n):
-        dim = int(rng.integers(2, 5))
-        weights = rng.dirichlet(np.ones(dim))
-        basis = _haar_unitary_one(rng, dim)
-        rho = (basis * weights) @ basis.conj().T
-        u = _haar_unitary_one(rng, dim)
-        total = sum(w * np.vdot(basis[:, k], u @ basis[:, k])
-                    for k, w in enumerate(weights))
-        if abs(total) >= 1e-6:
-            by_dim.setdefault(dim, []).append((rho, u))
-    return [tuple(map(np.array, zip(*pairs))) for pairs in by_dim.values()]
+    dims = rng.integers(2, 5, n)
+    groups = []
+    for dim in (2, 3, 4):
+        count = int(np.sum(dims == dim))
+        all_weights = rng.dirichlet(np.ones(dim), count)
+        basis_re, basis_im, u_re, u_im = rng.standard_normal((4, count, dim, dim))
+        pairs = []
+        for k, weights in enumerate(all_weights):
+            basis = _haar_unitary_one(basis_re[k] + 1j * basis_im[k])
+            u = _haar_unitary_one(u_re[k] + 1j * u_im[k])
+            total = sum(w * np.vdot(basis[:, j], u @ basis[:, j])
+                        for j, w in enumerate(weights))
+            if abs(total) >= 1e-6:
+                pairs.append(((basis * weights) @ basis.conj().T, u))
+        groups.append(tuple(map(np.array, zip(*pairs))))
+    return groups
 
 
-def sequential_arm_inputs(seed, n=500):
+def seeded_arm_inputs(seed, n=500):
     rng = np.random.default_rng([seed, 18])
-    draws = [(haar_state(rng, 4), rng.uniform(0.0, np.pi),
-              rng.uniform(-2 * np.pi, 2 * np.pi), rng.uniform(-2 * np.pi, 2 * np.pi))
-             for _ in range(n)]
-    psi, _, *angles = map(np.array, zip(*draws))  # the fields ignore the tilt
-    return [(psi, *angles)]
+    psi = haar_state(rng, 4, (n,))
+    _, *angles = rng.uniform((0.0, -2 * np.pi, -2 * np.pi),
+                             (np.pi, 2 * np.pi, 2 * np.pi), (n, 3)).T
+    return [(psi, *angles)]  # the fields ignore the tilt
 
 
 def sequential_expansion_inputs(seed, n=200):
@@ -186,11 +190,11 @@ def _spec_args(psi, varphi0, varphi1):
 
 @pytest.mark.parametrize("check, kernel, unpack, reference", [
     (checks.check_mixed_profile_routes, "mixed_interference_profile",
-     lambda rho, u, chis: (rho, u), sequential_mixed_profile_inputs),
+     lambda rho, u, chis: (rho, u), seeded_mixed_profile_inputs),
     (checks.check_trace_basis_independence, "mixed_phase",
-     lambda rho, u: (rho, u), sequential_trace_basis_inputs),
+     lambda rho, u: (rho, u), seeded_trace_basis_inputs),
     (checks.check_arm_unitarity, "apply_arm_fields", _spec_args,
-     sequential_arm_inputs),
+     seeded_arm_inputs),
     (checks.check_final_state_expansion, "apply_arm_fields", _spec_args,
      sequential_expansion_inputs),
 ], ids=lambda x: getattr(x, "__name__", ""))
@@ -215,7 +219,41 @@ def test_dual_grid_is_the_nested_loop_order():
 
 
 # ---------------------------------------------------------------------------
-# no per-instance kernel loops
+# no per-instance kernel loops or draws
+
+class CountingGenerator:
+    """A numpy Generator that appends the name of each draw to ``calls``."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return draw(*args, **kwargs)
+
+        return counted
+
+
+SIZED_CHECKS = [fn for fns in checks.SUITES.values() for fn in fns
+                if "n" in inspect.signature(fn).parameters]
+
+
+@pytest.mark.parametrize("check", SIZED_CHECKS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_draw_calls_do_not_grow_with_n(monkeypatch, seed, check):
+    real, calls = np.random.default_rng, []
+    monkeypatch.setattr(checks.np.random, "default_rng",
+                        lambda *args: CountingGenerator(real(*args), calls))
+    n = inspect.signature(check).parameters["n"].default
+    for size in (n, 2 * n):
+        calls.clear()
+        check(seed, n=size)
+        # rejection sampling may redraw the rows it refused, a few rounds
+        assert 1 <= len(calls) <= 8, (size, calls)
+
 
 def test_fit_fringe_runs_once_per_profile():
     calls = []

@@ -11,8 +11,12 @@ fresh interpreter per tree with the tree alone on ``PYTHONPATH``.
 
 One line is printed per check and seed: the parent's stat as
 ``float.hex`` and its verdict, then ``same`` or the change's stat and
-verdict.  A check that only one tree has counts as a difference.  The
-exit code is 1 on any difference, else 0.
+verdict.  Under each differing line, both stats are printed in decimal
+with their headroom: threshold/stat in ``max`` mode, stat/threshold in
+``min`` mode, shown only where both sides are positive.  The last line
+names the least headroom among the moved checks, in each tree.  A check
+that only one tree has counts as a difference.  The exit code is 1 on
+any difference, else 0.
 """
 
 from __future__ import annotations
@@ -25,32 +29,63 @@ from pathlib import Path
 
 SEEDS = (0, 20260809)
 
-#: run in each tree's interpreter: prints [[seed, check, stat hex, passed], ...]
+#: run in each tree's interpreter: prints
+#: [[seed, check, stat hex, passed, threshold, mode], ...]
 PROBE = """
 import json, sys
 from pancha.checks import SUITES
-print(json.dumps([[seed, fn.__name__, float(result.stat).hex(), result.passed]
+print(json.dumps([[seed, fn.__name__, float(result.stat).hex(), result.passed,
+                   result.threshold, result.mode]
                   for seed in map(int, sys.argv[1:])
                   for fns in SUITES.values() for fn in fns
                   for result in [fn(seed)]]))
 """
 
 
-def observe(src: Path) -> dict[tuple[int, str], tuple[str, bool]]:
-    """{(seed, check): (stat as float.hex, passed)} of one tree."""
+def observe(src: Path) -> dict[tuple[int, str], tuple[str, bool, float, str]]:
+    """{(seed, check): (stat as float.hex, passed, threshold, mode)} of one
+    tree."""
     env = {k: v for k, v in os.environ.items() if k != "PANCHA_SEED"}
     env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", PROBE, *map(str, SEEDS)],
                           env=env, capture_output=True, text=True, check=True)
-    return {(seed, name): (stat, passed)
-            for seed, name, stat, passed in json.loads(proc.stdout)}
+    return {(seed, name): tuple(row) for seed, name, *row in json.loads(proc.stdout)}
 
 
 def _show(row) -> str:
     if row is None:
         return "absent"
-    stat, passed = row
+    stat, passed, _, _ = row
     return f"{stat} {'PASS' if passed else 'FAIL'}"
+
+
+def headroom(row) -> float | None:
+    """threshold/stat in max mode, stat/threshold in min mode; None for an
+    absent row or unless both sides are positive."""
+    if row is None:
+        return None
+    stat, _, threshold, mode = row
+    num, den = ((threshold, float.fromhex(stat)) if mode == "max"
+                else (float.fromhex(stat), threshold))
+    return num / den if num > 0 and den > 0 else None
+
+
+def _decimal(row) -> tuple[str, str]:
+    """A row's stat in decimal and its headroom, ``-`` where undefined."""
+    if row is None:
+        return "absent", "-"
+    ratio = headroom(row)
+    return f"{float.fromhex(row[0]):.4g}", "-" if ratio is None else f"x{ratio:.3g}"
+
+
+def _least(rows) -> str:
+    """The least headroom among {key: row}, with its check and seed."""
+    rated = [(ratio, key) for key, row in rows.items()
+             if (ratio := headroom(row)) is not None]
+    if not rated:
+        return "none"
+    ratio, (seed, name) = min(rated)
+    return f"x{ratio:.3g} ({name}, seed {seed})"
 
 
 def main() -> int:
@@ -64,14 +99,24 @@ def main() -> int:
             print(f"no pancha package under {tree}", file=sys.stderr)
             return 2
     parent, change = map(observe, trees)
-    differ = 0
+    moved = []
     for key in sorted(parent.keys() | change.keys()):
         old, new = parent.get(key), change.get(key)
-        differ += old != new
-        verdict = "same" if old == new else f"DIFF -> {_show(new)}"
-        print(f"seed {key[0]}  {key[1]}: {_show(old)}  {verdict}")
-    print(f"{len(parent.keys() | change.keys())} check runs, {differ} differ")
-    return 1 if differ else 0
+        if old == new:
+            print(f"seed {key[0]}  {key[1]}: {_show(old)}  same")
+            continue
+        moved.append(key)
+        print(f"seed {key[0]}  {key[1]}: {_show(old)}  DIFF -> {_show(new)}")
+        (old_stat, old_room), (new_stat, new_room) = _decimal(old), _decimal(new)
+        _, _, threshold, mode = new or old
+        print(f"    {old_stat} -> {new_stat}, headroom {old_room} -> {new_room} "
+              f"(threshold {threshold:.3g} {mode})")
+    print(f"{len(parent.keys() | change.keys())} check runs, {len(moved)} differ")
+    if moved:
+        print("least headroom among moved checks: "
+              f"{_least({k: parent.get(k) for k in moved})} -> "
+              f"{_least({k: change.get(k) for k in moved})}")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
