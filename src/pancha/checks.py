@@ -311,9 +311,9 @@ def check_mixed_solid_angle_law(seed, n=200):
     """Weighted invariant along composed geodesics equals the closed form."""
     rng = np.random.default_rng([seed, 6])
     tri, omega = random_triangle(rng, n)
-    for r in BLOCH_RADII:
-        yield np.abs(wrap_angle(mixed_bargmann(qubit_mixed_triple(tri, r))
-                                - mixed_solid_angle_phase(r, omega)))
+    r = np.array(BLOCH_RADII)[:, None]  # one row of n triples per radius
+    yield np.abs(wrap_angle(mixed_bargmann(qubit_mixed_triple(tri, r))
+                            - mixed_solid_angle_phase(r, omega)))
 
 
 @_battery("mixed", "trace phase is basis independent", 1e-10)
@@ -568,7 +568,8 @@ def _dual_grid(n=20):
 
 
 #: lower ends and widths of the random arm setups' (tilt, varphi0, varphi1)
-#: ranges; low + width * rng.random() is bit for bit rng.uniform(low, high)
+#: ranges (the arm fields alone take the last two); low + width *
+#: rng.random() is bit for bit rng.uniform(low, high)
 _ARM_LOW, _ARM_WIDTH = np.array([[0.0, -2.0 * np.pi, -2.0 * np.pi],
                                  [np.pi, 4.0 * np.pi, 4.0 * np.pi]])
 
@@ -607,11 +608,10 @@ def check_channel_sum(seed, n_chi=64):
 
 @_battery("dual", "arm fields are unitary", 1e-12)
 def check_arm_unitarity(seed, n=500):
-    """Arm fields preserve the norm of arbitrary beam-spin states (each
-    instance also draws a splitter tilt, which the fields do not use)."""
+    """Arm fields preserve the norm of arbitrary beam-spin states."""
     rng = np.random.default_rng([seed, 18])
     psi = haar_state(rng, 4, (n,))
-    _, varphi0, varphi1 = (_ARM_LOW + _ARM_WIDTH * rng.random((n, 3))).T
+    varphi0, varphi1 = (_ARM_LOW[1:] + _ARM_WIDTH[1:] * rng.random((n, 2))).T
     final = apply_arm_fields(psi, varphi0, varphi1)
     norm = np.sqrt(_dot(final.real, final.real) + _dot(final.imag, final.imag))
     yield np.abs(norm - 1.0)

@@ -17,7 +17,8 @@ of corner angles.  The Van Oosterom-Strackee form is the overlap product
 in Bloch vectors, so it is not used: it would make the triangle check
 nearly a tautology, and summed over pole triangles it telescopes into the
 overlap chain, which would make the geodesic-closure area a copy of the
-chain phase it is compared with.
+chain phase it is compared with.  The geodesic kernels share one rotation
+on unit vectors, _arc_rotation, so a triangle forms each vertex's once.
 
 Sign convention, used consistently everywhere: a triangle whose vertices
 run counter-clockwise when viewed from outside the sphere has positive
@@ -261,8 +262,11 @@ def geodesic_unitary(p: BlochPoint, q: BlochPoint, fraction=1.0) -> np.ndarray:
         AntipodalPointsError: if p and q are single antipodal points
             (within EPS_GEO).
     """
-    u = p.unit_vector()
-    v = q.unit_vector()
+    return _arc_rotation(p.unit_vector(), q.unit_vector(), fraction)
+
+
+def _arc_rotation(u, v, fraction=1.0) -> np.ndarray:
+    """geodesic_unitary on the unit vectors u and v of its endpoints."""
     cross = np.cross(u, v)
     sine = np.sqrt(_dot(cross, cross))
     cosine = _dot(u, v)
@@ -286,9 +290,8 @@ def loop_holonomy(t: SphericalTriangle) -> np.ndarray:
     exp(-i Omega / 2); its orthogonal complement picks up the opposite
     phase (the determinant is one).  A batch gives (..., 2, 2).
     """
-    u_ab = geodesic_unitary(t.a, t.b)
-    u_bc = geodesic_unitary(t.b, t.c)
-    u_ca = geodesic_unitary(t.c, t.a)
+    a, b, c = (p.unit_vector() for p in (t.a, t.b, t.c))
+    u_ab, u_bc, u_ca = _arc_rotation(a, b), _arc_rotation(b, c), _arc_rotation(c, a)
     return u_ca @ u_bc @ u_ab
 
 
@@ -398,10 +401,11 @@ def qubit_mixed_triple(t: SphericalTriangle, r) -> MixedTriple:
     vertices (vertex state plus orthogonal complement) and the transport
     is the composition of the two leading geodesic-segment unitaries,
     a -> b followed by b -> c.  A batch of triangles gives a batch of
-    triples; r may be one radius or one per row.
+    triples; r may be one radius, one per row, or (k, 1) radii (k by n).
     """
     sa, sb, sc = t.states()
-    u = geodesic_unitary(t.b, t.c) @ geodesic_unitary(t.a, t.b)
+    a, b, c = (p.unit_vector() for p in (t.a, t.b, t.c))
+    u = _arc_rotation(b, c) @ _arc_rotation(a, b)
     r = np.asarray(r, dtype=float)
     return MixedTriple(
         weights=np.stack([(1.0 + r) / 2.0, (1.0 - r) / 2.0], axis=-1),

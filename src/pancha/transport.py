@@ -13,11 +13,11 @@ That angle is geometry only: a sum of the Girard excesses of the thin
 triangles each segment spans with the north pole, each the pole case of
 the corner-angle kernel, never the overlap chain it is compared with.
 Every pass over a path (building, validating, the chain's links, the
-energies, the closure's arcs) walks the cache-sized blocks of _blocks,
-so no full-length temporaries are made.  Paths are validated values,
-and leading axes of their states make a batch: each kernel gives one
-value per path, NaN where a single path would raise, and so do the
-precession kernels on array angles.
+energies, the closure's arcs) walks the cache-sized blocks of _blocks, so
+no full-length temporaries are made, and writes each block straight into
+its output.  Paths are validated values, and leading axes of their states
+make a batch: each kernel gives one value per path, NaN where a single
+path would raise, as do the precession kernels on array angles.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .errors import (
 from .geometry import (
     SphericalTriangle,
     _dot3,
-    _edge,
     geodesic_unitary,
     mixed_solid_angle_phase,
 )
@@ -120,21 +119,23 @@ class DiscretePath:
         if not np.isfinite(self.times[..., [0, -1]]).all():
             raise ValueError("times must be finite")
         # one pass, the blocks' times overlapping by a sample (increasing
-        # times between finite ends are finite: a NaN step is not > 0); the
+        # times between finite ends are finite: a NaN compares false); the
         # squared moduli are summed in place from the real and imaginary
-        # parts (any strides will do), and sqrt is monotonic, so the running
-        # extremes hold the largest defect; a batch's fmin and fmax pass over
-        # its NaN rows, a single path's minimum and maximum keep a NaN
+        # parts (any strides will do), starting with the first square; sqrt
+        # is monotonic, so the running extremes hold the largest defect; a
+        # batch's fmin and fmax pass over its NaN rows, a single path's
+        # minimum and maximum keep a NaN
         single = self.states.ndim == 2
         least, most = (np.minimum, np.maximum) if single else (np.fmin, np.fmax)
         low = high = 1.0
         for lo, hi in _blocks(self.n_samples, self.states[..., 0, 0].size):
             span = self.times[..., lo:hi + 1]
-            if not (span[..., 1:] - span[..., :-1] > 0.0).all():
+            if not (span[..., 1:] > span[..., :-1]).all():
                 raise ValueError("times must be strictly increasing")
             block = self.states[..., lo:hi, :]
-            squared = np.zeros(block.shape[:-1])
-            for k in range(block.shape[-1]):
+            squared = np.square(block[..., 0].real)
+            squared += np.square(block[..., 0].imag)
+            for k in range(1, block.shape[-1]):
                 squared += np.square(block[..., k].real)
                 squared += np.square(block[..., k].imag)
             low = least.reduce(squared, None, initial=low)
@@ -167,7 +168,7 @@ def _link_phases(path: DiscretePath):
         broken |= undefined_rows(
             ~kept.all(axis=-1), OrthogonalStatesError,
             lambda: f"adjacent overlap vanishes at link {lo + int(np.argmin(kept))}")
-        phases[..., lo:hi] = np.angle(links)
+        np.arctan2(links.imag, links.real, out=phases[..., lo:hi])  # np.angle
     return phases, broken
 
 
@@ -262,8 +263,9 @@ def dynamical_phase(path: DiscretePath):
         terms = np.empty(states.shape[:-2] + (path.n_samples - 1,))
         for lo, hi in _blocks(path.n_samples - 1, terms[..., 0].size):
             energies = _energies(states[..., lo:hi + 1, :], path.hamiltonian)
-            terms[..., lo:hi] = ((times[..., lo + 1:hi + 1] - times[..., lo:hi])
-                                 * (energies[..., 1:] + energies[..., :-1]) / 2.0)
+            np.divide((times[..., lo + 1:hi + 1] - times[..., lo:hi])
+                      * (energies[..., 1:] + energies[..., :-1]), 2.0,
+                      out=terms[..., lo:hi])
         phase = -np.add.reduce(terms, axis=-1)
         return float(phase) if np.ndim(phase) == 0 else phase
     phases, broken = _link_phases(path)
@@ -330,9 +332,9 @@ def _precession_states(theta, times) -> np.ndarray:
     for lo, hi in _blocks(times.shape[-1], states[..., 0, 0].size):
         half = times[..., lo:hi] / 2.0
         sine, block = np.sin(half), states[..., lo:hi, :]
-        block[..., 0].real = np.cos(half)
-        block[..., 0].imag = 0.0 - sine * cos_t
-        block[..., 1].imag = 0.0 - sine * sin_t
+        np.cos(half, out=block[..., 0].real)  # a shared times row fills every row
+        for part, factor in ((block[..., 0].imag, cos_t), (block[..., 1].imag, sin_t)):
+            np.subtract(0.0, np.multiply(sine, factor, out=part), out=part)
     return states
 
 
@@ -421,7 +423,8 @@ def _swept_area(x, y, z):
     angle)): the spherical excess of the triangle (u, v, N), signed by
     orientation.  It is the pole case of girard_signed_area(u, v, N), the
     same sum of tangent-vector corner angles (the geometry module says why
-    it must stay one), on the short edge e = v - s u of _edge.  The three
+    it must stay one), on the short edge e = v - s u of _edge (its sign
+    test and the azimuth term share u0 v0 + u1 v1).  The three
     corners share the sine |det[u, v, N]| = |u0 e1 - u1 e0|, and det itself
     signs the sum (arctan2 is odd in its first argument).  At N the tangent
     parts of u and v are (u0, u1, 0) and (v0, v1, 0); at a vertex p that of
@@ -431,28 +434,31 @@ def _swept_area(x, y, z):
     sine carrying -cos_v - cos_u in products of the edge: no rounded pi,
     and no two nearly equal angles or cosines cancel.  Collapsed arcs
     (|e| = |u x v| below 1e-13), and arcs with an endpoint on the polar
-    axis, which run along meridians, sweep nothing.
+    axis, which run along meridians, sweep nothing; the guards run only
+    on a block that has such an arc.
     """
     rho2 = x * x + y * y
     u0, u1, u2 = x[..., :-1], y[..., :-1], z[..., :-1]
     v0, v1, v2 = x[..., 1:], y[..., 1:], z[..., 1:]
-    e, sign = _edge((u0, u1, u2), (v0, v1, v2))
+    uv_flat = u0 * v0 + u1 * v1
+    sign = np.where(uv_flat + u2 * v2 >= 0.0, 1.0, -1.0)  # _edge's sign
+    e = [b - sign * a for a, b in ((u0, v0), (u1, v1), (u2, v2))]
     det = u0 * e[1] - u1 * e[0]
     u_e, e_flat = u0 * e[0] + u1 * e[1], e[0] * e[0] + e[1] * e[1]
     cos_u = e[2] * rho2[..., :-1] - u2 * u_e
     gap = e[2] * u_e - u2 * e_flat + (sign - 1.0) * cos_u  # -cos_v - cos_u
     excess = (np.arctan2(det * gap, cos_u * (cos_u + gap) + det * det)
-              + np.arctan2(det, u0 * v0 + u1 * v1))
-    collapsed = e_flat + e[2] * e[2] < 1e-26
-    antipodal = undefined_rows((collapsed & (sign < 0.0)).any(axis=-1),
-                               DegenerateTriangleError,
-                               "adjacent path points are antipodal")
-    on_axis = rho2 < 1e-26
-    south = undefined_rows(
-        (on_axis & (z < 0.0)).any(axis=-1), DegenerateTriangleError,
-        "path touches the south pole, where the azimuth chart is singular")
-    swept = np.where(collapsed | on_axis[..., :-1] | on_axis[..., 1:], 0.0, excess)
-    return swept.sum(axis=-1), antipodal | south
+              + np.arctan2(det, uv_flat))
+    collapsed, on_axis = e_flat + e[2] * e[2] < 1e-26, rho2 < 1e-26
+    broken = np.zeros(x.shape[:-1], dtype=bool)
+    if collapsed.any() or on_axis.any():
+        broken = undefined_rows(  # antipodal neighbours raise first
+            (collapsed & (sign < 0.0)).any(axis=-1), DegenerateTriangleError,
+            "adjacent path points are antipodal") | undefined_rows(
+            (on_axis & (z < 0.0)).any(axis=-1), DegenerateTriangleError,
+            "path touches the south pole, where the azimuth chart is singular")
+        excess = np.where(collapsed | on_axis[..., :-1] | on_axis[..., 1:], 0.0, excess)
+    return excess.sum(axis=-1), broken
 
 
 def geodesic_closure_solid_angle(path: DiscretePath):

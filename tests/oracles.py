@@ -6,15 +6,32 @@ Cartesian Bloch vector (independent of the closure's own components),
 the inverse polar chart, reversed triangles and triples, random smooth
 paths, the spin-arm fringe, and the closed forms and evolutions the
 tests compare library kernels against.
+
+The last section keeps verbatim copies of transport kernels as they were
+before they were rewritten to form each quantity once and to write into
+their outputs in place: ``_swept_area``, ``_precession_states``,
+``_link_phases``, ``dynamical_phase`` and ``DiscretePath.validate`` (here
+``validate(path)``).  The rewrites must give the same bits, the same NaN
+rows and the same errors.
 """
 
 import numpy as np
 
 from pancha import checks
-from pancha.core import SIGMA_Z, BlochPoint, haar_state, wrap_angle
+from pancha.core import (
+    SIGMA_Z,
+    BlochPoint,
+    haar_state,
+    hermitian_rows,
+    mark_undefined,
+    undefined_rows,
+    wrap_angle,
+)
 from pancha.dual import spin_arm_states
-from pancha.geometry import MixedTriple, SphericalTriangle
-from pancha.phase import pure_interference_profile
+from pancha.errors import DegenerateTriangleError, OrthogonalStatesError
+from pancha.geometry import MixedTriple, SphericalTriangle, _edge
+from pancha.phase import EPS_ORTH, pure_interference_profile
+from pancha.transport import _blocks, _energies, _precession_axis
 
 
 def random_state(seed: int, dim: int = 2) -> np.ndarray:
@@ -80,3 +97,110 @@ def evolution(h, t) -> np.ndarray:
     """exp(-i h t) for a hermitian h, from its eigendecomposition."""
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+# ---------------------------------------------------------------------------
+# transport kernels before the single-computation rewrite, verbatim
+
+
+def validate(self):
+    rows, batch = self.times.shape[:-1], self.states.shape[:-2]
+    if (self.times.ndim < 1 or self.states.ndim < 2 or len(rows) > len(batch)
+            or any(r not in (1, b) for r, b in zip(rows[::-1], batch[::-1]))):
+        raise ValueError("times must be 1-d and states 2-d (after any batch "
+                         "axes, which the times' leading axes broadcast against)")
+    if self.times.shape[-1] != self.n_samples or self.n_samples < 2:
+        raise ValueError("need one state per time and at least two samples")
+    if not np.isfinite(self.times[..., [0, -1]]).all():
+        raise ValueError("times must be finite")
+    single = self.states.ndim == 2
+    least, most = (np.minimum, np.maximum) if single else (np.fmin, np.fmax)
+    low = high = 1.0
+    for lo, hi in _blocks(self.n_samples, self.states[..., 0, 0].size):
+        span = self.times[..., lo:hi + 1]
+        if not (span[..., 1:] - span[..., :-1] > 0.0).all():
+            raise ValueError("times must be strictly increasing")
+        block = self.states[..., lo:hi, :]
+        squared = np.zeros(block.shape[:-1])
+        for k in range(block.shape[-1]):
+            squared += np.square(block[..., k].real)
+            squared += np.square(block[..., k].imag)
+        low = least.reduce(squared, None, initial=low)
+        high = most.reduce(squared, None, initial=high)
+    if not np.abs(np.sqrt([low, high]) - 1.0).max() <= 1e-9:
+        raise ValueError("path states must be unit vectors")
+    if self.hamiltonian is not None:
+        d = self.states.shape[-1]
+        if self.hamiltonian.shape not in ((d, d), self.states.shape[:-2] + (d, d)):
+            raise ValueError(f"hamiltonian must have shape ({d}, {d}) or "
+                             f"one such per path, got {self.hamiltonian.shape}")
+        if not hermitian_rows(self.hamiltonian).all():
+            raise ValueError("hamiltonian must be finite and hermitian")
+    return self
+
+
+def _link_phases(path):
+    states = path.states
+    phases = np.empty(states.shape[:-2] + (path.n_samples - 1,))
+    broken = np.zeros(states.shape[:-2], dtype=bool)
+    for lo, hi in _blocks(path.n_samples - 1, broken.size):
+        block = states[..., lo:hi + 1, :]
+        links = np.einsum("...ij,...ij->...i", block[..., 1:, :].conj(),
+                          block[..., :-1, :])
+        kept = np.abs(links) >= EPS_ORTH  # a NaN link is not kept
+        broken |= undefined_rows(
+            ~kept.all(axis=-1), OrthogonalStatesError,
+            lambda: f"adjacent overlap vanishes at link {lo + int(np.argmin(kept))}")
+        phases[..., lo:hi] = np.angle(links)
+    return phases, broken
+
+
+def dynamical_phase(path):
+    if path.hamiltonian is not None:
+        states, times = path.states, path.times
+        terms = np.empty(states.shape[:-2] + (path.n_samples - 1,))
+        for lo, hi in _blocks(path.n_samples - 1, terms[..., 0].size):
+            energies = _energies(states[..., lo:hi + 1, :], path.hamiltonian)
+            terms[..., lo:hi] = ((times[..., lo + 1:hi + 1] - times[..., lo:hi])
+                                 * (energies[..., 1:] + energies[..., :-1]) / 2.0)
+        phase = -np.add.reduce(terms, axis=-1)
+        return float(phase) if np.ndim(phase) == 0 else phase
+    phases, broken = _link_phases(path)
+    return mark_undefined(-phases.sum(axis=-1), broken)
+
+
+def _precession_states(theta, times):
+    axis = _precession_axis(theta)[..., None, :]
+    sin_t, cos_t = axis[..., 0], axis[..., 2]
+    rows = np.broadcast_shapes(axis.shape[:-2], times.shape[:-1])
+    states = np.zeros(rows + (times.shape[-1], 2), dtype=complex)
+    for lo, hi in _blocks(times.shape[-1], states[..., 0, 0].size):
+        half = times[..., lo:hi] / 2.0
+        sine, block = np.sin(half), states[..., lo:hi, :]
+        block[..., 0].real = np.cos(half)
+        block[..., 0].imag = 0.0 - sine * cos_t
+        block[..., 1].imag = 0.0 - sine * sin_t
+    return states
+
+
+def _swept_area(x, y, z):
+    rho2 = x * x + y * y
+    u0, u1, u2 = x[..., :-1], y[..., :-1], z[..., :-1]
+    v0, v1, v2 = x[..., 1:], y[..., 1:], z[..., 1:]
+    e, sign = _edge((u0, u1, u2), (v0, v1, v2))
+    det = u0 * e[1] - u1 * e[0]
+    u_e, e_flat = u0 * e[0] + u1 * e[1], e[0] * e[0] + e[1] * e[1]
+    cos_u = e[2] * rho2[..., :-1] - u2 * u_e
+    gap = e[2] * u_e - u2 * e_flat + (sign - 1.0) * cos_u  # -cos_v - cos_u
+    excess = (np.arctan2(det * gap, cos_u * (cos_u + gap) + det * det)
+              + np.arctan2(det, u0 * v0 + u1 * v1))
+    collapsed = e_flat + e[2] * e[2] < 1e-26
+    antipodal = undefined_rows((collapsed & (sign < 0.0)).any(axis=-1),
+                               DegenerateTriangleError,
+                               "adjacent path points are antipodal")
+    on_axis = rho2 < 1e-26
+    south = undefined_rows(
+        (on_axis & (z < 0.0)).any(axis=-1), DegenerateTriangleError,
+        "path touches the south pole, where the azimuth chart is singular")
+    swept = np.where(collapsed | on_axis[..., :-1] | on_axis[..., 1:], 0.0, excess)
+    return swept.sum(axis=-1), antipodal | south

@@ -1,0 +1,412 @@
+"""Kernels that form each quantity once give the bits of the code they
+replaced.
+
+The transport kernels ``_swept_area``, ``_precession_states``,
+``_link_phases``, ``dynamical_phase`` and ``DiscretePath.validate`` are
+held to the verbatim copies of their earlier code in ``oracles``: the
+same values bit for bit, the same undefined rows, and the same errors
+with the same messages in the same order.  ``loop_holonomy`` and
+``qubit_mixed_triple`` form each vertex's unit vector once and equal the
+``geodesic_unitary`` products bit for bit, and the mixed solid-angle
+battery's one block of radii holds the rows of one call per radius.
+"""
+
+import numpy as np
+import pytest
+
+import oracles
+from pancha import checks, transport
+from pancha.core import BlochPoint
+from pancha.errors import PhaseDomainError
+from pancha.geometry import (
+    SphericalTriangle,
+    geodesic_unitary,
+    loop_holonomy,
+    mixed_bargmann,
+    mixed_solid_angle_phase,
+    qubit_mixed_triple,
+)
+from pancha.transport import (
+    _BLOCK,
+    DiscretePath,
+    PrecessionSpec,
+    _unit_bloch,
+    precession_path,
+)
+
+SEEDS = (0, 20260809)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def outcome(fn, *args):
+    """("value", result) or ("raise", error type, message)."""
+    try:
+        return ("value", fn(*args))
+    except (ValueError, PhaseDomainError) as exc:
+        return ("raise", type(exc), str(exc))
+
+
+def assert_same_outcome(got, want):
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raise":
+        assert got == want
+        return
+    got_value, want_value = got[1], want[1]
+    if isinstance(want_value, tuple):
+        assert len(got_value) == len(want_value)
+        for g, w in zip(got_value, want_value):
+            same_bits(g, w)
+    else:
+        same_bits(got_value, want_value)
+
+
+def unchecked(times, states, hamiltonian=None):
+    """A DiscretePath that skips validation, so both validators see it."""
+    path = object.__new__(DiscretePath)
+    object.__setattr__(path, "times", np.asarray(times, dtype=float))
+    object.__setattr__(path, "states", np.asarray(states, dtype=complex))
+    object.__setattr__(path, "hamiltonian", None if hamiltonian is None
+                       else np.asarray(hamiltonian, dtype=complex))
+    return path
+
+
+def precession(theta, phi, n):
+    return precession_path(PrecessionSpec(theta, phi), n)
+
+
+THETAS = np.array([0.2, 0.9, 1.6, 2.7])
+
+
+# ---------------------------------------------------------------------------
+# _precession_states
+
+PRECESSION_CASES = {
+    "single": (0.7, np.linspace(0.0, 2.5, 1001)),
+    "single negative phi": (0.7, np.linspace(0.0, -2.5, 1001)),
+    "single over blocks": (1.1, np.linspace(0.0, 5.0, 3 * _BLOCK + 7)),
+    "theta batch, shared times": (THETAS, np.linspace(0.0, 2.0, 3001)),
+    "theta batch, per-row times": (THETAS, np.linspace(0.0, [1.0, -2.0, 3.0, -0.5],
+                                                       2501, axis=-1)),
+    "theta batch over blocks, shared times": (THETAS, np.linspace(0.0, -3.0, 5000)),
+    "theta column against time rows": (THETAS[:, None],
+                                       np.linspace(0.0, [1.0, -2.0, 3.0], 301,
+                                                   axis=-1)),
+    "one theta, time rows": (0.4, np.linspace(0.0, [1.0, -2.0], 301, axis=-1)),
+    "empty theta batch": (np.zeros(0), np.linspace(0.0, 1.0, 11)),
+}
+
+
+@pytest.mark.parametrize("theta, times", PRECESSION_CASES.values(),
+                         ids=PRECESSION_CASES.keys())
+def test_precession_states(theta, times):
+    same_bits(transport._precession_states(theta, times),
+              oracles._precession_states(theta, times))
+
+
+# ---------------------------------------------------------------------------
+# DiscretePath.validate
+
+def _validate_cases():
+    good = precession(0.7, 2.0, 1000)
+    long = precession(0.7, -2.0, 2 * _BLOCK + 3)
+    batch = precession(THETAS, [1.0, -2.0, 3.0, 0.5], 700)
+    cases = {
+        "single": (good.times, good.states, good.hamiltonian),
+        "single over blocks": (long.times, long.states, long.hamiltonian),
+        "batch, per-row times": (batch.times, batch.states, batch.hamiltonian),
+        "batch, shared times": (good.times, np.stack([good.states] * 3), None),
+        "empty batch": (good.times, np.zeros((0,) + good.states.shape), None),
+        "qutrit": (np.arange(4.0), np.eye(3)[[0, 1, 2, 0]], None),
+        "subnormal steps": ([0.0, 5e-324, 1e-323], good.states[:3], None),
+        "extreme ends": ([-1e308, 0.0, 1e308], good.states[:3], None),
+    }
+    for name, where in (("repeated time", 1), ("repeated time at a block edge",
+                                               _BLOCK), ("decreasing last time", -1)):
+        times = long.times.copy()
+        times[where] = times[where - 1] if name.startswith("repeated") else -1.0
+        cases[name] = (times, long.states, None)
+    for name, value in (("nan", np.nan), ("inf", np.inf)):
+        times = good.times.copy()
+        times[500] = value
+        cases[f"{name} time inside"] = (times, good.states, None)
+        times = good.times.copy()
+        times[-1] = value
+        cases[f"{name} time at the end"] = (times, good.states, None)
+    stretched = long.states.copy()
+    stretched[_BLOCK + 1] *= 1.0 + 1e-8
+    cases["non-unit state"] = (long.times, stretched, None)
+    for name, defect in (("just inside", 0.999e-9), ("just outside", 1.001e-9)):
+        for side in (1.0, -1.0):
+            states = good.states.copy()
+            states[0] = (1.0 + side * defect, 0.0)
+            cases[f"modulus {side:+.0f}e-9 {name} the tolerance"] = (
+                good.times, states, None)
+    late = long.times.copy()
+    late[-2] = late[-1]
+    cases["times win over an earlier non-unit state"] = (late, stretched, None)
+    nan_state = good.states.copy()
+    nan_state[3, 1] = np.nan
+    cases["nan state, single"] = (good.times, nan_state, None)
+    cases["nan row of a batch"] = (good.times, np.stack([good.states, nan_state]),
+                                   None)
+    cases["one bad time row"] = (np.stack([batch.times[0], late[:701]]),
+                                 batch.states[:2], None)
+    cases["times that do not broadcast"] = (np.ones((3, 701)), batch.states, None)
+    cases["one sample"] = ([0.0], good.states[:1], None)
+    cases["wrong hamiltonian shape"] = (good.times, good.states, np.eye(3))
+    cases["non-hermitian hamiltonian"] = (good.times, good.states,
+                                          [[0.0, 1.0], [0.0, 0.0]])
+    return cases
+
+
+VALIDATE_CASES = _validate_cases()
+
+
+@pytest.mark.parametrize("times, states, hamiltonian", VALIDATE_CASES.values(),
+                         ids=VALIDATE_CASES.keys())
+def test_validate(times, states, hamiltonian):
+    path = unchecked(times, states, hamiltonian)
+    assert_same_outcome(outcome(lambda p: p.validate() is p, path),
+                        outcome(lambda p: oracles.validate(p) is p, path))
+
+
+# ---------------------------------------------------------------------------
+# _link_phases and dynamical_phase
+
+def _orthogonal_link(path, at):
+    """The path with the state after sample ``at`` replaced by one
+    orthogonal to it (a vanishing link), still unit."""
+    states = path.states.copy()
+    a, b = states[..., at, 0], states[..., at, 1]
+    states[..., at + 1, 0], states[..., at + 1, 1] = -b.conj(), a.conj()
+    return states
+
+
+def _link_cases():
+    single = precession(0.7, 2.0, 1000)
+    long = precession(1.2, -2.5, 2 * _BLOCK + 3)
+    batch = precession(THETAS, [1.0, -2.0, 3.0, 0.5], 700)
+    broken = batch.states.copy()
+    broken[1] = _orthogonal_link(batch, 300)[1]
+    broken[3, 10] = np.nan
+    return {
+        "single": unchecked(single.times, single.states),
+        "single over blocks": unchecked(long.times, long.states),
+        "batch": unchecked(batch.times, batch.states),
+        "batch, shared times": unchecked(single.times, np.stack([single.states] * 3)),
+        "broken and nan rows": unchecked(batch.times, broken),
+        "empty batch": unchecked(single.times, np.zeros((0,) + single.states.shape)),
+        "vanishing link, single": unchecked(long.times, _orthogonal_link(long, 9000)),
+        "two vanishing links, single": unchecked(
+            long.times, _orthogonal_link(unchecked(long.times,
+                                                   _orthogonal_link(long, 9000)), 40)),
+    }
+
+
+LINK_CASES = _link_cases()
+
+
+@pytest.mark.parametrize("path", LINK_CASES.values(), ids=LINK_CASES.keys())
+def test_link_phases(path):
+    assert_same_outcome(outcome(transport._link_phases, path),
+                        outcome(oracles._link_phases, path))
+
+
+def _dynamical_cases():
+    cases = {f"links: {name}": path for name, path in LINK_CASES.items()}
+    single = precession(0.7, 2.0, 1000)
+    negative = precession(2.1, -1.5, 2 * _BLOCK + 3)
+    batch = precession(THETAS, [1.0, -2.0, 3.0, 0.5], 700)
+    shared = single.times
+    h_rows = transport.precession_hamiltonian(THETAS[:3])
+    cases.update({
+        "hamiltonian, single": single,
+        "hamiltonian, negative phi over blocks": negative,
+        "hamiltonian, batch with per-row times": batch,
+        "hamiltonian per path, shared times": unchecked(
+            shared, np.stack([single.states] * 3), h_rows),
+        "one hamiltonian, shared times": unchecked(
+            shared, np.stack([single.states] * 3), single.hamiltonian),
+        "hamiltonian, empty batch": unchecked(
+            shared, np.zeros((0,) + single.states.shape), single.hamiltonian),
+        "hamiltonian, nan row": unchecked(
+            batch.times, np.concatenate([batch.states[:1],
+                                         np.full_like(batch.states[:1], np.nan)]),
+            batch.hamiltonian[:2]),
+        "hamiltonian, qutrit": unchecked(np.linspace(0.0, 1.0, 5),
+                                         np.eye(3)[[0, 1, 2, 0, 1]],
+                                         np.diag([1.0, -0.5, 2.0])),
+    })
+    return cases
+
+
+DYNAMICAL_CASES = _dynamical_cases()
+
+
+@pytest.mark.parametrize("path", DYNAMICAL_CASES.values(), ids=DYNAMICAL_CASES.keys())
+def test_dynamical_phase(path):
+    got = outcome(transport.dynamical_phase, path)
+    want = outcome(oracles.dynamical_phase, path)
+    assert_same_outcome(got, want)
+    if want[0] == "value":
+        assert type(got[1]) is type(want[1])
+
+
+# ---------------------------------------------------------------------------
+# _swept_area
+
+NORTH, SOUTH = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)
+
+
+def _curve(k=40):
+    """k unit vectors along a smooth curve off both poles."""
+    s = np.linspace(0.0, 1.0, k)
+    theta, phi = 0.4 + 2.2 * s, 3.0 * np.sin(2.0 * s)
+    return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                     np.cos(theta)], axis=-1)
+
+
+def _with(points, at, point):
+    points = points.copy()
+    points[at] = point
+    return points
+
+
+def _flagged_rows():
+    clean = _curve()
+    return {
+        "clean": clean,
+        "collapsed arc": _with(clean, 11, clean[10]),
+        "antipodal neighbours": _with(clean, 21, -clean[20]),
+        "north pole": _with(clean, 5, NORTH),
+        "north pole at the start": _with(clean, 0, NORTH),
+        "south pole": _with(clean, 30, SOUTH),
+        "south pole at the end": _with(clean, -1, SOUTH),
+        "south pole after antipodal neighbours": _with(
+            _with(clean, 21, -clean[20]), 30, SOUTH),
+        "antipodal neighbours after the south pole": _with(
+            _with(clean, 31, -clean[30]), 4, SOUTH),
+        "nan point": _with(clean, 7, (np.nan,) * 3),
+    }
+
+
+FLAGGED = _flagged_rows()
+
+
+def components(points):
+    return tuple(np.moveaxis(np.asarray(points, dtype=float), -1, 0))
+
+
+def _swept_cases():
+    rows = np.stack(list(FLAGGED.values()))
+    path = precession(THETAS, [1.0, -2.0, 3.0, 0.5], 3000)
+    cases = {f"single, {name}": components(points) for name, points in FLAGGED.items()}
+    cases.update({
+        "batch of every flag": components(rows),
+        "batch of precession paths": _unit_bloch(path.states),
+        "precession path": _unit_bloch(path.states[1]),
+        "empty batch": components(np.zeros((0, 40, 3))),
+        "one point": components(FLAGGED["clean"][:1]),
+        "no points": components(np.zeros((0, 3))),
+    })
+    return cases
+
+
+SWEPT_CASES = _swept_cases()
+
+
+@pytest.mark.parametrize("xyz", SWEPT_CASES.values(), ids=SWEPT_CASES.keys())
+def test_swept_area(xyz):
+    assert_same_outcome(outcome(transport._swept_area, *xyz),
+                        outcome(oracles._swept_area, *xyz))
+
+
+def test_every_flag_is_hit():
+    """The flagged rows above do set the flags they are named after."""
+    _, broken = transport._swept_area(*components(np.stack(list(FLAGGED.values()))))
+    assert dict(zip(FLAGGED, broken)) == {
+        name: name.startswith(("antipodal", "south")) for name in FLAGGED}
+    for name in ("collapsed arc", "north pole", "north pole at the start"):
+        x, y, z = components(FLAGGED[name])
+        e2 = (x[1:] - x[:-1]) ** 2 + (y[1:] - y[:-1]) ** 2 + (z[1:] - z[:-1]) ** 2
+        assert (e2 == 0.0).any() or (x * x + y * y == 0.0).any()
+
+
+@pytest.mark.parametrize("theta, phi, n", [(0.7, 2.0, 1000), (2.9, -5.0, 3 * _BLOCK),
+                                           (THETAS, [1.0, -2.0, 3.0, 0.5], 2 * _BLOCK)])
+def test_geodesic_closure_with_the_earlier_sweep(monkeypatch, theta, phi, n):
+    path = precession(theta, phi, n)
+    got = transport.geodesic_closure_solid_angle(path)
+    monkeypatch.setattr(transport, "_swept_area", oracles._swept_area)
+    same_bits(got, transport.geodesic_closure_solid_angle(path))
+
+
+# ---------------------------------------------------------------------------
+# geodesic kernels
+
+def _triangles():
+    rng = np.random.default_rng(11)
+    tri, _ = checks.random_triangle(rng, 50)
+    a, b, c = (np.array(p) for p in (tri.a, tri.b, tri.c))
+    # row 0 has antipodal a, b; row 1 coincident b, c; row 2 antipodal c, a
+    a[:, 0], b[:, 0] = (0.3, 1.0), (np.pi - 0.3, 1.0 + np.pi)
+    c[:, 1] = b[:, 1]
+    c[:, 2] = (np.pi - a[0, 2], a[1, 2] + np.pi)
+    return SphericalTriangle(*(BlochPoint(*p) for p in (a, b, c)))
+
+
+TRIANGLES = _triangles()
+
+
+def holonomy_by_sides(t):
+    return (geodesic_unitary(t.c, t.a) @ geodesic_unitary(t.b, t.c)
+            @ geodesic_unitary(t.a, t.b))
+
+
+@pytest.mark.parametrize("rows", [slice(None), 0, 1, 2, 3])
+def test_loop_holonomy_is_the_product_of_its_sides(rows):
+    t = TRIANGLES[rows]
+    got, want = outcome(loop_holonomy, t), outcome(holonomy_by_sides, t)
+    assert_same_outcome(got, want)
+    if rows == slice(None):
+        assert np.isnan(got[1][[0, 2]]).all() and not np.isnan(got[1][1:2]).any()
+
+
+@pytest.mark.parametrize("rows", [slice(None), 1, 3])
+def test_qubit_mixed_triple_transports_by_its_sides(rows):
+    t = TRIANGLES[rows]
+    got = qubit_mixed_triple(t, 0.4)
+    same_bits(got.u, geodesic_unitary(t.b, t.c) @ geodesic_unitary(t.a, t.b))
+
+
+@pytest.mark.parametrize("kernel", [loop_holonomy,
+                                    lambda t: qubit_mixed_triple(t, 0.5)],
+                         ids=["loop_holonomy", "qubit_mixed_triple"])
+@pytest.mark.parametrize("rows", [slice(3, None), 3])
+def test_each_vertex_unit_vector_is_formed_once(monkeypatch, kernel, rows):
+    real, calls = BlochPoint.unit_vector, []
+
+    def spy(point):
+        calls.append(point)
+        return real(point)
+
+    monkeypatch.setattr(BlochPoint, "unit_vector", spy)
+    t = TRIANGLES[rows]
+    kernel(t)
+    assert len(calls) == 3
+    assert [id(p) for p in calls] == [id(t.a), id(t.b), id(t.c)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mixed_solid_angle_law_rows_equal_one_call_per_radius(seed):
+    (block,) = list(checks.check_mixed_solid_angle_law.__wrapped__(seed))
+    tri, omega = checks.random_triangle(np.random.default_rng([seed, 6]), 200)
+    want = [np.abs(checks.wrap_angle(mixed_bargmann(qubit_mixed_triple(tri, r))
+                                     - mixed_solid_angle_phase(r, omega)))
+            for r in checks.BLOCH_RADII]
+    same_bits(block, np.stack(want))

@@ -158,9 +158,8 @@ def seeded_trace_basis_inputs(seed, n=200):
 def seeded_arm_inputs(seed, n=500):
     rng = np.random.default_rng([seed, 18])
     psi = haar_state(rng, 4, (n,))
-    _, *angles = rng.uniform((0.0, -2 * np.pi, -2 * np.pi),
-                             (np.pi, 2 * np.pi, 2 * np.pi), (n, 3)).T
-    return [(psi, *angles)]  # the fields ignore the tilt
+    angles = rng.uniform((-2 * np.pi, -2 * np.pi), (2 * np.pi, 2 * np.pi), (n, 2)).T
+    return [(psi, *angles)]  # field angles only: the fields take no tilt
 
 
 def sequential_expansion_inputs(seed, n=200):
