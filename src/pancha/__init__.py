@@ -27,10 +27,9 @@ _EXPORTS = {
                "IllConditionedError", "OrthogonalStatesError",
                "PhaseDomainError", "UndefinedRatioError",
                "VanishingEndpointOverlapError", "VanishingTraceError"),
-    "geometry": ("MixedTriple", "SphericalTriangle", "bargmann_invariant",
-                 "geodesic_unitary", "loop_holonomy", "mixed_bargmann",
-                 "mixed_solid_angle_phase", "multi_vertex_invariant",
-                 "solid_angle"),
+    "geometry": ("SphericalTriangle", "bargmann_invariant", "geodesic_unitary",
+                 "loop_holonomy", "mixed_bargmann", "mixed_solid_angle_phase",
+                 "multi_vertex_invariant", "solid_angle"),
     "phase": ("EPS_ORTH", "InterferenceProfile", "PhaseResult", "fit_fringe",
               "mixed_interference_profile", "mixed_phase",
               "pancharatnam_phase", "pure_interference_profile"),

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BlochPoint,
     _dot,
     bloch_to_state,
     haar_state,
@@ -59,11 +60,10 @@ from .geometry import (
     bargmann_invariant,
     geodesic_unitary,
     loop_holonomy,
+    mixed_bargmann,
     mixed_chain_invariant,
     mixed_solid_angle_phase,
     multi_vertex_invariant,
-    qubit_mixed_triple,
-    mixed_bargmann,
     solid_angle,
 )
 from .phase import (
@@ -203,12 +203,15 @@ def random_triangle(rng, n, min_overlap=0.05, max_area=2.0 * np.pi - 0.1):
     order, like random_qubit_tuple."""
     def draw(k):
         states = random_qubit_tuple(rng, k, 3, min_overlap)
-        omega = solid_angle(SphericalTriangle.from_states(*states.swapaxes(0, 1)))
+        tri = SphericalTriangle.from_states(*states.swapaxes(0, 1))
+        omega = solid_angle(tri)
         keep = np.abs(omega) < max_area
-        return states[keep], omega[keep]
+        kept = tri[keep]
+        return (*kept.a, *kept.b, *kept.c, omega[keep])
 
-    states, omega = _first_kept(n, draw)
-    return SphericalTriangle.from_states(*states.swapaxes(0, 1)), omega
+    theta_a, phi_a, theta_b, phi_b, theta_c, phi_c, omega = _first_kept(n, draw)
+    return SphericalTriangle(BlochPoint(theta_a, phi_a), BlochPoint(theta_b, phi_b),
+                             BlochPoint(theta_c, phi_c)), omega
 
 
 def _haar_unitary(m):
@@ -311,8 +314,8 @@ def check_mixed_solid_angle_law(seed, n=200):
     """Weighted invariant along composed geodesics equals the closed form."""
     rng = np.random.default_rng([seed, 6])
     tri, omega = random_triangle(rng, n)
-    r = np.array(BLOCH_RADII)[:, None]  # one row of n triples per radius
-    yield np.abs(wrap_angle(mixed_bargmann(qubit_mixed_triple(tri, r))
+    r = np.array(BLOCH_RADII)[:, None]  # one row of n triangles per radius
+    yield np.abs(wrap_angle(mixed_bargmann(tri, r)
                             - mixed_solid_angle_phase(r, omega)))
 
 

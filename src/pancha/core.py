@@ -173,16 +173,6 @@ def _dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _require_orthonormal(basis, name: str):
-    """ValueError naming ``name`` unless the columns of every (..., d, d)
-    matrix of ``basis`` are orthonormal within 1e-10."""
-    basis = np.asarray(basis, dtype=complex)
-    defect = np.abs(np.swapaxes(basis.conj(), -1, -2) @ basis
-                    - np.eye(basis.shape[-1])).max(initial=0.0)
-    if defect > 1e-10:
-        raise ValueError(f"{name} not orthonormal (defect {defect:.3e})")
-
-
 def hermitian_rows(m) -> np.ndarray:
     """Rows of the (..., d, d) matrices ``m`` that are finite and within
     1e-12 of their conjugate transpose, entry by entry: a non-finite entry

@@ -109,15 +109,14 @@ def run_mixed(r, angle, axis=(0.0, 0.0, 1.0), samples=64) -> ExperimentOutcome:
 def run_triangle(vertices, r=0.5) -> ExperimentOutcome:
     """Solid-angle law on one triangle, pure and mixed."""
     from .geometry import (bargmann_invariant, loop_holonomy, mixed_bargmann,
-                           mixed_solid_angle_phase, qubit_mixed_triple,
-                           solid_angle)
+                           mixed_solid_angle_phase, solid_angle)
 
     tri = _triangle(vertices)
     sa, sb, sc = tri.states()
     invariant = bargmann_invariant(sa, sb, sc)
     omega = solid_angle(tri)
     holonomy_phase = float(np.angle(inner_product(sa, loop_holonomy(tri) @ sa)))
-    weighted = mixed_bargmann(qubit_mixed_triple(tri, r))
+    weighted = mixed_bargmann(tri, r)
     weighted_closed = mixed_solid_angle_phase(r, omega)
     return ExperimentOutcome(
         results={

@@ -19,6 +19,10 @@ nearly a tautology, and summed over pole triangles it telescopes into the
 overlap chain, which would make the geodesic-closure area a copy of the
 chain phase it is compared with.  The geodesic kernels share one rotation
 on unit vectors, _arc_rotation, so a triangle forms each vertex's once.
+The mixed-state law takes a triangle and a Bloch radius: mixed_bargmann
+forms the qubit's weights, vertex eigenbases and transport, all valid by
+construction, and evaluates mixed_chain_invariant, the weighted invariant
+of any station eigenbases and transport.
 
 Sign convention, used consistently everywhere: a triangle whose vertices
 run counter-clockwise when viewed from outside the sphere has positive
@@ -35,7 +39,6 @@ import numpy as np
 from .core import (
     BlochPoint,
     _dot,
-    _require_orthonormal,
     bloch_to_state,
     from_parts,
     inner_product,
@@ -295,51 +298,6 @@ def loop_holonomy(t: SphericalTriangle) -> np.ndarray:
     return u_ca @ u_bc @ u_ab
 
 
-def _coinciding(weights):
-    """Rowwise mask over the weight pairs (i < j, in row order) that
-    coincide within 1e-12, and the pair indices."""
-    i, j = np.triu_indices(weights.shape[-1], 1)
-    return np.abs(weights[..., i] - weights[..., j]) < 1e-12, i, j
-
-
-@dataclass(frozen=True)
-class MixedTriple:
-    """Spectral data of a nondegenerate density-operator sequence.
-
-    ``weights`` are the shared eigenvalues; ``basis_a/b/c`` hold the
-    eigenvectors (as matrix columns, column k belonging to weights[k]) at
-    the three stations; ``u`` is the unitary that carries the first
-    station to the third via the second.  Leading axes on every field
-    make a batch of triples.
-    """
-
-    weights: np.ndarray
-    basis_a: np.ndarray
-    basis_b: np.ndarray
-    basis_c: np.ndarray
-    u: np.ndarray
-
-    def validate(self) -> "MixedTriple":
-        """ValueError for weights off the simplex or non-orthonormal bases;
-        DegenerateSpectrumError for coinciding weights shared by every row
-        (per-row coincidences are left to mixed_bargmann)."""
-        w = np.asarray(self.weights, dtype=float)
-        if ((np.abs(w.sum(axis=-1) - 1.0) > 1e-12).any() or (w < -1e-12).any()
-                or (w > 1 + 1e-12).any()):
-            raise ValueError("weights must lie in [0, 1] and sum to 1")
-        close, i, j = _coinciding(w)
-        undefined_rows(close.any(axis=-1), DegenerateSpectrumError,
-                       lambda: "weights {} and {} coincide; eigenbases not unique"
-                       .format(i[np.argmax(close)], j[np.argmax(close)]))
-        dim = w.shape[-1]
-        for name, basis in (("a", self.basis_a), ("b", self.basis_b),
-                            ("c", self.basis_c)):
-            if np.shape(basis)[-2:] != (dim, dim):
-                raise ValueError(f"basis {name} must be {dim}x{dim}")
-            _require_orthonormal(basis, f"basis {name}")
-        return self
-
-
 def mixed_chain_invariant(weights, bases, u):
     """Weighted cyclic invariant arg(sum_k w_k |<A_k|U|A_k>| e^{i d_k}).
 
@@ -369,51 +327,47 @@ def mixed_chain_invariant(weights, bases, u):
     return mark_undefined(principal_angle(total), undefined)
 
 
-def mixed_bargmann(mt: MixedTriple):
-    """Three-station weighted invariant of a nondegenerate mixed state.
-
-    Reduces to bargmann_invariant for a single unit weight and is
-    orientation-odd: reversing the station order while inverting the
-    transport negates it.  A batch gives NaN in its degenerate or
-    vanishing rows.
-
-    Raises:
-        DegenerateSpectrumError: for coinciding weights.
-        OrthogonalStatesError: if any diagonal transport overlap vanishes.
-    """
-    mt.validate()
-    phase = mixed_chain_invariant(
-        mt.weights, [mt.basis_a, mt.basis_b, mt.basis_c], mt.u
-    )
-    close, _, _ = _coinciding(np.asarray(mt.weights, dtype=float))
-    return mark_undefined(phase, close.any(axis=-1))
-
-
 def _eigenbasis(state) -> np.ndarray:
     """Columns: the qubit state and its orthogonal complement."""
     return np.stack([state, orthogonal_complement(state)], axis=-1)
 
 
-def qubit_mixed_triple(t: SphericalTriangle, r) -> MixedTriple:
-    """Mixed triple of a qubit with Bloch radius r transported around ``t``.
+def mixed_bargmann(t: SphericalTriangle, r):
+    """Weighted invariant of a qubit with Bloch radius r transported
+    around ``t``.
 
-    Weights are ((1+r)/2, (1-r)/2); the eigenbases sit at the three
+    The weights are ((1+r)/2, (1-r)/2), the eigenbases sit at the three
     vertices (vertex state plus orthogonal complement) and the transport
     is the composition of the two leading geodesic-segment unitaries,
-    a -> b followed by b -> c.  A batch of triangles gives a batch of
-    triples; r may be one radius, one per row, or (k, 1) radii (k by n).
+    a -> b followed by b -> c; the phase is mixed_chain_invariant of
+    these.  Reduces to bargmann_invariant at r = 1 and is
+    orientation-odd.  r may be one radius, one per triangle of a batch,
+    or (k, 1) radii against n triangles, giving k by n phases.  A batch
+    gives NaN in its rows with antipodal a, b or b, c, with |r| < 1e-12,
+    with a NaN radius or with a vanishing overlap.
+
+    Raises:
+        AntipodalPointsError: for antipodal a, b or b, c of a single
+            triangle, before any radius is looked at.
+        ValueError: for weights off [0, 1] or not summing to 1, within
+            1e-12 (any r beyond [-1, 1] by more than about 2e-12).
+        DegenerateSpectrumError: for a single radius with |r| < 1e-12.
+        OrthogonalStatesError: if any diagonal transport overlap, link
+            or the weighted sum of a single triangle vanishes or is NaN
+            (as a NaN radius makes it).
     """
-    sa, sb, sc = t.states()
+    bases = [_eigenbasis(s) for s in t.states()]
     a, b, c = (p.unit_vector() for p in (t.a, t.b, t.c))
     u = _arc_rotation(b, c) @ _arc_rotation(a, b)
     r = np.asarray(r, dtype=float)
-    return MixedTriple(
-        weights=np.stack([(1.0 + r) / 2.0, (1.0 - r) / 2.0], axis=-1),
-        basis_a=_eigenbasis(sa),
-        basis_b=_eigenbasis(sb),
-        basis_c=_eigenbasis(sc),
-        u=u,
-    )
+    w = np.stack([(1.0 + r) / 2.0, (1.0 - r) / 2.0], axis=-1)
+    if ((np.abs(w.sum(axis=-1) - 1.0) > 1e-12).any() or (w < -1e-12).any()
+            or (w > 1 + 1e-12).any()):
+        raise ValueError("weights must lie in [0, 1] and sum to 1")
+    degenerate = undefined_rows(
+        np.abs(w[..., 0] - w[..., 1]) < 1e-12, DegenerateSpectrumError,
+        "weights 0 and 1 coincide; eigenbases not unique")
+    return mark_undefined(mixed_chain_invariant(w, bases, u), degenerate)
 
 
 def mixed_solid_angle_phase(r, omega):

@@ -3,17 +3,25 @@
 Each is a small formula or convenience that only tests call, kept here
 so that ``src/pancha`` holds no test-only code: seeded Haar states, the
 Cartesian Bloch vector (independent of the closure's own components),
-the inverse polar chart, reversed triangles and triples, random smooth
-paths, the spin-arm fringe, and the closed forms and evolutions the
-tests compare library kernels against.
+the inverse polar chart, reversed triangles, random smooth paths, the
+spin-arm fringe, and the closed forms and evolutions the tests compare
+library kernels against.
 
-The last section keeps verbatim copies of transport kernels as they were
-before they were rewritten to form each quantity once and to write into
-their outputs in place: ``_swept_area``, ``_precession_states``,
-``_link_phases``, ``dynamical_phase`` and ``DiscretePath.validate`` (here
-``validate(path)``).  The rewrites must give the same bits, the same NaN
-rows and the same errors.
+The last three sections keep verbatim copies of kernels as they were
+before they were rewritten, and the rewrites must give the same bits,
+the same NaN rows and the same errors.  First the transport kernels
+before they formed each quantity once and wrote into their outputs in
+place: ``_swept_area``, ``_precession_states``, ``_link_phases``,
+``dynamical_phase`` and ``DiscretePath.validate`` (here
+``validate(path)``).  Then the mixed-state triangle law as it was built
+through a ``MixedTriple`` carrier that re-validated its own data:
+``qubit_mixed_triple``, ``MixedTriple.validate`` (with ``_coinciding``
+and ``_require_orthonormal``) and ``mixed_bargmann(mt)``.  Last,
+``checks.random_triangle`` as it was when it converted the kept states
+to Bloch angles a second time.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +36,19 @@ from pancha.core import (
     wrap_angle,
 )
 from pancha.dual import spin_arm_states
-from pancha.errors import DegenerateTriangleError, OrthogonalStatesError
-from pancha.geometry import MixedTriple, SphericalTriangle, _edge
+from pancha.errors import (
+    DegenerateSpectrumError,
+    DegenerateTriangleError,
+    OrthogonalStatesError,
+)
+from pancha.geometry import (
+    SphericalTriangle,
+    _arc_rotation,
+    _edge,
+    _eigenbasis,
+    mixed_chain_invariant,
+    solid_angle,
+)
 from pancha.phase import EPS_ORTH, pure_interference_profile
 from pancha.transport import _blocks, _energies, _precession_axis
 
@@ -62,12 +81,6 @@ def point_from_vector(v) -> BlochPoint:
 def reversed_triangle(t: SphericalTriangle) -> SphericalTriangle:
     """Same vertices, opposite orientation."""
     return SphericalTriangle(t.a, t.c, t.b)
-
-
-def reversed_triple(mt: MixedTriple) -> MixedTriple:
-    """Opposite orientation: stations b and c swapped, transport inverted."""
-    return MixedTriple(mt.weights, mt.basis_a, mt.basis_c, mt.basis_b,
-                       np.swapaxes(np.asarray(mt.u, dtype=complex).conj(), -1, -2))
 
 
 def random_smooth_path(rng, n=256, dim=2):
@@ -204,3 +217,85 @@ def _swept_area(x, y, z):
         "path touches the south pole, where the azimuth chart is singular")
     swept = np.where(collapsed | on_axis[..., :-1] | on_axis[..., 1:], 0.0, excess)
     return swept.sum(axis=-1), antipodal | south
+
+
+# ---------------------------------------------------------------------------
+# the mixed-state triangle law before it took a triangle and a radius,
+# verbatim
+
+
+def _require_orthonormal(basis, name: str):
+    basis = np.asarray(basis, dtype=complex)
+    defect = np.abs(np.swapaxes(basis.conj(), -1, -2) @ basis
+                    - np.eye(basis.shape[-1])).max(initial=0.0)
+    if defect > 1e-10:
+        raise ValueError(f"{name} not orthonormal (defect {defect:.3e})")
+
+
+def _coinciding(weights):
+    i, j = np.triu_indices(weights.shape[-1], 1)
+    return np.abs(weights[..., i] - weights[..., j]) < 1e-12, i, j
+
+
+@dataclass(frozen=True)
+class MixedTriple:
+    weights: np.ndarray
+    basis_a: np.ndarray
+    basis_b: np.ndarray
+    basis_c: np.ndarray
+    u: np.ndarray
+
+    def validate(self) -> "MixedTriple":
+        w = np.asarray(self.weights, dtype=float)
+        if ((np.abs(w.sum(axis=-1) - 1.0) > 1e-12).any() or (w < -1e-12).any()
+                or (w > 1 + 1e-12).any()):
+            raise ValueError("weights must lie in [0, 1] and sum to 1")
+        close, i, j = _coinciding(w)
+        undefined_rows(close.any(axis=-1), DegenerateSpectrumError,
+                       lambda: "weights {} and {} coincide; eigenbases not unique"
+                       .format(i[np.argmax(close)], j[np.argmax(close)]))
+        dim = w.shape[-1]
+        for name, basis in (("a", self.basis_a), ("b", self.basis_b),
+                            ("c", self.basis_c)):
+            if np.shape(basis)[-2:] != (dim, dim):
+                raise ValueError(f"basis {name} must be {dim}x{dim}")
+            _require_orthonormal(basis, f"basis {name}")
+        return self
+
+
+def mixed_bargmann(mt: MixedTriple):
+    mt.validate()
+    phase = mixed_chain_invariant(
+        mt.weights, [mt.basis_a, mt.basis_b, mt.basis_c], mt.u
+    )
+    close, _, _ = _coinciding(np.asarray(mt.weights, dtype=float))
+    return mark_undefined(phase, close.any(axis=-1))
+
+
+def qubit_mixed_triple(t: SphericalTriangle, r) -> MixedTriple:
+    sa, sb, sc = t.states()
+    a, b, c = (p.unit_vector() for p in (t.a, t.b, t.c))
+    u = _arc_rotation(b, c) @ _arc_rotation(a, b)
+    r = np.asarray(r, dtype=float)
+    return MixedTriple(
+        weights=np.stack([(1.0 + r) / 2.0, (1.0 - r) / 2.0], axis=-1),
+        basis_a=_eigenbasis(sa),
+        basis_b=_eigenbasis(sb),
+        basis_c=_eigenbasis(sc),
+        u=u,
+    )
+
+
+# ---------------------------------------------------------------------------
+# checks.random_triangle before it kept the triangle it drew, verbatim
+
+
+def random_triangle(rng, n, min_overlap=0.05, max_area=2.0 * np.pi - 0.1):
+    def draw(k):
+        states = checks.random_qubit_tuple(rng, k, 3, min_overlap)
+        omega = solid_angle(SphericalTriangle.from_states(*states.swapaxes(0, 1)))
+        keep = np.abs(omega) < max_area
+        return states[keep], omega[keep]
+
+    states, omega = checks._first_kept(n, draw)
+    return SphericalTriangle.from_states(*states.swapaxes(0, 1)), omega

@@ -27,7 +27,6 @@ from pancha.geometry import (
     loop_holonomy,
     mixed_bargmann,
     mixed_solid_angle_phase,
-    qubit_mixed_triple,
     solid_angle,
 )
 from pancha.phase import tilted_overlap
@@ -180,9 +179,9 @@ class TestBatchedKernelsMatchScalarCalls:
     def test_mixed_bargmann(self):
         tri, _ = checks.random_triangle(np.random.default_rng(25), 50)
         radii = np.linspace(0.1, 0.9, 50)
-        rows = mixed_bargmann(qubit_mixed_triple(tri, radii))
+        rows = mixed_bargmann(tri, radii)
         for k in range(50):
-            single = mixed_bargmann(qubit_mixed_triple(row(tri, k), radii[k]))
+            single = mixed_bargmann(row(tri, k), radii[k])
             assert abs(rows[k] - single) <= 1e-14
 
 
@@ -226,9 +225,8 @@ class TestUndefinedRows:
                                       np.array([1.0, 2.0 * np.pi, 1.0]))
         assert np.isnan(got[:2]).all() and np.isfinite(got[2])
         assert np.isnan(ancilla_reduction_phase(0.3, np.array([7.0, 1.0]))[0])
-        rows = mixed_bargmann(qubit_mixed_triple(
-            checks.random_triangle(np.random.default_rng(27), 2)[0],
-            np.array([0.0, 0.5])))
+        rows = mixed_bargmann(checks.random_triangle(np.random.default_rng(27), 2)[0],
+                              np.array([0.0, 0.5]))
         assert np.isnan(rows[0]) and np.isfinite(rows[1])
 
 
@@ -240,7 +238,7 @@ def test_empty_batches_give_empty_rows():
                                                     tri[none], np.zeros((0, 8)))
     assert profile.extracted.visibility.shape == (0,)
     assert solid_angle(tri[none]).shape == (0,)
-    assert mixed_bargmann(qubit_mixed_triple(tri[none], 0.5)).shape == (0,)
+    assert mixed_bargmann(tri[none], 0.5).shape == (0,)
 
 
 class TestRewrittenChecksStillFail:

@@ -79,3 +79,12 @@ class TestAncillaReduction:
 def test_smooth_path_generators_are_not_copied():
     path = random_smooth_path(np.random.default_rng(3), n=100)
     assert path.generators.strides[0] == 0
+
+
+def test_every_check_passes_with_a_finite_stat_at_seeds_0_to_19():
+    # a range of seeds, not a few chosen ones: any failing seed shows here
+    failed = [(seed, result.name, result.stat)
+              for seed in range(20)
+              for result in checks.run_suites("all", seed=seed)
+              if not (result.passed and np.isfinite(result.stat))]
+    assert failed == []

@@ -171,6 +171,22 @@ class TestValidation:
         assert "OrthogonalStatesError" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("verb, r", [("run", 0.0), ("sweep", [0.5, 0.0])])
+    def test_degenerate_radius_exits_3(self, tmp_path, capsys, verb, r, jobs):
+        cfg = write_config(tmp_path, "r0.json", {
+            "experiment": "triangle",
+            "parameters": {"vertices": OCTANT_VERTICES, "r": r},
+        })
+        out = tmp_path / "r0.csv"
+        assert main([verb, "--config", cfg, "--out", str(out), "--jobs", jobs]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("DegenerateSpectrumError: weights 0 and 1 "
+                                       "coincide; eigenbases not unique")
+        assert not out.exists()
+
+
 class TestSweepVerb:
     def test_radius_sweep_monotone(self, tmp_path):
         values = [round(0.1 * k, 1) for k in range(1, 11)]

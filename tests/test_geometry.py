@@ -16,19 +16,18 @@ from pancha.errors import (
     OrthogonalStatesError,
 )
 from pancha.geometry import (
-    MixedTriple,
     SphericalTriangle,
     bargmann_invariant,
     geodesic_unitary,
     loop_holonomy,
     mixed_bargmann,
+    mixed_chain_invariant,
     mixed_solid_angle_phase,
     multi_vertex_invariant,
-    qubit_mixed_triple,
     solid_angle,
 )
 
-from oracles import random_state, reversed_triangle, reversed_triple
+from oracles import random_state, reversed_triangle
 
 NORTH = BlochPoint(0.0, 0.0)
 EQUATOR_X = BlochPoint(np.pi / 2, 0.0)
@@ -221,32 +220,31 @@ class TestMultiVertexInvariant:
 
 class TestMixedBargmann:
     def test_unit_weight_reduces_to_pure(self):
-        mt = qubit_mixed_triple(OCTANT, 1.0)
         a, b, c = OCTANT.states()
-        assert mixed_bargmann(mt) == pytest.approx(
+        assert mixed_bargmann(OCTANT, 1.0) == pytest.approx(
             bargmann_invariant(a, b, c), abs=1e-10)
 
     def test_octant_half_radius(self):
-        got = mixed_bargmann(qubit_mixed_triple(OCTANT, 0.5))
+        got = mixed_bargmann(OCTANT, 0.5)
         assert got == pytest.approx(-np.arctan(0.5 * np.tan(np.pi / 4)),
                                     abs=1e-10)
         assert got == pytest.approx(-0.46365, abs=5e-6)
 
     def test_orientation_reversal_negates(self):
-        mt = qubit_mixed_triple(OCTANT, 0.5)
-        assert mixed_bargmann(reversed_triple(mt)) == pytest.approx(
-            -mixed_bargmann(mt), abs=1e-12)
+        weights = np.array([0.75, 0.25])
+        basis_a, basis_b, basis_c = (np.stack([s, orthogonal_complement(s)], axis=-1)
+                                     for s in OCTANT.states())
+        u = geodesic_unitary(OCTANT.b, OCTANT.c) @ geodesic_unitary(OCTANT.a, OCTANT.b)
+        forward = mixed_chain_invariant(weights, [basis_a, basis_b, basis_c], u)
+        assert forward == mixed_bargmann(OCTANT, 0.5)
+        # stations b and c swapped, transport inverted
+        backward = mixed_chain_invariant(weights, [basis_a, basis_c, basis_b],
+                                         u.conj().T)
+        assert backward == pytest.approx(-forward, abs=1e-12)
 
     def test_degenerate_weights_rejected(self):
         with pytest.raises(DegenerateSpectrumError):
-            mixed_bargmann(qubit_mixed_triple(OCTANT, 0.0))
-
-    def test_non_orthonormal_basis_rejected(self):
-        mt = qubit_mixed_triple(OCTANT, 0.5)
-        broken = MixedTriple(mt.weights, 1.1 * mt.basis_a, mt.basis_b,
-                             mt.basis_c, mt.u)
-        with pytest.raises(ValueError):
-            mixed_bargmann(broken)
+            mixed_bargmann(OCTANT, 0.0)
 
     def test_matches_closed_form_on_random_triangles(self):
         rng = np.random.default_rng(17)
@@ -264,7 +262,7 @@ class TestMixedBargmann:
                 continue
             count += 1
             r = rng.uniform(0.05, 1.0)
-            residual = wrap_angle(mixed_bargmann(qubit_mixed_triple(tri, r))
+            residual = wrap_angle(mixed_bargmann(tri, r)
                                   - mixed_solid_angle_phase(r, omega))
             assert abs(residual) < 1e-8
 

@@ -2,29 +2,34 @@
 replaced.
 
 The transport kernels ``_swept_area``, ``_precession_states``,
-``_link_phases``, ``dynamical_phase`` and ``DiscretePath.validate`` are
-held to the verbatim copies of their earlier code in ``oracles``: the
-same values bit for bit, the same undefined rows, and the same errors
-with the same messages in the same order.  ``loop_holonomy`` and
-``qubit_mixed_triple`` form each vertex's unit vector once and equal the
-``geodesic_unitary`` products bit for bit, and the mixed solid-angle
-battery's one block of radii holds the rows of one call per radius.
+``_link_phases``, ``dynamical_phase`` and ``DiscretePath.validate``, the
+mixed-state triangle law ``mixed_bargmann(t, r)`` and the sampler
+``checks.random_triangle`` are held to the verbatim copies of their
+earlier code in ``oracles``: the same values bit for bit, the same
+undefined rows, and the same errors with the same messages in the same
+order.  ``loop_holonomy`` and ``mixed_bargmann`` form each vertex's unit
+vector once and transport by the ``geodesic_unitary`` products bit for
+bit, and the mixed solid-angle battery's one block of radii holds the
+rows of one call per radius.
 """
 
 import numpy as np
 import pytest
 
 import oracles
-from pancha import checks, transport
+from pancha import checks, geometry, transport
 from pancha.core import BlochPoint
-from pancha.errors import PhaseDomainError
+from pancha.errors import (
+    AntipodalPointsError,
+    DegenerateSpectrumError,
+    PhaseDomainError,
+)
 from pancha.geometry import (
     SphericalTriangle,
     geodesic_unitary,
     loop_holonomy,
     mixed_bargmann,
     mixed_solid_angle_phase,
-    qubit_mixed_triple,
 )
 from pancha.transport import (
     _BLOCK,
@@ -378,15 +383,23 @@ def test_loop_holonomy_is_the_product_of_its_sides(rows):
 
 
 @pytest.mark.parametrize("rows", [slice(None), 1, 3])
-def test_qubit_mixed_triple_transports_by_its_sides(rows):
+def test_mixed_bargmann_transports_by_its_sides(monkeypatch, rows):
+    real, transports = geometry.mixed_chain_invariant, []
+
+    def spy(weights, bases, u):
+        transports.append(u)
+        return real(weights, bases, u)
+
+    monkeypatch.setattr(geometry, "mixed_chain_invariant", spy)
     t = TRIANGLES[rows]
-    got = qubit_mixed_triple(t, 0.4)
-    same_bits(got.u, geodesic_unitary(t.b, t.c) @ geodesic_unitary(t.a, t.b))
+    mixed_bargmann(t, 0.4)
+    (u,) = transports
+    same_bits(u, geodesic_unitary(t.b, t.c) @ geodesic_unitary(t.a, t.b))
 
 
 @pytest.mark.parametrize("kernel", [loop_holonomy,
-                                    lambda t: qubit_mixed_triple(t, 0.5)],
-                         ids=["loop_holonomy", "qubit_mixed_triple"])
+                                    lambda t: mixed_bargmann(t, 0.5)],
+                         ids=["loop_holonomy", "mixed_bargmann"])
 @pytest.mark.parametrize("rows", [slice(3, None), 3])
 def test_each_vertex_unit_vector_is_formed_once(monkeypatch, kernel, rows):
     real, calls = BlochPoint.unit_vector, []
@@ -406,7 +419,116 @@ def test_each_vertex_unit_vector_is_formed_once(monkeypatch, kernel, rows):
 def test_mixed_solid_angle_law_rows_equal_one_call_per_radius(seed):
     (block,) = list(checks.check_mixed_solid_angle_law.__wrapped__(seed))
     tri, omega = checks.random_triangle(np.random.default_rng([seed, 6]), 200)
-    want = [np.abs(checks.wrap_angle(mixed_bargmann(qubit_mixed_triple(tri, r))
+    want = [np.abs(checks.wrap_angle(mixed_bargmann(tri, r)
                                      - mixed_solid_angle_phase(r, omega)))
             for r in checks.BLOCH_RADII]
     same_bits(block, np.stack(want))
+
+
+# ---------------------------------------------------------------------------
+# mixed_bargmann(t, r) against qubit_mixed_triple and MixedTriple.validate
+
+NONE = np.zeros(len(TRIANGLES.a.theta), dtype=bool)
+RADII = np.linspace(-1.0, 1.0, len(NONE))
+RADII[[4, 5, 6, 7]] = (0.0, np.nan, 1.0 + 1e-13, -1.0 - 1e-13)
+MIXED_CASES = {
+    "single": (TRIANGLES[3], 0.5),
+    "single r 1": (TRIANGLES[3], 1.0),
+    "single r -1": (TRIANGLES[4], -1.0),
+    "single r 1 + 1e-13": (TRIANGLES[3], 1.0 + 1e-13),
+    "single r 1 + 1e-12": (TRIANGLES[3], 1.0 + 1e-12),
+    "single r 1 + 3e-12": (TRIANGLES[3], 1.0 + 3e-12),
+    "single r -1 - 1e-13": (TRIANGLES[3], -1.0 - 1e-13),
+    "single r 1.1": (TRIANGLES[3], 1.1),
+    "single r -1.1": (TRIANGLES[3], -1.1),
+    "single r 0": (TRIANGLES[3], 0.0),
+    "single r 1e-13": (TRIANGLES[3], 1e-13),
+    "single r 5e-12": (TRIANGLES[3], 5e-12),
+    "single NaN r": (TRIANGLES[3], np.nan),
+    "single antipodal a, b": (TRIANGLES[0], 0.5),
+    "single antipodal a, b, r 1.1": (TRIANGLES[0], 1.1),
+    "single antipodal a, b, r 0": (TRIANGLES[0], 0.0),
+    "single coincident b, c": (TRIANGLES[1], 0.5),
+    "single antipodal c, a": (TRIANGLES[2], 0.5),
+    "single antipodal c, a, r 0": (TRIANGLES[2], 0.0),
+    "single, radius rows": (TRIANGLES[3], np.array([0.2, 0.0, np.nan, -1.0])),
+    "batch": (TRIANGLES, 0.5),
+    "batch r 1": (TRIANGLES, 1.0),
+    "batch r 0": (TRIANGLES, 0.0),
+    "batch r 1.1": (TRIANGLES, 1.1),
+    "batch, per-row radii": (TRIANGLES, RADII),
+    "batch, per-row radii with 1.1": (TRIANGLES, RADII + 0.1),
+    "batch, (k, 1) radii": (TRIANGLES, np.array([[0.2], [-0.7], [0.0], [1.0],
+                                                 [np.nan]])),
+    "batch, (k, 1) radii as lists": (TRIANGLES, [[0.3], [-1.0]]),
+    "batch of good rows, (k, 1) radii": (TRIANGLES[3:], np.array([[0.0], [0.6]])),
+    "empty batch": (TRIANGLES[NONE], 0.5),
+    "empty batch r 0": (TRIANGLES[NONE], 0.0),
+    "empty batch, (k, 1) radii": (TRIANGLES[NONE], np.array([[0.2], [0.0]])),
+}
+
+
+def earlier_mixed_bargmann(t, r):
+    return oracles.mixed_bargmann(oracles.qubit_mixed_triple(t, r))
+
+
+@pytest.mark.parametrize("t, r", MIXED_CASES.values(), ids=MIXED_CASES.keys())
+def test_mixed_bargmann(t, r):
+    assert_same_outcome(outcome(mixed_bargmann, t, r),
+                        outcome(earlier_mixed_bargmann, t, r))
+
+
+def test_mixed_cases_reach_every_outcome():
+    """Values, NaN rows from each cause, and every raise the law has."""
+    got = {name: outcome(mixed_bargmann, t, r) for name, (t, r) in MIXED_CASES.items()}
+    raised = {o[1].__name__ for o in got.values() if o[0] == "raise"}
+    assert raised == {"AntipodalPointsError", "DegenerateSpectrumError",
+                      "OrthogonalStatesError", "ValueError"}
+    assert got["single antipodal a, b, r 1.1"][1] is AntipodalPointsError
+    assert got["single r 1 + 1e-12"][0] == "value"
+    assert got["single r 1 + 3e-12"][1] is ValueError
+    assert got["single r 1e-13"][1] is DegenerateSpectrumError
+    assert got["single r 5e-12"][0] == "value"
+    assert got["single r 0"][2] == "weights 0 and 1 coincide; eigenbases not unique"
+    per_row = got["batch, per-row radii"][1]
+    assert np.isnan(per_row[[0, 2, 4, 5]]).all()
+    assert np.isfinite(np.delete(per_row, [0, 2, 4, 5])).all()
+    assert got["batch, (k, 1) radii"][1].shape == (5, len(NONE))
+    assert got["empty batch, (k, 1) radii"][1].shape == (2, 0)
+
+
+# ---------------------------------------------------------------------------
+# checks.random_triangle against the earlier draw that converted twice
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n, max_area", [(1, 2.0 * np.pi - 0.1), (200, 2.0 * np.pi - 0.1),
+                                         (200, 1.0), (60, 4.0 * np.pi)])
+def test_random_triangle(seed, n, max_area):
+    tri, omega = checks.random_triangle(np.random.default_rng(seed), n,
+                                        max_area=max_area)
+    want, want_omega = oracles.random_triangle(np.random.default_rng(seed), n,
+                                               max_area=max_area)
+    same_bits(omega, want_omega)
+    for got_point, want_point in zip((tri.a, tri.b, tri.c),
+                                     (want.a, want.b, want.c)):
+        same_bits(got_point.theta, want_point.theta)
+        same_bits(got_point.phi, want_point.phi)
+
+
+def test_random_triangle_converts_each_draw_once(monkeypatch):
+    real_draw, real_chart = checks.random_qubit_tuple, geometry.state_to_bloch
+    draws, conversions = [], []
+
+    def draw(rng, k, *rest):
+        draws.append(k)
+        return real_draw(rng, k, *rest)
+
+    def chart(states):
+        conversions.append(len(states))
+        return real_chart(states)
+
+    monkeypatch.setattr(checks, "random_qubit_tuple", draw)
+    monkeypatch.setattr(geometry, "state_to_bloch", chart)
+    checks.random_triangle(np.random.default_rng(3), 200, max_area=1.0)
+    assert len(draws) > 1
+    assert conversions == [k for k in draws for _ in range(3)]

@@ -17,7 +17,7 @@ leave are compared.  The invocations are
 * a sweep of each experiment's parameter that those configs do not
   sweep: ``two-photon`` ``lam``, ``triangle`` ``r``, ``pair`` ``alpha``
   and ``mixed`` ``angle``, each in csv and json;
-* sixteen rejected configs, flags and seeds, which exit 2 or 3.
+* seventeen rejected configs, flags and seeds, which exit 2 or 3.
 
 One line is printed per invocation, with the parent's exit code and what
 differs, then a summary.  The exit code is 1 on any difference, else 0.
@@ -80,6 +80,8 @@ REJECTED = {
                         {"theta": 0.5, "phi": 7.0, "subdivisions": 64}}, []),
     "degenerate triangle": ({"experiment": "triangle", "parameters":
                              {"vertices": [OCTANT[0]] * 3}}, []),
+    "triangle r 0": ({"experiment": "triangle", "parameters":
+                      {"vertices": OCTANT, "r": 0}}, []),
     "jobs 0": ({"experiment": "mixed", "parameters": {"r": [0.1, 0.2],
                                                       "angle": 1.0}},
                ["--jobs", "0"]),
