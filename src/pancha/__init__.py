@@ -19,7 +19,7 @@ _EXPORTS = {
              "matrix_exponential_su2", "orthogonal_complement",
              "principal_angle", "qubit_density", "state_to_bloch", "tensor",
              "wrap_angle"),
-    "dual": ("apply_arm_fields", "dual_coincidence_profile",
+    "dual": ("analyser_intensities", "apply_arm_fields",
              "dual_phase_closed_form", "prepare_beam_state"),
     "errors": ("AntipodalEndpointsError", "AntipodalPointsError",
                "BranchAmbiguityError", "DegenerateSpectrumError",
@@ -30,7 +30,7 @@ _EXPORTS = {
     "geometry": ("SphericalTriangle", "bargmann_invariant", "geodesic_unitary",
                  "loop_holonomy", "mixed_bargmann", "mixed_solid_angle_phase",
                  "multi_vertex_invariant", "solid_angle"),
-    "phase": ("EPS_ORTH", "InterferenceProfile", "PhaseResult", "fit_fringe",
+    "phase": ("EPS_ORTH", "PhaseResult", "fit_fringe",
               "mixed_interference_profile", "mixed_phase",
               "pancharatnam_phase", "pure_interference_profile"),
     "transport": ("DiscretePath", "PrecessionSpec", "chain_phase",

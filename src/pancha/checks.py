@@ -47,7 +47,6 @@ from .core import (
 from .dual import (
     analyser_intensities,
     apply_arm_fields,
-    dual_coincidence_profile,
     dual_phase_closed_form,
     predicted_final_state,
     prepare_beam_state,
@@ -69,6 +68,7 @@ from .geometry import (
 from .phase import (
     _chi_grid,
     _trace_profile,
+    fit_fringe,
     mixed_interference_profile,
     mixed_phase,
     pancharatnam_phase,
@@ -178,9 +178,13 @@ def _first_kept(n, draw):
     return tuple(np.concatenate(rows) for rows in zip(*parts))
 
 
-def random_qubit_tuple(rng, n, count, min_overlap=0.05):
+#: least overlap modulus the samplers keep between cyclic neighbours
+MIN_OVERLAP = 0.05
+
+
+def random_qubit_tuple(rng, n, count):
     """n tuples of ``count`` Haar states, shape (n, count, 2), whose
-    cyclic-neighbour and closing overlaps stay away from zero.
+    cyclic-neighbour and closing overlaps exceed MIN_OVERLAP in modulus.
 
     Tuples are drawn in blocks and accepted in draw order, so the result
     is what drawing one tuple at a time would accept.
@@ -192,17 +196,17 @@ def random_qubit_tuple(rng, n, count, min_overlap=0.05):
     def draw(k):
         states = haar_state(rng, shape=(k, count))
         overlaps = inner_product(states[:, first], states[:, second])
-        return (states[(np.abs(overlaps) > min_overlap).all(axis=1)],)
+        return (states[(np.abs(overlaps) > MIN_OVERLAP).all(axis=1)],)
 
     return _first_kept(n, draw)[0]
 
 
-def random_triangle(rng, n, min_overlap=0.05, max_area=2.0 * np.pi - 0.1):
+def random_triangle(rng, n, max_area=2.0 * np.pi - 0.1):
     """n random vertex triples as one batched triangle, with their signed
     solid angles, all below max_area in magnitude; accepted in draw
     order, like random_qubit_tuple."""
     def draw(k):
-        states = random_qubit_tuple(rng, k, 3, min_overlap)
+        states = random_qubit_tuple(rng, k, 3)
         tri = SphericalTriangle.from_states(*states.swapaxes(0, 1))
         omega = solid_angle(tri)
         keep = np.abs(omega) < max_area
@@ -305,8 +309,8 @@ def check_mixed_profile_routes(seed, n=200, n_chi=64):
     m = rng.standard_normal((2, n, 2, 2))
     rho = qubit_density(r, axes / np.sqrt(_dot(axes, axes))[..., None])
     u = _haar_unitary(m[0] + 1j * m[1])
-    profile = mixed_interference_profile(rho, u, chis)
-    yield np.abs(profile.intensities - _trace_profile(rho, u, chis))
+    yield np.abs(mixed_interference_profile(rho, u, chis)
+                 - _trace_profile(rho, u, chis))
 
 
 @_battery("mixed", "weighted invariant matches arctan law", 1e-8)
@@ -395,7 +399,7 @@ def check_pair_oracle(seed, n=500):
 
 @_battery("two-photon", "maximally entangled phases pinned to {0, pi}", 1e-8)
 def check_maximal_entanglement_quantisation(seed, n=300):
-    """At lam = 1/2 every defined pair phase is 0 or pi."""
+    """At lam = 1/2 every pair phase of visibility above 1e-6 is 0 or pi."""
     rng = np.random.default_rng([seed, 10])
 
     def draw(k):
@@ -433,11 +437,12 @@ def check_franson_fringe(seed, n=100, n_chi=64):
             np.broadcast_to(grid, (phase.size, n_chi)),
             np.stack([phase, phase + np.pi], axis=-1),
         ], axis=-1)
-        profile = franson_coincidence_profile(lam[keep], tri_a[keep],
-                                              tri_ap[keep], chis)
-        swing = profile.intensities.max(axis=-1) - profile.intensities.min(axis=-1)
-        return (np.abs(wrap_angle(profile.extracted.phase - phase)),
-                np.abs(profile.extracted.visibility - vis),
+        intensities = franson_coincidence_profile(lam[keep], tri_a[keep],
+                                                  tri_ap[keep], chis)
+        fitted = fit_fringe(chis, intensities)
+        swing = intensities.max(axis=-1) - intensities.min(axis=-1)
+        return (np.abs(wrap_angle(fitted.phase - phase)),
+                np.abs(fitted.visibility - vis),
                 np.abs(swing - 4.0 * vis))
 
     yield from _first_kept(n, draw)
@@ -582,7 +587,8 @@ def check_dual_fringe(seed, n_chi=64):
     """End-to-end summed-analyser fringe recovers the closed forms."""
     theta, dphi = _dual_grid()
     closed = dual_phase_closed_form(theta, dphi)
-    fitted = dual_coincidence_profile(theta, dphi, _chi_grid(n_chi)).extracted
+    chis = _chi_grid(n_chi)
+    fitted = fit_fringe(chis, analyser_intensities(theta, dphi, chis)[0])
     yield np.abs(wrap_angle(fitted.phase - closed.phase))
     yield np.abs(fitted.visibility - closed.visibility)
 

@@ -279,10 +279,8 @@ def _record(plan: RunPlan, results: dict, oracle_deltas: dict) -> dict:
 def _single_record(plan: RunPlan, outcome: ExperimentOutcome) -> dict:
     results = dict(outcome.results)
     if outcome.profile is not None:
-        results["profile"] = {
-            "chi": outcome.profile.chis.tolist(),
-            "intensity": outcome.profile.intensities.tolist(),
-        }
+        chis, intensities = outcome.profile
+        results["profile"] = {"chi": chis.tolist(), "intensity": intensities.tolist()}
     return _record(plan, results, dict(outcome.oracle_deltas))
 
 
@@ -303,8 +301,8 @@ def _single_columns(outcome: ExperimentOutcome) -> dict[str, list]:
     each scalar result and oracle delta repeated down the rows."""
     columns, rows = {}, 1
     if outcome.profile is not None:
-        columns = {"chi": outcome.profile.chis.tolist(),
-                   "intensity": outcome.profile.intensities.tolist()}
+        chis, intensities = outcome.profile
+        columns = {"chi": chis.tolist(), "intensity": intensities.tolist()}
         rows = len(columns["chi"])
     scalars = {**outcome.results,
                **{f"delta_{k}": v for k, v in outcome.oracle_deltas.items()}}

@@ -11,9 +11,9 @@ So one closed form, ``dual_phase_closed_form(theta, angle)``, states the
 relative-phase law of both arrangements; the overlaps of each one's
 explicitly built states and the end-to-end analyser fringe are the
 independent routes ``pancha.checks`` compares against it.  The analyser
-pass builds the final states once: ``analyser_intensities`` reads both
-spin channels from them, ``dual_coincidence_profile`` only the spin-up
-one.
+pass builds the final states once and ``analyser_intensities`` reads
+both spin channels from them; the spin-up channel is the fringe that
+``fit_fringe`` reads the phase from.
 Every kernel takes the angles it computes on: the splitter tilt theta
 (``prepare_beam_state(theta)``), the two beams' field angles
 (``apply_arm_fields(psi, varphi0, varphi1)``,
@@ -29,12 +29,7 @@ import numpy as np
 
 from .core import KET_MINUS_Z, KET_PLUS_Z, tensor
 from .errors import OrthogonalStatesError
-from .phase import (
-    InterferenceProfile,
-    PhaseResult,
-    fit_fringe,
-    tilted_overlap,
-)
+from .phase import PhaseResult, tilted_overlap
 
 
 def spin_arm_states(theta, varphi) -> tuple[np.ndarray, np.ndarray]:
@@ -154,11 +149,3 @@ def analyser_intensities(theta, delta_phi, chis) -> tuple[np.ndarray, np.ndarray
     """
     psi = _analyser_states(theta, delta_phi, np.asarray(chis, dtype=float))
     return _channel(psi, 0), _channel(psi, 1)
-
-
-def dual_coincidence_profile(theta, delta_phi, chis) -> InterferenceProfile:
-    """Spin-up analyser fringe of ``analyser_intensities`` with its fit;
-    the spin-down channel is not formed."""
-    chis = np.asarray(chis, dtype=float)
-    up = _channel(_analyser_states(theta, delta_phi, chis), 0)
-    return InterferenceProfile(chis, up, fit_fringe(chis, up))

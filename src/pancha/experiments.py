@@ -28,7 +28,6 @@ from .core import (
 )
 from .errors import UndefinedRatioError
 from .phase import (
-    InterferenceProfile,
     _chi_grid,
     _trace_profile,
     fit_fringe,
@@ -41,11 +40,12 @@ from .phase import (
 
 @dataclass
 class ExperimentOutcome:
-    """Scalar results, oracle deltas, and an optional fringe profile."""
+    """Scalar results, oracle deltas, and an optional fringe profile: the
+    (chis, intensities) pair the fitted phase was read from."""
 
     results: dict[str, float]
     oracle_deltas: dict[str, float]
-    profile: InterferenceProfile | None = None
+    profile: tuple[np.ndarray, np.ndarray] | None = None
     #: result keys that are phases (get an unwrapped twin in sweeps)
     phase_keys: tuple[str, ...] = field(default=())
 
@@ -63,8 +63,9 @@ def run_pair(theta_a, phi_a, theta_b, phi_b, alpha=0.0,
     a = bloch_to_state(BlochPoint(theta_a, phi_a))
     b = np.exp(1j * alpha) * bloch_to_state(BlochPoint(theta_b, phi_b))
     direct = pancharatnam_phase(a, b)
-    profile = pure_interference_profile(a, b, _chi_grid(samples))
-    fitted = profile.extracted
+    chis = _chi_grid(samples)
+    intensities = pure_interference_profile(a, b, chis)
+    fitted = fit_fringe(chis, intensities)
     return ExperimentOutcome(
         results={
             "phase": direct.phase,
@@ -76,7 +77,7 @@ def run_pair(theta_a, phi_a, theta_b, phi_b, alpha=0.0,
             "fit_vs_overlap_phase": abs(wrap_angle(fitted.phase - direct.phase)),
             "fit_vs_overlap_visibility": abs(fitted.visibility - direct.visibility),
         },
-        profile=profile,
+        profile=(chis, intensities),
         phase_keys=("phase", "fitted_phase"),
     )
 
@@ -86,9 +87,10 @@ def run_mixed(r, angle, axis=(0.0, 0.0, 1.0), samples=64) -> ExperimentOutcome:
     rho = qubit_density(r)
     u = matrix_exponential_su2(np.asarray(axis, dtype=float), angle)
     direct = mixed_phase(rho, u)
-    profile = mixed_interference_profile(rho, u, _chi_grid(samples))
-    fitted = profile.extracted
-    closed = _trace_profile(rho, u, profile.chis)
+    chis = _chi_grid(samples)
+    intensities = mixed_interference_profile(rho, u, chis)
+    fitted = fit_fringe(chis, intensities)
+    closed = _trace_profile(rho, u, chis)
     return ExperimentOutcome(
         results={
             "phase": direct.phase,
@@ -97,11 +99,11 @@ def run_mixed(r, angle, axis=(0.0, 0.0, 1.0), samples=64) -> ExperimentOutcome:
             "fitted_visibility": fitted.visibility,
         },
         oracle_deltas={
-            "profile_routes_max": float(np.abs(profile.intensities - closed).max()),
+            "profile_routes_max": float(np.abs(intensities - closed).max()),
             "fit_vs_trace_phase": abs(wrap_angle(fitted.phase - direct.phase)),
             "fit_vs_trace_visibility": abs(fitted.visibility - direct.visibility),
         },
-        profile=profile,
+        profile=(chis, intensities),
         phase_keys=("phase", "fitted_phase"),
     )
 
@@ -148,8 +150,9 @@ def run_two_photon(lam, triangle_a, triangle_a_prime,
     omega, omega_prime = map(solid_angle, loops)
     closed = entangled_phase_closed_form(lam, omega, omega_prime)
     sim = simulate_loop_pair(lam, *loops)
-    profile = franson_coincidence_profile(lam, *loops, _chi_grid(samples))
-    fitted = profile.extracted
+    chis = _chi_grid(samples)
+    intensities = franson_coincidence_profile(lam, *loops, chis)
+    fitted = fit_fringe(chis, intensities)
     try:
         ratio = nonlinearity_ratio(lam, omega, omega_prime)
     except UndefinedRatioError:
@@ -172,7 +175,7 @@ def run_two_photon(lam, triangle_a, triangle_a_prime,
             "fit_vs_closed_phase": abs(wrap_angle(fitted.phase - closed.phase)),
             "fit_vs_closed_visibility": abs(fitted.visibility - closed.visibility),
         },
-        profile=profile,
+        profile=(chis, intensities),
         phase_keys=("phase", "simulated_phase", "fitted_phase"),
     )
 
@@ -224,8 +227,7 @@ def run_dual(theta, delta_phi, samples=64) -> ExperimentOutcome:
     closed = dual_phase_closed_form(theta, delta_phi)
     chis = _chi_grid(samples)
     up, down = analyser_intensities(theta, delta_phi, chis)
-    profile = InterferenceProfile(chis, up, fit_fringe(chis, up))
-    fitted = profile.extracted
+    fitted = fit_fringe(chis, up)
     a_plus, a_minus = spatial_vectors(theta, delta_phi)
     directs = (pancharatnam_phase(a_minus, a_plus),
                pancharatnam_phase(*spin_arm_states(theta, delta_phi)))
@@ -248,7 +250,7 @@ def run_dual(theta, delta_phi, samples=64) -> ExperimentOutcome:
                                       for d in directs),
             "channel_sum_max_dev": float(np.abs(up + down - 4.0).max()),
         },
-        profile=profile,
+        profile=(chis, up),
         phase_keys=("phase", "fitted_phase", "spin_arm_phase"),
     )
 

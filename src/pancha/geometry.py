@@ -349,8 +349,8 @@ def mixed_bargmann(t: SphericalTriangle, r):
     Raises:
         AntipodalPointsError: for antipodal a, b or b, c of a single
             triangle, before any radius is looked at.
-        ValueError: for weights off [0, 1] or not summing to 1, within
-            1e-12 (any r beyond [-1, 1] by more than about 2e-12).
+        ValueError: for |r| > 1 + 2e-12, where the weights fall off
+            [0, 1] (a NaN radius passes this test).
         DegenerateSpectrumError: for a single radius with |r| < 1e-12.
         OrthogonalStatesError: if any diagonal transport overlap, link
             or the weighted sum of a single triangle vanishes or is NaN
@@ -360,10 +360,9 @@ def mixed_bargmann(t: SphericalTriangle, r):
     a, b, c = (p.unit_vector() for p in (t.a, t.b, t.c))
     u = _arc_rotation(b, c) @ _arc_rotation(a, b)
     r = np.asarray(r, dtype=float)
-    w = np.stack([(1.0 + r) / 2.0, (1.0 - r) / 2.0], axis=-1)
-    if ((np.abs(w.sum(axis=-1) - 1.0) > 1e-12).any() or (w < -1e-12).any()
-            or (w > 1 + 1e-12).any()):
+    if (np.abs(r) > 1.0 + 2e-12).any():
         raise ValueError("weights must lie in [0, 1] and sum to 1")
+    w = np.stack([(1.0 + r) / 2.0, (1.0 - r) / 2.0], axis=-1)
     degenerate = undefined_rows(
         np.abs(w[..., 0] - w[..., 1]) < 1e-12, DegenerateSpectrumError,
         "weights 0 and 1 coincide; eigenbases not unique")

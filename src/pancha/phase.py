@@ -9,12 +9,13 @@ and it generalizes to a unitarily evolved mixed state as arg Tr(U rho)
 with fringe contrast |Tr(U rho)|.  Interference profiles here are always
 computed by direct state arithmetic, so the closed forms above stay
 testable claims rather than baked-in assumptions; the comparisons live
-in ``pancha.checks``.
+in ``pancha.checks``.  A profile is its intensities: the phase is read
+off them by ``fit_fringe`` where the reading is used.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,15 +38,13 @@ EPS_ORTH = 1e-9
 class PhaseResult:
     """A relative phase with its fringe visibility.
 
-    ``phase`` is on the principal branch (-pi, pi].  When ``defined`` is
-    False the visibility fell below EPS_ORTH and ``phase`` is NaN; it
-    must not be consumed.  A batch holds one array per field, row by
-    row.
+    ``phase`` is on the principal branch (-pi, pi].  An undefined phase,
+    whose visibility fell below EPS_ORTH or could not be read, is NaN and
+    must not be consumed.  A batch holds one array per field, row by row.
     """
 
     phase: float
     visibility: float
-    defined: bool = True
 
     @classmethod
     def from_overlap(cls, z, error) -> "PhaseResult":
@@ -55,19 +54,8 @@ class PhaseResult:
         vis = np.hypot(np.real(z), np.imag(z))  # bit for bit abs(z); np.abs is not
         vanishing = undefined_rows(~(vis >= EPS_ORTH), error, lambda: (
             f"overlap modulus {vis:.3e} below {EPS_ORTH:.0e}"))
-        phase = mark_undefined(principal_angle(z), vanishing)
-        if vanishing.ndim == 0:
-            return cls(phase, float(vis))
-        return cls(phase, vis, ~vanishing)
-
-
-@dataclass(frozen=True)
-class InterferenceProfile:
-    """Sampled intensity-versus-chi record with the fitted readout."""
-
-    chis: np.ndarray
-    intensities: np.ndarray
-    extracted: PhaseResult = field(repr=False)
+        return cls(mark_undefined(principal_angle(z), vanishing),
+                   float(vis) if vanishing.ndim == 0 else vis)
 
 
 def tilted_overlap(half, k):
@@ -104,30 +92,17 @@ def _chi_grid(samples) -> np.ndarray:
     return np.linspace(0.0, 2.0 * np.pi, int(samples), endpoint=False)
 
 
-def _two_beam_intensities(a, b, chis) -> np.ndarray:
-    """|e^{i chi} a + b|^2 for every chi, by direct state arithmetic;
-    rowwise for (..., d) states with (..., n) grids."""
-    superposed = (np.exp(1j * chis)[..., :, None] * a[..., None, :]
-                  + b[..., None, :])
-    return np.einsum("...ij,...ij->...i", superposed.conj(), superposed).real
+def pure_interference_profile(a, b, chis) -> np.ndarray:
+    """Two-beam intensities |e^{i chi} a + b|^2 sampled by direct arithmetic.
 
-
-def pure_interference_profile(a, b, chis) -> InterferenceProfile:
-    """Two-beam profile |e^{i chi} a + b|^2 sampled by direct arithmetic.
-
-    Orthogonal states are allowed: the profile is flat and the extracted
-    result is marked undefined.  Rowwise over (..., d) states, against a
-    shared (n,) grid or one row of a (..., n) grid each.
-
-    Raises:
-        IllConditionedError: from ``fit_fringe``, for a single profile on
-            a grid that cannot carry the fit.
+    Orthogonal states are allowed: the profile is flat and its fit reads
+    a NaN phase.  Rowwise over (..., d) states, against a shared (n,)
+    grid or one row of a (..., n) grid each, giving (..., n) intensities.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    chis = np.asarray(chis, dtype=float)
-    intensities = _two_beam_intensities(a, b, chis)
-    return InterferenceProfile(chis, intensities, fit_fringe(chis, intensities))
+    shift = np.exp(1j * np.asarray(chis, dtype=float))[..., :, None]
+    superposed = (shift * np.asarray(a, dtype=complex)[..., None, :]
+                  + np.asarray(b, dtype=complex)[..., None, :])
+    return np.einsum("...ij,...ij->...i", superposed.conj(), superposed).real
 
 
 def trace_overlap(rho, u):
@@ -158,8 +133,8 @@ def mixed_phase(rho: np.ndarray, u: np.ndarray) -> PhaseResult:
     return PhaseResult.from_overlap(trace_overlap(rho, u), VanishingTraceError)
 
 
-def mixed_interference_profile(rho, u, chis) -> InterferenceProfile:
-    """Mixed-state profile as an eigen-ensemble of pure-state profiles.
+def mixed_interference_profile(rho, u, chis) -> np.ndarray:
+    """Mixed-state intensities as an eigen-ensemble of pure-state profiles.
 
     Eigendecomposes rho and adds the weighted pure-state profiles of each
     eigenvector against its image under U.  The trace closed form
@@ -179,9 +154,8 @@ def mixed_interference_profile(rho, u, chis) -> InterferenceProfile:
                    "rho must be finite and hermitian, with a finite eigendecomposition")
     vectors = basis.swapaxes(-1, -2)  # one eigenvector per row
     images = (u[..., None, :, :] @ vectors[..., :, None])[..., 0]
-    profiles = _two_beam_intensities(vectors, images, chis[..., None, :])
-    simulated = (weights[..., None] * profiles).sum(axis=-2)
-    return InterferenceProfile(chis, simulated, fit_fringe(chis, simulated))
+    profiles = pure_interference_profile(vectors, images, chis[..., None, :])
+    return (weights[..., None] * profiles).sum(axis=-2)
 
 
 def fit_fringe(chis, intensities) -> PhaseResult:
@@ -197,8 +171,8 @@ def fit_fringe(chis, intensities) -> PhaseResult:
 
     Raises:
         IllConditionedError: for a single row with fewer than three
-            distinct chi or a rank-deficient design; a batch marks such
-            rows NaN (``defined`` False).
+            distinct chi or a rank-deficient design; a batch gives such
+            rows a NaN phase and visibility.
         ValueError: if chis is neither an (n,) grid nor one per row.
     """
     chis = np.asarray(chis, dtype=float)
@@ -222,7 +196,6 @@ def fit_fringe(chis, intensities) -> PhaseResult:
     c0, c1, c2 = np.moveaxis((pinv @ intensities[..., None])[..., 0], -1, 0)
     visibility = np.divide(np.hypot(c1, c2), c0, where=c0 > EPS_ORTH,
                            out=np.where(np.isnan(c0), np.nan, 0.0))
-    defined = ~unfitted & (visibility >= EPS_ORTH)
-    return PhaseResult(mark_undefined(np.arctan2(c2, c1), ~defined),
-                       mark_undefined(visibility, unfitted),
-                       bool(defined) if defined.ndim == 0 else defined)
+    return PhaseResult(mark_undefined(np.arctan2(c2, c1),
+                                      unfitted | ~(visibility >= EPS_ORTH)),
+                       mark_undefined(visibility, unfitted))

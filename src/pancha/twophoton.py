@@ -9,9 +9,10 @@ vertex fixes its photon's Schmidt basis, so a pair is given by lam and
 its two loops: ``simulate_loop_pair(lam, triangle_a, triangle_a_prime)``
 and ``franson_coincidence_profile(lam, triangle_a, triangle_a_prime,
 chis)`` take the weight (a number or an array) and two
-``SphericalTriangle`` (one or a batch).  Closed forms here are always
-checked against direct four-dimensional simulation in the test
-batteries.
+``SphericalTriangle`` (one or a batch); the profile is the coincidence
+intensities, off which ``fit_fringe`` reads the pair phase.  Closed
+forms here are always checked against direct four-dimensional
+simulation in the test batteries.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import (
 from .geometry import _eigenbasis, loop_holonomy
 from .phase import (
     EPS_ORTH,
-    InterferenceProfile,
     PhaseResult,
     pancharatnam_phase,
     pure_interference_profile,
@@ -140,14 +140,15 @@ def ancilla_reduction_phase(lam, omega):
 
 
 def franson_coincidence_profile(lam, triangle_a, triangle_a_prime,
-                                chis) -> InterferenceProfile:
-    """Coincidence profile |e^{i chi} initial + final|^2 of the photon pair.
+                                chis) -> np.ndarray:
+    """Coincidence intensities |e^{i chi} initial + final|^2 of the photon pair.
 
     Models simultaneous arrivals in a two-arm delay interferometer: both
     photons short (initial state, carrying the U(1) shift) or both long
-    (loop-evolved state).  Sampled by direct 4-dim arithmetic; the fitted
-    phase and visibility recover the closed forms.  Array lam and batched
-    triangles take one row of a (..., n) grid each.
+    (loop-evolved state).  Sampled by direct 4-dim arithmetic; the phase
+    and visibility that ``fit_fringe`` reads off them recover the closed
+    forms.  Array lam and batched triangles take one row of a (..., n)
+    grid each.
     """
     return pure_interference_profile(
         *_pair_transport(lam, triangle_a, triangle_a_prime), chis)

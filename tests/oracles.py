@@ -16,12 +16,16 @@ place: ``_swept_area``, ``_precession_states``, ``_link_phases``,
 ``validate(path)``).  Then the mixed-state triangle law as it was built
 through a ``MixedTriple`` carrier that re-validated its own data:
 ``qubit_mixed_triple``, ``MixedTriple.validate`` (with ``_coinciding``
-and ``_require_orthonormal``) and ``mixed_bargmann(mt)``.  Last,
+and ``_require_orthonormal``) and ``mixed_bargmann(mt)``.  Then
 ``checks.random_triangle`` as it was when it converted the kept states
-to Bloch angles a second time.
+to Bloch angles a second time (it passes the samplers' overlap floor on
+as the default it always was).  Last, the fringe readout as it was when
+a profile carried its own fit: ``PhaseResult`` with its ``defined``
+flag (and ``from_overlap``), ``fit_fringe``, ``InterferenceProfile`` and
+``dual_coincidence_profile``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,13 +36,15 @@ from pancha.core import (
     haar_state,
     hermitian_rows,
     mark_undefined,
+    principal_angle,
     undefined_rows,
     wrap_angle,
 )
-from pancha.dual import spin_arm_states
+from pancha.dual import _analyser_states, _channel, spin_arm_states
 from pancha.errors import (
     DegenerateSpectrumError,
     DegenerateTriangleError,
+    IllConditionedError,
     OrthogonalStatesError,
 )
 from pancha.geometry import (
@@ -96,8 +102,8 @@ def product_loop_phase(omega, omega_prime) -> float:
 
 
 def spin_interference_profile(theta, varphi, chis):
-    """Two-beam fringe |e^{i chi} initial + precessed|^2 of the spin arm,
-    by direct arithmetic."""
+    """Two-beam fringe intensities |e^{i chi} initial + precessed|^2 of the
+    spin arm, by direct arithmetic."""
     return pure_interference_profile(*spin_arm_states(theta, varphi), chis)
 
 
@@ -290,12 +296,74 @@ def qubit_mixed_triple(t: SphericalTriangle, r) -> MixedTriple:
 # checks.random_triangle before it kept the triangle it drew, verbatim
 
 
-def random_triangle(rng, n, min_overlap=0.05, max_area=2.0 * np.pi - 0.1):
+def random_triangle(rng, n, max_area=2.0 * np.pi - 0.1):
     def draw(k):
-        states = checks.random_qubit_tuple(rng, k, 3, min_overlap)
+        states = checks.random_qubit_tuple(rng, k, 3)
         omega = solid_angle(SphericalTriangle.from_states(*states.swapaxes(0, 1)))
         keep = np.abs(omega) < max_area
         return states[keep], omega[keep]
 
     states, omega = checks._first_kept(n, draw)
     return SphericalTriangle.from_states(*states.swapaxes(0, 1)), omega
+
+
+# ---------------------------------------------------------------------------
+# the fringe readout before a profile became its intensities, verbatim
+
+
+@dataclass(frozen=True)
+class PhaseResult:
+    phase: float
+    visibility: float
+    defined: bool = True
+
+    @classmethod
+    def from_overlap(cls, z, error) -> "PhaseResult":
+        vis = np.hypot(np.real(z), np.imag(z))  # bit for bit abs(z); np.abs is not
+        vanishing = undefined_rows(~(vis >= EPS_ORTH), error, lambda: (
+            f"overlap modulus {vis:.3e} below {EPS_ORTH:.0e}"))
+        phase = mark_undefined(principal_angle(z), vanishing)
+        if vanishing.ndim == 0:
+            return cls(phase, float(vis))
+        return cls(phase, vis, ~vanishing)
+
+
+@dataclass(frozen=True)
+class InterferenceProfile:
+    chis: np.ndarray
+    intensities: np.ndarray
+    extracted: PhaseResult = field(repr=False)
+
+
+def fit_fringe(chis, intensities) -> PhaseResult:
+    chis = np.asarray(chis, dtype=float)
+    intensities = np.asarray(intensities, dtype=float)
+    if intensities.ndim == 0 or chis.shape not in (intensities.shape[-1:],
+                                                   intensities.shape):
+        raise ValueError("chis must be an (n,) grid or one grid per row")
+    rows = intensities.shape[:-1]
+    distinct = 1 + np.count_nonzero(np.diff(np.sort(chis)), axis=-1)
+    u, s, vt = np.linalg.svd(np.stack([np.ones_like(chis), np.cos(chis), np.sin(chis)],
+                                      axis=-1), full_matrices=False)
+    kept = s > s[..., :1] * (np.finfo(float).eps * max(chis.shape[-1], 3))
+    rank = np.count_nonzero(kept, axis=-1)
+    unfitted = undefined_rows(np.broadcast_to(distinct < 3, rows), IllConditionedError,
+                              "need at least 3 distinct chi samples")
+    unfitted = unfitted | undefined_rows(np.broadcast_to(rank < 3, rows),
+                                         IllConditionedError,
+                                         lambda: f"design matrix rank {rank} < 3")
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+    pinv = (vt.swapaxes(-1, -2) * s_inv[..., None, :]) @ u.swapaxes(-1, -2)
+    c0, c1, c2 = np.moveaxis((pinv @ intensities[..., None])[..., 0], -1, 0)
+    visibility = np.divide(np.hypot(c1, c2), c0, where=c0 > EPS_ORTH,
+                           out=np.where(np.isnan(c0), np.nan, 0.0))
+    defined = ~unfitted & (visibility >= EPS_ORTH)
+    return PhaseResult(mark_undefined(np.arctan2(c2, c1), ~defined),
+                       mark_undefined(visibility, unfitted),
+                       bool(defined) if defined.ndim == 0 else defined)
+
+
+def dual_coincidence_profile(theta, delta_phi, chis) -> InterferenceProfile:
+    chis = np.asarray(chis, dtype=float)
+    up = _channel(_analyser_states(theta, delta_phi, chis), 0)
+    return InterferenceProfile(chis, up, fit_fringe(chis, up))

@@ -29,7 +29,7 @@ from pancha.geometry import (
     mixed_solid_angle_phase,
     solid_angle,
 )
-from pancha.phase import tilted_overlap
+from pancha.phase import fit_fringe, tilted_overlap
 from pancha.twophoton import (
     ancilla_reduction_phase,
     entangled_phase_closed_form,
@@ -157,7 +157,7 @@ class TestBatchedKernelsMatchScalarCalls:
             single = simulate_loop_pair(lam[k], row(tri_a, k), row(tri_ap, k))
             assert abs(wrap_angle(rows.phase[k] - single.phase)) <= 1e-14
             assert abs(rows.visibility[k] - single.visibility) <= 1e-14
-        assert rows.defined.all()
+        assert not np.isnan(rows.phase).any()
 
     def test_closed_forms(self):
         rng = np.random.default_rng(24)
@@ -213,12 +213,11 @@ class TestUndefinedRows:
                                    BlochPoint(np.pi / 2, np.pi / 4))
         # areas pi/2 + pi/2 = pi at lam = 1/2 turn the pair orthogonal
         sim = simulate_loop_pair(0.5, stack(octant, eighth), stack(octant, octant))
-        assert not sim.defined[0] and np.isnan(sim.phase[0])
-        assert sim.defined[1] and np.isfinite(sim.phase[1])
+        assert np.isnan(sim.phase[0]) and np.isfinite(sim.phase[1])
         closed = entangled_phase_closed_form(np.array([0.5, 0.5]),
                                              np.array([np.pi / 2, np.pi / 4]),
                                              np.pi / 2)
-        np.testing.assert_array_equal(closed.defined, [False, True])
+        np.testing.assert_array_equal(np.isnan(closed.phase), [True, False])
 
     def test_closed_form_domains(self):
         got = mixed_solid_angle_phase(np.array([0.0, 0.5, 0.5]),
@@ -234,9 +233,11 @@ def test_empty_batches_give_empty_rows():
     tri, _ = checks.random_triangle(np.random.default_rng(28), 2)
     none = np.zeros(2, dtype=bool)
     assert simulate_loop_pair(np.zeros(0), tri[none], tri[none]).phase.shape == (0,)
+    chis = np.zeros((0, 8))
     profile = twophoton.franson_coincidence_profile(np.zeros(0), tri[none],
-                                                    tri[none], np.zeros((0, 8)))
-    assert profile.extracted.visibility.shape == (0,)
+                                                    tri[none], chis)
+    assert profile.shape == (0, 8)
+    assert fit_fringe(chis, profile).visibility.shape == (0,)
     assert solid_angle(tri[none]).shape == (0,)
     assert mixed_bargmann(tri[none], 0.5).shape == (0,)
 

@@ -10,7 +10,9 @@ import pytest
 
 from pancha import cli
 from pancha.cli import PARAM_DOMAINS, PARAM_SCHEMAS, main
+from pancha.dual import analyser_intensities
 from pancha.experiments import RUNNERS
+from pancha.phase import _chi_grid, fit_fringe
 
 OCTANT_VERTICES = [[0.0, 0.0], [np.pi / 2, 0.0], [np.pi / 2, np.pi / 2]]
 
@@ -88,6 +90,26 @@ class TestRunVerb:
         row = dict(zip(header, rows[0]))
         assert row["visibility"] == pytest.approx(1 / np.sqrt(2), abs=1e-9)
         assert row["delta_fit_vs_overlap_phase"] < 1e-8
+
+    @pytest.mark.parametrize("experiment, parameters", [
+        ("pair", {"theta_a": 0.3, "phi_a": 0.0, "theta_b": 1.1, "phi_b": 0.4}),
+        ("mixed", {"r": 0.6, "angle": 1.2, "axis": (0.0, 0.6, 0.8)}),
+        ("two-photon", {"lam": 0.25, "triangle_a": OCTANT_VERTICES,
+                        "triangle_a_prime": [[0.4, 0.2], [1.2, 0.9], [0.8, 2.1]]}),
+        ("dual", {"theta": 0.7, "delta_phi": 1.3}),
+    ])
+    def test_profile_is_the_fringe_the_phase_is_read_from(self, experiment,
+                                                            parameters):
+        outcome = RUNNERS[experiment](**parameters, samples=24)
+        chis, intensities = outcome.profile
+        np.testing.assert_array_equal(chis, _chi_grid(24))
+        fitted = fit_fringe(chis, intensities)
+        assert (fitted.phase, fitted.visibility) == (
+            outcome.results["fitted_phase"], outcome.results["fitted_visibility"])
+        if experiment == "dual":
+            up = analyser_intensities(parameters["theta"], parameters["delta_phi"],
+                                      chis)[0]
+            assert intensities.tobytes() == up.tobytes()
 
 
 class TestValidation:

@@ -6,7 +6,6 @@ from pancha.core import haar_state, tensor, wrap_angle
 from pancha.dual import (
     analyser_intensities,
     apply_arm_fields,
-    dual_coincidence_profile,
     dual_phase_closed_form,
     predicted_final_state,
     prepare_beam_state,
@@ -15,7 +14,7 @@ from pancha.dual import (
 )
 from pancha.errors import OrthogonalStatesError
 from pancha.experiments import run_dual
-from pancha.phase import pancharatnam_phase, tilted_overlap
+from pancha.phase import fit_fringe, pancharatnam_phase, tilted_overlap
 
 from oracles import spin_interference_profile
 
@@ -58,17 +57,16 @@ class TestSpinPancharatnam:
 class TestSpinProfile:
     def test_no_precession(self):
         profile = spin_interference_profile(0.7, 0.0, CHI_GRID)
-        np.testing.assert_allclose(profile.intensities,
-                                   2.0 + 2.0 * np.cos(CHI_GRID), atol=1e-12)
+        np.testing.assert_allclose(profile, 2.0 + 2.0 * np.cos(CHI_GRID), atol=1e-12)
 
     def test_flat_at_orthogonality(self):
         profile = spin_interference_profile(np.pi / 2, np.pi, CHI_GRID)
-        np.testing.assert_allclose(profile.intensities, 2.0, atol=1e-12)
-        assert not profile.extracted.defined
+        np.testing.assert_allclose(profile, 2.0, atol=1e-12)
+        assert np.isnan(fit_fringe(CHI_GRID, profile).phase)
 
     def test_extraction_matches_closed_form(self):
         profile = spin_interference_profile(np.pi / 3, np.pi / 2, CHI_GRID)
-        assert profile.extracted.phase == pytest.approx(-0.46365, abs=1e-5)
+        assert fit_fringe(CHI_GRID, profile).phase == pytest.approx(-0.46365, abs=1e-5)
 
 
 class TestBeamPreparation:
@@ -204,21 +202,26 @@ class TestDualClosedForm:
         assert np.linalg.norm(a_minus) == pytest.approx(1.0, abs=1e-12)
 
 
+def spin_up_profile(theta, delta_phi):
+    """The spin-up analyser fringe on CHI_GRID and its fit."""
+    up = analyser_intensities(theta, delta_phi, CHI_GRID)[0]
+    return up, fit_fringe(CHI_GRID, up)
+
+
 class TestDualProfile:
     def test_no_difference_pure_cosine(self):
-        profile = dual_coincidence_profile(np.pi / 3, 0.0, CHI_GRID)
-        np.testing.assert_allclose(profile.intensities,
-                                   2.0 + 2.0 * np.cos(CHI_GRID), atol=1e-12)
+        up, _ = spin_up_profile(np.pi / 3, 0.0)
+        np.testing.assert_allclose(up, 2.0 + 2.0 * np.cos(CHI_GRID), atol=1e-12)
 
     def test_flat_at_orthogonality(self):
-        profile = dual_coincidence_profile(np.pi / 2, np.pi, CHI_GRID)
-        np.testing.assert_allclose(profile.intensities, 2.0, atol=1e-12)
-        assert not profile.extracted.defined
+        up, fitted = spin_up_profile(np.pi / 2, np.pi)
+        np.testing.assert_allclose(up, 2.0, atol=1e-12)
+        assert np.isnan(fitted.phase)
 
     def test_worked_extraction(self):
-        profile = dual_coincidence_profile(np.pi / 3, np.pi / 2, CHI_GRID)
-        assert profile.extracted.phase == pytest.approx(-0.46365, abs=1e-5)
-        assert profile.extracted.visibility == pytest.approx(0.79057, abs=1e-5)
+        _, fitted = spin_up_profile(np.pi / 3, np.pi / 2)
+        assert fitted.phase == pytest.approx(-0.46365, abs=1e-5)
+        assert fitted.visibility == pytest.approx(0.79057, abs=1e-5)
 
     def test_channel_sum_constant(self):
         up, down = analyser_intensities(1.0, 1.3, CHI_GRID)
@@ -226,11 +229,10 @@ class TestDualProfile:
 
     def test_spin_arm_equivalence_of_extraction(self):
         # same fringe as the spin experiment with the roles interchanged
-        profile = dual_coincidence_profile(0.9, 1.7, CHI_GRID)
+        _, fitted = spin_up_profile(0.9, 1.7)
         spin = pancharatnam_phase(*spin_arm_states(0.9, 1.7))
-        assert abs(wrap_angle(profile.extracted.phase - spin.phase)) < 1e-8
-        assert profile.extracted.visibility == pytest.approx(spin.visibility,
-                                                             abs=1e-8)
+        assert abs(wrap_angle(fitted.phase - spin.phase)) < 1e-8
+        assert fitted.visibility == pytest.approx(spin.visibility, abs=1e-8)
 
     @pytest.mark.parametrize("channel", [+1, -1])
     def test_matches_per_chi_loop(self, channel):
@@ -245,9 +247,6 @@ class TestDualProfile:
             want.append(4.0 * (weights[slot] + weights[2 + slot]))
         got = analyser_intensities(theta, dphi, CHI_GRID)[slot]
         np.testing.assert_array_equal(got, want)
-        if channel == +1:
-            np.testing.assert_array_equal(
-                dual_coincidence_profile(theta, dphi, CHI_GRID).intensities, want)
 
 
 class TestAnalyserPass:
@@ -255,7 +254,7 @@ class TestAnalyserPass:
 
     @pytest.mark.parametrize("theta, dphi", [(0.7, 1.3),
                                              (np.linspace(0.2, 2.9, 5), -0.4)])
-    def test_profile_projects_only_the_spin_up_slot(self, monkeypatch, theta, dphi):
+    def test_states_are_built_once_for_both_channels(self, monkeypatch, theta, dphi):
         builds, slots = [], []
         real_states, real_channel = dual._analyser_states, dual._channel
 
@@ -269,13 +268,8 @@ class TestAnalyserPass:
 
         monkeypatch.setattr(dual, "_analyser_states", states)
         monkeypatch.setattr(dual, "_channel", channel)
-        profile = dual_coincidence_profile(theta, dphi, CHI_GRID)
-        assert (len(builds), slots) == (1, [0])
-        builds.clear()
-        slots.clear()
-        intensities = analyser_intensities(theta, dphi, CHI_GRID)
+        analyser_intensities(theta, dphi, CHI_GRID)
         assert (len(builds), slots) == (1, [0, 1])
-        np.testing.assert_array_equal(profile.intensities, intensities[0])
 
 
 class TestSpinArmStates:

@@ -4,13 +4,14 @@ replaced.
 The transport kernels ``_swept_area``, ``_precession_states``,
 ``_link_phases``, ``dynamical_phase`` and ``DiscretePath.validate``, the
 mixed-state triangle law ``mixed_bargmann(t, r)`` and the sampler
-``checks.random_triangle`` are held to the verbatim copies of their
-earlier code in ``oracles``: the same values bit for bit, the same
-undefined rows, and the same errors with the same messages in the same
-order.  ``loop_holonomy`` and ``mixed_bargmann`` form each vertex's unit
-vector once and transport by the ``geodesic_unitary`` products bit for
-bit, and the mixed solid-angle battery's one block of radii holds the
-rows of one call per radius.
+``checks.random_triangle``, and the spin-up analyser fringe with its
+``fit_fringe`` reading, are held to the verbatim copies of their earlier
+code in ``oracles``: the same values bit for bit, the same undefined
+rows, and the same errors with the same messages in the same order.
+``loop_holonomy`` and ``mixed_bargmann`` form each vertex's unit vector
+once and transport by the ``geodesic_unitary`` products bit for bit,
+and the mixed solid-angle battery's one block of radii holds the rows
+of one call per radius.
 """
 
 import numpy as np
@@ -19,9 +20,12 @@ import pytest
 import oracles
 from pancha import checks, geometry, transport
 from pancha.core import BlochPoint
+from pancha.dual import analyser_intensities
 from pancha.errors import (
     AntipodalPointsError,
     DegenerateSpectrumError,
+    IllConditionedError,
+    OrthogonalStatesError,
     PhaseDomainError,
 )
 from pancha.geometry import (
@@ -31,6 +35,7 @@ from pancha.geometry import (
     mixed_bargmann,
     mixed_solid_angle_phase,
 )
+from pancha.phase import PhaseResult, _chi_grid, fit_fringe
 from pancha.transport import (
     _BLOCK,
     DiscretePath,
@@ -439,6 +444,13 @@ MIXED_CASES = {
     "single r 1 + 1e-12": (TRIANGLES[3], 1.0 + 1e-12),
     "single r 1 + 3e-12": (TRIANGLES[3], 1.0 + 3e-12),
     "single r -1 - 1e-13": (TRIANGLES[3], -1.0 - 1e-13),
+    "single r -1 - 3e-12": (TRIANGLES[3], -1.0 - 3e-12),
+    "single r at the upper edge": (TRIANGLES[3], 1.0 + 2e-12),
+    "single r one ulp past the upper edge": (TRIANGLES[3],
+                                             np.nextafter(1.0 + 2e-12, 2)),
+    "single r at the lower edge": (TRIANGLES[3], -1.0 - 2e-12),
+    "single r one ulp past the lower edge": (TRIANGLES[3],
+                                             np.nextafter(-1.0 - 2e-12, -2)),
     "single r 1.1": (TRIANGLES[3], 1.1),
     "single r -1.1": (TRIANGLES[3], -1.1),
     "single r 0": (TRIANGLES[3], 0.0),
@@ -487,6 +499,11 @@ def test_mixed_cases_reach_every_outcome():
     assert got["single antipodal a, b, r 1.1"][1] is AntipodalPointsError
     assert got["single r 1 + 1e-12"][0] == "value"
     assert got["single r 1 + 3e-12"][1] is ValueError
+    assert got["single r -1 - 1e-13"][0] == "value"
+    assert got["single r -1 - 3e-12"][1] is ValueError
+    for side in ("upper", "lower"):
+        assert got[f"single r at the {side} edge"][0] == "value"
+        assert got[f"single r one ulp past the {side} edge"][1] is ValueError
     assert got["single r 1e-13"][1] is DegenerateSpectrumError
     assert got["single r 5e-12"][0] == "value"
     assert got["single r 0"][2] == "weights 0 and 1 coincide; eigenbases not unique"
@@ -495,6 +512,22 @@ def test_mixed_cases_reach_every_outcome():
     assert np.isfinite(np.delete(per_row, [0, 2, 4, 5])).all()
     assert got["batch, (k, 1) radii"][1].shape == (5, len(NONE))
     assert got["empty batch, (k, 1) radii"][1].shape == (2, 0)
+
+
+@pytest.mark.parametrize("edge", [1.0 + 2e-12, -1.0 - 2e-12])
+def test_radius_test_agrees_with_the_earlier_weight_tests_near_the_edge(edge):
+    """Every radius within 64 ulps of the edge is accepted or refused as
+    the earlier three tests on the weights accepted or refused it."""
+    radii = [edge]
+    for toward in (-np.inf, np.inf):
+        r = edge
+        for _ in range(64):
+            r = np.nextafter(r, toward)
+            radii.append(r)
+    t = TRIANGLES[3]
+    for r in radii:
+        assert_same_outcome(outcome(mixed_bargmann, t, r),
+                            outcome(earlier_mixed_bargmann, t, r))
 
 
 # ---------------------------------------------------------------------------
@@ -532,3 +565,72 @@ def test_random_triangle_converts_each_draw_once(monkeypatch):
     checks.random_triangle(np.random.default_rng(3), 200, max_area=1.0)
     assert len(draws) > 1
     assert conversions == [k for k in draws for _ in range(3)]
+
+
+# ---------------------------------------------------------------------------
+# the spin-up analyser fringe and its reading against dual_coincidence_profile
+
+RANK_DEFICIENT = np.array([0.0, np.pi, 2.0 * np.pi])  # sine column vanishes
+DUAL_CASES = {
+    "battery grid": (*checks._dual_grid(), _chi_grid(64)),
+    "one setup": (0.7, 0.4, _chi_grid(64)),
+    "one setup, flat fringe": (np.pi / 2, np.pi, _chi_grid(64)),
+    "rank-deficient grid, batch": (np.array([0.7, 1.9, 2.5]), -0.4, RANK_DEFICIENT),
+    "rank-deficient grid, one setup": (0.7, 0.4, RANK_DEFICIENT),
+    "empty batch": (np.zeros(0), np.zeros(0), _chi_grid(64)),
+}
+
+
+def spin_up_reading(theta, dphi, chis):
+    up = analyser_intensities(theta, dphi, chis)[0]
+    fitted = fit_fringe(chis, up)
+    return up, fitted.phase, fitted.visibility
+
+
+def earlier_spin_up_reading(theta, dphi, chis):
+    profile = oracles.dual_coincidence_profile(theta, dphi, chis)
+    return profile.intensities, profile.extracted.phase, profile.extracted.visibility
+
+
+@pytest.mark.parametrize("theta, dphi, chis", DUAL_CASES.values(), ids=DUAL_CASES.keys())
+def test_spin_up_reading(theta, dphi, chis):
+    got = outcome(spin_up_reading, theta, dphi, chis)
+    assert_same_outcome(got, outcome(earlier_spin_up_reading, theta, dphi, chis))
+    if got[0] == "value":  # the flag it carried is the NaN phase
+        want = oracles.dual_coincidence_profile(theta, dphi, chis).extracted
+        same_bits(want.defined, ~np.isnan(got[1][1]))
+
+
+def test_dual_cases_reach_every_outcome():
+    got = {name: outcome(spin_up_reading, *case) for name, case in DUAL_CASES.items()}
+    assert got["battery grid"][1][0].shape == (400, 64)
+    assert not np.isnan(got["battery grid"][1][1]).any()
+    assert np.isnan(got["one setup, flat fringe"][1][1])
+    assert np.isnan(got["rank-deficient grid, batch"][1][1]).all()
+    assert got["rank-deficient grid, one setup"][:2] == ("raise", IllConditionedError)
+
+
+#: overlaps of every kind, and one that is infinite with a NaN part
+OVERLAPS = np.array([0.3 + 0.4j, -1.0, 0.0, 1e-10j, complex(np.nan, 0.0),
+                     complex(np.inf, 0.0), complex(np.inf, np.nan)])
+
+
+@pytest.mark.parametrize("z", [OVERLAPS, *OVERLAPS], ids=["batch", *map(str, OVERLAPS)])
+def test_from_overlap(z):
+    def read(cls):
+        res = cls.from_overlap(z, OrthogonalStatesError)
+        return res.phase, res.visibility
+
+    got, want = outcome(read, PhaseResult), outcome(read, oracles.PhaseResult)
+    assert_same_outcome(got, want)
+    if got[0] == "value":  # a single overlap gives floats, a batch arrays
+        assert [type(x) for x in got[1]] == [type(x) for x in want[1]]
+
+
+def test_the_earlier_flag_missed_one_nan_phase():
+    """The flag and the NaN phase disagreed only on an infinite overlap
+    with a NaN part, which read defined with a NaN phase."""
+    earlier = oracles.PhaseResult.from_overlap(OVERLAPS, OrthogonalStatesError)
+    phase = PhaseResult.from_overlap(OVERLAPS, OrthogonalStatesError).phase
+    np.testing.assert_array_equal(earlier.defined != ~np.isnan(phase),
+                                  np.arange(OVERLAPS.size) == OVERLAPS.size - 1)

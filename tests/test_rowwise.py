@@ -6,12 +6,10 @@ through."""
 import numpy as np
 import pytest
 
-from pancha import phase
 from pancha.core import haar_state, matrix_exponential_su2, qubit_density
 from pancha.dual import (
     analyser_intensities,
     apply_arm_fields,
-    dual_coincidence_profile,
     dual_phase_closed_form,
     predicted_final_state,
     prepare_beam_state,
@@ -41,7 +39,7 @@ def assert_rows_equal(batch: PhaseResult, singles, atol=0.0):
     """Every field of each batched row equals the single call's, NaN
     matching NaN; bit for bit unless atol is given."""
     assert len(singles) == len(batch.phase)
-    for field in ("phase", "visibility", "defined"):
+    for field in ("phase", "visibility"):
         want = np.array([getattr(s, field) for s in singles])
         np.testing.assert_allclose(getattr(batch, field), want, rtol=0.0, atol=atol)
 
@@ -56,7 +54,7 @@ class TestFitFringe:
     def test_batch_rows_equal_single_fits(self):
         data = fringes(np.random.default_rng(1), 50, CHI_GRID)
         batch = fit_fringe(CHI_GRID, data)
-        assert batch.phase.shape == (50,) and batch.defined.all()
+        assert batch.phase.shape == (50,) and not np.isnan(batch.phase).any()
         assert_rows_equal(batch, [fit_fringe(CHI_GRID, row) for row in data])
 
     def test_per_row_grids_agree_with_the_shared_grid(self):
@@ -100,44 +98,35 @@ class TestFitFringe:
         bad = np.array([4.0, 0.0, 3.0])
         grids = np.stack([CHI_GRID[:3], chis])
         batch = fit_fringe(grids, np.stack([good, bad]))
-        assert batch.defined.tolist() == [True, False]
-        assert np.isnan(batch.phase[1]) and np.isnan(batch.visibility[1])
+        assert np.isnan(batch.phase).tolist() == [False, True]
+        assert np.isnan(batch.visibility[1])
         assert batch.phase[0] == fit_fringe(CHI_GRID[:3], good).phase
         with pytest.raises(IllConditionedError, match=message):
             fit_fringe(chis, bad)
         shared = fit_fringe(chis, np.stack([bad, bad]))
-        assert not shared.defined.any() and np.isnan(shared.phase).all()
+        assert np.isnan(shared.phase).all() and np.isnan(shared.visibility).all()
 
     def test_flat_rows_are_undefined_not_nan_visibility(self):
         data = np.stack([np.full(64, 2.0), 2.0 + np.cos(CHI_GRID)])
         batch = fit_fringe(CHI_GRID, data)
-        assert batch.defined.tolist() == [False, True]
-        assert np.isnan(batch.phase[0]) and batch.visibility[0] < 1e-9
+        assert np.isnan(batch.phase).tolist() == [True, False]
+        assert batch.visibility[0] < 1e-9
 
     @pytest.mark.parametrize("chis", [CHI_GRID, np.zeros((0, 64))])
     def test_empty_batch(self, chis):
         res = fit_fringe(chis, np.zeros((0, 64)))
-        assert res.phase.shape == res.visibility.shape == res.defined.shape == (0,)
+        assert res.phase.shape == res.visibility.shape == (0,)
 
     def test_mismatched_grid_rejected(self):
         with pytest.raises(ValueError):
             fit_fringe(CHI_GRID[:10], np.zeros((2, 64)))
 
-    def test_single_profile_on_a_rank_deficient_grid_raises(self):
-        a = np.array([1.0, 0.0])
-        for make in (lambda g: pure_interference_profile(a, a, g),
-                     lambda g: mixed_interference_profile(qubit_density(0.5),
-                                                          np.eye(2), g),
-                     lambda g: dual_coincidence_profile(0.7, 0.4, g)):
-            with pytest.raises(IllConditionedError):
-                make(RANK_DEFICIENT)
-            assert make(CHI_GRID).extracted.defined
-
     def test_batched_profile_on_a_rank_deficient_grid_is_nan(self):
         states = haar_state(np.random.default_rng(7), 2, (3,))
         profile = pure_interference_profile(states, states[::-1], RANK_DEFICIENT)
-        assert profile.intensities.shape == (3, 3)
-        assert not profile.extracted.defined.any()
+        assert profile.shape == (3, 3)
+        fitted = fit_fringe(RANK_DEFICIENT, profile)
+        assert np.isnan(fitted.phase).all() and np.isnan(fitted.visibility).all()
 
 
 def random_setups(rng, k):
@@ -192,8 +181,7 @@ class TestDualKernels:
         theta = np.array([np.pi / 2, 0.7])
         angle = np.array([np.pi, 1.1])
         res = dual_phase_closed_form(theta, angle)
-        assert res.defined.tolist() == [False, True]
-        assert np.isnan(res.phase[0])
+        assert np.isnan(res.phase).tolist() == [True, False]
         assert res.phase[1] == dual_phase_closed_form(0.7, 1.1).phase
         with pytest.raises(OrthogonalStatesError):
             dual_phase_closed_form(np.pi / 2, np.pi)
@@ -209,27 +197,27 @@ class TestDualKernels:
             batch, [analyser_intensities(t, d, CHI_GRID)[slot]
                     for t, d in zip(theta, dphi)])
         if channel == +1:
-            profile = dual_coincidence_profile(theta, dphi, CHI_GRID)
-            np.testing.assert_array_equal(profile.intensities, batch)
-            assert_rows_equal(profile.extracted,
-                              [dual_coincidence_profile(t, d, CHI_GRID).extracted
+            assert_rows_equal(fit_fringe(CHI_GRID, batch),
+                              [fit_fringe(CHI_GRID,
+                                          analyser_intensities(t, d, CHI_GRID)[0])
                                for t, d in zip(theta, dphi)])
 
     def test_profile_theta_broadcasts_against_delta_phi(self):
         dphi = np.linspace(-2.0, 2.0, 5)
-        batch = dual_coincidence_profile(0.9, dphi, CHI_GRID)
-        np.testing.assert_array_equal(
-            batch.intensities,
-            [dual_coincidence_profile(0.9, d, CHI_GRID).intensities for d in dphi])
+        batch = analyser_intensities(0.9, dphi, CHI_GRID)
+        for slot in (0, 1):
+            np.testing.assert_array_equal(
+                batch[slot],
+                [analyser_intensities(0.9, d, CHI_GRID)[slot] for d in dphi])
 
     def test_empty_batches(self):
         empty = np.zeros(0)
         assert apply_arm_fields(prepare_beam_state(empty), empty, empty).shape == (0, 4)
         assert predicted_final_state(empty, empty, empty).shape == (0, 4)
         assert dual_phase_closed_form(empty, empty).phase.shape == (0,)
-        profile = dual_coincidence_profile(empty, empty, CHI_GRID)
-        assert profile.intensities.shape == (0, 64)
-        assert profile.extracted.phase.shape == (0,)
+        up, down = analyser_intensities(empty, empty, CHI_GRID)
+        assert up.shape == down.shape == (0, 64)
+        assert fit_fringe(CHI_GRID, up).phase.shape == (0,)
 
     def test_wrong_last_axis_rejected(self):
         with pytest.raises(ValueError):
@@ -262,20 +250,18 @@ class TestMixedKernels:
                                       [trace_overlap(r, v) for r, v in zip(rho, u)])
         batch = mixed_interference_profile(rho, u, CHI_GRID)
         singles = [mixed_interference_profile(r, v, CHI_GRID) for r, v in zip(rho, u)]
-        np.testing.assert_array_equal(batch.intensities,
-                                      [s.intensities for s in singles])
-        assert_rows_equal(batch.extracted, [s.extracted for s in singles])
+        np.testing.assert_array_equal(batch, singles)
+        assert_rows_equal(fit_fringe(CHI_GRID, batch),
+                          [fit_fringe(CHI_GRID, s) for s in singles])
 
     def test_profile_equals_the_eigenvector_loop(self):
         rho, u = random_mixed(np.random.default_rng(14), 10)
-        for r, v, got in zip(rho, u, mixed_interference_profile(rho, u, CHI_GRID)
-                             .intensities):
+        for r, v, got in zip(rho, u, mixed_interference_profile(rho, u, CHI_GRID)):
             weights, basis = np.linalg.eigh(r)
             want = np.zeros(64)
             for k in range(2):
                 vec = basis[:, k]
-                want += weights[k] * phase._two_beam_intensities(vec, v @ vec,
-                                                                  CHI_GRID)
+                want += weights[k] * pure_interference_profile(vec, v @ vec, CHI_GRID)
             np.testing.assert_array_equal(got, want)
 
     def test_higher_dimensions(self):
@@ -288,20 +274,18 @@ class TestMixedKernels:
         batch = mixed_interference_profile(rho, u, CHI_GRID)
         closed = 2.0 + 2.0 * np.real(np.exp(1j * CHI_GRID)
                                      * np.conj(trace_overlap(rho, u))[:, None])
-        np.testing.assert_allclose(batch.intensities, closed, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(batch, closed, rtol=0.0, atol=1e-13)
 
     def test_vanishing_trace_nan_in_a_batch_raises_alone(self):
         quarter = np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)])
         rho = np.stack([qubit_density(0.0), qubit_density(0.5)])
         res = mixed_phase(rho, quarter)
-        assert res.defined.tolist() == [False, True]
-        assert np.isnan(res.phase[0])
+        assert np.isnan(res.phase).tolist() == [True, False]
         with pytest.raises(VanishingTraceError):
             mixed_phase(qubit_density(0.0), quarter)
 
     def test_empty_batches(self):
         rho, u = np.zeros((0, 2, 2)), np.zeros((0, 2, 2))
         assert mixed_phase(rho, u).phase.shape == (0,)
-        profile = mixed_interference_profile(rho, u, CHI_GRID)
-        assert profile.intensities.shape == (0, 64)
+        assert mixed_interference_profile(rho, u, CHI_GRID).shape == (0, 64)
         assert qubit_density(np.zeros(0)).shape == (0, 2, 2)

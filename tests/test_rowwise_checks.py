@@ -45,9 +45,9 @@ def _fit_negated(monkeypatch):
 
     def negated(chis, intensities):
         res = real(chis, intensities)
-        return PhaseResult(-res.phase, res.visibility, res.defined)
+        return PhaseResult(-res.phase, res.visibility)
 
-    for module in (phase, dual):
+    for module in (phase, checks):
         monkeypatch.setattr(module, "fit_fringe", negated)
 
 
@@ -263,7 +263,7 @@ def test_fit_fringe_runs_once_per_profile():
         return real(chis, intensities)
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (phase, dual):
+        for module in (phase, checks):
             mp.setattr(module, "fit_fringe", counted)
         per_check = {}
         for fns in checks.SUITES.values():
@@ -274,9 +274,7 @@ def test_fit_fringe_runs_once_per_profile():
                     per_check[fn.__name__] = len(calls)
         calls.clear()
         checks.run_suites("all", seed=0)
-    assert per_check == {"check_mixed_profile_routes": 1,
-                         "check_franson_fringe": 1,
-                         "check_dual_fringe": 1}
+    assert per_check == {"check_franson_fringe": 1, "check_dual_fringe": 1}
     assert len(calls) == sum(per_check.values())
 
 
@@ -284,7 +282,7 @@ def test_fit_fringe_runs_once_per_profile():
 def test_kernels_run_on_whole_batches(monkeypatch, check):
     counts = {}
     for name in ("apply_arm_fields", "prepare_beam_state", "predicted_final_state",
-                 "spatial_vectors", "spin_arm_states", "dual_coincidence_profile",
+                 "spatial_vectors", "spin_arm_states", "fit_fringe",
                  "analyser_intensities", "dual_phase_closed_form", "pancharatnam_phase",
                  "mixed_phase", "mixed_interference_profile", "_trace_profile",
                  "qubit_density", "inner_product"):

@@ -27,7 +27,7 @@ from pancha.errors import (
     UndefinedRatioError,
 )
 from pancha.geometry import SphericalTriangle
-from pancha.phase import mixed_interference_profile
+from pancha.phase import fit_fringe, mixed_interference_profile
 from pancha.transport import (
     DiscretePath,
     PrecessionSpec,
@@ -246,14 +246,15 @@ def test_mixed_profile_marks_a_failed_eigendecomposition_nan():
     rho[2] = np.nan
     u = matrix_exponential_su2((1.0, 0.0, 0.0), rng.uniform(0.0, 3.0, 5))
     batch = mixed_interference_profile(rho, u, CHI_GRID)
-    assert np.isnan(batch.intensities[2]).all()
-    assert np.isnan([batch.extracted.phase[2], batch.extracted.visibility[2]]).all()
-    assert not batch.extracted.defined[2]
+    fitted = fit_fringe(CHI_GRID, batch)
+    assert np.isnan(batch[2]).all()
+    assert np.isnan([fitted.phase[2], fitted.visibility[2]]).all()
     for row in (0, 1, 3, 4):
         single = mixed_interference_profile(rho[row], u[row], CHI_GRID)
-        assert batch.intensities[row].tobytes() == single.intensities.tobytes()
-        for field in ("phase", "visibility", "defined"):
-            assert getattr(batch.extracted, field)[row] == getattr(single.extracted, field)
+        assert batch[row].tobytes() == single.tobytes()
+        single_fit = fit_fringe(CHI_GRID, single)
+        for field in ("phase", "visibility"):
+            assert getattr(fitted, field)[row] == getattr(single_fit, field)
     with pytest.raises(np.linalg.LinAlgError):
         mixed_interference_profile(rho[2], u[2], CHI_GRID)
 

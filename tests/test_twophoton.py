@@ -8,6 +8,7 @@ from pancha.errors import (
     UndefinedRatioError,
 )
 from pancha.geometry import SphericalTriangle, mixed_solid_angle_phase, solid_angle
+from pancha.phase import fit_fringe
 from pancha.twophoton import (
     _pair_transport,
     ancilla_reduction_phase,
@@ -220,25 +221,26 @@ class TestFransonProfile:
     def test_identity_loops_constructive(self):
         profile = franson_coincidence_profile(0.3, point_triangle(),
                                               point_triangle(), CHI_GRID)
-        assert profile.intensities[0] == pytest.approx(4.0, abs=1e-12)
+        assert profile[0] == pytest.approx(4.0, abs=1e-12)
 
     def test_flat_profile_at_orthogonality(self):
         profile = franson_coincidence_profile(
             0.5, span_triangle(np.pi / 2), span_triangle(np.pi / 2, start=2.0),
             CHI_GRID)
-        np.testing.assert_allclose(profile.intensities, 2.0, atol=1e-12)
-        assert not profile.extracted.defined
+        np.testing.assert_allclose(profile, 2.0, atol=1e-12)
+        assert np.isnan(fit_fringe(CHI_GRID, profile).phase)
 
     def test_quarter_entangled_extraction(self):
-        profile = franson_coincidence_profile(0.25, *QUARTER_PAIR, CHI_GRID)
-        assert profile.extracted.phase == pytest.approx(0.46365, abs=1e-5)
-        assert profile.extracted.visibility == pytest.approx(0.79057, abs=1e-5)
+        fitted = fit_fringe(CHI_GRID, franson_coincidence_profile(0.25, *QUARTER_PAIR,
+                                                                  CHI_GRID))
+        assert fitted.phase == pytest.approx(0.46365, abs=1e-5)
+        assert fitted.visibility == pytest.approx(0.79057, abs=1e-5)
 
     def test_swing_is_four_visibilities(self):
         closed = entangled_phase_closed_form(0.25, np.pi / 4, np.pi / 4)
         chis = np.concatenate([CHI_GRID, [closed.phase, closed.phase + np.pi]])
         profile = franson_coincidence_profile(0.25, *QUARTER_PAIR, chis)
-        swing = profile.intensities.max() - profile.intensities.min()
+        swing = profile.max() - profile.min()
         assert swing == pytest.approx(4.0 * closed.visibility, abs=1e-8)
 
 

@@ -17,7 +17,7 @@ leave are compared.  The invocations are
 * a sweep of each experiment's parameter that those configs do not
   sweep: ``two-photon`` ``lam``, ``triangle`` ``r``, ``pair`` ``alpha``
   and ``mixed`` ``angle``, each in csv and json;
-* seventeen rejected configs, flags and seeds, which exit 2 or 3.
+* eighteen rejected configs, flags and seeds, which exit 2 or 3.
 
 One line is printed per invocation, with the parent's exit code and what
 differs, then a summary.  The exit code is 1 on any difference, else 0.
@@ -82,6 +82,11 @@ REJECTED = {
                              {"vertices": [OCTANT[0]] * 3}}, []),
     "triangle r 0": ({"experiment": "triangle", "parameters":
                       {"vertices": OCTANT, "r": 0}}, []),
+    # the loop areas cancel, so the nonlinearity ratio is undefined
+    "two-photon loops cancel": ({"experiment": "two-photon", "parameters":
+                                 {"lam": 0.3, "triangle_a": OCTANT,
+                                  "triangle_a_prime": [OCTANT[0], OCTANT[2],
+                                                       OCTANT[1]]}}, []),
     "jobs 0": ({"experiment": "mixed", "parameters": {"r": [0.1, 0.2],
                                                       "angle": 1.0}},
                ["--jobs", "0"]),
