@@ -15,9 +15,11 @@ the corner-angle kernel, never the overlap chain it is compared with.
 Every pass over a path (building, validating, the chain's links, the
 energies, the closure's arcs) walks the cache-sized blocks of _blocks, so
 no full-length temporaries are made, and writes each block straight into
-its output.  Paths are validated values, and leading axes of their states
-make a batch: each kernel gives one value per path, NaN where a single
-path would raise, as do the precession kernels on array angles.
+its output, the closure's and the energies' temporaries too (_products),
+by the same operations in the same order as the plain expressions.
+Paths are validated values, and leading axes of their states make a
+batch: each kernel gives one value per path, NaN where a single path
+would raise, as do the precession kernels on array angles.
 """
 
 from __future__ import annotations
@@ -68,6 +70,13 @@ def _blocks(n: int, rows: int):
     step = max(1, _BLOCK // max(1, rows))
     for lo in range(0, n, step):
         yield lo, min(lo + step, n)
+
+
+def _products(a, b, c, d, scratch, out=None, subtract=False):
+    """a b + c d, or a b - c d, in ``out`` (a new array by default), the
+    second product formed in ``scratch``: no other temporary is made."""
+    out, add = np.multiply(a, b, out=out), np.subtract if subtract else np.add
+    return add(out, np.multiply(c, d, out=scratch), out=out)
 
 
 @dataclass(frozen=True)
@@ -231,16 +240,21 @@ def make_parallel_lift(path: DiscretePath) -> DiscretePath:
 def _energies(states: np.ndarray, h: np.ndarray) -> np.ndarray:
     """<psi|H|psi> at every sample from the real and imaginary parts of
     the states: h_kk |psi_k|^2 per diagonal entry of the hermitian H and
-    2 Re(h_kl conj(psi_k) psi_l) per entry above it."""
+    2 Re(h_kl conj(psi_k) psi_l) per entry above it, each term formed in
+    one block array and added in turn to energies that start at 0.0."""
     re, im = states.real, states.imag
-    energies = 0.0
+    energies = np.zeros(states.shape[:-1])
+    term, part = np.empty(energies.shape), np.empty(energies.shape)
     for k in range(states.shape[-1]):
         rk, ik = re[..., k], im[..., k]
-        energies = energies + h[..., k, k, None].real * (rk * rk + ik * ik)
+        _products(rk, rk, ik, ik, part, term)
+        energies += np.multiply(term, h[..., k, k, None].real, out=term)
         for m in range(k + 1, states.shape[-1]):
             hkm = 2.0 * h[..., k, m, None]
-            energies = (energies + hkm.real * (rk * re[..., m] + ik * im[..., m])
-                        - hkm.imag * (rk * im[..., m] - ik * re[..., m]))
+            _products(rk, re[..., m], ik, im[..., m], part, term)
+            energies += np.multiply(term, hkm.real, out=term)
+            _products(rk, im[..., m], ik, re[..., m], part, term, subtract=True)
+            energies -= np.multiply(term, hkm.imag, out=term)
     return energies
 
 
@@ -403,13 +417,16 @@ def _unit_bloch(states):
     """Unit Bloch components (x, y, z) of qubit rows (..., rows, 2), each
     (..., rows), from the real and imaginary parts of the amplitudes a
     and b: 2 Re(a* b), 2 Im(a* b) and |a|^2 - |b|^2, each over the
-    length |a|^2 + |b|^2 of the Bloch vector."""
+    length |a|^2 + |b|^2 of the Bloch vector (0-d arrays for one state)."""
     a, b = states[..., 0], states[..., 1]
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    pa, pb = ar * ar + ai * ai, br * br + bi * bi
-    scale = 2.0 / (pa + pb)
-    return ((ar * br + ai * bi) * scale, (ar * bi - ai * br) * scale,
-            (pa - pb) * (0.5 * scale))
+    pa, pb, scale, x, y, t = (np.empty(ar.shape) for _ in range(6))
+    pa, pb = _products(ar, ar, ai, ai, t, pa), _products(br, br, bi, bi, t, pb)
+    np.divide(2.0, np.add(pa, pb, out=scale), out=scale)
+    np.multiply(_products(ar, br, ai, bi, t, x), scale, out=x)
+    np.multiply(_products(ar, bi, ai, br, t, y, subtract=True), scale, out=y)
+    np.subtract(pa, pb, out=pa)
+    return x, y, np.multiply(pa, np.multiply(0.5, scale, out=t), out=pa)
 
 
 def _swept_area(x, y, z):
@@ -435,25 +452,33 @@ def _swept_area(x, y, z):
     and no two nearly equal angles or cosines cancel.  Collapsed arcs
     (|e| = |u x v| below 1e-13), and arcs with an endpoint on the polar
     axis, which run along meridians, sweep nothing; the guards run only
-    on a block that has such an arc.
+    on a block that has such an arc.  On a block of near arcs (u.v >= 0,
+    not NaN) the sign is 1: e = v - u and (sign - 1) cos_u = 0.0 cos_u.
     """
-    rho2 = x * x + y * y
+    t = np.empty(x.shape)  # the scratch array, of rho2 and then of the arcs
+    rho2, t = _products(x, x, y, y, t), t[..., 1:]
     u0, u1, u2 = x[..., :-1], y[..., :-1], z[..., :-1]
     v0, v1, v2 = x[..., 1:], y[..., 1:], z[..., 1:]
-    uv_flat = u0 * v0 + u1 * v1
-    sign = np.where(uv_flat + u2 * v2 >= 0.0, 1.0, -1.0)  # _edge's sign
-    e = [b - sign * a for a, b in ((u0, v0), (u1, v1), (u2, v2))]
-    det = u0 * e[1] - u1 * e[0]
-    u_e, e_flat = u0 * e[0] + u1 * e[1], e[0] * e[0] + e[1] * e[1]
-    cos_u = e[2] * rho2[..., :-1] - u2 * u_e
-    gap = e[2] * u_e - u2 * e_flat + (sign - 1.0) * cos_u  # -cos_v - cos_u
-    excess = (np.arctan2(det * gap, cos_u * (cos_u + gap) + det * det)
-              + np.arctan2(det, uv_flat))
-    collapsed, on_axis = e_flat + e[2] * e[2] < 1e-26, rho2 < 1e-26
+    uv_flat = _products(u0, v0, u1, v1, t)
+    ahead = np.add(uv_flat, np.multiply(u2, v2, out=t), out=t) >= 0.0
+    near = ahead.all()
+    sign = 1.0 if near else np.where(ahead, 1.0, -1.0)  # _edge's sign
+    e = [b - a if near else b - sign * a for a, b in ((u0, v0), (u1, v1), (u2, v2))]
+    det = _products(u0, e[1], u1, e[0], t, subtract=True)
+    u_e, e_flat = _products(u0, e[0], u1, e[1], t), _products(e[0], e[0], e[1], e[1], t)
+    cos_u = _products(e[2], rho2[..., :-1], u2, u_e, t, subtract=True)
+    gap = _products(e[2], u_e, u2, e_flat, t, subtract=True)
+    gap += np.multiply(sign - 1.0, cos_u, out=t)  # -cos_v - cos_u
+    denominator = cos_u + gap
+    _products(cos_u, denominator, det, det, t, denominator)
+    excess = np.arctan2(np.multiply(det, gap, out=gap), denominator, out=denominator)
+    excess += np.arctan2(det, uv_flat, out=uv_flat)
+    collapsed = np.add(e_flat, np.multiply(e[2], e[2], out=t), out=t) < 1e-26
+    on_axis = rho2 < 1e-26
     broken = np.zeros(x.shape[:-1], dtype=bool)
     if collapsed.any() or on_axis.any():
         broken = undefined_rows(  # antipodal neighbours raise first
-            (collapsed & (sign < 0.0)).any(axis=-1), DegenerateTriangleError,
+            (collapsed & ~ahead).any(axis=-1), DegenerateTriangleError,
             "adjacent path points are antipodal") | undefined_rows(
             (on_axis & (z < 0.0)).any(axis=-1), DegenerateTriangleError,
             "path touches the south pole, where the azimuth chart is singular")

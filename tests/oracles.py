@@ -7,14 +7,17 @@ the inverse polar chart, reversed triangles, random smooth paths, the
 spin-arm fringe, and the closed forms and evolutions the tests compare
 library kernels against.
 
-The last three sections keep verbatim copies of kernels as they were
+The last sections keep verbatim copies of kernels as they were
 before they were rewritten, and the rewrites must give the same bits,
 the same NaN rows and the same errors.  First the transport kernels
 before they formed each quantity once and wrote into their outputs in
 place: ``_swept_area``, ``_precession_states``, ``_link_phases``,
 ``dynamical_phase`` and ``DiscretePath.validate`` (here
-``validate(path)``).  Then the mixed-state triangle law as it was built
-through a ``MixedTriple`` carrier that re-validated its own data:
+``validate(path)``).  Then the closure's Bloch components and arcs and
+the energies before each block was written in place: ``_unit_bloch``,
+``_swept_area`` (here ``_swept_area_allocating``) and ``_energies``.
+Then the mixed-state triangle law as it was built through a
+``MixedTriple`` carrier that re-validated its own data:
 ``qubit_mixed_triple``, ``MixedTriple.validate`` (with ``_coinciding``
 and ``_require_orthonormal``) and ``mixed_bargmann(mt)``.  Then
 ``checks.random_triangle`` as it was when it converted the kept states
@@ -56,7 +59,7 @@ from pancha.geometry import (
     solid_angle,
 )
 from pancha.phase import EPS_ORTH, pure_interference_profile
-from pancha.transport import _blocks, _energies, _precession_axis
+from pancha.transport import _blocks, _precession_axis
 
 
 def random_state(seed: int, dim: int = 2) -> np.ndarray:
@@ -223,6 +226,60 @@ def _swept_area(x, y, z):
         "path touches the south pole, where the azimuth chart is singular")
     swept = np.where(collapsed | on_axis[..., :-1] | on_axis[..., 1:], 0.0, excess)
     return swept.sum(axis=-1), antipodal | south
+
+
+# ---------------------------------------------------------------------------
+# the closure's Bloch components and arcs, and the energies, before each
+# block was written in place, verbatim (the arcs as _swept_area_allocating,
+# beside the earlier _swept_area above; dynamical_phase above calls this
+# _energies)
+
+
+def _unit_bloch(states):
+    a, b = states[..., 0], states[..., 1]
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    pa, pb = ar * ar + ai * ai, br * br + bi * bi
+    scale = 2.0 / (pa + pb)
+    return ((ar * br + ai * bi) * scale, (ar * bi - ai * br) * scale,
+            (pa - pb) * (0.5 * scale))
+
+
+def _swept_area_allocating(x, y, z):
+    rho2 = x * x + y * y
+    u0, u1, u2 = x[..., :-1], y[..., :-1], z[..., :-1]
+    v0, v1, v2 = x[..., 1:], y[..., 1:], z[..., 1:]
+    uv_flat = u0 * v0 + u1 * v1
+    sign = np.where(uv_flat + u2 * v2 >= 0.0, 1.0, -1.0)  # _edge's sign
+    e = [b - sign * a for a, b in ((u0, v0), (u1, v1), (u2, v2))]
+    det = u0 * e[1] - u1 * e[0]
+    u_e, e_flat = u0 * e[0] + u1 * e[1], e[0] * e[0] + e[1] * e[1]
+    cos_u = e[2] * rho2[..., :-1] - u2 * u_e
+    gap = e[2] * u_e - u2 * e_flat + (sign - 1.0) * cos_u  # -cos_v - cos_u
+    excess = (np.arctan2(det * gap, cos_u * (cos_u + gap) + det * det)
+              + np.arctan2(det, uv_flat))
+    collapsed, on_axis = e_flat + e[2] * e[2] < 1e-26, rho2 < 1e-26
+    broken = np.zeros(x.shape[:-1], dtype=bool)
+    if collapsed.any() or on_axis.any():
+        broken = undefined_rows(  # antipodal neighbours raise first
+            (collapsed & (sign < 0.0)).any(axis=-1), DegenerateTriangleError,
+            "adjacent path points are antipodal") | undefined_rows(
+            (on_axis & (z < 0.0)).any(axis=-1), DegenerateTriangleError,
+            "path touches the south pole, where the azimuth chart is singular")
+        excess = np.where(collapsed | on_axis[..., :-1] | on_axis[..., 1:], 0.0, excess)
+    return excess.sum(axis=-1), broken
+
+
+def _energies(states: np.ndarray, h: np.ndarray) -> np.ndarray:
+    re, im = states.real, states.imag
+    energies = 0.0
+    for k in range(states.shape[-1]):
+        rk, ik = re[..., k], im[..., k]
+        energies = energies + h[..., k, k, None].real * (rk * rk + ik * ik)
+        for m in range(k + 1, states.shape[-1]):
+            hkm = 2.0 * h[..., k, m, None]
+            energies = (energies + hkm.real * (rk * re[..., m] + ik * im[..., m])
+                        - hkm.imag * (rk * im[..., m] - ik * re[..., m]))
+    return energies
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Kernels that form each quantity once give the bits of the code they
 replaced.
 
-The transport kernels ``_swept_area``, ``_precession_states``,
-``_link_phases``, ``dynamical_phase`` and ``DiscretePath.validate``, the
-mixed-state triangle law ``mixed_bargmann(t, r)`` and the sampler
-``checks.random_triangle``, and the spin-up analyser fringe with its
-``fit_fringe`` reading, are held to the verbatim copies of their earlier
-code in ``oracles``: the same values bit for bit, the same undefined
-rows, and the same errors with the same messages in the same order.
+The transport kernels ``_swept_area``, ``_unit_bloch``, ``_energies``,
+``_precession_states``, ``_link_phases``, ``dynamical_phase`` and
+``DiscretePath.validate``, the mixed-state triangle law
+``mixed_bargmann(t, r)`` and the sampler ``checks.random_triangle``, and
+the spin-up analyser fringe with its ``fit_fringe`` reading, are held to
+the verbatim copies of their earlier code in ``oracles``: the same
+values bit for bit, the same undefined rows, and the same errors with
+the same messages in the same order.  The sweep's cases take both of its
+branches: blocks whose arcs all have u.v >= 0, and blocks with a wider
+arc or a NaN.
 ``loop_holonomy`` and ``mixed_bargmann`` form each vertex's unit vector
 once and transport by the ``geodesic_unitary`` products bit for bit,
 and the mixed solid-angle battery's one block of radii holds the rows
@@ -287,10 +290,21 @@ def _with(points, at, point):
     return points
 
 
+def _wide_after(point):
+    """A unit vector more than a quarter turn from ``point``: u.v < 0."""
+    w = np.cross(point, NORTH) - 0.5 * np.asarray(point)
+    return w / np.linalg.norm(w)
+
+
 def _flagged_rows():
     clean = _curve()
     return {
         "clean": clean,
+        "wide arc": _with(clean, 15, _wide_after(clean[14])),
+        "quarter-turn arc, u.v exactly 0": _with(_with(clean, 12, (0.36, 0.48, 0.8)),
+                                                 13, (-0.8, 0.6, 0.0)),
+        "wide arc over the pole, its flat edge 0": _with(clean, 21,
+                                                         clean[20] * (-1, -1, 1)),
         "collapsed arc": _with(clean, 11, clean[10]),
         "antipodal neighbours": _with(clean, 21, -clean[20]),
         "north pole": _with(clean, 5, NORTH),
@@ -318,6 +332,10 @@ def _swept_cases():
     cases = {f"single, {name}": components(points) for name, points in FLAGGED.items()}
     cases.update({
         "batch of every flag": components(rows),
+        "batch, one row with a wide arc": components(
+            np.stack([FLAGGED["clean"], FLAGGED["clean"][::-1], FLAGGED["wide arc"]])),
+        "batch, no wide arc": components(np.stack([FLAGGED["clean"],
+                                                   FLAGGED["clean"][::-1]])),
         "batch of precession paths": _unit_bloch(path.states),
         "precession path": _unit_bloch(path.states[1]),
         "empty batch": components(np.zeros((0, 40, 3))),
@@ -332,8 +350,28 @@ SWEPT_CASES = _swept_cases()
 
 @pytest.mark.parametrize("xyz", SWEPT_CASES.values(), ids=SWEPT_CASES.keys())
 def test_swept_area(xyz):
-    assert_same_outcome(outcome(transport._swept_area, *xyz),
-                        outcome(oracles._swept_area, *xyz))
+    got = outcome(transport._swept_area, *xyz)
+    assert_same_outcome(got, outcome(oracles._swept_area, *xyz))
+    assert_same_outcome(got, outcome(oracles._swept_area_allocating, *xyz))
+
+
+def wide(xyz):
+    """Whether any arc of the components has u.v < 0 or NaN, so that
+    _edge's sign is not 1 on every arc."""
+    x, y, z = xyz
+    dot = x[..., :-1] * x[..., 1:] + y[..., :-1] * y[..., 1:] + z[..., :-1] * z[..., 1:]
+    return not (dot >= 0.0).all()
+
+
+def test_swept_cases_have_blocks_with_and_without_a_wide_arc():
+    assert {name: wide(xyz) for name, xyz in SWEPT_CASES.items()
+            if name.startswith("batch")} == {
+        "batch of every flag": True, "batch, one row with a wide arc": True,
+        "batch, no wide arc": False, "batch of precession paths": False}
+    assert wide(SWEPT_CASES["single, wide arc"])
+    assert wide(SWEPT_CASES["single, nan point"])
+    assert not wide(SWEPT_CASES["single, clean"])
+    assert not wide(SWEPT_CASES["single, south pole"])
 
 
 def test_every_flag_is_hit():
@@ -347,13 +385,110 @@ def test_every_flag_is_hit():
         assert (e2 == 0.0).any() or (x * x + y * y == 0.0).any()
 
 
-@pytest.mark.parametrize("theta, phi, n", [(0.7, 2.0, 1000), (2.9, -5.0, 3 * _BLOCK),
-                                           (THETAS, [1.0, -2.0, 3.0, 0.5], 2 * _BLOCK)])
+CLOSURES = [(0.7, 2.0, 1000), (2.9, -5.0, 3 * _BLOCK),
+            (THETAS, [1.0, -2.0, 3.0, 0.5], 2 * _BLOCK)]
+COARSE_CLOSURES = [(1.3, 5.5, 3), (THETAS, [1.0, -2.0, -5.5, 0.5], 3)]
+
+
+@pytest.mark.parametrize("theta, phi, n", CLOSURES)
 def test_geodesic_closure_with_the_earlier_sweep(monkeypatch, theta, phi, n):
     path = precession(theta, phi, n)
     got = transport.geodesic_closure_solid_angle(path)
     monkeypatch.setattr(transport, "_swept_area", oracles._swept_area)
     same_bits(got, transport.geodesic_closure_solid_angle(path))
+
+
+@pytest.mark.parametrize("theta, phi, n", CLOSURES + COARSE_CLOSURES)
+def test_geodesic_closure_with_the_allocating_kernels(monkeypatch, theta, phi, n):
+    path = precession(theta, phi, n)
+    got = transport.geodesic_closure_solid_angle(path)
+    monkeypatch.setattr(transport, "_swept_area", oracles._swept_area_allocating)
+    monkeypatch.setattr(transport, "_unit_bloch", oracles._unit_bloch)
+    same_bits(got, transport.geodesic_closure_solid_angle(path))
+
+
+def test_coarse_closures_have_wide_arcs():
+    """The three-step closures above have arcs with u.v < 0, in one row
+    of the batch; the finer do not."""
+    assert wide(_unit_bloch(precession(1.3, 5.5, 3).states))
+    batch = _unit_bloch(precession(THETAS, [1.0, -2.0, -5.5, 0.5], 3).states)
+    rows = [wide([c[row] for c in batch]) for row in range(4)]
+    assert rows == [False, False, True, False]
+    assert not wide(_unit_bloch(precession(0.7, 2.0, 1000).states))
+
+
+# ---------------------------------------------------------------------------
+# _unit_bloch
+
+def _bloch_cases():
+    path = precession(THETAS, [1.0, -2.0, 3.0, 0.5], 700)
+    rng = np.random.default_rng(5)
+    raw = rng.normal(size=(6, 9, 2)) + 1j * rng.normal(size=(6, 9, 2))
+    raw[2, 4] = (np.nan, 1.0)
+    raw[3, 1] = (1.0, complex(0.0, np.nan))
+    return {
+        "single state": path.states[1, 200],
+        "single state, not unit": raw[0, 0],
+        "rows": path.states[1],
+        "batch": path.states,
+        "a block of a batch": path.states[..., 100:300, :],
+        "the end points": path.states[..., [0, -1], :],
+        "not unit, nan rows": raw,
+        "one row": raw[:, :1],
+        "empty batch": np.zeros((0, 5, 2), dtype=complex),
+        "no rows": np.zeros((0, 2), dtype=complex),
+    }
+
+
+BLOCH_CASES = _bloch_cases()
+
+
+@pytest.mark.parametrize("states", BLOCH_CASES.values(), ids=BLOCH_CASES.keys())
+def test_unit_bloch(states):
+    got, want = _unit_bloch(states), oracles._unit_bloch(states)
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        same_bits(g, w)
+
+
+# ---------------------------------------------------------------------------
+# _energies
+
+def _hermitian(rng, d, rows=()):
+    a = rng.normal(size=rows + (d, d)) + 1j * rng.normal(size=rows + (d, d))
+    return a + np.swapaxes(a, -1, -2).conj()
+
+
+def _energy_cases():
+    rng = np.random.default_rng(17)
+    cases = {}
+    for d in (2, 4):
+        states = rng.normal(size=(3, 50, d)) + 1j * rng.normal(size=(3, 50, d))
+        states /= np.linalg.norm(states, axis=-1, keepdims=True)
+        nan_row = states.copy()
+        nan_row[1, 7, d - 1] = np.nan
+        shared, per_path = _hermitian(rng, d), _hermitian(rng, d, (3,))
+        cases.update({
+            f"d {d}, single path": (states[0], shared),
+            f"d {d}, a block of a single path": (states[0, 10:31], shared),
+            f"d {d}, shared hamiltonian": (states, shared),
+            f"d {d}, one hamiltonian per path": (states, per_path),
+            f"d {d}, a block, one hamiltonian per path": (states[:, 5:20], per_path),
+            f"d {d}, nan row": (nan_row, per_path),
+            f"d {d}, empty batch": (states[:0], shared),
+        })
+    # every term is -0.0, so only the leading 0.0 + makes the energy +0.0
+    cases["d 2, signed zeros"] = (np.array([[complex(0.0, -0.0), -1.0]] * 2),
+                                  np.diag([-1.0, -0.0]).astype(complex))
+    return cases
+
+
+ENERGY_CASES = _energy_cases()
+
+
+@pytest.mark.parametrize("states, h", ENERGY_CASES.values(), ids=ENERGY_CASES.keys())
+def test_energies(states, h):
+    same_bits(transport._energies(states, h), oracles._energies(states, h))
 
 
 # ---------------------------------------------------------------------------

@@ -2,27 +2,40 @@
 
 Usage::
 
-    python tools/check_stats.py PARENT_SRC CHANGE_SRC
+    python tools/check_stats.py [--seeds START:STOP] PARENT_SRC CHANGE_SRC
+    python tools/check_stats.py [--seeds START:STOP] SRC
 
 Each ``*_SRC`` is a directory holding the ``pancha`` package (a
 checkout's ``src``).  Every check of ``checks.SUITES`` runs at seeds 0
-and 20260809, with its default instance counts and tolerances, in one
-fresh interpreter per tree with the tree alone on ``PYTHONPATH``.
+and 20260809, or at each seed of ``range(START, STOP)``, with its default
+instance counts and tolerances, in one fresh interpreter per tree with
+the tree alone on ``PYTHONPATH``.
 
-One line is printed per check and seed: the parent's stat as
-``float.hex`` and its verdict, then ``same`` or the change's stat and
-verdict.  Under each differing line, both stats are printed in decimal
-with their headroom: threshold/stat in ``max`` mode, stat/threshold in
-``min`` mode, shown only where both sides are positive.  The last line
-names the least headroom among the moved checks, in each tree.  A check
-that only one tree has counts as a difference.  The exit code is 1 on
-any difference, else 0.
+Given one tree, it prints a JSON list with one entry per check: its mode
+and threshold, its worst stat over the seeds (the largest in ``max``
+mode, the smallest in ``min`` mode, a NaN before either) with its first
+seed,
+the median stat, the number of seeds it passed at, and the headroom of
+the worst stat as ``ratio``, left out unless both sides are positive.
+The exit code is 0.
+
+Given two trees, it compares them.  One line is printed per check and
+seed: the parent's stat as ``float.hex`` and its verdict, then ``same``
+or the change's stat and verdict.  Under each differing line, both stats
+are printed in decimal with their headroom: threshold/stat in ``max``
+mode, stat/threshold in ``min`` mode, shown only where both sides are
+positive.  The last line names the least headroom among the moved checks,
+in each tree.  A check that only one tree has counts as a difference.  The
+exit code is 1 on any difference, else 0.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -42,12 +55,13 @@ print(json.dumps([[seed, fn.__name__, float(result.stat).hex(), result.passed,
 """
 
 
-def observe(src: Path) -> dict[tuple[int, str], tuple[str, bool, float, str]]:
+def observe(src: Path, seeds=SEEDS) -> dict[tuple[int, str],
+                                             tuple[str, bool, float, str]]:
     """{(seed, check): (stat as float.hex, passed, threshold, mode)} of one
-    tree."""
+    tree, in run order."""
     env = {k: v for k, v in os.environ.items() if k != "PANCHA_SEED"}
     env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, "-c", PROBE, *map(str, SEEDS)],
+    proc = subprocess.run([sys.executable, "-c", PROBE, *map(str, seeds)],
                           env=env, capture_output=True, text=True, check=True)
     return {(seed, name): tuple(row) for seed, name, *row in json.loads(proc.stdout)}
 
@@ -88,17 +102,60 @@ def _least(rows) -> str:
     return f"x{ratio:.3g} ({name}, seed {seed})"
 
 
-def main() -> int:
-    if len(sys.argv) != 3:
-        print("usage: python tools/check_stats.py PARENT_SRC CHANGE_SRC",
-              file=sys.stderr)
-        return 2
-    trees = [Path(a).resolve() for a in sys.argv[1:]]
+def worst_table(rows) -> list[dict]:
+    """Per check, in run order: mode, threshold, the worst stat over the
+    seeds with its seed, the median, the seeds passed and the worst
+    stat's headroom as ``ratio`` where it is defined."""
+    by_check: dict[str, list] = {}
+    for (seed, name), row in rows.items():
+        by_check.setdefault(name, []).append((seed, row))
+    table = []
+    for name, runs in by_check.items():
+        _, _, threshold, mode = runs[0][1]
+        stats = [(float.fromhex(row[0]), seed) for seed, row in runs]
+        worse = max if mode == "max" else min
+        nan = [(stat, seed) for stat, seed in stats if math.isnan(stat)]
+        stat, seed = nan[0] if nan else worse(stats, key=lambda s: s[0])
+        entry = {"check": name, "mode": mode, "threshold": threshold,
+                 "worst": stat, "seed": seed,
+                 "median": statistics.median(s for s, _ in stats),
+                 "passed": sum(row[1] for _, row in runs), "seeds": len(runs)}
+        ratio = headroom(dict(runs)[seed])
+        if ratio is not None:
+            entry["ratio"] = ratio
+        table.append(entry)
+    return table
+
+
+def seed_range(text: str) -> range:
+    start, _, stop = text.partition(":")
+    try:
+        seeds = range(int(start), int(stop))
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected START:STOP") from None
+    if seeds.start < 0 or not seeds:
+        raise argparse.ArgumentTypeError("need 0 <= START < STOP")
+    return seeds
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("trees", nargs="+", type=Path, metavar="SRC",
+                        help="one tree to tabulate, or PARENT_SRC CHANGE_SRC")
+    parser.add_argument("--seeds", type=seed_range, default=SEEDS,
+                        metavar="START:STOP", help="the seeds range(START, STOP)")
+    args = parser.parse_args(argv)
+    if len(args.trees) > 2:
+        parser.error("give one tree, or a parent and a change")
+    trees = [tree.resolve() for tree in args.trees]
     for tree in trees:
         if not (tree / "pancha" / "__init__.py").is_file():
             print(f"no pancha package under {tree}", file=sys.stderr)
             return 2
-    parent, change = map(observe, trees)
+    if len(trees) == 1:
+        print(json.dumps(worst_table(observe(trees[0], args.seeds)), indent=1))
+        return 0
+    parent, change = (observe(tree, args.seeds) for tree in trees)
     moved = []
     for key in sorted(parent.keys() | change.keys()):
         old, new = parent.get(key), change.get(key)
