@@ -17,8 +17,7 @@ import importlib
 _EXPORTS = {
     "core": ("BlochPoint", "bloch_to_state", "inner_product",
              "matrix_exponential_su2", "orthogonal_complement",
-             "principal_angle", "qubit_density", "state_to_bloch", "tensor",
-             "wrap_angle"),
+             "principal_angle", "qubit_density", "tensor", "wrap_angle"),
     "dual": ("analyser_intensities", "apply_arm_fields",
              "dual_phase_closed_form", "prepare_beam_state"),
     "errors": ("AntipodalEndpointsError", "AntipodalPointsError",

@@ -32,16 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BlochPoint,
     _dot,
-    bloch_to_state,
     haar_state,
     inner_product,
     matrix_exponential_su2,
     orthogonal_complement,
     principal_angle,
     qubit_density,
-    state_to_bloch,
     wrap_angle,
 )
 from .dual import (
@@ -207,15 +204,12 @@ def random_triangle(rng, n, max_area=2.0 * np.pi - 0.1):
     order, like random_qubit_tuple."""
     def draw(k):
         states = random_qubit_tuple(rng, k, 3)
-        tri = SphericalTriangle.from_states(*states.swapaxes(0, 1))
-        omega = solid_angle(tri)
+        omega = solid_angle(SphericalTriangle.from_states(states))
         keep = np.abs(omega) < max_area
-        kept = tri[keep]
-        return (*kept.a, *kept.b, *kept.c, omega[keep])
+        return states[keep], omega[keep]
 
-    theta_a, phi_a, theta_b, phi_b, theta_c, phi_c, omega = _first_kept(n, draw)
-    return SphericalTriangle(BlochPoint(theta_a, phi_a), BlochPoint(theta_b, phi_b),
-                             BlochPoint(theta_c, phi_c)), omega
+    states, omega = _first_kept(n, draw)
+    return SphericalTriangle.from_states(states), omega
 
 
 def _haar_unitary(m):
@@ -258,9 +252,9 @@ def _evolved_path(h, psi0, n) -> DiscretePath:
 def check_solid_angle_law(seed, n=1000):
     """Overlap-product invariant equals -Omega/2 from spherical excess."""
     rng = np.random.default_rng([seed, 1])
-    a, b, c = random_qubit_tuple(rng, n, 3).swapaxes(0, 1)
-    omega = solid_angle(SphericalTriangle.from_states(a, b, c))
-    yield np.abs(wrap_angle(bargmann_invariant(a, b, c) + omega / 2.0))
+    states = random_qubit_tuple(rng, n, 3)
+    omega = solid_angle(SphericalTriangle.from_states(states))
+    yield np.abs(wrap_angle(bargmann_invariant(*states.swapaxes(0, 1)) + omega / 2.0))
 
 
 @_battery("geometry", "four-vertex additivity", 1e-9)
@@ -288,7 +282,7 @@ def check_holonomy_spectrum(seed, n=300):
     rng = np.random.default_rng([seed, 4])
     tri, omega = random_triangle(rng, n, max_area=4.0 * np.pi)
     u = loop_holonomy(tri)
-    vertex = bloch_to_state(tri.a)
+    vertex = tri.states[:, 0]
     for state, sign in ((vertex, +1.0), (orthogonal_complement(vertex), -1.0)):
         val = inner_product(state, (u @ state[..., None])[..., 0])
         yield np.abs(np.abs(val) - 1.0)
@@ -356,12 +350,13 @@ def check_mixed_nonadditivity(seed):
     weights = np.array([(1.0 + r) / 2.0, (1.0 - r) / 2.0])
     states = random_qubit_tuple(rng, 1, 4)[0]
     bases = [_eigenbasis(s) for s in states]
-    points = [state_to_bloch(s) for s in states]
-    legs = [geodesic_unitary(points[i], points[i + 1]) for i in range(3)]
+    abc, acd = (SphericalTriangle.from_states(states[k]) for k in ([0, 1, 2], [0, 2, 3]))
+    (a, b, c), d = abc.vectors, acd.vectors[2]
+    legs = [geodesic_unitary(a, b), geodesic_unitary(b, c), geodesic_unitary(c, d)]
 
     u_abcd = legs[2] @ legs[1] @ legs[0]
     u_abc = legs[1] @ legs[0]
-    u_acd = legs[2] @ (geodesic_unitary(points[0], points[2]))
+    u_acd = legs[2] @ geodesic_unitary(a, c)
     total = mixed_chain_invariant(weights, bases, u_abcd)
     split = (mixed_chain_invariant(weights, [bases[0], bases[1], bases[2]], u_abc)
              + mixed_chain_invariant(weights, [bases[0], bases[2], bases[3]],
@@ -509,7 +504,7 @@ def check_parallel_lift(seed, n=100):
         np.einsum("...ij,...ij->...i", path.states.conj(), lifted.states))
     endpoint = principal_angle(
         inner_product(lifted.states[..., 0, :], lifted.states[..., -1, :]))
-    yield np.where(is_parallel_lift(lifted, 1e-10), 0.0, 1.0)
+    yield np.where(is_parallel_lift(lifted), 0.0, 1.0)
     yield np.abs(overlap_moduli - 1.0)
     yield np.abs(wrap_angle(endpoint - chain_phase(path)))
     yield np.abs(dynamical_phase(lifted))

@@ -1,5 +1,6 @@
-"""Complex linear-algebra substrate: qubit states, Bloch-sphere charts,
-tensor products, SU(2) rotations, and Haar-random states.
+"""Complex linear-algebra substrate: qubit states and their Bloch vectors
+(the one route from a state is ``_unit_bloch``), tensor products, SU(2)
+rotations, and Haar-random states.
 
 Conventions used throughout the package:
 
@@ -28,8 +29,6 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 #: basis kets used all over the tests
 KET_PLUS_Z = np.array([1.0, 0.0], dtype=complex)
 KET_MINUS_Z = np.array([0.0, 1.0], dtype=complex)
-
-ATOL_NORM = 1e-12
 
 
 def wrap_angle(angle):
@@ -125,26 +124,28 @@ def bloch_to_state(point) -> np.ndarray:
                     axis=-1)
 
 
-def state_to_bloch(state: np.ndarray) -> BlochPoint:
-    """Inverse chart: unit-norm qubit state to Bloch angles.
+def _products(a, b, c, d, scratch, out=None, subtract=False):
+    """a b + c d, or a b - c d, in ``out`` (a new array by default), the
+    second product formed in ``scratch``: no other temporary is made."""
+    out, add = np.multiply(a, b, out=out), np.subtract if subtract else np.add
+    return add(out, np.multiply(c, d, out=scratch), out=out)
 
-    theta = 2*arccos(|a0|), evaluated in the equivalent atan2 form that
-    stays accurate at the poles; phi = arg(a1) - arg(a0) mod 2*pi, set to
-    0 at the poles where the azimuth is a chart artifact.  Rowwise over
-    (..., 2) states: a batch gives a BlochPoint of angle arrays, one
-    state a BlochPoint of floats.
-    """
-    state = np.asarray(state, dtype=complex)
-    if state.shape[-1:] != (2,):
-        raise ValueError("state_to_bloch expects qubit states")
-    a0, a1 = state[..., 0], state[..., 1]
-    m0, m1 = np.hypot(a0.real, a0.imag), np.hypot(a1.real, a1.imag)
-    pole = (m0 < ATOL_NORM) | (m1 < ATOL_NORM)
-    theta = np.where(pole, np.where(m1 < m0, 0.0, np.pi), 2.0 * np.arctan2(m1, m0))
-    phi = np.where(pole, 0.0, (np.angle(a1) - np.angle(a0)) % (2.0 * np.pi))
-    if theta.ndim == 0:
-        return BlochPoint(float(theta), float(phi))
-    return BlochPoint(theta, phi)
+
+def _unit_bloch(states):
+    """Unit Bloch components (x, y, z) of qubit rows (..., rows, 2), each
+    (..., rows), from the real and imaginary parts of the amplitudes a
+    and b: 2 Re(a* b), 2 Im(a* b) and |a|^2 - |b|^2, each over the
+    length |a|^2 + |b|^2 of the Bloch vector (0-d arrays for one state).
+    This is the one route from a state to its Bloch vector."""
+    a, b = states[..., 0], states[..., 1]
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    pa, pb, scale, x, y, t = (np.empty(ar.shape) for _ in range(6))
+    pa, pb = _products(ar, ar, ai, ai, t, pa), _products(br, br, bi, bi, t, pb)
+    np.divide(2.0, np.add(pa, pb, out=scale), out=scale)
+    np.multiply(_products(ar, br, ai, bi, t, x), scale, out=x)
+    np.multiply(_products(ar, bi, ai, br, t, y, subtract=True), scale, out=y)
+    np.subtract(pa, pb, out=pa)
+    return x, y, np.multiply(pa, np.multiply(0.5, scale, out=t), out=pa)
 
 
 def orthogonal_complement(state: np.ndarray) -> np.ndarray:

@@ -114,7 +114,7 @@ def run_triangle(vertices, r=0.5) -> ExperimentOutcome:
                            mixed_solid_angle_phase, solid_angle)
 
     tri = _triangle(vertices)
-    sa, sb, sc = tri.states()
+    sa, sb, sc = tri.states
     invariant = bargmann_invariant(sa, sb, sc)
     omega = solid_angle(tri)
     holonomy_phase = float(np.angle(inner_product(sa, loop_holonomy(tri) @ sa)))

@@ -17,8 +17,8 @@ of corner angles.  The Van Oosterom-Strackee form is the overlap product
 in Bloch vectors, so it is not used: it would make the triangle check
 nearly a tautology, and summed over pole triangles it telescopes into the
 overlap chain, which would make the geodesic-closure area a copy of the
-chain phase it is compared with.  The geodesic kernels share one rotation
-on unit vectors, _arc_rotation, so a triangle forms each vertex's once.
+chain phase it is compared with.  A triangle holds the vertex unit
+vectors and states its kernels read; geodesic_unitary takes unit vectors.
 The mixed-state law takes a triangle and a Bloch radius: mixed_bargmann
 forms the qubit's weights, vertex eigenbases and transport, all valid by
 construction, and evaluates mixed_chain_invariant, the weighted invariant
@@ -39,6 +39,7 @@ import numpy as np
 from .core import (
     BlochPoint,
     _dot,
+    _unit_bloch,
     bloch_to_state,
     from_parts,
     inner_product,
@@ -46,7 +47,6 @@ from .core import (
     matrix_exponential_su2,
     orthogonal_complement,
     principal_angle,
-    state_to_bloch,
     undefined_rows,
 )
 from .errors import (
@@ -62,34 +62,38 @@ from .phase import EPS_ORTH, tilted_overlap
 EPS_GEO = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class SphericalTriangle:
-    """Ordered, oriented vertex triple on the Bloch sphere.
+    """Ordered, oriented vertex triple on the Bloch sphere, holding its
+    vertex unit vectors ``vectors`` (..., 3, 3) and states ``states``
+    (..., 3, 2), made from three BlochPoint or by ``from_states``.  Leading
+    axes make a batch, one triangle per row, which every kernel takes."""
 
-    Vertices whose angles are arrays make a batch of triangles, one per
-    row; every kernel below takes a batch as well as a single triangle.
-    """
+    vectors: np.ndarray
+    states: np.ndarray
 
-    a: BlochPoint
-    b: BlochPoint
-    c: BlochPoint
+    def __init__(self, a: BlochPoint, b: BlochPoint, c: BlochPoint):
+        self.__dict__.update(
+            vectors=np.stack([p.unit_vector() for p in (a, b, c)], axis=-2),
+            states=np.stack([bloch_to_state(p) for p in (a, b, c)], axis=-2))
 
     @classmethod
-    def from_states(cls, sa, sb, sc) -> "SphericalTriangle":
-        return cls(state_to_bloch(sa), state_to_bloch(sb), state_to_bloch(sc))
+    def from_states(cls, states) -> "SphericalTriangle":
+        """The triangles of the vertex states (..., 3, 2), kept as given."""
+        states = np.asarray(states, dtype=complex)
+        if states.shape[-2:] != (3, 2):
+            raise ValueError("a triangle takes three qubit states, (..., 3, 2)")
+        return cls._of(np.stack(_unit_bloch(states), axis=-1), states)
 
-    def unit_vectors(self) -> np.ndarray:
-        """(..., 3, 3) array whose rows are the vertex unit vectors."""
-        return np.stack([p.unit_vector() for p in (self.a, self.b, self.c)],
-                        axis=-2)
-
-    def states(self):
-        return tuple(bloch_to_state(p) for p in (self.a, self.b, self.c))
+    @classmethod
+    def _of(cls, vectors, states) -> "SphericalTriangle":
+        t = object.__new__(cls)
+        t.__dict__.update(vectors=vectors, states=states)
+        return t
 
     def __getitem__(self, rows) -> "SphericalTriangle":
         """The triangles at ``rows`` of a batch."""
-        return SphericalTriangle(*(BlochPoint(p.theta[rows], p.phi[rows])
-                                   for p in (self.a, self.b, self.c)))
+        return self._of(self.vectors[rows], self.states[rows])
 
 
 def _guard(overlaps):
@@ -236,7 +240,7 @@ def solid_angle(t: SphericalTriangle):
         DegenerateTriangleError: for coincident or antipodal vertex pairs
             of a single triangle.
     """
-    vecs = t.unit_vectors()
+    vecs = t.vectors
     following = np.roll(vecs, -1, axis=-2)
     degenerate = np.linalg.norm(np.cross(vecs, following), axis=-1) < EPS_GEO
 
@@ -252,24 +256,20 @@ def solid_angle(t: SphericalTriangle):
     return mark_undefined(omega, undefined)
 
 
-def geodesic_unitary(p: BlochPoint, q: BlochPoint, fraction=1.0) -> np.ndarray:
-    """SU(2) rotation by ``fraction`` of the great-circle arc from p to q.
+def geodesic_unitary(u, v, fraction=1.0) -> np.ndarray:
+    """SU(2) rotation by ``fraction`` of the great-circle arc from the
+    unit vector u to the unit vector v.
 
-    Rotates about (p x q)/|p x q|; the whole arc maps the state at p to
-    the state at q up to a global phase.  Rowwise over points with array
-    angles, broadcast against an array of fractions: the result has shape
-    broadcast(p.theta, q.theta, fraction) + (2, 2).  p = q gives
-    identities; antipodal rows of a batch are NaN.
+    Rotates about (u x v)/|u x v|; the whole arc maps the state at u to
+    the state at v up to a global phase.  Rowwise over (..., 3) vectors,
+    broadcast against an array of fractions: the result has shape
+    broadcast(u.shape[:-1], v.shape[:-1], fraction.shape) + (2, 2).
+    u = v gives identities; antipodal rows of a batch are NaN.
 
     Raises:
-        AntipodalPointsError: if p and q are single antipodal points
+        AntipodalPointsError: if u and v are single antipodal vectors
             (within EPS_GEO).
     """
-    return _arc_rotation(p.unit_vector(), q.unit_vector(), fraction)
-
-
-def _arc_rotation(u, v, fraction=1.0) -> np.ndarray:
-    """geodesic_unitary on the unit vectors u and v of its endpoints."""
     cross = np.cross(u, v)
     sine = np.sqrt(_dot(cross, cross))
     cosine = _dot(u, v)
@@ -293,9 +293,9 @@ def loop_holonomy(t: SphericalTriangle) -> np.ndarray:
     exp(-i Omega / 2); its orthogonal complement picks up the opposite
     phase (the determinant is one).  A batch gives (..., 2, 2).
     """
-    a, b, c = (p.unit_vector() for p in (t.a, t.b, t.c))
-    u_ab, u_bc, u_ca = _arc_rotation(a, b), _arc_rotation(b, c), _arc_rotation(c, a)
-    return u_ca @ u_bc @ u_ab
+    a, b, c = (t.vectors[..., k, :] for k in range(3))
+    u_ab, u_bc = geodesic_unitary(a, b), geodesic_unitary(b, c)
+    return geodesic_unitary(c, a) @ u_bc @ u_ab
 
 
 def mixed_chain_invariant(weights, bases, u):
@@ -356,9 +356,9 @@ def mixed_bargmann(t: SphericalTriangle, r):
             or the weighted sum of a single triangle vanishes or is NaN
             (as a NaN radius makes it).
     """
-    bases = [_eigenbasis(s) for s in t.states()]
-    a, b, c = (p.unit_vector() for p in (t.a, t.b, t.c))
-    u = _arc_rotation(b, c) @ _arc_rotation(a, b)
+    bases = [_eigenbasis(t.states[..., k, :]) for k in range(3)]
+    a, b, c = (t.vectors[..., k, :] for k in range(3))
+    u = geodesic_unitary(b, c) @ geodesic_unitary(a, b)
     r = np.asarray(r, dtype=float)
     if (np.abs(r) > 1.0 + 2e-12).any():
         raise ValueError("weights must lie in [0, 1] and sum to 1")

@@ -15,8 +15,9 @@ the corner-angle kernel, never the overlap chain it is compared with.
 Every pass over a path (building, validating, the chain's links, the
 energies, the closure's arcs) walks the cache-sized blocks of _blocks, so
 no full-length temporaries are made, and writes each block straight into
-its output, the closure's and the energies' temporaries too (_products),
-by the same operations in the same order as the plain expressions.
+its output, the closure's and the energies' temporaries too
+(core._products, core._unit_bloch), by the same operations in the same
+order as the plain expressions.
 Paths are validated values, and leading axes of their states make a
 batch: each kernel gives one value per path, NaN where a single path
 would raise, as do the precession kernels on array angles.
@@ -31,7 +32,8 @@ import numpy as np
 from .core import (
     SIGMA_X,
     SIGMA_Z,
-    bloch_to_state,
+    _products,
+    _unit_bloch,
     hermitian_rows,
     inner_product,
     mark_undefined,
@@ -63,6 +65,9 @@ from .phase import EPS_ORTH, PhaseResult, tilted_overlap
 #: 4096 a quarter slower and 2048 half as slow again
 _BLOCK = 8192
 
+#: largest link phase is_parallel_lift takes for a real positive overlap
+PARALLEL_TOL = 1e-10
+
 
 def _blocks(n: int, rows: int):
     """The blocks [lo, hi) that cover range(n) for a batch of ``rows``
@@ -70,13 +75,6 @@ def _blocks(n: int, rows: int):
     step = max(1, _BLOCK // max(1, rows))
     for lo in range(0, n, step):
         yield lo, min(lo + step, n)
-
-
-def _products(a, b, c, d, scratch, out=None, subtract=False):
-    """a b + c d, or a b - c d, in ``out`` (a new array by default), the
-    second product formed in ``scratch``: no other temporary is made."""
-    out, add = np.multiply(a, b, out=out), np.subtract if subtract else np.add
-    return add(out, np.multiply(c, d, out=scratch), out=out)
 
 
 @dataclass(frozen=True)
@@ -207,14 +205,14 @@ def chain_phase(path: DiscretePath):
     return mark_undefined(wrap_angle(total), broken | vanishing)
 
 
-def is_parallel_lift(path: DiscretePath, tol: float):
-    """True iff every adjacent overlap is real positive within ``tol``;
+def is_parallel_lift(path: DiscretePath):
+    """True iff every adjacent overlap is real positive within PARALLEL_TOL;
     one bool per path of a batch.  A vanishing link is not parallel."""
     try:
         phases, broken = _link_phases(path)
     except OrthogonalStatesError:
         return False
-    parallel = (np.abs(phases) <= tol).all(axis=-1) & ~broken
+    parallel = (np.abs(phases) <= PARALLEL_TOL).all(axis=-1) & ~broken
     return bool(parallel) if parallel.ndim == 0 else parallel
 
 
@@ -413,22 +411,6 @@ def precession_phase_closed_form(spec: PrecessionSpec):
         multiturn)
 
 
-def _unit_bloch(states):
-    """Unit Bloch components (x, y, z) of qubit rows (..., rows, 2), each
-    (..., rows), from the real and imaginary parts of the amplitudes a
-    and b: 2 Re(a* b), 2 Im(a* b) and |a|^2 - |b|^2, each over the
-    length |a|^2 + |b|^2 of the Bloch vector (0-d arrays for one state)."""
-    a, b = states[..., 0], states[..., 1]
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    pa, pb, scale, x, y, t = (np.empty(ar.shape) for _ in range(6))
-    pa, pb = _products(ar, ar, ai, ai, t, pa), _products(br, br, bi, bi, t, pb)
-    np.divide(2.0, np.add(pa, pb, out=scale), out=scale)
-    np.multiply(_products(ar, br, ai, bi, t, x), scale, out=x)
-    np.multiply(_products(ar, bi, ai, br, t, y, subtract=True), scale, out=y)
-    np.subtract(pa, pb, out=pa)
-    return x, y, np.multiply(pa, np.multiply(0.5, scale, out=t), out=pa)
-
-
 def _swept_area(x, y, z):
     """Signed area swept against the north pole N by the arcs joining
     consecutive points along the last axis of the unit Bloch components
@@ -547,19 +529,22 @@ def mixed_noncyclic_phase(spec: PrecessionSpec):
 
 
 def sample_triangle_path(triangle: SphericalTriangle, n: int = 4096) -> DiscretePath:
-    """Closed path tracing the triangle's geodesic sides at n total steps.
+    """Closed path tracing the triangle's geodesic sides in 3*(n//3) steps.
 
     States are transported by fractional geodesic rotations, so the final
     state is the loop holonomy applied to the first.
 
     Raises:
+        ValueError: for n < 3, which leaves a side no step.
         AntipodalPointsError: if a side joins antipodal vertices.
     """
-    per_side = max(1, n // 3)
+    if n < 3:
+        raise ValueError("need at least one step a side")
+    per_side = n // 3
     fractions = np.arange(1, per_side + 1) / per_side
-    corners = [triangle.a, triangle.b, triangle.c, triangle.a]
-    states = [bloch_to_state(triangle.a)[None, :]]
-    for p, q in zip(corners[:-1], corners[1:]):
-        states.append(geodesic_unitary(p, q, fractions) @ states[-1][-1])
+    corners = triangle.vectors[[0, 1, 2, 0]]
+    states = [triangle.states[None, 0]]
+    for u, v in zip(corners[:-1], corners[1:]):
+        states.append(geodesic_unitary(u, v, fractions) @ states[-1][-1])
     return DiscretePath(np.linspace(0.0, 1.0, 3 * per_side + 1),
                         np.concatenate(states))

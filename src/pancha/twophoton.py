@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import bloch_to_state, mark_undefined, tensor, undefined_rows
+from .core import mark_undefined, tensor, undefined_rows
 from .errors import (
     BranchAmbiguityError,
     OrthogonalStatesError,
@@ -65,7 +65,7 @@ def _pair_transport(lam, triangle_a, triangle_a_prime):
     lam = np.asarray(lam, dtype=float)
     if not ((0.0 <= lam) & (lam <= 1.0)).all():
         raise ValueError("lam must lie in [0, 1]")
-    a, ap = (_eigenbasis(bloch_to_state(t.a)) for t in (triangle_a, triangle_a_prime))
+    a, ap = (_eigenbasis(t.states[..., 0, :]) for t in (triangle_a, triangle_a_prime))
     initial = (np.sqrt(lam[..., None]) * tensor(a[..., :, 0], ap[..., :, 0])
                + np.sqrt(1.0 - lam[..., None]) * tensor(a[..., :, 1], ap[..., :, 1]))
     u_a = loop_holonomy(triangle_a)

@@ -19,47 +19,64 @@ the energies before each block was written in place: ``_unit_bloch``,
 Then the mixed-state triangle law as it was built through a
 ``MixedTriple`` carrier that re-validated its own data:
 ``qubit_mixed_triple``, ``MixedTriple.validate`` (with ``_coinciding``
-and ``_require_orthonormal``) and ``mixed_bargmann(mt)``.  Then
+and ``_require_orthonormal``) and ``mixed_bargmann(mt)`` (here
+``mixed_triple_bargmann``).  Then
 ``checks.random_triangle`` as it was when it converted the kept states
 to Bloch angles a second time (it passes the samplers' overlap floor on
-as the default it always was).  Last, the fringe readout as it was when
+as the default it always was).  Then the fringe readout as it was when
 a profile carried its own fit: ``PhaseResult`` with its ``defined``
 flag (and ``from_overlap``), ``fit_fringe``, ``InterferenceProfile`` and
-``dual_coincidence_profile``.
+``dual_coincidence_profile``.  Last, the triangle as it was when it held
+Bloch angles and its kernels turned them into unit vectors and states
+on each call: ``SphericalTriangle`` (built from states by
+``state_to_bloch``), ``solid_angle``, ``geodesic_unitary`` on points,
+``_arc_rotation``, ``loop_holonomy``, ``mixed_bargmann(t, r)`` (here
+``angle_mixed_bargmann``), ``sample_triangle_path``,
+``twophoton._pair_transport`` and the body of
+``checks.check_mixed_nonadditivity`` (here ``mixed_nonadditivity()``).
+The earlier copies above that take a triangle (``qubit_mixed_triple``,
+``random_triangle``) take and give this one.
 """
+
+from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from pancha import checks
+from pancha import geometry
 from pancha.core import (
     SIGMA_Z,
     BlochPoint,
+    _dot,
+    bloch_to_state,
     haar_state,
     hermitian_rows,
     mark_undefined,
+    matrix_exponential_su2,
     principal_angle,
+    tensor,
     undefined_rows,
     wrap_angle,
 )
 from pancha.dual import _analyser_states, _channel, spin_arm_states
 from pancha.errors import (
+    AntipodalPointsError,
     DegenerateSpectrumError,
     DegenerateTriangleError,
     IllConditionedError,
     OrthogonalStatesError,
 )
 from pancha.geometry import (
-    SphericalTriangle,
-    _arc_rotation,
+    EPS_GEO,
     _edge,
     _eigenbasis,
+    girard_signed_area,
     mixed_chain_invariant,
-    solid_angle,
 )
 from pancha.phase import EPS_ORTH, pure_interference_profile
-from pancha.transport import _blocks, _precession_axis
+from pancha.transport import DiscretePath, _blocks, _precession_axis
 
 
 def random_state(seed: int, dim: int = 2) -> np.ndarray:
@@ -87,9 +104,9 @@ def point_from_vector(v) -> BlochPoint:
     return BlochPoint(float(theta), float(phi))
 
 
-def reversed_triangle(t: SphericalTriangle) -> SphericalTriangle:
+def reversed_triangle(t: geometry.SphericalTriangle) -> geometry.SphericalTriangle:
     """Same vertices, opposite orientation."""
-    return SphericalTriangle(t.a, t.c, t.b)
+    return t._of(t.vectors[..., [0, 2, 1], :], t.states[..., [0, 2, 1], :])
 
 
 def random_smooth_path(rng, n=256, dim=2):
@@ -326,7 +343,7 @@ class MixedTriple:
         return self
 
 
-def mixed_bargmann(mt: MixedTriple):
+def mixed_triple_bargmann(mt: MixedTriple):
     mt.validate()
     phase = mixed_chain_invariant(
         mt.weights, [mt.basis_a, mt.basis_b, mt.basis_c], mt.u
@@ -424,3 +441,151 @@ def dual_coincidence_profile(theta, delta_phi, chis) -> InterferenceProfile:
     chis = np.asarray(chis, dtype=float)
     up = _channel(_analyser_states(theta, delta_phi, chis), 0)
     return InterferenceProfile(chis, up, fit_fringe(chis, up))
+
+
+# ---------------------------------------------------------------------------
+# the triangle and its kernels before it held its vertex vectors and
+# states, verbatim: vertices as Bloch angles, read back by state_to_bloch
+# from states and turned into unit vectors and states in each kernel call
+# (mixed_bargmann(t, r) here as angle_mixed_bargmann)
+
+ATOL_NORM = 1e-12
+
+
+def state_to_bloch(state: np.ndarray) -> BlochPoint:
+    state = np.asarray(state, dtype=complex)
+    if state.shape[-1:] != (2,):
+        raise ValueError("state_to_bloch expects qubit states")
+    a0, a1 = state[..., 0], state[..., 1]
+    m0, m1 = np.hypot(a0.real, a0.imag), np.hypot(a1.real, a1.imag)
+    pole = (m0 < ATOL_NORM) | (m1 < ATOL_NORM)
+    theta = np.where(pole, np.where(m1 < m0, 0.0, np.pi), 2.0 * np.arctan2(m1, m0))
+    phi = np.where(pole, 0.0, (np.angle(a1) - np.angle(a0)) % (2.0 * np.pi))
+    if theta.ndim == 0:
+        return BlochPoint(float(theta), float(phi))
+    return BlochPoint(theta, phi)
+
+
+@dataclass(frozen=True)
+class SphericalTriangle:
+    a: BlochPoint
+    b: BlochPoint
+    c: BlochPoint
+
+    @classmethod
+    def from_states(cls, sa, sb, sc) -> "SphericalTriangle":
+        return cls(state_to_bloch(sa), state_to_bloch(sb), state_to_bloch(sc))
+
+    def unit_vectors(self) -> np.ndarray:
+        return np.stack([p.unit_vector() for p in (self.a, self.b, self.c)],
+                        axis=-2)
+
+    def states(self):
+        return tuple(bloch_to_state(p) for p in (self.a, self.b, self.c))
+
+    def __getitem__(self, rows) -> "SphericalTriangle":
+        return SphericalTriangle(*(BlochPoint(p.theta[rows], p.phi[rows])
+                                   for p in (self.a, self.b, self.c)))
+
+
+def solid_angle(t: SphericalTriangle):
+    vecs = t.unit_vectors()
+    following = np.roll(vecs, -1, axis=-2)
+    degenerate = np.linalg.norm(np.cross(vecs, following), axis=-1) < EPS_GEO
+
+    def message():
+        i = int(np.argmax(degenerate))
+        kind = "coincident" if np.dot(vecs[i], following[i]) > 0.0 else "antipodal"
+        names = "abca"[i:i + 2]
+        return f"vertices {names[0]}, {names[1]} are {kind}"
+
+    undefined = undefined_rows(degenerate.any(axis=-1), DegenerateTriangleError,
+                               message)
+    omega = girard_signed_area(vecs[..., 0, :], vecs[..., 1, :], vecs[..., 2, :])
+    return mark_undefined(omega, undefined)
+
+
+def geodesic_unitary(p: BlochPoint, q: BlochPoint, fraction=1.0) -> np.ndarray:
+    return _arc_rotation(p.unit_vector(), q.unit_vector(), fraction)
+
+
+def _arc_rotation(u, v, fraction=1.0) -> np.ndarray:
+    cross = np.cross(u, v)
+    sine = np.sqrt(_dot(cross, cross))
+    cosine = _dot(u, v)
+    degenerate = sine < EPS_GEO
+    antipodal = undefined_rows(degenerate & (cosine < 0.0), AntipodalPointsError,
+                               "rotation axis undefined for antipodal points")
+    # a degenerate row turns by zero about any axis: the identity
+    axis = np.where(degenerate[..., None], (0.0, 0.0, 1.0),
+                    cross / np.where(degenerate, 1.0, sine)[..., None])
+    angle = np.where(degenerate, 0.0, np.arctan2(sine, cosine))
+    rotation = matrix_exponential_su2(axis, angle * np.asarray(fraction, dtype=float))
+    if antipodal.any():
+        rotation = np.where(antipodal[..., None, None], np.nan, rotation)
+    return rotation
+
+
+def loop_holonomy(t: SphericalTriangle) -> np.ndarray:
+    a, b, c = (p.unit_vector() for p in (t.a, t.b, t.c))
+    u_ab, u_bc, u_ca = _arc_rotation(a, b), _arc_rotation(b, c), _arc_rotation(c, a)
+    return u_ca @ u_bc @ u_ab
+
+
+def angle_mixed_bargmann(t: SphericalTriangle, r):
+    bases = [_eigenbasis(s) for s in t.states()]
+    a, b, c = (p.unit_vector() for p in (t.a, t.b, t.c))
+    u = _arc_rotation(b, c) @ _arc_rotation(a, b)
+    r = np.asarray(r, dtype=float)
+    if (np.abs(r) > 1.0 + 2e-12).any():
+        raise ValueError("weights must lie in [0, 1] and sum to 1")
+    w = np.stack([(1.0 + r) / 2.0, (1.0 - r) / 2.0], axis=-1)
+    degenerate = undefined_rows(
+        np.abs(w[..., 0] - w[..., 1]) < 1e-12, DegenerateSpectrumError,
+        "weights 0 and 1 coincide; eigenbases not unique")
+    return mark_undefined(mixed_chain_invariant(w, bases, u), degenerate)
+
+
+def sample_triangle_path(triangle: SphericalTriangle, n: int = 4096) -> DiscretePath:
+    per_side = max(1, n // 3)
+    fractions = np.arange(1, per_side + 1) / per_side
+    corners = [triangle.a, triangle.b, triangle.c, triangle.a]
+    states = [bloch_to_state(triangle.a)[None, :]]
+    for p, q in zip(corners[:-1], corners[1:]):
+        states.append(geodesic_unitary(p, q, fractions) @ states[-1][-1])
+    return DiscretePath(np.linspace(0.0, 1.0, 3 * per_side + 1),
+                        np.concatenate(states))
+
+
+def mixed_nonadditivity():
+    """The stat of checks.check_mixed_nonadditivity, by the angle route."""
+    rng = np.random.default_rng([2026, 8])
+    r = 0.5
+    weights = np.array([(1.0 + r) / 2.0, (1.0 - r) / 2.0])
+    states = checks.random_qubit_tuple(rng, 1, 4)[0]
+    bases = [_eigenbasis(s) for s in states]
+    points = [state_to_bloch(s) for s in states]
+    legs = [geodesic_unitary(points[i], points[i + 1]) for i in range(3)]
+
+    u_abcd = legs[2] @ legs[1] @ legs[0]
+    u_abc = legs[1] @ legs[0]
+    u_acd = legs[2] @ (geodesic_unitary(points[0], points[2]))
+    total = mixed_chain_invariant(weights, bases, u_abcd)
+    split = (mixed_chain_invariant(weights, [bases[0], bases[1], bases[2]], u_abc)
+             + mixed_chain_invariant(weights, [bases[0], bases[2], bases[3]],
+                                     u_acd))
+    return abs(wrap_angle(total - split))
+
+
+def _pair_transport(lam, triangle_a, triangle_a_prime):
+    lam = np.asarray(lam, dtype=float)
+    if not ((0.0 <= lam) & (lam <= 1.0)).all():
+        raise ValueError("lam must lie in [0, 1]")
+    a, ap = (_eigenbasis(bloch_to_state(t.a)) for t in (triangle_a, triangle_a_prime))
+    initial = (np.sqrt(lam[..., None]) * tensor(a[..., :, 0], ap[..., :, 0])
+               + np.sqrt(1.0 - lam[..., None]) * tensor(a[..., :, 1], ap[..., :, 1]))
+    u_a = loop_holonomy(triangle_a)
+    u_ap = loop_holonomy(triangle_a_prime)
+    u_pair = (u_a[..., :, None, :, None] * u_ap[..., None, :, None, :]).reshape(
+        initial.shape[:-1] + (4, 4))
+    return initial, (u_pair @ initial[..., None])[..., 0]

@@ -53,35 +53,28 @@ def sequential_tuples(rng, n, count, min_overlap=0.05):
 
 
 def sequential_triangles(rng, n, max_area):
-    """Reference sampler: one triangle at a time, as (angles, omegas)."""
-    angles, omegas = [], []
+    """Reference sampler: one triangle at a time, as (vertex states,
+    vertex vectors, omegas)."""
+    states, vectors, omegas = [], [], []
     while len(omegas) < n:
-        tri = SphericalTriangle.from_states(*sequential_tuples(rng, 1, 3)[0])
+        tri = SphericalTriangle.from_states(sequential_tuples(rng, 1, 3)[0])
         omega = solid_angle(tri)
         if abs(omega) < max_area:
-            angles.append([tri.a, tri.b, tri.c])
+            states.append(tri.states)
+            vectors.append(tri.vectors)
             omegas.append(omega)
-    return np.array(angles), np.array(omegas)
-
-
-def triangle_angles(tri):
-    return np.stack([np.stack([p.theta, p.phi], axis=-1)
-                     for p in (tri.a, tri.b, tri.c)], axis=1)
+    return np.array(states), np.array(vectors), np.array(omegas)
 
 
 def stack(*triangles):
-    """One batched triangle from single ones."""
-    vertices = [(t.a, t.b, t.c) for t in triangles]
-    return SphericalTriangle(*(
-        BlochPoint(np.array([v[i].theta for v in vertices]),
-                   np.array([v[i].phi for v in vertices]))
-        for i in range(3)))
+    """One batched triangle from the vertex states of single ones."""
+    return SphericalTriangle.from_states(np.stack([t.states for t in triangles]))
 
 
 def row(tri, k):
-    """Row k of a batched triangle as a single triangle of floats."""
-    return SphericalTriangle(*(BlochPoint(float(p.theta[k]), float(p.phi[k]))
-                               for p in (tri.a, tri.b, tri.c)))
+    """Row k of a batched triangle as a single triangle, made afresh from
+    its vertex states."""
+    return SphericalTriangle.from_states(tri.states[k])
 
 
 def random_batch(seed, n, count=3):
@@ -106,9 +99,9 @@ class TestSamplersMatchSequentialDraws:
     def test_triangles(self, max_area):
         batched_rng, reference_rng = (np.random.default_rng(11) for _ in range(2))
         tri, omega = checks.random_triangle(batched_rng, 300, max_area=max_area)
-        angles, omegas = sequential_triangles(reference_rng, 300, max_area)
-        np.testing.assert_allclose(triangle_angles(tri), angles, rtol=0.0,
-                                   atol=1e-15)
+        states, vectors, omegas = sequential_triangles(reference_rng, 300, max_area)
+        np.testing.assert_allclose(tri.states, states, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(tri.vectors, vectors, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(omega, omegas, rtol=0.0, atol=1e-15)
         assert (np.abs(omega) < max_area).all()
         assert batched_rng.bit_generator.state == reference_rng.bit_generator.state
@@ -198,11 +191,11 @@ class TestUndefinedRows:
         rows = stack(SphericalTriangle(NORTH, x, y), SphericalTriangle(NORTH, SOUTH, y))
         omega = solid_angle(rows)
         assert omega[0] == pytest.approx(np.pi / 2) and np.isnan(omega[1])
-        arcs = geodesic_unitary(rows.a, rows.b)
+        arcs = geodesic_unitary(rows.vectors[:, 0], rows.vectors[:, 1])
         assert np.isfinite(arcs[0]).all() and np.isnan(arcs[1]).all()
 
     def test_coincident_arc_is_identity(self):
-        points = BlochPoint(np.array([0.3, 1.2]), np.array([2.0, 5.0]))
+        points = BlochPoint(np.array([0.3, 1.2]), np.array([2.0, 5.0])).unit_vector()
         np.testing.assert_array_equal(geodesic_unitary(points, points),
                                       np.tile(np.eye(2), (2, 1, 1)))
 

@@ -7,6 +7,7 @@ from pancha.core import (
     BlochPoint,
     KET_MINUS_Z,
     KET_PLUS_Z,
+    _unit_bloch,
     bloch_to_state,
     haar_state,
     inner_product,
@@ -14,15 +15,13 @@ from pancha.core import (
     orthogonal_complement,
     principal_angle,
     qubit_density,
-    state_to_bloch,
     tensor,
     undefined_rows,
     wrap_angle,
 )
 from pancha.errors import OrthogonalStatesError
-from pancha.transport import _unit_bloch
 
-from oracles import bloch_vector, point_from_vector, random_state
+from oracles import bloch_vector, point_from_vector, random_state, state_to_bloch
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -67,33 +66,39 @@ class TestBlochChart:
             bloch_to_state(BlochPoint(np.pi / 2, np.pi / 2)),
             [SQRT_HALF, 1j * SQRT_HALF], atol=1e-15)
 
+    # the inverse chart is the state's Bloch vector (_unit_bloch), the one
+    # route from a state to the sphere; point_from_vector reads its angles
+
     def test_inverse_chart_poles(self):
-        assert state_to_bloch(np.array([1.0, 0.0])) == BlochPoint(0.0, 0.0)
-        south = state_to_bloch(np.array([0.0, np.exp(1j * np.pi / 3)]))
-        assert south.theta == pytest.approx(np.pi)
-        assert south.phi == 0.0
+        assert np.stack(_unit_bloch(np.array([1.0, 0.0]))).tolist() == [0.0, 0.0, 1.0]
+        south = np.stack(_unit_bloch(np.array([0.0, np.exp(1j * np.pi / 3)])))
+        assert south.tolist() == [0.0, 0.0, -1.0]
+        assert point_from_vector(south) == BlochPoint(np.pi, 0.0)
 
     def test_inverse_chart_equator(self):
-        point = state_to_bloch(np.array([SQRT_HALF, 1j * SQRT_HALF]))
+        point = point_from_vector(np.stack(_unit_bloch(
+            np.array([SQRT_HALF, 1j * SQRT_HALF]))))
         assert point.theta == pytest.approx(np.pi / 2)
         assert point.phi == pytest.approx(np.pi / 2)
 
     @given(st.floats(1e-6, np.pi - 1e-6), st.floats(0.0, 2 * np.pi,
                                                     exclude_max=True))
     def test_round_trip_angles(self, theta, phi):
-        point = state_to_bloch(bloch_to_state(BlochPoint(theta, phi)))
+        state = bloch_to_state(BlochPoint(theta, phi))
+        point = point_from_vector(np.stack(_unit_bloch(state)))
         assert point.theta == pytest.approx(theta, abs=1e-10)
         assert abs(wrap_angle(point.phi - phi)) < 1e-10
 
     @given(st.integers(0, 10_000))
     def test_round_trip_states(self, seed):
         state = random_state(seed)
-        again = bloch_to_state(state_to_bloch(state))
+        again = bloch_to_state(point_from_vector(np.stack(_unit_bloch(state))))
         assert abs(inner_product(state, again)) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("theta", [1e-8, 1e-5, np.pi - 1e-6])
     def test_round_trip_near_poles(self, theta):
-        point = state_to_bloch(bloch_to_state(BlochPoint(theta, 2.0)))
+        state = bloch_to_state(BlochPoint(theta, 2.0))
+        point = point_from_vector(np.stack(_unit_bloch(state)))
         assert point.theta == pytest.approx(theta, abs=1e-12)
 
     def test_unit_vector_round_trip(self):

@@ -33,6 +33,8 @@ NORTH = BlochPoint(0.0, 0.0)
 EQUATOR_X = BlochPoint(np.pi / 2, 0.0)
 EQUATOR_Y = BlochPoint(np.pi / 2, np.pi / 2)
 OCTANT = SphericalTriangle(NORTH, EQUATOR_X, EQUATOR_Y)
+#: unit vectors of the points above, the ends geodesic_unitary takes
+Z, X = NORTH.unit_vector(), EQUATOR_X.unit_vector()
 
 
 def random_triple(seed, min_overlap=0.05):
@@ -53,7 +55,7 @@ class TestBargmannInvariant:
         assert bargmann_invariant(a, a, a) == pytest.approx(0.0, abs=1e-15)
 
     def test_octant_value(self):
-        a, b, c = OCTANT.states()
+        a, b, c = OCTANT.states
         # cyclic product is (1 - i)/4
         assert bargmann_invariant(a, b, c) == pytest.approx(-np.pi / 4,
                                                             abs=1e-12)
@@ -111,7 +113,7 @@ class TestSolidAngle:
     def test_matches_invariant_on_random_triples(self):
         for seed in range(200):
             a, b, c = random_triple(seed)
-            tri = SphericalTriangle.from_states(a, b, c)
+            tri = SphericalTriangle.from_states([a, b, c])
             residual = wrap_angle(bargmann_invariant(a, b, c)
                                   + solid_angle(tri) / 2.0)
             assert abs(residual) < 1e-9
@@ -119,13 +121,13 @@ class TestSolidAngle:
 
 class TestGeodesicUnitary:
     def test_identity_for_equal_points(self):
-        np.testing.assert_allclose(geodesic_unitary(EQUATOR_X, EQUATOR_X),
+        np.testing.assert_allclose(geodesic_unitary(X, X),
                                    np.eye(2), atol=1e-15)
 
     def test_pole_to_equator_axis(self):
         from pancha.core import matrix_exponential_su2
 
-        got = geodesic_unitary(NORTH, EQUATOR_X)
+        got = geodesic_unitary(Z, X)
         want = matrix_exponential_su2((0.0, 1.0, 0.0), np.pi / 2)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -136,28 +138,28 @@ class TestGeodesicUnitary:
                            rng.uniform(0.0, 2.0 * np.pi))
             q = BlochPoint(rng.uniform(0.05, np.pi - 0.05),
                            rng.uniform(0.0, 2.0 * np.pi))
-            moved = geodesic_unitary(p, q) @ bloch_to_state(p)
+            moved = geodesic_unitary(p.unit_vector(), q.unit_vector()) @ bloch_to_state(p)
             assert abs(inner_product(bloch_to_state(q), moved)) == (
                 pytest.approx(1.0, abs=1e-10))
 
     def test_antipodal_rejected(self):
         with pytest.raises(AntipodalPointsError):
-            geodesic_unitary(NORTH, BlochPoint(np.pi, 0.0))
+            geodesic_unitary(Z, BlochPoint(np.pi, 0.0).unit_vector())
 
     def test_one_fraction_array_matches_whole_arc(self):
-        p, q = BlochPoint(0.4, 1.0), BlochPoint(2.0, 3.0)
+        p, q = BlochPoint(0.4, 1.0).unit_vector(), BlochPoint(2.0, 3.0).unit_vector()
         np.testing.assert_array_equal(geodesic_unitary(p, q, np.array([1.0]))[0],
                                       geodesic_unitary(p, q))
 
     def test_fractions_split_the_arc(self):
-        p, q = BlochPoint(0.4, 1.0), BlochPoint(2.0, 3.0)
+        p, q = BlochPoint(0.4, 1.0).unit_vector(), BlochPoint(2.0, 3.0).unit_vector()
         quarter, half = geodesic_unitary(p, q, np.array([0.25, 0.5]))
         np.testing.assert_allclose(quarter @ quarter, half, atol=1e-14)
         np.testing.assert_allclose(half @ half, geodesic_unitary(p, q),
                                    atol=1e-14)
 
     def test_coincident_points_give_identities(self):
-        got = geodesic_unitary(EQUATOR_X, EQUATOR_X, np.linspace(0.1, 1.0, 5))
+        got = geodesic_unitary(X, X, np.linspace(0.1, 1.0, 5))
         np.testing.assert_array_equal(got, np.tile(np.eye(2), (5, 1, 1)))
 
 
@@ -220,7 +222,7 @@ class TestMultiVertexInvariant:
 
 class TestMixedBargmann:
     def test_unit_weight_reduces_to_pure(self):
-        a, b, c = OCTANT.states()
+        a, b, c = OCTANT.states
         assert mixed_bargmann(OCTANT, 1.0) == pytest.approx(
             bargmann_invariant(a, b, c), abs=1e-10)
 
@@ -233,8 +235,9 @@ class TestMixedBargmann:
     def test_orientation_reversal_negates(self):
         weights = np.array([0.75, 0.25])
         basis_a, basis_b, basis_c = (np.stack([s, orthogonal_complement(s)], axis=-1)
-                                     for s in OCTANT.states())
-        u = geodesic_unitary(OCTANT.b, OCTANT.c) @ geodesic_unitary(OCTANT.a, OCTANT.b)
+                                     for s in OCTANT.states)
+        a, b, c = OCTANT.vectors
+        u = geodesic_unitary(b, c) @ geodesic_unitary(a, b)
         forward = mixed_chain_invariant(weights, [basis_a, basis_b, basis_c], u)
         assert forward == mixed_bargmann(OCTANT, 0.5)
         # stations b and c swapped, transport inverted
@@ -256,7 +259,7 @@ class TestMixedBargmann:
             if min(abs(inner_product(states[i], states[(i + 1) % 3]))
                    for i in range(3)) < 0.05:
                 continue
-            tri = SphericalTriangle.from_states(*states)
+            tri = SphericalTriangle.from_states(states)
             omega = solid_angle(tri)
             if abs(omega) >= 2.0 * np.pi - 0.1:
                 continue

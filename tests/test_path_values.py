@@ -139,7 +139,7 @@ class TestValidatedAtConstruction:
                             lambda self: calls.append(self) or real(self))
         for path in (batch, single):
             chain_phase(path)
-            is_parallel_lift(path, 1e-10)
+            is_parallel_lift(path)
             dynamical_phase(path)
             dynamical_phase(DiscretePath(path.times, path.states))
             pancharatnam_vs_auxiliary(path)
@@ -171,9 +171,9 @@ class TestBatchedRowsMatchSingleCalls:
         lifted = make_parallel_lift(batch)
         for row, path in zip(lifted.states, singles):
             assert row.tobytes() == make_parallel_lift(path).states.tobytes()
-        assert is_parallel_lift(lifted, 1e-10).tolist() == [True] * 6
-        assert is_parallel_lift(batch, 1e-10).tolist() == [
-            is_parallel_lift(p, 1e-10) for p in singles]
+        assert is_parallel_lift(lifted).tolist() == [True] * 6
+        assert is_parallel_lift(batch).tolist() == [
+            is_parallel_lift(p) for p in singles]
         np.testing.assert_array_equal(dynamical_phase(lifted),
                                       [dynamical_phase(make_parallel_lift(p))
                                        for p in singles])
@@ -222,9 +222,9 @@ class TestUndefinedRows:
         assert lifted.states[0].tobytes() == make_parallel_lift(
             DiscretePath(STEPS, good)).states.tobytes()
         assert np.isnan(dynamical_phase(batch)).tolist() == [False, True]
-        assert is_parallel_lift(batch, 1e-10).tolist() == [True, False]
+        assert is_parallel_lift(batch).tolist() == [True, False]
         single = DiscretePath(STEPS, ORTHOGONAL_LINK)
-        assert is_parallel_lift(single, 1e-10) is False
+        assert is_parallel_lift(single) is False
         for kernel in (make_parallel_lift, dynamical_phase):
             with pytest.raises(OrthogonalStatesError, match="link 0"):
                 kernel(single)
@@ -239,7 +239,7 @@ class TestUndefinedRows:
 def test_empty_batches_give_empty_rows():
     empty = DiscretePath(STEPS, np.zeros((0, 3, 2), dtype=complex), np.zeros((0, 2, 2)))
     for kernel in (chain_phase, dynamical_phase, pancharatnam_vs_auxiliary,
-                   lambda p: is_parallel_lift(p, 1e-10),
+                   is_parallel_lift,
                    lambda p: dynamical_phase(DiscretePath(p.times, p.states))):
         assert kernel(empty).shape == (0,)
     assert make_parallel_lift(empty).states.shape == (0, 3, 2)

@@ -11,18 +11,25 @@ values bit for bit, the same undefined rows, and the same errors with
 the same messages in the same order.  The sweep's cases take both of its
 branches: blocks whose arcs all have u.v >= 0, and blocks with a wider
 arc or a NaN.
-``loop_holonomy`` and ``mixed_bargmann`` form each vertex's unit vector
-once and transport by the ``geodesic_unitary`` products bit for bit,
-and the mixed solid-angle battery's one block of radii holds the rows
-of one call per radius.
+``loop_holonomy`` and ``mixed_bargmann`` transport by the
+``geodesic_unitary`` products bit for bit, and the mixed solid-angle
+battery's one block of radii holds the rows of one call per radius.
+A triangle holds its vertex unit vectors and states: made from Bloch
+angles, it and ``solid_angle``, ``loop_holonomy``, ``mixed_bargmann``,
+``geodesic_unitary`` (on the points' vectors), ``sample_triangle_path``,
+``twophoton._pair_transport``, ``simulate_loop_pair`` and
+``franson_coincidence_profile`` give the bits and errors of the earlier
+angle-route copies in ``oracles``; made from states, its vectors are the
+states' Bloch vectors and its solid angle that of the earlier route
+within 1e-14.
 """
 
 import numpy as np
 import pytest
 
 import oracles
-from pancha import checks, geometry, transport
-from pancha.core import BlochPoint
+from pancha import checks, geometry, transport, twophoton
+from pancha.core import BlochPoint, _unit_bloch, haar_state
 from pancha.dual import analyser_intensities
 from pancha.errors import (
     AntipodalPointsError,
@@ -37,15 +44,22 @@ from pancha.geometry import (
     loop_holonomy,
     mixed_bargmann,
     mixed_solid_angle_phase,
+    solid_angle,
 )
-from pancha.phase import PhaseResult, _chi_grid, fit_fringe
+from pancha.phase import (
+    PhaseResult,
+    _chi_grid,
+    fit_fringe,
+    pancharatnam_phase,
+    pure_interference_profile,
+)
 from pancha.transport import (
     _BLOCK,
     DiscretePath,
     PrecessionSpec,
-    _unit_bloch,
     precession_path,
 )
+from pancha.twophoton import franson_coincidence_profile, simulate_loop_pair
 
 SEEDS = (0, 20260809)
 
@@ -494,23 +508,28 @@ def test_energies(states, h):
 # ---------------------------------------------------------------------------
 # geodesic kernels
 
-def _triangles():
+def _vertex_angles():
+    """50 vertex triples, (a, b, c) each a (theta, phi) pair of rows,
+    from the earlier draw, of which row 0 has antipodal a, b, row 1
+    coincident b, c and row 2 antipodal c, a."""
     rng = np.random.default_rng(11)
-    tri, _ = checks.random_triangle(rng, 50)
+    tri, _ = oracles.random_triangle(rng, 50)
     a, b, c = (np.array(p) for p in (tri.a, tri.b, tri.c))
-    # row 0 has antipodal a, b; row 1 coincident b, c; row 2 antipodal c, a
     a[:, 0], b[:, 0] = (0.3, 1.0), (np.pi - 0.3, 1.0 + np.pi)
     c[:, 1] = b[:, 1]
     c[:, 2] = (np.pi - a[0, 2], a[1, 2] + np.pi)
-    return SphericalTriangle(*(BlochPoint(*p) for p in (a, b, c)))
+    return a, b, c
 
 
-TRIANGLES = _triangles()
+ANGLES = _vertex_angles()
+TRIANGLES = SphericalTriangle(*(BlochPoint(*p) for p in ANGLES))
+#: the same triangles as the earlier triangle held them
+EARLIER = oracles.SphericalTriangle(*(BlochPoint(*p) for p in ANGLES))
 
 
 def holonomy_by_sides(t):
-    return (geodesic_unitary(t.c, t.a) @ geodesic_unitary(t.b, t.c)
-            @ geodesic_unitary(t.a, t.b))
+    a, b, c = (t.vectors[..., k, :] for k in range(3))
+    return geodesic_unitary(c, a) @ geodesic_unitary(b, c) @ geodesic_unitary(a, b)
 
 
 @pytest.mark.parametrize("rows", [slice(None), 0, 1, 2, 3])
@@ -534,7 +553,8 @@ def test_mixed_bargmann_transports_by_its_sides(monkeypatch, rows):
     t = TRIANGLES[rows]
     mixed_bargmann(t, 0.4)
     (u,) = transports
-    same_bits(u, geodesic_unitary(t.b, t.c) @ geodesic_unitary(t.a, t.b))
+    a, b, c = (t.vectors[..., k, :] for k in range(3))
+    same_bits(u, geodesic_unitary(b, c) @ geodesic_unitary(a, b))
 
 
 @pytest.mark.parametrize("kernel", [loop_holonomy,
@@ -542,6 +562,8 @@ def test_mixed_bargmann_transports_by_its_sides(monkeypatch, rows):
                          ids=["loop_holonomy", "mixed_bargmann"])
 @pytest.mark.parametrize("rows", [slice(3, None), 3])
 def test_each_vertex_unit_vector_is_formed_once(monkeypatch, kernel, rows):
+    """Making the triangle forms each vertex's unit vector; the kernels
+    form none."""
     real, calls = BlochPoint.unit_vector, []
 
     def spy(point):
@@ -549,10 +571,11 @@ def test_each_vertex_unit_vector_is_formed_once(monkeypatch, kernel, rows):
         return real(point)
 
     monkeypatch.setattr(BlochPoint, "unit_vector", spy)
-    t = TRIANGLES[rows]
+    points = [BlochPoint(theta[rows], phi[rows]) for theta, phi in ANGLES]
+    t = SphericalTriangle(*points)
+    assert [id(p) for p in calls] == [id(p) for p in points]
     kernel(t)
     assert len(calls) == 3
-    assert [id(p) for p in calls] == [id(t.a), id(t.b), id(t.c)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -566,68 +589,68 @@ def test_mixed_solid_angle_law_rows_equal_one_call_per_radius(seed):
 
 
 # ---------------------------------------------------------------------------
-# mixed_bargmann(t, r) against qubit_mixed_triple and MixedTriple.validate
+# mixed_bargmann(t, r) against qubit_mixed_triple and MixedTriple.validate;
+# a case is the rows of TRIANGLES (EARLIER for the earlier law) and a radius
 
-NONE = np.zeros(len(TRIANGLES.a.theta), dtype=bool)
+NONE = np.zeros(len(TRIANGLES.states), dtype=bool)
 RADII = np.linspace(-1.0, 1.0, len(NONE))
 RADII[[4, 5, 6, 7]] = (0.0, np.nan, 1.0 + 1e-13, -1.0 - 1e-13)
+ALL = slice(None)
 MIXED_CASES = {
-    "single": (TRIANGLES[3], 0.5),
-    "single r 1": (TRIANGLES[3], 1.0),
-    "single r -1": (TRIANGLES[4], -1.0),
-    "single r 1 + 1e-13": (TRIANGLES[3], 1.0 + 1e-13),
-    "single r 1 + 1e-12": (TRIANGLES[3], 1.0 + 1e-12),
-    "single r 1 + 3e-12": (TRIANGLES[3], 1.0 + 3e-12),
-    "single r -1 - 1e-13": (TRIANGLES[3], -1.0 - 1e-13),
-    "single r -1 - 3e-12": (TRIANGLES[3], -1.0 - 3e-12),
-    "single r at the upper edge": (TRIANGLES[3], 1.0 + 2e-12),
-    "single r one ulp past the upper edge": (TRIANGLES[3],
-                                             np.nextafter(1.0 + 2e-12, 2)),
-    "single r at the lower edge": (TRIANGLES[3], -1.0 - 2e-12),
-    "single r one ulp past the lower edge": (TRIANGLES[3],
-                                             np.nextafter(-1.0 - 2e-12, -2)),
-    "single r 1.1": (TRIANGLES[3], 1.1),
-    "single r -1.1": (TRIANGLES[3], -1.1),
-    "single r 0": (TRIANGLES[3], 0.0),
-    "single r 1e-13": (TRIANGLES[3], 1e-13),
-    "single r 5e-12": (TRIANGLES[3], 5e-12),
-    "single NaN r": (TRIANGLES[3], np.nan),
-    "single antipodal a, b": (TRIANGLES[0], 0.5),
-    "single antipodal a, b, r 1.1": (TRIANGLES[0], 1.1),
-    "single antipodal a, b, r 0": (TRIANGLES[0], 0.0),
-    "single coincident b, c": (TRIANGLES[1], 0.5),
-    "single antipodal c, a": (TRIANGLES[2], 0.5),
-    "single antipodal c, a, r 0": (TRIANGLES[2], 0.0),
-    "single, radius rows": (TRIANGLES[3], np.array([0.2, 0.0, np.nan, -1.0])),
-    "batch": (TRIANGLES, 0.5),
-    "batch r 1": (TRIANGLES, 1.0),
-    "batch r 0": (TRIANGLES, 0.0),
-    "batch r 1.1": (TRIANGLES, 1.1),
-    "batch, per-row radii": (TRIANGLES, RADII),
-    "batch, per-row radii with 1.1": (TRIANGLES, RADII + 0.1),
-    "batch, (k, 1) radii": (TRIANGLES, np.array([[0.2], [-0.7], [0.0], [1.0],
-                                                 [np.nan]])),
-    "batch, (k, 1) radii as lists": (TRIANGLES, [[0.3], [-1.0]]),
-    "batch of good rows, (k, 1) radii": (TRIANGLES[3:], np.array([[0.0], [0.6]])),
-    "empty batch": (TRIANGLES[NONE], 0.5),
-    "empty batch r 0": (TRIANGLES[NONE], 0.0),
-    "empty batch, (k, 1) radii": (TRIANGLES[NONE], np.array([[0.2], [0.0]])),
+    "single": (3, 0.5),
+    "single r 1": (3, 1.0),
+    "single r -1": (4, -1.0),
+    "single r 1 + 1e-13": (3, 1.0 + 1e-13),
+    "single r 1 + 1e-12": (3, 1.0 + 1e-12),
+    "single r 1 + 3e-12": (3, 1.0 + 3e-12),
+    "single r -1 - 1e-13": (3, -1.0 - 1e-13),
+    "single r -1 - 3e-12": (3, -1.0 - 3e-12),
+    "single r at the upper edge": (3, 1.0 + 2e-12),
+    "single r one ulp past the upper edge": (3, np.nextafter(1.0 + 2e-12, 2)),
+    "single r at the lower edge": (3, -1.0 - 2e-12),
+    "single r one ulp past the lower edge": (3, np.nextafter(-1.0 - 2e-12, -2)),
+    "single r 1.1": (3, 1.1),
+    "single r -1.1": (3, -1.1),
+    "single r 0": (3, 0.0),
+    "single r 1e-13": (3, 1e-13),
+    "single r 5e-12": (3, 5e-12),
+    "single NaN r": (3, np.nan),
+    "single antipodal a, b": (0, 0.5),
+    "single antipodal a, b, r 1.1": (0, 1.1),
+    "single antipodal a, b, r 0": (0, 0.0),
+    "single coincident b, c": (1, 0.5),
+    "single antipodal c, a": (2, 0.5),
+    "single antipodal c, a, r 0": (2, 0.0),
+    "single, radius rows": (3, np.array([0.2, 0.0, np.nan, -1.0])),
+    "batch": (ALL, 0.5),
+    "batch r 1": (ALL, 1.0),
+    "batch r 0": (ALL, 0.0),
+    "batch r 1.1": (ALL, 1.1),
+    "batch, per-row radii": (ALL, RADII),
+    "batch, per-row radii with 1.1": (ALL, RADII + 0.1),
+    "batch, (k, 1) radii": (ALL, np.array([[0.2], [-0.7], [0.0], [1.0], [np.nan]])),
+    "batch, (k, 1) radii as lists": (ALL, [[0.3], [-1.0]]),
+    "batch of good rows, (k, 1) radii": (slice(3, None), np.array([[0.0], [0.6]])),
+    "empty batch": (NONE, 0.5),
+    "empty batch r 0": (NONE, 0.0),
+    "empty batch, (k, 1) radii": (NONE, np.array([[0.2], [0.0]])),
 }
 
 
 def earlier_mixed_bargmann(t, r):
-    return oracles.mixed_bargmann(oracles.qubit_mixed_triple(t, r))
+    return oracles.mixed_triple_bargmann(oracles.qubit_mixed_triple(t, r))
 
 
-@pytest.mark.parametrize("t, r", MIXED_CASES.values(), ids=MIXED_CASES.keys())
-def test_mixed_bargmann(t, r):
-    assert_same_outcome(outcome(mixed_bargmann, t, r),
-                        outcome(earlier_mixed_bargmann, t, r))
+@pytest.mark.parametrize("rows, r", MIXED_CASES.values(), ids=MIXED_CASES.keys())
+def test_mixed_bargmann(rows, r):
+    assert_same_outcome(outcome(mixed_bargmann, TRIANGLES[rows], r),
+                        outcome(earlier_mixed_bargmann, EARLIER[rows], r))
 
 
 def test_mixed_cases_reach_every_outcome():
     """Values, NaN rows from each cause, and every raise the law has."""
-    got = {name: outcome(mixed_bargmann, t, r) for name, (t, r) in MIXED_CASES.items()}
+    got = {name: outcome(mixed_bargmann, TRIANGLES[rows], r)
+           for name, (rows, r) in MIXED_CASES.items()}
     raised = {o[1].__name__ for o in got.values() if o[0] == "raise"}
     assert raised == {"AntipodalPointsError", "DegenerateSpectrumError",
                       "OrthogonalStatesError", "ValueError"}
@@ -659,10 +682,9 @@ def test_radius_test_agrees_with_the_earlier_weight_tests_near_the_edge(edge):
         for _ in range(64):
             r = np.nextafter(r, toward)
             radii.append(r)
-    t = TRIANGLES[3]
     for r in radii:
-        assert_same_outcome(outcome(mixed_bargmann, t, r),
-                            outcome(earlier_mixed_bargmann, t, r))
+        assert_same_outcome(outcome(mixed_bargmann, TRIANGLES[3], r),
+                            outcome(earlier_mixed_bargmann, EARLIER[3], r))
 
 
 # ---------------------------------------------------------------------------
@@ -672,34 +694,234 @@ def test_radius_test_agrees_with_the_earlier_weight_tests_near_the_edge(edge):
 @pytest.mark.parametrize("n, max_area", [(1, 2.0 * np.pi - 0.1), (200, 2.0 * np.pi - 0.1),
                                          (200, 1.0), (60, 4.0 * np.pi)])
 def test_random_triangle(seed, n, max_area):
+    """The same rows are drawn and kept, in order: charted by the earlier
+    state_to_bloch, the kept states give the earlier angles bit for bit;
+    the solid angles, now read off the states' own vectors, stay within
+    1e-14 of the earlier ones."""
     tri, omega = checks.random_triangle(np.random.default_rng(seed), n,
                                         max_area=max_area)
     want, want_omega = oracles.random_triangle(np.random.default_rng(seed), n,
                                                max_area=max_area)
-    same_bits(omega, want_omega)
-    for got_point, want_point in zip((tri.a, tri.b, tri.c),
-                                     (want.a, want.b, want.c)):
+    assert tri.states.shape == (n, 3, 2) and omega.shape == (n,)
+    for k, want_point in enumerate((want.a, want.b, want.c)):
+        got_point = oracles.state_to_bloch(tri.states[:, k])
         same_bits(got_point.theta, want_point.theta)
         same_bits(got_point.phi, want_point.phi)
+    np.testing.assert_allclose(omega, want_omega, rtol=0.0, atol=1e-14)
+    same_bits(omega, solid_angle(SphericalTriangle.from_states(tri.states)))
+    same_bits(tri.vectors, np.stack(_unit_bloch(tri.states), axis=-1))
 
 
 def test_random_triangle_converts_each_draw_once(monkeypatch):
-    real_draw, real_chart = checks.random_qubit_tuple, geometry.state_to_bloch
+    """Each draw's states, and then the kept ones, are read once."""
+    real_draw, real_read = checks.random_qubit_tuple, geometry._unit_bloch
     draws, conversions = [], []
 
     def draw(rng, k, *rest):
         draws.append(k)
         return real_draw(rng, k, *rest)
 
-    def chart(states):
-        conversions.append(len(states))
-        return real_chart(states)
+    def read(states):
+        conversions.append(states.shape[:-1])
+        return real_read(states)
 
     monkeypatch.setattr(checks, "random_qubit_tuple", draw)
-    monkeypatch.setattr(geometry, "state_to_bloch", chart)
+    monkeypatch.setattr(geometry, "_unit_bloch", read)
     checks.random_triangle(np.random.default_rng(3), 200, max_area=1.0)
     assert len(draws) > 1
-    assert conversions == [k for k in draws for _ in range(3)]
+    assert conversions == [(k, 3) for k in draws] + [(200, 3)]
+
+
+# ---------------------------------------------------------------------------
+# the triangle kernels on angle-built triangles against the earlier
+# angle-route kernels, and on state-built ones against the Bloch vector
+
+def _angle_cases():
+    """Name -> (a, b, c) vertex angle pairs, one triangle or rows."""
+    rng = np.random.default_rng(29)
+    batch = [tuple(rng.uniform((0.0, 0.0), (np.pi, 2.0 * np.pi), (40, 2)).T)
+             for _ in range(3)]
+    single = [(0.4, 1.0), (2.0, 3.0), (1.2, 5.5)]
+    poles = [(0.0, 0.0), (np.pi / 2, 0.3), (np.pi, 0.0)]
+    near_north = [(1e-9, 4.0), (2.5, 1.0), (1.5, 3.0)]
+    near_south = [(0.5, 1.0), (np.pi - 1e-9, 2.0), (1.5, 4.0)]
+    coincident = [(0.4, 1.0), (2.0, 3.0), (2.0, 3.0)]
+    antipodal = [(0.4, 1.0), (np.pi - 0.4, 1.0 + np.pi), (1.2, 5.5)]
+    antipodal_ca = [(0.4, 1.0), (2.0, 3.0), (np.pi - 0.4, 1.0 + np.pi)]
+    nan_angle = [(0.4, 1.0), (np.nan, 3.0), (1.2, 5.5)]
+    specials = (single, poles, near_north, near_south, coincident, antipodal,
+                antipodal_ca, nan_angle)
+    mixed = [tuple(np.array([[float(x) for x in tri[k]] for tri in specials]).T)
+             for k in range(3)]
+    with_rows = [tuple(np.concatenate([m, b]) for m, b in zip(mv, bv))
+                 for mv, bv in zip(mixed, batch)]
+    return {
+        "single": single, "pole vertices": poles, "near the north pole": near_north,
+        "near the south pole": near_south,
+        "coincident b, c": coincident, "antipodal a, b": antipodal,
+        "antipodal c, a": antipodal_ca, "NaN angle": nan_angle,
+        "batch": batch, "batch with every special row": with_rows,
+        "empty batch": [(np.zeros(0), np.zeros(0))] * 3,
+    }
+
+
+ANGLE_CASES = _angle_cases()
+
+
+def both(vertices):
+    """The triangle of the vertex angles, made now and as it was made."""
+    points = [BlochPoint(*p) for p in vertices]
+    return SphericalTriangle(*points), oracles.SphericalTriangle(*points)
+
+
+@pytest.mark.parametrize("vertices", ANGLE_CASES.values(), ids=ANGLE_CASES.keys())
+def test_angle_built_triangle_holds_the_earlier_vectors_and_states(vertices):
+    t, earlier = both(vertices)
+    same_bits(t.vectors, earlier.unit_vectors())
+    same_bits(t.states, np.stack(earlier.states(), axis=-2))
+
+
+@pytest.mark.parametrize("vertices", ANGLE_CASES.values(), ids=ANGLE_CASES.keys())
+@pytest.mark.parametrize("kernel, earlier_kernel", [
+    (solid_angle, oracles.solid_angle),
+    (loop_holonomy, oracles.loop_holonomy),
+    (lambda t: mixed_bargmann(t, 0.5), lambda t: oracles.angle_mixed_bargmann(t, 0.5)),
+    (lambda t: mixed_bargmann(t, -0.3), lambda t: oracles.angle_mixed_bargmann(t, -0.3)),
+], ids=["solid_angle", "loop_holonomy", "mixed_bargmann 0.5", "mixed_bargmann -0.3"])
+def test_triangle_kernels(vertices, kernel, earlier_kernel):
+    t, earlier = both(vertices)
+    assert_same_outcome(outcome(kernel, t), outcome(earlier_kernel, earlier))
+
+
+@pytest.mark.parametrize("vertices", ANGLE_CASES.values(), ids=ANGLE_CASES.keys())
+def test_geodesic_unitary_on_vectors(vertices):
+    points = [BlochPoint(*p) for p in vertices]
+    fractions = np.linspace(0.1, 1.0, 4)[:, None] if np.ndim(points[0].theta) else 0.7
+    for p, q in ((points[0], points[1]), (points[1], points[2]), (points[2], points[0])):
+        for fraction in (1.0, fractions):
+            assert_same_outcome(
+                outcome(geodesic_unitary, p.unit_vector(), q.unit_vector(), fraction),
+                outcome(oracles.geodesic_unitary, p, q, fraction))
+
+
+SINGLES = {name: v for name, v in ANGLE_CASES.items() if np.ndim(v[0][0]) == 0}
+
+
+@pytest.mark.parametrize("vertices", SINGLES.values(), ids=SINGLES.keys())
+@pytest.mark.parametrize("n", [3, 4, 300, 1000])
+def test_sample_triangle_path(vertices, n):
+    t, earlier = both(vertices)
+    got = outcome(lambda: transport.sample_triangle_path(t, n))
+    want = outcome(lambda: oracles.sample_triangle_path(earlier, n))
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raise":
+        assert got == want
+    else:
+        same_bits(got[1].times, want[1].times)
+        same_bits(got[1].states, want[1].states)
+
+
+LAMS = {"one lam": 0.3, "lam rows": np.linspace(0.0, 1.0, 5)[:, None]}
+
+
+@pytest.mark.parametrize("lam", LAMS.values(), ids=LAMS.keys())
+@pytest.mark.parametrize("vertices", ANGLE_CASES.values(), ids=ANGLE_CASES.keys())
+def test_pair_kernels(vertices, lam):
+    """_pair_transport, simulate_loop_pair and franson_coincidence_profile
+    on a loop and the same loop turned by a vertex."""
+    t, earlier = both(vertices)
+    turned = both(vertices[1:] + vertices[:1])
+    pairs = ((t, turned[0]), (earlier, turned[1]))
+    chis = _chi_grid(16)
+    for kernel, earlier_kernel in (
+            (twophoton._pair_transport, oracles._pair_transport),
+            (lambda lam, a, ap: simulate_loop_pair(lam, a, ap).phase,
+             lambda lam, a, ap: pancharatnam_phase(*oracles._pair_transport(
+                 lam, a, ap)).phase),
+            (lambda lam, a, ap: simulate_loop_pair(lam, a, ap).visibility,
+             lambda lam, a, ap: pancharatnam_phase(*oracles._pair_transport(
+                 lam, a, ap)).visibility),
+            (lambda lam, a, ap: franson_coincidence_profile(lam, a, ap, chis),
+             lambda lam, a, ap: pure_interference_profile(*oracles._pair_transport(
+                 lam, a, ap), chis))):
+        assert_same_outcome(outcome(kernel, lam, *pairs[0]),
+                            outcome(earlier_kernel, lam, *pairs[1]))
+
+
+def test_angle_cases_reach_every_outcome():
+    """Values, NaN rows and each raise of the triangle kernels."""
+    raised = set()
+    for vertices in SINGLES.values():
+        t, _ = both(vertices)
+        for kernel in (solid_angle, loop_holonomy, lambda t: mixed_bargmann(t, 0.5)):
+            result = outcome(kernel, t)
+            if result[0] == "raise":
+                raised.add(result[1].__name__)
+    assert raised == {"AntipodalPointsError", "DegenerateTriangleError",
+                      "OrthogonalStatesError"}
+    t, _ = both(ANGLE_CASES["batch with every special row"])
+    omega, holonomy = solid_angle(t), loop_holonomy(t)
+    assert np.isnan(omega[[1, 4, 5, 6, 7]]).all()
+    assert np.isfinite(np.delete(omega, [1, 4, 5, 6, 7])).all()
+    assert np.isnan(holonomy[[1, 5, 6, 7]]).all()
+    assert np.isfinite(np.delete(holonomy, [1, 5, 6, 7], axis=0)).all()
+
+
+STATE_CASES = {
+    "haar rows": checks.random_qubit_tuple(np.random.default_rng(31), 2000, 3),
+    "haar grid": haar_state(np.random.default_rng(32), shape=(5, 40, 3)),
+    "one triangle": checks.random_qubit_tuple(np.random.default_rng(33), 1, 3)[0],
+    "poles and the equator": np.array([[1.0, 0.0], [0.0, 1j], [np.sqrt(0.5),
+                                                               -np.sqrt(0.5)]]),
+}
+
+
+@pytest.mark.parametrize("states", STATE_CASES.values(), ids=STATE_CASES.keys())
+def test_state_built_vectors(states):
+    """The vectors are the states' own: within 4 ulps of 1 of the
+    unnormalised Bloch vector of oracles, and within 2 of the exact unit
+    vector in extended precision where numpy has one."""
+    t = SphericalTriangle.from_states(states)
+    same_bits(t.states, states)
+    got = t.vectors
+    assert got.shape == states.shape[:-1] + (3,)
+    ulp = np.spacing(1.0)
+    assert np.abs(got - oracles.bloch_vector(states)).max() <= 4 * ulp
+    wide = np.longdouble
+    if np.finfo(wide).eps < np.finfo(float).eps:
+        a, b = states[..., 0], states[..., 1]
+        ar, ai, br, bi = (x.astype(wide) for x in (a.real, a.imag, b.real, b.imag))
+        pa, pb = ar * ar + ai * ai, br * br + bi * bi
+        exact = np.stack([2 * (ar * br + ai * bi), 2 * (ar * bi - ai * br), pa - pb],
+                         axis=-1) / (pa + pb)[..., None]
+        assert np.abs(got - exact).max() <= 2 * ulp
+
+
+NONDEGENERATE = {name: s for name, s in STATE_CASES.items()
+                 if name != "poles and the equator"}
+
+
+@pytest.mark.parametrize("states", NONDEGENERATE.values(), ids=NONDEGENERATE.keys())
+def test_state_built_solid_angle_agrees_with_the_angle_route(states):
+    got = solid_angle(SphericalTriangle.from_states(states))
+    want = oracles.solid_angle(oracles.SphericalTriangle.from_states(
+        *np.moveaxis(states, -2, 0)))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mixed_nonadditivity_fixture_keeps_its_stat(seed):
+    """The frozen four-station fixture reads its legs off two triangles'
+    vectors; its stat is that of the angle route bit for bit."""
+    same_bits(checks.check_mixed_nonadditivity(seed).stat, oracles.mixed_nonadditivity())
+
+
+@pytest.mark.parametrize("states", [np.zeros((3, 3)), np.zeros((4, 2)),
+                                    np.zeros((5, 2, 2)), np.zeros(2)],
+                         ids=["qutrits", "four states", "two states", "one state"])
+def test_from_states_takes_three_qubit_states(states):
+    with pytest.raises(ValueError, match="three qubit states"):
+        SphericalTriangle.from_states(states)
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,9 @@ def stepwise_parallel_lift(path):
 
 def stepwise_triangle_states(triangle, n):
     """Reference triangle path: one fractional geodesic rotation per step."""
-    per_side = max(1, n // 3)
-    corners = [triangle.a, triangle.b, triangle.c, triangle.a]
-    states = [bloch_to_state(triangle.a)]
+    per_side = n // 3
+    corners = triangle.vectors[[0, 1, 2, 0]]
+    states = [triangle.states[0]]
     for p, q in zip(corners[:-1], corners[1:]):
         start = states[-1]
         for step in range(1, per_side + 1):
@@ -115,7 +115,7 @@ class TestParallelLift:
     def test_make_then_check(self):
         path = precession_path(WORKED_EXAMPLE, 500)
         lifted = make_parallel_lift(path)
-        assert is_parallel_lift(lifted, 1e-10)
+        assert is_parallel_lift(lifted)
 
     def test_already_parallel_unchanged(self):
         path = precession_path(WORKED_EXAMPLE, 200)
@@ -132,12 +132,14 @@ class TestParallelLift:
 
     def test_gauge_path_not_parallel(self):
         path = pure_gauge_path(np.linspace(0.0, 1.0, 30))
-        assert not is_parallel_lift(path, 1e-10)
+        assert not is_parallel_lift(path)
 
     def test_precession_lift_not_parallel(self):
         # the precessing spin accumulates local phase at rate cos(theta)/2
         path = precession_path(PrecessionSpec(np.pi / 3, np.pi / 2), 300)
-        assert not is_parallel_lift(path, 1e-6)
+        assert not is_parallel_lift(path)
+        links = np.einsum("ij,ij->i", path.states[1:].conj(), path.states[:-1])
+        assert np.abs(np.angle(links)).min() > 1e-6  # far from PARALLEL_TOL
 
     def test_endpoint_phase_equals_chain(self):
         path = precession_path(WORKED_EXAMPLE, 10_000)
@@ -158,7 +160,7 @@ class TestParallelLift:
 
     def test_orthogonal_link(self):
         path = DiscretePath([0.0, 1.0], np.eye(2, dtype=complex))
-        assert not is_parallel_lift(path, 1e-10)
+        assert not is_parallel_lift(path)
         with pytest.raises(OrthogonalStatesError):
             make_parallel_lift(path)
 
@@ -282,6 +284,19 @@ class TestTrianglePath:
                                 BlochPoint(np.pi / 2, 0.3))
         with pytest.raises(AntipodalPointsError):
             sample_triangle_path(tri, 30)
+
+    @pytest.mark.parametrize("n", [2, 1, 0, -5])
+    def test_fewer_than_three_steps_rejected(self, n):
+        with pytest.raises(ValueError, match="at least one step a side"):
+            sample_triangle_path(OCTANT, n)
+
+    @pytest.mark.parametrize("n, steps", [(3, 3), (5, 3), (6, 6), (10_000, 9_999)])
+    def test_three_floor_n_over_three_steps(self, n, steps):
+        path = sample_triangle_path(OCTANT, n)
+        assert path.n_samples == steps + 1
+        corners = path.states[[0, steps // 3, 2 * steps // 3, steps]]
+        overlaps = np.einsum("ij,ij->i", corners.conj(), OCTANT.states[[0, 1, 2, 0]])
+        np.testing.assert_allclose(np.abs(overlaps), 1.0, atol=1e-15)
 
 
 class TestGeodesicClosure:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pancha.core import BlochPoint, bloch_to_state, tensor, wrap_angle
+from pancha.core import BlochPoint, tensor, wrap_angle
 from pancha.errors import (
     BranchAmbiguityError,
     OrthogonalStatesError,
@@ -142,8 +142,8 @@ class TestSimulateLoopPair:
         count = 0
         while count < 60:
             states = [haar_state(rng) for _ in range(6)]
-            tri_a = SphericalTriangle.from_states(*states[:3])
-            tri_ap = SphericalTriangle.from_states(*states[3:])
+            tri_a = SphericalTriangle.from_states(states[:3])
+            tri_ap = SphericalTriangle.from_states(states[3:])
             overlaps = [abs(inner_product(states[i], states[j]))
                         for i, j in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5),
                                      (5, 3)]]
@@ -258,5 +258,5 @@ class TestSchmidtState:
 
     def test_bases_sit_at_the_start_vertices(self):
         initial, _ = _pair_transport(0.3, *QUARTER_PAIR)
-        vertices = tensor(*(bloch_to_state(t.a) for t in QUARTER_PAIR))
+        vertices = tensor(*(t.states[0] for t in QUARTER_PAIR))
         assert np.vdot(vertices, initial) == pytest.approx(np.sqrt(0.3), abs=1e-15)
