@@ -28,7 +28,7 @@ _EXPORTS = {
                "VanishingEndpointOverlapError", "VanishingTraceError"),
     "geometry": ("SphericalTriangle", "bargmann_invariant", "geodesic_unitary",
                  "loop_holonomy", "mixed_bargmann", "mixed_solid_angle_phase",
-                 "multi_vertex_invariant", "solid_angle"),
+                 "solid_angle"),
     "phase": ("EPS_ORTH", "PhaseResult", "fit_fringe",
               "mixed_interference_profile", "mixed_phase",
               "pancharatnam_phase", "pure_interference_profile"),

@@ -59,7 +59,6 @@ from .geometry import (
     mixed_bargmann,
     mixed_chain_invariant,
     mixed_solid_angle_phase,
-    multi_vertex_invariant,
     solid_angle,
 )
 from .phase import (
@@ -262,7 +261,7 @@ def check_additivity(seed, n=1000):
     """Four-vertex invariant splits along the diagonal."""
     rng = np.random.default_rng([seed, 2])
     a, b, c, d = random_qubit_tuple(rng, n, 4).swapaxes(0, 1)
-    total = multi_vertex_invariant([a, b, c, d])
+    total = bargmann_invariant(a, b, c, d)
     split = bargmann_invariant(a, b, c) + bargmann_invariant(a, c, d)
     yield np.abs(wrap_angle(total - split))
 
@@ -309,7 +308,9 @@ def check_mixed_profile_routes(seed, n=200, n_chi=64):
 
 @_battery("mixed", "weighted invariant matches arctan law", 1e-8)
 def check_mixed_solid_angle_law(seed, n=200):
-    """Weighted invariant along composed geodesics equals the closed form."""
+    """Weighted invariant along composed geodesics equals the closed form;
+    the geodesics reach it only through its vanishing guard (see
+    mixed_chain_invariant)."""
     rng = np.random.default_rng([seed, 6])
     tri, omega = random_triangle(rng, n)
     r = np.array(BLOCH_RADII)[:, None]  # one row of n triangles per radius
@@ -343,7 +344,8 @@ def check_mixed_nonadditivity(seed):
     One four-station example must violate the diagonal-splitting identity
     by a finite margin (the pure invariant satisfies it exactly).  The
     counterexample is frozen: a fixture must not drift with the caller's
-    seed (some quadruples are accidentally near-additive).
+    seed (some quadruples are accidentally near-additive).  The legs reach
+    the stat only through the vanishing guard (see mixed_chain_invariant).
     """
     rng = np.random.default_rng([2026, 8])
     r = 0.5

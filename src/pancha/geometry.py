@@ -17,7 +17,8 @@ of corner angles.  The Van Oosterom-Strackee form is the overlap product
 in Bloch vectors, so it is not used: it would make the triangle check
 nearly a tautology, and summed over pole triangles it telescopes into the
 overlap chain, which would make the geodesic-closure area a copy of the
-chain phase it is compared with.  A triangle holds the vertex unit
+chain phase it is compared with.  bargmann_invariant is the one cyclic
+overlap product, of any n >= 2 states.  A triangle holds the vertex unit
 vectors and states its kernels read; geodesic_unitary takes unit vectors.
 The mixed-state law takes a triangle and a Bloch radius: mixed_bargmann
 forms the qubit's weights, vertex eigenbases and transport, all valid by
@@ -33,6 +34,7 @@ unit vectors (the north pole, +x, +y octant is +pi/2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -120,60 +122,48 @@ def _exact_overlap(x, y):
                       (xr * yi - xi * yr).sum(axis=-1))
 
 
-def _product(factors):
-    """Product of complex factors (or rows of them), left to right, from
-    real and imaginary parts: conjugating every factor then conjugates
-    the product bit for bit."""
-    re, im = np.real(factors[0]), np.imag(factors[0])
-    for z in factors[1:]:
-        zr, zi = np.real(z), np.imag(z)
-        re, im = re * zr - im * zi, re * zi + im * zr
-    return from_parts(re, im)
+def _times(p, q):
+    """The complex product of (re, im) pairs, as an (re, im) pair."""
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
 
 
-def bargmann_invariant(a, b, c):
-    """Cyclic three-state phase arg(<a|c><c|b><b|a>), principal branch.
-
-    Invariant under independent rephasing of each state; conjugation-odd
-    under swapping the last two arguments, exactly in floating point: the
-    overlaps and their product (<a|c><b|a>)<c|b> are formed from real and
-    imaginary parts, so reversing (b, c) conjugates every factor and the
-    product bit for bit.  Rowwise over (..., d) states; a batch gives NaN
-    in the rows with a vanishing overlap.
-
-    Raises:
-        OrthogonalStatesError: naming the first vanishing overlap of a
-            single triple.
-    """
-    f_ac, f_cb, f_ba = (_exact_overlap(a, c), _exact_overlap(c, b),
-                        _exact_overlap(b, a))
-    undefined = _guard([("overlap <a|c>", f_ac), ("overlap <c|b>", f_cb),
-                        ("overlap <b|a>", f_ba)])
-    return mark_undefined(principal_angle(_product([f_ac, f_ba, f_cb])), undefined)
+def _product(links):
+    """Product of complex links (or rows of them) from real and imaginary
+    parts: the j-th times the j-th from the end, then these pair products
+    left to right, then the middle link when their count is odd.  Each
+    pair product is symmetric in IEEE arithmetic, so reversing the links
+    and conjugating each conjugates the product bit for bit."""
+    parts = [(z.real, z.imag) for z in links]
+    n = len(parts)
+    factors = [_times(parts[j], parts[-1 - j]) for j in range(n // 2)]
+    return from_parts(*reduce(_times, factors + parts[n // 2:n - n // 2]))
 
 
-def multi_vertex_invariant(states):
-    """Cyclic overlap phase generalized to n >= 2 states.
+def bargmann_invariant(*states):
+    """Cyclic overlap phase arg(<s0|s_{n-1}><s_{n-1}|s_{n-2}> ... <s1|s0>)
+    of n >= 2 states, principal branch; arg(<a|c><c|b><b|a>) for three.
 
-    Returns arg(<s0|s_{n-1}><s_{n-1}|s_{n-2}> ... <s1|s0>); for three
-    states this is bargmann_invariant and the quantity is additive under
-    splitting a polygon along a diagonal.  Rowwise over (..., d) states,
-    with NaN where a batch row has a vanishing link.
+    Invariant under rephasing each state, additive under splitting a
+    polygon along a diagonal, and negated exactly in floating point by
+    reversing s1 ... s_{n-1}, which reverses and conjugates the links:
+    they and their product are formed from real and imaginary parts, the
+    product in the order of _product ((<a|c><b|a>)<c|b> for three).
+    Rowwise over (..., d) states; a batch gives NaN in the rows with a
+    vanishing link.
 
     Raises:
+        ValueError: for fewer than two states.
         OrthogonalStatesError: naming the first vanishing link of a
             single chain.
     """
-    states = list(states)
-    if len(states) < 2:
+    n = len(states)
+    if n < 2:
         raise ValueError("need at least two states")
-    last = len(states) - 1
-    links = [(f"closing overlap <s0|s{last}>", inner_product(states[0], states[-1]))]
-    links += [(f"overlap <s{k}|s{k - 1}>", inner_product(states[k], states[k - 1]))
-              for k in range(last, 0, -1)]
-    undefined = _guard(links)
-    return mark_undefined(principal_angle(_product([z for _, z in links])),
-                          undefined)
+    pairs = [(0, n - 1)] + [(k, k - 1) for k in range(n - 1, 0, -1)]
+    links = [_exact_overlap(states[i], states[j]) for i, j in pairs]
+    undefined = _guard([(f"{'closing ' if i == 0 else ''}overlap <s{i}|s{j}>", z)
+                        for (i, j), z in zip(pairs, links)])
+    return mark_undefined(principal_angle(_product(links)), undefined)
 
 
 def _dot3(p, q):
@@ -302,10 +292,12 @@ def mixed_chain_invariant(weights, bases, u):
     """Weighted cyclic invariant arg(sum_k w_k |<A_k|U|A_k>| e^{i d_k}).
 
     ``bases`` is a sequence of station eigenbases (columns = eigenvectors)
-    and d_k is the pure multi-vertex invariant of the k-th eigenvector
-    chain.  Nonlinear in the pure invariants, hence not additive under
-    polygon splitting, unlike its pure counterpart.  Rowwise over leading
-    axes, NaN where a batch row has a vanishing overlap or sum.
+    and d_k is bargmann_invariant of the k-th eigenvector chain.
+    Nonlinear in the pure invariants, hence not additive under polygon
+    splitting, unlike its pure counterpart.  For a qubit, SU(2) gives
+    |<A_0|U|A_0>| = |<A_1|U|A_1>|, so U reaches the phase only through
+    the vanishing guard.  Rowwise over leading axes, NaN where a batch
+    row has a vanishing overlap or sum.
 
     Raises:
         OrthogonalStatesError: for a single chain with a vanishing
@@ -320,7 +312,7 @@ def mixed_chain_invariant(weights, bases, u):
         start = bases[0][..., :, k]
         overlap = inner_product(start, (u @ start[..., None])[..., 0])
         undefined = undefined | _guard([(f"|<A_{k}|U|A_{k}>|", overlap)])
-        delta = multi_vertex_invariant([basis[..., :, k] for basis in bases])
+        delta = bargmann_invariant(*(basis[..., :, k] for basis in bases))
         total = total + (weights[..., k] * np.hypot(overlap.real, overlap.imag)
                          * np.exp(1j * delta))
     undefined = undefined | _guard([("weighted invariant sum", total)])
@@ -341,10 +333,11 @@ def mixed_bargmann(t: SphericalTriangle, r):
     is the composition of the two leading geodesic-segment unitaries,
     a -> b followed by b -> c; the phase is mixed_chain_invariant of
     these.  Reduces to bargmann_invariant at r = 1 and is
-    orientation-odd.  r may be one radius, one per triangle of a batch,
-    or (k, 1) radii against n triangles, giving k by n phases.  A batch
-    gives NaN in its rows with antipodal a, b or b, c, with |r| < 1e-12,
-    with a NaN radius or with a vanishing overlap.
+    orientation-odd; the transport reaches it only through the vanishing
+    guard (see mixed_chain_invariant).  r may be one radius, one per
+    triangle of a batch, or (k, 1) radii against n triangles, giving k by
+    n phases.  A batch gives NaN in its rows with antipodal a, b or b, c,
+    with |r| < 1e-12, with a NaN radius or with a vanishing overlap.
 
     Raises:
         AntipodalPointsError: for antipodal a, b or b, c of a single

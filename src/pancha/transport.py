@@ -535,9 +535,12 @@ def sample_triangle_path(triangle: SphericalTriangle, n: int = 4096) -> Discrete
     state is the loop holonomy applied to the first.
 
     Raises:
-        ValueError: for n < 3, which leaves a side no step.
+        ValueError: for a batch of triangles, or for n < 3, which leaves
+            a side no step.
         AntipodalPointsError: if a side joins antipodal vertices.
     """
+    if triangle.vectors.ndim != 2:
+        raise ValueError("sample_triangle_path takes one triangle, not a batch")
     if n < 3:
         raise ValueError("need at least one step a side")
     per_side = n // 3

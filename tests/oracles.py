@@ -26,7 +26,7 @@ to Bloch angles a second time (it passes the samplers' overlap floor on
 as the default it always was).  Then the fringe readout as it was when
 a profile carried its own fit: ``PhaseResult`` with its ``defined``
 flag (and ``from_overlap``), ``fit_fringe``, ``InterferenceProfile`` and
-``dual_coincidence_profile``.  Last, the triangle as it was when it held
+``dual_coincidence_profile``.  Then the triangle as it was when it held
 Bloch angles and its kernels turned them into unit vectors and states
 on each call: ``SphericalTriangle`` (built from states by
 ``state_to_bloch``), ``solid_angle``, ``geodesic_unitary`` on points,
@@ -35,7 +35,11 @@ on each call: ``SphericalTriangle`` (built from states by
 ``twophoton._pair_transport`` and the body of
 ``checks.check_mixed_nonadditivity`` (here ``mixed_nonadditivity()``).
 The earlier copies above that take a triangle (``qubit_mixed_triple``,
-``random_triangle``) take and give this one.
+``random_triangle``) take and give this one.  Last, the two cyclic
+overlap products before ``bargmann_invariant(*states)`` took any number
+of states: the left-to-right ``_product``, the three-state
+``bargmann_invariant(a, b, c)`` and ``multi_vertex_invariant``, which
+formed its links with the BLAS ``inner_product``.
 """
 
 from __future__ import annotations
@@ -51,8 +55,10 @@ from pancha.core import (
     BlochPoint,
     _dot,
     bloch_to_state,
+    from_parts,
     haar_state,
     hermitian_rows,
+    inner_product,
     mark_undefined,
     matrix_exponential_su2,
     principal_angle,
@@ -72,6 +78,8 @@ from pancha.geometry import (
     EPS_GEO,
     _edge,
     _eigenbasis,
+    _exact_overlap,
+    _guard,
     girard_signed_area,
     mixed_chain_invariant,
 )
@@ -589,3 +597,37 @@ def _pair_transport(lam, triangle_a, triangle_a_prime):
     u_pair = (u_a[..., :, None, :, None] * u_ap[..., None, :, None, :]).reshape(
         initial.shape[:-1] + (4, 4))
     return initial, (u_pair @ initial[..., None])[..., 0]
+
+
+# ---------------------------------------------------------------------------
+# the cyclic overlap products before one kernel took any number of
+# states, verbatim
+
+
+def _product(factors):
+    re, im = np.real(factors[0]), np.imag(factors[0])
+    for z in factors[1:]:
+        zr, zi = np.real(z), np.imag(z)
+        re, im = re * zr - im * zi, re * zi + im * zr
+    return from_parts(re, im)
+
+
+def bargmann_invariant(a, b, c):
+    f_ac, f_cb, f_ba = (_exact_overlap(a, c), _exact_overlap(c, b),
+                        _exact_overlap(b, a))
+    undefined = _guard([("overlap <a|c>", f_ac), ("overlap <c|b>", f_cb),
+                        ("overlap <b|a>", f_ba)])
+    return mark_undefined(principal_angle(_product([f_ac, f_ba, f_cb])), undefined)
+
+
+def multi_vertex_invariant(states):
+    states = list(states)
+    if len(states) < 2:
+        raise ValueError("need at least two states")
+    last = len(states) - 1
+    links = [(f"closing overlap <s0|s{last}>", inner_product(states[0], states[-1]))]
+    links += [(f"overlap <s{k}|s{k - 1}>", inner_product(states[k], states[k - 1]))
+              for k in range(last, 0, -1)]
+    undefined = _guard(links)
+    return mark_undefined(principal_angle(_product([z for _, z in links])),
+                          undefined)

@@ -267,9 +267,10 @@ class TestRewrittenChecksStillFail:
         assert not check(0).passed
 
     def test_additivity(self, monkeypatch):
-        real = checks.multi_vertex_invariant
-        monkeypatch.setattr(checks, "multi_vertex_invariant",
-                            lambda states: -real(states))
+        real = checks.bargmann_invariant
+        monkeypatch.setattr(checks, "bargmann_invariant",
+                            lambda *states: -real(*states) if len(states) == 4
+                            else real(*states))
         assert not checks.check_additivity(0).passed
 
     def test_orientation(self, monkeypatch):

@@ -4,7 +4,9 @@ import pytest
 from pancha.core import (
     BlochPoint,
     bloch_to_state,
+    haar_state,
     inner_product,
+    matrix_exponential_su2,
     orthogonal_complement,
     wrap_angle,
 )
@@ -23,7 +25,6 @@ from pancha.geometry import (
     mixed_bargmann,
     mixed_chain_invariant,
     mixed_solid_angle_phase,
-    multi_vertex_invariant,
     solid_angle,
 )
 
@@ -188,12 +189,12 @@ class TestLoopHolonomy:
 class TestMultiVertexInvariant:
     def test_two_states_vanishes(self):
         a, b, _ = random_triple(3)
-        assert multi_vertex_invariant([a, b]) == pytest.approx(0.0, abs=1e-15)
+        assert bargmann_invariant(a, b) == pytest.approx(0.0, abs=1e-15)
 
     def test_three_states_match_bargmann(self):
         a, b, c = random_triple(4)
-        assert multi_vertex_invariant([a, b, c]) == pytest.approx(
-            bargmann_invariant(a, b, c), abs=1e-12)
+        assert bargmann_invariant(a, b, c) == pytest.approx(
+            np.angle(np.vdot(a, c) * np.vdot(c, b) * np.vdot(b, a)), abs=1e-12)
 
     def test_additive_split(self):
         rng = np.random.default_rng(8)
@@ -205,19 +206,24 @@ class TestMultiVertexInvariant:
                    for i, j in [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]) < 0.05:
                 continue
             a, b, c, d = states
-            total = multi_vertex_invariant([a, b, c, d])
+            total = bargmann_invariant(a, b, c, d)
             split = bargmann_invariant(a, b, c) + bargmann_invariant(a, c, d)
             assert abs(wrap_angle(total - split)) < 1e-9
 
     def test_repeated_vertex_dropped(self):
         a, b, c = random_triple(5)
-        assert multi_vertex_invariant([a, b, b, c]) == pytest.approx(
-            multi_vertex_invariant([a, b, c]), abs=1e-12)
+        assert bargmann_invariant(a, b, b, c) == pytest.approx(
+            bargmann_invariant(a, b, c), abs=1e-12)
 
     def test_vanishing_link_rejected(self):
         a = np.array([1.0, 0.0])
         with pytest.raises(OrthogonalStatesError):
-            multi_vertex_invariant([a, np.array([0.0, 1.0])])
+            bargmann_invariant(a, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_states_rejected(self, count):
+        with pytest.raises(ValueError, match="at least two states"):
+            bargmann_invariant(*[np.array([1.0, 0.0])] * count)
 
 
 class TestMixedBargmann:
@@ -248,6 +254,19 @@ class TestMixedBargmann:
     def test_degenerate_weights_rejected(self):
         with pytest.raises(DegenerateSpectrumError):
             mixed_bargmann(OCTANT, 0.0)
+
+    def test_transport_moduli_of_an_eigenbasis_agree(self):
+        """|<A_0|U|A_0>| = |<A_1|U|A_1>| for U in SU(2) and any qubit
+        eigenbasis, so the transport reaches the mixed law only through
+        its vanishing guard: the common modulus drops out of the arg."""
+        rng = np.random.default_rng(11)
+        axis = rng.standard_normal((20000, 3))
+        axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
+        u = matrix_exponential_su2(axis, rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 20000))
+        state = haar_state(rng, shape=(20000,))
+        moduli = [np.abs(inner_product(s, (u @ s[..., None])[..., 0]))
+                  for s in (state, orthogonal_complement(state))]
+        assert np.abs(moduli[0] - moduli[1]).max() <= 4.0 * np.finfo(float).eps
 
     def test_matches_closed_form_on_random_triangles(self):
         rng = np.random.default_rng(17)

@@ -21,15 +21,20 @@ angles, it and ``solid_angle``, ``loop_holonomy``, ``mixed_bargmann``,
 ``franson_coincidence_profile`` give the bits and errors of the earlier
 angle-route copies in ``oracles``; made from states, its vectors are the
 states' Bloch vectors and its solid angle that of the earlier route
-within 1e-14.
+within 1e-14.  ``bargmann_invariant`` of three states gives the bits,
+NaN rows and error types of the earlier three-state kernel, of four
+states the earlier ``multi_vertex_invariant`` within 1e-14, and
+reversing s1 ... s_{n-1} negates it exactly.
 """
+
+import re
 
 import numpy as np
 import pytest
 
 import oracles
 from pancha import checks, geometry, transport, twophoton
-from pancha.core import BlochPoint, _unit_bloch, haar_state
+from pancha.core import BlochPoint, _unit_bloch, haar_state, wrap_angle
 from pancha.dual import analyser_intensities
 from pancha.errors import (
     AntipodalPointsError,
@@ -991,3 +996,92 @@ def test_the_earlier_flag_missed_one_nan_phase():
     phase = PhaseResult.from_overlap(OVERLAPS, OrthogonalStatesError).phase
     np.testing.assert_array_equal(earlier.defined != ~np.isnan(phase),
                                   np.arange(OVERLAPS.size) == OVERLAPS.size - 1)
+
+
+# ---------------------------------------------------------------------------
+# the cyclic overlap product of any number of states against the earlier
+# three-state bargmann_invariant and multi_vertex_invariant
+
+UP, DOWN = np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
+PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+NAN_STATE = np.array([np.nan, 0.0], dtype=complex)
+
+
+def _triple_cases():
+    haar = haar_state(np.random.default_rng(0), shape=(2000, 3))
+    # each link in turn vanishes: <a|c>, <c|b>, <b|a>
+    orthogonal = [(UP, PLUS, DOWN), (PLUS, UP, DOWN), (UP, DOWN, PLUS)]
+    nan = [(NAN_STATE, UP, PLUS), (UP, NAN_STATE, PLUS), (UP, PLUS, NAN_STATE)]
+    mixed = np.concatenate([haar[:5], np.array(orthogonal), np.array(nan)])
+    cases = {
+        "Haar rows": tuple(haar.swapaxes(0, 1)),
+        "one Haar triple": tuple(haar[0]),
+        "qutrit Haar rows": tuple(haar_state(np.random.default_rng(1), 3,
+                                             (300, 3)).swapaxes(0, 1)),
+        "orthogonal and NaN rows among Haar rows": tuple(mixed.swapaxes(0, 1)),
+        "one vertex against a batch": (UP, haar[:40, 1], haar[:40, 2]),
+        "empty batch": tuple(haar[:0].swapaxes(0, 1)),
+    }
+    for k, triple in enumerate(orthogonal):
+        cases[f"orthogonal link {k}"] = triple
+    for k, triple in enumerate(nan):
+        cases[f"NaN vertex {k}"] = triple
+    return cases
+
+
+TRIPLE_CASES = _triple_cases()
+
+
+def error_type(fn, *args):
+    """outcome without the message, since links are now named by position."""
+    return outcome(fn, *args)[:2]
+
+
+@pytest.mark.parametrize("states", TRIPLE_CASES.values(), ids=TRIPLE_CASES.keys())
+def test_three_states_give_the_earlier_bits(states):
+    """Three states keep the earlier product (<a|c><b|a>)<c|b> bit for
+    bit, NaN rows included; a vanishing link raises the same error type,
+    now named by position."""
+    assert_same_outcome(error_type(geometry.bargmann_invariant, *states),
+                        error_type(oracles.bargmann_invariant, *states))
+
+
+def test_triple_cases_reach_every_outcome():
+    got = {name: error_type(geometry.bargmann_invariant, *case)
+           for name, case in TRIPLE_CASES.items()}
+    rows = got["orthogonal and NaN rows among Haar rows"][1]
+    assert np.isnan(rows).tolist() == [False] * 5 + [True] * 6
+    for k, name in enumerate(["closing overlap <s0|s2>", "overlap <s2|s1>",
+                              "overlap <s1|s0>"]):
+        assert got[f"orthogonal link {k}"] == ("raise", OrthogonalStatesError)
+        with pytest.raises(OrthogonalStatesError, match=f"^{re.escape(name)} vanishes"):
+            geometry.bargmann_invariant(*TRIPLE_CASES[f"orthogonal link {k}"])
+        assert got[f"NaN vertex {k}"] == ("raise", OrthogonalStatesError)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_four_states_stay_within_1e_14_of_the_earlier_chain(seed):
+    tuples = checks.random_qubit_tuple(np.random.default_rng([seed, 2]), 2000, 4)
+    got = geometry.bargmann_invariant(*tuples.swapaxes(0, 1))
+    want = oracles.multi_vertex_invariant(tuples.swapaxes(0, 1))
+    assert np.abs(wrap_angle(got - want)).max() <= 1e-14
+
+
+def reversal_sums(invariant, n, seed=0, count=2000):
+    """invariant(s0, s1, ..., s_{n-1}) + invariant(s0, s_{n-1}, ..., s1)
+    on ``count`` Haar n-tuples."""
+    s = haar_state(np.random.default_rng(seed), shape=(count, n)).swapaxes(0, 1)
+    forward = invariant(*s)
+    backward = invariant(s[0], *s[:0:-1])
+    assert not np.isnan(forward).any()
+    return forward + backward
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_reversal_negates_exactly(n):
+    assert (reversal_sums(geometry.bargmann_invariant, n) == 0.0).all()
+
+
+def test_the_earlier_chain_reversal_was_not_exact():
+    sums = reversal_sums(lambda *s: oracles.multi_vertex_invariant(s), 4)
+    assert 0 < np.count_nonzero(sums) and np.abs(sums).max() < 1e-15

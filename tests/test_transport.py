@@ -6,6 +6,7 @@ from pancha.core import (
     KET_PLUS_Z,
     SIGMA_Z,
     bloch_to_state,
+    haar_state,
     matrix_exponential_su2,
     wrap_angle,
 )
@@ -289,6 +290,13 @@ class TestTrianglePath:
     def test_fewer_than_three_steps_rejected(self, n):
         with pytest.raises(ValueError, match="at least one step a side"):
             sample_triangle_path(OCTANT, n)
+
+    @pytest.mark.parametrize("n", [3, 9, 12])
+    def test_a_batch_of_triangles_rejected(self, n):
+        batch = SphericalTriangle.from_states(
+            haar_state(np.random.default_rng(n), shape=(4, 3)))
+        with pytest.raises(ValueError, match="takes one triangle"):
+            sample_triangle_path(batch, n)
 
     @pytest.mark.parametrize("n, steps", [(3, 3), (5, 3), (6, 6), (10_000, 9_999)])
     def test_three_floor_n_over_three_steps(self, n, steps):

@@ -17,7 +17,7 @@ leave are compared.  The invocations are
 * a sweep of each experiment's parameter that those configs do not
   sweep: ``two-photon`` ``lam``, ``triangle`` ``r``, ``pair`` ``alpha``
   and ``mixed`` ``angle``, each in csv and json;
-* eighteen rejected configs, flags and seeds, which exit 2 or 3.
+* nineteen rejected configs, flags and seeds, which exit 2 or 3.
 
 One line is printed per invocation, with the parent's exit code and what
 differs, then a summary.  The exit code is 1 on any difference, else 0.
@@ -26,6 +26,7 @@ differs, then a summary.  The exit code is 1 on any difference, else 0.
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -82,6 +83,9 @@ REJECTED = {
                              {"vertices": [OCTANT[0]] * 3}}, []),
     "triangle r 0": ({"experiment": "triangle", "parameters":
                       {"vertices": OCTANT, "r": 0}}, []),
+    "orthogonal triangle vertices": ({"experiment": "triangle", "parameters":
+                                      {"vertices": [[0.0, 0.0], [math.pi, 0.0],
+                                                    [math.pi / 2, 0.0]]}}, []),
     # the loop areas cancel, so the nonlinearity ratio is undefined
     "two-photon loops cancel": ({"experiment": "two-photon", "parameters":
                                  {"lam": 0.3, "triangle_a": OCTANT,
