@@ -21,9 +21,12 @@ chain phase it is compared with.  bargmann_invariant is the one cyclic
 overlap product, of any n >= 2 states.  A triangle holds the vertex unit
 vectors and states its kernels read; geodesic_unitary takes unit vectors.
 The mixed-state law takes a triangle and a Bloch radius: mixed_bargmann
-forms the qubit's weights, vertex eigenbases and transport, all valid by
-construction, and evaluates mixed_chain_invariant, the weighted invariant
-of any station eigenbases and transport.
+forms the qubit's weights and vertex eigenbases, valid by construction,
+and evaluates mixed_chain_invariant, the weighted invariant of any
+station eigenbases.  It holds no transport: for a qubit the transport
+enters the weighted sum only as a modulus common to both eigenvectors,
+which drops out of the arg.  Its independent route is arg Tr(rho H) with
+H the loop holonomy (``check_mixed_solid_angle_law``).
 
 Sign convention, used consistently everywhere: a triangle whose vertices
 run counter-clockwise when viewed from outside the sphere has positive
@@ -44,7 +47,6 @@ from .core import (
     _unit_bloch,
     bloch_to_state,
     from_parts,
-    inner_product,
     mark_undefined,
     matrix_exponential_su2,
     orthogonal_complement,
@@ -288,34 +290,26 @@ def loop_holonomy(t: SphericalTriangle) -> np.ndarray:
     return geodesic_unitary(c, a) @ u_bc @ u_ab
 
 
-def mixed_chain_invariant(weights, bases, u):
-    """Weighted cyclic invariant arg(sum_k w_k |<A_k|U|A_k>| e^{i d_k}).
+def mixed_chain_invariant(weights, bases):
+    """Weighted cyclic invariant arg(sum_k w_k e^{i d_k}).
 
     ``bases`` is a sequence of station eigenbases (columns = eigenvectors)
     and d_k is bargmann_invariant of the k-th eigenvector chain.
     Nonlinear in the pure invariants, hence not additive under polygon
-    splitting, unlike its pure counterpart.  For a qubit, SU(2) gives
-    |<A_0|U|A_0>| = |<A_1|U|A_1>|, so U reaches the phase only through
-    the vanishing guard.  Rowwise over leading axes, NaN where a batch
-    row has a vanishing overlap or sum.
+    splitting, unlike its pure counterpart.  Reversing the stations after
+    the first negates it exactly, as it does each d_k.  Rowwise over
+    leading axes, NaN where a batch row has a vanishing link or sum.
 
     Raises:
-        OrthogonalStatesError: for a single chain with a vanishing
-            diagonal transport overlap, link or weighted sum.
+        OrthogonalStatesError: for a single chain with a vanishing link
+            or weighted sum.
     """
     weights = np.asarray(weights, dtype=float)
     bases = [np.asarray(b, dtype=complex) for b in bases]
-    u = np.asarray(u, dtype=complex)
-    total = 0.0j
-    undefined = False
-    for k in range(weights.shape[-1]):
-        start = bases[0][..., :, k]
-        overlap = inner_product(start, (u @ start[..., None])[..., 0])
-        undefined = undefined | _guard([(f"|<A_{k}|U|A_{k}>|", overlap)])
-        delta = bargmann_invariant(*(basis[..., :, k] for basis in bases))
-        total = total + (weights[..., k] * np.hypot(overlap.real, overlap.imag)
-                         * np.exp(1j * delta))
-    undefined = undefined | _guard([("weighted invariant sum", total)])
+    deltas = [bargmann_invariant(*(basis[..., :, k] for basis in bases))
+              for k in range(weights.shape[-1])]
+    total = sum(weights[..., k] * np.exp(1j * delta) for k, delta in enumerate(deltas))
+    undefined = _guard([("weighted invariant sum", total)])
     return mark_undefined(principal_angle(total), undefined)
 
 
@@ -325,33 +319,24 @@ def _eigenbasis(state) -> np.ndarray:
 
 
 def mixed_bargmann(t: SphericalTriangle, r):
-    """Weighted invariant of a qubit with Bloch radius r transported
-    around ``t``.
+    """Weighted invariant of a qubit with Bloch radius r around ``t``.
 
-    The weights are ((1+r)/2, (1-r)/2), the eigenbases sit at the three
-    vertices (vertex state plus orthogonal complement) and the transport
-    is the composition of the two leading geodesic-segment unitaries,
-    a -> b followed by b -> c; the phase is mixed_chain_invariant of
-    these.  Reduces to bargmann_invariant at r = 1 and is
-    orientation-odd; the transport reaches it only through the vanishing
-    guard (see mixed_chain_invariant).  r may be one radius, one per
-    triangle of a batch, or (k, 1) radii against n triangles, giving k by
-    n phases.  A batch gives NaN in its rows with antipodal a, b or b, c,
-    with |r| < 1e-12, with a NaN radius or with a vanishing overlap.
+    The weights are ((1+r)/2, (1-r)/2) and the eigenbases sit at the three
+    vertices (vertex state plus orthogonal complement); the phase is
+    mixed_chain_invariant of these.  Reduces to bargmann_invariant at
+    r = 1, and swapping b and c negates it exactly.  r may be one radius,
+    one per triangle of a batch, or (k, 1) radii against n triangles,
+    giving k by n phases.  The radius is tested first.  A batch gives NaN
+    in its rows with |r| < 1e-12, with a NaN radius or with a vanishing
+    link (as antipodal vertices make).
 
     Raises:
-        AntipodalPointsError: for antipodal a, b or b, c of a single
-            triangle, before any radius is looked at.
         ValueError: for |r| > 1 + 2e-12, where the weights fall off
             [0, 1] (a NaN radius passes this test).
         DegenerateSpectrumError: for a single radius with |r| < 1e-12.
-        OrthogonalStatesError: if any diagonal transport overlap, link
-            or the weighted sum of a single triangle vanishes or is NaN
-            (as a NaN radius makes it).
+        OrthogonalStatesError: if a link or the weighted sum of a single
+            triangle vanishes or is NaN (as a NaN radius makes it).
     """
-    bases = [_eigenbasis(t.states[..., k, :]) for k in range(3)]
-    a, b, c = (t.vectors[..., k, :] for k in range(3))
-    u = geodesic_unitary(b, c) @ geodesic_unitary(a, b)
     r = np.asarray(r, dtype=float)
     if (np.abs(r) > 1.0 + 2e-12).any():
         raise ValueError("weights must lie in [0, 1] and sum to 1")
@@ -359,7 +344,8 @@ def mixed_bargmann(t: SphericalTriangle, r):
     degenerate = undefined_rows(
         np.abs(w[..., 0] - w[..., 1]) < 1e-12, DegenerateSpectrumError,
         "weights 0 and 1 coincide; eigenbases not unique")
-    return mark_undefined(mixed_chain_invariant(w, bases, u), degenerate)
+    bases = [_eigenbasis(t.states[..., k, :]) for k in range(3)]
+    return mark_undefined(mixed_chain_invariant(w, bases), degenerate)
 
 
 def mixed_solid_angle_phase(r, omega):

@@ -20,7 +20,8 @@ Then the mixed-state triangle law as it was built through a
 ``MixedTriple`` carrier that re-validated its own data:
 ``qubit_mixed_triple``, ``MixedTriple.validate`` (with ``_coinciding``
 and ``_require_orthonormal``) and ``mixed_bargmann(mt)`` (here
-``mixed_triple_bargmann``).  Then
+``mixed_triple_bargmann``); like the law, the copies of it here hold no
+transport, since a qubit's transport never reached its phase.  Then
 ``checks.random_triangle`` as it was when it converted the kept states
 to Bloch angles a second time (it passes the samplers' overlap floor on
 as the default it always was).  Then the fringe readout as it was when
@@ -31,9 +32,8 @@ Bloch angles and its kernels turned them into unit vectors and states
 on each call: ``SphericalTriangle`` (built from states by
 ``state_to_bloch``), ``solid_angle``, ``geodesic_unitary`` on points,
 ``_arc_rotation``, ``loop_holonomy``, ``mixed_bargmann(t, r)`` (here
-``angle_mixed_bargmann``), ``sample_triangle_path``,
-``twophoton._pair_transport`` and the body of
-``checks.check_mixed_nonadditivity`` (here ``mixed_nonadditivity()``).
+``angle_mixed_bargmann``), ``sample_triangle_path`` and
+``twophoton._pair_transport``.
 The earlier copies above that take a triangle (``qubit_mixed_triple``,
 ``random_triangle``) take and give this one.  Last, the two cyclic
 overlap products before ``bargmann_invariant(*states)`` took any number
@@ -309,7 +309,7 @@ def _energies(states: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the mixed-state triangle law before it took a triangle and a radius,
-# verbatim
+# verbatim but for the transport it no longer forms
 
 
 def _require_orthonormal(basis, name: str):
@@ -331,7 +331,6 @@ class MixedTriple:
     basis_a: np.ndarray
     basis_b: np.ndarray
     basis_c: np.ndarray
-    u: np.ndarray
 
     def validate(self) -> "MixedTriple":
         w = np.asarray(self.weights, dtype=float)
@@ -353,24 +352,19 @@ class MixedTriple:
 
 def mixed_triple_bargmann(mt: MixedTriple):
     mt.validate()
-    phase = mixed_chain_invariant(
-        mt.weights, [mt.basis_a, mt.basis_b, mt.basis_c], mt.u
-    )
+    phase = mixed_chain_invariant(mt.weights, [mt.basis_a, mt.basis_b, mt.basis_c])
     close, _, _ = _coinciding(np.asarray(mt.weights, dtype=float))
     return mark_undefined(phase, close.any(axis=-1))
 
 
 def qubit_mixed_triple(t: SphericalTriangle, r) -> MixedTriple:
     sa, sb, sc = t.states()
-    a, b, c = (p.unit_vector() for p in (t.a, t.b, t.c))
-    u = _arc_rotation(b, c) @ _arc_rotation(a, b)
     r = np.asarray(r, dtype=float)
     return MixedTriple(
         weights=np.stack([(1.0 + r) / 2.0, (1.0 - r) / 2.0], axis=-1),
         basis_a=_eigenbasis(sa),
         basis_b=_eigenbasis(sb),
         basis_c=_eigenbasis(sc),
-        u=u,
     )
 
 
@@ -455,7 +449,7 @@ def dual_coincidence_profile(theta, delta_phi, chis) -> InterferenceProfile:
 # the triangle and its kernels before it held its vertex vectors and
 # states, verbatim: vertices as Bloch angles, read back by state_to_bloch
 # from states and turned into unit vectors and states in each kernel call
-# (mixed_bargmann(t, r) here as angle_mixed_bargmann)
+# (mixed_bargmann(t, r) here as angle_mixed_bargmann, with no transport)
 
 ATOL_NORM = 1e-12
 
@@ -542,8 +536,6 @@ def loop_holonomy(t: SphericalTriangle) -> np.ndarray:
 
 def angle_mixed_bargmann(t: SphericalTriangle, r):
     bases = [_eigenbasis(s) for s in t.states()]
-    a, b, c = (p.unit_vector() for p in (t.a, t.b, t.c))
-    u = _arc_rotation(b, c) @ _arc_rotation(a, b)
     r = np.asarray(r, dtype=float)
     if (np.abs(r) > 1.0 + 2e-12).any():
         raise ValueError("weights must lie in [0, 1] and sum to 1")
@@ -551,7 +543,7 @@ def angle_mixed_bargmann(t: SphericalTriangle, r):
     degenerate = undefined_rows(
         np.abs(w[..., 0] - w[..., 1]) < 1e-12, DegenerateSpectrumError,
         "weights 0 and 1 coincide; eigenbases not unique")
-    return mark_undefined(mixed_chain_invariant(w, bases, u), degenerate)
+    return mark_undefined(mixed_chain_invariant(w, bases), degenerate)
 
 
 def sample_triangle_path(triangle: SphericalTriangle, n: int = 4096) -> DiscretePath:
@@ -563,26 +555,6 @@ def sample_triangle_path(triangle: SphericalTriangle, n: int = 4096) -> Discrete
         states.append(geodesic_unitary(p, q, fractions) @ states[-1][-1])
     return DiscretePath(np.linspace(0.0, 1.0, 3 * per_side + 1),
                         np.concatenate(states))
-
-
-def mixed_nonadditivity():
-    """The stat of checks.check_mixed_nonadditivity, by the angle route."""
-    rng = np.random.default_rng([2026, 8])
-    r = 0.5
-    weights = np.array([(1.0 + r) / 2.0, (1.0 - r) / 2.0])
-    states = checks.random_qubit_tuple(rng, 1, 4)[0]
-    bases = [_eigenbasis(s) for s in states]
-    points = [state_to_bloch(s) for s in states]
-    legs = [geodesic_unitary(points[i], points[i + 1]) for i in range(3)]
-
-    u_abcd = legs[2] @ legs[1] @ legs[0]
-    u_abc = legs[1] @ legs[0]
-    u_acd = legs[2] @ (geodesic_unitary(points[0], points[2]))
-    total = mixed_chain_invariant(weights, bases, u_abcd)
-    split = (mixed_chain_invariant(weights, [bases[0], bases[1], bases[2]], u_abc)
-             + mixed_chain_invariant(weights, [bases[0], bases[2], bases[3]],
-                                     u_acd))
-    return abs(wrap_angle(total - split))
 
 
 def _pair_transport(lam, triangle_a, triangle_a_prime):

@@ -266,6 +266,14 @@ class TestRewrittenChecksStillFail:
         self.negate_solid_angle(monkeypatch)
         assert not check(0).passed
 
+    @pytest.mark.parametrize("seed", [0, 20260809])
+    def test_identity_holonomy(self, monkeypatch, seed):
+        def identities(t):
+            return np.broadcast_to(np.eye(2), t.vectors.shape[:-2] + (2, 2))
+
+        monkeypatch.setattr(checks, "loop_holonomy", identities)
+        assert not checks.check_mixed_solid_angle_law(seed).passed
+
     def test_additivity(self, monkeypatch):
         real = checks.bargmann_invariant
         monkeypatch.setattr(checks, "bargmann_invariant",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pancha import checks
 from pancha.core import (
     BlochPoint,
     bloch_to_state,
@@ -242,14 +243,18 @@ class TestMixedBargmann:
         weights = np.array([0.75, 0.25])
         basis_a, basis_b, basis_c = (np.stack([s, orthogonal_complement(s)], axis=-1)
                                      for s in OCTANT.states)
-        a, b, c = OCTANT.vectors
-        u = geodesic_unitary(b, c) @ geodesic_unitary(a, b)
-        forward = mixed_chain_invariant(weights, [basis_a, basis_b, basis_c], u)
+        forward = mixed_chain_invariant(weights, [basis_a, basis_b, basis_c])
         assert forward == mixed_bargmann(OCTANT, 0.5)
-        # stations b and c swapped, transport inverted
-        backward = mixed_chain_invariant(weights, [basis_a, basis_c, basis_b],
-                                         u.conj().T)
-        assert backward == pytest.approx(-forward, abs=1e-12)
+        # stations b and c swapped
+        backward = mixed_chain_invariant(weights, [basis_a, basis_c, basis_b])
+        assert backward == -forward
+
+    def test_reversed_triangle_negates_exactly(self):
+        tri, _ = checks.random_triangle(np.random.default_rng(23), 20000)
+        r = np.array([[0.2], [0.5], [-0.8], [1.0]])
+        forward = mixed_bargmann(tri, r)
+        assert np.isfinite(forward).all()
+        assert (mixed_bargmann(reversed_triangle(tri), r) == -forward).all()
 
     def test_degenerate_weights_rejected(self):
         with pytest.raises(DegenerateSpectrumError):
@@ -257,8 +262,9 @@ class TestMixedBargmann:
 
     def test_transport_moduli_of_an_eigenbasis_agree(self):
         """|<A_0|U|A_0>| = |<A_1|U|A_1>| for U in SU(2) and any qubit
-        eigenbasis, so the transport reaches the mixed law only through
-        its vanishing guard: the common modulus drops out of the arg."""
+        eigenbasis.  The transport would enter the weighted sum only as
+        this common modulus, which drops out of the arg, so the qubit
+        mixed law holds no transport."""
         rng = np.random.default_rng(11)
         axis = rng.standard_normal((20000, 3))
         axis /= np.linalg.norm(axis, axis=-1, keepdims=True)

@@ -11,9 +11,11 @@ values bit for bit, the same undefined rows, and the same errors with
 the same messages in the same order.  The sweep's cases take both of its
 branches: blocks whose arcs all have u.v >= 0, and blocks with a wider
 arc or a NaN.
-``loop_holonomy`` and ``mixed_bargmann`` transport by the
-``geodesic_unitary`` products bit for bit, and the mixed solid-angle
-battery's one block of radii holds the rows of one call per radius.
+``loop_holonomy`` transports by the ``geodesic_unitary`` product bit for
+bit, and each block of radii of the mixed solid-angle battery, the
+weighted invariant's and the holonomy trace route's, holds the rows of
+one call per radius.  The frozen nonadditivity fixture keeps its
+recorded stat.
 A triangle holds its vertex unit vectors and states: made from Bloch
 angles, it and ``solid_angle``, ``loop_holonomy``, ``mixed_bargmann``,
 ``geodesic_unitary`` (on the points' vectors), ``sample_triangle_path``,
@@ -34,10 +36,9 @@ import pytest
 
 import oracles
 from pancha import checks, geometry, transport, twophoton
-from pancha.core import BlochPoint, _unit_bloch, haar_state, wrap_angle
+from pancha.core import BlochPoint, _unit_bloch, haar_state, qubit_density, wrap_angle
 from pancha.dual import analyser_intensities
 from pancha.errors import (
-    AntipodalPointsError,
     DegenerateSpectrumError,
     IllConditionedError,
     OrthogonalStatesError,
@@ -55,6 +56,7 @@ from pancha.phase import (
     PhaseResult,
     _chi_grid,
     fit_fringe,
+    mixed_phase,
     pancharatnam_phase,
     pure_interference_profile,
 )
@@ -546,22 +548,6 @@ def test_loop_holonomy_is_the_product_of_its_sides(rows):
         assert np.isnan(got[1][[0, 2]]).all() and not np.isnan(got[1][1:2]).any()
 
 
-@pytest.mark.parametrize("rows", [slice(None), 1, 3])
-def test_mixed_bargmann_transports_by_its_sides(monkeypatch, rows):
-    real, transports = geometry.mixed_chain_invariant, []
-
-    def spy(weights, bases, u):
-        transports.append(u)
-        return real(weights, bases, u)
-
-    monkeypatch.setattr(geometry, "mixed_chain_invariant", spy)
-    t = TRIANGLES[rows]
-    mixed_bargmann(t, 0.4)
-    (u,) = transports
-    a, b, c = (t.vectors[..., k, :] for k in range(3))
-    same_bits(u, geodesic_unitary(b, c) @ geodesic_unitary(a, b))
-
-
 @pytest.mark.parametrize("kernel", [loop_holonomy,
                                     lambda t: mixed_bargmann(t, 0.5)],
                          ids=["loop_holonomy", "mixed_bargmann"])
@@ -585,12 +571,15 @@ def test_each_vertex_unit_vector_is_formed_once(monkeypatch, kernel, rows):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mixed_solid_angle_law_rows_equal_one_call_per_radius(seed):
-    (block,) = list(checks.check_mixed_solid_angle_law.__wrapped__(seed))
+    law, trace = checks.check_mixed_solid_angle_law.__wrapped__(seed)
     tri, omega = checks.random_triangle(np.random.default_rng([seed, 6]), 200)
-    want = [np.abs(checks.wrap_angle(mixed_bargmann(tri, r)
-                                     - mixed_solid_angle_phase(r, omega)))
-            for r in checks.BLOCH_RADII]
-    same_bits(block, np.stack(want))
+    holonomy = loop_holonomy(tri)
+    for block, route in ((law, lambda r: mixed_bargmann(tri, r)),
+                         (trace, lambda r: mixed_phase(
+                             qubit_density(r, tri.vectors[:, 0]), holonomy).phase)):
+        same_bits(block, np.stack([
+            np.abs(checks.wrap_angle(route(r) - mixed_solid_angle_phase(r, omega)))
+            for r in checks.BLOCH_RADII]))
 
 
 # ---------------------------------------------------------------------------
@@ -657,9 +646,12 @@ def test_mixed_cases_reach_every_outcome():
     got = {name: outcome(mixed_bargmann, TRIANGLES[rows], r)
            for name, (rows, r) in MIXED_CASES.items()}
     raised = {o[1].__name__ for o in got.values() if o[0] == "raise"}
-    assert raised == {"AntipodalPointsError", "DegenerateSpectrumError",
-                      "OrthogonalStatesError", "ValueError"}
-    assert got["single antipodal a, b, r 1.1"][1] is AntipodalPointsError
+    assert raised == {"DegenerateSpectrumError", "OrthogonalStatesError", "ValueError"}
+    error, message = got["single antipodal a, b"][1:]
+    assert error is OrthogonalStatesError
+    assert message.startswith("overlap <s1|s0> vanishes")
+    assert got["single antipodal a, b, r 1.1"][1] is ValueError
+    assert got["single antipodal a, b, r 0"][1] is DegenerateSpectrumError
     assert got["single r 1 + 1e-12"][0] == "value"
     assert got["single r 1 + 3e-12"][1] is ValueError
     assert got["single r -1 - 1e-13"][0] == "value"
@@ -916,9 +908,10 @@ def test_state_built_solid_angle_agrees_with_the_angle_route(states):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mixed_nonadditivity_fixture_keeps_its_stat(seed):
-    """The frozen four-station fixture reads its legs off two triangles'
-    vectors; its stat is that of the angle route bit for bit."""
-    same_bits(checks.check_mixed_nonadditivity(seed).stat, oracles.mixed_nonadditivity())
+    """The frozen four-station fixture keeps the stat it read when it
+    formed transport legs its phase never used."""
+    same_bits(checks.check_mixed_nonadditivity(seed).stat,
+              float.fromhex("0x1.c72bf7d261680p-4"))
 
 
 @pytest.mark.parametrize("states", [np.zeros((3, 3)), np.zeros((4, 2)),

@@ -96,7 +96,8 @@ CAUGHT_BY = {
     _lossy_arm_fields: (checks.check_arm_unitarity, checks.check_channel_sum,
                         checks.check_final_state_expansion),
     _trace_conjugated: (checks.check_mixed_profile_routes,
-                        checks.check_trace_basis_independence),
+                        checks.check_trace_basis_independence,
+                        checks.check_mixed_solid_angle_law),
 }
 
 
