@@ -85,7 +85,6 @@ from .transport import (
     precession_phase_simulated,
 )
 from .twophoton import (
-    ancilla_reduction_phase,
     entangled_phase_closed_form,
     franson_coincidence_profile,
     nonlinearity_ratio,
@@ -437,15 +436,38 @@ def check_franson_fringe(seed, n=100, n_chi=64):
     yield from _first_kept(n, draw)
 
 
+def _pole_pair_phase(lam, omega, omega_p=0.0):
+    """arg<pair|moved> for the pair sqrt(lam)|00> + sqrt(1 - lam)|11>,
+    held as (k, 2, 2) amplitudes, after photon 1 goes round a loop of
+    solid angle omega at the pole and photon 2 round one of omega_p: the
+    first rotation acts on the left of the amplitudes, the transpose of
+    the second on the right."""
+    pair = np.zeros((lam.size, 2, 2), dtype=complex)
+    pair[:, 0, 0], pair[:, 1, 1] = np.sqrt(lam), np.sqrt(1.0 - lam)
+    moved = (matrix_exponential_su2((0.0, 0.0, 1.0), omega) @ pair
+             @ np.swapaxes(matrix_exponential_su2((0.0, 0.0, 1.0), omega_p), -1, -2))
+    return np.angle(np.einsum("kij,kij->k", pair.conj(), moved))
+
+
 @_battery("two-photon", "tangent ratio equals entanglement degree", 1e-10)
 def check_nonlinearity_law(seed, n=500):
-    """|tan(entangled)/tan(product)| equals the entanglement degree."""
+    """|tan(entangled)/tan(product)| equals the entanglement degree.
+
+    The entangled phase phi is simulated on a pole pair; with
+    h = (omega + omega')/2 the rows are |sin phi cos h| - ratio |cos phi
+    sin h|, the tangent ratio cross-multiplied, which stays at rounding
+    level where a quotient of tangents would lose precision near a pole.
+    """
     rng = np.random.default_rng([seed, 13])
 
     def draw(k):  # (lam, omega, omega') triples, redrawn where the ratio is NaN
         lam, omega, omega_p = rng.uniform((0.0, -2.0 * np.pi, -2.0 * np.pi),
                                           (1.0, 2.0 * np.pi, 2.0 * np.pi), (k, 3)).T
-        dev = np.abs(nonlinearity_ratio(lam, omega, omega_p) - np.abs(1.0 - 2.0 * lam))
+        ratio = nonlinearity_ratio(lam, omega, omega_p)
+        phase = _pole_pair_phase(lam, omega, omega_p)
+        half = (omega + omega_p) / 2.0
+        dev = np.abs(np.abs(np.sin(phase) * np.cos(half))
+                     - ratio * np.abs(np.cos(phase) * np.sin(half)))
         return (dev[~np.isnan(dev)],)
 
     yield from _first_kept(n, draw)
@@ -453,25 +475,15 @@ def check_nonlinearity_law(seed, n=500):
 
 @_battery("two-photon", "ancilla reduction matches mixed arctan law", 1e-10)
 def check_ancilla_reduction(seed, n=500):
-    """Pair phase with photon 2 idle equals the ancilla-reduction and mixed
-    arctan laws at r = 2 lam - 1.
-
-    The pair sqrt(lam)|00> + sqrt(1 - lam)|11>, held as (k, 2, 2)
-    amplitudes, is simulated with photon 1 taken round a loop of solid
-    angle omega at the pole; the phase is arg<pair|moved>.
-    """
+    """Pair phase with photon 2 idle equals the mixed arctan law at
+    r = 2 lam - 1, the ancilla purification of the mixed qubit."""
     rng = np.random.default_rng([seed, 14])
     lams = rng.uniform(0.0, 1.0, n)
     omegas = rng.uniform(-2.0 * np.pi + 0.1, 2.0 * np.pi - 0.1, n)
     kept = np.abs(lams - 0.5) >= 1e-3
     lams, omegas = lams[kept], omegas[kept]
-    pair = np.zeros((lams.size, 2, 2), dtype=complex)
-    pair[:, 0, 0], pair[:, 1, 1] = np.sqrt(lams), np.sqrt(1.0 - lams)
-    moved = matrix_exponential_su2((0.0, 0.0, 1.0), omegas) @ pair
-    simulated = np.angle(np.einsum("kij,kij->k", pair.conj(), moved))
-    for law in (ancilla_reduction_phase(lams, omegas),
-                mixed_solid_angle_phase(2.0 * lams - 1.0, omegas)):
-        yield np.abs(wrap_angle(law - simulated))
+    yield np.abs(wrap_angle(mixed_solid_angle_phase(2.0 * lams - 1.0, omegas)
+                            - _pole_pair_phase(lams, omegas)))
 
 
 # ---------------------------------------------------------------------------

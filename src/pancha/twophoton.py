@@ -10,9 +10,14 @@ its two loops: ``simulate_loop_pair(lam, triangle_a, triangle_a_prime)``
 and ``franson_coincidence_profile(lam, triangle_a, triangle_a_prime,
 chis)`` take the weight (a number or an array) and two
 ``SphericalTriangle`` (one or a batch); the profile is the coincidence
-intensities, off which ``fit_fringe`` reads the pair phase.  Closed
-forms here are always checked against direct four-dimensional
-simulation in the test batteries.
+intensities, off which ``fit_fringe`` reads the pair phase.
+
+Each law is stated once.  The pair phase is
+``entangled_phase_closed_form``; with the partner photon idle it is
+``mixed_solid_angle_phase(2 lam - 1, omega)``, the ancilla purification
+of a mixed qubit; ``nonlinearity_ratio`` is |1 - 2 lam| where the
+tangent ratio is defined.  The batteries hold each against a direct
+four-dimensional simulation of the pair.
 """
 
 from __future__ import annotations
@@ -20,11 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import mark_undefined, tensor, undefined_rows
-from .errors import (
-    BranchAmbiguityError,
-    OrthogonalStatesError,
-    UndefinedRatioError,
-)
+from .errors import OrthogonalStatesError, UndefinedRatioError
 from .geometry import _eigenbasis, loop_holonomy
 from .phase import (
     EPS_ORTH,
@@ -97,18 +98,20 @@ def simulate_loop_pair(lam, triangle_a, triangle_a_prime) -> PhaseResult:
 def nonlinearity_ratio(lam, omega, omega_prime):
     """|tan(entangled phase) / tan(product phase)|, the entanglement degree.
 
-    The tangents are formed directly from the two closed forms (avoiding
-    an arctan/tan round trip that would lose precision near the poles).
+    Where the ratio is defined it is |1 - 2 lam| whatever the loops, and
+    that is what is returned; the tangents only mark the undefined rows.
     Arrays broadcast, with NaN in the rows a single call would reject.
 
     Raises:
+        ValueError: if a finite lam lies outside [0, 1].
         UndefinedRatioError: if the product-phase tangent vanishes or
             either phase is undefined, as at a non-finite angle or lam.
     """
     lam, half = np.broadcast_arrays(lam, (omega + omega_prime) / 2.0)
+    if (np.isfinite(lam) & ((lam < 0.0) | (lam > 1.0))).any():
+        raise ValueError("lam must lie in [0, 1]")
     with np.errstate(divide="ignore", invalid="ignore"):
         tangent = np.sin(half) / np.cos(half)  # minus the product-phase tangent
-        ratio = np.abs((1.0 - 2.0 * lam) * tangent / tangent)
         visibility = np.abs(tilted_overlap(half, 2.0 * lam - 1.0))
     undefined = False
     for flagged, reason in (
@@ -117,26 +120,7 @@ def nonlinearity_ratio(lam, omega, omega_prime):
             (~np.isfinite(lam), "entangled phase undefined (non-finite lam)"),
             (np.abs(tangent) < 1e-12, "product-phase tangent vanishes")):
         undefined = undefined | undefined_rows(flagged, UndefinedRatioError, reason)
-    return mark_undefined(ratio, undefined)
-
-
-def ancilla_reduction_phase(lam, omega):
-    """Pair phase when the second loop shrinks to a point.
-
-    Returns arctan[(1-2 lam) tan(omega/2)] on the overlap-tracking
-    branch.  Writing lam = (1+r)/2 this is exactly the mixed-state
-    solid-angle phase at Bloch radius r, which is how attaching an
-    ancilla purifies the mixed qubit phase.  Arrays broadcast, with NaN
-    in the rows a single call would reject.
-
-    Raises:
-        BranchAmbiguityError: for |omega| >= 2*pi.
-        OrthogonalStatesError: where the visibility vanishes.
-    """
-    multiturn = undefined_rows(np.abs(omega) >= 2.0 * np.pi, BranchAmbiguityError,
-                               "|omega| >= 2*pi is outside the single-turn branch")
-    return mark_undefined(entangled_phase_closed_form(lam, omega, 0.0).phase,
-                          multiturn)
+    return mark_undefined(np.abs(1.0 - 2.0 * lam), undefined)
 
 
 def franson_coincidence_profile(lam, triangle_a, triangle_a_prime,

@@ -21,19 +21,21 @@ Then the mixed-state triangle law as it was built through a
 ``qubit_mixed_triple``, ``MixedTriple.validate`` (with ``_coinciding``
 and ``_require_orthonormal``) and ``mixed_bargmann(mt)`` (here
 ``mixed_triple_bargmann``); like the law, the copies of it here hold no
-transport, since a qubit's transport never reached its phase.  Then
-``checks.random_triangle`` as it was when it converted the kept states
-to Bloch angles a second time (it passes the samplers' overlap floor on
-as the default it always was).  Then the fringe readout as it was when
-a profile carried its own fit: ``PhaseResult`` with its ``defined``
-flag (and ``from_overlap``), ``fit_fringe``, ``InterferenceProfile`` and
-``dual_coincidence_profile``.  Then the triangle as it was when it held
-Bloch angles and its kernels turned them into unit vectors and states
-on each call: ``SphericalTriangle`` (built from states by
-``state_to_bloch``), ``solid_angle``, ``geodesic_unitary`` on points,
-``_arc_rotation``, ``loop_holonomy``, ``mixed_bargmann(t, r)`` (here
-``angle_mixed_bargmann``), ``sample_triangle_path`` and
-``twophoton._pair_transport``.
+transport, since a qubit's transport never reached its phase, and they
+form their own weighted sum (``weighted_invariant``) from the library's
+pinned ``bargmann_invariant``, so a fault in the library's sum shows.
+Then ``checks.random_triangle`` as it was when it converted the kept
+states to Bloch angles a second time (it passes the samplers' overlap
+floor on as the default it always was).  Then the fringe readout as it
+was when a profile carried its own fit: ``PhaseResult`` with its
+``defined`` flag (and ``from_overlap``), ``fit_fringe``,
+``InterferenceProfile`` and ``dual_coincidence_profile``.  Then the
+triangle as it was when it held Bloch angles and its kernels turned
+them into unit vectors and states on each call: ``SphericalTriangle``
+(built from states by ``state_to_bloch``), ``solid_angle``,
+``geodesic_unitary`` on points, ``_arc_rotation``, ``loop_holonomy``,
+``mixed_bargmann(t, r)`` (here ``angle_mixed_bargmann``),
+``sample_triangle_path`` and ``twophoton._pair_transport``.
 The earlier copies above that take a triangle (``qubit_mixed_triple``,
 ``random_triangle``) take and give this one.  Last, the two cyclic
 overlap products before ``bargmann_invariant(*states)`` took any number
@@ -81,7 +83,6 @@ from pancha.geometry import (
     _exact_overlap,
     _guard,
     girard_signed_area,
-    mixed_chain_invariant,
 )
 from pancha.phase import EPS_ORTH, pure_interference_profile
 from pancha.transport import DiscretePath, _blocks, _precession_axis
@@ -350,9 +351,22 @@ class MixedTriple:
         return self
 
 
+def weighted_invariant(weights, bases):
+    """arg sum_k w_k e^{i d_k}, with d_k the library's
+    ``bargmann_invariant`` of the k-th eigenvector chain (pinned against
+    the three-state copy below), guarded where the sum vanishes."""
+    weights = np.asarray(weights, dtype=float)
+    bases = [np.asarray(b, dtype=complex) for b in bases]
+    total = sum(weights[..., k]
+                * np.exp(1j * geometry.bargmann_invariant(*(b[..., :, k] for b in bases)))
+                for k in range(weights.shape[-1]))
+    undefined = _guard([("weighted invariant sum", total)])
+    return mark_undefined(principal_angle(total), undefined)
+
+
 def mixed_triple_bargmann(mt: MixedTriple):
     mt.validate()
-    phase = mixed_chain_invariant(mt.weights, [mt.basis_a, mt.basis_b, mt.basis_c])
+    phase = weighted_invariant(mt.weights, [mt.basis_a, mt.basis_b, mt.basis_c])
     close, _, _ = _coinciding(np.asarray(mt.weights, dtype=float))
     return mark_undefined(phase, close.any(axis=-1))
 
@@ -543,7 +557,7 @@ def angle_mixed_bargmann(t: SphericalTriangle, r):
     degenerate = undefined_rows(
         np.abs(w[..., 0] - w[..., 1]) < 1e-12, DegenerateSpectrumError,
         "weights 0 and 1 coincide; eigenbases not unique")
-    return mark_undefined(mixed_chain_invariant(w, bases), degenerate)
+    return mark_undefined(weighted_invariant(w, bases), degenerate)
 
 
 def sample_triangle_path(triangle: SphericalTriangle, n: int = 4096) -> DiscretePath:

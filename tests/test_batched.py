@@ -31,7 +31,6 @@ from pancha.geometry import (
 )
 from pancha.phase import fit_fringe, tilted_overlap
 from pancha.twophoton import (
-    ancilla_reduction_phase,
     entangled_phase_closed_form,
     simulate_loop_pair,
 )
@@ -158,14 +157,12 @@ class TestBatchedKernelsMatchScalarCalls:
         omega = rng.uniform(-2.0 * np.pi + 0.1, 2.0 * np.pi - 0.1, 200)
         omega_p = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 200)
         rows = entangled_phase_closed_form(lam, omega, omega_p)
-        reduced = ancilla_reduction_phase(lam, omega)
         mixed = mixed_solid_angle_phase(2.0 * lam - 1.0, omega)
         overlaps = tilted_overlap(omega / 2.0, 2.0 * lam - 1.0)
         for k in range(200):
             single = entangled_phase_closed_form(lam[k], omega[k], omega_p[k])
             assert rows.phase[k] == single.phase
             assert rows.visibility[k] == single.visibility
-            assert reduced[k] == ancilla_reduction_phase(lam[k], omega[k])
             assert mixed[k] == mixed_solid_angle_phase(2.0 * lam[k] - 1.0, omega[k])
             assert overlaps[k] == tilted_overlap(omega[k] / 2.0, 2.0 * lam[k] - 1.0)
 
@@ -216,7 +213,6 @@ class TestUndefinedRows:
         got = mixed_solid_angle_phase(np.array([0.0, 0.5, 0.5]),
                                       np.array([1.0, 2.0 * np.pi, 1.0]))
         assert np.isnan(got[:2]).all() and np.isfinite(got[2])
-        assert np.isnan(ancilla_reduction_phase(0.3, np.array([7.0, 1.0]))[0])
         rows = mixed_bargmann(checks.random_triangle(np.random.default_rng(27), 2)[0],
                               np.array([0.0, 0.5]))
         assert np.isnan(rows[0]) and np.isfinite(rows[1])

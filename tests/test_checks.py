@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pancha import checks, geometry, twophoton
+from pancha import checks, geometry
 from pancha.phase import tilted_overlap
 
 from oracles import random_smooth_path
@@ -43,6 +43,12 @@ class TestNonlinearityLaw:
         assert checks.check_nonlinearity_law(0, n=5).passed
         assert calls == [5, 1]
 
+    @pytest.mark.parametrize("seed", [0, 20260809])
+    def test_closed_form_ratio_is_held_against_the_pair(self, monkeypatch, seed):
+        monkeypatch.setattr(checks, "nonlinearity_ratio",
+                            lambda lam, omega, omega_prime: np.abs(1.0 - 2.0 * lam))
+        assert 0.0 < checks.check_nonlinearity_law(seed).stat <= 1e-10
+
 
 class TestTolScale:
     @pytest.mark.parametrize("check", [checks.check_mixed_nonadditivity,
@@ -71,8 +77,7 @@ class TestAncillaReduction:
         def conjugate(half, k):
             return tilted_overlap(half, k).conjugate()
 
-        for module in (geometry, twophoton):
-            monkeypatch.setattr(module, "tilted_overlap", conjugate)
+        monkeypatch.setattr(geometry, "tilted_overlap", conjugate)
         assert not checks.check_ancilla_reduction(0).passed
 
 

@@ -11,7 +11,6 @@ from pancha.geometry import SphericalTriangle, mixed_solid_angle_phase, solid_an
 from pancha.phase import fit_fringe
 from pancha.twophoton import (
     _pair_transport,
-    ancilla_reduction_phase,
     entangled_phase_closed_form,
     franson_coincidence_profile,
     nonlinearity_ratio,
@@ -183,23 +182,31 @@ class TestNonlinearityRatio:
         with pytest.raises(UndefinedRatioError):
             nonlinearity_ratio(0.5, np.pi, 0.0)
 
+    def test_weight_outside_unit_interval_rejected(self):
+        for lam in (2.0, -1.0, np.array([0.2, 1.5, 0.7])):
+            with pytest.raises(ValueError, match=r"lam must lie in \[0, 1\]"):
+                nonlinearity_ratio(lam, 0.3, 0.1)
+
 
 class TestAncillaReduction:
+    """With photon 2 idle the pair phase is the mixed arctan law at
+    r = 2 lam - 1: the ancilla purifies the mixed qubit."""
+
     def test_pure_limit_octant(self):
-        got = ancilla_reduction_phase(1.0, np.pi / 2)
+        got = mixed_solid_angle_phase(1.0, np.pi / 2)
         assert got == pytest.approx(-np.pi / 4, abs=1e-12)
-        assert got == pytest.approx(mixed_solid_angle_phase(1.0, np.pi / 2),
-                                    abs=1e-12)
+        assert got == entangled_phase_closed_form(1.0, np.pi / 2, 0.0).phase
 
     @pytest.mark.parametrize("omega", [-2.0, -0.5, 0.7, 2.4])
     def test_balanced_state_vanishes(self, omega):
-        assert ancilla_reduction_phase(0.5, omega) == pytest.approx(0.0,
-                                                                    abs=1e-15)
+        assert entangled_phase_closed_form(0.5, omega, 0.0).phase == (
+            pytest.approx(0.0, abs=1e-15))
 
     def test_three_quarters(self):
-        got = ancilla_reduction_phase(0.75, np.pi / 2)
+        got = mixed_solid_angle_phase(0.5, np.pi / 2)
         assert got == pytest.approx(np.arctan(-0.5), abs=1e-12)
         assert got == pytest.approx(-0.46365, abs=5e-6)
+        assert got == entangled_phase_closed_form(0.75, np.pi / 2, 0.0).phase
 
     def test_matches_mixed_phase_under_substitution(self):
         rng = np.random.default_rng(4)
@@ -208,13 +215,12 @@ class TestAncillaReduction:
             if abs(lam - 0.5) < 1e-3:
                 continue
             omega = rng.uniform(-2 * np.pi + 0.1, 2 * np.pi - 0.1)
-            got = ancilla_reduction_phase(lam, omega)
-            want = mixed_solid_angle_phase(2.0 * lam - 1.0, omega)
-            assert abs(wrap_angle(got - want)) < 1e-10
+            assert entangled_phase_closed_form(lam, omega, 0.0).phase == (
+                mixed_solid_angle_phase(2.0 * lam - 1.0, omega))
 
     def test_multiturn_rejected(self):
         with pytest.raises(BranchAmbiguityError):
-            ancilla_reduction_phase(0.25, 2.0 * np.pi)
+            mixed_solid_angle_phase(2.0 * 0.25 - 1.0, 2.0 * np.pi)
 
 
 class TestFransonProfile:
