@@ -33,6 +33,7 @@ import numpy as np
 
 from .core import (
     _dot,
+    from_parts,
     haar_state,
     inner_product,
     matrix_exponential_su2,
@@ -231,14 +232,18 @@ def _random_generators(rng, n, dim=2):
 def _evolved_path(h, psi0, n) -> DiscretePath:
     """Schroedinger evolution of psi0 under the fixed generator h at n
     equal steps over unit time, one path per row of stacked (h, psi0):
-    the sum over eigenvectors v_k of v_k e^{-i lambda_k t} <v_k|psi0>."""
+    the sum over eigenvectors v_k of v_k e^{-i lambda_k t} <v_k|psi0>, formed
+    along the time axis a component at a time, as transport's kernels are."""
     evals, evecs = np.linalg.eigh(h)
     times = np.linspace(0.0, 1.0, n + 1)
     coeffs = (evecs.conj().swapaxes(-1, -2) @ psi0[..., None])[..., 0]
-    phases = np.exp(-1j * (times[:, None] * evals[..., None, :]))
-    amplitudes = phases * coeffs[..., None, :]
-    states = sum(evecs[..., None, :, k] * amplitudes[..., k, None]
-                 for k in range(h.shape[-1]))
+    x = evals[..., None] * times
+    amplitudes = from_parts(np.cos(x), np.sin(-x)) * coeffs[..., None]  # np.exp(-1j x)
+    states = np.empty(x.shape[:-2] + (n + 1, h.shape[-1]), dtype=complex)
+    for i in range(h.shape[-1]):
+        np.multiply(evecs[..., i, 0, None], amplitudes[..., 0, :], out=states[..., i])
+        for k in range(1, h.shape[-1]):
+            states[..., i] += evecs[..., i, k, None] * amplitudes[..., k, :]
     return DiscretePath(times, states, h)
 
 
@@ -494,8 +499,9 @@ def check_lift_independence(seed, n=100):
     """Chain phase is untouched by rephasing every state."""
     rng = np.random.default_rng([seed, 15])
     path = _evolved_path(*_random_generators(rng, n), 200)
-    angles = rng.uniform(-np.pi, np.pi, (n, 201))
-    rephased = DiscretePath(path.times, np.exp(1j * angles)[..., None] * path.states)
+    turn = np.exp(1j * rng.uniform(-np.pi, np.pi, (n, 201)))
+    rephased = DiscretePath(path.times, np.stack(
+        [turn * path.states[..., k] for k in range(2)], axis=-1))
     yield np.abs(wrap_angle(chain_phase(rephased) - chain_phase(path)))
 
 

@@ -141,17 +141,17 @@ def run_two_photon(lam, triangle_a, triangle_a_prime,
                    samples=64) -> ExperimentOutcome:
     """Entangled pair driven around one loop per photon."""
     from .geometry import solid_angle
-    from .twophoton import (entangled_phase_closed_form,
-                            franson_coincidence_profile, nonlinearity_ratio,
-                            simulate_loop_pair)
+    from .twophoton import (_pair_transport, entangled_phase_closed_form,
+                            nonlinearity_ratio)
 
     loops = (_triangle(triangle_a), _triangle(triangle_a_prime))
     lam = float(lam)
     omega, omega_prime = map(solid_angle, loops)
     closed = entangled_phase_closed_form(lam, omega, omega_prime)
-    sim = simulate_loop_pair(lam, *loops)
+    pair = _pair_transport(lam, *loops)  # simulate_loop_pair's and the profile's
+    sim = pancharatnam_phase(*pair)
     chis = _chi_grid(samples)
-    intensities = franson_coincidence_profile(lam, *loops, chis)
+    intensities = pure_interference_profile(*pair, chis)
     fitted = fit_fringe(chis, intensities)
     try:
         ratio = nonlinearity_ratio(lam, omega, omega_prime)

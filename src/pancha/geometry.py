@@ -173,6 +173,11 @@ def _dot3(p, q):
     return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
 
 
+def _cross3(p, q):
+    """Cross product of two component triples: np.cross's bits."""
+    return [p[i - 2] * q[i - 1] - p[i - 1] * q[i - 2] for i in range(3)]
+
+
 def _edge(p, q):
     """The edge q - s p of the unit vectors p and q, by components, and
     its sign s: +1 where p.q >= 0, else -1, so the edge is a short
@@ -206,9 +211,7 @@ def girard_signed_area(u, v, w) -> np.ndarray:
     u, v, w = (tuple(np.moveaxis(np.asarray(x, dtype=float), -1, 0))
                for x in (u, v, w))
     (uv, s_uv), (uw, s_uw), (vw, s_vw) = _edge(u, v), _edge(u, w), _edge(v, w)
-    det = (u[0] * (uv[1] * uw[2] - uv[2] * uw[1])
-           + u[1] * (uv[2] * uw[0] - uv[0] * uw[2])
-           + u[2] * (uv[0] * uw[1] - uv[1] * uw[0]))
+    det = _dot3(u, _cross3(uv, uw))
     sine = np.abs(det)
     # apex u sees the edges uv and uw, apex v the edges vw and -s_uv uv,
     # apex w the edges -s_uw uw and -s_vw vw
@@ -234,7 +237,8 @@ def solid_angle(t: SphericalTriangle):
     """
     vecs = t.vectors
     following = np.roll(vecs, -1, axis=-2)
-    degenerate = np.linalg.norm(np.cross(vecs, following), axis=-1) < EPS_GEO
+    cross = _cross3(*(np.moveaxis(x, -1, 0) for x in (vecs, following)))
+    degenerate = np.sqrt(_dot3(cross, cross)) < EPS_GEO  # np.linalg.norm's bits
 
     def message():
         i = int(np.argmax(degenerate))
@@ -262,7 +266,7 @@ def geodesic_unitary(u, v, fraction=1.0) -> np.ndarray:
         AntipodalPointsError: if u and v are single antipodal vectors
             (within EPS_GEO).
     """
-    cross = np.cross(u, v)
+    cross = np.stack(_cross3(*(np.moveaxis(x, -1, 0) for x in (u, v))), axis=-1)
     sine = np.sqrt(_dot(cross, cross))
     cosine = _dot(u, v)
     degenerate = sine < EPS_GEO

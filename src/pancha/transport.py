@@ -17,7 +17,8 @@ energies, the closure's arcs) walks the cache-sized blocks of _blocks, so
 no full-length temporaries are made, and writes each block straight into
 its output, the closure's and the energies' temporaries too
 (core._products, core._unit_bloch), by the same operations in the same
-order as the plain expressions.
+order as the plain expressions, with the long time axis innermost: none
+broadcasts a per-sample factor against the short trailing state axis.
 Paths are validated values, and leading axes of their states make a
 batch: each kernel gives one value per path, NaN where a single path
 would raise, as do the precession kernels on array angles.
@@ -51,6 +52,7 @@ from .errors import (
 )
 from .geometry import (
     SphericalTriangle,
+    _cross3,
     _dot3,
     geodesic_unitary,
     mixed_solid_angle_phase,
@@ -228,8 +230,9 @@ def make_parallel_lift(path: DiscretePath) -> DiscretePath:
         OrthogonalStatesError: naming the first vanishing link.
     """
     phases, broken = _link_phases(path)
-    states = path.states.copy()
-    states[..., 1:, :] *= np.exp(1j * np.cumsum(phases, axis=-1))[..., None]
+    states, turn = path.states.copy(), np.exp(1j * np.cumsum(phases, axis=-1))
+    for k in range(states.shape[-1]):  # in place, a one-element product rounds otherwise
+        np.multiply(path.states[..., 1:, k], turn, out=states[..., 1:, k])
     if broken.any():
         states[broken] = np.nan
     return DiscretePath(path.times, states)
@@ -269,15 +272,17 @@ def dynamical_phase(path: DiscretePath):
             vanishing link.
     """
     if path.hamiltonian is not None:
-        # np.trapezoid's own terms, formed a block of links at a time from
-        # elementwise arithmetic, and its own reduction: the same value
+        # np.trapezoid's own terms and reduction, a block of links at a time: its value
         states, times = path.states, path.times
         terms = np.empty(states.shape[:-2] + (path.n_samples - 1,))
-        for lo, hi in _blocks(path.n_samples - 1, terms[..., 0].size):
+        blocks = list(_blocks(path.n_samples - 1, terms[..., 0].size))
+        steps, sums = (np.empty(x.shape[:-1] + (blocks[0][1],)) for x in (times, terms))
+        for lo, hi in blocks:
             energies = _energies(states[..., lo:hi + 1, :], path.hamiltonian)
-            np.divide((times[..., lo + 1:hi + 1] - times[..., lo:hi])
-                      * (energies[..., 1:] + energies[..., :-1]), 2.0,
-                      out=terms[..., lo:hi])
+            step = np.subtract(times[..., lo + 1:hi + 1], times[..., lo:hi],
+                               out=steps[..., :hi - lo])
+            total = np.add(energies[..., 1:], energies[..., :-1], out=sums[..., :hi - lo])
+            np.divide(step * total, 2.0, out=terms[..., lo:hi])
         phase = -np.add.reduce(terms, axis=-1)
         return float(phase) if np.ndim(phase) == 0 else phase
     phases, broken = _link_phases(path)
@@ -495,7 +500,7 @@ def geodesic_closure_solid_angle(path: DiscretePath):
     states = path.states
     ends = np.stack(_unit_bloch(states[..., [0, -1], :]))
     first, last = ends[..., 0], ends[..., 1]
-    cross = np.cross(first, last, axis=0)
+    cross = _cross3(first, last)
     undefined = undefined_rows(
         (np.sqrt(_dot3(cross, cross)) < 1e-8) & (_dot3(first, last) < 0.0),
         AntipodalEndpointsError, "closing geodesic undefined for antipodal ends")

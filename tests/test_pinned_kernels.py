@@ -27,8 +27,13 @@ within 1e-14.  ``bargmann_invariant`` of three states gives the bits,
 NaN rows and error types of the earlier three-state kernel, of four
 states the earlier ``multi_vertex_invariant`` within 1e-14, and
 reversing s1 ... s_{n-1} negates it exactly.
+The kernels rewritten to run along the time axis (``checks._evolved_path``,
+``make_parallel_lift``, the rephasing of ``check_lift_independence`` and
+the trapezoid of ``dynamical_phase``) are held to recorded outputs instead:
+digests and hex floats that the earlier code gave (numpy 2.4, x86-64).
 """
 
+import hashlib
 import re
 
 import numpy as np
@@ -1078,3 +1083,127 @@ def test_reversal_negates_exactly(n):
 def test_the_earlier_chain_reversal_was_not_exact():
     sums = reversal_sums(lambda *s: oracles.multi_vertex_invariant(s), 4)
     assert 0 < np.count_nonzero(sums) and np.abs(sums).max() < 1e-15
+
+
+
+# ---------------------------------------------------------------------------
+# recorded outputs of the kernels rewritten to run along the time axis:
+# SHA-256 digests (dtype, shape and bytes) and float.hex values that the
+# earlier code gave on these cases, recorded once from it; a one-link path
+# is a case of its own, as numpy rounds a one-element in-place product
+# differently
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in map(np.ascontiguousarray, arrays):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _evolved(d, n, rows=5):
+    h, psi0 = checks._random_generators(np.random.default_rng([d, n]), rows, d)
+    return checks._evolved_path(h, psi0, n)
+
+
+EVOLVED_PATHS = {
+    (2, 64): "c669c8ead7d7bd1fec28e11812cc4fd6a0a63865c3101f4023a7e9cf4dcb0250",
+    (2, 200): "a630629956549e8acbc793b1410e452686e6d651b3201c8457e96271fa09c3f3",
+    (2, 1024): "773d83cc758dd10b938518ee59635352145416c7844b9147e7bcf71ec14e2042",
+    (3, 64): "e820d3132cdb1e113545ba4576a80caa4251bedeb5d5bb73bc0caa22cbbfc1e1",
+    (3, 200): "aa7b62f2adedf5b8f83c39db1751e48274e86e5d20b774b79462f30eb884a453",
+    (3, 1024): "3a0bc7fca6c1875649ee40a88e3f06c39003255bb7ace0910a64dfe73d8e9171",
+}
+
+
+@pytest.mark.parametrize("d, n", EVOLVED_PATHS,
+                         ids=[f"d {d}, n {n}" for d, n in EVOLVED_PATHS])
+def test_evolved_path_gives_the_recorded_states(d, n):
+    path = _evolved(d, n)
+    assert digest(path.times, path.states, path.hamiltonian) == EVOLVED_PATHS[d, n]
+
+
+def _lift_cases():
+    batch = _evolved(2, 200, rows=6)
+    broken = batch.states.copy()
+    s0, s1 = broken[2, 40]
+    broken[2, 41] = (-np.conj(s1), np.conj(s0))  # orthogonal: link 40 vanishes
+    return {
+        "single path": DiscretePath(batch.times, batch.states[0]),
+        "single path, one link": DiscretePath(batch.times[::200], batch.states[0, ::200]),
+        "batch": batch,
+        "batch, one link each": DiscretePath(batch.times[::200], batch.states[:, ::200]),
+        "qutrit batch": _evolved(3, 64),
+        "batch with a broken row": DiscretePath(batch.times, broken),
+    }
+
+
+LIFT_CASES = _lift_cases()
+LIFTS = {
+    "single path":
+        "228590536c2dc1e7ae15d6414e7f859e255fcc47032c7ed56369c3e2d81481c7",
+    "single path, one link":
+        "7967b7554715d47281f3e763fbfe255a119c35e1405d3dc49b56c577a3949a2f",
+    "batch":
+        "fac8a5cb07786fbb81eccad9b44f64e0dbfef310dcd5c40bdbc14790993501e3",
+    "batch, one link each":
+        "2af8aa4fe12c773a7626ad6d098ecc2b4e043bc6ae97ca539946c305402b59a7",
+    "qutrit batch":
+        "3b8d94681325c346bf75c94c0cf2a5fb8f4678e605e9f52a498b0472297e36cb",
+    "batch with a broken row":
+        "927b7052f0f11f6a265cdefcecb6a8560e0e3eb33ab7708b8846b72bcb6a9b91",
+}
+
+
+@pytest.mark.parametrize("name", LIFTS)
+def test_parallel_lift_gives_the_recorded_states(name):
+    lifted = transport.make_parallel_lift(LIFT_CASES[name])
+    assert digest(lifted.times, lifted.states) == LIFTS[name]
+
+
+REPHASED_PATHS = {
+    0: "d2e58b61aaabccf5518c418a11ffafa204f31b3ba2461f4f22bdff8b0ec45fd1",
+    20260809: "d244e32373235d725abf828e6c022f8a6193034c1cdd91b6f21a8b720b85e2ff",
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lift_independence_rephases_to_the_recorded_states(monkeypatch, seed):
+    paths = []  # chain_phase(rephased), then chain_phase(path)
+    monkeypatch.setattr(checks, "chain_phase",
+                        lambda path: paths.append(path) or transport.chain_phase(path))
+    checks.check_lift_independence(seed)
+    rephased, path = paths
+    assert not np.array_equal(rephased.states, path.states)
+    assert digest(rephased.times, rephased.states) == REPHASED_PATHS[seed]
+
+
+TRAPEZOID_PHASES = {  # rows (None: a single path), steps: float.hex of each phase
+    (None, 1): "-0x1.22f2a494f8745p+0",
+    (2, 1): ["-0x1.7b7c8b12319c4p-5", "0x1.15dc71da278f4p-2"],
+    (None, 10**4): "-0x1.6670104b60c9cp+0",
+    (None, 10**6): "-0x1.667010534279bp+0",
+    (2, 10**4): ["-0x1.bf1f879a7c356p-6", "0x1.9e861917ba9c4p-2"],
+    (2, 10**6): ["-0x1.bf1f87682a328p-6", "0x1.9e86192c26f15p-2"],
+}
+
+
+def _trapezoid_path(rows, n):
+    """A precession path under the generator of other precessions, so its
+    energies vary along it; rows=None gives a single path."""
+    if rows is None:
+        path, theta = precession(0.7, 4.0, n), 1.3
+    else:
+        path, theta = precession(THETAS[:rows], [1.5, -2.5][:rows], n), THETAS[-rows:]
+    return DiscretePath(path.times, path.states, transport.precession_hamiltonian(theta))
+
+
+@pytest.mark.parametrize("rows, n", TRAPEZOID_PHASES,
+                         ids=[f"{'single' if r is None else 'batch'}, {n} steps"
+                              for r, n in TRAPEZOID_PHASES])
+def test_dynamical_phase_gives_the_recorded_trapezoid(rows, n):
+    phase = transport.dynamical_phase(_trapezoid_path(rows, n))
+    if rows is None:
+        assert type(phase) is float and phase.hex() == TRAPEZOID_PHASES[None, n]
+    else:
+        assert [x.hex() for x in phase.tolist()] == TRAPEZOID_PHASES[rows, n]

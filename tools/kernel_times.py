@@ -13,16 +13,21 @@ each, the tree that goes first swapping every round.  A round times, at
 each step count, ``precession_path`` of one fixed precession and then
 ``chain_phase``, ``geodesic_closure_solid_angle`` and ``dynamical_phase``
 of that path, each called often enough to run for about 10^6 steps, and
-then each check of the ``geometric-phase`` suite once at the round's
+then each of the 25 checks of ``checks.SUITES`` once at the round's
 seed.  Both interpreters warm every kernel up before the first round.
 
 One line is printed per kernel and step count, and per check: the
 parent's and the change's median over the rounds (ns/step for a kernel,
 ms a call for a check), the change/parent ratio, and in how many rounds
-the change was faster.  Every result of every round is compared between
-the trees bit for bit (a path by its times and states, a phase or angle
-as ``float.hex``, a check by its stat and verdict); the last line counts
-the differences, and the exit code is 1 on any, else 0.
+the change was faster.  Two more lines give the p50 and p90 of the
+per-check medians, the quantiles that the benchmark's ``battery``
+workload takes of its per-check medians for ``op_p50_ms`` and
+``op_p90_ms`` (numpy's linear interpolation); their win counts compare
+the quantiles of each round's check times.  Every result of every round
+is compared between the trees bit for bit (a path by its times and
+states, a phase or angle as ``float.hex``, a check by its stat and
+verdict); the last line counts the differences, and the exit code is 1
+on any, else 0.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 #: one fixed precession, its endpoints far from antipodal
 THETA, PHI = 0.7, 4.0
@@ -48,7 +55,7 @@ from pancha.checks import SUITES
 
 steps = [int(n) for n in sys.argv[1].split(",")]
 spec = t.PrecessionSpec(float(sys.argv[2]), float(sys.argv[3]))
-checks = SUITES["geometric-phase"]
+checks = [fn for fns in SUITES.values() for fn in fns]
 KERNELS = ("chain_phase", "geodesic_closure_solid_angle", "dynamical_phase")
 
 def digest(value):
@@ -138,13 +145,23 @@ def main(argv=None) -> int:
             proc.stdin.close()
             proc.wait()
 
-    for label in rounds[0][0]["times"]:
-        old, new = ([r[side]["times"][label] for r in rounds] for side in (0, 1))
+    def line(label, unit, old, new, mids=None):
+        old_mid, new_mid = mids or (statistics.median(old), statistics.median(new))
         wins = sum(n < o for o, n in zip(old, new))
-        unit = "ms" if "[" not in label else "ns/step"
-        old_mid, new_mid = statistics.median(old), statistics.median(new)
         print(f"{label:44s} {old_mid:10.4g} -> {new_mid:10.4g} {unit:7s} "
               f"x{new_mid / old_mid:.3f}  change faster {wins}/{len(rounds)}")
+
+    for label in rounds[0][0]["times"]:
+        old, new = ([r[side]["times"][label] for r in rounds] for side in (0, 1))
+        line(label, "ms" if "[" not in label else "ns/step", old, new)
+    checks = [label for label in rounds[0][0]["times"] if "[" not in label]
+    medians = [[statistics.median(r[side]["times"][c] for r in rounds) for c in checks]
+               for side in (0, 1)]
+    for q in (0.5, 0.9):
+        old, new = ([float(np.quantile([r[side]["times"][c] for c in checks], q))
+                     for r in rounds] for side in (0, 1))
+        line(f"p{round(100 * q)} of the {len(checks)} per-check medians", "ms", old, new,
+             [float(np.quantile(m, q)) for m in medians])
     compared = differ = 0
     for parent, change in rounds:
         for label, value in parent["bits"].items():
