@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _cis,
     _dot,
-    from_parts,
     haar_state,
     inner_product,
     matrix_exponential_su2,
@@ -238,7 +238,10 @@ def _evolved_path(h, psi0, n) -> DiscretePath:
     times = np.linspace(0.0, 1.0, n + 1)
     coeffs = (evecs.conj().swapaxes(-1, -2) @ psi0[..., None])[..., 0]
     x = evals[..., None] * times
-    amplitudes = from_parts(np.cos(x), np.sin(-x)) * coeffs[..., None]  # np.exp(-1j x)
+    amplitudes = np.empty(x.shape, dtype=complex)  # np.exp(-1j x), from its parts
+    np.cos(x, out=amplitudes.real)
+    np.sin(-x, out=amplitudes.imag)
+    amplitudes = amplitudes * coeffs[..., None]
     states = np.empty(x.shape[:-2] + (n + 1, h.shape[-1]), dtype=complex)
     for i in range(h.shape[-1]):
         np.multiply(evecs[..., i, 0, None], amplitudes[..., 0, :], out=states[..., i])
@@ -499,7 +502,7 @@ def check_lift_independence(seed, n=100):
     """Chain phase is untouched by rephasing every state."""
     rng = np.random.default_rng([seed, 15])
     path = _evolved_path(*_random_generators(rng, n), 200)
-    turn = np.exp(1j * rng.uniform(-np.pi, np.pi, (n, 201)))
+    turn = _cis(rng.uniform(-np.pi, np.pi, (n, 201)))
     rephased = DiscretePath(path.times, np.stack(
         [turn * path.states[..., k] for k in range(2)], axis=-1))
     yield np.abs(wrap_angle(chain_phase(rephased) - chain_phase(path)))

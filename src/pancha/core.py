@@ -58,6 +58,15 @@ def from_parts(re, im):
     return z
 
 
+def _cis(x):
+    """e^{ix} rowwise, from cos x and sin x, with np.exp(1j * x)'s bits."""
+    z = np.empty(np.shape(x), dtype=complex)
+    np.cos(x, out=z.real)
+    np.add(np.sin(x, out=z.imag), 0.0, out=z.imag)
+    z[np.isnan(z.real)] = complex(np.nan, np.nan)
+    return z
+
+
 def undefined_rows(flags, error, message):
     """The rows ``flags`` marks undefined, as a bool array with one entry
     per row of a batch; a single call, whose flag is 0-d, raises
@@ -120,8 +129,7 @@ def bloch_to_state(point) -> np.ndarray:
     """
     theta, phi = point
     half = np.asarray(theta, dtype=float) / 2.0
-    return np.stack([np.cos(half), np.exp(1j * np.asarray(phi)) * np.sin(half)],
-                    axis=-1)
+    return np.stack([np.cos(half), _cis(phi) * np.sin(half)], axis=-1)
 
 
 def _products(a, b, c, d, scratch, out=None, subtract=False):
@@ -131,15 +139,16 @@ def _products(a, b, c, d, scratch, out=None, subtract=False):
     return add(out, np.multiply(c, d, out=scratch), out=out)
 
 
-def _unit_bloch(states):
+def _unit_bloch(states, out=None):
     """Unit Bloch components (x, y, z) of qubit rows (..., rows, 2), each
-    (..., rows), from the real and imaginary parts of the amplitudes a
-    and b: 2 Re(a* b), 2 Im(a* b) and |a|^2 - |b|^2, each over the
-    length |a|^2 + |b|^2 of the Bloch vector (0-d arrays for one state).
-    This is the one route from a state to its Bloch vector."""
+    (..., rows), into ``out`` when given, from the real and imaginary parts
+    of the amplitudes a and b: 2 Re(a* b), 2 Im(a* b) and |a|^2 - |b|^2,
+    each over the length |a|^2 + |b|^2 of the Bloch vector (0-d arrays for
+    one state).  This is the one route from a state to its Bloch vector."""
     a, b = states[..., 0], states[..., 1]
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    pa, pb, scale, x, y, t = (np.empty(ar.shape) for _ in range(6))
+    x, y, pa = (np.empty(ar.shape) for _ in range(3)) if out is None else out
+    pb, scale, t = (np.empty(ar.shape) for _ in range(3))
     pa, pb = _products(ar, ar, ai, ai, t, pa), _products(br, br, bi, bi, t, pb)
     np.divide(2.0, np.add(pa, pb, out=scale), out=scale)
     np.multiply(_products(ar, br, ai, bi, t, x), scale, out=x)
@@ -198,14 +207,17 @@ def haar_state(rng: np.random.Generator, dim: int = 2, shape=()) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(_dot(re, re) + _dot(im, im))[..., None]
 
 
-def _n_dot_sigma(axis) -> np.ndarray:
-    """n . sigma for the unit vectors n along the rows of ``axis``
-    (..., 3); ValueError if any row is zero."""
+def _unit_axes(axis) -> np.ndarray:
+    """The rows of ``axis`` (..., 3) over their lengths; ValueError for a zero row."""
     axis = np.asarray(axis, dtype=float)
     norm = np.sqrt(_dot(axis, axis))
     if (norm == 0.0).any():
         raise ValueError("axis must be nonzero")
-    n = axis / norm[..., None]
+    return axis / norm[..., None]
+
+
+def _n_dot_sigma(n) -> np.ndarray:
+    """n . sigma for the unit vectors along the rows of ``n`` (..., 3)."""
     return (n[..., 0, None, None] * SIGMA_X + n[..., 1, None, None] * SIGMA_Y
             + n[..., 2, None, None] * SIGMA_Z)
 
@@ -223,8 +235,16 @@ def matrix_exponential_su2(axis, angle) -> np.ndarray:
     Raises:
         ValueError: for a zero axis.
     """
-    half = np.asarray(angle, dtype=float)[..., None, None] / 2.0
-    return np.cos(half) * IDENTITY_2 - 1j * np.sin(half) * _n_dot_sigma(axis)
+    half = np.asarray(angle, dtype=float) / 2.0
+    c, s, n = np.cos(half), np.sin(half), _unit_axes(axis)
+    if not (np.abs(sy := s * n[..., 1]) > 0.0).all():  # zero signs only this route sets
+        return c[..., None, None] * IDENTITY_2 - 1j * s[..., None, None] * _n_dot_sigma(n)
+    u, sz = np.empty(sy.shape + (2, 2), dtype=complex), s * n[..., 2]
+    u.real[..., 0, 0] = u.real[..., 1, 1] = c
+    u.real[..., 0, 1], u.real[..., 1, 0] = -sy, sy
+    u.imag[..., 0, 0], u.imag[..., 1, 1] = 0.0 - sz, sz + 0.0
+    u.imag[..., 0, 1] = u.imag[..., 1, 0] = 0.0 - s * n[..., 0]
+    return u
 
 
 def qubit_density(r, axis=(0.0, 0.0, 1.0)) -> np.ndarray:
@@ -233,4 +253,4 @@ def qubit_density(r, axis=(0.0, 0.0, 1.0)) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if not ((-1.0 <= r) & (r <= 1.0)).all():
         raise ValueError("Bloch radius must lie in [-1, 1]")
-    return 0.5 * (IDENTITY_2 + r[..., None, None] * _n_dot_sigma(axis))
+    return 0.5 * (IDENTITY_2 + r[..., None, None] * _n_dot_sigma(_unit_axes(axis)))

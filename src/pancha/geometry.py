@@ -43,6 +43,7 @@ import numpy as np
 
 from .core import (
     BlochPoint,
+    _cis,
     _dot,
     _unit_bloch,
     bloch_to_state,
@@ -113,15 +114,16 @@ def _guard(overlaps):
 
 
 def _exact_overlap(x, y):
-    """<x|y> rowwise from real and imaginary parts, Re = sum(xr yr + xi yi)
-    and Im = sum(xr yi - xi yr), so that <y|x> is its conjugate bit for
-    bit in IEEE arithmetic, whatever path a BLAS or a vectorised complex
-    product would take."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
-    return from_parts((xr * yr + xi * yi).sum(axis=-1),
-                      (xr * yi - xi * yr).sum(axis=-1))
+    """<x|y> rowwise from real and imaginary parts, adding xr yr + xi yi to
+    Re and xr yi - xi yr to Im one component at a time, so that <y|x> is
+    its conjugate bit for bit in IEEE arithmetic, whatever path a BLAS or
+    a vectorised complex product would take."""
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    re = im = 0.0
+    for k in range(x.shape[-1]):
+        xr, xi, yr, yi = x[..., k].real, x[..., k].imag, y[..., k].real, y[..., k].imag
+        re, im = re + (xr * yr + xi * yi), im + (xr * yi - xi * yr)
+    return from_parts(re, im)
 
 
 def _times(p, q):
@@ -312,7 +314,7 @@ def mixed_chain_invariant(weights, bases):
     bases = [np.asarray(b, dtype=complex) for b in bases]
     deltas = [bargmann_invariant(*(basis[..., :, k] for basis in bases))
               for k in range(weights.shape[-1])]
-    total = sum(weights[..., k] * np.exp(1j * delta) for k, delta in enumerate(deltas))
+    total = sum(weights[..., k] * _cis(delta) for k, delta in enumerate(deltas))
     undefined = _guard([("weighted invariant sum", total)])
     return mark_undefined(principal_angle(total), undefined)
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _cis,
     from_parts,
     hermitian_rows,
     inner_product,
@@ -99,10 +100,9 @@ def pure_interference_profile(a, b, chis) -> np.ndarray:
     a NaN phase.  Rowwise over (..., d) states, against a shared (n,)
     grid or one row of a (..., n) grid each, giving (..., n) intensities.
     """
-    shift = np.exp(1j * np.asarray(chis, dtype=float))[..., :, None]
-    superposed = (shift * np.asarray(a, dtype=complex)[..., None, :]
-                  + np.asarray(b, dtype=complex)[..., None, :])
-    return np.einsum("...ij,...ij->...i", superposed.conj(), superposed).real
+    shift, a, b = _cis(chis), np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    fields = (shift * a[..., k, None] + b[..., k, None] for k in range(a.shape[-1]))
+    return sum(f.real * f.real - (-f.imag) * f.imag for f in fields)  # einsum's conj(f) f
 
 
 def trace_overlap(rho, u):
@@ -117,7 +117,7 @@ def _trace_profile(rho, u, chis):
     """The trace closed form 2 + 2 Re(e^{i chi} conj(Tr(U rho))) of the
     mixed-state profile, one (n,) row per (rho, u) pair on a shared grid."""
     conjugate = np.conj(trace_overlap(rho, u))[..., None]
-    return 2.0 + 2.0 * np.real(np.exp(1j * chis) * conjugate)
+    return 2.0 + 2.0 * np.real(_cis(chis) * conjugate)
 
 
 def mixed_phase(rho: np.ndarray, u: np.ndarray) -> PhaseResult:
@@ -145,8 +145,7 @@ def mixed_interference_profile(rho, u, chis) -> np.ndarray:
     than 1e-12 from its conjugate transpose, or one whose eigenvectors are
     not finite gives a NaN profile, where a single rho raises LinAlgError.
     """
-    rho = np.asarray(rho, dtype=complex)
-    u = np.asarray(u, dtype=complex)
+    rho, u = np.asarray(rho, dtype=complex), np.asarray(u, dtype=complex)
     chis = np.asarray(chis, dtype=float)
     hermitian = hermitian_rows(rho)
     weights, basis = np.linalg.eigh(np.where(hermitian[..., None, None], rho, np.nan))

@@ -33,6 +33,7 @@ import numpy as np
 from .core import (
     SIGMA_X,
     SIGMA_Z,
+    _cis,
     _products,
     _unit_bloch,
     hermitian_rows,
@@ -230,7 +231,7 @@ def make_parallel_lift(path: DiscretePath) -> DiscretePath:
         OrthogonalStatesError: naming the first vanishing link.
     """
     phases, broken = _link_phases(path)
-    states, turn = path.states.copy(), np.exp(1j * np.cumsum(phases, axis=-1))
+    states, turn = path.states.copy(), _cis(np.cumsum(phases, axis=-1))
     for k in range(states.shape[-1]):  # in place, a one-element product rounds otherwise
         np.multiply(path.states[..., 1:, k], turn, out=states[..., 1:, k])
     if broken.any():
@@ -282,7 +283,7 @@ def dynamical_phase(path: DiscretePath):
             step = np.subtract(times[..., lo + 1:hi + 1], times[..., lo:hi],
                                out=steps[..., :hi - lo])
             total = np.add(energies[..., 1:], energies[..., :-1], out=sums[..., :hi - lo])
-            np.divide(step * total, 2.0, out=terms[..., lo:hi])
+            np.divide(np.multiply(step, total, out=total), 2.0, out=terms[..., lo:hi])
         phase = -np.add.reduce(terms, axis=-1)
         return float(phase) if np.ndim(phase) == 0 else phase
     phases, broken = _link_phases(path)
@@ -507,10 +508,10 @@ def geodesic_closure_solid_angle(path: DiscretePath):
 
     total = 0.0
     for lo, hi in _blocks(path.n_samples, undefined.size):
-        block = states[..., lo:hi + 1, :]
-        if hi == path.n_samples:  # the last block closes the ring
-            block = np.concatenate([block, states[..., :1, :]], axis=-2)
-        area, broken = _swept_area(*_unit_bloch(block))
+        xyz = np.empty((3,) + states.shape[:-2] + (hi - lo + 1,))
+        xyz[..., -1] = ends[..., 0]  # the last block closes the ring at the first point
+        _unit_bloch(states[..., lo:hi + 1, :], xyz[..., :states.shape[-2] - lo])
+        area, broken = _swept_area(*xyz)
         total, undefined = total + area, undefined | broken
     return mark_undefined(total, undefined)
 

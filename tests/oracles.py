@@ -258,16 +258,20 @@ def _swept_area(x, y, z):
 # the closure's Bloch components and arcs, and the energies, before each
 # block was written in place, verbatim (the arcs as _swept_area_allocating,
 # beside the earlier _swept_area above; dynamical_phase above calls this
-# _energies)
+# _energies; _unit_bloch copies its components into ``out`` when given, the
+# closing block's buffer)
 
 
-def _unit_bloch(states):
+def _unit_bloch(states, out=None):
     a, b = states[..., 0], states[..., 1]
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     pa, pb = ar * ar + ai * ai, br * br + bi * bi
     scale = 2.0 / (pa + pb)
-    return ((ar * br + ai * bi) * scale, (ar * bi - ai * br) * scale,
-            (pa - pb) * (0.5 * scale))
+    xyz = ((ar * br + ai * bi) * scale, (ar * bi - ai * br) * scale,
+           (pa - pb) * (0.5 * scale))
+    if out is not None:
+        out[...] = xyz
+    return xyz
 
 
 def _swept_area_allocating(x, y, z):

@@ -274,8 +274,8 @@ def _dynamical_cases():
         "hamiltonian, empty batch": unchecked(
             shared, np.zeros((0,) + single.states.shape), single.hamiltonian),
         "hamiltonian, nan row": unchecked(
-            batch.times, np.concatenate([batch.states[:1],
-                                         np.full_like(batch.states[:1], np.nan)]),
+            batch.times[:2], np.concatenate([batch.states[:1],
+                                              np.full_like(batch.states[:1], np.nan)]),
             batch.hamiltonian[:2]),
         "hamiltonian, qutrit": unchecked(np.linspace(0.0, 1.0, 5),
                                          np.eye(3)[[0, 1, 2, 0, 1]],

@@ -26,7 +26,8 @@ are printed in decimal with their headroom: threshold/stat in ``max``
 mode, stat/threshold in ``min`` mode, shown only where both sides are
 positive.  The last line names the least headroom among the moved checks,
 in each tree.  A check that only one tree has counts as a difference.  The
-exit code is 1 on any difference, else 0.
+exit code is 1 on any difference, else 0.  Either way the host
+fingerprint (``host_fingerprint.py``) goes to standard error.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from host_fingerprint import report
 
 SEEDS = (0, 20260809)
 
@@ -145,6 +148,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=seed_range, default=SEEDS,
                         metavar="START:STOP", help="the seeds range(START, STOP)")
     args = parser.parse_args(argv)
+    report()
     if len(args.trees) > 2:
         parser.error("give one tree, or a parent and a change")
     trees = [tree.resolve() for tree in args.trees]

@@ -21,6 +21,7 @@ leave are compared.  The invocations are
 
 One line is printed per invocation, with the parent's exit code and what
 differs, then a summary.  The exit code is 1 on any difference, else 0.
+The host fingerprint (``host_fingerprint.py``) goes to standard error.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from host_fingerprint import report
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -153,6 +156,7 @@ def main() -> int:
         if not (tree / "pancha" / "__init__.py").is_file():
             print(f"no pancha package under {tree}", file=sys.stderr)
             return 2
+    report()
     fields = ("exit code", "stdout", "stderr", "output files")
     total = differ = 0
     for name, config, command in invocations():

@@ -19,15 +19,17 @@ seed.  Both interpreters warm every kernel up before the first round.
 One line is printed per kernel and step count, and per check: the
 parent's and the change's median over the rounds (ns/step for a kernel,
 ms a call for a check), the change/parent ratio, and in how many rounds
-the change was faster.  Two more lines give the p50 and p90 of the
-per-check medians, the quantiles that the benchmark's ``battery``
-workload takes of its per-check medians for ``op_p50_ms`` and
-``op_p90_ms`` (numpy's linear interpolation); their win counts compare
-the quantiles of each round's check times.  Every result of every round
-is compared between the trees bit for bit (a path by its times and
-states, a phase or angle as ``float.hex``, a check by its stat and
-verdict); the last line counts the differences, and the exit code is 1
-on any, else 0.
+the change was faster.  Three more lines give the sum of the per-check
+medians, the in-process cost of one pass of the battery, which the
+benchmark's ``battery`` workload turns into ``work_per_s``, and their
+p50 and p90, the quantiles that workload takes of its per-check medians
+for ``op_p50_ms`` and ``op_p90_ms`` (numpy's linear interpolation); their
+win counts compare the sums and quantiles of each round's check times.
+Every result of every round is compared between the trees bit for bit
+(a path by its times and states, a phase or angle as ``float.hex``, a
+check by its stat and verdict); the last line counts the differences,
+and the exit code is 1 on any, else 0.  The host fingerprint
+(``host_fingerprint.py``) goes to standard error.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from host_fingerprint import report
 
 #: one fixed precession, its endpoints far from antipodal
 THETA, PHI = 0.7, 4.0
@@ -128,6 +132,7 @@ def main(argv=None) -> int:
         parser.error("--steps takes comma-separated integers")
     if min(steps) < 1 or args.rounds < 1:
         parser.error("--steps and --rounds must be positive")
+    report()
     trees = [p.resolve() for p in (args.parent, args.change)]
     for tree in trees:
         if not (tree / "pancha" / "__init__.py").is_file():
@@ -157,6 +162,9 @@ def main(argv=None) -> int:
     checks = [label for label in rounds[0][0]["times"] if "[" not in label]
     medians = [[statistics.median(r[side]["times"][c] for r in rounds) for c in checks]
                for side in (0, 1)]
+    old, new = ([sum(r[side]["times"][c] for c in checks) for r in rounds] for side in (0, 1))
+    line(f"sum of the {len(checks)} per-check medians", "ms", old, new,
+         [sum(m) for m in medians])
     for q in (0.5, 0.9):
         old, new = ([float(np.quantile([r[side]["times"][c] for c in checks], q))
                      for r in rounds] for side in (0, 1))
