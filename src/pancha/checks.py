@@ -16,7 +16,7 @@ verdict once for every battery: the stat is the largest (``"max"``) or
 smallest (``"min"``) yielded entry, NaN if any entry is NaN or none was
 yielded, so an undefined instance fails; ``tol_scale`` scales the
 verdict; the check returns a ``CheckResult`` and is appended to its
-suite in ``SUITES`` in definition order.
+suite in ``SUITES`` in definition order.  A ``fixture`` ignores its seed.
 
 Each check draws each kind of input once, as an (n, ...) block in the
 order its code states; a normal block equals one-at-a-time draws, so
@@ -92,12 +92,11 @@ from .twophoton import (
     simulate_loop_pair,
 )
 
-#: spin-tilt / precession-angle grid for the worked-example batteries
-PRECESSION_GRID = tuple(
-    (theta, phi)
-    for theta in (np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3)
-    for phi in (np.pi / 4, np.pi / 2, 3 * np.pi / 4)
-)
+#: the worked-example tilts and angles, their grid tilt-major, and the grid as one batch
+PRECESSION_TILTS = (np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3)
+PRECESSION_ANGLES = (np.pi / 4, np.pi / 2, 3 * np.pi / 4)
+PRECESSION_GRID = tuple((t, p) for t in PRECESSION_TILTS for p in PRECESSION_ANGLES)
+_GRID_SPEC = PrecessionSpec(*np.ix_(PRECESSION_TILTS, PRECESSION_ANGLES))
 
 BLOCH_RADII = (0.2, 0.5, 0.9)
 
@@ -112,6 +111,7 @@ class CheckResult:
     threshold: float
     mode: str  # "max": stat <= threshold; "min": stat >= threshold
     passed: bool
+    fixture: bool = False  # a check that ignores its seed by design
 
     def line(self) -> str:
         label = "max dev" if self.mode == "max" else "min stat"
@@ -127,7 +127,7 @@ _TOL_SCALE = inspect.Parameter("tol_scale", inspect.Parameter.POSITIONAL_OR_KEYW
                                default=1.0)
 
 
-def _battery(suite, name, threshold, mode="max"):
+def _battery(suite, name, threshold, mode="max", fixture=False):
     """Make a generator of rows a registered check (module docstring); the
     reported threshold bounds the raw stat under any ``tol_scale``."""
     extreme = np.max if mode == "max" else np.min
@@ -144,10 +144,11 @@ def _battery(suite, name, threshold, mode="max"):
             else:
                 passed = stat * tol_scale >= threshold
                 bound = threshold / tol_scale if tol_scale > 0 else np.inf
-            return CheckResult(name, suite, stat, float(bound), mode, passed)
+            return CheckResult(name, suite, stat, float(bound), mode, passed, fixture)
 
         seed, *sizes = inspect.signature(rows).parameters.values()
         check.__signature__ = inspect.Signature([seed, _TOL_SCALE, *sizes])
+        check.fixture = fixture
         SUITES[suite] = SUITES.get(suite, ()) + (check,)
         return check
 
@@ -345,7 +346,8 @@ def check_trace_basis_independence(seed, n=200):
         yield np.abs(wrap_angle(got - principal_angle(total[kept])))
 
 
-@_battery("mixed", "weighted invariant is nonadditive (fixture)", 1e-3, mode="min")
+@_battery("mixed", "weighted invariant is nonadditive (fixture)", 1e-3, mode="min",
+          fixture=True)
 def check_mixed_nonadditivity(seed):
     """Regression fixture: the weighted invariant is NOT additive.
 
@@ -538,15 +540,15 @@ def check_cancellation_identity(seed, n=60):
         yield gap * n_steps / 5.0  # normalized to the 5/N budget
 
 
-@_battery("geometric-phase", "precession three-way agreement (budget fractions)", 1.0)
+@_battery("geometric-phase", "precession three-way agreement (budget fractions)", 1.0,
+          fixture=True)
 def check_precession_three_way(seed, n_steps=10_000):
     """Closed form, auxiliary-evolution simulation, chain, and geodesic
     closure agree on the worked-example grid; each deviation is yielded
     as a fraction of its own budget."""
-    spec = PrecessionSpec(*np.array(PRECESSION_GRID).T)
-    closed = precession_phase_closed_form(spec)
-    simulated = precession_phase_simulated(spec)
-    batch = precession_path(spec, n_steps)
+    closed = precession_phase_closed_form(_GRID_SPEC)
+    simulated = precession_phase_simulated(_GRID_SPEC)
+    batch = precession_path(_GRID_SPEC, n_steps)
     chain = chain_phase(batch)
     omega_gc = geodesic_closure_solid_angle(batch)
     yield np.abs(wrap_angle(simulated - closed)) / 1e-9
@@ -554,23 +556,23 @@ def check_precession_three_way(seed, n_steps=10_000):
     yield np.abs(wrap_angle(-omega_gc / 2.0 - closed)) / 1e-4
 
 
-@_battery("geometric-phase", "chain error ratio under step halving", 1.9, mode="min")
+@_battery("geometric-phase", "chain error ratio under step halving", 1.9, mode="min",
+          fixture=True)
 def check_chain_convergence(seed, n_coarse=1000):
     """Halving the step at least roughly halves the chain-phase error."""
-    spec = PrecessionSpec(*np.array(PRECESSION_GRID).T)
-    exact = precession_phase_closed_form(spec)
+    exact = precession_phase_closed_form(_GRID_SPEC)
     err_n, err_2n = (
-        np.abs(wrap_angle(chain_phase(precession_path(spec, n)) - exact))
+        np.abs(wrap_angle(chain_phase(precession_path(_GRID_SPEC, n)) - exact))
         for n in (n_coarse, 2 * n_coarse))
     resolved = err_2n > 1e-13  # skip grid points at the floating noise floor
     yield np.mean(err_n[resolved] / err_2n[resolved])
 
 
-@_battery("geometric-phase", "mixed noncyclic phase matches trace oracle", 1e-8)
+@_battery("geometric-phase", "mixed noncyclic phase matches trace oracle", 1e-8,
+          fixture=True)
 def check_mixed_noncyclic(seed):
     """Mixed noncyclic closed form equals the direct trace phase."""
-    theta, phi = np.array(PRECESSION_GRID).T[..., None]  # (12, 1) against 3 radii
-    spec = PrecessionSpec(theta, phi, np.array(BLOCH_RADII))
+    spec = PrecessionSpec(*np.ix_(PRECESSION_TILTS, PRECESSION_ANGLES, BLOCH_RADII))
     want = mixed_phase(qubit_density(spec.r), precession_comparison_unitary(spec))
     yield np.abs(wrap_angle(mixed_noncyclic_phase(spec) - want.phase))
 
@@ -592,7 +594,7 @@ _ARM_LOW, _ARM_WIDTH = np.array([[0.0, -2.0 * np.pi, -2.0 * np.pi],
                                  [np.pi, 4.0 * np.pi, 4.0 * np.pi]])
 
 
-@_battery("dual", "dual fringe recovers phase and visibility", 1e-8)
+@_battery("dual", "dual fringe recovers phase and visibility", 1e-8, fixture=True)
 def check_dual_fringe(seed, n_chi=64):
     """End-to-end summed-analyser fringe recovers the closed forms."""
     theta, dphi = _dual_grid()
@@ -603,7 +605,7 @@ def check_dual_fringe(seed, n_chi=64):
     yield np.abs(fitted.visibility - closed.visibility)
 
 
-@_battery("dual", "duality with the spin-arm law", 1e-10)
+@_battery("dual", "duality with the spin-arm law", 1e-10, fixture=True)
 def check_duality_identity(seed):
     """The one closed form equals the overlaps of both arrangements'
     explicitly built states: the beam pair's at the field-angle difference
@@ -617,7 +619,7 @@ def check_duality_identity(seed):
         yield np.abs(closed.visibility - direct.visibility)
 
 
-@_battery("dual", "analyser channels sum to a constant", 1e-10)
+@_battery("dual", "analyser channels sum to a constant", 1e-10, fixture=True)
 def check_channel_sum(seed, n_chi=64):
     """Spin-up plus spin-down analyser intensities are flat (probability
     conservation)."""

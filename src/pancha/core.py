@@ -60,6 +60,8 @@ def from_parts(re, im):
 
 def _cis(x):
     """e^{ix} rowwise, from cos x and sin x, with np.exp(1j * x)'s bits."""
+    if np.ndim(x) == 0:  # one angle: five 0-d ufunc calls cost more
+        return np.exp(1j * x)
     z = np.empty(np.shape(x), dtype=complex)
     np.cos(x, out=z.real)
     np.add(np.sin(x, out=z.imag), 0.0, out=z.imag)

@@ -19,9 +19,10 @@ its output, the closure's and the energies' temporaries too
 (core._products, core._unit_bloch), by the same operations in the same
 order as the plain expressions, with the long time axis innermost: none
 broadcasts a per-sample factor against the short trailing state axis.
-Paths are validated values, and leading axes of their states make a
-batch: each kernel gives one value per path, NaN where a single path
-would raise, as do the precession kernels on array angles.
+Paths are validated values, and leading axes of their states make a batch:
+each kernel gives one value per path, NaN where a single path would raise,
+as do the precession kernels on array angles.  The closure runs each batch
+block flat, and precessions take one sine and cosine per times row.
 """
 
 from __future__ import annotations
@@ -350,7 +351,10 @@ def _precession_states(theta, times) -> np.ndarray:
     for lo, hi in _blocks(times.shape[-1], states[..., 0, 0].size):
         half = times[..., lo:hi] / 2.0
         sine, block = np.sin(half), states[..., lo:hi, :]
-        np.cos(half, out=block[..., 0].real)  # a shared times row fills every row
+        if half.size < block[..., 0].size:  # a times row several paths share: copied
+            block[..., 0].real = np.cos(half)
+        else:
+            np.cos(half, out=block[..., 0].real)
         for part, factor in ((block[..., 0].imag, cos_t), (block[..., 1].imag, sin_t)):
             np.subtract(0.0, np.multiply(sine, factor, out=part), out=part)
     return states
@@ -358,14 +362,14 @@ def _precession_states(theta, times) -> np.ndarray:
 
 def precession_path(spec: PrecessionSpec, n: int = 4096) -> DiscretePath:
     """Precession lift e^{-iHt}|+z> sampled at n equal steps (n+1 states),
-    one path per row of the broadcast angles, each with its own times; a
-    negative angle gives the same states at times |t| under -H."""
+    one path per row of the broadcast angles, times made once per given row;
+    a negative angle gives the same states at times |t| under -H."""
     if n < 1:
         raise ValueError("need at least one subdivision")
     theta, phi = np.broadcast_arrays(spec.theta, spec.phi)
     if not np.isfinite((theta, phi)).all():
         raise ValueError("precession angles must be finite")
-    times = np.linspace(0.0, phi, n + 1, axis=-1)
+    times = np.linspace(0.0, spec.phi, n + 1, axis=-1)  # one row per angle given
     states = _precession_states(theta, times)
     hamiltonian = precession_hamiltonian(theta)
     backward = phi < 0.0
@@ -373,6 +377,8 @@ def precession_path(spec: PrecessionSpec, n: int = 4096) -> DiscretePath:
         # np.where, not a product with the sign, keeps the zero parts of H
         times = np.abs(times, out=times)
         hamiltonian = np.where(backward[..., None, None], -hamiltonian, hamiltonian)
+    if times.shape[:-1] != theta.shape:
+        times = np.broadcast_to(times, states.shape[:-1])
     return DiscretePath(times, states, hamiltonian)
 
 
@@ -442,13 +448,19 @@ def _swept_area(x, y, z):
     axis, which run along meridians, sweep nothing; the guards run only
     on a block that has such an arc.  On a block of near arcs (u.v >= 0,
     not NaN) the sign is 1: e = v - u and (sign - 1) cos_u = 0.0 cos_u.
-    """
+    A batch block runs as one pass over its ravel, the arcs between rows
+    masked out of the sign test and the guards and left out of the sums."""
+    shape = x.shape  # a batch block runs as one pass over its ravel
+    x, y, z = (np.ravel(c) for c in (x, y, z)) if x.ndim > 1 and x.size else (x, y, z)
     t = np.empty(x.shape)  # the scratch array, of rho2 and then of the arcs
     rho2, t = _products(x, x, y, y, t), t[..., 1:]
+    on_axis = rho2 < 1e-26
     u0, u1, u2 = x[..., :-1], y[..., :-1], z[..., :-1]
     v0, v1, v2 = x[..., 1:], y[..., 1:], z[..., 1:]
     uv_flat = _products(u0, v0, u1, v1, t)
     ahead = np.add(uv_flat, np.multiply(u2, v2, out=t), out=t) >= 0.0
+    if x.ndim < len(shape):  # the arcs from each row's end to the next row's start
+        ahead[shape[-1] - 1::shape[-1]] = True
     near = ahead.all()
     sign = 1.0 if near else np.where(ahead, 1.0, -1.0)  # _edge's sign
     e = [b - a if near else b - sign * a for a, b in ((u0, v0), (u1, v1), (u2, v2))]
@@ -457,21 +469,20 @@ def _swept_area(x, y, z):
     cos_u = _products(e[2], rho2[..., :-1], u2, u_e, t, subtract=True)
     gap = _products(e[2], u_e, u2, e_flat, t, subtract=True)
     gap += np.multiply(sign - 1.0, cos_u, out=t)  # -cos_v - cos_u
-    denominator = cos_u + gap
+    denominator = np.add(cos_u, gap, out=rho2[..., :-1])  # rho2's buffer from here on
     _products(cos_u, denominator, det, det, t, denominator)
     excess = np.arctan2(np.multiply(det, gap, out=gap), denominator, out=denominator)
     excess += np.arctan2(det, uv_flat, out=uv_flat)
     collapsed = np.add(e_flat, np.multiply(e[2], e[2], out=t), out=t) < 1e-26
-    on_axis = rho2 < 1e-26
-    broken = np.zeros(x.shape[:-1], dtype=bool)
+    broken = np.zeros(shape[:-1], dtype=bool)
     if collapsed.any() or on_axis.any():
-        broken = undefined_rows(  # antipodal neighbours raise first
-            (collapsed & ~ahead).any(axis=-1), DegenerateTriangleError,
-            "adjacent path points are antipodal") | undefined_rows(
-            (on_axis & (z < 0.0)).any(axis=-1), DegenerateTriangleError,
+        antipodal = np.append(collapsed & ~ahead, False).reshape(shape).any(axis=-1)
+        broken = undefined_rows(antipodal, DegenerateTriangleError,  # raised first
+                                "adjacent path points are antipodal") | undefined_rows(
+            (on_axis & (z < 0.0)).reshape(shape).any(axis=-1), DegenerateTriangleError,
             "path touches the south pole, where the azimuth chart is singular")
-        excess = np.where(collapsed | on_axis[..., :-1] | on_axis[..., 1:], 0.0, excess)
-    return excess.sum(axis=-1), broken
+        np.copyto(excess, 0.0, where=collapsed | on_axis[..., :-1] | on_axis[..., 1:])
+    return rho2.reshape(shape)[..., :-1].sum(axis=-1), broken
 
 
 def geodesic_closure_solid_angle(path: DiscretePath):

@@ -10,7 +10,10 @@ the verbatim copies of their earlier code in ``oracles``: the same
 values bit for bit, the same undefined rows, and the same errors with
 the same messages in the same order.  The sweep's cases take both of its
 branches: blocks whose arcs all have u.v >= 0, and blocks with a wider
-arc or a NaN.
+arc or a NaN; and batches whose joins, from one row's last point to the
+next row's first in the block's ravel, would trip a guard or a branch if
+the sweep took them for arcs.  A tilt column against a row of angles
+takes one sine and one cosine per angle's times row, not per path.
 ``loop_holonomy`` transports by the ``geodesic_unitary`` product bit for
 bit, and each block of radii of the mixed solid-angle battery, the
 weighted invariant's and the holonomy trace route's, holds the rows of
@@ -145,6 +148,34 @@ PRECESSION_CASES = {
 def test_precession_states(theta, times):
     same_bits(transport._precession_states(theta, times),
               oracles._precession_states(theta, times))
+
+
+def test_a_tilt_column_against_angle_rows_takes_one_sine_and_cosine_per_angle(
+        monkeypatch):
+    """Elements np.sin and np.cos compute (their outputs' sizes) while a
+    4-tilt column against 3 angles is built: the 3 angle rows of n + 1
+    half-times, not 12, and one tilt per path twice (the states' axis and
+    the generator's).  The path's times are still one row per path, and
+    its states those of the per-path times."""
+    thetas, phis, n = THETAS[:, None], np.array([1.0, -2.0, 3.0]), 3000
+    computed = {"sin": 0, "cos": 0}
+
+    def counting(name, ufunc):
+        def call(*args, **kwargs):
+            result = ufunc(*args, **kwargs)
+            computed[name] += np.size(result)
+            return result
+        return call
+
+    for name in computed:
+        monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+    path = precession_path(PrecessionSpec(thetas, phis), n)
+    monkeypatch.undo()
+    assert computed == {"sin": 3 * (n + 1) + 24, "cos": 3 * (n + 1) + 24}
+    rows = np.broadcast_to(phis, (4, 3))
+    same_bits(path.times, np.abs(np.linspace(0.0, rows, n + 1, axis=-1)))
+    same_bits(path.states, oracles._precession_states(
+        thetas, np.linspace(0.0, rows, n + 1, axis=-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +410,53 @@ def test_swept_area(xyz):
     got = outcome(transport._swept_area, *xyz)
     assert_same_outcome(got, outcome(oracles._swept_area, *xyz))
     assert_same_outcome(got, outcome(oracles._swept_area_allocating, *xyz))
+
+
+def _joined_rows():
+    """Batches of clean rows whose boundary arcs, from one row's last point
+    to the next row's first in the block's ravel, would each trip a guard
+    or a branch of the sweep if they were arcs."""
+    clean = FLAGGED["clean"]
+    return {
+        "a row ending antipodal to the next row's start": np.stack([clean, -clean[::-1]]),
+        "a row ending on the next row's start": np.stack([clean, clean[::-1], clean]),
+        "a row ending more than a quarter turn from the next row's start":
+            np.stack([clean, clean, clean[::-1]]),
+        "every join, and a wide arc inside a row": np.stack(
+            [clean, -clean[::-1], -clean[::-1], FLAGGED["wide arc"], clean]),
+        "every join, and the poles": np.stack(
+            [clean, -clean[::-1], FLAGGED["north pole"], FLAGGED["south pole"],
+             FLAGGED["antipodal neighbours"], clean]),
+    }
+
+
+JOINED = _joined_rows()
+
+
+@pytest.mark.parametrize("rows", JOINED.values(), ids=JOINED.keys())
+def test_swept_area_masks_the_joins_between_rows(rows):
+    xyz = components(rows)
+    got = outcome(transport._swept_area, *xyz)
+    assert_same_outcome(got, outcome(oracles._swept_area, *xyz))
+    assert_same_outcome(got, outcome(oracles._swept_area_allocating, *xyz))
+    alone = [transport._swept_area(*components(points[None]))[1][0] for points in rows]
+    assert list(got[1][1]) == alone
+
+
+def test_each_join_is_what_its_name_says():
+    """The first joins of the first three batches above: u.v = -1, a zero
+    edge, and u.v < 0 short of antipodal; every arc inside their rows is
+    near, so only a join could take the sweep off its near branch."""
+    def first_join(name):
+        u, v = JOINED[name][0][-1], JOINED[name][1][0]
+        return u @ v, np.sum((v - u) ** 2)
+
+    antipodal, on, wide_join = list(JOINED)[:3]
+    assert first_join(antipodal)[0] == pytest.approx(-1.0, abs=1e-15)
+    assert first_join(on)[1] == 0.0
+    assert -0.99 < first_join(wide_join)[0] < 0.0
+    for name in (antipodal, on, wide_join):
+        assert not any(wide(components(points)) for points in JOINED[name])
 
 
 def wide(xyz):

@@ -54,6 +54,26 @@ def test_zero_tol_scale_fails_all_but_the_two_exact_checks():
                       "pair visibility bounded by one"]
 
 
+FIXTURES = ("check_mixed_nonadditivity", "check_precession_three_way",
+            "check_chain_convergence", "check_mixed_noncyclic", "check_dual_fringe",
+            "check_duality_identity", "check_channel_sum")
+
+
+def test_the_seedless_checks_are_the_fixtures():
+    marked = {fn.__name__: fn.fixture for fns in checks.SUITES.values() for fn in fns}
+    assert [name for name, fixture in marked.items() if fixture] == list(FIXTURES)
+    results = checks.run_suites("all", seed=0)
+    assert [r.fixture for r in results] == list(marked.values())
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_a_fixture_gives_the_same_stat_at_any_seed(name):
+    fn = getattr(checks, name)
+    first, second = fn(0), fn(1)
+    assert float(first.stat).hex() == float(second.stat).hex()
+    assert first == second
+
+
 def test_one_suite_runs_its_checks_and_an_unknown_name_raises():
     results = checks.run_suites("mixed", seed=0, tol_scale=0)
     assert [r.suite for r in results] == ["mixed"] * len(REGISTRY["mixed"])

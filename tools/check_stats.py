@@ -15,13 +15,15 @@ Given one tree, it prints a JSON list with one entry per check: its mode
 and threshold, its worst stat over the seeds (the largest in ``max``
 mode, the smallest in ``min`` mode, a NaN before either) with its first
 seed,
-the median stat, the number of seeds it passed at, and the headroom of
-the worst stat as ``ratio``, left out unless both sides are positive.
-The exit code is 0.
+the median stat, the number of seeds it passed at, the headroom of the
+worst stat as ``ratio``, left out unless both sides are positive, and
+whether the check is a ``fixture``, one that ignores its seed by design:
+a fixture runs at the first seed only.  The exit code is 0.
 
-Given two trees, it compares them.  One line is printed per check and
-seed: the parent's stat as ``float.hex`` and its verdict, then ``same``
-or the change's stat and verdict.  Under each differing line, both stats
+Given two trees, it compares them, every check at every seed, fixtures
+too.  One line is printed per check and seed: the parent's stat as
+``float.hex`` and its verdict, then ``same`` or the change's stat and
+verdict.  Under each differing line, both stats
 are printed in decimal with their headroom: threshold/stat in ``max``
 mode, stat/threshold in ``min`` mode, shown only where both sides are
 positive.  The last line names the least headroom among the moved checks,
@@ -45,28 +47,35 @@ from host_fingerprint import report
 
 SEEDS = (0, 20260809)
 
-#: run in each tree's interpreter: prints
-#: [[seed, check, stat hex, passed, threshold, mode], ...]
+#: run in each tree's interpreter with a flag, 1 to run fixtures at the
+#: first seed only, and the seeds: prints {"fixtures": [check, ...],
+#: "rows": [[seed, check, stat hex, passed, threshold, mode], ...]}
 PROBE = """
 import json, sys
 from pancha.checks import SUITES
-print(json.dumps([[seed, fn.__name__, float(result.stat).hex(), result.passed,
-                   result.threshold, result.mode]
-                  for seed in map(int, sys.argv[1:])
-                  for fns in SUITES.values() for fn in fns
-                  for result in [fn(seed)]]))
+once, *seeds = map(int, sys.argv[1:])
+fns = [fn for fns in SUITES.values() for fn in fns]
+fixtures = [fn.__name__ for fn in fns if getattr(fn, "fixture", False)]
+print(json.dumps({"fixtures": fixtures, "rows": [
+    [seed, fn.__name__, float(result.stat).hex(), result.passed, result.threshold,
+     result.mode]
+    for seed in seeds for fn in fns
+    if not (once and fn.__name__ in fixtures and seed != seeds[0])
+    for result in [fn(seed)]]}))
 """
 
 
-def observe(src: Path, seeds=SEEDS) -> dict[tuple[int, str],
-                                             tuple[str, bool, float, str]]:
+def observe(src: Path, seeds=SEEDS, once=False):
     """{(seed, check): (stat as float.hex, passed, threshold, mode)} of one
-    tree, in run order."""
+    tree, in run order, and the names of its fixtures, which run at the
+    first seed only when ``once``."""
     env = {k: v for k, v in os.environ.items() if k != "PANCHA_SEED"}
     env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, "-c", PROBE, *map(str, seeds)],
+    proc = subprocess.run([sys.executable, "-c", PROBE, str(int(once)), *map(str, seeds)],
                           env=env, capture_output=True, text=True, check=True)
-    return {(seed, name): tuple(row) for seed, name, *row in json.loads(proc.stdout)}
+    report = json.loads(proc.stdout)
+    rows = {(seed, name): tuple(row) for seed, name, *row in report["rows"]}
+    return rows, set(report["fixtures"])
 
 
 def _show(row) -> str:
@@ -105,10 +114,11 @@ def _least(rows) -> str:
     return f"x{ratio:.3g} ({name}, seed {seed})"
 
 
-def worst_table(rows) -> list[dict]:
+def worst_table(rows, fixtures) -> list[dict]:
     """Per check, in run order: mode, threshold, the worst stat over the
-    seeds with its seed, the median, the seeds passed and the worst
-    stat's headroom as ``ratio`` where it is defined."""
+    seeds with its seed, the median, the seeds passed, the worst stat's
+    headroom as ``ratio`` where it is defined, and whether it is one of
+    ``fixtures``."""
     by_check: dict[str, list] = {}
     for (seed, name), row in rows.items():
         by_check.setdefault(name, []).append((seed, row))
@@ -126,6 +136,7 @@ def worst_table(rows) -> list[dict]:
         ratio = headroom(dict(runs)[seed])
         if ratio is not None:
             entry["ratio"] = ratio
+        entry["fixture"] = name in fixtures
         table.append(entry)
     return table
 
@@ -157,9 +168,10 @@ def main(argv=None) -> int:
             print(f"no pancha package under {tree}", file=sys.stderr)
             return 2
     if len(trees) == 1:
-        print(json.dumps(worst_table(observe(trees[0], args.seeds)), indent=1))
+        print(json.dumps(worst_table(*observe(trees[0], args.seeds, once=True)),
+                         indent=1))
         return 0
-    parent, change = (observe(tree, args.seeds) for tree in trees)
+    parent, change = (observe(tree, args.seeds)[0] for tree in trees)
     moved = []
     for key in sorted(parent.keys() | change.keys()):
         old, new = parent.get(key), change.get(key)

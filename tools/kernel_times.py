@@ -12,9 +12,13 @@ tree alone on ``PYTHONPATH``; the two are driven alternately, one round
 each, the tree that goes first swapping every round.  A round times, at
 each step count, ``precession_path`` of one fixed precession and then
 ``chain_phase``, ``geodesic_closure_solid_angle`` and ``dynamical_phase``
-of that path, each called often enough to run for about 10^6 steps, and
-then each of the 25 checks of ``checks.SUITES`` once at the round's
-seed.  Both interpreters warm every kernel up before the first round.
+of that path, each called often enough to run for about 10^6 steps; then
+``precession_path``, ``chain_phase`` and ``geodesic_closure_solid_angle``
+of the worked-example grid's batch at 10^4 steps, a tilt column against
+an angle row as the precession checks build it (``grid`` in the label,
+ns per step of all its paths); and then each of the 25 checks of
+``checks.SUITES`` once at the round's seed.  Both interpreters warm
+every kernel up before the first round.
 
 One line is printed per kernel and step count, and per check: the
 parent's and the change's median over the rounds (ns/step for a kernel,
@@ -54,18 +58,24 @@ THETA, PHI = 0.7, 4.0
 #: JSON line {"times": {label: ns/step or ms}, "bits": {label: digest}}
 PROBE = """
 import hashlib, json, sys, time
+import numpy as np
 from pancha import transport as t
-from pancha.checks import SUITES
+from pancha.checks import PRECESSION_GRID, SUITES
 
 steps = [int(n) for n in sys.argv[1].split(",")]
 spec = t.PrecessionSpec(float(sys.argv[2]), float(sys.argv[3]))
 checks = [fn for fns in SUITES.values() for fn in fns]
 KERNELS = ("chain_phase", "geodesic_closure_solid_angle", "dynamical_phase")
+GRID_STEPS = 10_000
+tilts, angles = (list(dict.fromkeys(axis)) for axis in zip(*PRECESSION_GRID))
+grid = t.PrecessionSpec(np.array(tilts)[:, None], np.array(angles))
 
 def digest(value):
     if isinstance(value, t.DiscretePath):
         raw = value.times.tobytes() + value.states.tobytes()
         return hashlib.sha256(raw).hexdigest()
+    if np.ndim(value):
+        return hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()
     return float(value).hex()
 
 def timed(call, reps):
@@ -78,6 +88,9 @@ for n in steps:  # warm up
     path = t.precession_path(spec, n)
     for name in KERNELS:
         getattr(t, name)(path)
+grid_path = t.precession_path(grid, GRID_STEPS)
+for name in KERNELS[:2]:
+    getattr(t, name)(grid_path)
 for fn in checks:
     fn(0)
 
@@ -93,6 +106,16 @@ for line in sys.stdin:
             elapsed, value = timed(lambda: kernel(path), reps)
             times[f"{name}[{n}]"] = elapsed / reps / n
             bits[f"{name}[{n}]"] = digest(value)
+    paths = grid_path.states[..., 0, 0].size
+    n, label = paths * GRID_STEPS, f"[grid {paths}x{GRID_STEPS}]"
+    reps = max(1, 1_000_000 // n)
+    elapsed, path = timed(lambda: t.precession_path(grid, GRID_STEPS), reps)
+    times["precession_path" + label], bits["precession_path" + label] = (
+        elapsed / reps / n, digest(path))
+    for name in KERNELS[:2]:
+        kernel = getattr(t, name)
+        elapsed, value = timed(lambda: kernel(path), reps)
+        times[name + label], bits[name + label] = elapsed / reps / n, digest(value)
     for fn in checks:
         elapsed, result = timed(lambda: fn(seed), 1)
         times[fn.__name__] = elapsed / 1e6
