@@ -38,8 +38,8 @@ _EXPORTS = {
                   "mixed_noncyclic_phase", "pancharatnam_vs_auxiliary",
                   "precession_path", "precession_phase_closed_form",
                   "precession_phase_simulated", "sample_triangle_path"),
-    "twophoton": ("entangled_phase_closed_form", "franson_coincidence_profile",
-                  "nonlinearity_ratio", "simulate_loop_pair"),
+    "twophoton": ("entangled_phase_closed_form", "nonlinearity_ratio",
+                  "simulate_loop_pair"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -3,9 +3,11 @@ acceptance tests.
 
 Each check runs a closed-form phase law against an independent
 brute-force route (state evolution, spherical excess, direct traces) over
-seeded random inputs and reports the worst observed deviation.  The same
-functions back the CLI ``verify`` verb and the test suite, so the two
-never drift apart.
+seeded random inputs and reports the worst observed deviation.  Where a
+runner reports the same pairing, both call one row function beside the
+law, ``<law>_routes``: it takes the pairing's inputs, chi grid included,
+and returns ``(values, deviations)``, the deviations rowwise under the
+runner's oracle-delta names; the check yields them, the runner its row.
 
 A battery is a generator function ``check_<law>(seed, ...)`` whose
 keyword arguments are its instance counts, decorated with
@@ -45,29 +47,28 @@ from .core import (
 from .dual import (
     analyser_intensities,
     apply_arm_fields,
-    dual_phase_closed_form,
+    channel_sum_routes,
+    dual_fringe_routes,
+    duality_routes,
     predicted_final_state,
     prepare_beam_state,
-    spatial_vectors,
-    spin_arm_states,
 )
 from .geometry import (
     SphericalTriangle,
     _eigenbasis,
     bargmann_invariant,
     loop_holonomy,
-    mixed_bargmann,
     mixed_chain_invariant,
     mixed_solid_angle_phase,
+    mixed_solid_angle_routes,
     solid_angle,
+    solid_angle_routes,
 )
 from .phase import (
+    PhaseResult,
     _chi_grid,
-    _trace_profile,
-    fit_fringe,
-    mixed_interference_profile,
     mixed_phase,
-    pancharatnam_phase,
+    mixed_profile_routes,
     tilted_overlap,
 )
 from .transport import (
@@ -75,20 +76,20 @@ from .transport import (
     PrecessionSpec,
     chain_phase,
     dynamical_phase,
-    geodesic_closure_solid_angle,
     is_parallel_lift,
     make_parallel_lift,
-    mixed_noncyclic_phase,
+    mixed_noncyclic_routes,
     pancharatnam_vs_auxiliary,
-    precession_comparison_unitary,
     precession_path,
     precession_phase_closed_form,
-    precession_phase_simulated,
+    precession_routes,
 )
 from .twophoton import (
+    _pair_transport,
     entangled_phase_closed_form,
-    franson_coincidence_profile,
+    franson_routes,
     nonlinearity_ratio,
+    pair_routes,
     simulate_loop_pair,
 )
 
@@ -258,9 +259,8 @@ def _evolved_path(h, psi0, n) -> DiscretePath:
 def check_solid_angle_law(seed, n=1000):
     """Overlap-product invariant equals -Omega/2 from spherical excess."""
     rng = np.random.default_rng([seed, 1])
-    states = random_qubit_tuple(rng, n, 3)
-    omega = solid_angle(SphericalTriangle.from_states(states))
-    yield np.abs(wrap_angle(bargmann_invariant(*states.swapaxes(0, 1)) + omega / 2.0))
+    tri = SphericalTriangle.from_states(random_qubit_tuple(rng, n, 3))
+    yield solid_angle_routes(tri)[1]["invariant_vs_half_area"]
 
 
 @_battery("geometry", "four-vertex additivity", 1e-9)
@@ -309,8 +309,7 @@ def check_mixed_profile_routes(seed, n=200, n_chi=64):
     m = rng.standard_normal((2, n, 2, 2))
     rho = qubit_density(r, axes / np.sqrt(_dot(axes, axes))[..., None])
     u = _haar_unitary(m[0] + 1j * m[1])
-    yield np.abs(mixed_interference_profile(rho, u, chis)
-                 - _trace_profile(rho, u, chis))
+    yield mixed_profile_routes(rho, u, chis)[1]["profile_routes_max"]
 
 
 @_battery("mixed", "weighted invariant matches arctan law", 1e-8)
@@ -321,10 +320,11 @@ def check_mixed_solid_angle_law(seed, n=200):
     rng = np.random.default_rng([seed, 6])
     tri, omega = random_triangle(rng, n)
     r = np.array(BLOCH_RADII)[:, None]  # one row of n triangles per radius
-    closed_form = mixed_solid_angle_phase(r, omega)
-    yield np.abs(wrap_angle(mixed_bargmann(tri, r) - closed_form))
+    values, deviations = mixed_solid_angle_routes(tri, r, omega)
+    yield deviations["mixed_vs_closed_form"]
     rho = qubit_density(r, tri.vectors[:, 0])
-    yield np.abs(wrap_angle(mixed_phase(rho, loop_holonomy(tri)).phase - closed_form))
+    yield np.abs(wrap_angle(mixed_phase(rho, loop_holonomy(tri)).phase
+                            - values["mixed_closed_form"]))
 
 
 @_battery("mixed", "trace phase is basis independent", 1e-10)
@@ -378,19 +378,24 @@ def _random_loop_pairs(rng, n):
     return tri[0::2], tri[1::2], omega[0::2], omega[1::2]
 
 
+def _visible_pairs(rng, k):
+    """k loop pairs with uniform weights, as (closed forms, pair transport)
+    of the rows whose closed visibility is at least 1e-6."""
+    tri_a, tri_ap, omega_a, omega_ap = _random_loop_pairs(rng, k)
+    lam = rng.uniform(0.0, 1.0, k)
+    closed = entangled_phase_closed_form(lam, omega_a, omega_ap)
+    keep = closed.visibility >= 1e-6
+    return (PhaseResult(closed.phase[keep], closed.visibility[keep]),
+            _pair_transport(lam[keep], tri_a[keep], tri_ap[keep]))
+
+
 @_battery("two-photon", "pair simulation matches closed forms", 1e-8)
 def check_pair_oracle(seed, n=500):
     """Simulated 4-dim pair phase/visibility equal the closed forms."""
     rng = np.random.default_rng([seed, 9])
 
     def draw(k):
-        tri_a, tri_ap, omega_a, omega_ap = _random_loop_pairs(rng, k)
-        lam = rng.uniform(0.0, 1.0, k)
-        closed = entangled_phase_closed_form(lam, omega_a, omega_ap)
-        keep = closed.visibility >= 1e-6
-        sim = simulate_loop_pair(lam[keep], tri_a[keep], tri_ap[keep])
-        return (np.abs(wrap_angle(sim.phase - closed.phase[keep])),
-                np.abs(sim.visibility - closed.visibility[keep]))
+        return tuple(pair_routes(*_visible_pairs(rng, k))[1].values())
 
     yield from _first_kept(n, draw)
 
@@ -426,22 +431,14 @@ def check_franson_fringe(seed, n=100, n_chi=64):
     grid = _chi_grid(n_chi)
 
     def draw(k):
-        tri_a, tri_ap, omega_a, omega_ap = _random_loop_pairs(rng, k)
-        lam = rng.uniform(0.0, 1.0, k)
-        closed = entangled_phase_closed_form(lam, omega_a, omega_ap)
-        keep = closed.visibility >= 1e-6
-        phase, vis = closed.phase[keep], closed.visibility[keep]
+        closed, pair = _visible_pairs(rng, k)
         chis = np.concatenate([  # each row's grid plus its fringe extrema
-            np.broadcast_to(grid, (phase.size, n_chi)),
-            np.stack([phase, phase + np.pi], axis=-1),
+            np.broadcast_to(grid, (closed.phase.size, n_chi)),
+            np.stack([closed.phase, closed.phase + np.pi], axis=-1),
         ], axis=-1)
-        intensities = franson_coincidence_profile(lam[keep], tri_a[keep],
-                                                  tri_ap[keep], chis)
-        fitted = fit_fringe(chis, intensities)
-        swing = intensities.max(axis=-1) - intensities.min(axis=-1)
-        return (np.abs(wrap_angle(fitted.phase - phase)),
-                np.abs(fitted.visibility - vis),
-                np.abs(swing - 4.0 * vis))
+        fringe, deviations = franson_routes(closed, pair, chis)
+        swing = fringe["intensities"].max(axis=-1) - fringe["intensities"].min(axis=-1)
+        return (*deviations.values(), np.abs(swing - 4.0 * closed.visibility))
 
     yield from _first_kept(n, draw)
 
@@ -546,14 +543,10 @@ def check_precession_three_way(seed, n_steps=10_000):
     """Closed form, auxiliary-evolution simulation, chain, and geodesic
     closure agree on the worked-example grid; each deviation is yielded
     as a fraction of its own budget."""
-    closed = precession_phase_closed_form(_GRID_SPEC)
-    simulated = precession_phase_simulated(_GRID_SPEC)
-    batch = precession_path(_GRID_SPEC, n_steps)
-    chain = chain_phase(batch)
-    omega_gc = geodesic_closure_solid_angle(batch)
-    yield np.abs(wrap_angle(simulated - closed)) / 1e-9
-    yield np.abs(wrap_angle(chain - closed)) / 1e-3
-    yield np.abs(wrap_angle(-omega_gc / 2.0 - closed)) / 1e-4
+    deviations = precession_routes(_GRID_SPEC, n_steps)[1]
+    yield deviations["sim_vs_closed"] / 1e-9
+    yield deviations["chain_vs_closed"] / 1e-3
+    yield deviations["half_area_vs_closed"] / 1e-4
 
 
 @_battery("geometric-phase", "chain error ratio under step halving", 1.9, mode="min",
@@ -573,8 +566,7 @@ def check_chain_convergence(seed, n_coarse=1000):
 def check_mixed_noncyclic(seed):
     """Mixed noncyclic closed form equals the direct trace phase."""
     spec = PrecessionSpec(*np.ix_(PRECESSION_TILTS, PRECESSION_ANGLES, BLOCH_RADII))
-    want = mixed_phase(qubit_density(spec.r), precession_comparison_unitary(spec))
-    yield np.abs(wrap_angle(mixed_noncyclic_phase(spec) - want.phase))
+    yield mixed_noncyclic_routes(spec)[1]["mixed_vs_trace"]
 
 
 # ---------------------------------------------------------------------------
@@ -597,34 +589,21 @@ _ARM_LOW, _ARM_WIDTH = np.array([[0.0, -2.0 * np.pi, -2.0 * np.pi],
 @_battery("dual", "dual fringe recovers phase and visibility", 1e-8, fixture=True)
 def check_dual_fringe(seed, n_chi=64):
     """End-to-end summed-analyser fringe recovers the closed forms."""
-    theta, dphi = _dual_grid()
-    closed = dual_phase_closed_form(theta, dphi)
-    chis = _chi_grid(n_chi)
-    fitted = fit_fringe(chis, analyser_intensities(theta, dphi, chis)[0])
-    yield np.abs(wrap_angle(fitted.phase - closed.phase))
-    yield np.abs(fitted.visibility - closed.visibility)
+    yield from dual_fringe_routes(*_dual_grid(), _chi_grid(n_chi))[1].values()
 
 
 @_battery("dual", "duality with the spin-arm law", 1e-10, fixture=True)
 def check_duality_identity(seed):
-    """The one closed form equals the overlaps of both arrangements'
-    explicitly built states: the beam pair's at the field-angle difference
-    and the spin arm's at the same precession angle."""
-    theta, dphi = _dual_grid()
-    closed = dual_phase_closed_form(theta, dphi)
-    a_plus, a_minus = spatial_vectors(theta, dphi)
-    for direct in (pancharatnam_phase(a_minus, a_plus),
-                   pancharatnam_phase(*spin_arm_states(theta, dphi))):
-        yield np.abs(wrap_angle(closed.phase - direct.phase))
-        yield np.abs(closed.visibility - direct.visibility)
+    """The one closed form equals both arrangements' built-state overlaps."""
+    yield from duality_routes(*_dual_grid())[1].values()
 
 
 @_battery("dual", "analyser channels sum to a constant", 1e-10, fixture=True)
 def check_channel_sum(seed, n_chi=64):
     """Spin-up plus spin-down analyser intensities are flat (probability
     conservation)."""
-    up, down = analyser_intensities(*_dual_grid(7), _chi_grid(n_chi))
-    yield np.abs(up + down - 4.0)
+    channels = analyser_intensities(*_dual_grid(7), _chi_grid(n_chi))
+    yield channel_sum_routes(*channels)[1]["channel_sum_max_dev"]
 
 
 @_battery("dual", "arm fields are unitary", 1e-12)

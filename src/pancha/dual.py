@@ -8,9 +8,9 @@ behind each beam reads the relative phase of the two spatial states
 |A+> and |A->, whose roles mirror the initial and precessed spin states
 under the substitution (precession angle) <-> (field-angle difference).
 So one closed form, ``dual_phase_closed_form(theta, angle)``, states the
-relative-phase law of both arrangements; the overlaps of each one's
-explicitly built states and the end-to-end analyser fringe are the
-independent routes ``pancha.checks`` compares against it.  The analyser
+relative-phase law of both arrangements; its independent routes are the
+overlaps of each one's explicitly built states (``duality_routes``) and
+the end-to-end analyser fringe (``dual_fringe_routes``).  The analyser
 pass builds the final states once and ``analyser_intensities`` reads
 both spin channels from them; the spin-up channel is the fringe that
 ``fit_fringe`` reads the phase from.
@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import KET_MINUS_Z, KET_PLUS_Z, tensor
 from .errors import OrthogonalStatesError
-from .phase import PhaseResult, tilted_overlap
+from .phase import PhaseResult, deviations, fit_fringe, pancharatnam_phase, tilted_overlap
 
 
 def spin_arm_states(theta, varphi) -> tuple[np.ndarray, np.ndarray]:
@@ -112,9 +112,7 @@ def dual_phase_closed_form(theta, angle) -> PhaseResult:
     precession angle and the result is that of the precessed against the
     initial spin.  Closed forms: phase -arctan(cos(theta) tan(angle/2))
     on the overlap-tracking branch, visibility |cos(angle/2) - i
-    cos(theta) sin(angle/2)|, the modulus of the same tilted overlap.  The
-    overlaps of ``spatial_vectors`` and of ``spin_arm_states`` are the
-    independent routes ``check_duality_identity`` compares against.
+    cos(theta) sin(angle/2)|, the modulus of the same tilted overlap.
 
     Raises:
         OrthogonalStatesError: where the visibility vanishes (theta =
@@ -149,3 +147,30 @@ def analyser_intensities(theta, delta_phi, chis) -> tuple[np.ndarray, np.ndarray
     """
     psi = _analyser_states(theta, delta_phi, np.asarray(chis, dtype=float))
     return _channel(psi, 0), _channel(psi, 1)
+
+
+def dual_fringe_routes(theta, delta_phi, chis):
+    """The closed form against the fit to the spin-up analyser fringe (of
+    the two ``channels``)."""
+    closed = dual_phase_closed_form(theta, delta_phi)
+    channels = analyser_intensities(theta, delta_phi, chis)
+    fitted = fit_fringe(chis, channels[0])
+    return ({"phase": closed.phase, "visibility": closed.visibility,
+             "fitted_phase": fitted.phase, "fitted_visibility": fitted.visibility,
+             "channels": channels}, deviations("fit_vs_closed", fitted, closed))
+
+
+def duality_routes(theta, delta_phi):
+    """The closed form against the overlaps of the beam pair's and the spin
+    arm's built states, whichever deviates more."""
+    closed = dual_phase_closed_form(theta, delta_phi)
+    a_plus, a_minus = spatial_vectors(theta, delta_phi)
+    beam = deviations("duality", closed, pancharatnam_phase(a_minus, a_plus))
+    spin = deviations("duality", closed,
+                      pancharatnam_phase(*spin_arm_states(theta, delta_phi)))
+    return {}, {key: np.maximum(beam[key], spin[key]) for key in beam}
+
+
+def channel_sum_routes(up, down):
+    """The analyser channels' sum against 4 (probability conservation)."""
+    return {}, {"channel_sum_max_dev": np.abs(up + down - 4.0).max(axis=-1)}

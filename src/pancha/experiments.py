@@ -4,8 +4,10 @@ Each runner takes its parameters as keyword arguments (already
 validated; its signature is the one statement of their names, order and
 defaults, from which ``cli.PARAM_SCHEMAS`` is derived), executes one
 scenario end to end, and returns scalar results, oracle deltas (closed
-form versus independently simulated route), and an optional interference
-profile.  Everything is deterministic for a given parameter set.
+form versus independently simulated route; where a battery holds the
+pairing, the row function it calls states them, see ``pancha.checks``),
+and an optional interference profile.  Everything is deterministic for a
+given parameter set.
 
 Every runner uses ``core``, ``phase`` and ``errors``; each imports the
 rest of what it calls in its own body, so a cold ``pancha run`` loads
@@ -29,10 +31,10 @@ from .core import (
 from .errors import UndefinedRatioError
 from .phase import (
     _chi_grid,
-    _trace_profile,
+    deviations,
     fit_fringe,
-    mixed_interference_profile,
     mixed_phase,
+    mixed_profile_routes,
     pancharatnam_phase,
     pure_interference_profile,
 )
@@ -57,14 +59,9 @@ def _triangle(vertices):
     return SphericalTriangle(*points)
 
 
-def run_pair(theta_a, phi_a, theta_b, phi_b, alpha=0.0,
-             samples=64) -> ExperimentOutcome:
-    """Two pure qubit states interfering in a two-beam arrangement."""
-    a = bloch_to_state(BlochPoint(theta_a, phi_a))
-    b = np.exp(1j * alpha) * bloch_to_state(BlochPoint(theta_b, phi_b))
-    direct = pancharatnam_phase(a, b)
-    chis = _chi_grid(samples)
-    intensities = pure_interference_profile(a, b, chis)
+def _fringe_outcome(direct, chis, intensities, name, deltas) -> ExperimentOutcome:
+    """The direct and fitted phases and visibilities, the fit's deltas
+    ``name`` against the direct ones, which no battery holds, after ``deltas``."""
     fitted = fit_fringe(chis, intensities)
     return ExperimentOutcome(
         results={
@@ -73,13 +70,21 @@ def run_pair(theta_a, phi_a, theta_b, phi_b, alpha=0.0,
             "fitted_phase": fitted.phase,
             "fitted_visibility": fitted.visibility,
         },
-        oracle_deltas={
-            "fit_vs_overlap_phase": abs(wrap_angle(fitted.phase - direct.phase)),
-            "fit_vs_overlap_visibility": abs(fitted.visibility - direct.visibility),
-        },
+        oracle_deltas={**deltas, **deviations(name, fitted, direct)},
         profile=(chis, intensities),
         phase_keys=("phase", "fitted_phase"),
     )
+
+
+def run_pair(theta_a, phi_a, theta_b, phi_b, alpha=0.0,
+             samples=64) -> ExperimentOutcome:
+    """Two pure qubit states interfering in a two-beam arrangement."""
+    a = bloch_to_state(BlochPoint(theta_a, phi_a))
+    b = np.exp(1j * alpha) * bloch_to_state(BlochPoint(theta_b, phi_b))
+    direct = pancharatnam_phase(a, b)
+    chis = _chi_grid(samples)
+    return _fringe_outcome(direct, chis, pure_interference_profile(a, b, chis),
+                           "fit_vs_overlap", {})
 
 
 def run_mixed(r, angle, axis=(0.0, 0.0, 1.0), samples=64) -> ExperimentOutcome:
@@ -88,50 +93,25 @@ def run_mixed(r, angle, axis=(0.0, 0.0, 1.0), samples=64) -> ExperimentOutcome:
     u = matrix_exponential_su2(np.asarray(axis, dtype=float), angle)
     direct = mixed_phase(rho, u)
     chis = _chi_grid(samples)
-    intensities = mixed_interference_profile(rho, u, chis)
-    fitted = fit_fringe(chis, intensities)
-    closed = _trace_profile(rho, u, chis)
-    return ExperimentOutcome(
-        results={
-            "phase": direct.phase,
-            "visibility": direct.visibility,
-            "fitted_phase": fitted.phase,
-            "fitted_visibility": fitted.visibility,
-        },
-        oracle_deltas={
-            "profile_routes_max": float(np.abs(intensities - closed).max()),
-            "fit_vs_trace_phase": abs(wrap_angle(fitted.phase - direct.phase)),
-            "fit_vs_trace_visibility": abs(fitted.visibility - direct.visibility),
-        },
-        profile=(chis, intensities),
-        phase_keys=("phase", "fitted_phase"),
-    )
+    profile, deltas = mixed_profile_routes(rho, u, chis)
+    return _fringe_outcome(direct, chis, profile["intensities"], "fit_vs_trace", deltas)
 
 
 def run_triangle(vertices, r=0.5) -> ExperimentOutcome:
     """Solid-angle law on one triangle, pure and mixed."""
-    from .geometry import (bargmann_invariant, loop_holonomy, mixed_bargmann,
-                           mixed_solid_angle_phase, solid_angle)
+    from .geometry import loop_holonomy, mixed_solid_angle_routes, solid_angle_routes
 
     tri = _triangle(vertices)
-    sa, sb, sc = tri.states
-    invariant = bargmann_invariant(sa, sb, sc)
-    omega = solid_angle(tri)
-    holonomy_phase = float(np.angle(inner_product(sa, loop_holonomy(tri) @ sa)))
-    weighted = mixed_bargmann(tri, r)
-    weighted_closed = mixed_solid_angle_phase(r, omega)
+    pure, pure_deltas = solid_angle_routes(tri)
+    start = tri.states[0]
+    holonomy_phase = float(np.angle(inner_product(start, loop_holonomy(tri) @ start)))
+    mixed, mixed_deltas = mixed_solid_angle_routes(tri, r, pure["solid_angle"])
     return ExperimentOutcome(
-        results={
-            "invariant": invariant,
-            "solid_angle": omega,
-            "holonomy_phase": holonomy_phase,
-            "mixed_invariant": weighted,
-            "mixed_closed_form": weighted_closed,
-        },
+        results={**pure, "holonomy_phase": holonomy_phase, **mixed},
         oracle_deltas={
-            "invariant_vs_half_area": abs(wrap_angle(invariant + omega / 2.0)),
-            "holonomy_vs_invariant": abs(wrap_angle(holonomy_phase - invariant)),
-            "mixed_vs_closed_form": abs(wrap_angle(weighted - weighted_closed)),
+            **pure_deltas,
+            "holonomy_vs_invariant": abs(wrap_angle(holonomy_phase - pure["invariant"])),
+            **mixed_deltas,
         },
         phase_keys=("invariant", "mixed_invariant"),
     )
@@ -142,17 +122,17 @@ def run_two_photon(lam, triangle_a, triangle_a_prime,
     """Entangled pair driven around one loop per photon."""
     from .geometry import solid_angle
     from .twophoton import (_pair_transport, entangled_phase_closed_form,
-                            nonlinearity_ratio)
+                            franson_routes, nonlinearity_ratio, pair_routes)
 
     loops = (_triangle(triangle_a), _triangle(triangle_a_prime))
     lam = float(lam)
     omega, omega_prime = map(solid_angle, loops)
     closed = entangled_phase_closed_form(lam, omega, omega_prime)
-    pair = _pair_transport(lam, *loops)  # simulate_loop_pair's and the profile's
-    sim = pancharatnam_phase(*pair)
+    pair = _pair_transport(lam, *loops)  # the overlap's and the fringe's
+    sim, sim_deltas = pair_routes(closed, pair)
     chis = _chi_grid(samples)
-    intensities = pure_interference_profile(*pair, chis)
-    fitted = fit_fringe(chis, intensities)
+    fringe, fit_deltas = franson_routes(closed, pair, chis)
+    intensities = fringe.pop("intensities")
     try:
         ratio = nonlinearity_ratio(lam, omega, omega_prime)
     except UndefinedRatioError:
@@ -161,20 +141,13 @@ def run_two_photon(lam, triangle_a, triangle_a_prime,
         results={
             "phase": closed.phase,
             "visibility": closed.visibility,
-            "simulated_phase": sim.phase,
-            "simulated_visibility": sim.visibility,
-            "fitted_phase": fitted.phase,
-            "fitted_visibility": fitted.visibility,
+            **sim,
+            **fringe,
             "solid_angle_a": omega,
             "solid_angle_a_prime": omega_prime,
             "nonlinearity_ratio": ratio,
         },
-        oracle_deltas={
-            "sim_vs_closed_phase": abs(wrap_angle(sim.phase - closed.phase)),
-            "sim_vs_closed_visibility": abs(sim.visibility - closed.visibility),
-            "fit_vs_closed_phase": abs(wrap_angle(fitted.phase - closed.phase)),
-            "fit_vs_closed_visibility": abs(fitted.visibility - closed.visibility),
-        },
+        oracle_deltas={**sim_deltas, **fit_deltas},
         profile=(chis, intensities),
         phase_keys=("phase", "simulated_phase", "fitted_phase"),
     )
@@ -182,75 +155,35 @@ def run_two_photon(lam, triangle_a, triangle_a_prime,
 
 def run_precession(theta, phi, r=0.5, subdivisions=4096) -> ExperimentOutcome:
     """Spin-1/2 precession: closed form, chain, geodesic closure, mixed."""
-    from .transport import (PrecessionSpec, chain_phase,
-                            geodesic_closure_solid_angle, mixed_noncyclic_phase,
-                            precession_comparison_unitary, precession_path,
-                            precession_phase_closed_form,
-                            precession_phase_simulated)
+    from .transport import PrecessionSpec, mixed_noncyclic_routes, precession_routes
 
     spec = PrecessionSpec(theta, phi, r)
-    closed = precession_phase_closed_form(spec)
-    simulated = precession_phase_simulated(spec)
-    path = precession_path(spec, int(subdivisions))
-    chain = chain_phase(path)
-    omega_gc = geodesic_closure_solid_angle(path)
-    mixed_closed = mixed_noncyclic_phase(spec)
-    mixed_trace = mixed_phase(qubit_density(spec.r),
-                              precession_comparison_unitary(spec)).phase
+    pure, pure_deltas = precession_routes(spec, int(subdivisions))
+    mixed, mixed_deltas = mixed_noncyclic_routes(spec)
     return ExperimentOutcome(
-        results={
-            "closed_form": closed,
-            "simulated": simulated,
-            "chain": chain,
-            "solid_angle_gc": omega_gc,
-            "half_area_phase": wrap_angle(-omega_gc / 2.0),
-            "mixed_closed_form": mixed_closed,
-            "mixed_trace": mixed_trace,
-        },
-        oracle_deltas={
-            "sim_vs_closed": abs(wrap_angle(simulated - closed)),
-            "chain_vs_closed": abs(wrap_angle(chain - closed)),
-            "half_area_vs_closed": abs(wrap_angle(-omega_gc / 2.0 - closed)),
-            "mixed_vs_trace": abs(wrap_angle(mixed_closed - mixed_trace)),
-        },
+        results={**pure, "half_area_phase": wrap_angle(-pure["solid_angle_gc"] / 2.0),
+                 **mixed},
+        oracle_deltas={**pure_deltas, **mixed_deltas},
         phase_keys=("closed_form", "simulated", "chain", "mixed_closed_form"),
     )
 
 
 def run_dual(theta, delta_phi, samples=64) -> ExperimentOutcome:
     """Split-beam dual readout with fixed field difference, swept sum."""
-    from .dual import (analyser_intensities, dual_phase_closed_form,
-                       spatial_vectors, spin_arm_states)
+    from .dual import channel_sum_routes, dual_fringe_routes, duality_routes
 
     theta = float(theta)
     delta_phi = float(delta_phi)
-    closed = dual_phase_closed_form(theta, delta_phi)
     chis = _chi_grid(samples)
-    up, down = analyser_intensities(theta, delta_phi, chis)
-    fitted = fit_fringe(chis, up)
-    a_plus, a_minus = spatial_vectors(theta, delta_phi)
-    directs = (pancharatnam_phase(a_minus, a_plus),
-               pancharatnam_phase(*spin_arm_states(theta, delta_phi)))
+    fringe, fringe_deltas = dual_fringe_routes(theta, delta_phi, chis)
+    channels = fringe.pop("channels")
     return ExperimentOutcome(
-        results={
-            "phase": closed.phase,
-            "visibility": closed.visibility,
-            "fitted_phase": fitted.phase,
-            "fitted_visibility": fitted.visibility,
-            # the spin arm obeys the same law; its columns stay in the output
-            "spin_arm_phase": closed.phase,
-            "spin_arm_visibility": closed.visibility,
-        },
-        oracle_deltas={
-            "fit_vs_closed_phase": abs(wrap_angle(fitted.phase - closed.phase)),
-            "fit_vs_closed_visibility": abs(fitted.visibility - closed.visibility),
-            "duality_phase": max(abs(wrap_angle(closed.phase - d.phase))
-                                 for d in directs),
-            "duality_visibility": max(abs(closed.visibility - d.visibility)
-                                      for d in directs),
-            "channel_sum_max_dev": float(np.abs(up + down - 4.0).max()),
-        },
-        profile=(chis, up),
+        # the spin arm obeys the same law; its columns stay in the output
+        results={**fringe, "spin_arm_phase": fringe["phase"],
+                 "spin_arm_visibility": fringe["visibility"]},
+        oracle_deltas={**fringe_deltas, **duality_routes(theta, delta_phi)[1],
+                       **channel_sum_routes(*channels)[1]},
+        profile=(chis, channels[0]),
         phase_keys=("phase", "fitted_phase", "spin_arm_phase"),
     )
 

@@ -53,6 +53,7 @@ from .core import (
     orthogonal_complement,
     principal_angle,
     undefined_rows,
+    wrap_angle,
 )
 from .errors import (
     AntipodalPointsError,
@@ -254,6 +255,14 @@ def solid_angle(t: SphericalTriangle):
     return mark_undefined(omega, undefined)
 
 
+def solid_angle_routes(t: SphericalTriangle):
+    """The overlap-product invariant against -Omega/2 from the excess."""
+    invariant = bargmann_invariant(*(t.states[..., k, :] for k in range(3)))
+    omega = solid_angle(t)
+    return ({"invariant": invariant, "solid_angle": omega},
+            {"invariant_vs_half_area": abs(wrap_angle(invariant + omega / 2.0))})
+
+
 def geodesic_unitary(u, v, fraction=1.0) -> np.ndarray:
     """SU(2) rotation by ``fraction`` of the great-circle arc from the
     unit vector u to the unit vector v.
@@ -379,3 +388,11 @@ def mixed_solid_angle_phase(r, omega):
                                "|omega| >= 2*pi is outside the single-turn branch")
     return mark_undefined(principal_angle(tilted_overlap(omega / 2.0, r)),
                           degenerate | multiturn)
+
+
+def mixed_solid_angle_routes(t: SphericalTriangle, r, omega):
+    """The weighted invariant against the closed form at solid angles ``omega``."""
+    weighted = mixed_bargmann(t, r)
+    closed = mixed_solid_angle_phase(r, omega)
+    return ({"mixed_invariant": weighted, "mixed_closed_form": closed},
+            {"mixed_vs_closed_form": abs(wrap_angle(weighted - closed))})

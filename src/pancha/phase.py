@@ -8,9 +8,10 @@ shift arg<A|B> observed when one beam gets a variable U(1) shift chi:
 and it generalizes to a unitarily evolved mixed state as arg Tr(U rho)
 with fringe contrast |Tr(U rho)|.  Interference profiles here are always
 computed by direct state arithmetic, so the closed forms above stay
-testable claims rather than baked-in assumptions; the comparisons live
-in ``pancha.checks``.  A profile is its intensities: the phase is read
-off them by ``fit_fringe`` where the reading is used.
+testable claims rather than baked-in assumptions; each comparison is a
+row function beside its law, which ``pancha.checks`` and the runners
+share.  A profile is its intensities: the phase is read off them by
+``fit_fringe`` where the reading is used.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .core import (
     mark_undefined,
     principal_angle,
     undefined_rows,
+    wrap_angle,
 )
 from .errors import IllConditionedError, OrthogonalStatesError, VanishingTraceError
 
@@ -57,6 +59,13 @@ class PhaseResult:
             f"overlap modulus {vis:.3e} below {EPS_ORTH:.0e}"))
         return cls(mark_undefined(principal_angle(z), vanishing),
                    float(vis) if vanishing.ndim == 0 else vis)
+
+
+def deviations(name, result: PhaseResult, reference: PhaseResult) -> dict:
+    """A fitted or simulated result against its reference, rowwise:
+    ``{name}_phase`` |wrap_angle(phase gap)|, ``{name}_visibility`` |gap|."""
+    return {f"{name}_phase": abs(wrap_angle(result.phase - reference.phase)),
+            f"{name}_visibility": abs(result.visibility - reference.visibility)}
 
 
 def tilted_overlap(half, k):
@@ -139,7 +148,7 @@ def mixed_interference_profile(rho, u, chis) -> np.ndarray:
     Eigendecomposes rho and adds the weighted pure-state profiles of each
     eigenvector against its image under U.  The trace closed form
     2 + 2 Re(e^{i chi} conj(Tr(U rho))) is the independent route it is
-    checked against (``check_mixed_profile_routes``, ``run_mixed``).
+    checked against (``mixed_profile_routes``).
     Rowwise over (..., d, d) stacks, with one ``eigh`` over the stack,
     which reads one triangle: a rho with a non-finite entry, one further
     than 1e-12 from its conjugate transpose, or one whose eigenvectors are
@@ -155,6 +164,13 @@ def mixed_interference_profile(rho, u, chis) -> np.ndarray:
     images = (u[..., None, :, :] @ vectors[..., :, None])[..., 0]
     profiles = pure_interference_profile(vectors, images, chis[..., None, :])
     return (weights[..., None] * profiles).sum(axis=-2)
+
+
+def mixed_profile_routes(rho, u, chis):
+    """The ensemble profile against the trace closed form, by each row's largest gap."""
+    intensities = mixed_interference_profile(rho, u, chis)
+    gap = np.abs(intensities - _trace_profile(rho, u, chis))
+    return {"intensities": intensities}, {"profile_routes_max": gap.max(axis=-1)}
 
 
 def fit_fringe(chis, intensities) -> PhaseResult:

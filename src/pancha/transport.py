@@ -42,6 +42,7 @@ from .core import (
     mark_undefined,
     matrix_exponential_su2,
     principal_angle,
+    qubit_density,
     undefined_rows,
     wrap_angle,
 )
@@ -59,7 +60,7 @@ from .geometry import (
     geodesic_unitary,
     mixed_solid_angle_phase,
 )
-from .phase import EPS_ORTH, PhaseResult, tilted_overlap
+from .phase import EPS_ORTH, PhaseResult, mixed_phase, tilted_overlap
 
 #: samples per block of every pass over a path (_blocks), shared by all
 #: the paths of a batch: building, validating, the overlap chain's links,
@@ -543,6 +544,29 @@ def mixed_noncyclic_phase(spec: PrecessionSpec):
     """
     omega_gc = -2.0 * precession_phase_closed_form(spec)
     return mixed_solid_angle_phase(spec.r, omega_gc)
+
+
+def precession_routes(spec: PrecessionSpec, n: int):
+    """The closed form against the simulation, and the n-step path's chain
+    and minus half its closed solid angle."""
+    closed = precession_phase_closed_form(spec)
+    simulated = precession_phase_simulated(spec)
+    path = precession_path(spec, n)
+    chain = chain_phase(path)
+    omega_gc = geodesic_closure_solid_angle(path)
+    return ({"closed_form": closed, "simulated": simulated, "chain": chain,
+             "solid_angle_gc": omega_gc},
+            {"sim_vs_closed": abs(wrap_angle(simulated - closed)),
+             "chain_vs_closed": abs(wrap_angle(chain - closed)),
+             "half_area_vs_closed": abs(wrap_angle(-omega_gc / 2.0 - closed))})
+
+
+def mixed_noncyclic_routes(spec: PrecessionSpec):
+    """The mixed closed form against arg Tr(U rho) of the net evolution."""
+    closed = mixed_noncyclic_phase(spec)
+    trace = mixed_phase(qubit_density(spec.r), precession_comparison_unitary(spec)).phase
+    return ({"mixed_closed_form": closed, "mixed_trace": trace},
+            {"mixed_vs_trace": abs(wrap_angle(closed - trace))})
 
 
 def sample_triangle_path(triangle: SphericalTriangle, n: int = 4096) -> DiscretePath:

@@ -7,10 +7,10 @@ the pair overlap <initial|final> develops a phase that is nonlinear in
 the loop areas whenever the state is entangled.  Each loop's start
 vertex fixes its photon's Schmidt basis, so a pair is given by lam and
 its two loops: ``simulate_loop_pair(lam, triangle_a, triangle_a_prime)``
-and ``franson_coincidence_profile(lam, triangle_a, triangle_a_prime,
-chis)`` take the weight (a number or an array) and two
-``SphericalTriangle`` (one or a batch); the profile is the coincidence
-intensities, off which ``fit_fringe`` reads the pair phase.
+takes the weight (a number or an array) and two ``SphericalTriangle``
+(one or a batch).  ``pair_routes`` and ``franson_routes`` read one pair
+of vectors and images, as ``_pair_transport`` makes them, by its overlap
+and by its coincidence fringe.
 
 Each law is stated once.  The pair phase is
 ``entangled_phase_closed_form``; with the partner photon idle it is
@@ -30,6 +30,8 @@ from .geometry import _eigenbasis, loop_holonomy
 from .phase import (
     EPS_ORTH,
     PhaseResult,
+    deviations,
+    fit_fringe,
     pancharatnam_phase,
     pure_interference_profile,
     tilted_overlap,
@@ -95,6 +97,13 @@ def simulate_loop_pair(lam, triangle_a, triangle_a_prime) -> PhaseResult:
     return pancharatnam_phase(*_pair_transport(lam, triangle_a, triangle_a_prime))
 
 
+def pair_routes(closed: PhaseResult, pair):
+    """The closed form ``closed`` against the overlap of ``pair``."""
+    sim = pancharatnam_phase(*pair)
+    return ({"simulated_phase": sim.phase, "simulated_visibility": sim.visibility},
+            deviations("sim_vs_closed", sim, closed))
+
+
 def nonlinearity_ratio(lam, omega, omega_prime):
     """|tan(entangled phase) / tan(product phase)|, the entanglement degree.
 
@@ -123,16 +132,12 @@ def nonlinearity_ratio(lam, omega, omega_prime):
     return mark_undefined(np.abs(1.0 - 2.0 * lam), undefined)
 
 
-def franson_coincidence_profile(lam, triangle_a, triangle_a_prime,
-                                chis) -> np.ndarray:
-    """Coincidence intensities |e^{i chi} initial + final|^2 of the photon pair.
-
-    Models simultaneous arrivals in a two-arm delay interferometer: both
-    photons short (initial state, carrying the U(1) shift) or both long
-    (loop-evolved state).  Sampled by direct 4-dim arithmetic; the phase
-    and visibility that ``fit_fringe`` reads off them recover the closed
-    forms.  Array lam and batched triangles take one row of a (..., n)
-    grid each.
-    """
-    return pure_interference_profile(
-        *_pair_transport(lam, triangle_a, triangle_a_prime), chis)
+def franson_routes(closed: PhaseResult, pair, chis):
+    """The closed form ``closed`` against the fit to the coincidence fringe
+    |e^{i chi} initial + final|^2 of ``pair`` on ``chis``, sampled by 4-dim
+    arithmetic: in a two-arm delay interferometer both photons arrive short
+    (initial, shifted by chi) or both long (loop-evolved)."""
+    intensities = pure_interference_profile(*pair, chis)
+    fitted = fit_fringe(chis, intensities)
+    return ({"fitted_phase": fitted.phase, "fitted_visibility": fitted.visibility,
+             "intensities": intensities}, deviations("fit_vs_closed", fitted, closed))

@@ -29,7 +29,7 @@ from pancha.geometry import (
     mixed_solid_angle_phase,
     solid_angle,
 )
-from pancha.phase import fit_fringe, tilted_overlap
+from pancha.phase import PhaseResult, tilted_overlap
 from pancha.twophoton import (
     entangled_phase_closed_form,
     simulate_loop_pair,
@@ -223,10 +223,12 @@ def test_empty_batches_give_empty_rows():
     none = np.zeros(2, dtype=bool)
     assert simulate_loop_pair(np.zeros(0), tri[none], tri[none]).phase.shape == (0,)
     chis = np.zeros((0, 8))
-    profile = twophoton.franson_coincidence_profile(np.zeros(0), tri[none],
-                                                    tri[none], chis)
-    assert profile.shape == (0, 8)
-    assert fit_fringe(chis, profile).visibility.shape == (0,)
+    fringe, deviations = twophoton.franson_routes(
+        PhaseResult(np.zeros(0), np.zeros(0)),
+        twophoton._pair_transport(np.zeros(0), tri[none], tri[none]), chis)
+    assert fringe["intensities"].shape == (0, 8)
+    assert fringe["fitted_visibility"].shape == (0,)
+    assert deviations["fit_vs_closed_phase"].shape == (0,)
     assert solid_angle(tri[none]).shape == (0,)
     assert mixed_bargmann(tri[none], 0.5).shape == (0,)
 
@@ -245,7 +247,8 @@ class TestRewrittenChecksStillFail:
     @staticmethod
     def negate_solid_angle(monkeypatch):
         real = checks.solid_angle
-        monkeypatch.setattr(checks, "solid_angle", lambda t: -real(t))
+        for module in (checks, geometry):  # geometry's for solid_angle_routes
+            monkeypatch.setattr(module, "solid_angle", lambda t: -real(t))
 
     @pytest.mark.parametrize("check", [checks.check_mixed_solid_angle_law,
                                        checks.check_pair_oracle,

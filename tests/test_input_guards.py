@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from pancha import checks, experiments
+from pancha import checks, experiments, phase
 from pancha.core import matrix_exponential_su2, qubit_density
 from pancha.errors import OrthogonalStatesError, UndefinedRatioError
 from pancha.geometry import bargmann_invariant
@@ -176,8 +176,8 @@ def profiled_rhos(monkeypatch):
         assert np.isfinite(profile).all()
         return profile
 
-    for module in (checks, experiments):
-        monkeypatch.setattr(module, "mixed_interference_profile", spy)
+    # both reach the profile through phase.mixed_profile_routes
+    monkeypatch.setattr(phase, "mixed_interference_profile", spy)
     return seen
 
 

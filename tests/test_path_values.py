@@ -299,10 +299,12 @@ def test_path_checks_keep_size_threshold_and_mode(name, seed):
 
 
 def record(monkeypatch, name):
-    """Record every path passed to checks.<name>."""
+    """Record every path passed to <name> by the checks and by transport's
+    row functions."""
     real, seen = getattr(checks, name), []
-    monkeypatch.setattr(checks, name,
-                        lambda path, *a: seen.append(path) or real(path, *a))
+    for module in (checks, transport):
+        monkeypatch.setattr(module, name,
+                            lambda path, *a: seen.append(path) or real(path, *a))
     return seen
 
 

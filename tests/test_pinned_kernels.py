@@ -22,8 +22,8 @@ recorded stat.
 A triangle holds its vertex unit vectors and states: made from Bloch
 angles, it and ``solid_angle``, ``loop_holonomy``, ``mixed_bargmann``,
 ``geodesic_unitary`` (on the points' vectors), ``sample_triangle_path``,
-``twophoton._pair_transport``, ``simulate_loop_pair`` and
-``franson_coincidence_profile`` give the bits and errors of the earlier
+``twophoton._pair_transport``, ``simulate_loop_pair`` and the
+coincidence fringe ``franson_routes`` fits give the bits and errors of the earlier
 angle-route copies in ``oracles``; made from states, its vectors are the
 states' Bloch vectors and its solid angle that of the earlier route
 within 1e-14.  ``bargmann_invariant`` of three states gives the bits,
@@ -74,7 +74,7 @@ from pancha.transport import (
     PrecessionSpec,
     precession_path,
 )
-from pancha.twophoton import franson_coincidence_profile, simulate_loop_pair
+from pancha.twophoton import simulate_loop_pair
 
 SEEDS = (0, 20260809)
 
@@ -907,8 +907,8 @@ LAMS = {"one lam": 0.3, "lam rows": np.linspace(0.0, 1.0, 5)[:, None]}
 @pytest.mark.parametrize("lam", LAMS.values(), ids=LAMS.keys())
 @pytest.mark.parametrize("vertices", ANGLE_CASES.values(), ids=ANGLE_CASES.keys())
 def test_pair_kernels(vertices, lam):
-    """_pair_transport, simulate_loop_pair and franson_coincidence_profile
-    on a loop and the same loop turned by a vertex."""
+    """_pair_transport, simulate_loop_pair and the coincidence fringe
+    franson_routes fits, on a loop and the same loop turned by a vertex."""
     t, earlier = both(vertices)
     turned = both(vertices[1:] + vertices[:1])
     pairs = ((t, turned[0]), (earlier, turned[1]))
@@ -921,7 +921,8 @@ def test_pair_kernels(vertices, lam):
             (lambda lam, a, ap: simulate_loop_pair(lam, a, ap).visibility,
              lambda lam, a, ap: pancharatnam_phase(*oracles._pair_transport(
                  lam, a, ap)).visibility),
-            (lambda lam, a, ap: franson_coincidence_profile(lam, a, ap, chis),
+            (lambda lam, a, ap: pure_interference_profile(*twophoton._pair_transport(
+                lam, a, ap), chis),
              lambda lam, a, ap: pure_interference_profile(*oracles._pair_transport(
                  lam, a, ap), chis))):
         assert_same_outcome(outcome(kernel, lam, *pairs[0]),

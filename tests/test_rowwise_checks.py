@@ -7,7 +7,7 @@ import inspect
 import numpy as np
 import pytest
 
-from pancha import checks, dual, phase
+from pancha import checks, dual, phase, twophoton
 from pancha.core import haar_state, qubit_density
 from pancha.phase import PhaseResult
 
@@ -47,7 +47,7 @@ def _fit_negated(monkeypatch):
         res = real(chis, intensities)
         return PhaseResult(-res.phase, res.visibility)
 
-    for module in (phase, checks):
+    for module in (phase, dual, twophoton):  # the fringe row functions' fits
         monkeypatch.setattr(module, "fit_fringe", negated)
 
 
@@ -201,7 +201,9 @@ def _spec_args(psi, varphi0, varphi1):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_checks_see_the_sequential_draws(monkeypatch, seed, check, kernel, unpack,
                                          reference):
-    calls = _record(monkeypatch, checks, kernel, unpack)
+    # the profile check reaches its kernel through phase.mixed_profile_routes
+    module = phase if kernel == "mixed_interference_profile" else checks
+    calls = _record(monkeypatch, module, kernel, unpack)
     assert check(seed).passed
     want = reference(seed)
     assert len(calls) == len(want)
@@ -264,7 +266,7 @@ def test_fit_fringe_runs_once_per_profile():
         return real(chis, intensities)
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (phase, checks):
+        for module in (phase, dual, twophoton):  # the fringe row functions' fits
             mp.setattr(module, "fit_fringe", counted)
         per_check = {}
         for fns in checks.SUITES.values():
@@ -287,12 +289,16 @@ def test_kernels_run_on_whole_batches(monkeypatch, check):
                  "analyser_intensities", "dual_phase_closed_form", "pancharatnam_phase",
                  "mixed_phase", "mixed_interference_profile", "_trace_profile",
                  "qubit_density", "inner_product"):
-        real = getattr(checks, name)
+        # in the checks and in the dual and phase row functions they call
+        for module in (checks, dual, phase):
+            if not hasattr(module, name):
+                continue
+            real = getattr(module, name)
 
-        def counted(*args, _real=real, _name=name, **kwargs):
-            counts[_name] = counts.get(_name, 0) + 1
-            return _real(*args, **kwargs)
+            def counted(*args, _real=real, _name=name, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(checks, name, counted)
+            monkeypatch.setattr(module, name, counted)
     check(0)
     assert counts and max(counts.values()) <= 3  # at most one call per dimension

@@ -8,11 +8,10 @@ from pancha.errors import (
     UndefinedRatioError,
 )
 from pancha.geometry import SphericalTriangle, mixed_solid_angle_phase, solid_angle
-from pancha.phase import fit_fringe
+from pancha.phase import fit_fringe, pure_interference_profile
 from pancha.twophoton import (
     _pair_transport,
     entangled_phase_closed_form,
-    franson_coincidence_profile,
     nonlinearity_ratio,
     simulate_loop_pair,
 )
@@ -30,6 +29,12 @@ def span_triangle(delta, start=0.0):
 
 def point_triangle(point=NORTH):
     return SphericalTriangle(point, point, point)
+
+
+def franson_coincidence_profile(lam, triangle_a, triangle_a_prime, chis):
+    """The coincidence fringe that twophoton.franson_routes fits."""
+    return pure_interference_profile(
+        *_pair_transport(lam, triangle_a, triangle_a_prime), chis)
 
 
 QUARTER_PAIR = (span_triangle(np.pi / 4), span_triangle(np.pi / 4, start=1.0))
